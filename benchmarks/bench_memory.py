@@ -2,16 +2,17 @@
 
 Covers the headline claims of the data-movement refactor:
 
-* the tile-residency LRU accounts a ~6000-task graph in well under a second
-  (pure bookkeeping, no simulator involvement),
+* the tile-residency LRU touches the footprints of a ~6000-task graph in
+  well under a second (pure bookkeeping, no simulator involvement),
 * shrinking the on-chip capacity below the working set monotonically
   increases off-chip traffic and makes stalls appear,
 * the ``memory_aware`` policy never moves more off-chip bytes than
   ``greedy`` and strictly fewer under capacity pressure,
-* two-level accounting (per-core local stores) stays cheap bookkeeping and
-  the affinity policy earns a higher local hit rate than greedy,
-* growing the local:shared capacity ratio monotonically lifts the local
-  hit rate while leaving off-chip traffic untouched (inclusion).
+* scheduling with two-level accounting (per-core local stores) stays cheap
+  and the affinity policy earns a higher local hit rate than greedy,
+* for a fixed schedule, growing the local:shared capacity ratio
+  monotonically lifts the local hit rate while leaving off-chip traffic
+  untouched (inclusion).
 
 Each benchmark emits a machine-readable ``BENCH_*.json`` record via the
 ``bench_json`` fixture so the perf trajectory is tracked across PRs.
@@ -22,16 +23,16 @@ import time
 import numpy as np
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import MemoryHierarchy, TileResidency
+from repro.lap.fastpath import FastTileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
+from repro.lap.timing import MemoizedTiming
 
 
 def test_residency_accounting_throughput(benchmark, bench_json):
-    """Accounting a 5984-task Cholesky graph through the LRU is cheap."""
+    """Touching the footprints of a 5984-task Cholesky graph through the LRU
+    (2 MiB on chip, 128^2 double tiles) is cheap."""
     graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
-    lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4,
-                                           onchip_memory_mbytes=2.0))
 
     # Per-call timing inside the callable: the JSON payload must not be
     # inflated by pytest-benchmark's calibration rounds.
@@ -39,23 +40,26 @@ def test_residency_accounting_throughput(benchmark, bench_json):
 
     def account():
         started = time.perf_counter()
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=128)
+        res = FastTileResidency(capacity_bytes=2 * 2 ** 20,
+                                tile_bytes=128 * 128 * 8)
+        traffic = 0.0
         for task in graph:
-            hierarchy.account(task)
-        hierarchy.finish()
+            refill, _, _, writeback = res.touch(task.read_tiles(),
+                                                task.write_tiles())
+            traffic += refill + writeback
+        traffic += res.flush()
         last["elapsed"] = time.perf_counter() - started
-        return hierarchy
+        return traffic
 
-    hierarchy = benchmark(account)
+    traffic = benchmark(account)
     elapsed = last["elapsed"]
-    assert len(hierarchy.events) == len(graph)
-    assert hierarchy.traffic_bytes > 0
+    assert traffic > 0
     assert elapsed < 30.0  # bookkeeping only; typically milliseconds
     bench_json("memory_residency_throughput", {
         "num_tasks": len(graph),
         "elapsed_seconds": elapsed,
         "tasks_per_second": len(graph) / elapsed if elapsed else None,
-        "traffic_bytes": hierarchy.traffic_bytes,
+        "traffic_bytes": traffic,
     })
 
 
@@ -98,7 +102,7 @@ def test_capacity_pressure_traffic_trend(bench_json):
 
 def test_residency_lru_scales_linearly(benchmark):
     """Touching N distinct tiles through a small LRU stays O(N)."""
-    res = TileResidency(capacity_bytes=64 * 512, tile_bytes=512)
+    res = FastTileResidency(capacity_bytes=64 * 512, tile_bytes=512)
 
     def churn():
         for i in range(20000):
@@ -110,75 +114,81 @@ def test_residency_lru_scales_linearly(benchmark):
 
 
 def test_local_store_hit_rate_throughput(benchmark, bench_json):
-    """Two-level accounting of a ~6000-task graph stays cheap bookkeeping,
+    """Scheduling a ~6000-task graph with two-level accounting stays cheap,
     and the affinity policy's core choice earns a higher local hit rate
-    than greedy round-robin dispatch on the same graph."""
-    graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
+    than greedy dispatch on the same graph."""
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4,
                                            onchip_memory_mbytes=2.0))
-    last = {}
-
-    def account():
-        started = time.perf_counter()
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=128,
-                                             local_store_kb=512.0)
-        for index, task in enumerate(graph):
-            hierarchy.account(task, core_index=index % 8)
-        hierarchy.finish()
-        last["elapsed"] = time.perf_counter() - started
-        return hierarchy
-
-    hierarchy = benchmark(account)
-    elapsed = last["elapsed"]
-    assert len(hierarchy.events) == len(graph)
-    assert 0.0 < hierarchy.local_hit_rate() < 1.0
-    assert elapsed < 30.0  # bookkeeping only; typically milliseconds
-
+    timing = MemoizedTiming()  # one warm-up per signature for every run
     rates = {}
     for policy in ("greedy", "affinity"):
-        runtime = LAPRuntime(lap, 128, policy=policy, timing="memoized",
+        runtime = LAPRuntime(lap, 128, policy=policy, timing=timing,
                              local_store_kb=512.0)
         stats = runtime.run_blocked_cholesky(1024, np.random.default_rng(0),
                                              verify=False)
         rates[policy] = stats["local_hit_rate"]
     assert rates["affinity"] > rates["greedy"]
+
+    # Shapes are all memoized timing reads, so every block aliases one tile.
+    graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
+    block = np.eye(128) * 128
+    blocks = {(i, j): block for i in range(32) for j in range(32)}
+    tiles = {name: dict(blocks) for name in ("A", "B", "C", "L")}
+    runtime = LAPRuntime(lap, 128, timing=timing, local_store_kb=512.0)
+    last = {}
+
+    def schedule():
+        started = time.perf_counter()
+        stats = runtime.execute(graph, tiles, verify=False)
+        last["elapsed"] = time.perf_counter() - started
+        return stats
+
+    stats = benchmark(schedule)
+    elapsed = last["elapsed"]
+    assert stats["tasks_executed"] == len(graph)
+    assert 0.0 < stats["local_hit_rate"] < 1.0
+    assert elapsed < 30.0  # bookkeeping only; typically well under a second
     bench_json("memory_local_store_throughput", {
         "num_tasks": len(graph),
         "elapsed_seconds": elapsed,
         "tasks_per_second": len(graph) / elapsed if elapsed else None,
-        "round_robin_hit_rate": hierarchy.local_hit_rate(),
+        "greedy_4k_hit_rate": stats["local_hit_rate"],
         "greedy_hit_rate": rates["greedy"],
         "affinity_hit_rate": rates["affinity"],
     })
 
 
 def test_local_to_shared_capacity_ratio_trend(bench_json):
-    """For a fixed dispatch order, growing the local:shared capacity ratio
+    """For a fixed schedule, growing the local:shared capacity ratio
     monotonically lifts the local hit rate and shrinks shared-to-local
     transfer time, while the off-chip traffic stays exactly constant (the
     local level is inclusive and write-through, so the shared level sees
-    the identical access stream)."""
+    the identical access stream).  ``stall_overlap=1`` hides all movement
+    cycles, so the local-store size cannot change the dispatch order."""
     shared_kb = 8.0
     ratios = (0.125, 0.25, 0.5, 1.0)
-    graph = AlgorithmsByBlocks(tile=8).cholesky_tasks(48)
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4,
                                            onchip_memory_mbytes=1.0))
+    timing = MemoizedTiming()
     rows = []
+    schedules = set()
     for ratio in ratios:
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8,
-                                             on_chip_kb=shared_kb,
-                                             local_store_kb=shared_kb * ratio)
-        for index, task in enumerate(graph):
-            hierarchy.account(task, core_index=index % 2)
-        hierarchy.finish()
+        runtime = LAPRuntime(lap, 8, timing=timing, on_chip_kb=shared_kb,
+                             local_store_kb=shared_kb * ratio,
+                             stall_overlap=1.0)
+        stats = runtime.run_blocked_cholesky(48, np.random.default_rng(0),
+                                             verify=False)
+        schedules.add(tuple((e.core_index, e.start_cycle)
+                            for e in runtime.executions))
         rows.append({
             "local_to_shared_ratio": ratio,
             "local_store_kb": shared_kb * ratio,
-            "local_hit_rate": hierarchy.local_hit_rate(),
-            "local_transfer_cycles": hierarchy.local_transfer_cycles,
-            "traffic_bytes": hierarchy.traffic_bytes,
-            "spill_bytes": hierarchy.spill_bytes,
+            "local_hit_rate": stats["local_hit_rate"],
+            "local_transfer_cycles": stats["local_transfer_cycles"],
+            "traffic_bytes": stats["offchip_traffic_bytes"],
+            "spill_bytes": stats["spill_bytes"],
         })
+    assert len(schedules) == 1
     hit_rates = [r["local_hit_rate"] for r in rows]
     assert hit_rates == sorted(hit_rates)
     assert hit_rates[-1] > hit_rates[0]

@@ -1,6 +1,6 @@
 """Benchmarks of the layered task-graph runtime (TaskGraph / scheduler / timing).
 
-Covers the three scaling claims of the runtime refactor:
+Covers the scaling claims of the runtime:
 
 * building and analysing a large tiled-Cholesky task graph is cheap
   (thousands of tasks per second through the IR),
@@ -8,10 +8,11 @@ Covers the three scaling claims of the runtime refactor:
   a large graph once the timing model is warm,
 * memoized timing makes a 2048^2 blocked Cholesky (tile 128) schedule at
   least 10x faster than the functional path, whose cost is estimated from
-  the measured per-signature warm-up runs rather than paid in full.
+  the measured per-signature warm-up runs rather than paid in full,
+* a 4k^2 Cholesky builds and schedules well inside an interactive budget
+  (the ``scale_smoke`` regression gate).
 """
 
-import os
 import time
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_memoized_2048_cholesky_10x_faster_than_functional(bench_json):
     assert memoized_seconds * 10 <= functional_estimate, (
         f"memoized schedule took {memoized_seconds:.2f}s, estimated "
         f"functional path only {functional_estimate:.2f}s")
-    # Makespan fidelity of the fast path is covered by
+    # Makespan fidelity of memoized timing is covered by
     # tests/test_lap_taskgraph.py::TestTimingModels.
     bench_json("memoized_cholesky_2048", {
         "tasks_executed": stats["tasks_executed"],
@@ -128,46 +129,7 @@ def test_memoized_2048_cholesky_10x_faster_than_functional(bench_json):
     })
 
 
-def test_tracing_overhead_disabled_under_5pct(bench_json):
-    """Acceptance: instrumentation left in the scheduler hot loop costs < 5%
-    when tracing is off (``tracer=None`` baseline vs a disabled Tracer).
-
-    Both variants are timed min-of-5 on a warm memoized 512^2 Cholesky
-    (120 tasks), so the comparison measures the per-task tracer checks, not
-    the kernel warm-up or timing noise.
-    """
-    from repro.obs.tracer import Tracer
-
-    def schedule_seconds(tracer):
-        lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4,
-                                               onchip_memory_mbytes=4.0))
-        runtime = LAPRuntime(lap, tile=64, timing="memoized", tracer=tracer)
-        rng = np.random.default_rng(0)
-        runtime.run_blocked_cholesky(512, rng, verify=False)  # warm cache
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            stats = runtime.run_blocked_cholesky(512, rng, verify=False)
-            best = min(best, time.perf_counter() - started)
-        return best, stats
-
-    untraced_s, untraced_stats = schedule_seconds(None)
-    disabled_s, disabled_stats = schedule_seconds(Tracer(enabled=False))
-    # A disabled tracer must not change the schedule at all.
-    assert disabled_stats["makespan_cycles"] == untraced_stats["makespan_cycles"]
-    overhead = disabled_s / untraced_s - 1.0
-    assert overhead < 0.05, (
-        f"disabled instrumentation costs {100 * overhead:.1f}% "
-        f"({disabled_s:.4f}s vs {untraced_s:.4f}s untraced)")
-    bench_json("tracing_overhead", {
-        "untraced_seconds": untraced_s,
-        "disabled_tracer_seconds": disabled_s,
-        "overhead_fraction": overhead,
-        "tasks": untraced_stats["tasks_executed"],
-    })
-
-
-# --------------------------------------------------------------- fast path
+# ------------------------------------------------------------ scale smoke
 def _cholesky_graph_and_tiles(n, tile=128):
     """A fresh (cache-miss) blocked-Cholesky graph plus synthetic tiles.
 
@@ -188,112 +150,9 @@ def _cholesky_graph_and_tiles(n, tile=128):
     return graph, tiles, build_seconds
 
 
-def _measure_fastpath(n, iterations=3, tile=128, policy="greedy",
-                      local_store_kb=None):
-    """Interleaved best-of-N reference-vs-fast loop timings on one graph.
-
-    Both runtimes share one memoized timing table and are warmed (kernel
-    signatures, graph fast-arrays, schedule metadata) before the measured
-    region; gc is disabled around each timed run so collector pauses do
-    not land inside one side of the comparison.  ``policy`` /
-    ``local_store_kb`` select the scheduler and the two-level hierarchy
-    (both runtimes identically configured).
-    """
-    import gc
-
-    graph, tiles, build_seconds = _cholesky_graph_and_tiles(n, tile=tile)
-    lap_cfg = dict(num_cores=8, nr=4, onchip_memory_mbytes=8.0)
-    rt_cfg = dict(timing="memoized", policy=policy,
-                  local_store_kb=local_store_kb)
-    ref_rt = LAPRuntime(LinearAlgebraProcessor(LAPConfig(**lap_cfg)),
-                        tile, **rt_cfg)
-    fast_rt = LAPRuntime(LinearAlgebraProcessor(LAPConfig(**lap_cfg)),
-                         tile, fast=True, **rt_cfg)
-    fast_rt.timing = ref_rt.timing  # one shared cycle table, like a sweep
-    ref_rt.execute(graph, tiles, verify=False)    # warm kernels + summary
-    fast_stats = fast_rt.execute(graph, tiles, verify=False)  # warm arrays
-    assert fast_rt.last_fast
-
-    ref_best = fast_best = float("inf")
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(iterations):
-            started = time.perf_counter()
-            ref_stats = ref_rt.execute(graph, tiles, verify=False)
-            ref_best = min(ref_best, time.perf_counter() - started)
-            started = time.perf_counter()
-            fast_stats = fast_rt.execute(graph, tiles, verify=False)
-            fast_best = min(fast_best, time.perf_counter() - started)
-    finally:
-        gc.enable()
-    assert ref_stats["makespan_cycles"] == fast_stats["makespan_cycles"]
-    assert ref_stats["energy_j"] == fast_stats["energy_j"]
-    assert ref_stats["tasks_executed"] == fast_stats["tasks_executed"] == len(graph)
-    return {
-        "n": n,
-        "tile": tile,
-        "policy": policy,
-        "local_store_kb": local_store_kb,
-        "tasks": len(graph),
-        "graph_build_seconds": build_seconds,
-        "reference_loop_seconds": ref_best,
-        "fast_loop_seconds": fast_best,
-        "loop_speedup": ref_best / fast_best,
-        "reference_tasks_per_second": len(graph) / ref_best,
-        "fast_tasks_per_second": len(graph) / fast_best,
-        # One schedule sweep point cost: the PR 6 runner rebuilt the task
-        # graph and ran the reference loop for every point; with the graph
-        # cache and the fast loop a warm point costs fast_loop_seconds.
-        "sweep_point_baseline_seconds": build_seconds + ref_best,
-        "sweep_point_fast_seconds": fast_best,
-        "sweep_point_speedup": (build_seconds + ref_best) / fast_best,
-    }
-
-
-def test_fastpath_speedup_8k_cholesky(bench_json):
-    """Acceptance: on a >= 8k^2 blocked Cholesky (45760 tasks) the fast
-    path schedules a warm sweep point >= 10x faster than the PR 6 baseline
-    (which re-built the graph and ran the reference loop per point), and
-    the inlined loop alone is several times faster than the reference loop
-    at identical output.
-
-    The loop-only floor is deliberately conservative (CI machines are
-    noisy); the measured ratios land around 8-10x loop-only and 13-17x per
-    sweep point on a quiet machine -- the recorded JSON keeps both.
-    """
-    record = _measure_fastpath(8192)
-    assert record["tasks"] == 45760
-    assert record["loop_speedup"] >= 3.0, record
-    assert record["sweep_point_speedup"] >= 10.0, record
-    bench_json("taskgraph", record)
-
-
-def test_policy_fastpath_speedup_8k_cholesky(bench_json):
-    """Acceptance: the vectorized fast path carries every non-greedy policy,
-    not just the specialized greedy loop.  On an 8k^2 blocked Cholesky
-    (45760 tasks) the dynamic, memory-keyed policies -- ``memory_aware``
-    (single-level) and ``affinity`` (two-level local stores) -- schedule a
-    warm sweep point >= 5x faster than the per-point baseline at identical
-    output; the static ``critical_path`` / ``locality`` policies ride the
-    same loop and are recorded at 4k^2 for the trajectory."""
-    records = []
-    for policy, local_store_kb, n in (("critical_path", None, 4096),
-                                      ("locality", None, 4096),
-                                      ("memory_aware", None, 8192),
-                                      ("affinity", 64.0, 8192)):
-        record = _measure_fastpath(n, iterations=2, policy=policy,
-                                   local_store_kb=local_store_kb)
-        records.append(record)
-        if n == 8192:
-            assert record["tasks"] == 45760
-            assert record["sweep_point_speedup"] >= 5.0, record
-    bench_json("policy_fastpath", {"cases": records})
-
-
 @pytest.mark.scale_smoke
 def test_scale_smoke_4k_cholesky_wall_time(bench_json):
-    """Scale-regression gate: building and fast-scheduling a 4k^2 Cholesky
+    """Scale-regression gate: building and scheduling a 4k^2 Cholesky
     (5984 tasks) must stay far inside an interactive budget.  The budget is
     generous (the run takes ~2s warm on a laptop-class core) so only a
     genuine algorithmic regression -- an accidental O(V^2) rescan, a
@@ -303,10 +162,9 @@ def test_scale_smoke_4k_cholesky_wall_time(bench_json):
     graph, tiles, build_seconds = _cholesky_graph_and_tiles(4096)
     runtime = LAPRuntime(LinearAlgebraProcessor(
         LAPConfig(num_cores=8, nr=4, onchip_memory_mbytes=8.0)),
-        128, timing="memoized", fast=True)
+        128, timing="memoized")
     stats = runtime.execute(graph, tiles, verify=False)
     elapsed = time.perf_counter() - started
-    assert runtime.last_fast
     assert stats["tasks_executed"] == len(graph) == 5984
     assert elapsed < budget_seconds, (
         f"4k^2 Cholesky took {elapsed:.1f}s (budget {budget_seconds:.0f}s): "
@@ -319,17 +177,3 @@ def test_scale_smoke_4k_cholesky_wall_time(bench_json):
         "budget_seconds": budget_seconds,
         "tasks_per_second": len(graph) / elapsed,
     })
-
-
-@pytest.mark.scale
-@pytest.mark.skipif(not os.environ.get("REPRO_SCALE_BENCH"),
-                    reason="heavy scaling run; opt in with REPRO_SCALE_BENCH=1")
-def test_fastpath_speedup_16k_cholesky(bench_json):
-    """Opt-in heavy point: 16k^2 (357760 tasks) pins the asymptotic per-task
-    cost of the fast loop (a few microseconds) where the reference loop's
-    per-task constant keeps growing."""
-    record = _measure_fastpath(16384, iterations=2)
-    assert record["tasks"] == 357760
-    assert record["loop_speedup"] >= 3.0, record
-    assert record["sweep_point_speedup"] >= 10.0, record
-    bench_json("taskgraph_16k", record)

@@ -6,13 +6,17 @@ off-chip memory interface.  This subpackage provides:
 
 * :mod:`repro.lap.chip` -- the chip object tying cores, on-chip memory and
   the off-chip interface together, with chip-wide cycle/energy accounting;
-* :mod:`repro.lap.policies` -- all scheduling code: the pluggable task-graph
-  policies (greedy / critical_path / locality / memory_aware) plus the
+* :mod:`repro.lap.policies` -- all scheduling code: the task-graph policies
+  (greedy / critical_path / locality / memory_aware / affinity) plus the
   static panel-blocking :class:`GEMMScheduler` of Figure 4.1 (each core
   owns a row panel of C; panels of B are broadcast to all cores);
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: LRU tile
   residency over the on-chip capacity, spill/refill accounting, bandwidth
   stalls and per-task energy;
+* :mod:`repro.lap.fastpath` -- the structure-of-arrays residency levels,
+  graph arrays and schedule-replay records the scheduler loop runs on;
+* :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
+  one event-driven scheduler loop over all of the above;
 * :mod:`repro.lap.offchip` -- traffic accounting for the external memory,
   including the extra blocking layer used when C does not fit on chip.
 """
@@ -23,8 +27,7 @@ from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
 from repro.lap.policies import (POLICIES, GEMMScheduler, PanelAssignment,
                                 SchedulerPolicy, get_policy, policy_names)
-from repro.lap.memory import (BandwidthModel, MemoryHierarchy, TaskEnergyModel,
-                              TaskMemoryEvent, TileResidency)
+from repro.lap.memory import BandwidthModel, MemoryHierarchy, TaskEnergyModel
 from repro.lap.timing import (TIMING_MODELS, FunctionalTiming, MemoizedTiming,
                               TimingModel, get_timing_model, timing_names)
 from repro.lap.runtime import LAPRuntime, TaskExecution
@@ -38,8 +41,6 @@ __all__ = [
     "BandwidthModel",
     "MemoryHierarchy",
     "TaskEnergyModel",
-    "TaskMemoryEvent",
-    "TileResidency",
     "AlgorithmsByBlocks",
     "LAPRuntime",
     "TaskDescriptor",

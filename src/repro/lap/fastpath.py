@@ -1,30 +1,25 @@
-"""Million-task hot path: SoA residency, an inlined scheduler loop, replay.
+"""Scheduler data structures: SoA residency, graph arrays, schedule replay.
 
-The reference runtime (:mod:`repro.lap.runtime` + :mod:`repro.lap.memory`)
-is written for clarity: per-task ``OrderedDict`` LRU churn, policy method
-dispatch, a dataclass per execution record.  At the graph sizes where the
-paper's scheduling/memory results get interesting (a 16k^2 tiled Cholesky is
-~360k tasks) that costs tens of microseconds per task.  This module rebuilds
-the hot path in three layers while keeping the reference implementation as
-the oracle the equivalence suite pins against:
+At the graph sizes where the paper's scheduling/memory results get
+interesting (a 16k^2 tiled Cholesky is ~360k tasks) a per-task Python
+constant of tens of microseconds dominates.  The scheduler loop
+(:meth:`repro.lap.runtime.LAPRuntime.execute`) therefore runs over the
+dense structures of this module:
 
 * **Vectorized residency accounting** -- :class:`TileInterner` maps
   ``(operand, (i, j))`` tile names to dense integer ids once per graph;
   :class:`FastTileResidency` / :class:`FastLocalStore` then keep the LRU
   state as structure-of-arrays (a timestamp per tile id, clock-based LRU
   with a FIFO queue of touches whose position encodes the stamp) instead
-  of per-tile ``OrderedDict`` nodes.  A task's whole footprint is touched in one call.  The hot state
-  is deliberately plain Python lists, not numpy arrays: footprints are 1-4
-  tiles, where scalar list indexing beats any ufunc dispatch; numpy is used
-  for the CSR graph exports where bulk arithmetic actually wins.
-* **Event-loop batching** -- :class:`GraphArrays` precomputes
-  successor/indegree CSR arrays and per-task interned footprints for a
-  :class:`~repro.lap.taskgraph.TaskGraph`; :func:`execute_fast` runs the
-  scheduler loop with every policy / timing / memory decision inlined
-  (no per-task method dispatch) and appends one plain tuple per task,
-  materialising :class:`~repro.lap.runtime.TaskExecution` rows lazily.
-  Under memoized timing the per-signature cycle table collapses to a
-  per-group lookup and the hit counters are reconciled in bulk.
+  of per-tile dictionary nodes.  A task's whole footprint is touched in
+  one call.  The hot state is deliberately plain Python lists, not numpy
+  arrays: footprints are 1-4 tiles, where scalar list indexing beats any
+  ufunc dispatch; numpy is used for the CSR graph exports where bulk
+  arithmetic actually wins.
+* **Graph arrays** -- :class:`GraphArrays` precomputes successor/indegree
+  CSR arrays, per-task interned footprints and memoization groups for a
+  :class:`~repro.lap.taskgraph.TaskGraph`, so the loop inlines every policy
+  / timing / memory decision without per-task method dispatch.
 * **Schedule-replay costing** -- :class:`ScheduleTrace` records a finished
   schedule (task -> core, start order, movement totals); when a sweep point
   differs from a recorded one only in constants that provably cannot change
@@ -32,31 +27,22 @@ the oracle the equivalence suite pins against:
   overlap with zero visible movement), the ``lap_runtime`` runner replays
   the recorded costs instead of re-simulating.
 
-Equivalence contract: for every supported configuration the fast path
-produces *byte-identical* schedules, stats, traffic splits, energy and
-attribution to the reference loop (same float operations in the same
-order).  The one intentional difference: ``MemoryHierarchy.events`` stays
-empty on the fast path (per-task :class:`TaskMemoryEvent` records are never
-materialised); nothing outside the tracer-enabled reference path consumes
-it.  Unsupported configurations (an enabled tracer, policy subclasses,
-plain task lists) fall back to the reference loop in
-:meth:`LAPRuntime.execute`.
+The test suite keeps a clarity-first reference implementation of the
+residency levels and the scheduler loop as an oracle and pins these
+structures (and the loop's rows, stats, attribution and traces) against it.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lap.taskgraph import (_TASK_FLOPS, TaskDescriptor, TaskGraph,
-                                 TileAccess)
-from repro.lap.timing import MemoizedTiming
+from repro.lap.taskgraph import TaskGraph, TileAccess
 
 __all__ = [
     "FastLocalStore", "FastTileResidency", "GraphArrays", "REPLAY_STATS",
-    "ScheduleTrace", "TileInterner", "execute_fast",
+    "ScheduleTrace", "TileInterner",
 ]
 
 
@@ -88,22 +74,30 @@ class TileInterner:
 
 
 class FastTileResidency:
-    """Structure-of-arrays drop-in for :class:`repro.lap.memory.TileResidency`.
+    """LRU working set of logical tiles over an on-chip capacity.
 
-    Same semantics, observable state and return values as the
-    ``OrderedDict`` reference (the property suite pins them against each
-    other on random access streams); the LRU order lives in a timestamp
-    array (``_stamp[tile_id]``, -1 = not resident) driven by a monotonic
-    clock.  Because stamps are handed out in strictly increasing order --
-    exactly one per queue append -- the queue entry at position ``k``
-    always carries stamp ``_qbase + k``, so a single list of tile ids plus
-    a head index (compacted occasionally) stands in for the dict's
-    insertion order: no heap, and no stored stamps.  A footprint access
-    re-stamps every tile (the ``move_to_end`` of the reference), so the
-    victim scan skips stale queue entries until it finds a tile whose stamp
-    is still current; a stamp at or above the footprint's first stamp means
-    only pinned tiles remain and eviction stops, exactly like the
-    reference's pinned-set guard.
+    Tiles are identified by ``(operand, (block_row, block_col))`` names
+    (interned to dense ids) and all occupy ``tile_bytes``.  A touch fetches
+    the missing tiles of a task's footprint -- *compulsory* on a tile's
+    first-ever fetch, *spill* on a re-fetch after eviction -- marks the
+    written tiles dirty, then evicts least-recently-used tiles down to the
+    capacity, writing dirty victims back.  The footprint is *pinned* while
+    it is brought resident, so one task's tiles never evict each other; a
+    footprint larger than the capacity overflows transiently (the schedule
+    then thrashes, which the spill counters make visible).
+
+    The LRU order lives in a timestamp array (``_stamp[tile_id]``, -1 = not
+    resident) driven by a monotonic clock.  Because stamps are handed out
+    in strictly increasing order -- exactly one per queue append -- the
+    queue entry at position ``k`` always carries stamp ``_qbase + k``, so a
+    single list of tile ids plus a head index (compacted occasionally)
+    stands in for an ordered dictionary: no heap, and no stored stamps.  A
+    footprint access re-stamps every tile, so the victim scan skips stale
+    queue entries until it finds a tile whose stamp is still current; a
+    stamp at or above the footprint's first stamp means only pinned tiles
+    remain and eviction stops.  The property suite pins every observable
+    (traffic tuples, victims in order, membership, version, peak bytes)
+    against an ``OrderedDict`` oracle on random access streams.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
@@ -195,7 +189,11 @@ class FastTileResidency:
 
     # ------------------------------------------------------------- updates
     def touch(self, reads, writes) -> Tuple[float, float, float, float]:
-        """Reference-equivalent touch over tile names; see ``touch_ids``."""
+        """Bring a footprint of tile names resident; see :meth:`touch_ids`.
+
+        Read and written tiles are both fetched (every tile kernel is
+        read-modify-write at the granularity of a tile).
+        """
         intern = self._interner.intern
         foot: List[int] = []
         for access in list(reads) + list(writes):
@@ -210,8 +208,8 @@ class FastTileResidency:
                   wids: Sequence[int]) -> Tuple[float, float, float, float]:
         """Bring a deduplicated, interned footprint resident in one call.
 
-        Returns ``(refill, compulsory, spill_refill, writeback)`` bytes,
-        byte-identical to the reference ``touch``.  The caller guarantees
+        Returns ``(refill, compulsory, spill_refill, writeback)`` bytes.
+        The caller guarantees
         ``foot`` is duplicate-free in reads+writes order and every id is
         covered by the state arrays (the interner was pre-populated).
         """
@@ -304,11 +302,16 @@ class FastTileResidency:
 
 
 class FastLocalStore:
-    """Structure-of-arrays drop-in for :class:`repro.lap.memory.LocalStore`.
+    """Per-core LRU working set of tiles over one core's local-store budget.
 
-    The clock/stamp scheme of :class:`FastTileResidency` without the
-    dirty/compulsory bookkeeping (the store is write-through and the shared
-    level owns all off-chip accounting).
+    The second residency level of the two-level hierarchy: the shared
+    :class:`FastTileResidency` feeds one store per core.  The store is
+    inclusive in the shared level and write-through (the shared level owns
+    dirtiness and hence all off-chip accounting), so it uses the
+    clock/stamp scheme of :class:`FastTileResidency` without the
+    dirty/compulsory bookkeeping; a footprint is pinned while it is brought
+    resident, so a footprint larger than the budget overflows transiently
+    instead of evicting itself.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
@@ -399,7 +402,7 @@ class FastLocalStore:
 
     # ------------------------------------------------------------- updates
     def touch(self, accesses) -> float:
-        """Reference-equivalent touch over tile names; see ``touch_ids``."""
+        """Bring tile names resident; returns the fill bytes required."""
         intern = self._interner.intern
         foot: List[int] = []
         for access in accesses:
@@ -472,7 +475,7 @@ class FastLocalStore:
 
 
 class GraphArrays:
-    """Dense per-index arrays of one :class:`TaskGraph` for the fast loop.
+    """Dense per-index arrays of one :class:`TaskGraph` for the scheduler loop.
 
     Task ids are *not* assumed 0-based or contiguous (the builders share one
     id counter across graphs), so everything is indexed by graph position
@@ -562,62 +565,19 @@ class GraphArrays:
         self.foot_indices = np.fromiter(
             (tid for foot in self.foot_ids for tid in foot), dtype=np.int64,
             count=int(self.foot_indptr[-1]))
-        # Tasks per memoization group: lets the fast loop reconcile the
+        # Tasks per memoization group: lets the loop reconcile the
         # timing model's hit counters in one bulk call per group instead of
         # incrementing a counter per task.
         self.group_counts = [0] * self.num_groups
         for gid in self.group:
             self.group_counts[gid] += 1
-        # When task ids ascend with graph index (true for the builders,
-        # which hand out ids sequentially), a heap tie-break on the id is
-        # equivalent to one on the index and the specialized loop can use
-        # two-field heap entries.
-        self.ids_ascending = all(a < b for a, b in zip(self.ids,
-                                                       self.ids[1:]))
-        # Per-(tile, energy-constants) metadata tuples for the specialized
-        # greedy loop; built lazily by execute_fast and keyed so a config
-        # change invalidates it.
-        self._greedy_meta: Optional[Tuple[Tuple, List[Tuple]]] = None
         # Negated critical-path ranks per graph position (a pure graph
         # property under unit weights); built lazily on the first
         # critical_path execute and reused across sweep points.
         self._negrank: Optional[List[float]] = None
 
 
-def _uniform_square_tiles(tiles: Dict, t: int) -> bool:
-    """Whether every operand tile is a ``t x t`` array.
-
-    When true, a task's memoization signature is a pure function of its
-    ``(kind, unit-alpha, transpose)`` group, so the per-task signature
-    computation collapses to a per-group cycle table.  Operand dictionaries
-    may alias (a factorization binds A/B/C/L to one dict); the ``TAU``
-    side store holds 1-D reflector scalars and never enters a signature.
-    """
-    seen = set()
-    for name in ("A", "B", "C", "L"):
-        mapping = tiles.get(name)
-        if mapping is None or id(mapping) in seen:
-            continue
-        seen.add(id(mapping))
-        for arr in mapping.values():
-            if getattr(arr, "shape", None) != (t, t):
-                return False
-    return True
-
-
-def _policy_codes() -> Dict[type, int]:
-    from repro.lap.policies import (AffinityScheduler, CriticalPathPriority,
-                                    GreedyEarliestCore, LocalityAware,
-                                    MemoryAware)
-    return {GreedyEarliestCore: 0, CriticalPathPriority: 1, LocalityAware: 2,
-            MemoryAware: 3, AffinityScheduler: 4}
-
-
-#: Exact policy types the inlined loop replicates; subclasses fall back to
-#: the reference loop (their overridden hooks would be silently ignored).
-_POLICY_CODES: Dict[type, int] = _policy_codes()
-
-#: Counters of the schedule-replay fast path (reset freely in tests).
+#: Counters of schedule replay (reset freely in tests).
 #: ``sidecar_loaded`` / ``sidecar_stored`` track the cross-process replay
 #: sidecar (see :meth:`repro.engine.cache.ResultCache.sidecar`): loads seed
 #: the in-process memo from disk, stores publish fresh recordings to it.
@@ -851,586 +811,3 @@ class ScheduleTrace:
         if needs_rekey and not self.has_energy_triples:
             return False
         return True
-
-
-def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
-                 verify: bool) -> Dict[str, object]:
-    """Inlined fast-path twin of :meth:`LAPRuntime.execute`.
-
-    Same event-driven ready-heap schedule, same float operations in the
-    same order, with all per-task indirection removed: policies are inlined
-    by code (``_POLICY_CODES``), the shared-level residency update
-    (:meth:`FastTileResidency.touch_ids`) is inlined into the loop body
-    with its scalar state held in local variables (written back to the
-    residency object after the loop; the stamp/dirty/ever lists *are* the
-    live object state and mutate in place), memoized cycle counts come
-    from a per-group table, and executions are recorded as plain row
-    tuples that ``LAPRuntime.executions`` materialises lazily.
-
-    Heap entries are flat tuples for the static policies -- ``(r, id, i)``
-    or ``(negrank, r, id, i)`` -- because the version stamp and the
-    revalidation step only exist for the dynamic, memory-keyed policies;
-    the comparison order is identical to the reference keys since the
-    unique task id decides every tie before the trailing index is reached.
-    The caller (``LAPRuntime.execute``) has already checked eligibility.
-    """
-    from repro.lap.memory import MemoryHierarchy
-    from repro.lap.runtime import TaskExecution, _ExecutionContext
-
-    ga = graph.fast_arrays()
-    tasks = ga.tasks
-    n = len(tasks)
-    ids = ga.ids
-    foot_ids = ga.foot_ids
-    write_ids = ga.write_ids
-    rw_len = ga.rw_len
-    out_id = ga.out_id
-    succ = ga.succ
-    group = ga.group
-    kinds = ga.kinds
-    kind_code = ga.kind_code
-
-    policy = runtime.policy
-    pcode = _POLICY_CODES[type(policy)]
-    timing = runtime.timing
-    t = runtime.tile
-    num_cores = len(runtime.lap.cores)
-    reference_freq = runtime.lap.config.frequency_ghz
-    frequencies = runtime.core_frequencies_ghz
-    homogeneous = runtime._homogeneous
-    visible = 1.0 - runtime.stall_overlap
-
-    memory = (MemoryHierarchy.for_chip(
-        runtime.lap, t,
-        on_chip_kb=runtime.on_chip_kb,
-        bandwidth_gbs=runtime.bandwidth_gbs,
-        local_store_kb=runtime.local_store_kb,
-        fast=True, interner=ga.interner,
-        offchip_pj_per_byte=runtime.offchip_pj_per_byte)
-              if runtime.memory_enabled else None)
-    runtime.last_memory = memory
-    policy.prepare(graph)
-    has_mem = memory is not None
-    dynamic = pcode >= 3 and has_mem
-    crit = pcode == 1
-
-    # Loop-local accounting state.  When data-movement accounting is off,
-    # every per-task cost below stays at these zeros.
-    stores = None
-    stall = transfer_cycles = energy = 0.0
-    local_hit = transfer_bytes = 0.0
-    refill_b = spill_b = wb_b = 0
-    if has_mem:
-        res = memory.residency
-        stores = memory.local_stores
-        tile_bytes = res.tile_bytes
-        tb = tile_bytes
-        res_capmax = res._cap_tiles
-        res_stamp = res._stamp
-        res_dirty = res._dirty
-        res_ever = res._ever
-        res_qt = res._qt
-        res_qt_append = res_qt.append
-        res_qhead = res._qhead
-        res_qbase = res._qbase
-        res_clock = res._clock
-        res_rc = res._rc
-        res_dc = res._dirty_count
-        res_version = res.version
-        peak_rc = res.peak_resident_bytes // tb
-        bandwidth = memory.bandwidth
-        bpc_off = bandwidth.interface.bytes_per_cycle(bandwidth.frequency_ghz)
-        obw = memory.onchip_bw_bytes_per_cycle
-        epf = memory.energy.energy_per_flop_j
-        epon = memory.energy.onchip_energy_per_byte_j
-        epoff = memory.energy.offchip_energy_per_byte_j
-        flops_by_code = [_TASK_FLOPS[k](t) for k in ga.kind_table]
-        task_flops = [flops_by_code[cd] for cd in kind_code]
-        # Totals accumulate in locals (same per-task order as the reference
-        # fields, starting from the same 0.0/0, so the final write-back is
-        # bit-identical); byte counters stay integers, which is exact.
-        tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
-        tot_lhit = tot_sfill = tot_c2c = 0.0
-        tot_comp = tot_spill = tot_wb = 0
-        if stores is not None:
-            store_stamps = [store._stamp for store in stores]
-
-    ctx = _ExecutionContext(runtime, tiles)
-    use_table = (type(timing) is MemoizedTiming and not verify
-                 and _uniform_square_tiles(tiles, t))
-    if use_table:
-        gtable: List[Optional[int]] = [None] * ga.num_groups
-        gsig: List = [None] * ga.num_groups
-
-    if crit:
-        negrank = ga._negrank
-        if negrank is None:
-            # Pure graph property (unit-weight critical-path ranks), cached
-            # on the arrays so repeat executes skip the n-element rebuild.
-            negrank = policy.negated_rank_array(ids).tolist()
-            ga._negrank = negrank
-
-    core_free: List[float] = [0] * num_cores
-    busy_cycles: List[int] = [0] * num_cores
-    busy_time: List[float] = [0] * num_cores
-    owner = [-1] * ga.num_out_coords
-    ready: List[float] = [0] * n
-    indeg = list(ga.indegree0)
-    rows: List[Tuple] = []
-    rows_append = rows.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    # -- inlined policy.priority (dynamic policies only; static keys are
-    # built flat at the push sites) -----------------------------------------
-    if dynamic and stores is None:
-        def prio(i, r):
-            miss = 0
-            for tid in foot_ids[i]:
-                if res_stamp[tid] < 0:
-                    miss += 1
-            return (miss * tile_bytes, r)
-    elif dynamic:
-        def prio(i, r):
-            foot = foot_ids[i]
-            miss = 0
-            for tid in foot:
-                if res_stamp[tid] < 0:
-                    miss += 1
-            ow = owner[out_id[i]]
-            lstamp = store_stamps[ow if ow >= 0 else 0]
-            lmiss = 0
-            for tid in foot:
-                if lstamp[tid] < 0:
-                    lmiss += 1
-            return (miss * tile_bytes, lmiss * tile_bytes, r)
-
-    cur_version = (res.version + memory._local_version if has_mem else 0)
-    local_version = memory._local_version if has_mem else 0
-    heap: List[Tuple] = []
-    if dynamic:
-        # Bulk-score the whole initial ready set in one numpy pass (the
-        # policy's batch kernel over the CSR footprints) instead of one
-        # Python footprint walk per root.  The keys are element-for-element
-        # equal to the scalar ``prio`` tuples and ``(key, task_id)`` is
-        # unique per entry, so heapify produces the same pop sequence as
-        # repeated pushes.
-        ready0 = [i for i in range(n) if indeg[i] == 0]
-        keys = policy.bulk_priorities(ga, memory, ready0, [0] * len(ready0))
-        if keys is None:
-            keys = [prio(i, 0) for i in ready0]
-        heap = [(keys[k], ids[i], cur_version, i)
-                for k, i in enumerate(ready0)]
-        heapq.heapify(heap)
-    else:
-        for i in range(n):
-            if indeg[i] == 0:
-                if crit:
-                    heappush(heap, (negrank[i], 0, ids[i], i))
-                else:
-                    heappush(heap, (0, ids[i], i))
-
-    # -- specialized loop for the dominant benchmark shape ------------------
-    # Static greedy policy, homogeneous cores, memoized group table, shared
-    # level only: every per-task configuration branch of the generic loop
-    # below is constant here, so it is unrolled into a dedicated loop with
-    # per-task metadata tuples (one index + unpack instead of eight list
-    # subscripts) and the data-movement-free part of the energy term
-    # precomputed per task.  Exactness notes: ``(stall + 0.0) * visible ==
-    # stall * visible`` and ``flops * epf + onchip * epon`` is the same two
-    # products and one add whether evaluated per task or once, so every
-    # float matches the generic loop bit for bit.  Rows are recorded in a
-    # compact 8-field form and expanded to TaskExecution lazily.
-    exec_build = None
-    specialized = (pcode == 0 and use_table and has_mem and stores is None
-                   and homogeneous and bpc_off > 0 and ga.ids_ascending)
-    if specialized:
-        mkey = (t, tb, epf, epon)
-        cached = ga._greedy_meta
-        if cached is not None and cached[0] == mkey:
-            meta = cached[1]
-        else:
-            meta = [(group[i], foot_ids[i],
-                     write_ids[i][0] if len(write_ids[i]) == 1
-                     else write_ids[i],
-                     task_flops[i],
-                     task_flops[i] * epf + rw_len[i] * tb * epon, succ[i])
-                    for i in range(n)]
-            ga._greedy_meta = (mkey, meta)
-        # Re-seed with (ready, index) pairs: ids ascend with index, so the
-        # pop order is identical to the generic (ready, id, index) keys.
-        heap[:] = [(0, i) for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        # Ready times and indegrees interleaved in one list: a successor's
-        # pair shares a cache line, which matters once the graph outgrows
-        # the caches.
-        ri = [0] * (2 * n)
-        ri[1::2] = ga.indegree0
-        while heap:
-            rtime, i = heappop(heap)
-            start = min(core_free)
-            c = core_free.index(start)
-            if rtime > start:
-                start = rtime
-            gid, foot, wids, flops, base_e, sucs = meta[i]
-            cycles = gtable[gid]
-            if cycles is None:
-                task = tasks[i]
-                ctx.core_index = c
-                cycles = timing.task_cycles(task, ctx, verify)
-                gtable[gid] = cycles
-                gsig[gid] = ctx.signature(task)
-            pin_floor = res_clock
-            nmiss = nspill = 0
-            for tid in foot:
-                if res_stamp[tid] < 0:
-                    nmiss += 1
-                    if res_ever[tid]:
-                        nspill += 1
-                    else:
-                        res_ever[tid] = True
-                    res_rc += 1
-                res_stamp[tid] = res_clock
-                res_qt_append(tid)
-                res_clock += 1
-            if type(wids) is int:
-                if not res_dirty[wids]:
-                    res_dirty[wids] = True
-                    res_dc += 1
-            else:
-                for tid in wids:
-                    if not res_dirty[tid]:
-                        res_dirty[tid] = True
-                        res_dc += 1
-            wb = 0
-            nvict = 0
-            if res_rc > res_capmax:
-                qn = len(res_qt)
-                while res_rc > res_capmax and res_qhead < qn:
-                    vid = res_qt[res_qhead]
-                    st = res_qbase + res_qhead
-                    if res_stamp[vid] != st:
-                        res_qhead += 1      # stale: tile was re-stamped
-                        continue
-                    if st >= pin_floor:
-                        break               # only the pinned footprint left
-                    res_qhead += 1
-                    res_stamp[vid] = -1
-                    res_rc -= 1
-                    nvict += 1
-                    if res_dirty[vid]:
-                        res_dirty[vid] = False
-                        res_dc -= 1
-                        wb += 1
-                if res_qhead > 262144 and res_qhead * 2 > qn:
-                    del res_qt[:res_qhead]
-                    res_qbase += res_qhead
-                    res_qhead = 0
-            if res_rc > peak_rc:
-                peak_rc = res_rc
-            if nmiss or nvict:
-                res_version += 1
-            refill_b = nmiss * tb
-            spill_b = nspill * tb
-            if nspill:
-                stall = spill_b / bpc_off
-                end = start + (cycles + stall * visible)
-            else:
-                stall = 0.0
-                end = start + (cycles + 0.0)
-            wb_b = wb * tb
-            energy = base_e + (refill_b + wb_b) * epoff
-            tot_flops += flops
-            tot_energy += energy
-            tot_stall += stall
-            tot_comp += refill_b - spill_b
-            tot_spill += spill_b
-            tot_wb += wb_b
-            core_free[c] = end
-            busy_cycles[c] += cycles
-            rows_append((i, c, start, end, refill_b, energy, spill_b, wb_b))
-            for j in sucs:
-                jj = j + j
-                rj = ri[jj]
-                if end > rj:
-                    ri[jj] = end
-                    rj = end
-                d = ri[jj + 1] - 1
-                ri[jj + 1] = d
-                if d == 0:
-                    heappush(heap, (rj, j))
-        gsnap = list(gtable)
-
-        def exec_build(rows=rows, ids=ids, kinds=kinds, group=group,
-                       gtable=gsnap, bpc=bpc_off):
-            # stall is recomputed from the spill bytes with the same
-            # division the loop used, so the value is bit-identical.
-            return [TaskExecution(ids[i], kinds[i], c, start, end,
-                                  (sb / bpc) if sb else 0.0,
-                                  float(rb), energy, 0.0, 0.0,
-                                  gtable[group[i]], float(sb), 0.0,
-                                  float(wbb))
-                    for i, c, start, end, rb, energy, sb, wbb in rows]
-
-    affinity_cores = pcode == 4 and stores is not None
-    owner_cores = pcode in (2, 3)
-    need_owner = pcode >= 2    # greedy/critical-path never read the owner map
-    track_victims = stores is not None
-    victims: Sequence[int] = ()
-
-    while heap:
-        if dynamic:
-            key, task_id, stamp, i = heappop(heap)
-            rtime = ready[i]
-            if stamp != cur_version:
-                key = prio(i, rtime)
-                if heap and (key, task_id) > (heap[0][0], heap[0][1]):
-                    heappush(heap, (key, task_id, cur_version, i))
-                    continue
-        else:
-            i = heappop(heap)[-1]
-            rtime = ready[i]
-
-        # -- inlined policy.choose_core (first-minimum scans) ---------------
-        if affinity_cores:
-            foot = foot_ids[i]
-            ow = owner[out_id[i]]
-            bk = None
-            c = 0
-            for ci in range(num_cores):
-                lstamp = store_stamps[ci]
-                held = 0
-                for tid in foot:
-                    if lstamp[tid] >= 0:
-                        held += 1
-                f = core_free[ci]
-                ck = (-held * tile_bytes, 0 if ci == ow else 1,
-                      f if f > rtime else rtime)
-                if bk is None or ck < bk:
-                    bk = ck
-                    c = ci
-            start = bk[2]
-        elif owner_cores:
-            ow = owner[out_id[i]]
-            bk = None
-            c = 0
-            for ci in range(num_cores):
-                f = core_free[ci]
-                ck = (f if f > rtime else rtime, 0 if ci == ow else 1)
-                if bk is None or ck < bk:
-                    bk = ck
-                    c = ci
-            start = bk[0]
-        else:
-            start = min(core_free)
-            c = core_free.index(start)
-            if rtime > start:
-                start = rtime
-
-        # -- timing ----------------------------------------------------------
-        if use_table:
-            cycles = gtable[group[i]]
-            if cycles is None:
-                gid = group[i]
-                task = tasks[i]
-                ctx.core_index = c
-                cycles = timing.task_cycles(task, ctx, verify)
-                gtable[gid] = cycles
-                gsig[gid] = ctx.signature(task)
-        else:
-            ctx.core_index = c
-            cycles = timing.task_cycles(tasks[i], ctx, verify)
-        if homogeneous:
-            duration = cycles
-        else:
-            duration = cycles * reference_freq / frequencies[c]
-        compute_duration = duration
-
-        # -- inlined MemoryHierarchy.account / FastTileResidency.touch_ids --
-        if has_mem:
-            foot = foot_ids[i]
-            pin_floor = res_clock
-            nmiss = nspill = 0
-            for tid in foot:
-                if res_stamp[tid] < 0:
-                    nmiss += 1
-                    if res_ever[tid]:
-                        nspill += 1
-                    else:
-                        res_ever[tid] = True
-                    res_rc += 1
-                res_stamp[tid] = res_clock
-                res_qt_append(tid)
-                res_clock += 1
-            wids = write_ids[i]
-            for tid in wids:
-                if not res_dirty[tid]:
-                    res_dirty[tid] = True
-                    res_dc += 1
-            wb = 0
-            nvict = 0
-            if res_rc > res_capmax:
-                if track_victims:
-                    victims = []
-                qn = len(res_qt)
-                while res_rc > res_capmax and res_qhead < qn:
-                    vid = res_qt[res_qhead]
-                    st = res_qbase + res_qhead
-                    if res_stamp[vid] != st:
-                        res_qhead += 1      # stale entry: tile was re-stamped
-                        continue
-                    if st >= pin_floor:
-                        break               # only the pinned footprint remains
-                    res_qhead += 1
-                    res_stamp[vid] = -1
-                    res_rc -= 1
-                    nvict += 1
-                    if track_victims:
-                        victims.append(vid)
-                    if res_dirty[vid]:
-                        res_dirty[vid] = False
-                        res_dc -= 1
-                        wb += 1
-                if res_qhead > 262144 and res_qhead * 2 > qn:
-                    del res_qt[:res_qhead]
-                    res_qbase += res_qhead
-                    res_qhead = 0
-            if res_rc > peak_rc:
-                peak_rc = res_rc
-            if nmiss or nvict:
-                res_version += 1
-            refill_b = nmiss * tb
-            spill_b = nspill * tb
-            if spill_b > 0:
-                stall = (spill_b / bpc_off if bpc_off > 0
-                         else bandwidth.stall_cycles(spill_b))
-            else:
-                stall = 0.0
-            flops = task_flops[i]
-            onchip_bytes = rw_len[i] * tb
-            if stores is not None:
-                if nvict:
-                    for store in stores:
-                        store.invalidate_ids(victims)
-                store = stores[c]
-                sstamp = store_stamps[c]
-                lhit = ncc = nsf = 0
-                for tid in foot:
-                    if sstamp[tid] >= 0:
-                        lhit += 1
-                    else:
-                        for s2 in range(num_cores):
-                            if s2 != c and store_stamps[s2][tid] >= 0:
-                                ncc += 1
-                                break
-                        else:
-                            nsf += 1
-                store.touch_ids(foot)
-                if wids:
-                    for s2 in range(num_cores):
-                        if s2 != c:
-                            stores[s2].invalidate_ids(wids)
-                local_version += 1
-                local_hit = float(lhit * tb)
-                shared_fill = float(nsf * tb)
-                c2c = float(ncc * tb)
-                transfer_bytes = shared_fill + c2c
-                transfer_cycles = (transfer_bytes / obw
-                                   if transfer_bytes > 0 and obw > 0 else 0.0)
-                onchip_bytes = onchip_bytes + transfer_bytes
-                tot_lhit += local_hit
-                tot_sfill += shared_fill
-                tot_c2c += c2c
-                tot_ltc += transfer_cycles
-            wb_b = wb * tb
-            energy = (flops * epf + onchip_bytes * epon
-                      + (refill_b + wb_b) * epoff)
-            tot_flops += flops
-            tot_energy += energy
-            tot_stall += stall
-            tot_comp += refill_b - spill_b
-            tot_spill += spill_b
-            tot_wb += wb_b
-            duration = duration + (stall + transfer_cycles) * visible
-            if dynamic:
-                cur_version = res_version + local_version
-
-        end = start + duration
-        core_free[c] = end
-        busy_cycles[c] += cycles
-        if not homogeneous:
-            busy_time[c] += compute_duration
-        if need_owner:
-            owner[out_id[i]] = c
-        rows_append((ids[i], kinds[i], c, start, end, stall, float(refill_b),
-                     energy, transfer_cycles, local_hit, compute_duration,
-                     float(spill_b), transfer_bytes, float(wb_b)))
-
-        for j in succ[i]:
-            rj = ready[j]
-            if end > rj:
-                ready[j] = end
-                rj = end
-            d = indeg[j] - 1
-            indeg[j] = d
-            if d == 0:
-                if dynamic:
-                    heappush(heap, (prio(j, rj), ids[j], cur_version, j))
-                elif crit:
-                    heappush(heap, (negrank[j], rj, ids[j], j))
-                else:
-                    heappush(heap, (rj, ids[j], j))
-
-    if len(rows) != n:
-        raise RuntimeError("task graph deadlock: circular dependencies")
-
-    if use_table:
-        # Every task ran, so each group charged one warm/table fill above
-        # and group_counts - 1 table hits.
-        group_counts = ga.group_counts
-        for gid in range(ga.num_groups):
-            extra = group_counts[gid] - 1
-            if extra > 0:
-                timing.bulk_charge(gsig[gid], extra)
-
-    if has_mem:
-        res._clock = res_clock
-        res._rc = res_rc
-        res._qhead = res_qhead
-        res._qbase = res_qbase
-        res._dirty_count = res_dc
-        res.version = res_version
-        res.peak_resident_bytes = peak_rc * tb
-        memory.total_flops += tot_flops
-        memory.total_energy_j += tot_energy
-        memory.total_stall_cycles += tot_stall
-        memory.compulsory_bytes += tot_comp
-        memory.spill_bytes += tot_spill
-        memory.writeback_bytes += tot_wb
-        memory.local_hit_bytes += tot_lhit
-        memory.shared_to_local_bytes += tot_sfill
-        memory.c2c_bytes += tot_c2c
-        memory.local_transfer_cycles += tot_ltc
-        memory._local_version = local_version
-    runtime._exec_rows = rows
-    runtime._executions = None
-    runtime._exec_build = exec_build
-    makespan = max(core_free) if core_free else 0
-    runtime.last_makespan = float(makespan)
-    stats: Dict[str, object] = {
-        "makespan_cycles": makespan,
-        "per_core_busy_cycles": busy_cycles,
-        "parallel_efficiency": (sum(busy_cycles if homogeneous else busy_time)
-                                / (makespan * num_cores))
-        if makespan else 0.0,
-        "tasks_executed": len(rows),
-        "policy": policy.name,
-        "timing": timing.name,
-        "makespan_ns": makespan / reference_freq,
-        "data_valid": timing.keeps_data(verify),
-    }
-    if has_mem:
-        memory.finish()
-        stats.update(memory.summary())
-    stats["graph"] = graph.summary()
-    return stats

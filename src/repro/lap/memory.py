@@ -5,22 +5,23 @@ by keeping tiles resident in its multi-megabyte on-chip memory and
 amortising off-chip traffic over many tile operations.  This module models
 exactly that data movement for the task-graph runtime:
 
-* :class:`TileResidency` -- an LRU working set of logical tiles over the
-  :class:`repro.hw.memory.OnChipMemory` capacity.  Tiles are fetched from
+* the shared level -- an LRU working set of logical tiles over the
+  :class:`repro.hw.memory.OnChipMemory` capacity
+  (:class:`repro.lap.fastpath.FastTileResidency`).  Tiles are fetched from
   off-chip on first touch (*compulsory* traffic, overlapped with compute by
   the double-buffered streaming the LAP is designed around), re-fetched when
   capacity pressure evicted them (*spill* traffic, which stalls), and dirty
   tiles are written back on eviction and at the end of the schedule.
-* :class:`LocalStore` -- the second residency level: one per-core LRU over
-  that core's local-store budget, fed by the shared level.  A task's tiles
-  are served from the assigned core's store when possible (*local hit*, no
-  transfer), copied from a sibling core's store when another core holds
-  them (*core-to-core* transfer), and otherwise filled from the shared
-  on-chip memory (*shared hit*).  Both transfer kinds cross the on-chip
-  fabric and cost transfer cycles; only local hits are free.  The
-  hierarchy is inclusive (every local tile also lives in the shared level)
-  and write-through (dirtiness is tracked at the shared level only), so
-  enabling local stores never changes the off-chip traffic of a fixed
+* the local level -- one per-core LRU over that core's local-store budget,
+  fed by the shared level (:class:`repro.lap.fastpath.FastLocalStore`).  A
+  task's tiles are served from the assigned core's store when possible
+  (*local hit*, no transfer), copied from a sibling core's store when
+  another core holds them (*core-to-core* transfer), and otherwise filled
+  from the shared on-chip memory (*shared hit*).  Both transfer kinds cross
+  the on-chip fabric and cost transfer cycles; only local hits are free.
+  The hierarchy is inclusive (every local tile also lives in the shared
+  level) and write-through (dirtiness is tracked at the shared level only),
+  so enabling local stores never changes the off-chip traffic of a fixed
   schedule -- it splits the on-chip side of the movement and adds the
   transfer time.
 * :class:`BandwidthModel` -- converts spill refill bytes into stall cycles
@@ -30,9 +31,10 @@ exactly that data movement for the task-graph runtime:
   pJ/flop of the FMAC units, pJ/byte of on-chip SRAM accesses and pJ/byte
   moved across the chip boundary, so a schedule reports GFLOPS/W like the
   paper's headline comparisons.
-* :class:`MemoryHierarchy` -- composes the three into the per-task
-  accounting record (:class:`TaskMemoryEvent`) the runtime's event loop
-  consumes, plus whole-schedule totals.
+* :class:`MemoryHierarchy` -- composes the levels and models for one
+  schedule and holds its whole-schedule totals; the runtime's scheduler
+  loop (:meth:`repro.lap.runtime.LAPRuntime.execute`) does the per-task
+  accounting.
 
 The closed-form streaming traffic of a monolithic GEMM
 (:func:`gemm_stream_traffic`) also lives here;
@@ -41,17 +43,15 @@ The closed-form streaming traffic of a monolithic GEMM
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hw.fpu import FMACUnit
 from repro.hw.memory import OffChipInterface, OnChipMemory
-from repro.lap.taskgraph import TaskDescriptor, TileAccess, task_flops
+from repro.lap.fastpath import FastLocalStore, FastTileResidency, TileInterner
 
 __all__ = [
-    "BandwidthModel", "LocalStore", "MemoryHierarchy", "TaskEnergyModel",
-    "TaskMemoryEvent", "TileResidency", "gemm_stream_traffic",
+    "BandwidthModel", "MemoryHierarchy", "TaskEnergyModel",
+    "gemm_stream_traffic",
 ]
 
 
@@ -80,244 +80,6 @@ def gemm_stream_traffic(n: int, element_bytes: int = 8,
         "c_read_bytes": matrix_bytes,
         "c_write_bytes": matrix_bytes,
     }
-
-
-@dataclass
-class TaskMemoryEvent:
-    """Data-movement accounting of one scheduled task.
-
-    ``refill_bytes`` splits into ``compulsory_bytes`` (first-ever fetch of a
-    tile, overlapped with compute by the streaming design, no stall) and
-    ``spill_refill_bytes`` (re-fetch of a tile the working set evicted,
-    which exceeds the streaming budget and stalls the task).
-    ``writeback_bytes`` counts dirty evictions this task's fetches forced.
-
-    With per-core local stores enabled the on-chip side of the footprint
-    additionally splits into ``local_hit_bytes`` (already in the assigned
-    core's store), ``c2c_bytes`` (copied from a sibling core's store) and
-    ``shared_to_local_bytes`` (filled from the shared level);
-    ``local_transfer_cycles`` is the time both transfer kinds
-    (shared-to-local fills and core-to-core copies, which cross the same
-    on-chip fabric) take through the on-chip bandwidth.
-    """
-
-    task_id: int
-    refill_bytes: float = 0.0
-    compulsory_bytes: float = 0.0
-    spill_refill_bytes: float = 0.0
-    writeback_bytes: float = 0.0
-    stall_cycles: float = 0.0
-    energy_j: float = 0.0
-    flops: float = 0.0
-    local_hit_bytes: float = 0.0
-    shared_to_local_bytes: float = 0.0
-    c2c_bytes: float = 0.0
-    local_transfer_cycles: float = 0.0
-    #: Bytes of on-chip SRAM accesses the energy model charged for this
-    #: task (operand footprint plus any local-fill transfer bytes); the
-    #: second factor of the per-task energy triple a ScheduleTrace re-keys.
-    onchip_bytes: float = 0.0
-
-    @property
-    def offchip_bytes(self) -> float:
-        """Bytes this task moved across the chip boundary."""
-        return self.refill_bytes + self.writeback_bytes
-
-    def as_args(self) -> Dict[str, float]:
-        """The event as flat trace-span arguments (non-zero fields only).
-
-        The observability layer attaches this to the task's span so every
-        byte of a task's data movement is inspectable in the trace viewer;
-        zero-valued fields are dropped to keep large traces small.
-        """
-        fields = {
-            "refill_bytes": self.refill_bytes,
-            "compulsory_bytes": self.compulsory_bytes,
-            "spill_refill_bytes": self.spill_refill_bytes,
-            "writeback_bytes": self.writeback_bytes,
-            "energy_j": self.energy_j,
-            "flops": self.flops,
-            "local_hit_bytes": self.local_hit_bytes,
-            "shared_to_local_bytes": self.shared_to_local_bytes,
-            "c2c_bytes": self.c2c_bytes,
-        }
-        return {name: value for name, value in fields.items() if value}
-
-
-class TileResidency:
-    """LRU working set of logical tiles over an on-chip capacity.
-
-    Tiles are identified by ``(operand, (block_row, block_col))`` names
-    (aliasing already resolved by the task-graph builders) and all occupy
-    ``tile_bytes``.  A task's footprint is *pinned* while it is brought
-    resident, so one task's tiles never evict each other; a footprint larger
-    than the capacity is allowed to overflow transiently (the schedule then
-    thrashes, which the spill counters make visible).
-    """
-
-    def __init__(self, capacity_bytes: float, tile_bytes: int):
-        if capacity_bytes <= 0:
-            raise ValueError("on-chip capacity must be positive")
-        if tile_bytes <= 0:
-            raise ValueError("tile bytes must be positive")
-        self.capacity_bytes = float(capacity_bytes)
-        self.tile_bytes = int(tile_bytes)
-        self._lru: "OrderedDict[TileAccess, None]" = OrderedDict()
-        self._dirty: set = set()
-        self._ever_loaded: set = set()
-        self.peak_resident_bytes = 0
-        #: Monotonic state version; bumped by every touch() so schedulers can
-        #: detect stale residency-based priorities.
-        self.version = 0
-        #: Tiles the most recent touch()/flush() evicted, in eviction order;
-        #: an inclusive upper level uses this to invalidate local copies.
-        self.last_evicted: List[TileAccess] = []
-
-    # ------------------------------------------------------------- queries
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._lru) * self.tile_bytes
-
-    def is_resident(self, access: TileAccess) -> bool:
-        return access in self._lru
-
-    def missing_bytes(self, accesses: Iterable[TileAccess]) -> int:
-        """Bytes a footprint would have to fetch right now (no state change)."""
-        missing = {a for a in accesses if a not in self._lru}
-        return len(missing) * self.tile_bytes
-
-    # ------------------------------------------------------------- updates
-    def _evict_down_to_capacity(self, pinned: set) -> Tuple[List[TileAccess], float]:
-        victims: List[TileAccess] = []
-        writeback = 0.0
-        while (self.resident_bytes > self.capacity_bytes
-               and any(key not in pinned for key in self._lru)):
-            victim = next(key for key in self._lru if key not in pinned)
-            del self._lru[victim]
-            victims.append(victim)
-            if victim in self._dirty:
-                self._dirty.discard(victim)
-                writeback += self.tile_bytes
-        return victims, writeback
-
-    def touch(self, reads: Iterable[TileAccess],
-              writes: Iterable[TileAccess]) -> Tuple[float, float, float, float]:
-        """Bring a task's footprint resident; returns the traffic it caused.
-
-        Returns ``(refill, compulsory, spill_refill, writeback)`` in bytes.
-        Read tiles and written tiles are both fetched (every tile kernel
-        is read-modify-write at the granularity of a tile); written tiles
-        are marked dirty so their eventual eviction costs a writeback.
-        """
-        reads = list(reads)
-        writes = list(writes)
-        footprint: List[TileAccess] = []
-        for access in reads + writes:
-            if access not in footprint:
-                footprint.append(access)
-        pinned = set(footprint)
-        refill = compulsory = spill = 0.0
-        for access in footprint:
-            if access in self._lru:
-                self._lru.move_to_end(access)
-                continue
-            refill += self.tile_bytes
-            if access in self._ever_loaded:
-                spill += self.tile_bytes
-            else:
-                compulsory += self.tile_bytes
-                self._ever_loaded.add(access)
-            self._lru[access] = None
-        for access in writes:
-            self._dirty.add(access)
-        victims, writeback = self._evict_down_to_capacity(pinned)
-        self.last_evicted = victims
-        self.peak_resident_bytes = max(self.peak_resident_bytes,
-                                       self.resident_bytes)
-        # The version tracks *membership* changes only (what missing_bytes
-        # sees); fully-resident touches are no-ops for priority scoring, so
-        # leaving the version alone spares dynamic schedulers a pointless
-        # re-validation pass in the common no-spill regime.
-        if refill > 0 or victims:
-            self.version += 1
-        return refill, compulsory, spill, writeback
-
-    def flush(self) -> float:
-        """Write back every remaining dirty tile; returns the bytes moved."""
-        writeback = float(len(self._dirty) * self.tile_bytes)
-        self._dirty.clear()
-        self.last_evicted = list(self._lru)
-        self._lru.clear()
-        self.version += 1
-        return writeback
-
-
-class LocalStore:
-    """Per-core LRU working set of tiles over one core's local-store budget.
-
-    The second residency level of the two-level hierarchy: the shared
-    :class:`TileResidency` feeds one ``LocalStore`` per core.  The store is
-    inclusive in the shared level and write-through (the shared level owns
-    dirtiness and hence all off-chip accounting); a task's footprint is
-    pinned while it is brought resident, mirroring the shared level, so a
-    footprint larger than the budget overflows transiently instead of
-    evicting itself.
-    """
-
-    def __init__(self, capacity_bytes: float, tile_bytes: int):
-        if capacity_bytes <= 0:
-            raise ValueError("local-store capacity must be positive")
-        if tile_bytes <= 0:
-            raise ValueError("tile bytes must be positive")
-        self.capacity_bytes = float(capacity_bytes)
-        self.tile_bytes = int(tile_bytes)
-        self._lru: "OrderedDict[TileAccess, None]" = OrderedDict()
-        self.peak_resident_bytes = 0
-
-    # ------------------------------------------------------------- queries
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._lru) * self.tile_bytes
-
-    def is_resident(self, access: TileAccess) -> bool:
-        return access in self._lru
-
-    def missing_bytes(self, accesses: Iterable[TileAccess]) -> int:
-        """Bytes a footprint would have to fill right now (no state change)."""
-        missing = {a for a in accesses if a not in self._lru}
-        return len(missing) * self.tile_bytes
-
-    def resident_footprint_bytes(self, accesses: Iterable[TileAccess]) -> int:
-        """Bytes of a footprint already held by this store (no state change)."""
-        held = {a for a in accesses if a in self._lru}
-        return len(held) * self.tile_bytes
-
-    # ------------------------------------------------------------- updates
-    def touch(self, accesses: Iterable[TileAccess]) -> float:
-        """Bring a footprint resident; returns the fill bytes it required."""
-        footprint: List[TileAccess] = []
-        for access in accesses:
-            if access not in footprint:
-                footprint.append(access)
-        pinned = set(footprint)
-        fill = 0.0
-        for access in footprint:
-            if access in self._lru:
-                self._lru.move_to_end(access)
-                continue
-            fill += self.tile_bytes
-            self._lru[access] = None
-        while (self.resident_bytes > self.capacity_bytes
-               and any(key not in pinned for key in self._lru)):
-            victim = next(key for key in self._lru if key not in pinned)
-            del self._lru[victim]
-        self.peak_resident_bytes = max(self.peak_resident_bytes,
-                                       self.resident_bytes)
-        return fill
-
-    def invalidate(self, access: TileAccess) -> None:
-        """Drop a tile (shared-level eviction or a sibling core's write)."""
-        self._lru.pop(access, None)
 
 
 class BandwidthModel:
@@ -363,22 +125,27 @@ class TaskEnergyModel:
 
 
 class MemoryHierarchy:
-    """Per-schedule data-movement simulator the runtime event loop drives.
+    """Per-schedule data-movement state and totals of one ``execute()`` call.
 
-    One instance accounts one ``execute()`` call: the runtime feeds it every
-    task in dispatch order, it tracks tile residency, converts spill refills
-    into stall cycles, attributes energy per task, and accumulates the
-    whole-schedule totals (:meth:`summary`).
+    The runtime's scheduler loop drives the hierarchy task by task in
+    dispatch order: it touches each footprint in the shared
+    :class:`~repro.lap.fastpath.FastTileResidency`, converts spill refills
+    into stall cycles through :attr:`bandwidth`, attributes energy per task
+    through :attr:`energy`, and adds the per-task traffic to the
+    whole-schedule totals below (:meth:`summary`); :meth:`finish` flushes the
+    dirty tiles at the end.
 
     With ``local_store_kb`` set the hierarchy becomes two-level: one
-    :class:`LocalStore` per core sits above the shared :class:`TileResidency`.
-    A dispatched task's footprint is classified against its assigned core's
-    store (local hit / core-to-core copy / shared-to-local fill) and the
-    shared-to-local movement costs transfer cycles through the on-chip
-    bandwidth plus on-chip access energy.  The local level is inclusive and
-    write-through, so the off-chip traffic of a fixed dispatch order is
-    *identical* to the single-level model -- ``local_store_kb=None``
-    reproduces the single-level accounting byte for byte.
+    :class:`~repro.lap.fastpath.FastLocalStore` per core sits above the
+    shared residency.  A dispatched task's footprint is classified against
+    its assigned core's store (local hit / core-to-core copy /
+    shared-to-local fill) and both transfer kinds cost transfer cycles
+    through the on-chip bandwidth plus on-chip access energy.  The local
+    level is inclusive and write-through, so the off-chip traffic of a fixed
+    dispatch order is *identical* to the single-level model --
+    ``local_store_kb=None`` reproduces the single-level accounting byte for
+    byte.  An ``interner`` shared with the scheduler's graph arrays keeps
+    tile ids consistent across all levels.
     """
 
     def __init__(self, capacity_bytes: float, tile: int, element_bytes: int,
@@ -386,8 +153,7 @@ class MemoryHierarchy:
                  fmac: FMACUnit, frequency_ghz: float,
                  num_cores: int = 1,
                  local_store_kb: Optional[float] = None,
-                 fast: bool = False,
-                 interner=None):
+                 interner: Optional[TileInterner] = None):
         if tile <= 0 or element_bytes <= 0:
             raise ValueError("tile size and element bytes must be positive")
         if num_cores < 1:
@@ -395,20 +161,8 @@ class MemoryHierarchy:
         self.tile = int(tile)
         self.element_bytes = int(element_bytes)
         tile_bytes = self.tile * self.tile * self.element_bytes
-        # ``fast`` swaps both residency levels for the structure-of-arrays
-        # twins of :mod:`repro.lap.fastpath` (byte-identical accounting over
-        # interned tile ids; ``events`` then stays empty).  An ``interner``
-        # shared with the scheduler's graph arrays keeps tile ids consistent
-        # across all levels.
-        self.fast = bool(fast)
-        if fast:
-            from repro.lap.fastpath import (FastLocalStore, FastTileResidency,
-                                            TileInterner)
-            interner = interner if interner is not None else TileInterner()
-            self.residency = FastTileResidency(capacity_bytes, tile_bytes,
-                                               interner)
-        else:
-            self.residency = TileResidency(capacity_bytes, tile_bytes)
+        interner = interner if interner is not None else TileInterner()
+        self.residency = FastTileResidency(capacity_bytes, tile_bytes, interner)
         self.bandwidth = BandwidthModel(interface, frequency_ghz)
         self.energy = TaskEnergyModel(fmac, onchip, interface)
         self.num_cores = int(num_cores)
@@ -416,20 +170,13 @@ class MemoryHierarchy:
                                else float(local_store_kb))
         if self.local_store_kb is not None and self.local_store_kb <= 0:
             raise ValueError("local-store capacity must be positive")
-        if self.local_store_kb is None:
-            self.local_stores: Optional[List[LocalStore]] = None
-        elif fast:
-            self.local_stores = [
-                FastLocalStore(self.local_store_kb * 1024, tile_bytes, interner)
-                for _ in range(self.num_cores)]
-        else:
-            self.local_stores = [
-                LocalStore(self.local_store_kb * 1024, tile_bytes)
-                for _ in range(self.num_cores)]
+        self.local_stores: Optional[List[FastLocalStore]] = (
+            None if self.local_store_kb is None else
+            [FastLocalStore(self.local_store_kb * 1024, tile_bytes, interner)
+             for _ in range(self.num_cores)])
         #: Bytes/cycle of shared-to-local (and core-to-core) transfers: the
         #: peak bandwidth of the shared on-chip SRAM.
         self.onchip_bw_bytes_per_cycle = float(onchip.peak_bandwidth_bytes_per_cycle)
-        self.events: List[TaskMemoryEvent] = []
         self.total_flops = 0.0
         self.total_energy_j = 0.0
         self.total_stall_cycles = 0.0
@@ -444,7 +191,6 @@ class MemoryHierarchy:
         #: recorded on the ScheduleTrace so energy re-keys can reproduce the
         #: flush term.
         self.flush_writeback_bytes = 0.0
-        self._local_version = 0
         self._flushed = False
 
     @classmethod
@@ -452,8 +198,7 @@ class MemoryHierarchy:
                  on_chip_kb: Optional[float] = None,
                  bandwidth_gbs: Optional[float] = None,
                  local_store_kb: Optional[float] = None,
-                 fast: bool = False,
-                 interner=None,
+                 interner: Optional[TileInterner] = None,
                  offchip_pj_per_byte: Optional[float] = None) -> "MemoryHierarchy":
         """Build the hierarchy of one chip, with optional capacity/BW overrides.
 
@@ -486,136 +231,7 @@ class MemoryHierarchy:
                    onchip=lap.onchip_memory, fmac=fmac,
                    frequency_ghz=cfg.frequency_ghz,
                    num_cores=len(lap.cores), local_store_kb=local_store_kb,
-                   fast=fast, interner=interner)
-
-    # ------------------------------------------------------------ accounting
-    @property
-    def has_local_stores(self) -> bool:
-        """Whether the per-core second level is enabled."""
-        return self.local_stores is not None
-
-    @property
-    def version(self) -> int:
-        """Hierarchy state version (for stale-priority detection).
-
-        Covers both levels: the shared residency's membership version plus a
-        local-store counter, so dynamic policies whose scores depend on
-        per-core stores re-validate when either level moved.
-        """
-        return self.residency.version + self._local_version
-
-    def task_missing_bytes(self, task: TaskDescriptor) -> int:
-        """Bytes the task would have to fetch if dispatched right now."""
-        return self.residency.missing_bytes(task.touched_tiles())
-
-    def task_missing_local_bytes(self, task: TaskDescriptor,
-                                 core_index: int) -> int:
-        """Bytes a core's local store would have to fill for this task (0
-        without local stores)."""
-        if self.local_stores is None:
-            return 0
-        return self.local_stores[core_index].missing_bytes(task.touched_tiles())
-
-    def task_local_resident_bytes(self, task: TaskDescriptor,
-                                  core_index: int) -> int:
-        """Bytes of the task's footprint a core's store already holds."""
-        if self.local_stores is None:
-            return 0
-        return self.local_stores[core_index].resident_footprint_bytes(
-            task.touched_tiles())
-
-    def _account_local(self, footprint: List[TileAccess],
-                       writes: List[TileAccess],
-                       core_index: int) -> Tuple[float, float, float]:
-        """Second-level accounting of one task on its assigned core.
-
-        Returns ``(local_hit, shared_fill, c2c)`` bytes.  Shared-level
-        evictions invalidate local copies first (inclusion), then the
-        footprint is classified and brought resident, and finally the
-        written tiles are invalidated in the sibling stores (write-through
-        coherence: a writer owns the only local copy).
-        """
-        stores = self.local_stores
-        for victim in self.residency.last_evicted:
-            for store in stores:
-                store.invalidate(victim)
-        store = stores[core_index]
-        tile_bytes = store.tile_bytes
-        local_hit = shared_fill = c2c = 0.0
-        for access in footprint:
-            if store.is_resident(access):
-                local_hit += tile_bytes
-            elif any(other.is_resident(access) for other in stores
-                     if other is not store):
-                c2c += tile_bytes
-            else:
-                shared_fill += tile_bytes
-        store.touch(footprint)
-        for access in writes:
-            for other in stores:
-                if other is not store:
-                    other.invalidate(access)
-        self._local_version += 1
-        return local_hit, shared_fill, c2c
-
-    def account(self, task: TaskDescriptor,
-                core_index: int = 0) -> TaskMemoryEvent:
-        """Account one dispatched task; returns its data-movement record.
-
-        ``core_index`` names the core the scheduler assigned the task to;
-        it selects the local store of the second level and is ignored by
-        the single-level model.
-        """
-        if self._flushed:
-            raise RuntimeError("memory hierarchy already flushed; build a new "
-                               "one per schedule")
-        if not (0 <= core_index < self.num_cores):
-            raise ValueError(f"core index {core_index} out of range for "
-                             f"{self.num_cores} cores")
-        reads, writes = task.read_tiles(), task.write_tiles()
-        refill, compulsory, spill, writeback = self.residency.touch(reads, writes)
-        stall = self.bandwidth.stall_cycles(spill)
-        flops = task_flops(task, self.tile)
-        tile_bytes = self.residency.tile_bytes
-        onchip_bytes = (len(reads) + len(writes)) * tile_bytes
-        local_hit = shared_fill = c2c = transfer_cycles = 0.0
-        if self.local_stores is not None:
-            footprint: List[TileAccess] = []
-            for access in reads + writes:
-                if access not in footprint:
-                    footprint.append(access)
-            local_hit, shared_fill, c2c = self._account_local(
-                footprint, writes, core_index)
-            transfer_bytes = shared_fill + c2c
-            if transfer_bytes > 0 and self.onchip_bw_bytes_per_cycle > 0:
-                transfer_cycles = transfer_bytes / self.onchip_bw_bytes_per_cycle
-            # The extra movement through the shared SRAM costs on-chip
-            # access energy on top of the task's own operand accesses.
-            onchip_bytes += transfer_bytes
-        energy = self.energy.task_energy_j(flops, onchip_bytes,
-                                           refill + writeback)
-        event = TaskMemoryEvent(task_id=task.task_id, refill_bytes=refill,
-                                compulsory_bytes=compulsory,
-                                spill_refill_bytes=spill,
-                                writeback_bytes=writeback, stall_cycles=stall,
-                                energy_j=energy, flops=flops,
-                                local_hit_bytes=local_hit,
-                                shared_to_local_bytes=shared_fill,
-                                c2c_bytes=c2c,
-                                local_transfer_cycles=transfer_cycles,
-                                onchip_bytes=onchip_bytes)
-        self.events.append(event)
-        self.total_flops += flops
-        self.total_energy_j += energy
-        self.total_stall_cycles += stall
-        self.compulsory_bytes += compulsory
-        self.spill_bytes += spill
-        self.writeback_bytes += writeback
-        self.local_hit_bytes += local_hit
-        self.shared_to_local_bytes += shared_fill
-        self.c2c_bytes += c2c
-        self.local_transfer_cycles += transfer_cycles
-        return event
+                   interner=interner)
 
     def finish(self) -> float:
         """Flush dirty tiles at the end of the schedule; returns the bytes."""

@@ -1,9 +1,11 @@
 """Scheduling policies for the LAP: the single scheduling code path.
 
-The runtime's event-driven loop (:mod:`repro.lap.runtime`) keeps a heap of
-*ready* tasks and a per-core availability clock; the policy decides two
-things: the heap priority of a ready task and the core a popped task runs
-on.  Four policies are provided:
+The runtime's event-driven loop (:meth:`repro.lap.runtime.LAPRuntime.execute`)
+keeps a heap of *ready* tasks and a per-core availability clock; the policy
+decides two things: the heap priority of a ready task and the core a popped
+task runs on.  The loop implements both decisions inline for the five stock
+policies below, so a policy object names the rule and holds per-graph state
+(:meth:`SchedulerPolicy.prepare`); custom policy classes are rejected.
 
 ``greedy``
     the original earliest-core list scheduler: tasks are ordered by the
@@ -27,10 +29,9 @@ on.  Four policies are provided:
     the *assigned* core's local store would have to fill (the assigned core
     is the one the locality rule prefers: the owner of the output tile), so
     the ordering favours work whose data already sits next to its core.
-    The runtime binds its :class:`repro.lap.memory.MemoryHierarchy` to the
-    policy and re-validates heap priorities lazily when the residency state
-    moved on (``dynamic_priority``), so the ordering tracks the simulated
-    working set instead of a stale snapshot.
+    The loop re-validates heap priorities lazily when the residency state
+    moved on, so the ordering tracks the simulated working set instead of a
+    stale snapshot.
 ``affinity``
     the two-level counterpart of ``locality``: ready ordering is inherited
     from ``memory_aware``, and a popped task prefers the core whose local
@@ -42,17 +43,16 @@ Policies are stateless between :meth:`SchedulerPolicy.prepare` calls, so one
 instance can schedule many graphs.
 
 The *static* panel pre-scheduler of the monolithic GEMM path
-(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here now, so
-all scheduling code shares one module; ``repro.lap.scheduler`` remains as a
-deprecated import shim.
+(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here, so all
+scheduling code shares one module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
-from repro.lap.taskgraph import TaskDescriptor, TaskGraph
+from repro.lap.taskgraph import TaskGraph
 
 
 class SchedulerPolicy:
@@ -61,42 +61,8 @@ class SchedulerPolicy:
     #: Registry name (subclasses override).
     name = "greedy"
 
-    #: Whether heap priorities depend on mutable memory-residency state and
-    #: must be lazily re-validated by the runtime when that state changes.
-    dynamic_priority = False
-
-    def prepare(self, graph: Sequence[TaskDescriptor]) -> None:
+    def prepare(self, graph: TaskGraph) -> None:
         """Precompute per-graph state (e.g. priorities) before scheduling."""
-
-    def bind_memory(self, memory) -> None:
-        """Receive the runtime's memory hierarchy for this schedule.
-
-        Called once per ``execute()`` (with ``None`` when data-movement
-        accounting is disabled); only residency-driven policies care.
-        """
-
-    def bind_owners(self, tile_owner: Dict[Tuple[int, int], int]) -> None:
-        """Receive the runtime's live output-tile ownership map.
-
-        Called once per ``execute()`` with the dictionary the scheduler loop
-        mutates in place (tile coordinate -> last writing core), so policies
-        that score against a core's local store can name the core the
-        locality rule would assign.
-        """
-
-    def priority(self, task: TaskDescriptor, ready_time: float) -> Tuple:
-        """Heap key of a ready task; lower keys are popped first.
-
-        The runtime appends ``task_id`` as the final tie-breaker, so keys
-        only need to order tasks, not uniquify them.
-        """
-        return (ready_time,)
-
-    def choose_core(self, task: TaskDescriptor, ready_time: float,
-                    core_free_at: Sequence[float],
-                    tile_owner: Dict[Tuple[int, int], int]) -> int:
-        """Index of the core the popped task should run on."""
-        return min(range(len(core_free_at)), key=lambda i: (core_free_at[i], i))
 
 
 class GreedyEarliestCore(SchedulerPolicy):
@@ -106,16 +72,18 @@ class GreedyEarliestCore(SchedulerPolicy):
 
 
 class CriticalPathPriority(SchedulerPolicy):
-    """Prioritise tasks with the longest downstream dependency chain."""
+    """Prioritise tasks with the longest downstream dependency chain.
+
+    Heap key ``(-rank, ready_time)``: longest chain first, and among equal
+    ranks the greedy order.
+    """
 
     name = "critical_path"
 
     def __init__(self) -> None:
         self._rank: Dict[int, float] = {}
 
-    def prepare(self, graph: Sequence[TaskDescriptor]) -> None:
-        if not isinstance(graph, TaskGraph):
-            graph = TaskGraph(list(graph))
+    def prepare(self, graph: TaskGraph) -> None:
         self._rank = graph.critical_path_lengths()
 
     @property
@@ -123,16 +91,12 @@ class CriticalPathPriority(SchedulerPolicy):
         """Critical-path rank per task id (filled by :meth:`prepare`)."""
         return self._rank
 
-    def priority(self, task: TaskDescriptor, ready_time: float) -> Tuple:
-        # Longest chain first; among equal ranks fall back to greedy order.
-        return (-self._rank.get(task.task_id, 0.0), ready_time)
-
     def negated_rank_array(self, task_ids: Sequence[int]):
-        """Vectorized ``-rank`` per task id, for the fast scheduler loop.
+        """Vectorized ``-rank`` per task id, for the scheduler loop.
 
         One ``np.fromiter`` pass over the prepared rank dict; missing ids
-        score 0.0 exactly like :meth:`priority`, and negating after the
-        gather produces the same floats as negating each lookup.
+        score 0.0, and negating after the gather produces the same floats
+        as negating each lookup.
         """
         import numpy as np
 
@@ -153,14 +117,6 @@ class LocalityAware(SchedulerPolicy):
 
     name = "locality"
 
-    def choose_core(self, task: TaskDescriptor, ready_time: float,
-                    core_free_at: Sequence[float],
-                    tile_owner: Dict[Tuple[int, int], int]) -> int:
-        owner = tile_owner.get(task.output)
-        return min(range(len(core_free_at)),
-                   key=lambda i: (max(core_free_at[i], ready_time),
-                                  0 if i == owner else 1, i))
-
 
 class MemoryAware(LocalityAware):
     """Score ready tasks by resident-tile reuse over the on-chip working set.
@@ -175,56 +131,29 @@ class MemoryAware(LocalityAware):
     it).  Off-chip avoidance stays lexicographically first because a DRAM
     round trip costs an order of magnitude more than an on-chip transfer;
     the local term only refines the order within equal off-chip cost.
-    Without a bound memory hierarchy (data-movement accounting disabled)
-    every score is zero and the policy degrades to greedy ordering.
+    Without local stores the key is ``(missing_bytes, ready_time)``; with
+    data-movement accounting disabled the policy degrades to greedy
+    ordering.
     """
 
     name = "memory_aware"
-    dynamic_priority = True
-
-    def __init__(self) -> None:
-        self._memory = None
-        self._owners: Dict[Tuple[int, int], int] = {}
-
-    def bind_memory(self, memory) -> None:
-        self._memory = memory
-
-    def bind_owners(self, tile_owner: Dict[Tuple[int, int], int]) -> None:
-        self._owners = tile_owner
-
-    def _assigned_core(self, task: TaskDescriptor) -> int:
-        return self._owners.get(task.output, 0)
-
-    def priority(self, task: TaskDescriptor, ready_time: float) -> Tuple:
-        if self._memory is None:
-            return (0, ready_time)
-        missing = self._memory.task_missing_bytes(task)
-        if getattr(self._memory, "has_local_stores", False):
-            local = self._memory.task_missing_local_bytes(
-                task, self._assigned_core(task))
-            return (missing, local, ready_time)
-        return (missing, ready_time)
 
     def bulk_priorities(self, arrays, memory, indices: Sequence[int],
                         ready_times: Sequence,
                         assigned_cores=None):
-        """Vectorized :meth:`priority` over many candidate tasks at once.
+        """Priority keys of many candidate tasks at once.
 
         ``arrays`` is the graph's :class:`repro.lap.fastpath.GraphArrays`,
+        ``memory`` the schedule's :class:`repro.lap.memory.MemoryHierarchy`,
         ``indices`` graph positions (not task ids), ``ready_times`` the
         per-candidate ready times (entering the key tuples unchanged), and
         ``assigned_cores`` the per-candidate local-store index of the
         two-level tie-break term (``None`` = core 0 for every candidate,
-        the pre-ownership default of :meth:`_assigned_core`).  Footprints
-        are gathered into one flat CSR batch and scored by the residency
-        classes' batch kernels; the returned key tuples are
-        element-for-element equal to the scalar :meth:`priority` keys
-        (plain Python ints, same ordering semantics).  Returns ``None``
-        when ``memory`` is not the fast SoA hierarchy -- callers then fall
-        back to scalar scoring.
+        the owner before any task wrote the output tile).  Footprints are
+        gathered into one flat CSR batch and scored by the residency
+        classes' batch kernels; the keys are plain Python ints, equal to
+        the per-task keys the scheduler loop computes.
         """
-        if memory is None or not getattr(memory, "fast", False):
-            return None
         if not indices:
             return []
         import numpy as np
@@ -242,7 +171,7 @@ class MemoryAware(LocalityAware):
                    + np.repeat(indptr[idx], counts))
         flat = arrays.foot_indices[offsets]
         missing = memory.residency.missing_bytes_batch(sub_indptr, flat)
-        stores = getattr(memory, "local_stores", None)
+        stores = memory.local_stores
         if stores is None:
             return [(int(m), r) for m, r in zip(missing, ready_times)]
         if assigned_cores is None:
@@ -272,19 +201,6 @@ class AffinityScheduler(MemoryAware):
     """
 
     name = "affinity"
-
-    def choose_core(self, task: TaskDescriptor, ready_time: float,
-                    core_free_at: Sequence[float],
-                    tile_owner: Dict[Tuple[int, int], int]) -> int:
-        memory = self._memory
-        if memory is None or not getattr(memory, "has_local_stores", False):
-            return min(range(len(core_free_at)),
-                       key=lambda i: (core_free_at[i], i))
-        owner = tile_owner.get(task.output)
-        return min(range(len(core_free_at)),
-                   key=lambda i: (-memory.task_local_resident_bytes(task, i),
-                                  0 if i == owner else 1,
-                                  max(core_free_at[i], ready_time), i))
 
 
 #: Registry of scheduling policies by CLI/runner name.
@@ -316,8 +232,8 @@ def get_policy(policy: Union[str, SchedulerPolicy, None]) -> SchedulerPolicy:
 
 
 # --------------------------------------------------------------------------
-# Static panel pre-scheduler (Figure 4.1), folded in from the pre-task-graph
-# ``repro.lap.scheduler`` module so that one module owns all scheduling code.
+# Static panel pre-scheduler (Figure 4.1), so that one module owns all
+# scheduling code.
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PanelAssignment:

@@ -13,10 +13,9 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
 * :mod:`repro.lap.taskgraph` -- the IR: :class:`TaskKind`,
   :class:`TaskDescriptor`, :class:`TaskGraph` and the
   :class:`AlgorithmsByBlocks` decompositions (GEMM, Cholesky, LU, tiled QR);
-* :mod:`repro.lap.policies` -- pluggable scheduling policies (greedy
-  earliest-core, critical-path priority, locality-aware, memory-aware)
-  driving an event-driven ready-heap loop (O(V log V + E) for the static
-  policies, instead of the old O(V^2) rescan);
+* :mod:`repro.lap.policies` -- the scheduling policies (greedy
+  earliest-core, critical-path priority, locality-aware, memory-aware,
+  affinity) the scheduler loop implements;
 * :mod:`repro.lap.timing` -- timing models: ``functional`` executes every
   task on the cycle-level simulator, ``memoized`` caches per-(kind, shape,
   precision) cycle counts after one functional run so that large graphs
@@ -31,17 +30,18 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
   shared-to-local traffic;
 * :class:`LAPRuntime` (this module) -- the driver/dispatcher that binds the
   four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
-  optionally with heterogeneous per-core clock frequencies.
-
-``AlgorithmsByBlocks``, ``TaskDescriptor`` and ``TaskKind`` are re-exported
-here for backwards compatibility with pre-refactor imports.
+  optionally with heterogeneous per-core clock frequencies.  Its
+  :meth:`LAPRuntime.execute` is the one scheduler loop: an event-driven
+  ready heap over the structure-of-arrays graph and residency state of
+  :mod:`repro.lap.fastpath`, with every policy / timing / memory decision
+  inlined.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,12 +52,14 @@ from repro.kernels.qr import lac_apply_reflectors
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
-from repro.lap.fastpath import _POLICY_CODES, ScheduleTrace, execute_fast
+from repro.lap.fastpath import ScheduleTrace
 from repro.lap.memory import MemoryHierarchy
-from repro.lap.policies import SchedulerPolicy, get_policy
-from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
-                                 TaskKind)
-from repro.lap.timing import (TimingModel, compose_task_cycles,
+from repro.lap.policies import (AffinityScheduler, CriticalPathPriority,
+                                GreedyEarliestCore, LocalityAware, MemoryAware,
+                                SchedulerPolicy, get_policy, policy_names)
+from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
+                                 TaskDescriptor, TaskGraph, TaskKind)
+from repro.lap.timing import (MemoizedTiming, TimingModel,
                               decompose_task_cycles, get_timing_model,
                               task_signature)
 from repro.obs.attribution import CycleAttribution, idle_gaps
@@ -66,10 +68,13 @@ from repro.reference.factorizations import (ref_apply_reflectors,
                                             ref_householder_qr_factored,
                                             ref_lu_nopivot)
 
-__all__ = [
-    "AlgorithmsByBlocks", "LAPRuntime", "TaskDescriptor", "TaskExecution",
-    "TaskGraph", "TaskKind",
-]
+__all__ = ["LAPRuntime", "TaskExecution"]
+
+#: Dense codes of the policy classes the scheduler loop implements; exact
+#: types only, since a subclass's overridden methods would never be called.
+_POLICY_CODES: Dict[type, int] = {
+    GreedyEarliestCore: 0, CriticalPathPriority: 1, LocalityAware: 2,
+    MemoryAware: 3, AffinityScheduler: 4}
 
 
 @dataclass
@@ -83,7 +88,8 @@ class TaskExecution:
     ``compute_cycles`` is the pre-movement duration (what the cycle
     decomposition attributes to compute), ``spill_bytes`` the capacity-miss
     part of ``refill_bytes`` and ``transfer_bytes`` the shared-to-local plus
-    core-to-core movement of the two-level hierarchy.
+    core-to-core movement of the two-level hierarchy, of which
+    ``shared_to_local_bytes`` is the first part.
     """
 
     task_id: int
@@ -103,6 +109,7 @@ class TaskExecution:
     #: ``refill_bytes`` it gives the task's off-chip bytes, the third
     #: factor of the per-task energy triple schedule replay re-keys.
     writeback_bytes: float = 0.0
+    shared_to_local_bytes: float = 0.0
 
     @property
     def cycles(self) -> float:
@@ -134,6 +141,27 @@ class _ExecutionContext:
         """Memoization signature of the task (kind, shapes, precision, ...)."""
         return task_signature(task, self._runtime._task_shapes(task, self._tiles),
                               self.precision)
+
+
+def _uniform_square_tiles(tiles: Dict, t: int) -> bool:
+    """Whether every operand tile is a ``t x t`` array.
+
+    When true, a task's memoization signature is a pure function of its
+    ``(kind, unit-alpha, transpose)`` group, so the per-task signature
+    computation collapses to a per-group cycle table.  Operand dictionaries
+    may alias (a factorization binds A/B/C/L to one dict); the ``TAU``
+    side store holds 1-D reflector scalars and never enters a signature.
+    """
+    seen = set()
+    for name in ("A", "B", "C", "L"):
+        mapping = tiles.get(name)
+        if mapping is None or id(mapping) in seen:
+            continue
+        seen.add(id(mapping))
+        for arr in mapping.values():
+            if getattr(arr, "shape", None) != (t, t):
+                return False
+    return True
 
 
 class LAPRuntime:
@@ -173,8 +201,8 @@ class LAPRuntime:
         sweeps across it replay recorded schedules exactly.
     local_store_kb:
         Per-core local-store budget in KiB; enables the two-level hierarchy
-        (a per-core :class:`repro.lap.memory.LocalStore` above the shared
-        residency).  ``None`` (default) keeps the single-level model, whose
+        (a per-core :class:`repro.lap.fastpath.FastLocalStore` above the
+        shared residency).  ``None`` (default) keeps the single-level model, whose
         schedules and traffic are byte-identical to the pre-local-store
         runtime.
     stall_overlap:
@@ -183,20 +211,13 @@ class LAPRuntime:
         [0, 1] (see :func:`repro.lap.timing.compose_task_cycles`); 0
         (default) fully serialises them, 1 hides them entirely.
     tracer:
-        Optional :class:`repro.obs.tracer.Tracer`: every executed task then
+        Optional :class:`repro.obs.tracer.Tracer`: every executed task
         becomes a span on its core's track (args carrying the cycle
         decomposition and data-movement bytes), scheduler-idle gaps become
         ``idle`` spans, and spill/stall counters accumulate timestamped
-        series.  ``None`` (default) and a disabled tracer record nothing
-        and leave schedules byte-identical to an uninstrumented run.
-    fast:
-        Route eligible ``execute()`` calls through the inlined scheduler
-        loop of :mod:`repro.lap.fastpath` (byte-identical schedules, stats
-        and attribution; see the equivalence suite).  Eligible means: the
-        tasks are a :class:`TaskGraph`, the policy is one of the five stock
-        policy classes (not a subclass) and no enabled tracer is attached;
-        anything else silently takes the reference loop, and ``last_fast``
-        reports which path the most recent call took.
+        series.  ``None`` (default) and a disabled tracer record nothing.
+        The spans are rebuilt from the recorded executions after the loop,
+        so tracing never changes the schedule.
     """
 
     def __init__(self, lap: LinearAlgebraProcessor, tile: int,
@@ -209,7 +230,6 @@ class LAPRuntime:
                  local_store_kb: Optional[float] = None,
                  stall_overlap: float = 0.0,
                  tracer: Optional[Tracer] = None,
-                 fast: bool = False,
                  offchip_pj_per_byte: Optional[float] = None):
         self.lap = lap
         self.tile = tile
@@ -232,9 +252,6 @@ class LAPRuntime:
             raise ValueError("stall_overlap must lie in [0, 1]")
         self.stall_overlap = float(stall_overlap)
         self.tracer = tracer
-        self.fast = bool(fast)
-        #: Whether the most recent ``execute()`` took the fast path.
-        self.last_fast = False
         #: Memory hierarchy of the most recent ``execute()`` call (or None);
         #: named distinctly from the ``memory`` enable flag, which is stored
         #: as ``memory_enabled``.
@@ -256,35 +273,22 @@ class LAPRuntime:
         self._homogeneous = all(f == reference for f in frequencies)
         self._executions: Optional[List[TaskExecution]] = []
         self._exec_rows: Optional[List[Tuple]] = None
-        self._exec_build: Optional[Callable[[], List[TaskExecution]]] = None
-        #: Graph of the most recent ``execute()`` call when it was a
-        #: TaskGraph (lets schedule_trace derive per-task energy triples on
-        #: the fast path, whose memory events are never materialised).
+        #: Graph of the most recent ``execute()`` call (schedule_trace derives
+        #: per-task energy triples from it and the execution rows).
         self._last_graph: Optional[TaskGraph] = None
 
     @property
     def executions(self) -> List[TaskExecution]:
         """Per-task records of the most recent ``execute()`` call.
 
-        The fast path records plain field tuples during the loop and this
-        property materialises the :class:`TaskExecution` rows on first
-        access, so a schedule that is only reduced to stats never pays for
-        a million dataclass constructions.
+        The loop records plain field tuples and this property materialises
+        the :class:`TaskExecution` rows on first access, so a schedule that
+        is only reduced to stats never pays for a million dataclass
+        constructions.
         """
         if self._executions is None:
-            build = self._exec_build
-            if build is not None:
-                self._executions = build()
-            else:
-                self._executions = [TaskExecution(*row)
-                                    for row in self._exec_rows]
+            self._executions = [TaskExecution(*row) for row in self._exec_rows]
         return self._executions
-
-    @executions.setter
-    def executions(self, value: List[TaskExecution]) -> None:
-        self._executions = value
-        self._exec_rows = None
-        self._exec_build = None
 
     # ------------------------------------------------------------ execution
     def _run_task(self, task: TaskDescriptor, core_index: int, tiles: Dict) -> int:
@@ -485,210 +489,529 @@ class LAPRuntime:
                 verify: bool = True) -> Dict[str, object]:
         """Run a task graph to completion; returns makespan and per-core stats.
 
-        ``tiles`` maps operand names ("A", "B", "C", "L") to dictionaries of
-        tile arrays keyed by block coordinates; tasks update them in place
-        (tiled QR additionally keeps its ``tau`` scalars under ``"TAU"``).
-        ``verify`` only matters under memoized timing: it keeps the tile data
-        numerically exact through reference updates so residual checks remain
-        possible.
+        ``tasks`` is a :class:`TaskGraph` or any sequence of descriptors
+        (wrapped in one, which rejects duplicate and unknown task ids with
+        ``ValueError``).  ``tiles`` maps operand names ("A", "B", "C", "L")
+        to dictionaries of tile arrays keyed by block coordinates; tasks
+        update them in place (tiled QR additionally keeps its ``tau``
+        scalars under ``"TAU"``).  ``verify`` only matters under memoized
+        timing: it keeps the tile data numerically exact through reference
+        updates so residual checks remain possible.
 
         The loop is event driven: a heap of ready tasks ordered by the
         scheduling policy and a single accumulation pass over per-core busy
-        time -- O(V log V + E) for the static policies.  With data-movement accounting
-        enabled every dispatched task also updates the tile-residency model
-        (in dispatch order, the serialisation the shared on-chip memory
-        sees); spill refills stall the task through the off-chip bandwidth
-        and the stats gain unified traffic / stall / energy totals.
-        Policies with ``dynamic_priority`` (memory_aware) have stale heap
-        keys lazily re-validated against the current residency state; that
-        re-validation is bounded at one refresh per entry between
-        executions, so those policies are worst-case O(V^2 log V) (in
-        practice close to the static bound, since only entries that reach
-        the heap top are refreshed).
+        time -- O(V log V + E) for the static policies.  Every policy, timing
+        and memory decision is inlined over the graph's
+        :class:`~repro.lap.fastpath.GraphArrays` (no per-task method
+        dispatch), so only the five stock policy classes are accepted.  With
+        data-movement accounting enabled every dispatched task also updates
+        the tile-residency model (in dispatch order, the serialisation the
+        shared on-chip memory sees); spill refills stall the task through the
+        off-chip bandwidth and the stats gain unified traffic / stall /
+        energy totals.  The memory-keyed policies (``memory_aware``,
+        ``affinity``) have stale heap keys lazily re-validated against the
+        current residency state; that re-validation is bounded at one
+        refresh per entry between executions, so those policies are
+        worst-case O(V^2 log V) (in practice close to the static bound,
+        since only entries that reach the heap top are refreshed).
 
-        With ``fast=True`` an eligible call (a :class:`TaskGraph`, a stock
-        policy class, no enabled tracer) is routed through the inlined loop
-        of :mod:`repro.lap.fastpath`, which produces byte-identical results.
+        Executions are recorded as plain row tuples that :attr:`executions`
+        materialises on first access; an enabled tracer receives the spans
+        and counters rebuilt from those rows after the loop.  A dependency
+        cycle ends in ``RuntimeError("task graph deadlock ...")``.
         """
-        self._last_graph = tasks if isinstance(tasks, TaskGraph) else None
-        if (self.fast and isinstance(tasks, TaskGraph)
-                and (self.tracer is None or not self.tracer.enabled)
-                and type(self.policy) in _POLICY_CODES):
-            self.last_fast = True
-            return execute_fast(self, tasks, tiles, verify)
-        self.last_fast = False
-        task_list = list(tasks)
-        by_id: Dict[int, TaskDescriptor] = {}
-        for task in task_list:
-            if task.task_id in by_id:
-                raise ValueError(f"duplicate task id {task.task_id}")
-            by_id[task.task_id] = task
-        successors: Dict[int, List[int]] = {tid: [] for tid in by_id}
-        indegree: Dict[int, int] = {}
-        for task in task_list:
-            deps = set(task.depends_on)
-            indegree[task.task_id] = len(deps)
-            for dep in deps:
-                if dep in successors:
-                    successors[dep].append(task.task_id)
-                # Unknown dependency ids can never complete; the task stays
-                # unscheduled and the deadlock check below reports it.
+        graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
+        policy = self.policy
+        pcode = _POLICY_CODES.get(type(policy))
+        if pcode is None:
+            raise TypeError(
+                f"unsupported scheduling policy {type(policy).__name__}: the "
+                f"scheduler loop implements the stock policies "
+                f"({', '.join(policy_names())}) and never calls methods of a "
+                f"custom policy class")
+        self._last_graph = graph
+        ga = graph.fast_arrays()
+        tasks = ga.tasks
+        n = len(tasks)
+        ids = ga.ids
+        foot_ids = ga.foot_ids
+        write_ids = ga.write_ids
+        rw_len = ga.rw_len
+        out_id = ga.out_id
+        succ = ga.succ
+        group = ga.group
+        kinds = ga.kinds
+
+        timing = self.timing
+        t = self.tile
+        num_cores = len(self.lap.cores)
+        reference_freq = self.lap.config.frequency_ghz
+        frequencies = self.core_frequencies_ghz
+        homogeneous = self._homogeneous
+        visible = 1.0 - self.stall_overlap
 
         memory = (MemoryHierarchy.for_chip(
-            self.lap, self.tile,
+            self.lap, t,
             on_chip_kb=self.on_chip_kb,
             bandwidth_gbs=self.bandwidth_gbs,
             local_store_kb=self.local_store_kb,
+            interner=ga.interner,
             offchip_pj_per_byte=self.offchip_pj_per_byte)
                   if self.memory_enabled else None)
-        tracer = (self.tracer if self.tracer is not None and self.tracer.enabled
-                  else None)
         self.last_memory = memory
-        self.policy.prepare(tasks if isinstance(tasks, TaskGraph) else task_list)
-        self.policy.bind_memory(memory)
-        dynamic = bool(getattr(self.policy, "dynamic_priority", False)
-                       and memory is not None)
+        policy.prepare(graph)
+        has_mem = memory is not None
+        dynamic = pcode >= 3 and has_mem
+        crit = pcode == 1
+
+        # Loop-local accounting state.  When data-movement accounting is off,
+        # every per-task cost below stays at these zeros.
+        stores = None
+        stall = transfer_cycles = energy = 0.0
+        local_hit = transfer_bytes = shared_fill = 0.0
+        refill_b = spill_b = wb_b = 0
+        if has_mem:
+            res = memory.residency
+            stores = memory.local_stores
+            tile_bytes = res.tile_bytes
+            tb = tile_bytes
+            res_capmax = res._cap_tiles
+            res_stamp = res._stamp
+            res_dirty = res._dirty
+            res_ever = res._ever
+            res_qt = res._qt
+            res_qt_append = res_qt.append
+            res_qhead = res._qhead
+            res_qbase = res._qbase
+            res_clock = res._clock
+            res_rc = res._rc
+            res_dc = res._dirty_count
+            res_version = res.version
+            peak_rc = res.peak_resident_bytes // tb
+            bandwidth = memory.bandwidth
+            bpc_off = bandwidth.interface.bytes_per_cycle(bandwidth.frequency_ghz)
+            obw = memory.onchip_bw_bytes_per_cycle
+            epf = memory.energy.energy_per_flop_j
+            epon = memory.energy.onchip_energy_per_byte_j
+            epoff = memory.energy.offchip_energy_per_byte_j
+            flops_by_code = [_TASK_FLOPS[k](t) for k in ga.kind_table]
+            task_flops = [flops_by_code[cd] for cd in ga.kind_code]
+            # Totals accumulate in locals (one per-task add each, starting
+            # from the hierarchy's 0.0/0, in dispatch order); byte counters
+            # stay integers, which is exact.
+            tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
+            tot_lhit = tot_sfill = tot_c2c = 0.0
+            tot_comp = tot_spill = tot_wb = 0
+            if stores is not None:
+                store_stamps = [store._stamp for store in stores]
+
         ctx = _ExecutionContext(self, tiles)
-        num_cores = len(self.lap.cores)
-        reference_freq = self.lap.config.frequency_ghz
-        core_free_at: List[float] = [0] * num_cores
+        # Under memoized timing on uniform tiles a task's cycle count is a
+        # function of its memoization group: one table lookup per task, with
+        # the timing model's hit counters reconciled in bulk after the loop.
+        use_table = (type(timing) is MemoizedTiming and not verify
+                     and _uniform_square_tiles(tiles, t))
+        if use_table:
+            gtable: List[Optional[int]] = [None] * ga.num_groups
+            gsig: List = [None] * ga.num_groups
+
+        if crit:
+            negrank = ga._negrank
+            if negrank is None:
+                # Pure graph property (unit-weight critical-path ranks), cached
+                # on the arrays so repeat executes skip the n-element rebuild.
+                negrank = policy.negated_rank_array(ids).tolist()
+                ga._negrank = negrank
+
+        core_free: List[float] = [0] * num_cores
         busy_cycles: List[int] = [0] * num_cores
         busy_time: List[float] = [0] * num_cores
-        tile_owner: Dict[Tuple[int, int], int] = {}
-        self.policy.bind_owners(tile_owner)
-        ready_time: Dict[int, float] = {}
-        end_time: Dict[int, float] = {}
-        self.executions = executions = []
+        owner = [-1] * ga.num_out_coords
+        ready: List[float] = [0] * n
+        indeg = list(ga.indegree0)
+        rows: List[Tuple] = []
+        rows_append = rows.append
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
-        # Heap entries are (priority_tuple, task_id, residency_version): the
-        # policy key orders tasks, the task id breaks ties exactly as the
-        # pre-refactor flat tuples did, and the trailing version stamp lets
-        # dynamic policies detect keys computed against a residency state
-        # that has since moved on (it never influences the ordering).
-        version = memory.version if memory is not None else 0
+        # -- memory-keyed priority (dynamic policies only; static keys are
+        # built flat at the push sites) -----------------------------------------
+        if dynamic and stores is None:
+            def prio(i, r):
+                miss = 0
+                for tid in foot_ids[i]:
+                    if res_stamp[tid] < 0:
+                        miss += 1
+                return (miss * tile_bytes, r)
+        elif dynamic:
+            def prio(i, r):
+                foot = foot_ids[i]
+                miss = 0
+                for tid in foot:
+                    if res_stamp[tid] < 0:
+                        miss += 1
+                ow = owner[out_id[i]]
+                lstamp = store_stamps[ow if ow >= 0 else 0]
+                lmiss = 0
+                for tid in foot:
+                    if lstamp[tid] < 0:
+                        lmiss += 1
+                return (miss * tile_bytes, lmiss * tile_bytes, r)
+
+        # Heap entries are flat tuples for the static policies -- ``(r, id,
+        # i)`` or ``(negrank, r, id, i)`` -- and ``(key, id, version, i)`` for
+        # the dynamic ones, whose version stamp lets a popped entry detect a
+        # key computed against a residency state that has since moved on.
+        # The unique task id decides every tie before the trailing fields.
+        local_version = 0
+        cur_version = res_version + local_version if has_mem else 0
         heap: List[Tuple] = []
-        for task in task_list:
-            if indegree[task.task_id] == 0:
-                ready_time[task.task_id] = 0
-                heapq.heappush(heap, (self.policy.priority(task, 0),
-                                      task.task_id, version))
+        if dynamic:
+            # Bulk-score the whole initial ready set in one numpy pass;
+            # ``(key, task_id)`` is unique per entry, so heapify produces
+            # the same pop sequence as repeated pushes.
+            ready0 = [i for i in range(n) if indeg[i] == 0]
+            keys = policy.bulk_priorities(ga, memory, ready0, [0] * len(ready0))
+            heap = [(keys[k], ids[i], cur_version, i)
+                    for k, i in enumerate(ready0)]
+            heapq.heapify(heap)
+        else:
+            for i in range(n):
+                if indeg[i] == 0:
+                    if crit:
+                        heappush(heap, (negrank[i], 0, ids[i], i))
+                    else:
+                        heappush(heap, (0, ids[i], i))
+
+        affinity_cores = pcode == 4 and stores is not None
+        owner_cores = pcode in (2, 3)
+        need_owner = pcode >= 2    # greedy/critical-path never read the owner map
+        track_victims = stores is not None
+        victims: Sequence[int] = ()
 
         while heap:
-            key, task_id, stamp = heapq.heappop(heap)
-            task = by_id[task_id]
-            ready = ready_time[task_id]
-            if dynamic and stamp != memory.version:
-                # Lazy re-validation: recompute the stale key; if the task no
-                # longer leads the heap, push it back and look again.  Keys
-                # are re-stamped with the current version, and the version
-                # only advances when a task executes, so every entry is
-                # refreshed at most once between executions (bounded work).
-                key = self.policy.priority(task, ready)
-                if heap and (key, task_id) > (heap[0][0], heap[0][1]):
-                    heapq.heappush(heap, (key, task_id, memory.version))
-                    continue
-            ctx.core_index = core_index = self.policy.choose_core(
-                task, ready, core_free_at, tile_owner)
-            cycles = self.timing.task_cycles(task, ctx, verify)
-            if self._homogeneous:
+            if dynamic:
+                key, task_id, stamp, i = heappop(heap)
+                rtime = ready[i]
+                if stamp != cur_version:
+                    # Lazy re-validation: recompute the stale key; if the
+                    # task no longer leads the heap, push it back and look
+                    # again.  The version only advances when a task
+                    # executes, so every entry is refreshed at most once
+                    # between executions (bounded work).
+                    key = prio(i, rtime)
+                    if heap and (key, task_id) > (heap[0][0], heap[0][1]):
+                        heappush(heap, (key, task_id, cur_version, i))
+                        continue
+            else:
+                i = heappop(heap)[-1]
+                rtime = ready[i]
+
+            # -- core selection (first-minimum scans) --------------------------
+            if affinity_cores:
+                # Most footprint bytes already in the core's local store,
+                # then the output tile's owner, then the earliest start.
+                foot = foot_ids[i]
+                ow = owner[out_id[i]]
+                bk = None
+                c = 0
+                for ci in range(num_cores):
+                    lstamp = store_stamps[ci]
+                    held = 0
+                    for tid in foot:
+                        if lstamp[tid] >= 0:
+                            held += 1
+                    f = core_free[ci]
+                    ck = (-held * tile_bytes, 0 if ci == ow else 1,
+                          f if f > rtime else rtime)
+                    if bk is None or ck < bk:
+                        bk = ck
+                        c = ci
+                start = bk[2]
+            elif owner_cores:
+                # Earliest start, the output tile's owner on ties.
+                ow = owner[out_id[i]]
+                bk = None
+                c = 0
+                for ci in range(num_cores):
+                    f = core_free[ci]
+                    ck = (f if f > rtime else rtime, 0 if ci == ow else 1)
+                    if bk is None or ck < bk:
+                        bk = ck
+                        c = ci
+                start = bk[0]
+            else:
+                start = min(core_free)
+                c = core_free.index(start)
+                if rtime > start:
+                    start = rtime
+
+            # -- timing ----------------------------------------------------------
+            if use_table:
+                cycles = gtable[group[i]]
+                if cycles is None:
+                    gid = group[i]
+                    task = tasks[i]
+                    ctx.core_index = c
+                    cycles = timing.task_cycles(task, ctx, verify)
+                    gtable[gid] = cycles
+                    gsig[gid] = ctx.signature(task)
+            else:
+                ctx.core_index = c
+                cycles = timing.task_cycles(tasks[i], ctx, verify)
+            if homogeneous:
                 duration = cycles
             else:
-                duration = cycles * reference_freq / self.core_frequencies_ghz[core_index]
+                duration = cycles * reference_freq / frequencies[c]
             compute_duration = duration
-            stall = 0.0
-            refill = energy = local_cycles = local_hit = 0.0
-            spill_b = transfer_b = writeback_b = 0.0
-            event = None
-            if memory is not None:
-                event = memory.account(task, core_index)
-                stall = event.stall_cycles
-                refill = event.refill_bytes
-                energy = event.energy_j
-                local_cycles = event.local_transfer_cycles
-                local_hit = event.local_hit_bytes
-                spill_b = event.spill_refill_bytes
-                transfer_b = event.shared_to_local_bytes + event.c2c_bytes
-                writeback_b = event.writeback_bytes
-                duration = compose_task_cycles(duration, stall,
-                                               self.stall_overlap,
-                                               local_cycles)
-            start = max(core_free_at[core_index], ready)
+
+            # -- data movement: FastTileResidency.touch_ids, inlined ------------
+            if has_mem:
+                foot = foot_ids[i]
+                pin_floor = res_clock
+                nmiss = nspill = 0
+                for tid in foot:
+                    if res_stamp[tid] < 0:
+                        nmiss += 1
+                        if res_ever[tid]:
+                            nspill += 1
+                        else:
+                            res_ever[tid] = True
+                        res_rc += 1
+                    res_stamp[tid] = res_clock
+                    res_qt_append(tid)
+                    res_clock += 1
+                wids = write_ids[i]
+                for tid in wids:
+                    if not res_dirty[tid]:
+                        res_dirty[tid] = True
+                        res_dc += 1
+                wb = 0
+                nvict = 0
+                if res_rc > res_capmax:
+                    if track_victims:
+                        victims = []
+                    qn = len(res_qt)
+                    while res_rc > res_capmax and res_qhead < qn:
+                        vid = res_qt[res_qhead]
+                        st = res_qbase + res_qhead
+                        if res_stamp[vid] != st:
+                            res_qhead += 1      # stale entry: tile was re-stamped
+                            continue
+                        if st >= pin_floor:
+                            break               # only the pinned footprint remains
+                        res_qhead += 1
+                        res_stamp[vid] = -1
+                        res_rc -= 1
+                        nvict += 1
+                        if track_victims:
+                            victims.append(vid)
+                        if res_dirty[vid]:
+                            res_dirty[vid] = False
+                            res_dc -= 1
+                            wb += 1
+                    if res_qhead > 262144 and res_qhead * 2 > qn:
+                        del res_qt[:res_qhead]
+                        res_qbase += res_qhead
+                        res_qhead = 0
+                if res_rc > peak_rc:
+                    peak_rc = res_rc
+                if nmiss or nvict:
+                    res_version += 1
+                refill_b = nmiss * tb
+                spill_b = nspill * tb
+                if spill_b > 0:
+                    stall = (spill_b / bpc_off if bpc_off > 0
+                             else bandwidth.stall_cycles(spill_b))
+                else:
+                    stall = 0.0
+                flops = task_flops[i]
+                onchip_bytes = rw_len[i] * tb
+                if stores is not None:
+                    # Inclusion: shared-level victims leave every local
+                    # store; then classify the footprint against the
+                    # assigned core's store (local hit / sibling copy /
+                    # shared fill), bring it resident, and revoke sibling
+                    # copies of the written tiles (write-through).
+                    if nvict:
+                        for store in stores:
+                            store.invalidate_ids(victims)
+                    store = stores[c]
+                    sstamp = store_stamps[c]
+                    lhit = ncc = nsf = 0
+                    for tid in foot:
+                        if sstamp[tid] >= 0:
+                            lhit += 1
+                        else:
+                            for s2 in range(num_cores):
+                                if s2 != c and store_stamps[s2][tid] >= 0:
+                                    ncc += 1
+                                    break
+                            else:
+                                nsf += 1
+                    store.touch_ids(foot)
+                    if wids:
+                        for s2 in range(num_cores):
+                            if s2 != c:
+                                stores[s2].invalidate_ids(wids)
+                    local_version += 1
+                    local_hit = float(lhit * tb)
+                    shared_fill = float(nsf * tb)
+                    c2c = float(ncc * tb)
+                    transfer_bytes = shared_fill + c2c
+                    transfer_cycles = (transfer_bytes / obw
+                                       if transfer_bytes > 0 and obw > 0 else 0.0)
+                    onchip_bytes = onchip_bytes + transfer_bytes
+                    tot_lhit += local_hit
+                    tot_sfill += shared_fill
+                    tot_c2c += c2c
+                    tot_ltc += transfer_cycles
+                wb_b = wb * tb
+                energy = (flops * epf + onchip_bytes * epon
+                          + (refill_b + wb_b) * epoff)
+                tot_flops += flops
+                tot_energy += energy
+                tot_stall += stall
+                tot_comp += refill_b - spill_b
+                tot_spill += spill_b
+                tot_wb += wb_b
+                # compose_task_cycles, inlined.
+                duration = duration + (stall + transfer_cycles) * visible
+                if dynamic:
+                    cur_version = res_version + local_version
+
             end = start + duration
-            core_free_at[core_index] = end
-            busy_cycles[core_index] += cycles
+            core_free[c] = end
+            busy_cycles[c] += cycles
             # Efficiency counts compute only: a stalled core is occupied but
             # not doing useful work, so memory pressure must *lower* the
             # reported parallel efficiency, never pad it.
-            busy_time[core_index] += compute_duration
-            end_time[task.task_id] = end
-            tile_owner[task.output] = core_index
-            executions.append(TaskExecution(task.task_id, task.kind, core_index,
-                                            start, end, stall_cycles=stall,
-                                            refill_bytes=refill,
-                                            energy_j=energy,
-                                            local_transfer_cycles=local_cycles,
-                                            local_hit_bytes=local_hit,
-                                            compute_cycles=compute_duration,
-                                            spill_bytes=spill_b,
-                                            transfer_bytes=transfer_b,
-                                            writeback_bytes=writeback_b))
-            if tracer is not None:
-                decomposition = decompose_task_cycles(
-                    compute_duration, stall, self.stall_overlap, local_cycles)
-                args = {
-                    "task_id": task.task_id,
-                    "kind": task.kind.value,
-                    "compute_cycles": decomposition["compute"],
-                    "spill_stall_cycles": decomposition["spill_stall"],
-                    "transfer_cycles": decomposition["transfer"],
-                    "hidden_cycles": decomposition["hidden"],
-                }
-                if event is not None:
-                    args.update(event.as_args())
-                    tracer.counter("offchip_spill_bytes").add(
-                        event.spill_refill_bytes, ts=end)
-                    tracer.counter("stall_cycles").add(stall, ts=end)
-                tracer.span(f"{task.kind.value}#{task.task_id}",
-                            track=core_index, start=start, end=end,
-                            category="task", args=args)
-            for succ_id in successors[task.task_id]:
-                ready_time[succ_id] = max(ready_time.get(succ_id, 0), end)
-                indegree[succ_id] -= 1
-                if indegree[succ_id] == 0:
-                    succ = by_id[succ_id]
-                    heapq.heappush(heap, (
-                        self.policy.priority(succ, ready_time[succ_id]),
-                        succ_id,
-                        memory.version if memory is not None else 0))
+            if not homogeneous:
+                busy_time[c] += compute_duration
+            if need_owner:
+                owner[out_id[i]] = c
+            rows_append((ids[i], kinds[i], c, start, end, stall, float(refill_b),
+                         energy, transfer_cycles, local_hit, compute_duration,
+                         float(spill_b), transfer_bytes, float(wb_b),
+                         shared_fill))
 
-        if len(executions) != len(task_list):
+            for j in succ[i]:
+                rj = ready[j]
+                if end > rj:
+                    ready[j] = end
+                    rj = end
+                d = indeg[j] - 1
+                indeg[j] = d
+                if d == 0:
+                    if dynamic:
+                        heappush(heap, (prio(j, rj), ids[j], cur_version, j))
+                    elif crit:
+                        heappush(heap, (negrank[j], rj, ids[j], j))
+                    else:
+                        heappush(heap, (rj, ids[j], j))
+
+        if len(rows) != n:
             raise RuntimeError("task graph deadlock: circular dependencies")
 
-        makespan = max(core_free_at) if core_free_at else 0
+        if use_table:
+            # Every task ran, so each group charged one warm/table fill above
+            # and group_counts - 1 table hits.
+            group_counts = ga.group_counts
+            for gid in range(ga.num_groups):
+                extra = group_counts[gid] - 1
+                if extra > 0:
+                    timing.bulk_charge(gsig[gid], extra)
+
+        if has_mem:
+            res._clock = res_clock
+            res._rc = res_rc
+            res._qhead = res_qhead
+            res._qbase = res_qbase
+            res._dirty_count = res_dc
+            res.version = res_version
+            res.peak_resident_bytes = peak_rc * tb
+            memory.total_flops += tot_flops
+            memory.total_energy_j += tot_energy
+            memory.total_stall_cycles += tot_stall
+            memory.compulsory_bytes += tot_comp
+            memory.spill_bytes += tot_spill
+            memory.writeback_bytes += tot_wb
+            memory.local_hit_bytes += tot_lhit
+            memory.shared_to_local_bytes += tot_sfill
+            memory.c2c_bytes += tot_c2c
+            memory.local_transfer_cycles += tot_ltc
+        self._exec_rows = rows
+        self._executions = None
+        makespan = max(core_free) if core_free else 0
         self.last_makespan = float(makespan)
-        if tracer is not None:
-            for core, gap_start, gap_end in idle_gaps(self.executions,
-                                                      num_cores, makespan):
-                tracer.span("idle", track=core, start=gap_start, end=gap_end,
-                            category="idle",
-                            args={"idle_cycles": gap_end - gap_start})
+        if self.tracer is not None and self.tracer.enabled:
+            self._trace(self.tracer, makespan, has_mem)
         stats: Dict[str, object] = {
             "makespan_cycles": makespan,
             "per_core_busy_cycles": busy_cycles,
-            "parallel_efficiency": (sum(busy_time) / (makespan * num_cores))
+            "parallel_efficiency": (sum(busy_cycles if homogeneous else busy_time)
+                                    / (makespan * num_cores))
             if makespan else 0.0,
-            "tasks_executed": len(self.executions),
-            "policy": self.policy.name,
-            "timing": self.timing.name,
+            "tasks_executed": len(rows),
+            "policy": policy.name,
+            "timing": timing.name,
             "makespan_ns": makespan / reference_freq,
-            "data_valid": self.timing.keeps_data(verify),
+            "data_valid": timing.keeps_data(verify),
         }
-        if memory is not None:
+        if has_mem:
             memory.finish()
             stats.update(memory.summary())
-        if isinstance(tasks, TaskGraph):
-            stats["graph"] = tasks.summary()
+        stats["graph"] = graph.summary()
         return stats
+
+    def _trace(self, tracer: Tracer, makespan: float, memory: bool) -> None:
+        """Replay the recorded schedule into ``tracer``, in dispatch order.
+
+        One ``task`` span per execution row on its core's track, carrying
+        the cycle decomposition and (with memory accounting on) the task's
+        non-zero data-movement bytes; the ``offchip_spill_bytes`` and
+        ``stall_cycles`` counter series; then the scheduler-idle gaps as
+        ``idle`` spans.
+        """
+        rows = self.executions
+        for e in rows:
+            parts = decompose_task_cycles(e.compute_cycles, e.stall_cycles,
+                                          self.stall_overlap,
+                                          e.local_transfer_cycles)
+            args = {
+                "task_id": e.task_id,
+                "kind": e.kind.value,
+                "compute_cycles": parts["compute"],
+                "spill_stall_cycles": parts["spill_stall"],
+                "transfer_cycles": parts["transfer"],
+                "hidden_cycles": parts["hidden"],
+            }
+            if memory:
+                moved = {
+                    "refill_bytes": e.refill_bytes,
+                    "compulsory_bytes": e.refill_bytes - e.spill_bytes,
+                    "spill_refill_bytes": e.spill_bytes,
+                    "writeback_bytes": e.writeback_bytes,
+                    "energy_j": e.energy_j,
+                    "flops": _TASK_FLOPS[e.kind](self.tile),
+                    "local_hit_bytes": e.local_hit_bytes,
+                    "shared_to_local_bytes": e.shared_to_local_bytes,
+                    "c2c_bytes": e.transfer_bytes - e.shared_to_local_bytes,
+                }
+                args.update((name, value) for name, value in moved.items()
+                            if value)
+                tracer.counter("offchip_spill_bytes").add(e.spill_bytes,
+                                                          ts=e.end_cycle)
+                tracer.counter("stall_cycles").add(e.stall_cycles,
+                                                   ts=e.end_cycle)
+            tracer.span(f"{e.kind.value}#{e.task_id}", track=e.core_index,
+                        start=e.start_cycle, end=e.end_cycle, category="task",
+                        args=args)
+        for core, gap_start, gap_end in idle_gaps(rows, len(self.lap.cores),
+                                                  makespan):
+            tracer.span("idle", track=core, start=gap_start, end=gap_end,
+                        category="idle",
+                        args={"idle_cycles": gap_end - gap_start})
 
     def attribution(self) -> CycleAttribution:
         """Cycle attribution of the most recent ``execute()`` call.
@@ -711,13 +1034,12 @@ class LAPRuntime:
         chip-clock / off-chip-energy constants can reuse this schedule
         exactly instead of re-simulating (see
         :class:`repro.lap.fastpath.ScheduleTrace` and the ``lap_runtime``
-        runner's replay fast path).  With memory accounting on, the trace
+        runner's schedule replay).  With memory accounting on, the trace
         also carries a lazy thunk producing per-task ``(flops,
         onchip_bytes, offchip_bytes)`` energy triples, so energy-constant
-        deltas re-key the energy column per task instead of re-simulating:
-        the reference loop derives them from the recorded memory events,
-        the fast loop (which never materialises events) from the execution
-        rows plus the graph's footprint arrays.
+        deltas re-key the energy column per task instead of re-simulating;
+        the triples derive from the execution rows plus the graph's
+        footprint arrays.
         """
         memory = self.last_memory
         rows = self.executions
@@ -730,28 +1052,19 @@ class LAPRuntime:
                                 energy.onchip_energy_per_byte_j,
                                 energy.offchip_energy_per_byte_j)
             flush_wb = memory.flush_writeback_bytes
-            if memory.events:
-                events = list(memory.events)
+            arrays = self._last_graph.fast_arrays()
+            tile = self.tile
+            tile_bytes = memory.residency.tile_bytes
 
-                def triples_thunk(events=events):
-                    return [(e.flops, e.onchip_bytes,
-                             e.refill_bytes + e.writeback_bytes)
-                            for e in events]
-            elif rows and self._last_graph is not None:
-                arrays = self._last_graph.fast_arrays()
-                tile = self.tile
-                tile_bytes = memory.residency.tile_bytes
-
-                def triples_thunk(rows=rows, arrays=arrays, tile=tile,
-                                  tile_bytes=tile_bytes):
-                    from repro.lap.taskgraph import _TASK_FLOPS
-                    id2idx = arrays.id2idx
-                    rw_len = arrays.rw_len
-                    return [(_TASK_FLOPS[e.kind](tile),
-                             rw_len[id2idx[e.task_id]] * tile_bytes
-                             + e.transfer_bytes,
-                             e.refill_bytes + e.writeback_bytes)
-                            for e in rows]
+            def triples_thunk(rows=rows, arrays=arrays, tile=tile,
+                              tile_bytes=tile_bytes):
+                id2idx = arrays.id2idx
+                rw_len = arrays.rw_len
+                return [(_TASK_FLOPS[e.kind](tile),
+                         rw_len[id2idx[e.task_id]] * tile_bytes
+                         + e.transfer_bytes,
+                         e.refill_bytes + e.writeback_bytes)
+                        for e in rows]
         return ScheduleTrace(
             policy=self.policy.name,
             timing=self.timing.name,

@@ -307,7 +307,7 @@ class TaskGraph(collections.abc.Sequence):
         return max(lengths.values(), default=0.0)
 
     def fast_arrays(self):
-        """Dense array form of the graph for the fast scheduler loop.
+        """Dense array form of the graph for the scheduler loop.
 
         Built on first use and cached (the graph is immutable); see
         :class:`repro.lap.fastpath.GraphArrays`.

@@ -50,7 +50,7 @@ def compose_task_cycles(compute_cycles: float, stall_cycles: float,
     task caused (:class:`repro.lap.memory.BandwidthModel`); compulsory
     streaming is assumed fully overlapped by the LAP's double buffering and
     never appears here.  ``local_transfer_cycles`` is the shared-to-local
-    movement of the two-level hierarchy (:class:`repro.lap.memory.LocalStore`
+    movement of the two-level hierarchy (:class:`repro.lap.fastpath.FastLocalStore`
     fills through the on-chip bandwidth); it defaults to 0 so single-level
     callers are unchanged.  ``overlap_fraction`` models partial prefetching
     of both terms under compute (0 = fully serialised, the conservative
@@ -146,8 +146,8 @@ class MemoizedTiming(TimingModel):
     def bulk_charge(self, signature: TaskSignature, count: int) -> None:
         """Charge ``count`` cache hits of one signature in a single call.
 
-        The fast scheduler loop (:mod:`repro.lap.fastpath`) resolves cycle
-        counts through a per-group table instead of calling
+        The scheduler loop (:meth:`repro.lap.runtime.LAPRuntime.execute`)
+        resolves cycle counts through a per-group table instead of calling
         :meth:`task_cycles` per task; it reconciles the hit/count statistics
         here so ``hits`` / ``task_counts`` /
         :meth:`estimated_functional_seconds` match a per-task run exactly.

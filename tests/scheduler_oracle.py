@@ -1,0 +1,482 @@
+"""Reference scheduler: the clarity-first oracle the product loop is pinned to.
+
+``LAPRuntime.execute`` runs one inlined structure-of-arrays loop.  This
+module keeps a plain implementation of the same model for the tests to
+compare against:
+
+* :class:`TileResidency` / :class:`LocalStore` -- ``OrderedDict`` LRUs over
+  tile names (the oracles of ``FastTileResidency`` / ``FastLocalStore``);
+* :class:`OracleHierarchy` -- a :class:`MemoryHierarchy` over those levels
+  whose :meth:`OracleHierarchy.account` returns one
+  :class:`TaskMemoryEvent` per dispatched task;
+* :func:`priority` / :func:`choose_core` -- the five stock policies as
+  scalar per-task hooks;
+* :func:`reference_execute` -- the event-driven ready-heap loop, with its
+  tracer calls made inside the loop.
+
+:func:`reference_execute` leaves its results on the runtime it is given
+(``executions``, ``last_memory``, ``last_makespan``), so ``attribution()``
+and ``schedule_trace()`` work on them, and it has the signature of
+``LAPRuntime.execute``, so a test can patch it in to produce oracle rows
+through the ``lap_runtime`` runner.
+"""
+
+import heapq
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+from repro.lap.memory import MemoryHierarchy
+from repro.lap.runtime import TaskExecution, _ExecutionContext
+from repro.lap.taskgraph import TaskGraph, task_flops
+from repro.lap.timing import compose_task_cycles, decompose_task_cycles
+from repro.obs.attribution import idle_gaps
+
+
+@dataclass
+class TaskMemoryEvent:
+    """Data-movement accounting of one dispatched task."""
+
+    task_id: int
+    refill_bytes: float = 0.0
+    compulsory_bytes: float = 0.0
+    spill_refill_bytes: float = 0.0
+    writeback_bytes: float = 0.0
+    stall_cycles: float = 0.0
+    energy_j: float = 0.0
+    flops: float = 0.0
+    local_hit_bytes: float = 0.0
+    shared_to_local_bytes: float = 0.0
+    c2c_bytes: float = 0.0
+    local_transfer_cycles: float = 0.0
+    onchip_bytes: float = 0.0
+
+    @property
+    def offchip_bytes(self) -> float:
+        return self.refill_bytes + self.writeback_bytes
+
+    def as_args(self) -> Dict[str, float]:
+        """The event as trace-span arguments (non-zero fields only)."""
+        fields = {
+            "refill_bytes": self.refill_bytes,
+            "compulsory_bytes": self.compulsory_bytes,
+            "spill_refill_bytes": self.spill_refill_bytes,
+            "writeback_bytes": self.writeback_bytes,
+            "energy_j": self.energy_j,
+            "flops": self.flops,
+            "local_hit_bytes": self.local_hit_bytes,
+            "shared_to_local_bytes": self.shared_to_local_bytes,
+            "c2c_bytes": self.c2c_bytes,
+        }
+        return {name: value for name, value in fields.items() if value}
+
+
+class TileResidency:
+    """LRU working set of tile names over an on-chip capacity.
+
+    A task's footprint is pinned while it is brought resident, so one
+    task's tiles never evict each other; a footprint larger than the
+    capacity overflows transiently.
+    """
+
+    def __init__(self, capacity_bytes, tile_bytes):
+        if capacity_bytes <= 0:
+            raise ValueError("on-chip capacity must be positive")
+        if tile_bytes <= 0:
+            raise ValueError("tile bytes must be positive")
+        self.capacity_bytes = float(capacity_bytes)
+        self.tile_bytes = int(tile_bytes)
+        self._lru = OrderedDict()
+        self._dirty = set()
+        self._ever_loaded = set()
+        self.peak_resident_bytes = 0
+        #: Bumped by every touch that changes membership.
+        self.version = 0
+        #: Tiles the most recent touch()/flush() evicted, in eviction order.
+        self.last_evicted = []
+
+    @property
+    def resident_bytes(self):
+        return len(self._lru) * self.tile_bytes
+
+    def is_resident(self, access):
+        return access in self._lru
+
+    def missing_bytes(self, accesses):
+        missing = {a for a in accesses if a not in self._lru}
+        return len(missing) * self.tile_bytes
+
+    def touch(self, reads, writes):
+        """Returns ``(refill, compulsory, spill_refill, writeback)`` bytes."""
+        reads, writes = list(reads), list(writes)
+        footprint = []
+        for access in reads + writes:
+            if access not in footprint:
+                footprint.append(access)
+        pinned = set(footprint)
+        refill = compulsory = spill = 0.0
+        for access in footprint:
+            if access in self._lru:
+                self._lru.move_to_end(access)
+                continue
+            refill += self.tile_bytes
+            if access in self._ever_loaded:
+                spill += self.tile_bytes
+            else:
+                compulsory += self.tile_bytes
+                self._ever_loaded.add(access)
+            self._lru[access] = None
+        for access in writes:
+            self._dirty.add(access)
+        victims = []
+        writeback = 0.0
+        while (self.resident_bytes > self.capacity_bytes
+               and any(key not in pinned for key in self._lru)):
+            victim = next(key for key in self._lru if key not in pinned)
+            del self._lru[victim]
+            victims.append(victim)
+            if victim in self._dirty:
+                self._dirty.discard(victim)
+                writeback += self.tile_bytes
+        self.last_evicted = victims
+        self.peak_resident_bytes = max(self.peak_resident_bytes,
+                                       self.resident_bytes)
+        if refill > 0 or victims:
+            self.version += 1
+        return refill, compulsory, spill, writeback
+
+    def flush(self):
+        """Write back every remaining dirty tile; returns the bytes moved."""
+        writeback = float(len(self._dirty) * self.tile_bytes)
+        self._dirty.clear()
+        self.last_evicted = list(self._lru)
+        self._lru.clear()
+        self.version += 1
+        return writeback
+
+
+class LocalStore:
+    """Per-core LRU of tile names (write-through, footprint pinned)."""
+
+    def __init__(self, capacity_bytes, tile_bytes):
+        if capacity_bytes <= 0:
+            raise ValueError("local-store capacity must be positive")
+        if tile_bytes <= 0:
+            raise ValueError("tile bytes must be positive")
+        self.capacity_bytes = float(capacity_bytes)
+        self.tile_bytes = int(tile_bytes)
+        self._lru = OrderedDict()
+        self.peak_resident_bytes = 0
+
+    @property
+    def resident_bytes(self):
+        return len(self._lru) * self.tile_bytes
+
+    def is_resident(self, access):
+        return access in self._lru
+
+    def missing_bytes(self, accesses):
+        missing = {a for a in accesses if a not in self._lru}
+        return len(missing) * self.tile_bytes
+
+    def resident_footprint_bytes(self, accesses):
+        held = {a for a in accesses if a in self._lru}
+        return len(held) * self.tile_bytes
+
+    def touch(self, accesses):
+        """Bring a footprint resident; returns the fill bytes it required."""
+        footprint = []
+        for access in accesses:
+            if access not in footprint:
+                footprint.append(access)
+        pinned = set(footprint)
+        fill = 0.0
+        for access in footprint:
+            if access in self._lru:
+                self._lru.move_to_end(access)
+                continue
+            fill += self.tile_bytes
+            self._lru[access] = None
+        while (self.resident_bytes > self.capacity_bytes
+               and any(key not in pinned for key in self._lru)):
+            del self._lru[next(key for key in self._lru if key not in pinned)]
+        self.peak_resident_bytes = max(self.peak_resident_bytes,
+                                       self.resident_bytes)
+        return fill
+
+    def invalidate(self, access):
+        self._lru.pop(access, None)
+
+
+class OracleHierarchy(MemoryHierarchy):
+    """The product hierarchy's models over the ``OrderedDict`` levels, with
+    per-task :meth:`account` and a recorded :attr:`events` list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        tile_bytes = self.residency.tile_bytes
+        self.residency = TileResidency(self.residency.capacity_bytes,
+                                       tile_bytes)
+        if self.local_stores is not None:
+            self.local_stores = [
+                LocalStore(self.local_store_kb * 1024, tile_bytes)
+                for _ in range(self.num_cores)]
+        self.events: List[TaskMemoryEvent] = []
+        self._local_version = 0
+
+    @property
+    def version(self):
+        """Membership version of both levels (stale-priority detection)."""
+        return self.residency.version + self._local_version
+
+    def _account_local(self, footprint, writes, core_index):
+        """Second-level split ``(local_hit, shared_fill, c2c)`` bytes."""
+        stores = self.local_stores
+        for victim in self.residency.last_evicted:      # inclusion
+            for store in stores:
+                store.invalidate(victim)
+        store = stores[core_index]
+        tile_bytes = store.tile_bytes
+        local_hit = shared_fill = c2c = 0.0
+        for access in footprint:
+            if store.is_resident(access):
+                local_hit += tile_bytes
+            elif any(other.is_resident(access) for other in stores
+                     if other is not store):
+                c2c += tile_bytes
+            else:
+                shared_fill += tile_bytes
+        store.touch(footprint)
+        for access in writes:                           # write-through
+            for other in stores:
+                if other is not store:
+                    other.invalidate(access)
+        self._local_version += 1
+        return local_hit, shared_fill, c2c
+
+    def account(self, task, core_index=0):
+        """Account one dispatched task; returns its data-movement record."""
+        if self._flushed:
+            raise RuntimeError("memory hierarchy already flushed; build a new "
+                               "one per schedule")
+        if not (0 <= core_index < self.num_cores):
+            raise ValueError(f"core index {core_index} out of range for "
+                             f"{self.num_cores} cores")
+        reads, writes = task.read_tiles(), task.write_tiles()
+        refill, compulsory, spill, writeback = self.residency.touch(reads, writes)
+        stall = self.bandwidth.stall_cycles(spill)
+        flops = task_flops(task, self.tile)
+        onchip_bytes = (len(reads) + len(writes)) * self.residency.tile_bytes
+        local_hit = shared_fill = c2c = transfer_cycles = 0.0
+        if self.local_stores is not None:
+            local_hit, shared_fill, c2c = self._account_local(
+                task.touched_tiles(), writes, core_index)
+            transfer_bytes = shared_fill + c2c
+            if transfer_bytes > 0 and self.onchip_bw_bytes_per_cycle > 0:
+                transfer_cycles = transfer_bytes / self.onchip_bw_bytes_per_cycle
+            onchip_bytes += transfer_bytes
+        energy = self.energy.task_energy_j(flops, onchip_bytes,
+                                           refill + writeback)
+        event = TaskMemoryEvent(
+            task_id=task.task_id, refill_bytes=refill,
+            compulsory_bytes=compulsory, spill_refill_bytes=spill,
+            writeback_bytes=writeback, stall_cycles=stall, energy_j=energy,
+            flops=flops, local_hit_bytes=local_hit,
+            shared_to_local_bytes=shared_fill, c2c_bytes=c2c,
+            local_transfer_cycles=transfer_cycles, onchip_bytes=onchip_bytes)
+        self.events.append(event)
+        self.total_flops += flops
+        self.total_energy_j += energy
+        self.total_stall_cycles += stall
+        self.compulsory_bytes += compulsory
+        self.spill_bytes += spill
+        self.writeback_bytes += writeback
+        self.local_hit_bytes += local_hit
+        self.shared_to_local_bytes += shared_fill
+        self.c2c_bytes += c2c
+        self.local_transfer_cycles += transfer_cycles
+        return event
+
+
+# ------------------------------------------------------------ policy hooks
+DYNAMIC_POLICIES = ("memory_aware", "affinity")
+
+
+def priority(policy, task, ready_time, memory, owners) -> Tuple:
+    """Heap key of a ready task (lower first; the task id breaks ties).
+
+    ``memory`` may be any hierarchy with name-based residency levels (the
+    oracle's or the product's); ``owners`` maps an output tile to the core
+    that last wrote it.
+    """
+    if policy.name == "critical_path":
+        return (-policy.ranks.get(task.task_id, 0.0), ready_time)
+    if policy.name in DYNAMIC_POLICIES:
+        if memory is None:
+            return (0, ready_time)
+        footprint = task.touched_tiles()
+        missing = memory.residency.missing_bytes(footprint)
+        if memory.local_stores is not None:
+            store = memory.local_stores[owners.get(task.output, 0)]
+            return (missing, store.missing_bytes(footprint), ready_time)
+        return (missing, ready_time)
+    return (ready_time,)
+
+
+def choose_core(policy, task, ready_time, core_free_at, owners, memory) -> int:
+    """Index of the core the popped task runs on."""
+    cores = range(len(core_free_at))
+    owner = owners.get(task.output)
+    if policy.name in ("locality", "memory_aware"):
+        return min(cores, key=lambda i: (max(core_free_at[i], ready_time),
+                                         0 if i == owner else 1, i))
+    if (policy.name == "affinity" and memory is not None
+            and memory.local_stores is not None):
+        footprint = task.touched_tiles()
+        stores = memory.local_stores
+        return min(cores, key=lambda i: (
+            -stores[i].resident_footprint_bytes(footprint),
+            0 if i == owner else 1, max(core_free_at[i], ready_time), i))
+    return min(cores, key=lambda i: (core_free_at[i], i))
+
+
+# ---------------------------------------------------------- reference loop
+def reference_execute(runtime, tasks, tiles, verify=True):
+    """Schedule ``tasks`` with ``runtime``'s configuration, the plain way."""
+    graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
+    task_list = list(graph)
+    by_id = {task.task_id: task for task in task_list}
+    successors = {tid: [] for tid in by_id}
+    indegree = {}
+    for task in task_list:
+        deps = set(task.depends_on)
+        indegree[task.task_id] = len(deps)
+        for dep in deps:
+            successors[dep].append(task.task_id)
+
+    memory = (OracleHierarchy.for_chip(
+        runtime.lap, runtime.tile, on_chip_kb=runtime.on_chip_kb,
+        bandwidth_gbs=runtime.bandwidth_gbs,
+        local_store_kb=runtime.local_store_kb,
+        offchip_pj_per_byte=runtime.offchip_pj_per_byte)
+              if runtime.memory_enabled else None)
+    tracer = (runtime.tracer if runtime.tracer is not None
+              and runtime.tracer.enabled else None)
+    policy = runtime.policy
+    policy.prepare(graph)
+    dynamic = policy.name in DYNAMIC_POLICIES and memory is not None
+    ctx = _ExecutionContext(runtime, tiles)
+    num_cores = len(runtime.lap.cores)
+    reference_freq = runtime.lap.config.frequency_ghz
+    core_free_at = [0] * num_cores
+    busy_cycles = [0] * num_cores
+    busy_time = [0] * num_cores
+    tile_owner = {}
+    ready_time = {}
+    executions = []
+
+    # Heap entries are (priority, task_id, residency_version); the version
+    # lets dynamic policies detect keys computed against a stale state.
+    version = memory.version if memory is not None else 0
+    heap = []
+    for task in task_list:
+        if indegree[task.task_id] == 0:
+            ready_time[task.task_id] = 0
+            heapq.heappush(heap, (priority(policy, task, 0, memory, tile_owner),
+                                  task.task_id, version))
+
+    while heap:
+        key, task_id, stamp = heapq.heappop(heap)
+        task = by_id[task_id]
+        ready = ready_time[task_id]
+        if dynamic and stamp != memory.version:
+            key = priority(policy, task, ready, memory, tile_owner)
+            if heap and (key, task_id) > (heap[0][0], heap[0][1]):
+                heapq.heappush(heap, (key, task_id, memory.version))
+                continue
+        ctx.core_index = core_index = choose_core(
+            policy, task, ready, core_free_at, tile_owner, memory)
+        cycles = runtime.timing.task_cycles(task, ctx, verify)
+        if runtime._homogeneous:
+            duration = cycles
+        else:
+            duration = (cycles * reference_freq
+                        / runtime.core_frequencies_ghz[core_index])
+        compute_duration = duration
+        event = None
+        if memory is not None:
+            event = memory.account(task, core_index)
+            duration = compose_task_cycles(duration, event.stall_cycles,
+                                           runtime.stall_overlap,
+                                           event.local_transfer_cycles)
+        start = max(core_free_at[core_index], ready)
+        end = start + duration
+        core_free_at[core_index] = end
+        busy_cycles[core_index] += cycles
+        busy_time[core_index] += compute_duration
+        tile_owner[task.output] = core_index
+        e = event if event is not None else TaskMemoryEvent(task.task_id)
+        executions.append(TaskExecution(
+            task.task_id, task.kind, core_index, start, end,
+            stall_cycles=e.stall_cycles, refill_bytes=e.refill_bytes,
+            energy_j=e.energy_j, local_transfer_cycles=e.local_transfer_cycles,
+            local_hit_bytes=e.local_hit_bytes, compute_cycles=compute_duration,
+            spill_bytes=e.spill_refill_bytes,
+            transfer_bytes=e.shared_to_local_bytes + e.c2c_bytes,
+            writeback_bytes=e.writeback_bytes,
+            shared_to_local_bytes=e.shared_to_local_bytes))
+        if tracer is not None:
+            parts = decompose_task_cycles(compute_duration, e.stall_cycles,
+                                          runtime.stall_overlap,
+                                          e.local_transfer_cycles)
+            args = {"task_id": task.task_id, "kind": task.kind.value,
+                    "compute_cycles": parts["compute"],
+                    "spill_stall_cycles": parts["spill_stall"],
+                    "transfer_cycles": parts["transfer"],
+                    "hidden_cycles": parts["hidden"]}
+            if event is not None:
+                args.update(event.as_args())
+                tracer.counter("offchip_spill_bytes").add(
+                    event.spill_refill_bytes, ts=end)
+                tracer.counter("stall_cycles").add(event.stall_cycles, ts=end)
+            tracer.span(f"{task.kind.value}#{task.task_id}", track=core_index,
+                        start=start, end=end, category="task", args=args)
+        for succ_id in successors[task.task_id]:
+            ready_time[succ_id] = max(ready_time.get(succ_id, 0), end)
+            indegree[succ_id] -= 1
+            if indegree[succ_id] == 0:
+                heapq.heappush(heap, (
+                    priority(policy, by_id[succ_id], ready_time[succ_id],
+                             memory, tile_owner),
+                    succ_id, memory.version if memory is not None else 0))
+
+    if len(executions) != len(task_list):
+        raise RuntimeError("task graph deadlock: circular dependencies")
+
+    makespan = max(core_free_at) if core_free_at else 0
+    runtime._executions = executions
+    runtime._exec_rows = None
+    runtime._last_graph = graph
+    runtime.last_memory = memory
+    runtime.last_makespan = float(makespan)
+    if tracer is not None:
+        for core, gap_start, gap_end in idle_gaps(executions, num_cores,
+                                                  makespan):
+            tracer.span("idle", track=core, start=gap_start, end=gap_end,
+                        category="idle", args={"idle_cycles": gap_end - gap_start})
+    stats = {
+        "makespan_cycles": makespan,
+        "per_core_busy_cycles": busy_cycles,
+        "parallel_efficiency": (sum(busy_time) / (makespan * num_cores))
+        if makespan else 0.0,
+        "tasks_executed": len(executions),
+        "policy": policy.name,
+        "timing": runtime.timing.name,
+        "makespan_ns": makespan / reference_freq,
+        "data_valid": runtime.timing.keeps_data(verify),
+    }
+    if memory is not None:
+        memory.finish()
+        stats.update(memory.summary())
+    stats["graph"] = graph.summary()
+    return stats

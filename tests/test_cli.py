@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -422,27 +423,27 @@ def test_trace_with_memory_pressure_reports_stalls(tmp_path, capsys):
     assert totals["spill_stall"] > 0 and totals["transfer"] > 0
 
 
-def test_trace_fast_falls_back_to_instrumented_loop(tmp_path, capsys):
-    """--fast under tracing is cleanly rejected: the reference loop runs
-    (spans need its instrumentation), a note says so, and the exported trace
-    equals the one a plain run writes -- schedules are byte-identical."""
-    out = str(tmp_path / "fast.trace.json")
-    assert main(["trace", "--workload", "cholesky", "--n", "64",
-                 "--tile", "16", "--cores", "2", "--out", out, "--fast"]) == 0
-    captured = capsys.readouterr()
-    assert "reference scheduler loop" in captured.err
-    assert "byte-identical" in captured.err
+TRACE_GOLDEN = (pathlib.Path(__file__).resolve().parent / "goldens" / "trace"
+                / "cholesky_n64.trace.json")
+
+
+def test_trace_reproduces_golden(tmp_path, capsys):
+    """The trace rebuilt from the execution rows after the scheduler loop
+    reproduces the committed trace of the instrumented loop it replaced:
+    every span (names, tracks, times, cycle and byte args), the counter
+    series, the idle gaps and the cycle attribution."""
+    out, _ = _trace(tmp_path, capsys, "--on-chip-kb", "8",
+                    "--bandwidth-gbs", "8", "--local-store-kb", "2",
+                    "--stall-overlap", "0.5")
     with open(out) as handle:
-        fast_payload = json.load(handle)
-    plain = str(tmp_path / "plain.trace.json")
-    assert main(["trace", "--workload", "cholesky", "--n", "64",
-                 "--tile", "16", "--cores", "2", "--out", plain]) == 0
-    capsys.readouterr()
-    with open(plain) as handle:
-        plain_payload = json.load(handle)
-    assert (fast_payload["metadata"]["cycle_attribution"]
-            == plain_payload["metadata"]["cycle_attribution"])
-    assert fast_payload["traceEvents"] == plain_payload["traceEvents"]
+        payload = json.load(handle)
+    golden = json.loads(TRACE_GOLDEN.read_text())
+    assert payload["traceEvents"] == golden["traceEvents"]
+    assert (payload["metadata"]["cycle_attribution"]
+            == golden["metadata"]["cycle_attribution"])
+    tasks = [e for e in golden["traceEvents"] if e.get("cat") == "task"]
+    for key in ("shared_to_local_bytes", "compulsory_bytes", "hidden_cycles"):
+        assert any(key in e["args"] for e in tasks), key
 
 
 def test_trace_rejects_bad_geometry(tmp_path, capsys):

@@ -1,23 +1,23 @@
-"""Byte-identical equivalence of the fastpath scheduler against the reference.
+"""Byte-identical equivalence of the scheduler loop against the oracle.
 
-The inlined hot loop of :mod:`repro.lap.fastpath` exists purely for speed:
-``LAPRuntime(..., fast=True)`` must produce *exactly* the rows the reference
-event loop produces -- same stats dict, same :class:`TaskExecution` records
-field by field (values and Python types), same cycle attribution, same
-schedule trace -- or downstream sweeps silently fork.  This suite pins that
-contract:
+``LAPRuntime.execute`` is one inlined structure-of-arrays loop; the plain
+reference implementation it replaced lives on as a test oracle
+(``scheduler_oracle.reference_execute``).  The product must produce
+*exactly* the oracle's rows -- same stats dict, same :class:`TaskExecution`
+records field by field (values and Python types), same cycle attribution,
+same schedule trace and per-task energy triples -- or downstream sweeps
+silently fork.  This suite pins that contract:
 
 * the full matrix of all four algorithms-by-blocks workloads x all five
   scheduling policies x {single-level, two-level} hierarchies under
   constrained capacity (spills, stalls and writebacks exercised);
 * the SoA batch kernels (CSR ``missing_bytes`` / resident-footprint
-  scoring) against their scalar oracles on random residency states;
-* the specialized greedy single-level loop (the million-task path) and its
-  lazily-built execution records;
+  scoring) against their scalar forms on random residency states;
 * verify=True (numerically exact tiles) and heterogeneous-frequency /
-  prefetch-overlap variants that take the generic fast loop;
-* the ``lap_runtime`` runner rows against the committed PR-4/PR-5 goldens
-  with ``fast=True``, and replayed delta-sweep rows against re-simulation.
+  prefetch-overlap / memory-off / functional-timing variants;
+* the ``lap_runtime`` runner rows against the oracle's rows and the
+  committed PR-4/PR-5 goldens, and replayed delta-sweep rows against
+  re-simulation.
 """
 
 import dataclasses
@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scheduler_oracle import priority, reference_execute
 
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
@@ -43,16 +44,16 @@ LEVELS = [None, 1.0]
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 
-def make_runtime(fast, policy="greedy", local_store_kb=None, timing="memoized",
+def make_runtime(policy="greedy", local_store_kb=None, timing="memoized",
                  on_chip_kb=3.0, bandwidth_gbs=16.0, stall_overlap=0.0,
-                 frequencies=None, num_cores=4, memory=True):
+                 frequencies=None, num_cores=4, memory=True, tracer=None):
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=4,
                                            onchip_memory_mbytes=1.0))
     return LAPRuntime(lap, TILE, policy=policy, timing=timing, memory=memory,
                       on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
                       local_store_kb=local_store_kb,
                       stall_overlap=stall_overlap,
-                      core_frequencies_ghz=frequencies, fast=fast)
+                      core_frequencies_ghz=frequencies, tracer=tracer)
 
 
 def make_tiles(nb=6):
@@ -85,9 +86,8 @@ def assert_executions_identical(ref_rt, fast_rt):
 
 
 def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
-    ref_stats = ref_rt.execute(graph, make_tiles(), verify=verify)
+    ref_stats = reference_execute(ref_rt, graph, make_tiles(), verify=verify)
     fast_stats = fast_rt.execute(graph, make_tiles(), verify=verify)
-    assert not ref_rt.last_fast and fast_rt.last_fast
     assert_stats_identical(ref_stats, fast_stats)
     assert_executions_identical(ref_rt, fast_rt)
     ref_att, fast_att = ref_rt.attribution(), fast_rt.attribution()
@@ -106,13 +106,15 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     assert ref_trace.energy_constants == fast_trace.energy_constants
     assert ref_trace.flush_writeback_bytes == fast_trace.flush_writeback_bytes
     if ref_trace.energy_constants is not None:
-        # Both paths' per-task energy triples must re-key the energy column
-        # bit for bit at the recorded constants -- the identity every replay
-        # delta builds on.
-        expected = ref_stats["energy_j"]
-        assert ref_trace.rekey_energy_j(*ref_trace.energy_constants) == expected
+        # The product's per-task energy triples (derived from its rows and
+        # the graph arrays) equal the oracle's per-task memory events and
+        # re-key the energy column bit for bit at the recorded constants --
+        # the identity every replay delta builds on.
+        events = ref_rt.last_memory.events
+        assert fast_trace.energy_triples() == [
+            (e.flops, e.onchip_bytes, e.offchip_bytes) for e in events]
         assert (fast_trace.rekey_energy_j(*fast_trace.energy_constants)
-                == expected)
+                == ref_stats["energy_j"])
     return ref_stats
 
 
@@ -122,50 +124,86 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
 @pytest.mark.parametrize("local_store_kb", LEVELS)
 def test_fast_matches_reference(algorithm, policy, local_store_kb):
     graph = AlgorithmsByBlocks(TILE).build(algorithm, SIZES[algorithm])
-    ref_rt = make_runtime(False, policy=policy, local_store_kb=local_store_kb)
-    fast_rt = make_runtime(True, policy=policy, local_store_kb=local_store_kb)
+    ref_rt = make_runtime(policy=policy, local_store_kb=local_store_kb)
+    fast_rt = make_runtime(policy=policy, local_store_kb=local_store_kb)
     stats = assert_runs_identical(ref_rt, fast_rt, graph)
     # The constrained capacity must actually exercise the eviction machinery,
     # otherwise the matrix pins only the trivially-resident regime.
     assert stats["spill_bytes"] > 0
 
 
-def test_specialized_greedy_loop_and_lazy_rows():
-    """Greedy + single-level + memoized + homogeneous takes the specialized
-    loop (lazily materialised execution records) and is still identical."""
-    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(48)
-    ref_rt = make_runtime(False)
-    fast_rt = make_runtime(True)
-    assert_runs_identical(ref_rt, fast_rt, graph)
-    # The specialized loop defers row construction to a builder closure.
-    assert fast_rt._exec_build is not None
-    fast_rt.executions  # materialise -- covered field-by-field above
-
-
 def test_verify_true_keeps_tiles_exact_and_identical():
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
-    ref_rt = make_runtime(False, local_store_kb=1.0)
-    fast_rt = make_runtime(True, local_store_kb=1.0)
+    ref_rt = make_runtime(local_store_kb=1.0)
+    fast_rt = make_runtime(local_store_kb=1.0)
     assert_runs_identical(ref_rt, fast_rt, graph, verify=True)
 
 
 def test_generic_fast_loop_variants_identical():
-    """Heterogeneous clocks / prefetch overlap / disabled memory all route
-    through the generic fast loop; each stays byte-identical."""
+    """Heterogeneous clocks / prefetch overlap / disabled memory /
+    functional timing each stay byte-identical to the oracle."""
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
     for kwargs in ({"frequencies": [1.0, 2.0, 1.0, 2.0]},
                    {"stall_overlap": 0.5, "local_store_kb": 1.0},
                    {"memory": False},
                    {"timing": "functional", "on_chip_kb": None}):
-        ref_rt = make_runtime(False, **kwargs)
-        fast_rt = make_runtime(True, **kwargs)
+        ref_rt = make_runtime(**kwargs)
+        fast_rt = make_runtime(**kwargs)
         assert_runs_identical(ref_rt, fast_rt, graph)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"policy": "memory_aware", "local_store_kb": 1.0, "stall_overlap": 0.5},
+    {"policy": "critical_path", "frequencies": [1.0, 2.0, 1.0, 2.0]},
+    {"policy": "affinity", "memory": False},
+])
+def test_post_loop_trace_matches_instrumented_oracle(kwargs):
+    """Spans, counters and idle gaps rebuilt from the execution rows after
+    the loop equal the ones the oracle records inside its loop."""
+    from repro.obs import Tracer, tracer_events
+
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+    ref_rt = make_runtime(tracer=Tracer(), **kwargs)
+    fast_rt = make_runtime(tracer=Tracer(), **kwargs)
+    reference_execute(ref_rt, graph, make_tiles(), verify=False)
+    fast_rt.execute(graph, make_tiles(), verify=False)
+    ref_events = tracer_events(ref_rt.tracer)
+    assert tracer_events(fast_rt.tracer) == ref_events
+    assert any(e.get("cat") == "idle" for e in ref_events)
+    assert ((kwargs.get("memory", True))
+            == any(e["ph"] == "C" for e in ref_events))
+
+
+def test_execute_accepts_plain_task_lists():
+    """A plain list of descriptors and the same tasks as a TaskGraph give
+    identical stats and executions."""
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+    as_graph = make_runtime(policy="memory_aware", local_store_kb=1.0)
+    as_list = make_runtime(policy="memory_aware", local_store_kb=1.0)
+    graph_stats = as_graph.execute(graph, make_tiles(), verify=False)
+    list_stats = as_list.execute(list(graph), make_tiles(), verify=False)
+    assert_stats_identical(graph_stats, list_stats)
+    assert_executions_identical(as_graph, as_list)
+
+
+def test_execute_rejects_custom_policy_classes():
+    """The loop implements the five stock policies inline, so a subclass
+    (whose overrides would be ignored) is refused instead."""
+    from repro.lap.policies import GreedyEarliestCore
+
+    class Custom(GreedyEarliestCore):
+        pass
+
+    runtime = make_runtime(policy=Custom())
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(16)
+    with pytest.raises(TypeError, match="unsupported scheduling policy Custom"):
+        runtime.execute(graph, make_tiles(), verify=False)
 
 
 # ---------------------------------------------------------------- goldens
 #: The committed PR-4 golden cases (kept in sync with
-#: tests/test_lap_memory.py::GOLDEN_CASES); the fast path must reproduce the
-#: golden rows -- not merely match a fresh reference run.
+#: tests/test_lap_memory.py::GOLDEN_CASES); the runner must reproduce the
+#: golden rows -- not merely match a fresh oracle run.
 MEMORY_GOLDEN_CASES = [
     {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2, "nr": 4,
      "seed": 0, "timing": "memoized", "verify": False},
@@ -185,17 +223,18 @@ MEMORY_GOLDEN_CASES = [
 ]
 
 
-def test_runner_fast_rows_match_memory_goldens():
-    """`lap_runtime` rows with fast=True reproduce the committed golden
-    sweep (and equal the reference rows exactly, not just to tolerance)."""
+def test_runner_fast_rows_match_memory_goldens(monkeypatch):
+    """`lap_runtime` rows reproduce the committed golden sweep (and equal
+    the rows of the oracle loop exactly, not just to tolerance)."""
     golden = json.loads(
         (GOLDEN_DIR / "runtime" / "lap_runtime_memory.json").read_text())
     runner = get_runner("lap_runtime")
     assert len(golden) == len(MEMORY_GOLDEN_CASES)
-    for case, expected in zip(MEMORY_GOLDEN_CASES, golden):
-        ref_row = runner({**case, "replay": "off"})
-        fast_row = runner({**case, "fast": True, "replay": "off"})
-        assert ref_row == fast_row
+    fast_rows = [runner({**case, "replay": "off"})
+                 for case in MEMORY_GOLDEN_CASES]
+    monkeypatch.setattr(LAPRuntime, "execute", reference_execute)
+    for case, fast_row, expected in zip(MEMORY_GOLDEN_CASES, fast_rows, golden):
+        assert runner({**case, "replay": "off"}) == fast_row
         assert set(fast_row) == set(expected)
         for key, value in expected.items():
             if isinstance(value, float):
@@ -207,7 +246,7 @@ def test_runner_fast_rows_match_memory_goldens():
 
 def test_runner_policy_golden_rows_survive_fast():
     """The PR-3 policy-comparison golden (makespans per policy/core count)
-    is reproduced by the fast path."""
+    is reproduced by the runner."""
     golden = json.loads((GOLDEN_DIR / "runtime_policies.json").read_text())
     runner = get_runner("lap_runtime")
     for row in golden[:6]:
@@ -215,7 +254,7 @@ def test_runner_policy_golden_rows_survive_fast():
                            "tile": row["tile"], "num_cores": row["num_cores"],
                            "nr": 4, "seed": 0, "timing": "memoized",
                            "verify": False, "policy": row["policy"],
-                           "fast": True, "replay": "off"})
+                           "replay": "off"})
         assert fast_row["makespan_cycles"] == row["makespan_cycles"]
         assert fast_row["tasks_executed"] == row["tasks"]
 
@@ -289,29 +328,26 @@ def test_local_store_batch_kernels_match_scalar(case):
 
 
 def test_bulk_priorities_match_scalar_keys():
-    """`MemoryAware.bulk_priorities` reproduces the scalar priority keys
-    (values and types) over a live fast hierarchy, both hierarchies."""
+    """`MemoryAware.bulk_priorities` reproduces the oracle's scalar priority
+    keys (values and types) over a live hierarchy, both hierarchies."""
     from repro.lap.policies import MemoryAware
 
     for local_store_kb in LEVELS:
-        rt = make_runtime(True, policy="memory_aware",
+        rt = make_runtime(policy="memory_aware",
                           local_store_kb=local_store_kb)
         graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
         rt.execute(graph, make_tiles(), verify=False)
         arrays = graph.fast_arrays()
         memory = rt.last_memory
         policy = MemoryAware()
-        policy.bind_memory(memory)
         indices = list(range(0, len(arrays.tasks), 3))
         ready = [float(i) for i in range(len(indices))]
         bulk = policy.bulk_priorities(arrays, memory, indices, ready)
         assert len(bulk) == len(indices)
         for pos, key, r in zip(indices, bulk, ready):
-            scalar = policy.priority(arrays.tasks[pos], r)
+            scalar = priority(policy, arrays.tasks[pos], r, memory, {})
             assert key == scalar
             assert all(type(a) is type(b) for a, b in zip(key, scalar))
-        # Non-fast hierarchies fall back to scalar scoring.
-        assert policy.bulk_priorities(arrays, None, indices, ready) is None
         assert policy.bulk_priorities(arrays, memory, [], []) == []
 
 
@@ -356,8 +392,7 @@ def test_replay_delta_rows_equal_resimulation():
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
-            "nr": 4, "seed": 11, "timing": "memoized", "verify": False,
-            "fast": True}
+            "nr": 4, "seed": 11, "timing": "memoized", "verify": False}
     # Unconstrained capacity: zero spill traffic, so a bandwidth delta is
     # provably schedule-invariant and must be replayed.
     runner(dict(base))  # records the trace
@@ -388,7 +423,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
     for policy, local_store_kb in (("memory_aware", None), ("affinity", 1.0)):
         base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
                 "nr": 4, "seed": 21, "timing": "memoized", "verify": False,
-                "policy": policy, "fast": True}
+                "policy": policy}
         if local_store_kb is not None:
             base["local_store_kb"] = local_store_kb
         runner(dict(base))  # records the trace
@@ -413,8 +448,7 @@ def test_frequency_replay_rejections_force_resimulation():
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
-            "nr": 4, "seed": 27, "timing": "memoized", "verify": False,
-            "fast": True}
+            "nr": 4, "seed": 27, "timing": "memoized", "verify": False}
     # Heterogeneous per-core clocks (either side) reject the delta.
     het = {**base, "core_frequencies_ghz": "1.0:2.0"}
     runner(dict(het))

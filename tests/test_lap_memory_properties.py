@@ -1,9 +1,12 @@
 """Property-based verification of the two-level memory hierarchy.
 
 Hypothesis drives randomly generated tile-access sequences (and whole task
-graphs) through :class:`repro.lap.memory.TileResidency`,
-:class:`repro.lap.memory.LocalStore` and :class:`repro.lap.memory.MemoryHierarchy`
-and checks the invariants the analytical layers above rely on:
+graphs) through the residency levels the runtime uses
+(:class:`repro.lap.fastpath.FastTileResidency`,
+:class:`repro.lap.fastpath.FastLocalStore`), through the oracle hierarchy of
+``scheduler_oracle`` (per-task accounting in an arbitrary dispatch order)
+and through the runtime, and checks the invariants the analytical layers
+above rely on:
 
 * capacity: resident bytes never exceed the level's capacity (beyond the
   transient overflow of a single pinned footprint) at either level;
@@ -13,7 +16,9 @@ and checks the invariants the analytical layers above rely on:
 * LRU: the victim of a capacity eviction is always the least recently
   used non-pinned tile;
 * monotonicity: for a fixed dispatch order, growing either level's
-  capacity never increases off-chip spill traffic.
+  capacity never increases off-chip spill traffic;
+* differential: the SoA levels are observationally identical to the
+  ``OrderedDict`` oracles on random access streams.
 
 Each invariant runs 200+ random examples (see ``EXAMPLES``), as the
 acceptance criteria of the two-level-hierarchy PR require.
@@ -23,8 +28,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scheduler_oracle import LocalStore, OracleHierarchy, TileResidency
+
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import LocalStore, MemoryHierarchy, TileResidency
+from repro.lap.fastpath import FastLocalStore, FastTileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
 
@@ -62,8 +69,8 @@ def _footprint(reads, writes):
 def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_tiles):
     """After every touch the shared level holds at most ``capacity`` bytes,
     except when a single pinned footprint transiently overflows it."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                            tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         res.touch(reads, writes)
         footprint_bytes = len(_footprint(reads, writes)) * TILE_BYTES
@@ -75,8 +82,8 @@ def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_
 @given(trace=traces, capacity_tiles=capacities)
 def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
     """The per-core level obeys the same capacity bound as the shared one."""
-    store = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                       tile_bytes=TILE_BYTES)
+    store = FastLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                           tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
         store.touch(footprint)
@@ -90,8 +97,8 @@ def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
 def test_refill_splits_exactly_into_compulsory_and_spill(trace, capacity_tiles):
     """Per touch: refill == compulsory + spill, and a tile's first-ever
     fetch is compulsory while every later re-fetch is a spill."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                            tile_bytes=TILE_BYTES)
     ever = set()
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
@@ -110,8 +117,8 @@ def test_traffic_conservation_against_total_footprint(trace, capacity_tiles):
     """Whole-trace conservation: total compulsory bytes equal the distinct
     tiles ever touched, and writebacks (evictions + final flush) never
     exceed the times tiles were marked dirty."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                            tile_bytes=TILE_BYTES)
     total_compulsory = total_writeback = 0.0
     distinct = set()
     dirty_markings = 0
@@ -138,8 +145,8 @@ def test_lru_eviction_order(data):
     """Filling the shared level and touching one more tile evicts exactly
     the least recently used tile of the current footprint's complement."""
     capacity_tiles = data.draw(st.integers(2, 6))
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                            tile_bytes=TILE_BYTES)
     tiles = [("A", (i, 0)) for i in range(capacity_tiles)]
     order = data.draw(st.permutations(tiles))
     for access in order:
@@ -178,7 +185,7 @@ def test_larger_local_store_never_increases_offchip_spill(data):
                                max_size=len(graph)))
 
     def spills(local_kb):
-        hierarchy = MemoryHierarchy.for_chip(
+        hierarchy = OracleHierarchy.for_chip(
             lap, tile=8, on_chip_kb=capacity_tiles * 0.5,
             local_store_kb=local_kb)
         for task, core in zip(graph, cores):
@@ -204,8 +211,8 @@ def test_larger_shared_level_never_increases_spill_for_fixed_order(data):
     graph = AlgorithmsByBlocks(tile=8).build(algorithm, n)
 
     def spill(capacity_tiles):
-        res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                            tile_bytes=TILE_BYTES)
+        res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                                tile_bytes=TILE_BYTES)
         total = 0.0
         for task in graph:
             _, _, spill_bytes, _ = res.touch(task.read_tiles(),
@@ -249,16 +256,14 @@ def test_two_level_runtime_conserves_offchip_traffic_split(data):
                                            store.peak_resident_bytes)
 
 
-# ------------------------------------- SoA fast path vs OrderedDict oracle
+# ------------------------------------------- SoA levels vs OrderedDict oracle
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities)
 def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
     """The clock/stamp SoA residency is observationally identical to the
-    OrderedDict reference on random access streams: per-touch traffic
+    OrderedDict oracle on random access streams: per-touch traffic
     tuples, eviction victims *in order*, membership, version counter,
     resident/peak bytes, and the final flush."""
-    from repro.lap.fastpath import FastTileResidency
-
     ref = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
                         tile_bytes=TILE_BYTES)
     fast = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
@@ -286,8 +291,6 @@ def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
                                                      data):
     """FastLocalStore mirrors LocalStore under random touch/invalidate
     interleavings (fill bytes, membership, footprint queries, peak)."""
-    from repro.lap.fastpath import FastLocalStore
-
     ref = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
                      tile_bytes=TILE_BYTES)
     fast = FastLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
@@ -323,8 +326,7 @@ def test_replayed_rows_equal_resimulated_rows(data):
     base = {"algorithm": data.draw(st.sampled_from(["cholesky", "lu"])),
             "n": data.draw(st.sampled_from([24, 32])),
             "tile": 8, "num_cores": 2, "nr": 4, "seed": 0,
-            "timing": "memoized", "verify": False,
-            "fast": data.draw(st.booleans())}
+            "timing": "memoized", "verify": False}
     if data.draw(st.booleans()):
         base["on_chip_kb"] = data.draw(st.sampled_from([4.0, 6.0]))
     runner(dict(base))  # record (or refresh) the schedule trace

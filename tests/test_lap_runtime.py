@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.runtime import AlgorithmsByBlocks, LAPRuntime, TaskDescriptor, TaskKind
+from repro.lap.runtime import LAPRuntime
+from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
 
 
 @pytest.fixture
@@ -125,11 +126,12 @@ def test_runtime_detects_circular_dependencies(lap):
 
 
 def test_runtime_detects_unsatisfiable_dependency(lap):
-    """A dependency on a task id that is not in the graph can never clear."""
+    """A dependency on a task id that is not in the graph can never clear;
+    wrapping the task list in a TaskGraph rejects it up front."""
     runtime = LAPRuntime(lap, 8)
     orphan = TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
                             inputs=[(0, 0), (0, 0)], depends_on=[99])
-    with pytest.raises(RuntimeError, match="deadlock"):
+    with pytest.raises(ValueError, match="unknown task id"):
         runtime.execute([orphan], {"A": {}, "B": {}, "C": {}})
 
 
