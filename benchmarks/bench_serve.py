@@ -1,14 +1,13 @@
-"""Benchmarks of the design-space service: remote-tier and submit overhead.
+"""Benchmarks of the shared result cache: remote-tier overhead.
 
 Measures what sharing a cache over HTTP costs: the per-entry round-trip
-latency of the key-addressed store, a sweep resolved entirely through the
-remote tier (fresh local cache, warm server) versus a purely local warm
-run, and the submit/stream path end to end.  The headline assertion is the
-service's reason to exist: a client with an *empty* local cache executes
-zero jobs when the server has seen the sweep before.
+latency of the key-addressed store, and a sweep resolved entirely through
+the remote tier (fresh local cache, warm server) versus a purely local
+warm run.  The headline assertion is the server's reason to exist: a
+client with an *empty* local cache executes zero jobs when the server has
+seen the sweep before.
 """
 
-import json
 import shutil
 import tempfile
 import time
@@ -46,20 +45,24 @@ def daemon():
 def test_remote_entry_roundtrip(benchmark, daemon, bench_json):
     """One put + get round trip of the key-addressed HTTP store."""
     client = ServeClient(daemon.url, timeout_s=10.0, retries=0)
-    key = params_key("design", {"bench": "roundtrip"}, salt="bench")
-    payload = {"row": {"bench": 1.0}}
+    params = {"bench": "roundtrip"}
+    key = params_key("design", params, salt="bench")
+    payload = {"runner": "design", "params": params, "code_version": "bench",
+               "row": {"bench": 1.0}}
+    last = {}
 
     def run():
+        started = time.perf_counter()
         client.put_entry(key, payload)
-        return client.get_entry(key)
+        stored = client.get_entry(key)
+        last["elapsed"] = time.perf_counter() - started
+        return stored
 
     stored = benchmark(run)
     assert stored["row"] == payload["row"]
-    ops = client.attempts
-    elapsed = benchmark.stats.stats.mean if hasattr(benchmark, "stats") else 0.0
     bench_json("serve_entry_roundtrip", {
-        "mean_roundtrip_s": elapsed,
-        "requests": ops,
+        "roundtrip_seconds": last["elapsed"],
+        "requests": client.attempts,
     })
 
 
@@ -110,32 +113,4 @@ def test_local_warm_sweep_baseline(benchmark, tmp_path, bench_json):
     bench_json("serve_local_warm_baseline", {
         "jobs": len(jobs),
         "sweep_seconds": last["elapsed"],
-    })
-
-
-def test_submit_and_stream_rows(benchmark, daemon, bench_json):
-    """Submit/poll path end to end against the warm server."""
-    client = ServeClient(daemon.url, timeout_s=10.0, retries=0)
-    payload = _spec().to_payload()
-    total = len(_jobs())
-    last = {}
-
-    def run():
-        started = time.perf_counter()
-        sweep_id = client.submit_sweep(payload, "design", mode="serial")
-        rows = [event for event in client.iter_sweep_rows(sweep_id)
-                if event["event"] == "row"]
-        last["elapsed"] = time.perf_counter() - started
-        return rows
-
-    rows = benchmark(run)
-    assert len(rows) == total
-    assert all(event["cached"] for event in rows)
-    reference = execute_jobs(_jobs(), mode="serial").rows
-    assert json.dumps([e["row"] for e in sorted(rows, key=lambda e: e["index"])]) \
-        == json.dumps(reference)
-    bench_json("serve_submit_stream", {
-        "jobs": total,
-        "stream_seconds": last["elapsed"],
-        "rows_per_second": total / last["elapsed"],
     })

@@ -32,11 +32,10 @@ Provides eight sub-commands:
     instead of going silent until the sweep finishes.  ``--server URL``
     adds a shared ``repro serve`` daemon as a second cache tier
     (read-through/write-behind; degrades to local-only if the server goes
-    away), and ``--server URL --submit`` runs the whole sweep server-side,
-    streaming rows back over HTTP.
+    away).
 ``serve``
-    run the design-space service daemon: the content-addressed result
-    cache (and its replay sidecar) over HTTP plus a submit/poll sweep API
+    run the shared result-cache daemon: the content-addressed result cache
+    over HTTP, verifying every upload against its content key
     (``python -m repro.cli serve --port 8731``); see ``repro sweep
     --server`` for the client side.
 ``cache``
@@ -68,7 +67,7 @@ import numpy as np
 
 from repro.arch.lap_design import build_lap
 from repro.engine import (KNOWN_PARAMS, PARETO_OBJECTIVES, IncrementalPareto,
-                          ResultCache, SweepExecutor, SweepResult, SweepSpec,
+                          ResultCache, SweepExecutor, SweepSpec,
                           execute_jobs, frontier_report, runner_names,
                           usable_cache_dir)
 from repro.experiments.export import write_json
@@ -300,70 +299,6 @@ def _build_sweep_cache(args: argparse.Namespace,
     return RemoteCache(cache_dir, args.server)
 
 
-def _submit_sweep(spec: SweepSpec, jobs, args: argparse.Namespace):
-    """Run the sweep on a ``repro serve`` daemon (``--server --submit``).
-
-    Serialises the spec, submits it, then streams the rows back as
-    newline-delimited JSON (transparently reconnecting from the last row
-    on a dropped connection).  Returns a :class:`SweepResult` equivalent
-    to a local run resolved entirely through the server's cache, or an
-    error message string when the submission cannot proceed.
-    """
-    from repro.serve import ServeClient, ServerUnavailable
-
-    try:
-        payload = spec.to_payload()
-    except ValueError as exc:
-        return f"cannot submit this sweep: {exc}"
-    client = ServeClient(args.server)
-    rows: List[Optional[dict]] = [None] * len(jobs)
-    executed = 0
-    cached = 0
-    state = "failed"
-    summary = None
-    error = None
-    import time
-
-    started = time.perf_counter()
-    try:
-        sweep_id = client.submit_sweep(payload, args.runner, mode=args.mode,
-                                       max_workers=args.workers,
-                                       batch_size=args.batch_size)
-        for event in client.iter_sweep_rows(sweep_id):
-            if event.get("event") == "row":
-                index = event.get("index")
-                if isinstance(index, int) and 0 <= index < len(rows):
-                    rows[index] = event.get("row")
-                    if event.get("cached"):
-                        cached += 1
-                    else:
-                        executed += 1
-                if args.progress or args.stream:
-                    done = executed + cached
-                    print(f"\r{done}/{len(jobs)} rows (remote)", end="",
-                          file=sys.stderr, flush=True)
-            else:
-                state = event.get("state", "failed")
-                summary = event.get("summary")
-                error = event.get("error")
-    except ServerUnavailable as exc:
-        if args.progress or args.stream:
-            print(file=sys.stderr)
-        return (f"sweep submission failed: {exc}\n"
-                f"(re-run without --submit to execute locally)")
-    if args.progress or args.stream:
-        print(file=sys.stderr)
-    if state != "done" or any(row is None for row in rows):
-        detail = error or f"server reported state '{state}'"
-        return (f"remote sweep did not complete: {detail}\n"
-                f"(re-run without --submit to execute locally)")
-    summary = summary or {}
-    return SweepResult(jobs=list(jobs), rows=rows, executed=executed,
-                       cached=cached, mode=str(summary.get("mode", "remote")),
-                       elapsed_s=time.perf_counter() - started,
-                       cache_stats=summary.get("cache"))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not (args.grid or args.zip or args.set):
         print("the sweep expands to no jobs; add --grid/--zip/--set axes",
@@ -393,34 +328,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     objectives = ([o.strip() for o in args.objectives.split(",") if o.strip()]
                   if args.objectives else list(PARETO_OBJECTIVES.get(args.runner, ())))
-    if args.submit and not args.server:
-        print("--submit needs --server URL (the daemon that runs the sweep)",
-              file=sys.stderr)
-        return 2
-    if args.submit:
-        outcome = _submit_sweep(spec, jobs, args)
-        if isinstance(outcome, str):
-            print(outcome, file=sys.stderr)
-            return 2
-        result = outcome
-    else:
-        cache_dir = usable_cache_dir(None if args.no_cache else args.cache_dir)
-        try:
-            cache = _build_sweep_cache(args, cache_dir)
-            if args.stream:
-                result = _stream_sweep(jobs, args, cache, objectives)
-            else:
-                result = execute_jobs(jobs, mode=args.mode,
-                                      max_workers=args.workers,
-                                      batch_size=args.batch_size, cache=cache,
-                                      progress=progress)
-        except (KeyError, ValueError, OverflowError, OSError) as exc:
-            if args.progress and not args.stream:
-                print(file=sys.stderr)
-            print(f"sweep failed: {exc}", file=sys.stderr)
-            return 2
+    cache_dir = usable_cache_dir(None if args.no_cache else args.cache_dir)
+    try:
+        cache = _build_sweep_cache(args, cache_dir)
+        if args.stream:
+            result = _stream_sweep(jobs, args, cache, objectives)
+        else:
+            result = execute_jobs(jobs, mode=args.mode,
+                                  max_workers=args.workers,
+                                  batch_size=args.batch_size, cache=cache,
+                                  progress=progress)
+    except (KeyError, ValueError, OverflowError, OSError) as exc:
         if args.progress and not args.stream:
             print(file=sys.stderr)
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return 2
+    if args.progress and not args.stream:
+        print(file=sys.stderr)
 
     # Persist the run's telemetry (shard wall times, job latencies, cache
     # hit-rate) next to the sweep output: an explicit --manifest path wins,
@@ -432,11 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         extra: Dict[str, object] = {"output": args.json}
         if args.server:
             extra["server"] = args.server
-            extra["submitted"] = bool(args.submit)
-            if args.submit:
-                # The rows came from the daemon's cache/executor, not from
-                # a local tier; the stock tier derivation would say "local".
-                extra["cache_tier"] = "service"
         try:
             written = write_run_manifest(result, manifest_target,
                                          runner=args.runner, extra=extra)
@@ -499,7 +418,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         daemon = ServeDaemon(cache_dir, host=args.host, port=args.port,
                              max_bytes=max_bytes, quiet=args.quiet)
     except (OSError, ValueError) as exc:
-        print(f"cannot start the design-space service: {exc}", file=sys.stderr)
+        print(f"cannot start the cache server: {exc}", file=sys.stderr)
         return 2
     print(f"serving {cache_dir} at {daemon.url} (Ctrl-C to stop)",
           file=sys.stderr)
@@ -811,9 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="URL of a `repro serve` daemon used as a shared "
                             "second cache tier (read-through/write-behind; "
                             "degrades to local-only if the server goes away)")
-    p_swp.add_argument("--submit", action="store_true",
-                       help="with --server: run the sweep on the daemon "
-                            "itself and stream the rows back over HTTP")
     p_swp.add_argument("--json", metavar="PATH",
                        help="write rows + frontier as JSON to PATH ('-' for stdout)")
     p_swp.add_argument("--manifest", metavar="PATH", default=None,
@@ -824,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_srv = sub.add_parser("serve",
-                           help="run the shared design-space service daemon")
+                           help="run the shared result-cache daemon")
     p_srv.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help=f"served cache directory (default: {DEFAULT_CACHE_DIR})")
     p_srv.add_argument("--host", default="127.0.0.1",

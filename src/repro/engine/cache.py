@@ -255,17 +255,6 @@ class SidecarStore:
         self._account_put(path)
         return path
 
-    def get_by_key(self, key: str) -> Optional[dict]:
-        """Raw record payload under a content key (HTTP-tier access)."""
-        return _read_fanout_entry(self.directory, key)
-
-    def put_by_key(self, key: str, payload: Mapping) -> Optional[pathlib.Path]:
-        """Store a raw record payload under a content key (best effort)."""
-        path = _write_fanout_entry(self.directory, key, payload)
-        if path is not None:
-            self._account_put(path)
-        return path
-
     def _account_put(self, path: pathlib.Path) -> None:
         """Track the approximate store size and enforce the LRU budget."""
         if self.max_bytes is None:

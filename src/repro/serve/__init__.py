@@ -1,11 +1,11 @@
-"""Design-space service: shared network cache + sweep submission.
+"""Shared result cache: one host's content-addressed store over HTTP.
 
 ``repro.serve`` turns one host's content-addressed result cache into a
 shared fleet resource:
 
 * :class:`ServeDaemon` -- the stdlib :mod:`http.server` daemon behind the
   ``repro serve`` CLI verb, exposing a :class:`~repro.engine.cache.ResultCache`
-  (and its replay sidecar) over HTTP plus a submit/poll sweep API;
+  over HTTP (ping, get/put one verified entry by content key, stats);
 * :class:`ServeClient` -- the JSON-over-HTTP client with per-request
   timeouts and jittered-backoff retries;
 * :class:`RemoteCache` -- a read-through / write-behind cache tier

@@ -1,4 +1,4 @@
-"""HTTP client for a ``repro serve`` design-space service.
+"""HTTP client for a ``repro serve`` shared result cache.
 
 :class:`ServeClient` wraps the daemon's JSON-over-HTTP protocol in plain
 ``urllib`` calls with production-grade failure handling:
@@ -29,7 +29,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, Iterator, Optional
+from typing import Optional
 
 __all__ = ["ServeClient", "ServerUnavailable", "DEFAULT_TIMEOUT_S",
            "DEFAULT_RETRIES", "REMOTE_TIMEOUT_ENV", "REMOTE_RETRIES_ENV",
@@ -127,8 +127,8 @@ class ServeClient:
         return f"{self.base_url}/{path.lstrip('/')}"
 
     def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None, stream: bool = False):
-        """One retried request; parsed JSON (or the response when streaming).
+                 payload: Optional[dict] = None):
+        """One retried request; the parsed JSON response.
 
         Raises :exc:`ServerUnavailable` once the retry budget is exhausted;
         an HTTP 404 returns ``None`` (a miss, not a failure); any other
@@ -147,11 +147,8 @@ class ServeClient:
                 url, data=body, method=method,
                 headers={"Content-Type": "application/json"})
             try:
-                response = urllib.request.urlopen(request,
-                                                  timeout=self.timeout_s)
-                if stream:
-                    return response
-                with response:
+                with urllib.request.urlopen(request,
+                                            timeout=self.timeout_s) as response:
                     data = response.read()
                 return json.loads(data) if data else None
             except urllib.error.HTTPError as exc:
@@ -186,95 +183,6 @@ class ServeClient:
         """Upload one cache entry payload (idempotent by content key)."""
         self._request("PUT", f"/cache/{key}", payload=payload)
 
-    def get_replay(self, key: str) -> Optional[dict]:
-        """A replay-sidecar record by content key, or ``None`` on a miss."""
-        return self._request("GET", f"/replay/{key}")
-
-    def put_replay(self, key: str, payload: dict) -> None:
-        """Upload one replay-sidecar record (best-effort optimisation data)."""
-        self._request("PUT", f"/replay/{key}", payload=payload)
-
     def stats(self) -> dict:
         """Server-side cache statistics plus request counters."""
         return self._request("GET", "/stats")
-
-    def prune(self, max_mb: Optional[float] = None,
-              max_entries: Optional[int] = None) -> dict:
-        """Ask the server to LRU-prune its store down to the given limits."""
-        payload: Dict[str, object] = {}
-        if max_mb is not None:
-            payload["max_mb"] = max_mb
-        if max_entries is not None:
-            payload["max_entries"] = max_entries
-        return self._request("POST", "/prune", payload=payload)
-
-    # ----------------------------------------------------------- sweep tier
-    def submit_sweep(self, spec_payload: dict, runner: str,
-                     mode: str = "auto", max_workers: Optional[int] = None,
-                     batch_size: Optional[int] = None) -> str:
-        """Submit a serialised :class:`~repro.engine.spec.SweepSpec`.
-
-        Returns the sweep id to poll/stream with :meth:`iter_sweep_rows`
-        and :meth:`sweep_status`.
-        """
-        response = self._request("POST", "/sweeps", payload={
-            "spec": spec_payload,
-            "runner": runner,
-            "mode": mode,
-            "max_workers": max_workers,
-            "batch_size": batch_size,
-        })
-        if not isinstance(response, dict) or "id" not in response:
-            raise ServerUnavailable("malformed /sweeps response "
-                                    f"({response!r})")
-        return str(response["id"])
-
-    def sweep_status(self, sweep_id: str) -> dict:
-        """State / progress of a submitted sweep."""
-        status = self._request("GET", f"/sweeps/{sweep_id}/status")
-        if status is None:
-            raise ServerUnavailable(f"unknown sweep id '{sweep_id}'")
-        return status
-
-    def iter_sweep_rows(self, sweep_id: str, start: int = 0) -> Iterator[dict]:
-        """Stream a sweep's rows as they land (newline-delimited JSON).
-
-        Yields one dict per row event (``{"event": "row", "index": ...,
-        "row": ..., "cached": ...}``) followed by a terminal
-        ``{"event": "end", "state": ...}`` document.  A connection dropped
-        mid-stream transparently reconnects from the last row received
-        (each reconnect spends the client's normal retry budget).
-        """
-        next_index = start
-        while True:
-            response = self._request(
-                "GET", f"/sweeps/{sweep_id}?start={next_index}", stream=True)
-            if response is None:  # HTTP 404: the id is not (or no longer) known
-                raise ServerUnavailable(f"unknown sweep id '{sweep_id}'")
-            dropped = False
-            with response:
-                while True:
-                    try:
-                        line = response.readline()
-                    except (http.client.HTTPException, TimeoutError,
-                            ConnectionError, OSError):
-                        dropped = True
-                        break
-                    if not line:
-                        dropped = True  # EOF without an "end" event
-                        break
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except json.JSONDecodeError:
-                        dropped = True  # torn line: reconnect and re-read
-                        break
-                    if event.get("event") == "row":
-                        next_index += 1
-                    yield event
-                    if event.get("event") == "end":
-                        return
-            if not dropped:  # pragma: no cover - defensive
-                return

@@ -1,138 +1,48 @@
-"""The ``repro serve`` daemon: a shared design-space service over HTTP.
+"""The ``repro serve`` daemon: a shared result cache over HTTP.
 
-Built entirely on the stdlib (:mod:`http.server`), the daemon turns one
-host's content-addressed :class:`~repro.engine.cache.ResultCache` (and its
-replay :class:`~repro.engine.cache.SidecarStore`) into a shared network
-store, and adds a thin submit/poll sweep API so thin clients can run
-design-space sweeps without local compute:
+Built entirely on the stdlib (:mod:`http.server`), the daemon serves one
+host's content-addressed :class:`~repro.engine.cache.ResultCache`:
 
-==========================  ==================================================
-``GET  /api/ping``          liveness + server identity / code version
-``GET  /cache/<key>``       one result-cache entry by content key (404 = miss)
-``PUT  /cache/<key>``       store one entry payload (idempotent by key)
-``GET  /replay/<key>``      one replay-sidecar record by content key
-``PUT  /replay/<key>``      store one replay record
-``GET  /stats``             cache statistics + request counters
-``POST /prune``             LRU-prune the store (``{"max_mb", "max_entries"}``)
-``POST /sweeps``            submit a serialised SweepSpec; returns ``{"id"}``
-``GET  /sweeps/<id>``       stream newline-delimited row events (``?start=N``)
-``GET  /sweeps/<id>/status``  sweep state / progress snapshot
-==========================  ==================================================
+=====================  ==================================================
+``GET  /api/ping``     liveness + server identity / code version
+``GET  /cache/<key>``  one result-cache entry by content key (404 = miss)
+``PUT  /cache/<key>``  store one verified entry payload (idempotent by key)
+``GET  /stats``        cache statistics + request counters
+=====================  ==================================================
 
-Entries are stored in exactly the on-disk layout :class:`ResultCache`
-uses, so the served directory doubles as a plain local cache: server-side
-sweeps, key-addressed client traffic and any co-located local runs all
-deduplicate through one store, under one LRU budget.
-
-Content keys are validated against the sha256-hex shape before touching
-the filesystem, so a malformed key can never escape the fan-out
-directories.  Each connection serves one request (HTTP/1.0 semantics);
-sweep row streams are therefore plain write-until-EOF NDJSON, which every
-HTTP client can consume incrementally.
+The served directory keeps the :class:`ResultCache` layout, so it doubles
+as a plain local cache under one LRU budget (``--max-mb``); prune it with
+``repro cache prune --cache-dir <dir>``.  An upload must name its
+``runner``, ``params``, ``code_version`` and ``row``, and the daemon
+recomputes the content key from them, so no client can file a row under
+another design point's key.  Keys are checked against the sha256-hex
+shape before touching the filesystem, so a malformed key can never escape
+the fan-out directories.  Each connection serves one request (HTTP/1.0
+semantics), and the daemon's only per-request state is a fixed set of
+counters.
 """
 
 from __future__ import annotations
 
 import http.server
-import itertools
 import json
 import threading
 import urllib.parse
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.engine.cache import PathLike, ResultCache, is_valid_key
-from repro.engine.executor import MODES, StreamRow, SweepExecutor
-from repro.engine.spec import SweepSpec, params_key
+from repro.engine.spec import params_key
 
-__all__ = ["ServeDaemon", "serialize_stream_row"]
+__all__ = ["ServeDaemon"]
 
-#: Reject request bodies beyond this size (a single result row is a few KB;
-#: even a large serialised spec is far below this).
+#: Reject request bodies beyond this size (one entry payload is a few KB).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: How long the sweep-stream endpoint waits per poll for new rows before
-#: re-checking the run state (short enough for prompt shutdowns).
-_STREAM_POLL_S = 0.25
-
-
-def serialize_stream_row(event: StreamRow) -> dict:
-    """One :class:`StreamRow` as the wire-format row event."""
-    return {
-        "event": "row",
-        "index": event.index,
-        "runner": event.job.runner,
-        "params": event.job.params_dict,
-        "row": event.row,
-        "cached": event.cached,
-        "latency_s": event.latency_s,
-        "elapsed_s": event.elapsed_s,
-    }
-
-
-class _SweepRun:
-    """One submitted sweep: its jobs, its row buffer and its lifecycle."""
-
-    def __init__(self, sweep_id: str, runner: str, jobs: list, mode: str,
-                 max_workers: Optional[int], batch_size: Optional[int]) -> None:
-        self.id = sweep_id
-        self.runner = runner
-        self.jobs = jobs
-        self.mode = mode
-        self.max_workers = max_workers
-        self.batch_size = batch_size
-        self.rows: List[dict] = []
-        self.state = "running"  # running | done | failed
-        self.error: Optional[str] = None
-        self.summary: Optional[dict] = None
-        self.cond = threading.Condition()
-
-    def execute(self, cache: Optional[ResultCache]) -> None:
-        """Run the sweep (worker-thread target), buffering row events."""
-        try:
-            executor = SweepExecutor(mode=self.mode,
-                                     max_workers=self.max_workers,
-                                     batch_size=self.batch_size, cache=cache)
-            stream = executor.stream(self.jobs)
-            for event in stream:
-                with self.cond:
-                    self.rows.append(serialize_stream_row(event))
-                    self.cond.notify_all()
-            result = stream.result()
-            summary = {
-                "jobs": result.total,
-                "executed": result.executed,
-                "cached": result.cached,
-                "mode": result.mode,
-                "elapsed_s": result.elapsed_s,
-                "cache": result.cache_stats,
-            }
-            with self.cond:
-                self.summary = summary
-                self.state = "done"
-                self.cond.notify_all()
-        except Exception as exc:  # noqa: BLE001 - reported to the client
-            with self.cond:
-                self.error = f"{type(exc).__name__}: {exc}"
-                self.state = "failed"
-                self.cond.notify_all()
-
-    def status(self) -> dict:
-        with self.cond:
-            return {
-                "id": self.id,
-                "runner": self.runner,
-                "state": self.state,
-                "total": len(self.jobs),
-                "rows_done": len(self.rows),
-                "error": self.error,
-                "summary": self.summary,
-            }
 
 
 class _RequestHandler(http.server.BaseHTTPRequestHandler):
     """Routes one request against the owning :class:`ServeDaemon`."""
 
-    #: Injected by :meth:`ServeDaemon._build_handler`.
+    #: Injected by :class:`ServeDaemon`.
     daemon_ref: "ServeDaemon"
 
     server_version = "repro-serve/1"
@@ -180,8 +90,8 @@ class _RequestHandler(http.server.BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         daemon = self.daemon_ref
         daemon.count("requests")
-        path = urllib.parse.urlsplit(self.path)
-        parts = [p for p in path.path.split("/") if p]
+        path = urllib.parse.urlsplit(self.path).path
+        parts = [p for p in path.split("/") if p]
         try:
             if parts == ["api", "ping"]:
                 self._send_json(200, {
@@ -191,20 +101,10 @@ class _RequestHandler(http.server.BaseHTTPRequestHandler):
                 })
             elif len(parts) == 2 and parts[0] == "cache":
                 self._get_entry(parts[1])
-            elif len(parts) == 2 and parts[0] == "replay":
-                self._get_replay(parts[1])
             elif parts == ["stats"]:
                 self._send_json(200, daemon.stats())
-            elif len(parts) == 2 and parts[0] == "sweeps":
-                self._stream_sweep(parts[1], path.query)
-            elif len(parts) == 3 and parts[0] == "sweeps" and parts[2] == "status":
-                run = daemon.sweeps.get(parts[1])
-                if run is None:
-                    self._send_error_json(404, f"unknown sweep id '{parts[1]}'")
-                else:
-                    self._send_json(200, run.status())
             else:
-                self._send_error_json(404, f"unknown path '{path.path}'")
+                self._send_error_json(404, f"unknown path '{path}'")
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 
@@ -215,22 +115,6 @@ class _RequestHandler(http.server.BaseHTTPRequestHandler):
         try:
             if len(parts) == 2 and parts[0] == "cache":
                 self._put_entry(parts[1])
-            elif len(parts) == 2 and parts[0] == "replay":
-                self._put_replay(parts[1])
-            else:
-                self._send_error_json(404, f"unknown path '{self.path}'")
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        daemon = self.daemon_ref
-        daemon.count("requests")
-        parts = [p for p in urllib.parse.urlsplit(self.path).path.split("/") if p]
-        try:
-            if parts == ["prune"]:
-                self._prune()
-            elif parts == ["sweeps"]:
-                self._submit_sweep()
             else:
                 self._send_error_json(404, f"unknown path '{self.path}'")
         except (BrokenPipeError, ConnectionResetError):
@@ -258,168 +142,40 @@ class _RequestHandler(http.server.BaseHTTPRequestHandler):
         payload = self._read_body_json()
         if payload is None:
             return
-        if not isinstance(payload.get("row"), dict):
-            self._send_error_json(400, "entry payload must carry a 'row' object")
-            return
-        # Integrity check: an entry that names its runner / params / code
-        # version must hash to the key it is stored under, so a buggy (or
-        # hostile) client cannot poison other clients' lookups.
         runner = payload.get("runner")
         params = payload.get("params")
-        if isinstance(runner, str) and isinstance(params, dict):
-            try:
-                expected = params_key(runner, params,
-                                      salt=str(payload.get("code_version", "")))
-            except (TypeError, ValueError) as exc:
-                self._send_error_json(400, f"unhashable entry payload: {exc}")
-                return
-            if expected != key:
-                self._send_error_json(400, "content key does not match the "
-                                           "entry payload")
-                return
+        code_version = payload.get("code_version")
+        if not (isinstance(runner, str) and isinstance(params, dict)
+                and isinstance(code_version, str)
+                and isinstance(payload.get("row"), dict)):
+            self._send_error_json(400, "entry payload must name its runner, "
+                                       "params, code_version and row")
+            return
+        # Integrity check: the entry must hash to the key it is stored
+        # under, so no client can file a row under another job's key.
+        try:
+            expected = params_key(runner, params, salt=code_version)
+        except (TypeError, ValueError) as exc:
+            self._send_error_json(400, f"unhashable entry payload: {exc}")
+            return
+        if expected != key:
+            self._send_error_json(400, "content key does not match the "
+                                       "entry payload")
+            return
         if daemon.cache.put_by_key(key, payload) is None:
             self._send_error_json(507, "cache directory is not writable")
             return
         daemon.count("cache_puts")
         self._send_json(200, {"stored": key})
 
-    def _get_replay(self, key: str) -> None:
-        daemon = self.daemon_ref
-        if not is_valid_key(key):
-            self._send_error_json(400, f"malformed content key '{key}'")
-            return
-        payload = daemon.sidecar.get_by_key(key)
-        if payload is None:
-            daemon.count("replay_misses")
-            self._send_error_json(404, "miss")
-            return
-        daemon.count("replay_hits")
-        self._send_json(200, payload)
-
-    def _put_replay(self, key: str) -> None:
-        daemon = self.daemon_ref
-        if not is_valid_key(key):
-            self._send_error_json(400, f"malformed content key '{key}'")
-            return
-        payload = self._read_body_json()
-        if payload is None:
-            return
-        if daemon.sidecar.put_by_key(key, payload) is None:
-            self._send_error_json(507, "replay sidecar is not writable")
-            return
-        daemon.count("replay_puts")
-        self._send_json(200, {"stored": key})
-
-    def _prune(self) -> None:
-        daemon = self.daemon_ref
-        payload = self._read_body_json()
-        if payload is None:
-            return
-        max_mb = payload.get("max_mb")
-        max_entries = payload.get("max_entries")
-        try:
-            max_bytes = (None if max_mb is None
-                         else max(1, int(float(max_mb) * 1024 * 1024)))
-            max_entries = None if max_entries is None else int(max_entries)
-        except (TypeError, ValueError):
-            self._send_error_json(400, "max_mb / max_entries must be numbers")
-            return
-        if max_bytes is None and max_entries is None \
-                and daemon.cache.max_bytes is None:
-            self._send_error_json(400, "prune needs a limit (max_mb / "
-                                       "max_entries) or a server-side budget")
-            return
-        removed = daemon.cache.prune(max_bytes=max_bytes,
-                                     max_entries=max_entries)
-        self._send_json(200, {"removed": removed,
-                              "entries": len(daemon.cache),
-                              "size_bytes": daemon.cache.size_bytes()})
-
-    # ----------------------------------------------------------- sweep tier
-    def _submit_sweep(self) -> None:
-        daemon = self.daemon_ref
-        payload = self._read_body_json()
-        if payload is None:
-            return
-        from repro.engine.runners import RUNNERS
-
-        runner = payload.get("runner")
-        if runner not in RUNNERS:
-            self._send_error_json(400, f"unknown runner {runner!r}")
-            return
-        mode = payload.get("mode") or "auto"
-        if mode not in MODES:
-            self._send_error_json(400, f"mode must be one of {MODES}")
-            return
-        try:
-            spec = SweepSpec.from_payload(payload.get("spec"))
-            jobs = spec.jobs(runner)
-        except (TypeError, ValueError) as exc:
-            self._send_error_json(400, f"bad sweep spec: {exc}")
-            return
-        max_workers = payload.get("max_workers")
-        batch_size = payload.get("batch_size")
-        try:
-            max_workers = None if max_workers is None else int(max_workers)
-            batch_size = None if batch_size is None else int(batch_size)
-        except (TypeError, ValueError):
-            self._send_error_json(400, "max_workers / batch_size must be "
-                                       "integers")
-            return
-        try:
-            run = daemon.submit(runner, jobs, mode, max_workers, batch_size)
-        except ValueError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        self._send_json(202, {"id": run.id, "total": len(jobs)})
-
-    def _stream_sweep(self, sweep_id: str, query: str) -> None:
-        daemon = self.daemon_ref
-        run = daemon.sweeps.get(sweep_id)
-        if run is None:
-            self._send_error_json(404, f"unknown sweep id '{sweep_id}'")
-            return
-        params = urllib.parse.parse_qs(query)
-        try:
-            start = int(params.get("start", ["0"])[0])
-        except ValueError:
-            self._send_error_json(400, "start must be an integer")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.end_headers()
-        index = max(0, start)
-        while True:
-            with run.cond:
-                while len(run.rows) <= index and run.state == "running":
-                    run.cond.wait(timeout=_STREAM_POLL_S)
-                events = list(run.rows[index:])
-                state = run.state
-                summary = run.summary
-                error = run.error
-            for event in events:
-                self.wfile.write(json.dumps(event, default=str).encode("utf-8")
-                                 + b"\n")
-            if events:
-                self.wfile.flush()
-            index += len(events)
-            if state != "running" and index >= len(run.rows):
-                end = {"event": "end", "state": state, "rows": index,
-                       "summary": summary, "error": error}
-                self.wfile.write(json.dumps(end, default=str).encode("utf-8")
-                                 + b"\n")
-                self.wfile.flush()
-                return
-
 
 class ServeDaemon:
-    """One shared-cache + sweep-service daemon over a cache directory.
+    """One shared result-cache daemon over a cache directory.
 
     Parameters
     ----------
     cache_dir:
-        Directory of the served :class:`ResultCache` (created if missing);
-        its ``replay/`` sidecar is served alongside.
+        Directory of the served :class:`ResultCache` (created if missing).
     host / port:
         Bind address; port ``0`` picks an ephemeral port (see :attr:`url`).
     code_version / max_bytes:
@@ -438,15 +194,12 @@ class ServeDaemon:
                  max_bytes: Optional[int] = None, quiet: bool = False) -> None:
         self.cache = ResultCache(cache_dir, code_version=code_version,
                                  max_bytes=max_bytes)
-        self.sidecar = self.cache.sidecar()
         self.quiet = quiet
-        self.sweeps: Dict[str, _SweepRun] = {}
-        self._sweep_ids = itertools.count(1)
         self._counters_lock = threading.Lock()
+        #: Request counters; the key set is fixed (see :meth:`count`).
         self.counters: Dict[str, int] = {
             "requests": 0, "cache_hits": 0, "cache_misses": 0,
-            "cache_puts": 0, "replay_hits": 0, "replay_misses": 0,
-            "replay_puts": 0, "sweeps_submitted": 0,
+            "cache_puts": 0,
         }
         handler = type("BoundRequestHandler", (_RequestHandler,),
                        {"daemon_ref": self})
@@ -489,23 +242,10 @@ class ServeDaemon:
 
     # ------------------------------------------------------------- services
     def count(self, key: str) -> None:
+        """Bump one counter; an unknown name raises ``KeyError``, so no
+        request can grow the daemon's state."""
         with self._counters_lock:
-            self.counters[key] = self.counters.get(key, 0) + 1
-
-    def submit(self, runner: str, jobs: list, mode: str = "auto",
-               max_workers: Optional[int] = None,
-               batch_size: Optional[int] = None) -> _SweepRun:
-        """Register and start one sweep run on a worker thread."""
-        if not jobs:
-            raise ValueError("the sweep expands to no jobs")
-        sweep_id = f"sweep-{next(self._sweep_ids)}"
-        run = _SweepRun(sweep_id, runner, jobs, mode, max_workers, batch_size)
-        self.sweeps[sweep_id] = run
-        self.count("sweeps_submitted")
-        thread = threading.Thread(target=run.execute, args=(self.cache,),
-                                  name=f"repro-sweep:{sweep_id}", daemon=True)
-        thread.start()
-        return run
+            self.counters[key] += 1
 
     def stats(self) -> dict:
         """The stats document of ``GET /stats``."""
@@ -515,6 +255,5 @@ class ServeDaemon:
             "server": "repro.serve/v1",
             "url": self.url,
             "counters": counters,
-            "sweeps": [run.status() for run in self.sweeps.values()],
             "cache": self.cache.stats(),
         }

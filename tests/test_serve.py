@@ -1,4 +1,4 @@
-"""Tests for the design-space service: daemon, client, remote cache tier.
+"""Tests for the shared result cache: daemon, client, remote cache tier.
 
 The failure-mode suite is the point of this file: a server that is
 unreachable at start, dies mid-sweep or responds slowly must never fail a
@@ -69,7 +69,8 @@ class TestDaemonEndpoints:
     def test_entry_survives_daemon_restart(self, tmp_path):
         directory = tmp_path / "server"
         key = params_key("design", {"cores": 2}, salt="v1")
-        payload = {"row": {"cores": 2}}
+        payload = {"runner": "design", "params": {"cores": 2},
+                   "code_version": "v1", "row": {"cores": 2}}
         daemon = ServeDaemon(directory, code_version="v1", quiet=True).start()
         try:
             _client(daemon).put_entry(key, payload)
@@ -78,6 +79,24 @@ class TestDaemonEndpoints:
         daemon = ServeDaemon(directory, code_version="v1", quiet=True).start()
         try:
             assert _client(daemon).get_entry(key)["row"] == {"cores": 2}
+        finally:
+            daemon.stop()
+
+    def test_budget_prunes_uploads(self, tmp_path):
+        """The daemon's size budget (``repro serve --max-mb``) LRU-prunes
+        the served store as uploads arrive."""
+        daemon = ServeDaemon(tmp_path / "server", code_version="v1",
+                             max_bytes=1024, quiet=True).start()
+        try:
+            client = _client(daemon)
+            for index in range(16):
+                params = {"i": index}
+                client.put_entry(params_key("design", params, salt="v1"), {
+                    "runner": "design", "params": params,
+                    "code_version": "v1", "row": {"i": index}})
+            assert daemon.counters["cache_puts"] == 16
+            assert daemon.cache.size_bytes() <= 1024
+            assert 0 < len(daemon.cache) < 16
         finally:
             daemon.stop()
 
@@ -102,13 +121,24 @@ class TestDaemonEndpoints:
                 "runner": "design", "params": {"cores": 4},
                 "code_version": "v1", "row": {"gflops": 1.0}})
 
-    def test_replay_roundtrip_by_key(self, daemon):
-        client = _client(daemon)
-        key = daemon.sidecar.key_for("schedule", "material")
-        assert client.get_replay(key) is None
-        client.put_replay(key, {"trace": [1, 2, 3]})
-        assert client.get_replay(key)["trace"] == [1, 2, 3]
-        assert daemon.counters["replay_puts"] == 1
+    @pytest.mark.parametrize("forged", [
+        {"row": {"gflops": 1e9}},
+        {"runner": "design", "row": {"gflops": 1e9}},
+        {"runner": "design", "params": "cores=2", "code_version": "v1",
+         "row": {"gflops": 1e9}},
+    ], ids=["row-only", "no-params", "params-not-object"])
+    def test_unverifiable_upload_rejected(self, daemon, tmp_path, forged):
+        """An upload the daemon cannot hash back to its key never reaches
+        the store, so it cannot poison another client's sweep."""
+        jobs = _design_jobs()
+        with pytest.raises(ServerUnavailable, match="HTTP 400"):
+            _client(daemon).put_entry(daemon.cache.key_for(jobs[0]), forged)
+        assert len(daemon.cache) == 0
+        victim = RemoteCache(tmp_path / "victim", daemon.url, timeout_s=5.0,
+                             retries=0)
+        result = execute_jobs(jobs, mode="serial", cache=victim)
+        assert result.executed == len(jobs)
+        assert victim.remote_hits == 0
 
     def test_stats_document(self, daemon):
         client = _client(daemon)
@@ -118,22 +148,34 @@ class TestDaemonEndpoints:
         assert stats["counters"]["requests"] >= 1
         assert stats["cache"]["directory"] == str(daemon.cache.directory)
 
-    def test_prune_endpoint(self, daemon):
-        client = _client(daemon)
-        for index in range(4):
-            key = params_key("design", {"i": index}, salt="v1")
-            client.put_entry(key, {"row": {"i": index}})
-            time.sleep(0.01)  # distinct mtimes for a stable LRU order
-        outcome = client.prune(max_entries=1)
-        assert outcome["removed"] == 3
-        assert outcome["entries"] == 1
-
-    def test_prune_without_limits_rejected(self, daemon):
-        with pytest.raises(ServerUnavailable, match="HTTP 400"):
-            _client(daemon).prune()
-
     def test_unknown_path_is_a_miss(self, daemon):
         assert _client(daemon)._request("GET", "/nope") is None
+
+    def test_daemon_state_stays_bounded(self, daemon):
+        """Hundreds of mixed requests -- hits, misses, valid puts, rejected
+        uploads, unknown paths -- add no attribute and no counter key."""
+        attributes = set(vars(daemon))
+        counter_keys = set(daemon.counters)
+        client = _client(daemon)
+        version = daemon.cache.code_version
+        for index in range(60):
+            params = {"i": index}
+            key = params_key("design", params, salt=version)
+            assert client.get_entry(key) is None
+            client.put_entry(key, {"runner": "design", "params": params,
+                                   "code_version": version,
+                                   "row": {"i": index}})
+            assert client.get_entry(key)["row"] == {"i": index}
+            with pytest.raises(ServerUnavailable, match="HTTP 400"):
+                client.put_entry(key, {"row": {"i": -1}})
+            assert client._request("PUT", f"/nope/{index}", {}) is None
+        assert set(vars(daemon)) == attributes
+        assert set(daemon.counters) == counter_keys
+        assert daemon.counters == {"requests": 300, "cache_hits": 60,
+                                   "cache_misses": 60, "cache_puts": 60}
+        with pytest.raises(KeyError):
+            daemon.count("sweeps_submitted")
+        assert set(daemon.counters) == counter_keys
 
 
 # ----------------------------------------------------------------- client
@@ -286,6 +328,25 @@ class TestRemoteCache:
         err = capsys.readouterr().err
         assert err.count("cache server unavailable") == 1
 
+    def test_stalled_server_spends_one_retry_budget(self, tmp_path, capsys):
+        """A server that accepts connections but never answers degrades the
+        sweep once -- one retry budget for the whole sweep, not per job --
+        and the rows stay byte-identical to a local run."""
+        jobs = _design_jobs(cores=(2, 4, 6), freqs=(1.0, 1.2))
+        reference = execute_jobs(jobs, mode="serial",
+                                 cache=ResultCache(tmp_path / "ref"))
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(8)
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+            cache = RemoteCache(tmp_path / "a", url, timeout_s=0.3, retries=1)
+            result = execute_jobs(jobs, mode="serial", cache=cache)
+        assert json.dumps(result.rows) == json.dumps(reference.rows)
+        assert cache.degraded
+        assert cache.client.attempts == 2
+        err = capsys.readouterr().err
+        assert err.count("cache server unavailable") == 1
+
     def test_degraded_tier_reports_in_counters_and_manifest(self, tmp_path):
         from repro.obs.manifest import build_run_manifest
 
@@ -323,84 +384,3 @@ class TestRemoteCache:
         assert stats["server"] == daemon.url
         assert stats["tier"] == "local+remote"
         assert stats["remote_hit_rate"] == 0.0
-
-
-# ------------------------------------------------------------ sweep service
-class TestSweepService:
-    def test_submit_and_stream_rows(self, daemon, tmp_path):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4),
-                                                frequency_ghz=(1.0, 1.4))
-        jobs = spec.jobs("design")
-        reference = execute_jobs(jobs, mode="serial",
-                                 cache=ResultCache(tmp_path / "ref"))
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        rows = [None] * len(jobs)
-        end = None
-        for event in client.iter_sweep_rows(sweep_id):
-            if event["event"] == "row":
-                assert event["runner"] == "design"
-                rows[event["index"]] = event["row"]
-            else:
-                end = event
-        assert end["state"] == "done"
-        assert end["summary"]["jobs"] == len(jobs)
-        assert json.dumps(rows) == json.dumps(reference.rows)
-        status = client.sweep_status(sweep_id)
-        assert status["state"] == "done"
-        assert status["rows_done"] == len(jobs)
-
-    def test_stream_offset_resumes_mid_sweep(self, daemon):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4, 6, 8))
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id, start=2))
-        indices = [e["index"] for e in events if e["event"] == "row"]
-        assert indices == [2, 3]
-
-    def test_submitted_sweep_hits_the_shared_cache(self, daemon, tmp_path):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4))
-        jobs = spec.jobs("design")
-        warm = RemoteCache(tmp_path / "a", daemon.url, timeout_s=5.0,
-                           retries=0)
-        execute_jobs(jobs, mode="serial", cache=warm)
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id))
-        assert all(e["cached"] for e in events if e["event"] == "row")
-
-    def test_unknown_runner_rejected(self, daemon):
-        spec = SweepSpec().grid(a=(1, 2))
-        with pytest.raises(ServerUnavailable, match="unknown runner"):
-            _client(daemon).submit_sweep(spec.to_payload(), "warp-drive")
-
-    def test_bad_spec_schema_rejected(self, daemon):
-        with pytest.raises(ServerUnavailable, match="bad sweep spec"):
-            _client(daemon).submit_sweep({"schema": "nope"}, "design")
-
-    def test_empty_job_list_rejected(self, daemon):
-        with pytest.raises(ValueError, match="no jobs"):
-            daemon.submit("design", [], "serial")
-
-    def test_unknown_sweep_id(self, daemon):
-        client = _client(daemon)
-        with pytest.raises(ServerUnavailable, match="unknown sweep id"):
-            client.sweep_status("sweep-999")
-        with pytest.raises(ServerUnavailable, match="unknown sweep id"):
-            list(client.iter_sweep_rows("sweep-999"))
-
-    def test_failed_sweep_reports_error(self, daemon):
-        # Unbuildable design point: the runner raises inside the run
-        # thread, which must surface as a failed state, not a hang.
-        spec = SweepSpec().constants(nr=4, kernel="gemm", size=-8)
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "simulate",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id))
-        end = events[-1]
-        assert end["event"] == "end"
-        assert end["state"] == "failed"
-        assert "ValueError" in end["error"]
