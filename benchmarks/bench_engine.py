@@ -7,6 +7,7 @@ into pure lookups (zero executed jobs), which is far cheaper than
 recomputing even a small sweep.
 """
 
+import gc
 import json
 import math
 import time
@@ -159,6 +160,9 @@ def test_streaming_beats_sharded_batch_on_stragglers(bench_json):
         batch_latencies = [batch_wall] * len(jobs)
 
         # Streaming run: record when each row actually becomes available.
+        # Collect the garbage earlier cases left first, so that a collection
+        # does not land in the ~25 ms window to the first row.
+        gc.collect()
         executor = SweepExecutor(mode="thread", max_workers=WORKERS)
         stream_latencies = [0.0] * len(jobs)
         started = time.perf_counter()

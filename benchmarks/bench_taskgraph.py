@@ -21,6 +21,7 @@ import pytest
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind
+from repro.lap.timing import clear_timing_cache
 
 
 def test_taskgraph_build_and_analytics(benchmark, bench_json):
@@ -97,6 +98,7 @@ def test_memoized_2048_cholesky_10x_faster_than_functional(bench_json):
     measured kernel shape), so the assertion compares real measurements
     without spending the hours the full functional path would take.
     """
+    clear_timing_cache()  # measure this graph's own warm-ups
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4,
                                            onchip_memory_mbytes=8.0))
     runtime = LAPRuntime(lap, tile=128, timing="memoized")

@@ -531,7 +531,9 @@ class GraphArrays:
         self.kind_table = list(kind_of)
         group_of: Dict[Tuple, int] = {}
         self.group: List[int] = []
-        for task in tasks:
+        #: Position of each memoization group's first task.
+        self.group_first: List[int] = []
+        for i, task in enumerate(tasks):
             reads = task.read_tiles()
             writes = task.write_tiles()
             foot: List[int] = []
@@ -553,6 +555,7 @@ class GraphArrays:
             if gid is None:
                 gid = len(group_of)
                 group_of[gkey] = gid
+                self.group_first.append(i)
             self.group.append(gid)
         self.num_groups = len(group_of)
         self.num_out_coords = len(coords)

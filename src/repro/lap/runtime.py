@@ -17,9 +17,10 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
   earliest-core, critical-path priority, locality-aware, memory-aware,
   affinity) the scheduler loop implements;
 * :mod:`repro.lap.timing` -- timing models: ``functional`` executes every
-  task on the cycle-level simulator, ``memoized`` caches per-(kind, shape,
-  precision) cycle counts after one functional run so that large graphs
-  schedule in seconds;
+  task on the cycle-level simulator, ``memoized`` charges per-(kind, shape,
+  precision) cycle counts from one functional run, shared process-wide per
+  core configuration, so that large graphs and whole sweeps schedule in
+  seconds;
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: an LRU
   tile-residency model over the shared on-chip capacity, optionally topped
   by per-core local stores (``local_store_kb``, the two-level hierarchy),
@@ -59,9 +60,9 @@ from repro.lap.policies import (AffinityScheduler, CriticalPathPriority,
                                 SchedulerPolicy, get_policy, policy_names)
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
                                  TaskDescriptor, TaskGraph, TaskKind)
-from repro.lap.timing import (MemoizedTiming, TimingModel,
+from repro.lap.timing import (MemoizedTiming, TimingModel, core_config_key,
                               decompose_task_cycles, get_timing_model,
-                              task_signature)
+                              table_cycles, task_signature)
 from repro.obs.attribution import CycleAttribution, idle_gaps
 from repro.obs.tracer import Tracer
 from repro.reference.factorizations import (ref_apply_reflectors,
@@ -120,7 +121,11 @@ class _ExecutionContext:
     """What a :class:`TimingModel` may do with a scheduled task.
 
     Bound to one ``execute()`` call; ``core_index`` is set by the scheduler
-    loop before each task is timed.
+    loop before each task is timed.  ``core_keys`` holds each core's
+    :func:`~repro.lap.timing.core_config_key`, and ``core_key`` the one key
+    all cores share (``None``, which no table entry matches, if their
+    configurations differ).  ``warmed`` collects the execute's own warm-up
+    counts by signature.
     """
 
     def __init__(self, runtime: "LAPRuntime", tiles: Dict):
@@ -128,6 +133,14 @@ class _ExecutionContext:
         self._tiles = tiles
         self.core_index = 0
         self.precision = runtime.lap.config.precision.value
+        self.warmed: Dict[Tuple, int] = {}
+        cores = runtime.lap.cores
+        first = cores[0].config
+        key = core_config_key(first)
+        self.core_keys = [key if core.config == first
+                          else core_config_key(core.config) for core in cores]
+        self.core_key = (key if all(k is key for k in self.core_keys)
+                         else None)
 
     def functional(self, task: TaskDescriptor) -> int:
         """Run the task on the assigned core's simulator; returns cycles."""
@@ -485,6 +498,13 @@ class LAPRuntime:
             raise ValueError(f"unknown task kind {kind}")
         return tuple(tiles[operand][coord].shape for operand, coord in coords)
 
+    @staticmethod
+    def _table_charges(ga, ctx: _ExecutionContext) -> Tuple[List, Optional[List[int]]]:
+        """Signature of each memoization group of a uniform-tile graph, and
+        the groups' process-table counts (``None`` unless all are known)."""
+        signatures = [ctx.signature(ga.tasks[i]) for i in ga.group_first]
+        return signatures, table_cycles(ctx.core_key, signatures)
+
     def execute(self, tasks: Sequence[TaskDescriptor], tiles: Dict,
                 verify: bool = True) -> Dict[str, object]:
         """Run a task graph to completion; returns makespan and per-core stats.
@@ -496,7 +516,11 @@ class LAPRuntime:
         update them in place (tiled QR additionally keeps its ``tau``
         scalars under ``"TAU"``).  ``verify`` only matters under memoized
         timing: it keeps the tile data numerically exact through reference
-        updates so residual checks remain possible.
+        updates so residual checks remain possible.  With ``verify`` off, a
+        graph of uniform ``tile x tile`` tiles whose signatures are all in
+        the process-wide table of :mod:`repro.lap.timing` is charged from
+        it without reading a tile; any other memoized execute warms each
+        signature on the simulator, as in a fresh process.
 
         The loop is event driven: a heap of ready tasks ordered by the
         scheduling policy and a single accumulation pass over per-core busy
@@ -607,13 +631,17 @@ class LAPRuntime:
 
         ctx = _ExecutionContext(self, tiles)
         # Under memoized timing on uniform tiles a task's cycle count is a
-        # function of its memoization group: one table lookup per task, with
+        # function of its memoization group: one list lookup per task, with
         # the timing model's hit counters reconciled in bulk after the loop.
+        # A graph whose groups are all in the process table is charged from
+        # it entirely; otherwise each group's first task warms up.
         use_table = (type(timing) is MemoizedTiming and not verify
                      and _uniform_square_tiles(tiles, t))
         if use_table:
-            gtable: List[Optional[int]] = [None] * ga.num_groups
-            gsig: List = [None] * ga.num_groups
+            gsig, gtable = self._table_charges(ga, ctx)
+            from_table = gtable is not None
+            if not from_table:
+                gtable = [None] * ga.num_groups
 
         if crit:
             negrank = ga._negrank
@@ -750,12 +778,9 @@ class LAPRuntime:
             if use_table:
                 cycles = gtable[group[i]]
                 if cycles is None:
-                    gid = group[i]
-                    task = tasks[i]
                     ctx.core_index = c
-                    cycles = timing.task_cycles(task, ctx, verify)
-                    gtable[gid] = cycles
-                    gsig[gid] = ctx.signature(task)
+                    cycles = timing.task_cycles(tasks[i], ctx, verify)
+                    gtable[group[i]] = cycles
             else:
                 ctx.core_index = c
                 cycles = timing.task_cycles(tasks[i], ctx, verify)
@@ -914,13 +939,11 @@ class LAPRuntime:
             raise RuntimeError("task graph deadlock: circular dependencies")
 
         if use_table:
-            # Every task ran, so each group charged one warm/table fill above
-            # and group_counts - 1 table hits.
-            group_counts = ga.group_counts
-            for gid in range(ga.num_groups):
-                extra = group_counts[gid] - 1
-                if extra > 0:
-                    timing.bulk_charge(gsig[gid], extra)
+            # Every task ran; a cold graph charged one warm-up per group in
+            # the loop, and every other task is a hit.
+            warm = 0 if from_table else 1
+            for signature, count in zip(gsig, ga.group_counts):
+                timing.bulk_charge(signature, count - warm)
 
         if has_mem:
             res._clock = res_clock
@@ -1092,6 +1115,30 @@ class LAPRuntime:
             energy_triples_thunk=triples_thunk)
 
     # ------------------------------------------------------- whole problems
+    def _execute_shape_only(self, graph: TaskGraph, n: int,
+                            verify: bool) -> Optional[Dict[str, object]]:
+        """Execute a fully warm ``n x n`` graph without building an operand.
+
+        Under memoized timing with ``verify`` off, a graph whose signatures
+        are all in the process table reads no tile value, so one aliased
+        ``tile x tile`` array stands in for every tile and the stats carry
+        ``residual=None``.  Returns ``None`` for any other point: its
+        warm-ups need the real operand, because QR cycle counts depend on
+        the data (see :mod:`repro.lap.timing`).
+        """
+        if verify or type(self.timing) is not MemoizedTiming:
+            return None
+        nb = n // self.tile
+        block = np.zeros((self.tile, self.tile))
+        blocks = {(i, j): block for i in range(nb) for j in range(nb)}
+        tiles = {"A": blocks, "B": blocks, "C": blocks, "L": blocks}
+        ctx = _ExecutionContext(self, tiles)
+        if self._table_charges(graph.fast_arrays(), ctx)[1] is None:
+            return None
+        stats = self.execute(graph, tiles, verify=False)
+        stats["residual"] = None
+        return stats
+
     def run_blocked_gemm(self, n: int, rng: np.random.Generator,
                          verify: bool = True) -> Dict[str, object]:
         """Decompose, schedule and verify one ``n x n`` GEMM end to end.
@@ -1101,8 +1148,14 @@ class LAPRuntime:
         max absolute error against the numpy reference), so sweep rows can
         assert functional correctness alongside makespan and efficiency.
         Under memoized timing with ``verify=False`` the tile data goes stale
-        and ``residual`` is ``None``.
+        and ``residual`` is ``None``; a point whose signatures are all warm
+        then builds no operand at all (:meth:`_execute_shape_only`), and
+        neither do the other ``run_blocked_*`` methods.
         """
+        tasks = self.library.gemm_tasks(n, n, n)
+        stats = self._execute_shape_only(tasks, n, verify)
+        if stats is not None:
+            return stats
         a, b = rng.random((n, n)), rng.random((n, n))
         c = rng.random((n, n))
         tiles = {
@@ -1110,7 +1163,6 @@ class LAPRuntime:
             "B": self.tile_matrix(b, self.tile),
             "C": self.tile_matrix(c, self.tile),
         }
-        tasks = self.library.gemm_tasks(n, n, n)
         stats = self.execute(tasks, tiles, verify=verify)
         if stats["data_valid"]:
             result = self.untile_matrix(tiles["C"], self.tile)
@@ -1128,11 +1180,14 @@ class LAPRuntime:
         in place.  The returned stats carry the ``residual`` of
         ``L L^T - A`` (``None`` when the timing model dropped the data).
         """
+        tasks = self.library.cholesky_tasks(n)
+        stats = self._execute_shape_only(tasks, n, verify)
+        if stats is not None:
+            return stats
         g = rng.random((n, n))
         a = g @ g.T + n * np.eye(n)
         a_tiles = self.tile_matrix(a, self.tile)
         tiles = {"A": a_tiles, "B": a_tiles, "C": a_tiles, "L": a_tiles}
-        tasks = self.library.cholesky_tasks(n)
         stats = self.execute(tasks, tiles, verify=verify)
         if stats["data_valid"]:
             factor = np.tril(self.untile_matrix(a_tiles, self.tile))
@@ -1149,10 +1204,13 @@ class LAPRuntime:
         no-pivot tile factorization is stable (row interchanges never leave
         a diagonal tile).  The stats carry the ``residual`` of ``L U - A``.
         """
+        tasks = self.library.lu_tasks(n)
+        stats = self._execute_shape_only(tasks, n, verify)
+        if stats is not None:
+            return stats
         a = rng.random((n, n)) + n * np.eye(n)
         a_tiles = self.tile_matrix(a, self.tile)
         tiles = {"A": a_tiles, "B": a_tiles, "C": a_tiles, "L": a_tiles}
-        tasks = self.library.lu_tasks(n)
         stats = self.execute(tasks, tiles, verify=verify)
         if stats["data_valid"]:
             packed = self.untile_matrix(a_tiles, self.tile)
@@ -1173,9 +1231,12 @@ class LAPRuntime:
         orthogonal ``Q``.  The ``residual`` is the max absolute error of
         that identity, normalised by ``max |A^T A|``.
         """
+        tasks = self.library.qr_tasks(n)
+        stats = self._execute_shape_only(tasks, n, verify)
+        if stats is not None:
+            return stats
         a = rng.random((n, n))
         tiles: Dict = {"A": self.tile_matrix(a, self.tile), "TAU": {}}
-        tasks = self.library.qr_tasks(n)
         stats = self.execute(tasks, tiles, verify=verify)
         if stats["data_valid"]:
             t = self.tile

@@ -1,22 +1,38 @@
 """Timing models: decouple task cycle counts from functional execution.
 
-The LAC runs its kernels in lock step, so the cycle count of a tile task is
-a pure function of its (kind, tile shapes, precision) -- not of the tile
-*values*.  The runtime exploits that through a timing model:
+The LAC runs its kernels in lock step, so on dense operands the cycle count
+of a tile task is a function of its (kind, tile shapes, precision, scaling)
+signature and of the core's configuration -- not of the tile *values*.
+Tiled QR is the known exception: :func:`repro.kernels.qr.lac_householder_vector`
+skips a sub-column that is all zero (its reflector gets ``tau = inf``, which
+the reflector applications skip as well).  GEQRT of a tile whose
+sub-columns are zero takes 12 cycles at tile 8 on a default ``nr=4`` core,
+against 870 for dense data.  Warm-ups must therefore run on the real
+operand, never on a stand-in.  The runtime exploits the rule through a
+timing model:
 
 ``functional``
     every task is executed on the cycle-level simulator; the cycle count is
     the simulator's counter delta and the tile data is always exact.
 ``memoized``
-    the first task of each (kind, shapes, precision, scaling) signature runs
-    functionally and its cycle count is cached; every later task with the
-    same signature is charged the cached count without touching the
-    simulator.  Large graphs (e.g. a 4096^2 Cholesky at tile 128) then
-    schedule in seconds instead of hours.  With ``verify=True`` the runtime
-    applies a fast NumPy reference update for memoized tasks so that the
-    factors stay numerically exact and residual verification is retained;
-    with ``verify=False`` the tile data goes stale after the warm-up runs
-    and residuals are unavailable.
+    the first task of each signature in an ``execute()`` runs functionally
+    (its *warm-up*) and every later task with the same signature is charged
+    that count without touching the simulator.  Large graphs (e.g. a
+    4096^2 Cholesky at tile 128) then schedule in seconds instead of hours.
+    With ``verify=True`` the runtime applies a fast NumPy reference update
+    for memoized tasks so that the factors stay numerically exact and
+    residual verification is retained; with ``verify=False`` the tile data
+    goes stale after the warm-up runs and residuals are unavailable.
+
+Warm-up counts go into one process-wide table keyed by the running core's
+full :class:`~repro.lac.core.LACConfig` plus the signature, so a sweep pays
+each warm-up once per process rather than once per point.  Sharing is
+all-or-nothing per ``execute()``: with ``verify=False``, a graph whose
+signatures are all in the table is charged entirely from it (table hits,
+no warm-up); every other execute warms its signatures exactly as in a fresh
+process and checks each count against the table, raising on a mismatch.
+So no row depends on which executes ran earlier in the process.
+:func:`clear_timing_cache` empties the table.
 
 The model object also records warm-up wall time per signature, which lets a
 benchmark compare a memoized schedule against a (measured, per-signature)
@@ -25,8 +41,9 @@ estimate of the full functional path without paying for it.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lap.taskgraph import TaskDescriptor
 
@@ -39,6 +56,34 @@ def task_signature(task: TaskDescriptor, shapes: Tuple, precision: str) -> TaskS
     """Signature under which a task's cycle count is memoizable."""
     return (task.kind.value, shapes, precision, task.alpha == 1.0,
             bool(task.transpose_b))
+
+
+#: Process-wide warm-up counts: ``(core key, signature) -> cycles``, where
+#: the core key is :func:`core_config_key` of the core that ran the warm-up.
+_CYCLE_TABLE: Dict[Tuple, int] = {}
+
+
+def clear_timing_cache() -> None:
+    """Forget every warm-up count (the next executes warm up again)."""
+    _CYCLE_TABLE.clear()
+
+
+def core_config_key(config) -> Tuple:
+    """Hashable form of a core's full :class:`~repro.lac.core.LACConfig`."""
+    return dataclasses.astuple(config)
+
+
+def table_cycles(core_key: Tuple,
+                 signatures: Sequence[TaskSignature]) -> Optional[List[int]]:
+    """Table counts of ``signatures`` on one core config, or ``None``
+    unless every one of them is known."""
+    counts = []
+    for signature in signatures:
+        cycles = _CYCLE_TABLE.get((core_key, signature))
+        if cycles is None:
+            return None
+        counts.append(cycles)
+    return counts
 
 
 def compose_task_cycles(compute_cycles: float, stall_cycles: float,
@@ -95,10 +140,12 @@ def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
 class TimingModel:
     """Base timing model: how a scheduled task obtains its cycle count.
 
-    ``ctx`` is the runtime's execution context, providing ``functional(task)``
-    (simulate on the assigned core, update tiles, return cycles),
-    ``reference(task)`` (NumPy tile update, no cycles) and
-    ``signature(task)``.
+    ``ctx`` is the runtime's execution context, bound to one ``execute()``
+    call: it provides ``functional(task)`` (simulate on the assigned core,
+    update tiles, return cycles), ``reference(task)`` (NumPy tile update,
+    no cycles), ``signature(task)``, the per-core ``core_keys`` with the
+    assigned ``core_index``, and ``warmed``, the execute's own warm-up
+    counts.
     """
 
     name = "functional"
@@ -121,13 +168,16 @@ class FunctionalTiming(TimingModel):
 
 
 class MemoizedTiming(TimingModel):
-    """Memoize per-signature cycle counts after one functional run each."""
+    """Charge each signature the count of one functional run.
+
+    Holds statistics only: counts live in the execute's context (its own
+    warm-ups) and in the process-wide table (see the module docstring).
+    """
 
     name = "memoized"
 
     def __init__(self) -> None:
-        self._cycles: Dict[TaskSignature, int] = {}
-        #: Wall-clock seconds of the warm-up run per signature.
+        #: Wall-clock seconds of this model's warm-up run per signature.
         self.warm_seconds_by_signature: Dict[TaskSignature, float] = {}
         #: Tasks charged per signature since construction / reset_stats().
         self.task_counts: Dict[TaskSignature, int] = {}
@@ -138,7 +188,7 @@ class MemoizedTiming(TimingModel):
         return bool(verify)
 
     def reset_stats(self) -> None:
-        """Zero the hit/warm counters (the cycle cache is kept)."""
+        """Zero the hit/warm counters (the process table is kept)."""
         self.task_counts = {}
         self.warm_runs = 0
         self.hits = 0
@@ -148,9 +198,9 @@ class MemoizedTiming(TimingModel):
 
         The scheduler loop (:meth:`repro.lap.runtime.LAPRuntime.execute`)
         resolves cycle counts through a per-group table instead of calling
-        :meth:`task_cycles` per task; it reconciles the hit/count statistics
-        here so ``hits`` / ``task_counts`` /
-        :meth:`estimated_functional_seconds` match a per-task run exactly.
+        :meth:`task_cycles` per task, and charges a fully warm graph from
+        the process table; it reconciles the hit/count statistics here so
+        that ``hits`` / ``task_counts`` count every task it scheduled.
         """
         if count <= 0:
             return
@@ -168,7 +218,9 @@ class MemoizedTiming(TimingModel):
         Sums, over every task this model has scheduled, the wall time of the
         functional warm-up run of that task's signature -- i.e. what the
         ``functional`` timing model would have cost, estimated from real
-        measurements instead of being paid.
+        measurements instead of being paid.  Only this model's own warm-ups
+        are measured: signatures charged from the process table add nothing
+        (call :func:`clear_timing_cache` first for a complete estimate).
         """
         return sum(count * self.warm_seconds_by_signature.get(sig, 0.0)
                    for sig, count in self.task_counts.items())
@@ -176,13 +228,22 @@ class MemoizedTiming(TimingModel):
     def task_cycles(self, task: TaskDescriptor, ctx, verify: bool) -> int:
         signature = ctx.signature(task)
         self.task_counts[signature] = self.task_counts.get(signature, 0) + 1
-        cached = self._cycles.get(signature)
+        cached = ctx.warmed.get(signature)
         if cached is None:
             started = time.perf_counter()
             cycles = ctx.functional(task)
             self.warm_seconds_by_signature[signature] = time.perf_counter() - started
-            self._cycles[signature] = cycles
+            ctx.warmed[signature] = cycles
             self.warm_runs += 1
+            known = _CYCLE_TABLE.setdefault(
+                (ctx.core_keys[ctx.core_index], signature), cycles)
+            if known != cycles:
+                raise RuntimeError(
+                    f"memoized timing: signature {signature} took {cycles} "
+                    f"cycles, but {known} earlier in this process on the same "
+                    f"core configuration; the memoized cycle count of a "
+                    f"signature must not depend on the tile values (see "
+                    f"repro.lap.timing)")
             return cycles
         self.hits += 1
         if verify:

@@ -18,7 +18,8 @@ from repro.lap.policies import (POLICIES, CriticalPathPriority, get_policy,
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
-from repro.lap.timing import MemoizedTiming, get_timing_model, timing_names
+from repro.lap.timing import (MemoizedTiming, clear_timing_cache,
+                              get_timing_model, timing_names)
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent
           / "goldens" / "runtime" / "lap_runtime.json")
@@ -286,6 +287,7 @@ class TestTimingModels:
         assert runtime.timing.hits > 0  # memoization actually engaged
 
     def test_memoized_cache_and_stats(self):
+        clear_timing_cache()
         runtime = make_runtime(tile=8, timing="memoized")
         runtime.run_blocked_cholesky(32, np.random.default_rng(0), verify=False)
         timing = runtime.timing

@@ -1,0 +1,231 @@
+"""The process-wide memoized-timing table and the precondition it rests on.
+
+Memoized timing charges every task of a signature the cycle count of one
+functional warm-up, and :mod:`repro.lap.timing` shares those counts across
+every execute of a process, keyed by the running core's configuration.
+This suite pins:
+
+* the precondition: on dense, well-conditioned operands of one shape,
+  every task kind the algorithms-by-blocks emit takes one cycle count per
+  (signature, core config), on a fresh core and on a core with history --
+  and the one known exception (GEQRT of a tile with zero sub-columns);
+* the all-or-nothing sharing rule: warm graphs are charged from the table
+  without an operand, cold ones warm up as in a fresh process, and a
+  warm-up that disagrees with the table raises;
+* that sweep rows do not depend on what ran earlier in the process.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import SweepSpec, execute_jobs
+from repro.engine.runners import get_runner
+from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+from repro.lap.runtime import LAPRuntime
+from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
+from repro.lap.timing import clear_timing_cache, core_config_key, task_signature
+from repro.reference.factorizations import ref_householder_qr_factored
+
+
+def make_runtime(num_cores=2, tile=8, nr=4, frequency_ghz=1.0):
+    lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=nr,
+                                           onchip_memory_mbytes=1.0,
+                                           frequency_ghz=frequency_ghz))
+    return LAPRuntime(lap, tile, timing="memoized")
+
+
+# ------------------------------------------------------ memo precondition
+def _dense(rng, t):
+    return rng.random((t, t))
+
+
+def _spd(rng, t):
+    g = rng.random((t, t))
+    return g @ g.T + t * np.eye(t)
+
+
+def _dominant(rng, t):
+    return rng.random((t, t)) + t * np.eye(t)
+
+
+def _blas3(rng, t):
+    return {"A": {(0, 0): _dense(rng, t)}, "B": {(0, 0): _dense(rng, t)},
+            "C": {(0, 0): _dense(rng, t)}}
+
+
+def _triangular_solve(rng, t):
+    return {"L": {(0, 0): _dominant(rng, t)}, "B": {(0, 0): _dense(rng, t)}}
+
+
+def _unmqr(rng, t):
+    factored, taus = ref_householder_qr_factored(_dense(rng, t))
+    return {"A": {(0, 0): factored, (0, 1): _dense(rng, t)},
+            "TAU": {(0, 0): taus}}
+
+
+def _tsmqr(rng, t):
+    stacked = np.vstack([np.triu(_dense(rng, t)), _dense(rng, t)])
+    factored, taus = ref_householder_qr_factored(stacked)
+    return {"A": {(1, 0): factored[t:], (0, 1): _dense(rng, t),
+                  (1, 1): _dense(rng, t)},
+            "TAU": {(1, 0): taus}}
+
+
+def _task(kind, output=(0, 0), inputs=((0, 0),), **kwargs):
+    return TaskDescriptor(0, kind, output=output, inputs=list(inputs), **kwargs)
+
+
+#: Every task kind the algorithms-by-blocks emit (plus the plain TRSM and
+#: the unit-alpha SYRK path), each with a function that draws its operands
+#: for one tile shape.
+KIND_CASES = [
+    (_task(TaskKind.GEMM, inputs=[(0, 0), (0, 0)]), _blas3),
+    (_task(TaskKind.GEMM, inputs=[(0, 0), (0, 0)], alpha=-1.0,
+           transpose_b=True), _blas3),
+    (_task(TaskKind.GEMM, inputs=[(0, 0), (0, 0)], alpha=-1.0), _blas3),
+    (_task(TaskKind.SYRK), _blas3),
+    (_task(TaskKind.SYRK, alpha=-1.0, transpose_b=True), _blas3),
+    (_task(TaskKind.TRSM), _triangular_solve),
+    (_task(TaskKind.TRSM_RIGHT_T), _triangular_solve),
+    (_task(TaskKind.TRSM_LOWER), _triangular_solve),
+    (_task(TaskKind.TRSM_UPPER_RIGHT), _triangular_solve),
+    (_task(TaskKind.CHOLESKY), lambda rng, t: {"A": {(0, 0): _spd(rng, t)}}),
+    (_task(TaskKind.LU), lambda rng, t: {"A": {(0, 0): _dominant(rng, t)}}),
+    (_task(TaskKind.GEQRT), lambda rng, t: {"A": {(0, 0): _dense(rng, t)}}),
+    (_task(TaskKind.TSQRT, output=(1, 0)),
+     lambda rng, t: {"A": {(0, 0): _dense(rng, t), (1, 0): _dense(rng, t)}}),
+    (_task(TaskKind.UNMQR, output=(0, 1)), _unmqr),
+    (_task(TaskKind.TSMQR, output=(1, 1), inputs=[(1, 0), (0, 1), (1, 1)]),
+     _tsmqr),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2,
+                      unique=True),
+       core=st.sampled_from([(2, 4), (4, 4), (2, 8), (4, 8)]),
+       order=st.permutations(range(len(KIND_CASES))))
+def test_signature_and_core_config_fix_the_cycle_count(seeds, core, order):
+    """Random dense operands, on a fresh core and on one that already ran
+    other kernels (in a random order), give one count per signature."""
+    nr, tile = core
+    used = make_runtime(nr=nr, tile=tile)
+    counts = {}
+    for index in order:
+        task, build = KIND_CASES[index]
+        for seed in seeds:
+            for runtime in (used, make_runtime(nr=nr, tile=tile)):
+                tiles = build(np.random.default_rng(seed), tile)
+                key = (core_config_key(runtime.lap.cores[0].config),
+                       task_signature(task, runtime._task_shapes(task, tiles),
+                                      "double"))
+                counts.setdefault(key, set()).add(
+                    runtime._run_task(task, 0, tiles))
+    assert len(counts) == len(KIND_CASES)
+    assert all(len(cycles) == 1 for cycles in counts.values()), counts
+
+
+def test_geqrt_of_zero_subcolumns_is_the_known_exception():
+    """QR skips the reflector of an all-zero sub-column, so an upper
+    triangular tile factors in a fraction of a dense tile's cycles: the
+    reason no stand-in operand may ever feed a warm-up."""
+    runtime = make_runtime(nr=4, tile=8)
+    task = _task(TaskKind.GEQRT)
+    rng = np.random.default_rng(0)
+    dense = runtime._run_task(task, 0, {"A": {(0, 0): _dense(rng, 8)}})
+    upper = np.triu(_dense(rng, 8)) + np.eye(8)
+    zero_subcolumns = runtime._run_task(task, 0, {"A": {(0, 0): upper}})
+    assert (dense, zero_subcolumns) == (870, 12)
+
+
+# ------------------------------------------------------ all-or-nothing rule
+def test_second_runtime_is_warm_and_other_configs_warm_again():
+    clear_timing_cache()
+    first = make_runtime()
+    stats = first.run_blocked_cholesky(32, np.random.default_rng(0),
+                                       verify=False)
+    assert first.timing.warm_runs == 4  # chol, trsm_rt, syrk, gemm
+    second = make_runtime()
+    again = second.run_blocked_cholesky(32, np.random.default_rng(1),
+                                        verify=False)
+    assert second.timing.warm_runs == 0
+    assert second.timing.hits == stats["tasks_executed"]
+    assert again == stats
+    for other in (make_runtime(nr=2), make_runtime(frequency_ghz=1.4)):
+        other.run_blocked_cholesky(32, np.random.default_rng(0), verify=False)
+        assert other.timing.warm_runs == 4
+
+
+def test_warm_point_builds_no_operand_and_verify_always_warms():
+    clear_timing_cache()
+    make_runtime().run_blocked_cholesky(32, np.random.default_rng(0),
+                                        verify=False)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    warm = make_runtime()
+    stats = warm.run_blocked_cholesky(32, rng, verify=False)
+    assert rng.bit_generator.state == state  # nothing drawn
+    assert stats["residual"] is None and not stats["data_valid"]
+    verified = make_runtime()
+    checked = verified.run_blocked_cholesky(32, rng, verify=True)
+    assert verified.timing.warm_runs == 4
+    assert checked["residual"] < 1e-8
+    assert checked["makespan_cycles"] == stats["makespan_cycles"]
+
+
+def test_qr_memo_reuse_on_one_runtime():
+    """A second, larger QR graph on a reused runtime used to be a partial
+    cache hit: its GEQRT never ran, so no reflector scalars were written
+    and the first UNMQR warm-up raised ``KeyError: (0, 0)``."""
+    clear_timing_cache()
+    reused = make_runtime()
+    reused.run_blocked_qr(8, np.random.default_rng(0), verify=False)
+    stats = reused.run_blocked_qr(16, np.random.default_rng(0), verify=False)
+    clear_timing_cache()
+    fresh = make_runtime().run_blocked_qr(16, np.random.default_rng(0),
+                                          verify=False)
+    assert stats == fresh
+    assert stats["makespan_cycles"] == 2947
+
+
+def test_qr_memo_reuse_through_the_runner():
+    runner = get_runner("lap_runtime")
+    base = {"algorithm": "qr", "tile": 8, "timing": "memoized", "verify": 0}
+    clear_timing_cache()
+    assert runner({**base, "n": 8})["makespan_cycles"] == 870
+    assert runner({**base, "n": 16})["makespan_cycles"] == 2947
+
+
+def test_warmup_that_disagrees_with_the_table_raises():
+    clear_timing_cache()
+    make_runtime().run_blocked_qr(8, np.random.default_rng(0), verify=False)
+    graph = AlgorithmsByBlocks(8).qr_tasks(8)  # one GEQRT
+    upper = np.triu(np.random.default_rng(1).random((8, 8))) + np.eye(8)
+    with pytest.raises(RuntimeError, match="must not depend on the tile"):
+        make_runtime().execute(graph, {"A": {(0, 0): upper}}, verify=True)
+
+
+# ------------------------------------------------------ history independence
+def test_sweep_rows_do_not_depend_on_process_history():
+    """Serial in one process, a process pool, and job by job from an empty
+    table give byte-identical rows."""
+    jobs = (SweepSpec()
+            .constants(n=16, num_cores=2, seed=3, timing="memoized",
+                       replay="off")
+            .grid(algorithm=("gemm", "cholesky", "lu", "qr"), tile=(4, 8),
+                  nr=(2, 4), verify=(0, 1), frequency_ghz=(1.0, 1.4))
+            .jobs("lap_runtime"))
+    serial = execute_jobs(jobs, mode="serial").rows
+    pooled = execute_jobs(jobs, mode="process", max_workers=2,
+                          batch_size=8).rows
+    isolated = []
+    for job in jobs:
+        clear_timing_cache()
+        isolated.extend(execute_jobs([job], mode="serial").rows)
+    assert len(serial) == len(jobs) == 64
+    assert json.dumps(serial) == json.dumps(isolated)
+    assert json.dumps(pooled) == json.dumps(isolated)
