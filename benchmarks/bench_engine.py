@@ -16,7 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.engine import ResultCache, SweepExecutor, SweepSpec, execute_jobs, sweep
-from repro.engine.runners import RUNNERS, code_fingerprint
+from repro.engine.cache import default_code_version
+from repro.engine.runners import RUNNERS
 
 
 def _jobs():
@@ -58,13 +59,13 @@ def test_sweep_parallel_matches_serial(benchmark):
 
 def test_sweep_warm_cache(benchmark, tmp_path):
     jobs = _jobs()
-    cache = ResultCache(tmp_path, code_version=code_fingerprint())
+    cache = ResultCache(tmp_path, code_version=default_code_version())
     cold = execute_jobs(jobs, mode="serial", cache=cache)
     assert cold.executed == len(jobs)
 
     warm = benchmark(lambda: execute_jobs(
         jobs, mode="serial",
-        cache=ResultCache(tmp_path, code_version=code_fingerprint())))
+        cache=ResultCache(tmp_path, code_version=default_code_version())))
     assert warm.executed == 0
     assert warm.cached == len(jobs)
     assert json.dumps(warm.rows) == json.dumps(cold.rows)
@@ -134,8 +135,6 @@ def test_streaming_beats_sharded_batch_on_stragglers(bench_json):
         time.sleep(params["cost_s"])
         return {"index": params["index"], "cost_s": params["cost_s"]}
 
-    # Registered in RUNNERS only -- deliberately NOT in RUNNER_VERSIONS, so
-    # code_fingerprint() (and hence every cache namespace) is unchanged.
     RUNNERS["_stream_bench"] = _bench_runner
     try:
         jobs = [Job.create("_stream_bench", {"index": 0, "cost_s": STRAGGLER_S})]

@@ -5,9 +5,11 @@ incremental, parallel runs:
 
 * :mod:`repro.engine.spec` -- :class:`SweepSpec` (grid / zip / filter
   combinators) expanding into hashable :class:`Job` objects,
-* :mod:`repro.engine.cache` -- a content-addressed on-disk result cache
-  keyed by job parameters plus code version, with an LRU eviction layer
-  (``max_bytes`` / ``REPRO_CACHE_MAX_MB`` and an explicit ``prune()``),
+* :mod:`repro.engine.cache` -- one content-addressed on-disk store with
+  two namespaces: result rows keyed by job parameters plus a code version
+  derived from the package source, and the replay sidecar; both share the
+  atomic writes, LRU budgets (``REPRO_CACHE_MAX_MB`` /
+  ``REPRO_REPLAY_MAX_MB`` and an explicit ``prune()``) and lifetime stats,
 * :mod:`repro.engine.executor` -- a streaming work-stealing executor over
   ``concurrent.futures``: ``stream()`` yields rows as they land,
   ``run()`` collects them with deterministic (job-order) result ordering,
@@ -39,8 +41,7 @@ from repro.engine.executor import (ProgressCallback, StreamRow, SweepExecutor,
                                    SweepResult, SweepStream, execute_jobs,
                                    stream_jobs)
 from repro.engine.runners import (HEAVY_RUNNERS, KNOWN_PARAMS, PARETO_OBJECTIVES,
-                                  RUNNERS, code_fingerprint, get_runner,
-                                  runner_names)
+                                  RUNNERS, get_runner, runner_names)
 from repro.engine.spec import Job, Params, SweepSpec, canonical_params, params_key
 
 __all__ = [
@@ -53,7 +54,7 @@ __all__ = [
     "IncrementalPareto",
     "DEFAULT_OBJECTIVES", "PARETO_OBJECTIVES", "RUNNERS", "HEAVY_RUNNERS",
     "KNOWN_PARAMS",
-    "runner_names", "get_runner", "code_fingerprint",
+    "runner_names", "get_runner",
     "sweep",
 ]
 
@@ -66,8 +67,8 @@ def sweep(spec_or_jobs: Union[SweepSpec, Sequence[Job]], runner: Optional[str] =
 
     Accepts either a :class:`SweepSpec` (``runner`` required) or a
     pre-expanded job list.  When ``cache_dir`` is given, results are cached
-    on disk under a namespace that folds in the package and runner versions,
-    so re-runs only execute jobs that are new or invalidated.
+    on disk under a namespace derived from the package source, so re-runs
+    only execute jobs that are new or invalidated by a code edit.
     """
     if isinstance(spec_or_jobs, SweepSpec):
         if runner is None:

@@ -47,33 +47,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.engine.analysis import DEFAULT_OBJECTIVES
 from repro.engine.spec import Params
 
-#: Bump a runner's version whenever its row content changes; the fingerprint
-#: below folds these into the cache namespace, invalidating stale entries.
-#: Nothing bumps them automatically: a model or runtime edit that changes
-#: rows without a bump keeps serving the old cached rows and replay records.
-RUNNER_VERSIONS: Dict[str, int] = {
-    "design": 1,
-    "pe": 1,
-    "simulate": 1,
-    "chip_gemm": 1,
-    "chip_gemm_onchip": 1,
-    "core_gemm": 1,
-    "blas": 1,
-    "fact_kernel": 1,
-    # v4: two-level memory hierarchy -- per-core local stores
-    # (local_store_kb axis, local-hit / shared-hit / core-to-core traffic
-    # columns), the affinity policy and the stall_overlap prefetch axis.
-    # v5: schedule-replay costing for delta sweeps (replay param).  The
-    # runtime has one scheduler loop since; the former fast param selected
-    # between byte-identical loops and is ignored (rows unchanged, no bump).
-    # v6: chip-clock (frequency_ghz) and off-chip access-energy
-    # (offchip_pj_per_byte) sweep axes with widened schedule replay
-    # (per-task energy re-keying) and the writeback_bytes execution field.
-    "lap_runtime": 6,
-    "blocked_fact": 1,
-    "experiment": 1,
-}
-
 #: Runners that do enough work per job for a process pool to pay off; the
 #: analytical models run in microseconds and stay serial under mode="auto".
 HEAVY_RUNNERS = frozenset({"simulate", "experiment", "lap_runtime", "blocked_fact"})
@@ -905,11 +878,3 @@ def get_runner(name: str) -> Callable[[Params], dict]:
         raise KeyError(f"unknown runner '{name}'; known runners: "
                        f"{sorted(RUNNERS)}") from None
 
-
-def code_fingerprint() -> str:
-    """Cache namespace combining the package and runner versions."""
-    from repro import __version__
-
-    versions = ",".join(f"{name}=v{RUNNER_VERSIONS[name]}"
-                        for name in sorted(RUNNER_VERSIONS))
-    return f"repro-{__version__};{versions}"

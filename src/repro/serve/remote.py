@@ -126,14 +126,9 @@ class RemoteCache(ResultCache):
         """
         path = super().put(job, row)
         if not self.degraded:
-            payload = {
-                "runner": job.runner,
-                "params": job.params_dict,
-                "code_version": self.code_version,
-                "row": dict(row),
-            }
             try:
-                self.client.put_entry(self.key_for(job), payload)
+                self.client.put_entry(self.key_for(job),
+                                      self.entry_for(job, row))
                 self.remote_puts += 1
             except ServerUnavailable as exc:
                 self._degrade(exc)
@@ -160,14 +155,5 @@ class RemoteCache(ResultCache):
         return counters
 
     def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats.update({
-            "tier": self.tier,
-            "server": self.client.base_url,
-            "remote_hits": self.remote_hits,
-            "remote_misses": self.remote_misses,
-            "remote_puts": self.remote_puts,
-            "remote_hit_rate": self.remote_hit_rate,
-            "degraded": self.degraded,
-        })
-        return stats
+        """Cache stats (with the remote counters) plus the server URL."""
+        return {**super().stats(), "server": self.client.base_url}

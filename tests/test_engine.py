@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.engine import (SweepSpec, best_per_metric, code_fingerprint, dominates,
-                          execute_jobs, frontier_report, get_runner, pareto_frontier,
-                          runner_names, sweep)
-from repro.engine.cache import ResultCache
+from repro.engine import (SweepSpec, best_per_metric, dominates, execute_jobs,
+                          frontier_report, get_runner, pareto_frontier, runner_names,
+                          sweep)
+from repro.engine.cache import ResultCache, default_code_version, source_fingerprint
 from repro.engine.spec import Job, canonical_params, params_key
 
 
@@ -129,6 +129,20 @@ class TestResultCache:
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
+
+    def test_put_rejects_values_json_cannot_hold(self, tmp_path):
+        """A non-JSON value raises instead of being stored as its string
+        (a warm get would then differ from the cold row); nothing is left
+        on disk, not even a temp file."""
+        import numpy as np
+
+        cache = ResultCache(tmp_path, code_version="v1")
+        job = self._job()
+        with pytest.raises(TypeError):
+            cache.put(job, {"cores": np.int64(5)})
+        assert cache.get(job) is None
+        assert list(tmp_path.rglob("*.json")) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_stats_shape(self, tmp_path):
         stats = ResultCache(tmp_path, code_version="v1").stats()
@@ -380,9 +394,21 @@ class TestRunners:
         assert row["num_rows"] > 0
         assert isinstance(row["data"], list)
 
-    def test_code_fingerprint_mentions_runners(self):
-        fp = code_fingerprint()
-        assert "repro-" in fp and "simulate=v" in fp
+    def test_source_fingerprint_follows_package_edits(self, tmp_path):
+        """The default cache namespace hashes the package source: an
+        untouched copy fingerprints the same, one edited model file not."""
+        import pathlib
+        import shutil
+
+        import repro
+
+        copy = tmp_path / "repro"
+        shutil.copytree(pathlib.Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_fingerprint(copy) == default_code_version()
+        model = copy / "models" / "chip_model.py"
+        model.write_bytes(model.read_bytes() + b"\n# edited\n")
+        assert source_fingerprint(copy) != default_code_version()
 
 
 # ----------------------------------------------------------------- pareto
@@ -636,64 +662,58 @@ def test_incremental_pareto_equals_batch_property():
 
 
 # ------------------------------------------------- concurrent stats merge
+def _persist_counts(directory, barrier, per_writer):
+    """One writer of the concurrent-stats test; module level so a spawned
+    process can import it.  Appends ``per_writer`` one-hit, one-miss deltas."""
+    cache = ResultCache(directory, code_version="v1")
+    barrier.wait(timeout=60)
+    for _ in range(per_writer):
+        cache.hits += 1
+        cache.misses += 1
+        cache.persist_stats()
+
+
 class TestConcurrentStats:
-    def test_parallel_persist_stats_loses_no_deltas(self, tmp_path):
-        """Many writers folding into one _stats.json keep every delta."""
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_parallel_persist_stats_loses_no_deltas(self, tmp_path, kind):
+        """Many writers appending to one _stats.log keep every delta."""
+        import multiprocessing
         import threading
 
         writers = 8
-        per_writer = 5
-
-        def persist(_i):
-            cache = ResultCache(tmp_path, code_version="v1")
-            cache.hits = per_writer
-            cache.misses = per_writer
-            cache.persist_stats()
-
-        threads = [threading.Thread(target=persist, args=(i,))
-                   for i in range(writers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        per_writer = 50
+        if kind == "thread":
+            barrier = threading.Barrier(writers)
+            workers = [threading.Thread(target=_persist_counts,
+                                        args=(tmp_path, barrier, per_writer))
+                       for _ in range(writers)]
+        else:
+            context = multiprocessing.get_context("spawn")
+            barrier = context.Barrier(writers)
+            workers = [context.Process(target=_persist_counts,
+                                       args=(str(tmp_path), barrier, per_writer))
+                       for _ in range(writers)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        if kind == "process":
+            assert [worker.exitcode for worker in workers] == [0] * writers
         final = ResultCache(tmp_path, code_version="v1").lifetime_stats()
         assert final["hits"] == writers * per_writer
         assert final["misses"] == writers * per_writer
 
     def test_corrupt_stats_file_does_not_crash_merge(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
-        (tmp_path / "_stats.json").write_text("{torn")
-        cache.hits = 3
-        cache.persist_stats()
-        # The garbled history is replaced; the new deltas survive.
-        assert ResultCache(tmp_path, code_version="v1").lifetime_stats()["hits"] == 3
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-
-        lock = tmp_path / "_stats.lock"
-        lock.write_text("")
-        old = lock.stat().st_atime - 3600
-        os.utime(lock, (old, old))
-        cache = ResultCache(tmp_path, code_version="v1")
         cache.hits = 2
         cache.persist_stats()
-        assert cache.lifetime_stats()["hits"] == 2
-        assert not lock.exists()
-
-    def test_contended_lock_defers_merge(self, tmp_path, monkeypatch):
-        from repro.engine import cache as cache_module
-
-        monkeypatch.setattr(cache_module, "_STATS_LOCK_ATTEMPTS", 2)
-        monkeypatch.setattr(cache_module, "_STATS_LOCK_STALE_S", 3600.0)
-        (tmp_path / "_stats.lock").write_text("")  # held by "another" process
-        cache = ResultCache(tmp_path, code_version="v1")
-        cache.hits = 4
-        cache.persist_stats()  # cannot take the lock: deltas stay pending
-        assert not (tmp_path / "_stats.json").exists()
-        (tmp_path / "_stats.lock").unlink()
+        with (tmp_path / "_stats.log").open("a") as log:
+            log.write('\n{"hits": 40, "mis')  # a torn last record
+        cache.hits = 5
         cache.persist_stats()
-        assert cache.lifetime_stats()["hits"] == 4
+        # The torn record is skipped; the deltas around it survive.
+        assert ResultCache(tmp_path, code_version="v1").lifetime_stats()["hits"] == 5
 
 
 # ----------------------------------------------------- replay sidecar

@@ -13,7 +13,6 @@ import pytest
 
 from repro.engine import (HEAVY_RUNNERS, KNOWN_PARAMS, PARETO_OBJECTIVES,
                           SweepSpec, execute_jobs, get_runner, runner_names)
-from repro.engine.runners import RUNNER_VERSIONS
 from repro.engine.spec import Job
 
 NEW_RUNNERS = ("chip_gemm_onchip", "blas", "fact_kernel", "lap_runtime",
@@ -26,7 +25,6 @@ class TestRegistry:
         names = runner_names()
         for name in NEW_RUNNERS:
             assert name in names
-            assert name in RUNNER_VERSIONS
             assert name in KNOWN_PARAMS
             assert name in PARETO_OBJECTIVES
 
