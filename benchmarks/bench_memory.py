@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.fastpath import FastTileResidency
+from repro.lap.memory import TileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
 from repro.lap.timing import MemoizedTiming
@@ -40,8 +40,8 @@ def test_residency_accounting_throughput(benchmark, bench_json):
 
     def account():
         started = time.perf_counter()
-        res = FastTileResidency(capacity_bytes=2 * 2 ** 20,
-                                tile_bytes=128 * 128 * 8)
+        res = TileResidency(capacity_bytes=2 * 2 ** 20,
+                            tile_bytes=128 * 128 * 8)
         traffic = 0.0
         for task in graph:
             refill, _, _, writeback = res.touch(task.read_tiles(),
@@ -102,7 +102,7 @@ def test_capacity_pressure_traffic_trend(bench_json):
 
 def test_residency_lru_scales_linearly(benchmark):
     """Touching N distinct tiles through a small LRU stays O(N)."""
-    res = FastTileResidency(capacity_bytes=64 * 512, tile_bytes=512)
+    res = TileResidency(capacity_bytes=64 * 512, tile_bytes=512)
 
     def churn():
         for i in range(20000):

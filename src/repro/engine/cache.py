@@ -397,7 +397,7 @@ class SidecarStore(_FanoutStore):
 
     Where :class:`ResultCache` stores final result *rows*, the sidecar
     stores reusable *intermediates* -- the
-    :class:`~repro.lap.fastpath.ScheduleTrace` replay records that let a
+    :class:`~repro.lap.replay.ScheduleTrace` replay records that let a
     warm sweep point skip the scheduler loop.  Keys hash a ``kind`` tag,
     an opaque ``material`` string (e.g. a schedule's structural key) and
     the cache's ``code_version``, so a source edit orphans records exactly

@@ -25,7 +25,7 @@ Workers receive only (runner name, parameter dicts, worker context); the
 runner function is re-resolved inside the worker from
 :mod:`repro.engine.runners`, which keeps batches trivially picklable.  The
 worker context ships the cache's replay-sidecar location so worker processes
-load prebuilt :class:`~repro.lap.fastpath.ScheduleTrace` records instead of
+load prebuilt :class:`~repro.lap.replay.ScheduleTrace` records instead of
 re-scheduling (see :meth:`~repro.engine.cache.ResultCache.sidecar`).
 
 Every run also measures its own telemetry -- per-batch wall times, per-job

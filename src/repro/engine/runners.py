@@ -42,6 +42,7 @@ compare byte-identically across serial / thread / process execution.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.analysis import DEFAULT_OBJECTIVES
@@ -81,10 +82,10 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
 
 
 #: Per-process memo of recorded schedules for ``lap_runtime`` schedule
-#: replay: structural key (everything except the bandwidth / overlap
-#: constants) -> (ScheduleTrace, fresh row).  FIFO-bounded; worker processes
-#: each keep their own (replay is an optimisation, never a correctness
-#: dependency -- a miss just re-simulates).
+#: replay: structural key (everything except the bandwidth / overlap /
+#: clock / energy constants) -> (ScheduleTrace, fresh row).  FIFO-bounded;
+#: worker processes each keep their own (replay is an optimisation, never a
+#: correctness dependency -- a miss just re-simulates).
 _REPLAY_MEMO: "Dict[tuple, tuple]" = {}
 _REPLAY_MEMO_MAX = 16
 
@@ -120,88 +121,51 @@ def configure_worker(context: Optional[Mapping] = None) -> None:
     _WORKER_SIDECAR = SidecarStore.from_config(sidecar_config)
 
 
-def _replay_material(structural_key: tuple) -> str:
-    """Canonical sidecar key material of a structural replay key."""
-    import json
-
-    return json.dumps(structural_key)
-
-
-def _memoize_replay(structural_key: tuple, trace, row: dict) -> None:
-    _REPLAY_MEMO[structural_key] = (trace, row)
+def _memoize_schedule(structural_key: tuple, recorded: tuple) -> None:
+    _REPLAY_MEMO[structural_key] = recorded
     while len(_REPLAY_MEMO) > _REPLAY_MEMO_MAX:
         _REPLAY_MEMO.pop(next(iter(_REPLAY_MEMO)))
 
 
-def _load_replay_from_sidecar(structural_key: tuple) -> Optional[tuple]:
-    """Seed the in-process memo from the cross-process sidecar, if present."""
-    if _WORKER_SIDECAR is None:
-        return None
+def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
+    """The ``(ScheduleTrace, row)`` recorded for a structural key, if any.
+
+    Looks in the in-process memo first, then in the replay sidecar (another
+    worker, or an earlier run, may have published the schedule there); a
+    sidecar hit seeds the memo.  A record that does not parse is a miss.
+    """
+    recorded = _REPLAY_MEMO.get(structural_key)
+    if recorded is not None or _WORKER_SIDECAR is None:
+        return recorded
+    from repro.lap.replay import REPLAY_STATS, ScheduleTrace
+
     payload = _WORKER_SIDECAR.get(_REPLAY_SIDECAR_KIND,
-                                  _replay_material(structural_key))
+                                  json.dumps(structural_key))
     if payload is None:
         return None
-    from repro.lap.fastpath import REPLAY_STATS, ScheduleTrace
-
     try:
-        trace = ScheduleTrace.from_payload(payload["trace"])
-        row = payload["row"]
-        if not isinstance(row, dict):
+        recorded = (ScheduleTrace.from_payload(payload["trace"]),
+                    payload["row"])
+        if not isinstance(recorded[1], dict):
             raise TypeError("sidecar replay row must be a dict")
     except (KeyError, TypeError, ValueError):
         return None
     REPLAY_STATS["sidecar_loaded"] += 1
-    _memoize_replay(structural_key, trace, row)
-    return (trace, row)
+    _memoize_schedule(structural_key, recorded)
+    return recorded
 
 
-def _store_replay_to_sidecar(structural_key: tuple, trace, row: dict) -> None:
-    """Publish a fresh schedule recording for other processes (best effort)."""
-    if _WORKER_SIDECAR is None:
-        return
-    payload = {"trace": trace.to_payload(), "row": row}
-    if _WORKER_SIDECAR.put(_REPLAY_SIDECAR_KIND,
-                           _replay_material(structural_key), payload) is not None:
-        from repro.lap.fastpath import REPLAY_STATS
+def _record_schedule(structural_key: tuple, trace, row: dict) -> None:
+    """Memoize a fresh recording and publish it to the sidecar (best effort)."""
+    from repro.lap.replay import REPLAY_STATS
 
+    row = dict(row)
+    _memoize_schedule(structural_key, (trace, row))
+    REPLAY_STATS["recorded"] += 1
+    if _WORKER_SIDECAR is not None and _WORKER_SIDECAR.put(
+            _REPLAY_SIDECAR_KIND, json.dumps(structural_key),
+            {"trace": trace.to_payload(), "row": row}) is not None:
         REPLAY_STATS["sidecar_stored"] += 1
-
-
-def _replayed_row(row: dict, stall_overlap, bandwidth_gbs, memory: bool,
-                  frequency_ghz=None, offchip_pj_per_byte=None,
-                  makespan_ns=None, energy_j=None,
-                  gflops_per_w=None) -> dict:
-    """Cached row re-keyed for a replayed sweep point.
-
-    Only the constants that provably did not change the schedule are
-    patched: the gated ``stall_overlap`` / ``frequency_ghz`` /
-    ``offchip_pj_per_byte`` columns (present exactly when the new point
-    sets the parameter, in the position a fresh row gives them), the
-    effective ``bandwidth_gbs``, and -- under a chip-clock or energy
-    delta -- the ``makespan_ns`` / ``energy_j`` / ``gflops_per_w`` values
-    the caller recomputed from the trace.  Everything else is
-    byte-identical by :meth:`ScheduleTrace.exact_for`.
-    """
-    out = {}
-    for key, value in row.items():
-        if key in ("stall_overlap", "frequency_ghz", "offchip_pj_per_byte"):
-            continue
-        out[key] = value
-        if key == "core_frequencies_ghz" and frequency_ghz is not None:
-            out["frequency_ghz"] = frequency_ghz
-        if key == "memory" and stall_overlap is not None:
-            out["stall_overlap"] = stall_overlap
-        if key == "bandwidth_gbs" and offchip_pj_per_byte is not None:
-            out["offchip_pj_per_byte"] = offchip_pj_per_byte
-    if memory:
-        out["bandwidth_gbs"] = bandwidth_gbs
-    if makespan_ns is not None:
-        out["makespan_ns"] = makespan_ns
-    if energy_j is not None:
-        out["energy_j"] = energy_j
-    if gflops_per_w is not None:
-        out["gflops_per_w"] = gflops_per_w
-    return out
 
 
 def _precision(params: Mapping) -> "Precision":
@@ -516,21 +480,17 @@ def run_lap_runtime(params: Params) -> dict:
 
     ``replay`` controls schedule-replay costing for delta sweeps: under
     ``"auto"`` (the default) every simulated point records a
-    :class:`repro.lap.fastpath.ScheduleTrace`, and a later point that
-    differs only in constants which provably cannot change the schedule
-    reuses the recorded row with the affected columns re-keyed:
-    ``bandwidth_gbs`` / ``stall_overlap`` deltas (zero spill traffic,
-    zero visible movement cycles) patch those columns alone, a
-    ``frequency_ghz`` delta (homogeneous cores both sides, zero spill)
-    rescales ``makespan_ns`` from the recorded cycle count, and a
-    frequency or ``offchip_pj_per_byte`` delta re-keys ``energy_j`` /
-    ``gflops_per_w`` from the trace's per-task energy triples; anything
-    else -- or ``replay="off"`` -- re-simulates.
+    :class:`repro.lap.replay.ScheduleTrace`, and a later point that differs
+    only in ``bandwidth_gbs`` / ``stall_overlap`` / ``frequency_ghz`` /
+    ``offchip_pj_per_byte`` reuses the recorded row, re-keyed, whenever
+    :func:`repro.lap.replay.replayed_row` proves the schedule unchanged;
+    anything else -- or ``replay="off"`` -- re-simulates.
     """
     import numpy as np
 
     from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
     from repro.lap.policies import GEMMScheduler
+    from repro.lap.replay import replayed_row
     from repro.lap.runtime import LAPRuntime
     from repro.lap.taskgraph import AlgorithmsByBlocks
 
@@ -585,66 +545,18 @@ def run_lap_runtime(params: Params) -> dict:
                       policy, timing, verify, memory, on_chip_kb,
                       local_store_kb,
                       None if frequencies is None else tuple(frequencies))
+    config = LAPConfig(num_cores=num_cores, nr=nr,
+                       onchip_memory_mbytes=onchip_mbytes,
+                       frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
     if replay == "auto":
-        cached = _REPLAY_MEMO.get(structural_key)
-        if cached is None:
-            # Cross-process warm path: another worker (or an earlier run)
-            # may have published this schedule to the cache's replay sidecar.
-            cached = _load_replay_from_sidecar(structural_key)
-        if cached is not None:
-            from repro.lap.fastpath import REPLAY_STATS
-            trace, cached_row = cached
-            effective_bw = (None if not memory
-                            else (bandwidth_gbs if bandwidth_gbs is not None
-                                  else trace.default_bandwidth_gbs))
-            new_freq = 1.0 if frequency_ghz is None else frequency_ghz
-            new_homog = (frequencies is None
-                         or all(f == new_freq for f in frequencies))
-            new_epoff = (None if not memory
-                         else (offchip_pj * 1e-12 if offchip_pj is not None
-                               else trace.default_offchip_energy_per_byte_j))
-            if trace.exact_for(effective_bw,
-                               0.0 if stall_overlap is None else stall_overlap,
-                               frequency_ghz=new_freq,
-                               homogeneous_cores=new_homog,
-                               offchip_energy_per_byte_j=new_epoff):
-                REPLAY_STATS["replayed"] += 1
-                freq_delta = (trace.frequency_ghz is not None
-                              and new_freq != trace.frequency_ghz)
-                makespan_ns = (trace.makespan_cycles / new_freq
-                               if freq_delta else None)
-                energy_j = gflops_per_w = None
-                if memory and trace.energy_constants is not None:
-                    epf, epon, epoff = trace.energy_constants
-                    if freq_delta or new_epoff != epoff:
-                        if freq_delta:
-                            # The per-flop and per-on-chip-byte constants
-                            # follow the chip's operating point, so rebuild
-                            # them at the new clock before re-keying.
-                            from repro.lap.memory import TaskEnergyModel
-                            lap2 = LinearAlgebraProcessor(LAPConfig(
-                                num_cores=num_cores, nr=nr,
-                                onchip_memory_mbytes=onchip_mbytes,
-                                frequency_ghz=new_freq))
-                            em = TaskEnergyModel(lap2.config.fmac(),
-                                                 lap2.onchip_memory,
-                                                 lap2.offchip)
-                            epf = em.energy_per_flop_j
-                            epon = em.onchip_energy_per_byte_j
-                        energy_j = trace.rekey_energy_j(epf, epon, new_epoff)
-                        flops = float(cached_row["total_flops"])
-                        gflops_per_w = (flops / energy_j / 1e9
-                                        if energy_j > 0 else 0.0)
-                return _replayed_row(cached_row, stall_overlap, effective_bw,
-                                     memory, frequency_ghz=frequency_ghz,
-                                     offchip_pj_per_byte=offchip_pj,
-                                     makespan_ns=makespan_ns,
-                                     energy_j=energy_j,
-                                     gflops_per_w=gflops_per_w)
-            REPLAY_STATS["forced"] += 1
-    lap = LinearAlgebraProcessor(LAPConfig(
-        num_cores=num_cores, nr=nr, onchip_memory_mbytes=onchip_mbytes,
-        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz))
+        replayed = replayed_row(
+            _recorded_schedule(structural_key), config, memory=memory,
+            bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
+            frequency_ghz=frequency_ghz, offchip_pj_per_byte=offchip_pj,
+            core_frequencies_ghz=frequencies)
+        if replayed is not None:
+            return replayed
+    lap = LinearAlgebraProcessor(config)
     runtime = LAPRuntime(lap, tile, policy=policy, timing=timing,
                          core_frequencies_ghz=frequencies, memory=memory,
                          on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
@@ -728,11 +640,7 @@ def run_lap_runtime(params: Params) -> dict:
                     float(stats["peak_local_resident_bytes"]) / 1024.0),
             })
     if replay == "auto":
-        from repro.lap.fastpath import REPLAY_STATS
-        trace = runtime.schedule_trace()
-        _memoize_replay(structural_key, trace, dict(row))
-        REPLAY_STATS["recorded"] += 1
-        _store_replay_to_sidecar(structural_key, trace, dict(row))
+        _record_schedule(structural_key, runtime.schedule_trace(), row)
     return row
 
 

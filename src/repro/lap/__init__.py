@@ -10,13 +10,18 @@ off-chip memory interface.  This subpackage provides:
   (greedy / critical_path / locality / memory_aware / affinity) plus the
   static panel-blocking :class:`GEMMScheduler` of Figure 4.1 (each core
   owns a row panel of C; panels of B are broadcast to all cores);
-* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: LRU tile
-  residency over the on-chip capacity, spill/refill accounting, bandwidth
-  stalls and per-task energy;
-* :mod:`repro.lap.fastpath` -- the structure-of-arrays residency levels,
-  graph arrays and schedule-replay records the scheduler loop runs on;
+* :mod:`repro.lap.taskgraph` -- the task-graph IR, the algorithms-by-blocks
+  decompositions and the dense graph arrays the scheduler loop runs on;
+* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: the
+  structure-of-arrays LRU tile residency over the on-chip capacity and the
+  per-core local stores, spill/refill accounting, bandwidth stalls and
+  per-task energy;
+* :mod:`repro.lap.timing` -- the functional and memoized timing models;
 * :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
   one event-driven scheduler loop over all of the above;
+* :mod:`repro.lap.replay` -- schedule replay: the recorded
+  :class:`~repro.lap.replay.ScheduleTrace` and the decision that re-keys a
+  recorded row for a delta sweep point instead of re-simulating it;
 * :mod:`repro.lap.offchip` -- traffic accounting for the external memory,
   including the extra blocking layer used when C does not fit on chip.
 """

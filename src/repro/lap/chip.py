@@ -92,6 +92,19 @@ class LAPConfig:
                         frequency_ghz=self.frequency_ghz,
                         pipeline_stages=self.mac_pipeline_stages)
 
+    def onchip_memory(self) -> OnChipMemory:
+        """Derive the shared banked SRAM (one bank per core, at least four)."""
+        return OnChipMemory(
+            capacity_bytes=int(self.onchip_memory_mbytes * 1024 * 1024),
+            banks=max(self.num_cores, 4),
+            word_bytes=self.element_bytes,
+            frequency_ghz=self.frequency_ghz,
+        )
+
+    def offchip(self) -> OffChipInterface:
+        """Derive the off-chip interface at the sustained bandwidth."""
+        return OffChipInterface(bandwidth_gbytes_per_sec=self.offchip_bandwidth_gb_s)
+
     def pe_config(self) -> PEConfig:
         """Derive the simulator PE configuration from the capacities."""
         eb = self.element_bytes
@@ -116,13 +129,8 @@ class LinearAlgebraProcessor:
                                         frequency_ghz=cfg.frequency_ghz))
             for _ in range(cfg.num_cores)
         ]
-        self.onchip_memory = OnChipMemory(
-            capacity_bytes=int(cfg.onchip_memory_mbytes * 1024 * 1024),
-            banks=max(cfg.num_cores, 4),
-            word_bytes=cfg.element_bytes,
-            frequency_ghz=cfg.frequency_ghz,
-        )
-        self.offchip = OffChipInterface(bandwidth_gbytes_per_sec=cfg.offchip_bandwidth_gb_s)
+        self.onchip_memory = cfg.onchip_memory()
+        self.offchip = cfg.offchip()
         self.scheduler = GEMMScheduler(cfg.num_cores, cfg.nr)
         self.analytical = ChipGEMMModel(num_cores=cfg.num_cores, nr=cfg.nr,
                                         element_bytes=cfg.element_bytes)

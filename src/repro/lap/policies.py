@@ -139,20 +139,19 @@ class MemoryAware(LocalityAware):
     name = "memory_aware"
 
     def bulk_priorities(self, arrays, memory, indices: Sequence[int],
-                        ready_times: Sequence,
-                        assigned_cores=None):
+                        ready_times: Sequence):
         """Priority keys of many candidate tasks at once.
 
-        ``arrays`` is the graph's :class:`repro.lap.fastpath.GraphArrays`,
+        ``arrays`` is the graph's :class:`repro.lap.taskgraph.GraphArrays`,
         ``memory`` the schedule's :class:`repro.lap.memory.MemoryHierarchy`,
-        ``indices`` graph positions (not task ids), ``ready_times`` the
-        per-candidate ready times (entering the key tuples unchanged), and
-        ``assigned_cores`` the per-candidate local-store index of the
-        two-level tie-break term (``None`` = core 0 for every candidate,
-        the owner before any task wrote the output tile).  Footprints are
-        gathered into one flat CSR batch and scored by the residency
-        classes' batch kernels; the keys are plain Python ints, equal to
-        the per-task keys the scheduler loop computes.
+        ``indices`` graph positions (not task ids) and ``ready_times`` the
+        per-candidate ready times (entering the key tuples unchanged).  The
+        two-level tie-break term reads core 0's local store: every output
+        tile's owner before any task wrote it, which is when the scheduler
+        loop scores its initial ready set.  Footprints are gathered into one
+        flat CSR batch and scored by the residency levels' batch kernel; the
+        keys are plain Python ints, equal to the per-task keys the scheduler
+        loop computes.
         """
         if not indices:
             return []
@@ -174,15 +173,7 @@ class MemoryAware(LocalityAware):
         stores = memory.local_stores
         if stores is None:
             return [(int(m), r) for m, r in zip(missing, ready_times)]
-        if assigned_cores is None:
-            local = stores[0].missing_bytes_batch(sub_indptr, flat)
-        else:
-            cores_arr = np.asarray(assigned_cores, dtype=np.int64)
-            local = np.zeros(len(idx), dtype=np.int64)
-            for ci in sorted(set(int(c) for c in cores_arr)):
-                vals = stores[ci].missing_bytes_batch(sub_indptr, flat)
-                mask = cores_arr == ci
-                local[mask] = vals[mask]
+        local = stores[0].missing_bytes_batch(sub_indptr, flat)
         return [(int(m), int(lo), r)
                 for m, lo, r in zip(missing, local, ready_times)]
 

@@ -33,9 +33,9 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
   four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
   optionally with heterogeneous per-core clock frequencies.  Its
   :meth:`LAPRuntime.execute` is the one scheduler loop: an event-driven
-  ready heap over the structure-of-arrays graph and residency state of
-  :mod:`repro.lap.fastpath`, with every policy / timing / memory decision
-  inlined.
+  ready heap over the graph's :class:`~repro.lap.taskgraph.GraphArrays`
+  and the structure-of-arrays residency levels of :mod:`repro.lap.memory`,
+  with every policy / timing / memory decision inlined.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ from repro.kernels.qr import lac_apply_reflectors
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
-from repro.lap.fastpath import ScheduleTrace
 from repro.lap.memory import MemoryHierarchy
 from repro.lap.policies import (AffinityScheduler, CriticalPathPriority,
                                 GreedyEarliestCore, LocalityAware, MemoryAware,
                                 SchedulerPolicy, get_policy, policy_names)
+from repro.lap.replay import ScheduleTrace
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
                                  TaskDescriptor, TaskGraph, TaskKind)
 from repro.lap.timing import (MemoizedTiming, TimingModel, core_config_key,
@@ -214,8 +214,8 @@ class LAPRuntime:
         sweeps across it replay recorded schedules exactly.
     local_store_kb:
         Per-core local-store budget in KiB; enables the two-level hierarchy
-        (a per-core :class:`repro.lap.fastpath.FastLocalStore` above the
-        shared residency).  ``None`` (default) keeps the single-level model, whose
+        (a per-core :class:`repro.lap.memory.LocalStore` above the shared
+        residency).  ``None`` (default) keeps the single-level model, whose
         schedules and traffic are byte-identical to the pre-local-store
         runtime.
     stall_overlap:
@@ -526,7 +526,7 @@ class LAPRuntime:
         scheduling policy and a single accumulation pass over per-core busy
         time -- O(V log V + E) for the static policies.  Every policy, timing
         and memory decision is inlined over the graph's
-        :class:`~repro.lap.fastpath.GraphArrays` (no per-task method
+        :class:`~repro.lap.taskgraph.GraphArrays` (no per-task method
         dispatch), so only the five stock policy classes are accepted.  With
         data-movement accounting enabled every dispatched task also updates
         the tile-residency model (in dispatch order, the serialisation the
@@ -790,7 +790,7 @@ class LAPRuntime:
                 duration = cycles * reference_freq / frequencies[c]
             compute_duration = duration
 
-            # -- data movement: FastTileResidency.touch_ids, inlined ------------
+            # -- data movement: TileResidency.touch_ids, inlined ----------------
             if has_mem:
                 foot = foot_ids[i]
                 pin_floor = res_clock
@@ -1052,45 +1052,41 @@ class LAPRuntime:
     def schedule_trace(self) -> ScheduleTrace:
         """Replayable record of the most recent ``execute()`` call.
 
-        Captures the dispatch outcome plus the movement totals that decide
+        Captures the movement totals, clock and energy constants that decide
         when a sweep point differing only in bandwidth / prefetch-overlap /
         chip-clock / off-chip-energy constants can reuse this schedule
-        exactly instead of re-simulating (see
-        :class:`repro.lap.fastpath.ScheduleTrace` and the ``lap_runtime``
-        runner's schedule replay).  With memory accounting on, the trace
-        also carries a lazy thunk producing per-task ``(flops,
-        onchip_bytes, offchip_bytes)`` energy triples, so energy-constant
-        deltas re-key the energy column per task instead of re-simulating;
-        the triples derive from the execution rows plus the graph's
-        footprint arrays.
+        exactly instead of re-simulating (see :mod:`repro.lap.replay`).
+        With memory accounting on, the trace also gets a callable deriving
+        the per-task ``(flops, onchip_bytes, offchip_bytes)`` energy triples
+        from the loop's raw execution rows and the graph's footprint
+        arrays; recording itself materialises no :class:`TaskExecution`
+        and builds no per-task list.
         """
         memory = self.last_memory
-        rows = self.executions
         energy_constants = None
         flush_wb = 0.0
-        triples_thunk = None
+        triples = None
         if memory is not None:
             energy = memory.energy
             energy_constants = (energy.energy_per_flop_j,
                                 energy.onchip_energy_per_byte_j,
                                 energy.offchip_energy_per_byte_j)
             flush_wb = memory.flush_writeback_bytes
+            rows = self._exec_rows
             arrays = self._last_graph.fast_arrays()
             tile = self.tile
             tile_bytes = memory.residency.tile_bytes
 
-            def triples_thunk(rows=rows, arrays=arrays, tile=tile,
-                              tile_bytes=tile_bytes):
+            def triples():
+                # Rows hold TaskExecution's fields in order: [0] task_id,
+                # [1] kind, [6] refill, [12] transfer, [13] writeback bytes.
                 id2idx = arrays.id2idx
                 rw_len = arrays.rw_len
-                return [(_TASK_FLOPS[e.kind](tile),
-                         rw_len[id2idx[e.task_id]] * tile_bytes
-                         + e.transfer_bytes,
-                         e.refill_bytes + e.writeback_bytes)
-                        for e in rows]
+                return [(_TASK_FLOPS[row[1]](tile),
+                         rw_len[id2idx[row[0]]] * tile_bytes + row[12],
+                         row[6] + row[13])
+                        for row in rows]
         return ScheduleTrace(
-            policy=self.policy.name,
-            timing=self.timing.name,
             stall_overlap=self.stall_overlap,
             effective_bandwidth_gbs=(
                 memory.bandwidth.interface.bandwidth_gbytes_per_sec
@@ -1101,10 +1097,6 @@ class LAPRuntime:
             total_movement_cycles=(
                 memory.total_stall_cycles + memory.local_transfer_cycles
                 if memory is not None else 0.0),
-            task_ids=[e.task_id for e in rows],
-            cores=[e.core_index for e in rows],
-            starts=[e.start_cycle for e in rows],
-            ends=[e.end_cycle for e in rows],
             makespan_cycles=self.last_makespan,
             frequency_ghz=self.lap.config.frequency_ghz,
             homogeneous_cores=self._homogeneous,
@@ -1112,7 +1104,7 @@ class LAPRuntime:
             default_offchip_energy_per_byte_j=(
                 self.lap.offchip.energy_per_byte_j),
             flush_writeback_bytes=flush_wb,
-            energy_triples_thunk=triples_thunk)
+            energy_triples=triples)
 
     # ------------------------------------------------------- whole problems
     def _execute_shape_only(self, graph: TaskGraph, n: int,

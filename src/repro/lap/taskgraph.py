@@ -11,6 +11,8 @@ that layer:
 * :class:`TaskGraph` -- an immutable dependency graph over task descriptors
   with the analytics a scheduler needs (critical path, width, per-kind
   counts, topological levels);
+* :class:`GraphArrays` -- the dense per-position arrays (successors,
+  interned footprints, memoization groups) the scheduler loop runs on;
 * :class:`AlgorithmsByBlocks` -- the host-library decomposition of GEMM,
   Cholesky, LU (no pivoting across tiles) and tiled Householder QR into
   dependency-ordered tile graphs.
@@ -34,6 +36,10 @@ import collections.abc
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.lap.memory import TileInterner
 
 
 class TaskKind(enum.Enum):
@@ -306,14 +312,13 @@ class TaskGraph(collections.abc.Sequence):
         lengths = self.critical_path_lengths(weight)
         return max(lengths.values(), default=0.0)
 
-    def fast_arrays(self):
+    def fast_arrays(self) -> "GraphArrays":
         """Dense array form of the graph for the scheduler loop.
 
         Built on first use and cached (the graph is immutable); see
-        :class:`repro.lap.fastpath.GraphArrays`.
+        :class:`GraphArrays`.
         """
         if self._fast_arrays is None:
-            from repro.lap.fastpath import GraphArrays
             self._fast_arrays = GraphArrays(self)
         return self._fast_arrays
 
@@ -354,6 +359,108 @@ class TaskGraph(collections.abc.Sequence):
         out = dict(self._summary)
         out["kind_counts"] = dict(out["kind_counts"])
         return out
+
+
+class GraphArrays:
+    """Dense per-index arrays of one :class:`TaskGraph` for the scheduler loop.
+
+    Task ids are *not* assumed 0-based or contiguous (the builders share one
+    id counter across graphs), so everything is indexed by graph position
+    with ``ids`` / ``id2idx`` translating.  The successor lists and
+    indegrees are plain Python lists, which is what the scalar hot loop
+    indexes; the interned footprints also come in CSR numpy form
+    (``foot_indptr`` / ``foot_indices``) for the bulk priority kernels.
+    Built once per graph and cached on it (:meth:`TaskGraph.fast_arrays`),
+    so the loop inlines every policy / timing / memory decision without
+    per-task method dispatch.
+    """
+
+    def __init__(self, graph: TaskGraph):
+        tasks = list(graph)
+        n = len(tasks)
+        self.tasks = tasks
+        self.interner = TileInterner()
+        intern = self.interner.intern
+        self.ids = [task.task_id for task in tasks]
+        self.id2idx = {tid: i for i, tid in enumerate(self.ids)}
+        id2idx = self.id2idx
+        self.indegree0 = [len(set(task.depends_on)) for task in tasks]
+        succ: List[List[int]] = [[] for _ in range(n)]
+        for i, task in enumerate(tasks):
+            for dep in set(task.depends_on):
+                succ[id2idx[dep]].append(i)
+        # Successor lists are built by ascending task index, so each list is
+        # already sorted; the hot loop only needs a deterministic order.
+        self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
+        # Interned footprints: foot_ids is the deduplicated reads+writes
+        # order the residency model consumes; rw_len is the raw (non-dedup)
+        # operand count the on-chip energy term charges.
+        self.foot_ids: List[Tuple[int, ...]] = []
+        self.write_ids: List[Tuple[int, ...]] = []
+        self.rw_len: List[int] = []
+        coords: Dict[Tuple[int, int], int] = {}
+        self.out_id: List[int] = []
+        self.kinds = [task.kind for task in tasks]
+        # Dense kind codes: the loop resolves per-task flops by a list index
+        # instead of hashing a TaskKind enum a million times.
+        kind_of: Dict = {}
+        self.kind_code: List[int] = []
+        for k in self.kinds:
+            code = kind_of.get(k)
+            if code is None:
+                code = len(kind_of)
+                kind_of[k] = code
+            self.kind_code.append(code)
+        self.kind_table = list(kind_of)
+        group_of: Dict[Tuple, int] = {}
+        self.group: List[int] = []
+        #: Position of each memoization group's first task.
+        self.group_first: List[int] = []
+        for i, task in enumerate(tasks):
+            reads = task.read_tiles()
+            writes = task.write_tiles()
+            foot: List[int] = []
+            for access in reads + writes:
+                tid = intern(access)
+                if tid not in foot:
+                    foot.append(tid)
+            self.foot_ids.append(tuple(foot))
+            self.write_ids.append(tuple(intern(access) for access in writes))
+            self.rw_len.append(len(reads) + len(writes))
+            out = task.output
+            oid = coords.get(out)
+            if oid is None:
+                oid = len(coords)
+                coords[out] = oid
+            self.out_id.append(oid)
+            gkey = (task.kind, task.alpha == 1.0, bool(task.transpose_b))
+            gid = group_of.get(gkey)
+            if gid is None:
+                gid = len(group_of)
+                group_of[gkey] = gid
+                self.group_first.append(i)
+            self.group.append(gid)
+        self.num_groups = len(group_of)
+        self.num_out_coords = len(coords)
+        # CSR form of the interned footprints, for the numpy-bulk priority
+        # kernel (missing bytes of many ready candidates in one call -- see
+        # ``missing_bytes_batch`` on the residency levels).
+        self.foot_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(foot) for foot in self.foot_ids],
+                  out=self.foot_indptr[1:])
+        self.foot_indices = np.fromiter(
+            (tid for foot in self.foot_ids for tid in foot), dtype=np.int64,
+            count=int(self.foot_indptr[-1]))
+        # Tasks per memoization group: lets the loop reconcile the
+        # timing model's hit counters in one bulk call per group instead of
+        # incrementing a counter per task.
+        self.group_counts = [0] * self.num_groups
+        for gid in self.group:
+            self.group_counts[gid] += 1
+        # Negated critical-path ranks per graph position (a pure graph
+        # property under unit weights); built lazily on the first
+        # critical_path execute and reused across sweep points.
+        self._negrank: Optional[List[float]] = None
 
 
 #: Process-wide cache of built task graphs (FIFO-bounded).  Large sweeps

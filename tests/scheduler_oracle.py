@@ -4,8 +4,9 @@
 module keeps a plain implementation of the same model for the tests to
 compare against:
 
-* :class:`TileResidency` / :class:`LocalStore` -- ``OrderedDict`` LRUs over
-  tile names (the oracles of ``FastTileResidency`` / ``FastLocalStore``);
+* :class:`OracleTileResidency` / :class:`OracleLocalStore` --
+  ``OrderedDict`` LRUs over tile names (the oracles of the product's
+  ``TileResidency`` / ``LocalStore`` in :mod:`repro.lap.memory`);
 * :class:`OracleHierarchy` -- a :class:`MemoryHierarchy` over those levels
   whose :meth:`OracleHierarchy.account` returns one
   :class:`TaskMemoryEvent` per dispatched task;
@@ -15,15 +16,15 @@ compare against:
   tracer calls made inside the loop.
 
 :func:`reference_execute` leaves its results on the runtime it is given
-(``executions``, ``last_memory``, ``last_makespan``), so ``attribution()``
-and ``schedule_trace()`` work on them, and it has the signature of
-``LAPRuntime.execute``, so a test can patch it in to produce oracle rows
-through the ``lap_runtime`` runner.
+(``executions`` and their raw rows, ``last_memory``, ``last_makespan``), so
+``attribution()`` and ``schedule_trace()`` work on them, and it has the
+signature of ``LAPRuntime.execute``, so a test can patch it in to produce
+oracle rows through the ``lap_runtime`` runner.
 """
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Tuple
 
 from repro.lap.memory import MemoryHierarchy
@@ -71,7 +72,7 @@ class TaskMemoryEvent:
         return {name: value for name, value in fields.items() if value}
 
 
-class TileResidency:
+class OracleTileResidency:
     """LRU working set of tile names over an on-chip capacity.
 
     A task's footprint is pinned while it is brought resident, so one
@@ -155,7 +156,7 @@ class TileResidency:
         return writeback
 
 
-class LocalStore:
+class OracleLocalStore:
     """Per-core LRU of tile names (write-through, footprint pinned)."""
 
     def __init__(self, capacity_bytes, tile_bytes):
@@ -215,11 +216,11 @@ class OracleHierarchy(MemoryHierarchy):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         tile_bytes = self.residency.tile_bytes
-        self.residency = TileResidency(self.residency.capacity_bytes,
-                                       tile_bytes)
+        self.residency = OracleTileResidency(self.residency.capacity_bytes,
+                                             tile_bytes)
         if self.local_stores is not None:
             self.local_stores = [
-                LocalStore(self.local_store_kb * 1024, tile_bytes)
+                OracleLocalStore(self.local_store_kb * 1024, tile_bytes)
                 for _ in range(self.num_cores)]
         self.events: List[TaskMemoryEvent] = []
         self._local_version = 0
@@ -455,7 +456,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
 
     makespan = max(core_free_at) if core_free_at else 0
     runtime._executions = executions
-    runtime._exec_rows = None
+    runtime._exec_rows = [astuple(e) for e in executions]
     runtime._last_graph = graph
     runtime.last_memory = memory
     runtime.last_makespan = float(makespan)

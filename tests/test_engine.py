@@ -757,7 +757,7 @@ class TestReplaySidecar:
         process (cleared memo) through the cache's replay sidecar, with
         zero scheduler loops (nothing newly recorded) and identical rows."""
         from repro.engine.runners import _REPLAY_MEMO, configure_worker
-        from repro.lap.fastpath import REPLAY_STATS
+        from repro.lap.replay import REPLAY_STATS
 
         cache = ResultCache(tmp_path, code_version="v1")
         try:
@@ -831,7 +831,7 @@ class TestReplaySidecar:
         version), so new runner code never replays stale schedules; the
         re-simulation republishes under the new fingerprint."""
         from repro.engine.runners import _REPLAY_MEMO, configure_worker
-        from repro.lap.fastpath import REPLAY_STATS
+        from repro.lap.replay import REPLAY_STATS
 
         try:
             old = ResultCache(tmp_path, code_version="fp-old")

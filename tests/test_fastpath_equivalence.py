@@ -11,13 +11,13 @@ silently fork.  This suite pins that contract:
 * the full matrix of all four algorithms-by-blocks workloads x all five
   scheduling policies x {single-level, two-level} hierarchies under
   constrained capacity (spills, stalls and writebacks exercised);
-* the SoA batch kernels (CSR ``missing_bytes`` / resident-footprint
-  scoring) against their scalar forms on random residency states;
+* the SoA batch kernel (CSR ``missing_bytes`` scoring) against its
+  scalar form on random residency states;
 * verify=True (numerically exact tiles) and heterogeneous-frequency /
   prefetch-overlap / memory-off / functional-timing variants;
 * the ``lap_runtime`` runner rows against the oracle's rows and the
   committed PR-4/PR-5 goldens, and replayed delta-sweep rows against
-  re-simulation.
+  re-simulation, plus the strict sidecar header of the replay record.
 """
 
 import dataclasses
@@ -97,10 +97,6 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     assert ref_att.as_dict() == fast_att.as_dict()
     fast_att.check()
     ref_trace, fast_trace = ref_rt.schedule_trace(), fast_rt.schedule_trace()
-    assert ref_trace.task_ids == fast_trace.task_ids
-    assert ref_trace.cores == fast_trace.cores
-    assert ref_trace.starts == fast_trace.starts
-    assert ref_trace.ends == fast_trace.ends
     assert ref_trace.total_spill_bytes == fast_trace.total_spill_bytes
     assert ref_trace.total_movement_cycles == fast_trace.total_movement_cycles
     assert ref_trace.makespan_cycles == fast_trace.makespan_cycles
@@ -300,10 +296,10 @@ def _csr_batch(foots, interner, ntiles):
 @given(residency_cases())
 @settings(max_examples=60, deadline=None)
 def test_residency_missing_bytes_batch_matches_scalar(case):
-    from repro.lap.fastpath import FastTileResidency
+    from repro.lap.memory import TileResidency
 
     ntiles, touches, foots, cap = case
-    res = FastTileResidency(cap * TILE_BYTES, TILE_BYTES)
+    res = TileResidency(cap * TILE_BYTES, TILE_BYTES)
     for foot in touches:
         res.touch(_tile_names(foot), [])
     indptr, indices = _csr_batch(foots, res._interner, ntiles)
@@ -315,22 +311,16 @@ def test_residency_missing_bytes_batch_matches_scalar(case):
 @given(residency_cases())
 @settings(max_examples=60, deadline=None)
 def test_local_store_batch_kernels_match_scalar(case):
-    from repro.lap.fastpath import FastLocalStore
+    from repro.lap.memory import LocalStore
 
     ntiles, touches, foots, cap = case
-    store = FastLocalStore(cap * TILE_BYTES, TILE_BYTES)
+    store = LocalStore(cap * TILE_BYTES, TILE_BYTES)
     for foot in touches:
         store.touch(_tile_names(foot))
     indptr, indices = _csr_batch(foots, store._interner, ntiles)
     missing = store.missing_bytes_batch(indptr, indices)
-    held = store.resident_footprint_bytes_batch(indptr, indices)
     assert missing.tolist() == [store.missing_bytes(_tile_names(f))
                                 for f in foots]
-    assert held.tolist() == [store.resident_footprint_bytes(_tile_names(f))
-                             for f in foots]
-    # Complementarity on duplicate-free footprints.
-    assert all(m + h == len(f) * TILE_BYTES
-               for m, h, f in zip(missing, held, foots))
 
 
 def test_bulk_priorities_match_scalar_keys():
@@ -358,43 +348,72 @@ def test_bulk_priorities_match_scalar_keys():
 
 
 # ----------------------------------------------------------------- replay
+def _trace_header(**overrides):
+    """Every header field of a `ScheduleTrace`, with overrides."""
+    header = dict(stall_overlap=0.0, effective_bandwidth_gbs=16.0,
+                  default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
+                  total_movement_cycles=0.0, makespan_cycles=100.0,
+                  frequency_ghz=1.0, homogeneous_cores=True,
+                  energy_constants=None,
+                  default_offchip_energy_per_byte_j=60e-12,
+                  flush_writeback_bytes=0.0)
+    header.update(overrides)
+    return header
+
+
 def test_schedule_trace_payload_roundtrip():
     """The sidecar header round-trips everything `exact_for` depends on."""
     import json
 
-    from repro.lap.fastpath import ScheduleTrace
+    from repro.lap.replay import ScheduleTrace
 
-    trace = ScheduleTrace(policy="greedy", timing="memoized",
-                          stall_overlap=0.25, effective_bandwidth_gbs=12.5,
-                          default_bandwidth_gbs=16.0,
-                          total_spill_bytes=4096.0,
-                          total_movement_cycles=0.0,
-                          task_ids=[1, 2, 3], cores=[0, 1, 0],
-                          starts=[0.0, 1.0, 2.0], ends=[1.0, 2.0, 3.0])
+    trace = ScheduleTrace(**_trace_header(stall_overlap=0.25,
+                                          effective_bandwidth_gbs=12.5,
+                                          total_spill_bytes=4096.0))
     payload = json.loads(json.dumps(trace.to_payload()))  # disk round-trip
     loaded = ScheduleTrace.from_payload(payload)
-    assert len(loaded) == len(trace) == 3
+    assert loaded.to_payload() == trace.to_payload()
     for bandwidth in (None, 12.5, 64.0):
         for overlap in (0.25, 0.75):
-            assert (loaded.exact_for(bandwidth, overlap)
-                    == trace.exact_for(bandwidth, overlap))
+            assert (loaded.exact_for(bandwidth, overlap, 1.0, True, None)
+                    == trace.exact_for(bandwidth, overlap, 1.0, True, None))
     # None bandwidth (memory accounting disabled) survives the round trip.
-    nomem = ScheduleTrace(policy="greedy", timing="functional",
-                          stall_overlap=0.0, effective_bandwidth_gbs=None,
-                          default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
-                          total_movement_cycles=0.0, task_ids=[], cores=[],
-                          starts=[], ends=[])
+    nomem = ScheduleTrace(**_trace_header(effective_bandwidth_gbs=None))
     again = ScheduleTrace.from_payload(
         json.loads(json.dumps(nomem.to_payload())))
     assert again.effective_bandwidth_gbs is None
-    assert again.exact_for(32.0, 0.0)
+    assert again.exact_for(32.0, 0.0, 1.0, True, None)
+
+
+def test_schedule_trace_leaves_executions_unmaterialised():
+    """Recording reads the loop's raw execution rows: neither
+    `schedule_trace()` nor an energy re-key builds the runtime's
+    `TaskExecution` records, and the triples still cover every task."""
+    runtime = make_runtime(policy="memory_aware", local_store_kb=1.0)
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+    stats = runtime.execute(graph, make_tiles(), verify=False)
+    trace = runtime.schedule_trace()
+    assert runtime._executions is None
+    assert trace.rekey_energy_j(*trace.energy_constants) == stats["energy_j"]
+    assert runtime._executions is None
+    assert len(trace.energy_triples()) == len(runtime.executions) == len(graph)
+
+
+def test_fastpath_reexports_the_replay_objects():
+    """`perfbench/` binds `repro.lap.fastpath.ScheduleTrace` and
+    `REPLAY_STATS` by name: they must be the product's replay objects, or
+    the benchmark's replay spans and counts miss every product replay."""
+    from repro.lap import fastpath, replay
+
+    assert fastpath.ScheduleTrace is replay.ScheduleTrace
+    assert fastpath.REPLAY_STATS is replay.REPLAY_STATS
 
 
 def test_replay_delta_rows_equal_resimulation():
     """A bandwidth/overlap delta point replayed from a recorded schedule is
     byte-identical to re-simulating it, and replay refuses (re-simulates)
     when spills make the delta schedule-visible."""
-    from repro.lap.fastpath import REPLAY_STATS
+    from repro.lap.replay import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
@@ -423,7 +442,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
     schedule are byte-identical (keys, order, values, types) to
     re-simulating them, across non-greedy policies and both hierarchies --
     including the re-keyed makespan_ns / energy_j / gflops_per_w columns."""
-    from repro.lap.fastpath import REPLAY_STATS
+    from repro.lap.replay import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
     for policy, local_store_kb in (("memory_aware", None), ("affinity", 1.0)):
@@ -450,7 +469,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
 def test_frequency_replay_rejections_force_resimulation():
     """Heterogeneous clocks and spill-coupled stalls both disqualify the
     frequency axis; the forced re-simulation still matches replay='off'."""
-    from repro.lap.fastpath import REPLAY_STATS
+    from repro.lap.replay import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
@@ -475,49 +494,44 @@ def test_frequency_replay_rejections_force_resimulation():
 def test_exact_for_energy_and_frequency_gates():
     """`exact_for` widens only with full provenance: an energy-constant
     delta needs the recorded constants plus per-task triples, a frequency
-    delta a known homogeneous recorded clock; header-only round trips
-    (which drop the triples) reject every re-keying delta."""
-    from repro.lap.fastpath import ScheduleTrace
+    delta a homogeneous recorded clock; header-only round trips (which drop
+    the triples) reject every re-keying delta, and a header missing any
+    field does not load at all."""
+    from repro.lap.replay import ScheduleTrace
 
-    kw = dict(policy="greedy", timing="memoized", stall_overlap=0.0,
-              effective_bandwidth_gbs=16.0, default_bandwidth_gbs=16.0,
-              total_spill_bytes=0.0, total_movement_cycles=0.0,
-              task_ids=[1], cores=[0], starts=[0.0], ends=[1.0])
     triples = [(10.0, 100.0, 50.0)]
-    full = ScheduleTrace(**kw, makespan_cycles=100.0, frequency_ghz=1.0,
-                         homogeneous_cores=True,
-                         energy_constants=(1e-12, 2e-12, 60e-12),
-                         flush_writeback_bytes=64.0, energy_triples=triples)
+    full = ScheduleTrace(**_trace_header(
+        energy_constants=(1e-12, 2e-12, 60e-12), flush_writeback_bytes=64.0),
+        energy_triples=lambda: triples)
     # Unchanged constants replay without re-keying; a changed off-chip
     # constant or clock is exact only because the triples allow re-keying.
-    assert full.exact_for(16.0, 0.0, frequency_ghz=1.0,
-                          offchip_energy_per_byte_j=60e-12)
-    assert full.exact_for(16.0, 0.0, offchip_energy_per_byte_j=30e-12)
-    assert full.exact_for(16.0, 0.0, frequency_ghz=2.0)
+    assert full.exact_for(16.0, 0.0, 1.0, True, 60e-12)
+    assert full.exact_for(16.0, 0.0, 1.0, True, 30e-12)
+    assert full.exact_for(16.0, 0.0, 2.0, True, None)
     assert full.rekey_energy_j(2e-12, 1e-12, 30e-12) == (
         (10.0 * 2e-12 + 100.0 * 1e-12) + 50.0 * 30e-12 + 64.0 * 30e-12)
     # Heterogeneity on either side rejects the frequency axis.
-    assert not full.exact_for(16.0, 0.0, frequency_ghz=2.0,
-                              homogeneous_cores=False)
-    het = ScheduleTrace(**kw, frequency_ghz=1.0, homogeneous_cores=False,
-                        energy_constants=(1e-12, 2e-12, 60e-12),
-                        energy_triples=triples)
-    assert not het.exact_for(16.0, 0.0, frequency_ghz=2.0)
+    assert not full.exact_for(16.0, 0.0, 2.0, False, None)
+    het = ScheduleTrace(**_trace_header(
+        homogeneous_cores=False, energy_constants=(1e-12, 2e-12, 60e-12)),
+        energy_triples=lambda: triples)
+    assert not het.exact_for(16.0, 0.0, 2.0, True, None)
     # The sidecar header drops the triples: the same deltas now reject,
     # re-keying raises, and the unchanged point still replays.
     header = ScheduleTrace.from_payload(full.to_payload())
     assert not header.has_energy_triples
-    assert header.exact_for(16.0, 0.0, frequency_ghz=1.0,
-                            offchip_energy_per_byte_j=60e-12)
-    assert not header.exact_for(16.0, 0.0, offchip_energy_per_byte_j=30e-12)
-    assert not header.exact_for(16.0, 0.0, frequency_ghz=2.0)
+    assert header.exact_for(16.0, 0.0, 1.0, True, 60e-12)
+    assert not header.exact_for(16.0, 0.0, 1.0, True, 30e-12)
+    assert not header.exact_for(16.0, 0.0, 2.0, True, None)
     with pytest.raises(ValueError):
         header.rekey_energy_j(1e-12, 2e-12, 60e-12)
     # No recorded constants at all: any energy check rejects outright.
-    bare = ScheduleTrace(**kw)
-    assert not bare.exact_for(16.0, 0.0, offchip_energy_per_byte_j=60e-12)
-    # An unknown recorded clock (legacy payload) rejects the axis.
-    legacy_payload = {k: v for k, v in full.to_payload().items()
-                      if k != "frequency_ghz"}
-    legacy = ScheduleTrace.from_payload(legacy_payload)
-    assert not legacy.exact_for(16.0, 0.0, frequency_ghz=2.0)
+    bare = ScheduleTrace(**_trace_header())
+    assert not bare.exact_for(16.0, 0.0, 1.0, True, 60e-12)
+    # A sidecar record missing any field raises in from_payload, which the
+    # sidecar loader treats as a miss: the point re-simulates.
+    payload = full.to_payload()
+    for field in payload:
+        with pytest.raises(KeyError):
+            ScheduleTrace.from_payload(
+                {k: v for k, v in payload.items() if k != field})

@@ -23,8 +23,8 @@ from scheduler_oracle import OracleHierarchy
 from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.fastpath import FastLocalStore, FastTileResidency
-from repro.lap.memory import BandwidthModel, MemoryHierarchy, gemm_stream_traffic
+from repro.lap.memory import (BandwidthModel, LocalStore, MemoryHierarchy,
+                              TileResidency, gemm_stream_traffic)
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
@@ -88,12 +88,12 @@ class TestTaskFootprints:
 class TestTileResidency:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FastTileResidency(0, 512)
+            TileResidency(0, 512)
         with pytest.raises(ValueError):
-            FastTileResidency(1024, 0)
+            TileResidency(1024, 0)
 
     def test_cold_misses_are_compulsory_once(self):
-        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
         refill, compulsory, spill, wb = res.touch([("A", (0, 0)), ("A", (0, 1))], [])
         assert (refill, compulsory, spill, wb) == (1024, 1024, 0, 0)
         # Re-touching resident tiles moves no bytes.
@@ -101,7 +101,7 @@ class TestTileResidency:
         assert (refill, compulsory, spill, wb) == (0, 0, 0, 0)
 
     def test_capacity_eviction_and_spill_refill(self):
-        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)  # 2 tiles
+        res = TileResidency(capacity_bytes=1024, tile_bytes=512)  # 2 tiles
         res.touch([("A", (0, 0)), ("A", (0, 1))], [])
         res.touch([("A", (0, 2))], [])          # evicts LRU (0, 0), clean
         assert not res.is_resident(("A", (0, 0)))
@@ -110,7 +110,7 @@ class TestTileResidency:
         assert res.resident_bytes <= 1024
 
     def test_dirty_eviction_writes_back(self):
-        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)
+        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
         res.touch([], [("A", (0, 0))])           # dirty
         res.touch([("A", (0, 1))], [])
         _, _, _, wb = res.touch([("A", (0, 2))], [])  # evicts dirty (0, 0)
@@ -118,7 +118,7 @@ class TestTileResidency:
 
     def test_footprint_is_pinned_against_itself(self):
         """One task's tiles never evict each other, even above capacity."""
-        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)
+        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
         refill, compulsory, spill, wb = res.touch(
             [("A", (0, 0)), ("A", (0, 1)), ("A", (0, 2))], [])
         assert compulsory == 3 * 512 and spill == 0
@@ -126,7 +126,7 @@ class TestTileResidency:
         assert res.peak_resident_bytes == 3 * 512
 
     def test_missing_bytes_and_flush(self):
-        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
         res.touch([("A", (0, 0))], [("A", (0, 1))])
         assert res.missing_bytes([("A", (0, 0)), ("A", (9, 9))]) == 512
         assert res.flush() == 512                # one dirty tile
@@ -184,8 +184,8 @@ class TestOffChipShim:
         streamed traffic exactly (every operand crosses the boundary once)."""
         n, tile, eb = 32, 8, 8
         graph = AlgorithmsByBlocks(tile=tile).gemm_tasks(n, n, n)
-        res = FastTileResidency(capacity_bytes=float("1e9"),
-                                tile_bytes=tile * tile * eb)
+        res = TileResidency(capacity_bytes=float("1e9"),
+                            tile_bytes=tile * tile * eb)
         refill = writeback = 0.0
         for task in graph:
             r, _, _, wb = res.touch(task.read_tiles(), task.write_tiles())
@@ -290,7 +290,7 @@ class TestRuntimeDataMovement:
             make_runtime(stall_overlap=1.5)
 
     def test_resident_touches_do_not_bump_residency_version(self):
-        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
         res.touch([("A", (0, 0))], [])
         version = res.version
         res.touch([("A", (0, 0))], [])           # fully resident: no-op
@@ -424,12 +424,12 @@ def test_lap_runtime_rows_match_memory_golden():
 class TestLocalStore:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FastLocalStore(0, 512)
+            LocalStore(0, 512)
         with pytest.raises(ValueError):
-            FastLocalStore(1024, 0)
+            LocalStore(1024, 0)
 
     def test_fill_hit_and_invalidate(self):
-        store = FastLocalStore(capacity_bytes=2 * 512, tile_bytes=512)
+        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
         assert store.touch([("A", (0, 0))]) == 512          # cold fill
         assert store.touch([("A", (0, 0))]) == 0            # hit
         assert store.resident_footprint_bytes([("A", (0, 0))]) == 512
@@ -439,7 +439,7 @@ class TestLocalStore:
         assert store.touch([("A", (0, 0))]) == 512          # re-fill
 
     def test_lru_eviction_and_pinning(self):
-        store = FastLocalStore(capacity_bytes=2 * 512, tile_bytes=512)
+        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
         store.touch([("A", (0, 0)), ("A", (0, 1))])
         store.touch([("A", (0, 2))])                        # evicts (0, 0)
         assert not store.is_resident(("A", (0, 0)))

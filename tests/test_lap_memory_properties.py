@@ -2,8 +2,8 @@
 
 Hypothesis drives randomly generated tile-access sequences (and whole task
 graphs) through the residency levels the runtime uses
-(:class:`repro.lap.fastpath.FastTileResidency`,
-:class:`repro.lap.fastpath.FastLocalStore`), through the oracle hierarchy of
+(:class:`repro.lap.memory.TileResidency`,
+:class:`repro.lap.memory.LocalStore`), through the oracle hierarchy of
 ``scheduler_oracle`` (per-task accounting in an arbitrary dispatch order)
 and through the runtime, and checks the invariants the analytical layers
 above rely on:
@@ -28,10 +28,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scheduler_oracle import LocalStore, OracleHierarchy, TileResidency
+from scheduler_oracle import (OracleHierarchy, OracleLocalStore,
+                              OracleTileResidency)
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.fastpath import FastLocalStore, FastTileResidency
+from repro.lap.memory import LocalStore, TileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
 
@@ -69,8 +70,8 @@ def _footprint(reads, writes):
 def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_tiles):
     """After every touch the shared level holds at most ``capacity`` bytes,
     except when a single pinned footprint transiently overflows it."""
-    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                            tile_bytes=TILE_BYTES)
+    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                        tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         res.touch(reads, writes)
         footprint_bytes = len(_footprint(reads, writes)) * TILE_BYTES
@@ -82,8 +83,8 @@ def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_
 @given(trace=traces, capacity_tiles=capacities)
 def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
     """The per-core level obeys the same capacity bound as the shared one."""
-    store = FastLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                           tile_bytes=TILE_BYTES)
+    store = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                       tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
         store.touch(footprint)
@@ -97,8 +98,8 @@ def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
 def test_refill_splits_exactly_into_compulsory_and_spill(trace, capacity_tiles):
     """Per touch: refill == compulsory + spill, and a tile's first-ever
     fetch is compulsory while every later re-fetch is a spill."""
-    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                            tile_bytes=TILE_BYTES)
+    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                        tile_bytes=TILE_BYTES)
     ever = set()
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
@@ -117,8 +118,8 @@ def test_traffic_conservation_against_total_footprint(trace, capacity_tiles):
     """Whole-trace conservation: total compulsory bytes equal the distinct
     tiles ever touched, and writebacks (evictions + final flush) never
     exceed the times tiles were marked dirty."""
-    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                            tile_bytes=TILE_BYTES)
+    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                        tile_bytes=TILE_BYTES)
     total_compulsory = total_writeback = 0.0
     distinct = set()
     dirty_markings = 0
@@ -145,8 +146,8 @@ def test_lru_eviction_order(data):
     """Filling the shared level and touching one more tile evicts exactly
     the least recently used tile of the current footprint's complement."""
     capacity_tiles = data.draw(st.integers(2, 6))
-    res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                            tile_bytes=TILE_BYTES)
+    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                        tile_bytes=TILE_BYTES)
     tiles = [("A", (i, 0)) for i in range(capacity_tiles)]
     order = data.draw(st.permutations(tiles))
     for access in order:
@@ -211,8 +212,8 @@ def test_larger_shared_level_never_increases_spill_for_fixed_order(data):
     graph = AlgorithmsByBlocks(tile=8).build(algorithm, n)
 
     def spill(capacity_tiles):
-        res = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                                tile_bytes=TILE_BYTES)
+        res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                            tile_bytes=TILE_BYTES)
         total = 0.0
         for task in graph:
             _, _, spill_bytes, _ = res.touch(task.read_tiles(),
@@ -264,10 +265,10 @@ def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
     OrderedDict oracle on random access streams: per-touch traffic
     tuples, eviction victims *in order*, membership, version counter,
     resident/peak bytes, and the final flush."""
-    ref = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
-    fast = FastTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                             tile_bytes=TILE_BYTES)
+    ref = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                              tile_bytes=TILE_BYTES)
+    fast = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                         tile_bytes=TILE_BYTES)
     universe = set()
     for reads, writes in trace:
         universe.update(reads + writes)
@@ -289,12 +290,12 @@ def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
 @given(trace=traces, capacity_tiles=capacities, data=st.data())
 def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
                                                      data):
-    """FastLocalStore mirrors LocalStore under random touch/invalidate
+    """LocalStore mirrors OracleLocalStore under random touch/invalidate
     interleavings (fill bytes, membership, footprint queries, peak)."""
-    ref = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                     tile_bytes=TILE_BYTES)
-    fast = FastLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                          tile_bytes=TILE_BYTES)
+    ref = OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                           tile_bytes=TILE_BYTES)
+    fast = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                      tile_bytes=TILE_BYTES)
     universe = set()
     for reads, writes in trace:
         accesses = reads + writes
