@@ -26,7 +26,6 @@ from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.memory import TileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
-from repro.lap.timing import MemoizedTiming
 
 
 def test_residency_accounting_throughput(benchmark, bench_json):
@@ -119,10 +118,9 @@ def test_local_store_hit_rate_throughput(benchmark, bench_json):
     than greedy dispatch on the same graph."""
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4,
                                            onchip_memory_mbytes=2.0))
-    timing = MemoizedTiming()  # one warm-up per signature for every run
     rates = {}
     for policy in ("greedy", "affinity"):
-        runtime = LAPRuntime(lap, 128, policy=policy, timing=timing,
+        runtime = LAPRuntime(lap, 128, policy=policy, timing="memoized",
                              local_store_kb=512.0)
         stats = runtime.run_blocked_cholesky(1024, np.random.default_rng(0),
                                              verify=False)
@@ -134,7 +132,7 @@ def test_local_store_hit_rate_throughput(benchmark, bench_json):
     block = np.eye(128) * 128
     blocks = {(i, j): block for i in range(32) for j in range(32)}
     tiles = {name: dict(blocks) for name in ("A", "B", "C", "L")}
-    runtime = LAPRuntime(lap, 128, timing=timing, local_store_kb=512.0)
+    runtime = LAPRuntime(lap, 128, timing="memoized", local_store_kb=512.0)
     last = {}
 
     def schedule():
@@ -169,11 +167,10 @@ def test_local_to_shared_capacity_ratio_trend(bench_json):
     ratios = (0.125, 0.25, 0.5, 1.0)
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4,
                                            onchip_memory_mbytes=1.0))
-    timing = MemoizedTiming()
     rows = []
     schedules = set()
     for ratio in ratios:
-        runtime = LAPRuntime(lap, 8, timing=timing, on_chip_kb=shared_kb,
+        runtime = LAPRuntime(lap, 8, timing="memoized", on_chip_kb=shared_kb,
                              local_store_kb=shared_kb * ratio,
                              stall_overlap=1.0)
         stats = runtime.run_blocked_cholesky(48, np.random.default_rng(0),

@@ -79,11 +79,9 @@ from repro.kernels.dispatch import (check_size, fft_point_count, kernel_names,
                                     simulate_kernel)
 from repro.lac import LACConfig, LinearAlgebraCore
 from repro.lap.policies import policy_names
+from repro.lap.taskgraph import AlgorithmsByBlocks
 from repro.lap.timing import timing_names
 from repro.obs.manifest import manifest_path_for, write_run_manifest
-
-#: Workloads the ``trace`` sub-command can decompose and schedule.
-TRACE_WORKLOADS = ("gemm", "cholesky", "lu", "qr")
 
 #: Default on-disk cache location of the ``sweep`` sub-command; override
 #: with ``--cache-dir``, ``REPRO_CACHE_DIR`` or disable with ``--no-cache``.
@@ -563,7 +561,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "workload": {
                 "workload": args.workload, "n": args.n, "tile": args.tile,
                 "num_cores": args.cores, "nr": args.nr,
-                "policy": runtime.policy.name, "timing": runtime.timing.name,
+                "policy": runtime.policy, "timing": runtime.timing.name,
                 "seed": args.seed, "on_chip_kb": args.on_chip_kb,
                 "bandwidth_gbs": args.bandwidth_gbs,
                 "local_store_kb": args.local_store_kb,
@@ -581,7 +579,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
 
     print(f"{args.workload} n={args.n} tile={args.tile} on {args.cores} cores "
-          f"[{runtime.policy.name}/{runtime.timing.name}]: "
+          f"[{runtime.policy}/{runtime.timing.name}]: "
           f"makespan {stats['makespan_cycles']:.0f} cycles, "
           f"parallel efficiency {100 * stats['parallel_efficiency']:.1f}%")
     if stats.get("residual") is not None:
@@ -772,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trc = sub.add_parser("trace",
                            help="export a Chrome trace of one LAP workload")
-    p_trc.add_argument("--workload", choices=TRACE_WORKLOADS, default="cholesky",
+    p_trc.add_argument("--workload", choices=AlgorithmsByBlocks.WORKLOADS,
+                       default="cholesky",
                        help="blocked algorithm to schedule (default: cholesky)")
     p_trc.add_argument("--n", type=int, default=512, help="problem dimension")
     p_trc.add_argument("--tile", type=int, default=64,

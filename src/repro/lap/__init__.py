@@ -6,10 +6,11 @@ off-chip memory interface.  This subpackage provides:
 
 * :mod:`repro.lap.chip` -- the chip object tying cores, on-chip memory and
   the off-chip interface together, with chip-wide cycle/energy accounting;
-* :mod:`repro.lap.policies` -- all scheduling code: the task-graph policies
-  (greedy / critical_path / locality / memory_aware / affinity) plus the
-  static panel-blocking :class:`GEMMScheduler` of Figure 4.1 (each core
-  owns a row panel of C; panels of B are broadcast to all cores);
+* :mod:`repro.lap.policies` -- all scheduling code: the names of the
+  task-graph policies (greedy / critical_path / locality / memory_aware /
+  affinity) plus the static panel-blocking :class:`GEMMScheduler` of
+  Figure 4.1 (each core owns a row panel of C; panels of B are broadcast
+  to all cores);
 * :mod:`repro.lap.taskgraph` -- the task-graph IR, the algorithms-by-blocks
   decompositions and the dense graph arrays the scheduler loop runs on;
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: the
@@ -31,7 +32,7 @@ from repro.lap.offchip import OffChipTrafficModel
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
 from repro.lap.policies import (POLICIES, GEMMScheduler, PanelAssignment,
-                                SchedulerPolicy, get_policy, policy_names)
+                                get_policy, policy_names)
 from repro.lap.memory import BandwidthModel, MemoryHierarchy, TaskEnergyModel
 from repro.lap.timing import (TIMING_MODELS, FunctionalTiming, MemoizedTiming,
                               TimingModel, get_timing_model, timing_names)
@@ -52,7 +53,6 @@ __all__ = [
     "TaskExecution",
     "TaskGraph",
     "TaskKind",
-    "SchedulerPolicy",
     "POLICIES",
     "get_policy",
     "policy_names",

@@ -3,9 +3,9 @@
 The runtime's event-driven loop (:meth:`repro.lap.runtime.LAPRuntime.execute`)
 keeps a heap of *ready* tasks and a per-core availability clock; the policy
 decides two things: the heap priority of a ready task and the core a popped
-task runs on.  The loop implements both decisions inline for the five stock
-policies below, so a policy object names the rule and holds per-graph state
-(:meth:`SchedulerPolicy.prepare`); custom policy classes are rejected.
+task runs on.  A policy is one of the five names in :data:`POLICIES`, and
+the loop implements each inline, branching on the name's index there; an
+unknown name raises ``ValueError``.
 
 ``greedy``
     the original earliest-core list scheduler: tasks are ordered by the
@@ -14,8 +14,10 @@ policies below, so a policy object names the rule and holds per-graph state
     timing this reproduces the pre-refactor monolithic scheduler exactly.
 ``critical_path``
     tasks with the longest downstream dependency chain are popped first
-    (classic HEFT-style upward rank with unit weights); core selection is
-    the same earliest-available rule.
+    (classic HEFT-style upward rank with unit weights, from
+    :meth:`~repro.lap.taskgraph.TaskGraph.critical_path_lengths`): heap key
+    ``(-rank, ready_time)``; core selection is the same earliest-available
+    rule.
 ``locality``
     greedy ordering, but a task prefers the core that last wrote its output
     tile (the tile is already resident in that core's local store), falling
@@ -25,183 +27,42 @@ policies below, so a policy object names the rule and holds per-graph state
     scored by how many bytes of their tile footprint are *not* resident in
     on-chip memory (fewest missing bytes first, i.e. maximal reuse of what
     is already on chip), with the locality core preference on top.  When the
-    two-level hierarchy is enabled the score additionally counts the bytes
-    the *assigned* core's local store would have to fill (the assigned core
-    is the one the locality rule prefers: the owner of the output tile), so
-    the ordering favours work whose data already sits next to its core.
-    The loop re-validates heap priorities lazily when the residency state
-    moved on, so the ordering tracks the simulated working set instead of a
-    stale snapshot.
+    two-level hierarchy is enabled the key is ``(missing_bytes,
+    local_missing_bytes, ready_time)``, where the second term counts the
+    bytes the *assigned* core's local store would have to fill (the core
+    the locality rule prefers: the last writer of the output tile, core 0
+    before anyone wrote it).  Off-chip avoidance stays lexicographically
+    first because a DRAM round trip costs an order of magnitude more than an
+    on-chip transfer.  The loop re-validates heap priorities lazily when the
+    residency state moved on, so the ordering tracks the simulated working
+    set instead of a stale snapshot.  With data-movement accounting
+    disabled the policy degrades to greedy ordering.
 ``affinity``
     the two-level counterpart of ``locality``: ready ordering is inherited
     from ``memory_aware``, and a popped task prefers the core whose local
     store already holds the largest fraction of the task's footprint
     (falling back to the output-tile owner, then the earliest-available
-    core).  Without local stores it degrades to greedy core selection.
+    core).  A core that holds the data wins even when a data-less core is
+    free earlier: re-fetching through the shared level usually costs more
+    than waiting.  Without local stores it degrades to greedy core
+    selection.
 
-Policies are stateless between :meth:`SchedulerPolicy.prepare` calls, so one
-instance can schedule many graphs.
-
-The *static* panel pre-scheduler of the monolithic GEMM path
-(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here, so all
-scheduling code shares one module.
+:func:`bulk_priorities` scores the initial ready set of the memory-keyed
+policies in one numpy pass.  The *static* panel pre-scheduler of the
+monolithic GEMM path (:class:`GEMMScheduler` / :class:`PanelAssignment`)
+also lives here, so all scheduling code shares one module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
-from repro.lap.taskgraph import TaskGraph
+import numpy as np
 
-
-class SchedulerPolicy:
-    """Base policy: greedy ready ordering + earliest-available core."""
-
-    #: Registry name (subclasses override).
-    name = "greedy"
-
-    def prepare(self, graph: TaskGraph) -> None:
-        """Precompute per-graph state (e.g. priorities) before scheduling."""
-
-
-class GreedyEarliestCore(SchedulerPolicy):
-    """The original list scheduler: earliest-ready task, earliest-free core."""
-
-    name = "greedy"
-
-
-class CriticalPathPriority(SchedulerPolicy):
-    """Prioritise tasks with the longest downstream dependency chain.
-
-    Heap key ``(-rank, ready_time)``: longest chain first, and among equal
-    ranks the greedy order.
-    """
-
-    name = "critical_path"
-
-    def __init__(self) -> None:
-        self._rank: Dict[int, float] = {}
-
-    def prepare(self, graph: TaskGraph) -> None:
-        self._rank = graph.critical_path_lengths()
-
-    @property
-    def ranks(self) -> Dict[int, float]:
-        """Critical-path rank per task id (filled by :meth:`prepare`)."""
-        return self._rank
-
-    def negated_rank_array(self, task_ids: Sequence[int]):
-        """Vectorized ``-rank`` per task id, for the scheduler loop.
-
-        One ``np.fromiter`` pass over the prepared rank dict; missing ids
-        score 0.0, and negating after the gather produces the same floats
-        as negating each lookup.
-        """
-        import numpy as np
-
-        get = self._rank.get
-        arr = np.fromiter((get(tid, 0.0) for tid in task_ids),
-                          dtype=np.float64, count=len(task_ids))
-        return np.negative(arr)
-
-
-class LocalityAware(SchedulerPolicy):
-    """Prefer the core already holding a task's output tile.
-
-    Among the cores that can start the task earliest, the one that last
-    wrote the task's output tile wins (its local store already holds the
-    tile, so the host avoids a spill/reload through on-chip memory); a
-    slower owner never delays the start.
-    """
-
-    name = "locality"
-
-
-class MemoryAware(LocalityAware):
-    """Score ready tasks by resident-tile reuse over the on-chip working set.
-
-    Priority key: ``(missing_bytes, local_missing_bytes, ready_time)`` --
-    among ready tasks the one whose tile footprint needs the fewest
-    off-chip fetches right now runs first, so the schedule works resident
-    data to completion before streaming new tiles in.  With per-core local
-    stores enabled, ties on off-chip bytes break by the fill bytes of the
-    *assigned* core's local store -- the core the inherited locality rule
-    prefers (the last writer of the output tile, core 0 before anyone wrote
-    it).  Off-chip avoidance stays lexicographically first because a DRAM
-    round trip costs an order of magnitude more than an on-chip transfer;
-    the local term only refines the order within equal off-chip cost.
-    Without local stores the key is ``(missing_bytes, ready_time)``; with
-    data-movement accounting disabled the policy degrades to greedy
-    ordering.
-    """
-
-    name = "memory_aware"
-
-    def bulk_priorities(self, arrays, memory, indices: Sequence[int],
-                        ready_times: Sequence):
-        """Priority keys of many candidate tasks at once.
-
-        ``arrays`` is the graph's :class:`repro.lap.taskgraph.GraphArrays`,
-        ``memory`` the schedule's :class:`repro.lap.memory.MemoryHierarchy`,
-        ``indices`` graph positions (not task ids) and ``ready_times`` the
-        per-candidate ready times (entering the key tuples unchanged).  The
-        two-level tie-break term reads core 0's local store: every output
-        tile's owner before any task wrote it, which is when the scheduler
-        loop scores its initial ready set.  Footprints are gathered into one
-        flat CSR batch and scored by the residency levels' batch kernel; the
-        keys are plain Python ints, equal to the per-task keys the scheduler
-        loop computes.
-        """
-        if not indices:
-            return []
-        import numpy as np
-
-        idx = np.asarray(indices, dtype=np.int64)
-        indptr = arrays.foot_indptr
-        counts = indptr[idx + 1] - indptr[idx]
-        sub_indptr = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(counts, out=sub_indptr[1:])
-        total = int(sub_indptr[-1])
-        # Gather each candidate's footprint slice: position arithmetic in
-        # numpy, then one fancy index for the payload.
-        offsets = (np.arange(total, dtype=np.int64)
-                   - np.repeat(sub_indptr[:-1], counts)
-                   + np.repeat(indptr[idx], counts))
-        flat = arrays.foot_indices[offsets]
-        missing = memory.residency.missing_bytes_batch(sub_indptr, flat)
-        stores = memory.local_stores
-        if stores is None:
-            return [(int(m), r) for m, r in zip(missing, ready_times)]
-        local = stores[0].missing_bytes_batch(sub_indptr, flat)
-        return [(int(m), int(lo), r)
-                for m, lo, r in zip(missing, local, ready_times)]
-
-
-class AffinityScheduler(MemoryAware):
-    """Send a task to the core whose local store holds the most of its data.
-
-    Ready ordering is inherited from ``memory_aware``; core selection ranks
-    the cores by the footprint bytes their local stores already hold (most
-    resident bytes first), breaking ties by output-tile ownership, earliest
-    availability and index.  A core that holds the data is preferred even
-    when a data-less core is free earlier: re-fetching through the shared
-    level usually costs more than waiting.  Without local stores (or with
-    data-movement accounting disabled) no residency signal exists and the
-    policy falls back to the earliest-available core.
-    """
-
-    name = "affinity"
-
-
-#: Registry of scheduling policies by CLI/runner name.
-POLICIES: Dict[str, type] = {
-    GreedyEarliestCore.name: GreedyEarliestCore,
-    CriticalPathPriority.name: CriticalPathPriority,
-    LocalityAware.name: LocalityAware,
-    MemoryAware.name: MemoryAware,
-    AffinityScheduler.name: AffinityScheduler,
-}
+#: The scheduling policy names, in the order of the codes the scheduler
+#: loop branches on (a policy's code is its index here).
+POLICIES = ("greedy", "critical_path", "locality", "memory_aware", "affinity")
 
 
 def policy_names() -> List[str]:
@@ -209,17 +70,50 @@ def policy_names() -> List[str]:
     return sorted(POLICIES)
 
 
-def get_policy(policy: Union[str, SchedulerPolicy, None]) -> SchedulerPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if policy is None:
-        return GreedyEarliestCore()
-    if isinstance(policy, SchedulerPolicy):
-        return policy
-    try:
-        return POLICIES[str(policy)]()
-    except KeyError:
+def get_policy(policy: str) -> str:
+    """Check a policy name; returns it, or raises ``ValueError``."""
+    if policy not in POLICIES:
         raise ValueError(f"unknown scheduling policy '{policy}'; known "
-                         f"policies: {', '.join(policy_names())}") from None
+                         f"policies: {', '.join(policy_names())}")
+    return policy
+
+
+def bulk_priorities(arrays, memory, indices: Sequence[int],
+                    ready_times: Sequence) -> List[tuple]:
+    """Memory-keyed priority keys of many candidate tasks at once.
+
+    ``arrays`` is the graph's :class:`repro.lap.taskgraph.GraphArrays`,
+    ``memory`` the schedule's :class:`repro.lap.memory.MemoryHierarchy`,
+    ``indices`` graph positions (not task ids) and ``ready_times`` the
+    per-candidate ready times (entering the key tuples unchanged).  The
+    two-level tie-break term reads core 0's local store: every output
+    tile's owner before any task wrote it, which is when the scheduler
+    loop scores its initial ready set.  Footprints are gathered into one
+    flat CSR batch and scored by the residency levels' batch kernel; the
+    keys are plain Python ints, equal to the per-task keys the scheduler
+    loop computes.
+    """
+    if not indices:
+        return []
+    idx = np.asarray(indices, dtype=np.int64)
+    indptr = arrays.foot_indptr
+    counts = indptr[idx + 1] - indptr[idx]
+    sub_indptr = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
+    total = int(sub_indptr[-1])
+    # Gather each candidate's footprint slice: position arithmetic in
+    # numpy, then one fancy index for the payload.
+    offsets = (np.arange(total, dtype=np.int64)
+               - np.repeat(sub_indptr[:-1], counts)
+               + np.repeat(indptr[idx], counts))
+    flat = arrays.foot_indices[offsets]
+    missing = memory.residency.missing_bytes_batch(sub_indptr, flat)
+    stores = memory.local_stores
+    if stores is None:
+        return [(int(m), r) for m, r in zip(missing, ready_times)]
+    local = stores[0].missing_bytes_batch(sub_indptr, flat)
+    return [(int(m), int(lo), r)
+            for m, lo, r in zip(missing, local, ready_times)]
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,9 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
 * :mod:`repro.lap.taskgraph` -- the IR: :class:`TaskKind`,
   :class:`TaskDescriptor`, :class:`TaskGraph` and the
   :class:`AlgorithmsByBlocks` decompositions (GEMM, Cholesky, LU, tiled QR);
-* :mod:`repro.lap.policies` -- the scheduling policies (greedy
-  earliest-core, critical-path priority, locality-aware, memory-aware,
-  affinity) the scheduler loop implements;
+* :mod:`repro.lap.policies` -- the names of the scheduling policies
+  (greedy earliest-core, critical-path priority, locality-aware,
+  memory-aware, affinity) the scheduler loop implements;
 * :mod:`repro.lap.timing` -- timing models: ``functional`` executes every
   task on the cycle-level simulator, ``memoized`` charges per-(kind, shape,
   precision) cycle counts from one functional run, shared process-wide per
@@ -36,13 +36,19 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
   ready heap over the graph's :class:`~repro.lap.taskgraph.GraphArrays`
   and the structure-of-arrays residency levels of :mod:`repro.lap.memory`,
   with every policy / timing / memory decision inlined.
+
+Each task kind's tile update is written once, in :func:`_update_tiles`,
+over a kernel set: the LAC kernels on the assigned core (functional runs
+and memoized warm-ups) or their NumPy formulas (the other memoized tasks
+under ``verify``).  A task's memoization shapes are those of its read
+tiles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +60,11 @@ from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
 from repro.lap.memory import MemoryHierarchy
-from repro.lap.policies import (AffinityScheduler, CriticalPathPriority,
-                                GreedyEarliestCore, LocalityAware, MemoryAware,
-                                SchedulerPolicy, get_policy, policy_names)
+from repro.lap.policies import POLICIES, bulk_priorities, get_policy
 from repro.lap.replay import ScheduleTrace
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
                                  TaskDescriptor, TaskGraph, TaskKind)
-from repro.lap.timing import (MemoizedTiming, TimingModel, core_config_key,
+from repro.lap.timing import (MemoizedTiming, core_config_key,
                               decompose_task_cycles, get_timing_model,
                               table_cycles, task_signature)
 from repro.obs.attribution import CycleAttribution, idle_gaps
@@ -70,12 +74,6 @@ from repro.reference.factorizations import (ref_apply_reflectors,
                                             ref_lu_nopivot)
 
 __all__ = ["LAPRuntime", "TaskExecution"]
-
-#: Dense codes of the policy classes the scheduler loop implements; exact
-#: types only, since a subclass's overridden methods would never be called.
-_POLICY_CODES: Dict[type, int] = {
-    GreedyEarliestCore: 0, CriticalPathPriority: 1, LocalityAware: 2,
-    MemoryAware: 3, AffinityScheduler: 4}
 
 
 @dataclass
@@ -117,8 +115,155 @@ class TaskExecution:
         return self.end_cycle - self.start_cycle
 
 
+class _LACKernels:
+    """The tile kernels on one core of the cycle-level LAC simulator.
+
+    Each method calls its ``lac_*`` kernel through this module's globals at
+    call time, so a kernel wrapped by name (``perfbench/layers.py`` counts
+    kernel calls that way) is the one that runs.
+    """
+
+    def __init__(self, core):
+        self.core = core
+
+    def gemm(self, c, a, b):
+        return lac_gemm(self.core, c, a, b).output
+
+    def syrk(self, c, a):
+        return lac_syrk(self.core, c, a).output
+
+    def trsm(self, l, b):
+        return lac_trsm(self.core, l, b).output
+
+    def cholesky(self, a):
+        return lac_cholesky(self.core, a).output
+
+    def lu(self, a):
+        result = lac_lu_blocked(self.core, a)
+        if any(p != i for i, p in enumerate(result.extra["pivots"])):
+            raise ValueError(
+                "tile LU requires no pivoting across tiles; the operand "
+                "must be (e.g.) diagonally dominant so that every tile "
+                "pivot falls on the diagonal")
+        return result.output
+
+    def qr(self, a):
+        result = lac_qr_blocked(self.core, a)
+        return result.output, result.extra["tau"]
+
+    def apply_reflectors(self, v, taus, c):
+        return lac_apply_reflectors(self.core, v, taus, c).output
+
+
+class _NumPyKernels:
+    """The NumPy formulas of the same tile kernels (no cycles)."""
+
+    @staticmethod
+    def gemm(c, a, b):
+        return c + a @ b
+
+    @staticmethod
+    def syrk(c, a):
+        # Like the LAC kernel, update the lower triangle only.
+        return c + np.tril(a @ a.T)
+
+    @staticmethod
+    def trsm(l, b):
+        return np.linalg.solve(np.tril(l), b)
+
+    cholesky = staticmethod(np.linalg.cholesky)
+    lu = staticmethod(ref_lu_nopivot)
+    qr = staticmethod(ref_householder_qr_factored)
+    apply_reflectors = staticmethod(ref_apply_reflectors)
+
+
+def _update_tiles(task: TaskDescriptor, tiles: Dict, k) -> None:
+    """Apply one task's tile update in place through kernel set ``k``.
+
+    ``k`` is a :class:`_LACKernels` (the simulator on the assigned core) or
+    :class:`_NumPyKernels`; either way each task kind reads and writes the
+    same tiles, so the two sets give the same factors.
+    """
+    kind = task.kind
+    if kind is TaskKind.GEMM:
+        c = task.output
+        b_tile = tiles["B"][task.inputs[1]]
+        if task.transpose_b:
+            b_tile = b_tile.T
+        tiles["C"][c] = k.gemm(tiles["C"][c],
+                               task.alpha * tiles["A"][task.inputs[0]], b_tile)
+    elif kind is TaskKind.SYRK:
+        c = task.output
+        a_tile = tiles["A"][task.inputs[0]]
+        if task.alpha == 1.0 and not task.transpose_b:
+            tiles["C"][c] = k.syrk(tiles["C"][c], a_tile)
+        else:
+            # Scaled (e.g. subtracting) updates run through the GEMM path so
+            # the full symmetric tile stays consistent for later tasks.
+            tiles["C"][c] = k.gemm(tiles["C"][c], task.alpha * a_tile, a_tile.T)
+    elif kind is TaskKind.TRSM:
+        b = task.output
+        tiles["B"][b] = k.trsm(tiles["L"][task.inputs[0]], tiles["B"][b])
+    elif kind is TaskKind.TRSM_RIGHT_T:
+        # B := B L^{-T}  <=>  solve L X = B^T and transpose back.
+        b = task.output
+        l_tile = np.tril(tiles["L"][task.inputs[0]])
+        tiles["B"][b] = k.trsm(l_tile, tiles["B"][b].T).T
+    elif kind is TaskKind.TRSM_LOWER:
+        # B := unit_lower(L)^{-1} B (the U panels of a tiled LU).
+        b = task.output
+        l_tile = tiles["L"][task.inputs[0]]
+        unit_lower = np.tril(l_tile, -1) + np.eye(len(l_tile))
+        tiles["B"][b] = k.trsm(unit_lower, tiles["B"][b])
+    elif kind is TaskKind.TRSM_UPPER_RIGHT:
+        # B := B U^{-1}  <=>  solve U^T X^T = B^T (U^T is lower triangular).
+        b = task.output
+        upper = np.triu(tiles["L"][task.inputs[0]])
+        tiles["B"][b] = k.trsm(upper.T, tiles["B"][b].T).T
+    elif kind is TaskKind.CHOLESKY:
+        a = task.output
+        tiles["A"][a] = k.cholesky(tiles["A"][a])
+    elif kind is TaskKind.LU:
+        a = task.output
+        tiles["A"][a] = k.lu(tiles["A"][a])
+    elif kind is TaskKind.GEQRT:
+        a = task.output
+        factored, taus = k.qr(tiles["A"][a])
+        tiles["A"][a] = factored
+        tiles.setdefault("TAU", {})[a] = taus
+    elif kind is TaskKind.TSQRT:
+        # QR of [triu(R_jj); A_ij]: the top half's sub-diagonal stays
+        # exactly zero, so the reflectors live entirely in tile (i, j) and
+        # the GEQRT reflectors packed below the diagonal of (j, j) survive.
+        jj, ij = task.inputs[0], task.output
+        top = tiles["A"][jj]
+        t = len(top)
+        factored, taus = k.qr(np.vstack([np.triu(top), tiles["A"][ij]]))
+        tiles["A"][jj] = np.triu(factored[:t]) + np.tril(top, -1)
+        tiles["A"][ij] = factored[t:]
+        tiles.setdefault("TAU", {})[ij] = taus
+    elif kind is TaskKind.UNMQR:
+        jj, jk = task.inputs[0], task.output
+        tiles["A"][jk] = k.apply_reflectors(tiles["A"][jj], tiles["TAU"][jj],
+                                            tiles["A"][jk])
+    elif kind is TaskKind.TSMQR:
+        # Apply the TSQRT reflectors to the block-row pair [C_jk; C_ik];
+        # their top halves are unit vectors, so the packed form is a zero
+        # block stacked on the reflector tile.
+        ij, jk, ik = task.inputs
+        v_tile = tiles["A"][ij]
+        t = len(tiles["A"][jk])
+        updated = k.apply_reflectors(
+            np.vstack([np.zeros_like(v_tile), v_tile]), tiles["TAU"][ij],
+            np.vstack([tiles["A"][jk], tiles["A"][ik]]))
+        tiles["A"][jk] = updated[:t]
+        tiles["A"][ik] = updated[t:]
+    else:  # pragma: no cover - enum exhaustive
+        raise ValueError(f"unknown task kind {kind}")
+
+
 class _ExecutionContext:
-    """What a :class:`TimingModel` may do with a scheduled task.
+    """What a :class:`~repro.lap.timing.TimingModel` may do with a task.
 
     Bound to one ``execute()`` call; ``core_index`` is set by the scheduler
     loop before each task is timed.  ``core_keys`` holds each core's
@@ -129,31 +274,36 @@ class _ExecutionContext:
     """
 
     def __init__(self, runtime: "LAPRuntime", tiles: Dict):
-        self._runtime = runtime
+        self._cores = runtime.lap.cores
         self._tiles = tiles
         self.core_index = 0
         self.precision = runtime.lap.config.precision.value
         self.warmed: Dict[Tuple, int] = {}
-        cores = runtime.lap.cores
-        first = cores[0].config
+        first = self._cores[0].config
         key = core_config_key(first)
         self.core_keys = [key if core.config == first
-                          else core_config_key(core.config) for core in cores]
+                          else core_config_key(core.config)
+                          for core in self._cores]
         self.core_key = (key if all(k is key for k in self.core_keys)
                          else None)
 
     def functional(self, task: TaskDescriptor) -> int:
         """Run the task on the assigned core's simulator; returns cycles."""
-        return self._runtime._run_task(task, self.core_index, self._tiles)
+        core = self._cores[self.core_index]
+        before = core.counters.cycles
+        _update_tiles(task, self._tiles, _LACKernels(core))
+        return core.counters.cycles - before
 
     def reference(self, task: TaskDescriptor) -> None:
-        """Apply the task's NumPy reference update to the tiles (no cycles)."""
-        self._runtime._run_task_reference(task, self._tiles)
+        """Apply the task's NumPy update to the tiles (no cycles)."""
+        _update_tiles(task, self._tiles, _NumPyKernels)
 
     def signature(self, task: TaskDescriptor):
-        """Memoization signature of the task (kind, shapes, precision, ...)."""
-        return task_signature(task, self._runtime._task_shapes(task, self._tiles),
-                              self.precision)
+        """Memoization signature: kind, read-tile shapes, precision, ..."""
+        tiles = self._tiles
+        shapes = tuple(tiles[operand][coord].shape
+                       for operand, coord in task.read_tiles())
+        return task_signature(task, shapes, self.precision)
 
 
 def _uniform_square_tiles(tiles: Dict, t: int) -> bool:
@@ -187,9 +337,12 @@ class LAPRuntime:
     tile:
         Edge length of one square tile (a multiple of the core dimension).
     policy:
-        Scheduling policy name or instance (see :mod:`repro.lap.policies`).
+        Scheduling policy name, one of :data:`repro.lap.policies.POLICIES`;
+        an unknown name raises ``ValueError``.
     timing:
-        Timing model name or instance (see :mod:`repro.lap.timing`).
+        Timing model name, ``"functional"`` or ``"memoized"`` (see
+        :mod:`repro.lap.timing`); :attr:`timing` holds the model object
+        and its warm-up and hit counters.
     core_frequencies_ghz:
         Optional per-core clock frequencies for heterogeneous-tile studies;
         defaults to the homogeneous chip frequency.  Scheduling then happens
@@ -234,8 +387,8 @@ class LAPRuntime:
     """
 
     def __init__(self, lap: LinearAlgebraProcessor, tile: int,
-                 policy: Union[str, SchedulerPolicy, None] = "greedy",
-                 timing: Union[str, TimingModel, None] = "functional",
+                 policy: str = "greedy",
+                 timing: str = "functional",
                  core_frequencies_ghz: Optional[Sequence[float]] = None,
                  memory: bool = True,
                  on_chip_kb: Optional[float] = None,
@@ -304,200 +457,6 @@ class LAPRuntime:
         return self._executions
 
     # ------------------------------------------------------------ execution
-    def _run_task(self, task: TaskDescriptor, core_index: int, tiles: Dict) -> int:
-        """Execute one task on one core; returns the cycles it consumed."""
-        core = self.lap.cores[core_index]
-        before = core.counters.cycles
-        t = self.tile
-        if task.kind is TaskKind.GEMM:
-            (ci, cj), (ai, ak), (bk, bj) = task.output, task.inputs[0], task.inputs[1]
-            b_tile = tiles["B"][(bk, bj)]
-            if task.transpose_b:
-                b_tile = b_tile.T
-            result = lac_gemm(core, tiles["C"][(ci, cj)],
-                              task.alpha * tiles["A"][(ai, ak)], b_tile)
-            tiles["C"][(ci, cj)] = result.output
-        elif task.kind is TaskKind.SYRK:
-            (ci, cj) = task.output
-            (ai, aj) = task.inputs[0]
-            if task.alpha == 1.0 and not task.transpose_b:
-                result = lac_syrk(core, tiles["C"][(ci, cj)], tiles["A"][(ai, aj)])
-            else:
-                # Scaled (e.g. subtracting) updates run through the GEMM path so
-                # the full symmetric tile stays consistent for later tasks.
-                a_tile = tiles["A"][(ai, aj)]
-                result = lac_gemm(core, tiles["C"][(ci, cj)], task.alpha * a_tile, a_tile.T)
-            tiles["C"][(ci, cj)] = result.output
-        elif task.kind is TaskKind.TRSM:
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            result = lac_trsm(core, tiles["L"][(li, lj)], tiles["B"][(bi, bj)])
-            tiles["B"][(bi, bj)] = result.output
-        elif task.kind is TaskKind.TRSM_RIGHT_T:
-            # B := B L^{-T}  <=>  solve L X = B^T and transpose back.
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            l_tile = np.tril(tiles["L"][(li, lj)])
-            result = lac_trsm(core, l_tile, tiles["B"][(bi, bj)].T)
-            tiles["B"][(bi, bj)] = result.output.T
-        elif task.kind is TaskKind.TRSM_LOWER:
-            # B := unit_lower(L)^{-1} B (the U panels of a tiled LU).
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            unit_lower = np.tril(tiles["L"][(li, lj)], -1) + np.eye(t)
-            result = lac_trsm(core, unit_lower, tiles["B"][(bi, bj)])
-            tiles["B"][(bi, bj)] = result.output
-        elif task.kind is TaskKind.TRSM_UPPER_RIGHT:
-            # B := B U^{-1}  <=>  solve U^T X^T = B^T (U^T is lower triangular).
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            upper = np.triu(tiles["L"][(li, lj)])
-            result = lac_trsm(core, upper.T, tiles["B"][(bi, bj)].T)
-            tiles["B"][(bi, bj)] = result.output.T
-        elif task.kind is TaskKind.CHOLESKY:
-            (ai, aj) = task.output
-            result = lac_cholesky(core, tiles["A"][(ai, aj)])
-            tiles["A"][(ai, aj)] = result.output
-        elif task.kind is TaskKind.LU:
-            (ai, aj) = task.output
-            result = lac_lu_blocked(core, tiles["A"][(ai, aj)])
-            pivots = result.extra["pivots"]
-            if any(p != i for i, p in enumerate(pivots)):
-                raise ValueError(
-                    "tile LU requires no pivoting across tiles; the operand "
-                    "must be (e.g.) diagonally dominant so that every tile "
-                    "pivot falls on the diagonal")
-            tiles["A"][(ai, aj)] = result.output
-        elif task.kind is TaskKind.GEQRT:
-            (ai, aj) = task.output
-            result = lac_qr_blocked(core, tiles["A"][(ai, aj)])
-            tiles["A"][(ai, aj)] = result.output
-            tiles.setdefault("TAU", {})[(ai, aj)] = result.extra["tau"]
-        elif task.kind is TaskKind.TSQRT:
-            # QR of [triu(R_jj); A_ij]: the top half's sub-diagonal stays
-            # exactly zero, so the reflectors live entirely in tile (i, j) and
-            # the GEQRT reflectors packed below the diagonal of (j, j) survive.
-            (jj, ij) = task.inputs[0], task.output
-            stacked = np.vstack([np.triu(tiles["A"][jj]), tiles["A"][ij]])
-            result = lac_qr_blocked(core, stacked)
-            tiles["A"][jj] = np.triu(result.output[:t]) + np.tril(tiles["A"][jj], -1)
-            tiles["A"][ij] = result.output[t:]
-            tiles.setdefault("TAU", {})[ij] = result.extra["tau"]
-        elif task.kind is TaskKind.UNMQR:
-            (jj, jk) = task.inputs[0], task.output
-            result = lac_apply_reflectors(core, tiles["A"][jj],
-                                          tiles["TAU"][jj], tiles["A"][jk])
-            tiles["A"][jk] = result.output
-        elif task.kind is TaskKind.TSMQR:
-            # Apply the TSQRT reflectors to the block-row pair [C_jk; C_ik];
-            # their top halves are unit vectors, so the packed form is a zero
-            # block stacked on the reflector tile.
-            (ij, jk, ik) = task.inputs[0], task.inputs[1], task.inputs[2]
-            v_stacked = np.vstack([np.zeros((t, t)), tiles["A"][ij]])
-            c_stacked = np.vstack([tiles["A"][jk], tiles["A"][ik]])
-            result = lac_apply_reflectors(core, v_stacked, tiles["TAU"][ij],
-                                          c_stacked)
-            tiles["A"][jk] = result.output[:t]
-            tiles["A"][ik] = result.output[t:]
-        else:  # pragma: no cover - enum exhaustive
-            raise ValueError(f"unknown task kind {task.kind}")
-        return core.counters.cycles - before
-
-    def _run_task_reference(self, task: TaskDescriptor, tiles: Dict) -> None:
-        """NumPy reference update of one task (used by memoized verification).
-
-        Mirrors :meth:`_run_task` numerically (same formulas, vectorised) so
-        that a memoized-timing run with ``verify=True`` still produces exact
-        factors and residuals.
-        """
-        t = self.tile
-        if task.kind is TaskKind.GEMM:
-            (ci, cj), (ai, ak), (bk, bj) = task.output, task.inputs[0], task.inputs[1]
-            b_tile = tiles["B"][(bk, bj)]
-            if task.transpose_b:
-                b_tile = b_tile.T
-            tiles["C"][(ci, cj)] = (tiles["C"][(ci, cj)]
-                                    + (task.alpha * tiles["A"][(ai, ak)]) @ b_tile)
-        elif task.kind is TaskKind.SYRK:
-            (ci, cj) = task.output
-            (ai, aj) = task.inputs[0]
-            a_tile = tiles["A"][(ai, aj)]
-            tiles["C"][(ci, cj)] = (tiles["C"][(ci, cj)]
-                                    + (task.alpha * a_tile) @ a_tile.T)
-        elif task.kind is TaskKind.TRSM:
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            tiles["B"][(bi, bj)] = np.linalg.solve(np.tril(tiles["L"][(li, lj)]),
-                                                   tiles["B"][(bi, bj)])
-        elif task.kind is TaskKind.TRSM_RIGHT_T:
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            solved = np.linalg.solve(np.tril(tiles["L"][(li, lj)]),
-                                     tiles["B"][(bi, bj)].T)
-            tiles["B"][(bi, bj)] = solved.T
-        elif task.kind is TaskKind.TRSM_LOWER:
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            unit_lower = np.tril(tiles["L"][(li, lj)], -1) + np.eye(t)
-            tiles["B"][(bi, bj)] = np.linalg.solve(unit_lower, tiles["B"][(bi, bj)])
-        elif task.kind is TaskKind.TRSM_UPPER_RIGHT:
-            (bi, bj) = task.output
-            (li, lj) = task.inputs[0]
-            upper = np.triu(tiles["L"][(li, lj)])
-            tiles["B"][(bi, bj)] = np.linalg.solve(upper.T, tiles["B"][(bi, bj)].T).T
-        elif task.kind is TaskKind.CHOLESKY:
-            (ai, aj) = task.output
-            tiles["A"][(ai, aj)] = np.linalg.cholesky(tiles["A"][(ai, aj)])
-        elif task.kind is TaskKind.LU:
-            (ai, aj) = task.output
-            tiles["A"][(ai, aj)] = ref_lu_nopivot(tiles["A"][(ai, aj)])
-        elif task.kind is TaskKind.GEQRT:
-            (ai, aj) = task.output
-            factored, taus = ref_householder_qr_factored(tiles["A"][(ai, aj)])
-            tiles["A"][(ai, aj)] = factored
-            tiles.setdefault("TAU", {})[(ai, aj)] = taus
-        elif task.kind is TaskKind.TSQRT:
-            (jj, ij) = task.inputs[0], task.output
-            stacked = np.vstack([np.triu(tiles["A"][jj]), tiles["A"][ij]])
-            factored, taus = ref_householder_qr_factored(stacked)
-            tiles["A"][jj] = np.triu(factored[:t]) + np.tril(tiles["A"][jj], -1)
-            tiles["A"][ij] = factored[t:]
-            tiles.setdefault("TAU", {})[ij] = taus
-        elif task.kind is TaskKind.UNMQR:
-            (jj, jk) = task.inputs[0], task.output
-            tiles["A"][jk] = ref_apply_reflectors(tiles["A"][jj],
-                                                  tiles["TAU"][jj], tiles["A"][jk])
-        elif task.kind is TaskKind.TSMQR:
-            (ij, jk, ik) = task.inputs[0], task.inputs[1], task.inputs[2]
-            v_stacked = np.vstack([np.zeros((t, t)), tiles["A"][ij]])
-            c_stacked = np.vstack([tiles["A"][jk], tiles["A"][ik]])
-            updated = ref_apply_reflectors(v_stacked, tiles["TAU"][ij], c_stacked)
-            tiles["A"][jk] = updated[:t]
-            tiles["A"][ik] = updated[t:]
-        else:  # pragma: no cover - enum exhaustive
-            raise ValueError(f"unknown task kind {task.kind}")
-
-    def _task_shapes(self, task: TaskDescriptor, tiles: Dict) -> Tuple:
-        """Shapes of the tiles a task touches (part of the memoization key)."""
-        kind = task.kind
-        if kind is TaskKind.GEMM:
-            coords = (("C", task.output), ("A", task.inputs[0]), ("B", task.inputs[1]))
-        elif kind is TaskKind.SYRK:
-            coords = (("C", task.output), ("A", task.inputs[0]))
-        elif kind in (TaskKind.TRSM, TaskKind.TRSM_RIGHT_T, TaskKind.TRSM_LOWER,
-                      TaskKind.TRSM_UPPER_RIGHT):
-            coords = (("L", task.inputs[0]), ("B", task.output))
-        elif kind in (TaskKind.CHOLESKY, TaskKind.LU, TaskKind.GEQRT):
-            coords = (("A", task.output),)
-        elif kind in (TaskKind.TSQRT, TaskKind.UNMQR):
-            coords = (("A", task.inputs[0]), ("A", task.output))
-        elif kind is TaskKind.TSMQR:
-            coords = (("A", task.inputs[0]), ("A", task.inputs[1]),
-                      ("A", task.output))
-        else:  # pragma: no cover - enum exhaustive
-            raise ValueError(f"unknown task kind {kind}")
-        return tuple(tiles[operand][coord].shape for operand, coord in coords)
-
     @staticmethod
     def _table_charges(ga, ctx: _ExecutionContext) -> Tuple[List, Optional[List[int]]]:
         """Signature of each memoization group of a uniform-tile graph, and
@@ -527,7 +486,8 @@ class LAPRuntime:
         time -- O(V log V + E) for the static policies.  Every policy, timing
         and memory decision is inlined over the graph's
         :class:`~repro.lap.taskgraph.GraphArrays` (no per-task method
-        dispatch), so only the five stock policy classes are accepted.  With
+        dispatch), branching on the policy name's index in
+        :data:`~repro.lap.policies.POLICIES`.  With
         data-movement accounting enabled every dispatched task also updates
         the tile-residency model (in dispatch order, the serialisation the
         shared on-chip memory sees); spill refills stall the task through the
@@ -545,14 +505,7 @@ class LAPRuntime:
         cycle ends in ``RuntimeError("task graph deadlock ...")``.
         """
         graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
-        policy = self.policy
-        pcode = _POLICY_CODES.get(type(policy))
-        if pcode is None:
-            raise TypeError(
-                f"unsupported scheduling policy {type(policy).__name__}: the "
-                f"scheduler loop implements the stock policies "
-                f"({', '.join(policy_names())}) and never calls methods of a "
-                f"custom policy class")
+        pcode = POLICIES.index(self.policy)
         self._last_graph = graph
         ga = graph.fast_arrays()
         tasks = ga.tasks
@@ -583,7 +536,6 @@ class LAPRuntime:
             offchip_pj_per_byte=self.offchip_pj_per_byte)
                   if self.memory_enabled else None)
         self.last_memory = memory
-        policy.prepare(graph)
         has_mem = memory is not None
         dynamic = pcode >= 3 and has_mem
         crit = pcode == 1
@@ -648,7 +600,8 @@ class LAPRuntime:
             if negrank is None:
                 # Pure graph property (unit-weight critical-path ranks), cached
                 # on the arrays so repeat executes skip the n-element rebuild.
-                negrank = policy.negated_rank_array(ids).tolist()
+                ranks = graph.critical_path_lengths()
+                negrank = [-ranks[tid] for tid in ids]
                 ga._negrank = negrank
 
         core_free: List[float] = [0] * num_cores
@@ -699,7 +652,7 @@ class LAPRuntime:
             # ``(key, task_id)`` is unique per entry, so heapify produces
             # the same pop sequence as repeated pushes.
             ready0 = [i for i in range(n) if indeg[i] == 0]
-            keys = policy.bulk_priorities(ga, memory, ready0, [0] * len(ready0))
+            keys = bulk_priorities(ga, memory, ready0, [0] * len(ready0))
             heap = [(keys[k], ids[i], cur_version, i)
                     for k, i in enumerate(ready0)]
             heapq.heapify(heap)
@@ -976,7 +929,7 @@ class LAPRuntime:
                                     / (makespan * num_cores))
             if makespan else 0.0,
             "tasks_executed": len(rows),
-            "policy": policy.name,
+            "policy": self.policy,
             "timing": timing.name,
             "makespan_ns": makespan / reference_freq,
             "data_valid": timing.keeps_data(verify),

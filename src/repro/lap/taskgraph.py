@@ -289,8 +289,8 @@ class TaskGraph(collections.abc.Sequence):
         With the default unit weight the value is the number of tasks on the
         longest downstream chain; pass ``weight`` to use estimated cycles.
         Used by the critical-path scheduling policy.  The unit-weight result
-        is cached on the (immutable) graph since every ``prepare()`` of the
-        critical-path policy asks for it; callers must not mutate it.
+        is cached on the (immutable) graph, which the graph summary and the
+        critical-path ranks both read; callers must not mutate it.
         """
         if weight is None and self._unit_cpl is not None:
             return self._unit_cpl
@@ -749,7 +749,8 @@ class AlgorithmsByBlocks:
                     written[(i, k)] = tsmqr.task_id
         return TaskGraph(tasks)
 
-    #: Workload name -> builder, for the runtime's ``run_workload`` helper.
+    #: Names of the workloads :meth:`build` decomposes (the ``lap_runtime``
+    #: runner's algorithms and ``repro trace --workload``'s choices).
     WORKLOADS = ("gemm", "cholesky", "lu", "qr")
 
     def build(self, workload: str, n: int) -> TaskGraph:

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lap.taskgraph import TaskDescriptor
 
-#: Cache signature of one task: (kind, tile shapes, precision, unit-alpha,
-#: transpose) -- everything that selects a kernel code path.
+#: Cache signature of one task: (kind, shapes of its read tiles, precision,
+#: unit-alpha, transpose) -- everything that selects a kernel code path.
 TaskSignature = Tuple
 
 
@@ -263,14 +263,11 @@ def timing_names() -> List[str]:
     return sorted(TIMING_MODELS)
 
 
-def get_timing_model(timing: Union[str, TimingModel, None]) -> TimingModel:
-    """Resolve a timing-model name (or pass an instance through)."""
-    if timing is None:
-        return FunctionalTiming()
-    if isinstance(timing, TimingModel):
-        return timing
+def get_timing_model(timing: str) -> TimingModel:
+    """A fresh timing model of the given name; raises ``ValueError`` for an
+    unknown one."""
     try:
-        return TIMING_MODELS[str(timing)]()
+        return TIMING_MODELS[timing]()
     except KeyError:
         raise ValueError(f"unknown timing model '{timing}'; known models: "
                          f"{', '.join(timing_names())}") from None

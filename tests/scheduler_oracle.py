@@ -303,16 +303,17 @@ class OracleHierarchy(MemoryHierarchy):
 DYNAMIC_POLICIES = ("memory_aware", "affinity")
 
 
-def priority(policy, task, ready_time, memory, owners) -> Tuple:
+def priority(policy, task, ready_time, memory, owners, ranks=None) -> Tuple:
     """Heap key of a ready task (lower first; the task id breaks ties).
 
-    ``memory`` may be any hierarchy with name-based residency levels (the
-    oracle's or the product's); ``owners`` maps an output tile to the core
-    that last wrote it.
+    ``policy`` is a policy name.  ``memory`` may be any hierarchy with
+    name-based residency levels (the oracle's or the product's); ``owners``
+    maps an output tile to the core that last wrote it, and ``ranks`` holds
+    the graph's critical-path lengths (``critical_path`` only).
     """
-    if policy.name == "critical_path":
-        return (-policy.ranks.get(task.task_id, 0.0), ready_time)
-    if policy.name in DYNAMIC_POLICIES:
+    if policy == "critical_path":
+        return (-ranks.get(task.task_id, 0.0), ready_time)
+    if policy in DYNAMIC_POLICIES:
         if memory is None:
             return (0, ready_time)
         footprint = task.touched_tiles()
@@ -325,13 +326,13 @@ def priority(policy, task, ready_time, memory, owners) -> Tuple:
 
 
 def choose_core(policy, task, ready_time, core_free_at, owners, memory) -> int:
-    """Index of the core the popped task runs on."""
+    """Index of the core the popped task runs on (``policy`` is a name)."""
     cores = range(len(core_free_at))
     owner = owners.get(task.output)
-    if policy.name in ("locality", "memory_aware"):
+    if policy in ("locality", "memory_aware"):
         return min(cores, key=lambda i: (max(core_free_at[i], ready_time),
                                          0 if i == owner else 1, i))
-    if (policy.name == "affinity" and memory is not None
+    if (policy == "affinity" and memory is not None
             and memory.local_stores is not None):
         footprint = task.touched_tiles()
         stores = memory.local_stores
@@ -364,8 +365,9 @@ def reference_execute(runtime, tasks, tiles, verify=True):
     tracer = (runtime.tracer if runtime.tracer is not None
               and runtime.tracer.enabled else None)
     policy = runtime.policy
-    policy.prepare(graph)
-    dynamic = policy.name in DYNAMIC_POLICIES and memory is not None
+    ranks = (graph.critical_path_lengths() if policy == "critical_path"
+             else None)
+    dynamic = policy in DYNAMIC_POLICIES and memory is not None
     ctx = _ExecutionContext(runtime, tiles)
     num_cores = len(runtime.lap.cores)
     reference_freq = runtime.lap.config.frequency_ghz
@@ -383,7 +385,8 @@ def reference_execute(runtime, tasks, tiles, verify=True):
     for task in task_list:
         if indegree[task.task_id] == 0:
             ready_time[task.task_id] = 0
-            heapq.heappush(heap, (priority(policy, task, 0, memory, tile_owner),
+            heapq.heappush(heap, (priority(policy, task, 0, memory, tile_owner,
+                                           ranks),
                                   task.task_id, version))
 
     while heap:
@@ -391,7 +394,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         task = by_id[task_id]
         ready = ready_time[task_id]
         if dynamic and stamp != memory.version:
-            key = priority(policy, task, ready, memory, tile_owner)
+            key = priority(policy, task, ready, memory, tile_owner, ranks)
             if heap and (key, task_id) > (heap[0][0], heap[0][1]):
                 heapq.heappush(heap, (key, task_id, memory.version))
                 continue
@@ -448,7 +451,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
             if indegree[succ_id] == 0:
                 heapq.heappush(heap, (
                     priority(policy, by_id[succ_id], ready_time[succ_id],
-                             memory, tile_owner),
+                             memory, tile_owner, ranks),
                     succ_id, memory.version if memory is not None else 0))
 
     if len(executions) != len(task_list):
@@ -471,7 +474,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         "parallel_efficiency": (sum(busy_time) / (makespan * num_cores))
         if makespan else 0.0,
         "tasks_executed": len(executions),
-        "policy": policy.name,
+        "policy": policy,
         "timing": runtime.timing.name,
         "makespan_ns": makespan / reference_freq,
         "data_valid": runtime.timing.keeps_data(verify),

@@ -185,20 +185,6 @@ def test_execute_accepts_plain_task_lists():
     assert_executions_identical(as_graph, as_list)
 
 
-def test_execute_rejects_custom_policy_classes():
-    """The loop implements the five stock policies inline, so a subclass
-    (whose overrides would be ignored) is refused instead."""
-    from repro.lap.policies import GreedyEarliestCore
-
-    class Custom(GreedyEarliestCore):
-        pass
-
-    runtime = make_runtime(policy=Custom())
-    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(16)
-    with pytest.raises(TypeError, match="unsupported scheduling policy Custom"):
-        runtime.execute(graph, make_tiles(), verify=False)
-
-
 # ---------------------------------------------------------------- goldens
 #: The committed PR-4 golden cases (kept in sync with
 #: tests/test_lap_memory.py::GOLDEN_CASES); the runner must reproduce the
@@ -324,9 +310,10 @@ def test_local_store_batch_kernels_match_scalar(case):
 
 
 def test_bulk_priorities_match_scalar_keys():
-    """`MemoryAware.bulk_priorities` reproduces the oracle's scalar priority
-    keys (values and types) over a live hierarchy, both hierarchies."""
-    from repro.lap.policies import MemoryAware
+    """`bulk_priorities` reproduces the oracle's scalar `memory_aware`
+    priority keys (values and types) over a live hierarchy, both
+    hierarchies."""
+    from repro.lap.policies import bulk_priorities
 
     for local_store_kb in LEVELS:
         rt = make_runtime(policy="memory_aware",
@@ -335,16 +322,15 @@ def test_bulk_priorities_match_scalar_keys():
         rt.execute(graph, make_tiles(), verify=False)
         arrays = graph.fast_arrays()
         memory = rt.last_memory
-        policy = MemoryAware()
         indices = list(range(0, len(arrays.tasks), 3))
         ready = [float(i) for i in range(len(indices))]
-        bulk = policy.bulk_priorities(arrays, memory, indices, ready)
+        bulk = bulk_priorities(arrays, memory, indices, ready)
         assert len(bulk) == len(indices)
         for pos, key, r in zip(indices, bulk, ready):
-            scalar = priority(policy, arrays.tasks[pos], r, memory, {})
+            scalar = priority("memory_aware", arrays.tasks[pos], r, memory, {})
             assert key == scalar
             assert all(type(a) is type(b) for a, b in zip(key, scalar))
-        assert policy.bulk_priorities(arrays, memory, [], []) == []
+        assert bulk_priorities(arrays, memory, [], []) == []
 
 
 # ----------------------------------------------------------------- replay

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.policies import (POLICIES, CriticalPathPriority, get_policy,
-                                policy_names)
+from repro.lap.policies import POLICIES, get_policy, policy_names
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
@@ -217,11 +216,11 @@ class TestPolicies:
     def test_registry(self):
         assert policy_names() == sorted(POLICIES) == [
             "affinity", "critical_path", "greedy", "locality", "memory_aware"]
-        assert get_policy("greedy").name == "greedy"
-        instance = CriticalPathPriority()
-        assert get_policy(instance) is instance
+        assert get_policy("greedy") == "greedy"
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             get_policy("random")
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            make_runtime(policy="random")
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("workload,n,tile", [
@@ -261,10 +260,11 @@ class TestPolicies:
 class TestTimingModels:
     def test_registry(self):
         assert timing_names() == ["functional", "memoized"]
-        model = MemoizedTiming()
-        assert get_timing_model(model) is model
+        assert type(get_timing_model("memoized")) is MemoizedTiming
         with pytest.raises(ValueError, match="unknown timing model"):
             get_timing_model("oracle")
+        with pytest.raises(ValueError, match="unknown timing model"):
+            make_runtime(timing=MemoizedTiming())
 
     @pytest.mark.parametrize("workload,n,tile", [
         ("gemm", 16, 8), ("cholesky", 16, 4), ("lu", 16, 8), ("qr", 16, 8)])

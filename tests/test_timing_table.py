@@ -15,6 +15,7 @@ This suite pins:
 * that sweep rows do not depend on what ran earlier in the process.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 from repro.engine import SweepSpec, execute_jobs
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.runtime import LAPRuntime
+from repro.lap.runtime import LAPRuntime, _ExecutionContext
 from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
-from repro.lap.timing import clear_timing_cache, core_config_key, task_signature
+from repro.lap.timing import clear_timing_cache
 from repro.reference.factorizations import ref_householder_qr_factored
 
 
@@ -119,12 +120,10 @@ def test_signature_and_core_config_fix_the_cycle_count(seeds, core, order):
         task, build = KIND_CASES[index]
         for seed in seeds:
             for runtime in (used, make_runtime(nr=nr, tile=tile)):
-                tiles = build(np.random.default_rng(seed), tile)
-                key = (core_config_key(runtime.lap.cores[0].config),
-                       task_signature(task, runtime._task_shapes(task, tiles),
-                                      "double"))
-                counts.setdefault(key, set()).add(
-                    runtime._run_task(task, 0, tiles))
+                ctx = _ExecutionContext(
+                    runtime, build(np.random.default_rng(seed), tile))
+                key = (ctx.core_keys[0], ctx.signature(task))
+                counts.setdefault(key, set()).add(ctx.functional(task))
     assert len(counts) == len(KIND_CASES)
     assert all(len(cycles) == 1 for cycles in counts.values()), counts
 
@@ -136,10 +135,32 @@ def test_geqrt_of_zero_subcolumns_is_the_known_exception():
     runtime = make_runtime(nr=4, tile=8)
     task = _task(TaskKind.GEQRT)
     rng = np.random.default_rng(0)
-    dense = runtime._run_task(task, 0, {"A": {(0, 0): _dense(rng, 8)}})
+    dense = _ExecutionContext(
+        runtime, {"A": {(0, 0): _dense(rng, 8)}}).functional(task)
     upper = np.triu(_dense(rng, 8)) + np.eye(8)
-    zero_subcolumns = runtime._run_task(task, 0, {"A": {(0, 0): upper}})
+    zero_subcolumns = _ExecutionContext(
+        runtime, {"A": {(0, 0): upper}}).functional(task)
     assert (dense, zero_subcolumns) == (870, 12)
+
+
+def test_lac_and_numpy_kernel_sets_agree_per_kind():
+    """Every kind and path updates the same tiles (and ``TAU``) to the same
+    values on the LAC simulator and through its NumPy formulas, which
+    memoized timing applies under ``verify``.  SYRK with unit alpha and no
+    transpose updates the lower triangle only on both."""
+    runtime = make_runtime()
+    for index, (task, build) in enumerate(KIND_CASES):
+        lac_tiles = build(np.random.default_rng(index), 8)
+        numpy_tiles = copy.deepcopy(lac_tiles)
+        _ExecutionContext(runtime, lac_tiles).functional(task)
+        _ExecutionContext(runtime, numpy_tiles).reference(task)
+        assert lac_tiles.keys() == numpy_tiles.keys()
+        for name, lac in lac_tiles.items():
+            assert lac.keys() == numpy_tiles[name].keys()
+            for coord, value in lac.items():
+                np.testing.assert_allclose(
+                    numpy_tiles[name][coord], value, rtol=1e-9, atol=1e-9,
+                    err_msg=f"case {index} ({task.kind.value}): {name}{coord}")
 
 
 # ------------------------------------------------------ all-or-nothing rule
