@@ -2,8 +2,6 @@
 
 Covers the headline claims of the data-movement refactor:
 
-* the tile-residency LRU touches the footprints of a ~6000-task graph in
-  well under a second (pure bookkeeping, no simulator involvement),
 * shrinking the on-chip capacity below the working set monotonically
   increases off-chip traffic and makes stalls appear,
 * the ``memory_aware`` policy never moves more off-chip bytes than
@@ -14,8 +12,11 @@ Covers the headline claims of the data-movement refactor:
   monotonically lifts the local hit rate while leaving off-chip traffic
   untouched (inclusion).
 
-Each benchmark emits a machine-readable ``BENCH_*.json`` record via the
-``bench_json`` fixture so the perf trajectory is tracked across PRs.
+The shared level's own throughput is the scheduler loop's, which
+``bench_taskgraph.py`` times (its throughput case and the 4k^2 scale
+smoke).  Each benchmark emits a machine-readable ``BENCH_*.json`` record
+via the ``bench_json`` fixture so the perf trajectory is tracked across
+PRs.
 """
 
 import time
@@ -23,43 +24,8 @@ import time
 import numpy as np
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import TileResidency
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
-
-
-def test_residency_accounting_throughput(benchmark, bench_json):
-    """Touching the footprints of a 5984-task Cholesky graph through the LRU
-    (2 MiB on chip, 128^2 double tiles) is cheap."""
-    graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
-
-    # Per-call timing inside the callable: the JSON payload must not be
-    # inflated by pytest-benchmark's calibration rounds.
-    last = {}
-
-    def account():
-        started = time.perf_counter()
-        res = TileResidency(capacity_bytes=2 * 2 ** 20,
-                            tile_bytes=128 * 128 * 8)
-        traffic = 0.0
-        for task in graph:
-            refill, _, _, writeback = res.touch(task.read_tiles(),
-                                                task.write_tiles())
-            traffic += refill + writeback
-        traffic += res.flush()
-        last["elapsed"] = time.perf_counter() - started
-        return traffic
-
-    traffic = benchmark(account)
-    elapsed = last["elapsed"]
-    assert traffic > 0
-    assert elapsed < 30.0  # bookkeeping only; typically milliseconds
-    bench_json("memory_residency_throughput", {
-        "num_tasks": len(graph),
-        "elapsed_seconds": elapsed,
-        "tasks_per_second": len(graph) / elapsed if elapsed else None,
-        "traffic_bytes": traffic,
-    })
 
 
 def test_capacity_pressure_traffic_trend(bench_json):
@@ -97,19 +63,6 @@ def test_capacity_pressure_traffic_trend(bench_json):
         if g["spill_bytes"] > 0:
             assert m["traffic_bytes"] < g["traffic_bytes"]
     bench_json("memory_capacity_pressure", {"rows": rows})
-
-
-def test_residency_lru_scales_linearly(benchmark):
-    """Touching N distinct tiles through a small LRU stays O(N)."""
-    res = TileResidency(capacity_bytes=64 * 512, tile_bytes=512)
-
-    def churn():
-        for i in range(20000):
-            res.touch([("A", (i % 4096, 0))], [])
-        return res
-
-    result = benchmark(churn)
-    assert result.peak_resident_bytes <= 64 * 512
 
 
 def test_local_store_hit_rate_throughput(benchmark, bench_json):

@@ -162,6 +162,9 @@ class _StreamState:
         self.first_row_s: Optional[float] = None
         self.last_row_s: Optional[float] = None
         self.cache_stats: Optional[dict] = None
+        #: Cleared by a failed cache write: the rest of this run stores no
+        #: rows, but its counters are still reported and persisted.
+        self.cache_writable = True
 
     def mark_row(self) -> float:
         elapsed = time.perf_counter() - self.started
@@ -495,18 +498,19 @@ class SweepExecutor:
         for (index, job), row, seconds in zip(batch, batch_rows, batch_seconds):
             state.rows[index] = row
             state.latencies[index] = seconds
-            if self.cache is not None:
+            if self.cache is not None and state.cache_writable:
                 try:
                     self.cache.put(job, row)
                 except OSError as exc:
                     # A mid-run write failure (disk full, cache dir removed)
-                    # must not lose computed results: stop caching and finish.
+                    # must not lose computed results: stop writing for the
+                    # rest of this run and finish it.
                     import sys
 
                     print(f"warning: cache write failed ({exc}); "
                           f"caching disabled for the rest of this run",
                           file=sys.stderr)
-                    self.cache = None
+                    state.cache_writable = False
             yield StreamRow(index=index, job=job, row=row, cached=False,
                             latency_s=seconds, elapsed_s=state.mark_row())
 

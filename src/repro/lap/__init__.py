@@ -14,17 +14,19 @@ off-chip memory interface.  This subpackage provides:
 * :mod:`repro.lap.taskgraph` -- the task-graph IR, the algorithms-by-blocks
   decompositions and the dense graph arrays the scheduler loop runs on;
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: the
-  structure-of-arrays LRU tile residency over the on-chip capacity and the
-  per-core local stores, spill/refill accounting, bandwidth stalls and
-  per-task energy;
+  structure-of-arrays state of the LRU tile residency over the on-chip
+  capacity and of the per-core local stores, the bandwidth-stall and
+  per-task energy models, and the whole-schedule traffic totals;
 * :mod:`repro.lap.timing` -- the functional and memoized timing models;
 * :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
-  one event-driven scheduler loop over all of the above;
+  one event-driven scheduler loop over all of the above, and the only
+  implementation of the residency and priority decisions;
 * :mod:`repro.lap.replay` -- schedule replay: the recorded
   :class:`~repro.lap.replay.ScheduleTrace` and the decision that re-keys a
   recorded row for a delta sweep point instead of re-simulating it;
-* :mod:`repro.lap.offchip` -- traffic accounting for the external memory,
-  including the extra blocking layer used when C does not fit on chip.
+* :mod:`repro.lap.offchip` -- the closed-form off-chip traffic of a
+  streamed GEMM, including the extra blocking layer used when C does not
+  fit on chip.
 """
 
 from repro.lap.chip import LinearAlgebraProcessor, LAPConfig

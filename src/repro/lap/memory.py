@@ -36,82 +36,48 @@ exactly that data movement for the task-graph runtime:
   loop (:meth:`repro.lap.runtime.LAPRuntime.execute`) does the per-task
   accounting.
 
-Both residency levels are structure-of-arrays: :class:`TileInterner` maps
-``(operand, (i, j))`` tile names to dense integer ids once per graph, and
-a level keeps one LRU timestamp per tile id instead of per-tile dictionary
-nodes, so a task's whole footprint is touched in one call.  The hot state
-is plain Python lists, not numpy arrays: footprints are 1-4 tiles, where
-scalar list indexing beats any ufunc dispatch.  The test suite pins both
-levels against ``OrderedDict`` oracles.
-
-The closed-form streaming traffic of a monolithic GEMM
-(:func:`gemm_stream_traffic`) also lives here;
-:mod:`repro.lap.offchip` keeps its historical API as a thin shim on top.
+Both residency levels are structure-of-arrays over the dense tile ids of
+:class:`repro.lap.taskgraph.GraphArrays`: a level keeps one LRU timestamp
+per tile id in plain Python lists (footprints are 1-4 tiles, where scalar
+list indexing beats any ufunc dispatch), sized once from
+``GraphArrays.num_tiles``.  The classes hold the state; the scheduler loop
+is the one implementation of the shared-level LRU and calls only
+:meth:`LocalStore.touch_ids` / :meth:`LocalStore.invalidate_ids` on the
+local level.  ``tests/scheduler_oracle.py`` keeps ``OrderedDict`` levels
+that define the model, and the tests pin the loop to them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.hw.fpu import FMACUnit
 from repro.hw.memory import OffChipInterface, OnChipMemory
 
-if TYPE_CHECKING:
-    from repro.lap.taskgraph import TileAccess
-
 __all__ = [
     "BandwidthModel", "LocalStore", "MemoryHierarchy", "TaskEnergyModel",
-    "TileInterner", "TileResidency", "gemm_stream_traffic",
+    "TileResidency",
 ]
 
 
-class TileInterner:
-    """Bijection between tile names and dense integer ids.
-
-    Shared between the graph arrays and every residency level of one
-    schedule so that a tile has one id everywhere; ids are allocated in
-    first-seen order and never reused.
-    """
-
-    __slots__ = ("ids", "names")
-
-    def __init__(self) -> None:
-        self.ids: Dict[TileAccess, int] = {}
-        self.names: List[TileAccess] = []
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def intern(self, access: TileAccess) -> int:
-        """Id of a tile name, allocating one on first sight."""
-        tid = self.ids.get(access)
-        if tid is None:
-            tid = len(self.names)
-            self.ids[access] = tid
-            self.names.append(access)
-        return tid
-
-
 class _LRULevel:
-    """State and queries the two residency levels share.
+    """State the two residency levels share.
 
     ``_stamp[tile_id]`` is the tile's LRU timestamp (-1 = not resident),
     handed out by a monotonic clock; ``_qt`` is the queue of touched tile
-    ids from ``_qhead`` on, whose entry ``k`` carries stamp ``_qbase + k``.
+    ids from ``_qhead`` on, whose entry ``k`` carries stamp ``_qbase + k``;
+    ``_rc`` counts resident tiles and ``_cap_tiles`` is the most that fit.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
-                 interner: Optional[TileInterner], level: str):
+                 num_tiles: int, level: str):
         if capacity_bytes <= 0:
             raise ValueError(f"{level} capacity must be positive")
         if tile_bytes <= 0:
             raise ValueError("tile bytes must be positive")
         self.capacity_bytes = float(capacity_bytes)
         self.tile_bytes = int(tile_bytes)
-        self._interner = interner if interner is not None else TileInterner()
-        self._stamp: List[int] = []
+        self._stamp: List[int] = [-1] * num_tiles
         self._qt: List[int] = []
         self._qhead = 0
         self._qbase = 0
@@ -127,208 +93,38 @@ class _LRULevel:
             cap_max -= 1
         self._cap_tiles = cap_max
 
-    def _ensure(self, n: int) -> None:
-        grow = n - len(self._stamp)
-        if grow > 0:
-            self._stamp.extend([-1] * grow)
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._rc * self.tile_bytes
-
-    def is_resident(self, access: TileAccess) -> bool:
-        tid = self._interner.ids.get(access)
-        return (tid is not None and tid < len(self._stamp)
-                and self._stamp[tid] >= 0)
-
-    def missing_bytes(self, accesses) -> int:
-        """Bytes a footprint would have to fetch right now (no state change)."""
-        ids = self._interner.ids
-        stamp = self._stamp
-        n = len(stamp)
-        missing = set()
-        for access in accesses:
-            tid = ids.get(access)
-            if tid is None or tid >= n or stamp[tid] < 0:
-                missing.add(access)
-        return len(missing) * self.tile_bytes
-
-    def missing_bytes_batch(self, indptr, indices) -> np.ndarray:
-        """Vectorized :meth:`missing_bytes` over a CSR batch of footprints.
-
-        ``indptr`` / ``indices`` describe ``len(indptr) - 1`` interned
-        footprints (e.g. slices of the graph arrays' ``foot_indptr`` /
-        ``foot_indices``); entry ``k`` of the returned int64 array equals
-        ``missing_bytes`` of footprint ``k``.  The kernel is one fancy
-        index over the stamp array plus a cumulative sum differenced at the
-        row pointers (``np.add.reduceat`` mishandles empty segments).  The
-        scalar form deduplicates names through a set, so the batch form is
-        equivalent only on duplicate-free footprints -- which is exactly
-        what the graph arrays store.
-        """
-        self._ensure(len(self._interner))
-        stamp = np.fromiter(self._stamp, dtype=np.int64,
-                            count=len(self._stamp))
-        miss = np.where(stamp[indices] < 0, 1, 0)
-        csum = np.zeros(len(miss) + 1, dtype=np.int64)
-        np.cumsum(miss, out=csum[1:])
-        return (csum[indptr[1:]] - csum[indptr[:-1]]) * self.tile_bytes
-
 
 class TileResidency(_LRULevel):
     """LRU working set of logical tiles over an on-chip capacity.
 
-    Tiles are identified by ``(operand, (block_row, block_col))`` names
-    (interned to dense ids) and all occupy ``tile_bytes``.  A touch fetches
-    the missing tiles of a task's footprint -- *compulsory* on a tile's
-    first-ever fetch, *spill* on a re-fetch after eviction -- marks the
-    written tiles dirty, then evicts least-recently-used tiles down to the
-    capacity, writing dirty victims back.  The footprint is *pinned* while
-    it is brought resident, so one task's tiles never evict each other; a
-    footprint larger than the capacity overflows transiently (the schedule
-    then thrashes, which the spill counters make visible).
-
-    Because stamps are handed out in strictly increasing order -- exactly
-    one per queue append -- a single list of tile ids plus a head index
-    (compacted occasionally) stands in for an ordered dictionary: no heap,
-    and no stored stamps.  A footprint access re-stamps every tile, so the
-    victim scan skips stale queue entries until it finds a tile whose stamp
-    is still current; a stamp at or above the footprint's first stamp means
-    only pinned tiles remain and eviction stops.  The property suite pins
-    every observable (traffic tuples, victims in order, membership,
-    version, peak bytes) against an ``OrderedDict`` oracle on random access
-    streams.
+    All tiles occupy ``tile_bytes``.  For each dispatched task the
+    scheduler loop (:meth:`repro.lap.runtime.LAPRuntime.execute`) fetches
+    the missing tiles of its footprint -- *compulsory* on a tile's
+    first-ever fetch (``_ever``), *spill* on a re-fetch after eviction --
+    marks the written tiles dirty, then evicts least-recently-used tiles
+    down to the capacity, writing dirty victims back.  The footprint is
+    *pinned* while it is brought resident, so one task's tiles never evict
+    each other; a footprint larger than the capacity overflows transiently
+    (the schedule then thrashes, which the spill counters make visible).
+    ``version`` advances whenever membership changes, which is when the
+    memory-keyed policies re-score stale heap keys.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
-                 interner: Optional[TileInterner] = None):
-        super().__init__(capacity_bytes, tile_bytes, interner, "on-chip")
-        self._dirty: List[bool] = []
-        self._ever: List[bool] = []
+                 num_tiles: int = 0):
+        super().__init__(capacity_bytes, tile_bytes, num_tiles, "on-chip")
+        self._dirty: List[bool] = [False] * num_tiles
+        self._ever: List[bool] = [False] * num_tiles
         self._dirty_count = 0
-        self._last_evicted_ids: List[int] = []
         self.version = 0
-        self._ensure(len(self._interner))
-
-    def _ensure(self, n: int) -> None:
-        grow = n - len(self._stamp)
-        if grow > 0:
-            self._stamp.extend([-1] * grow)
-            self._dirty.extend([False] * grow)
-            self._ever.extend([False] * grow)
-
-    @property
-    def last_evicted(self) -> List[TileAccess]:
-        """Tiles the most recent touch()/flush() evicted, in eviction order."""
-        names = self._interner.names
-        return [names[tid] for tid in self._last_evicted_ids]
-
-    # ------------------------------------------------------------- updates
-    def touch(self, reads, writes) -> Tuple[float, float, float, float]:
-        """Bring a footprint of tile names resident; see :meth:`touch_ids`.
-
-        Read and written tiles are both fetched (every tile kernel is
-        read-modify-write at the granularity of a tile).
-        """
-        intern = self._interner.intern
-        foot: List[int] = []
-        for access in list(reads) + list(writes):
-            tid = intern(access)
-            if tid not in foot:
-                foot.append(tid)
-        wids = [intern(access) for access in writes]
-        self._ensure(len(self._interner))
-        return self.touch_ids(foot, wids)
-
-    def touch_ids(self, foot: Sequence[int],
-                  wids: Sequence[int]) -> Tuple[float, float, float, float]:
-        """Bring a deduplicated, interned footprint resident in one call.
-
-        Returns ``(refill, compulsory, spill_refill, writeback)`` bytes.
-        The caller guarantees
-        ``foot`` is duplicate-free in reads+writes order and every id is
-        covered by the state arrays (the interner was pre-populated).
-        """
-        stamp = self._stamp
-        qt = self._qt
-        head = self._qhead
-        qbase = self._qbase
-        ever = self._ever
-        dirty = self._dirty
-        tb = self.tile_bytes
-        clock = self._clock
-        pin_floor = clock
-        nmiss = nspill = 0
-        rc = self._rc
-        for tid in foot:
-            if stamp[tid] < 0:
-                nmiss += 1
-                if ever[tid]:
-                    nspill += 1
-                else:
-                    ever[tid] = True
-                rc += 1
-            stamp[tid] = clock
-            qt.append(tid)
-            clock += 1
-        self._clock = clock
-        dc = self._dirty_count
-        for tid in wids:
-            if not dirty[tid]:
-                dirty[tid] = True
-                dc += 1
-        victims: List[int] = []
-        wb = 0
-        if rc > self._cap_tiles:
-            qn = len(qt)
-            cap_tiles = self._cap_tiles
-            while rc > cap_tiles and head < qn:
-                vid = qt[head]
-                st = qbase + head
-                if stamp[vid] != st:
-                    head += 1           # stale entry: the tile was re-stamped
-                    continue
-                if st >= pin_floor:
-                    break               # only the pinned footprint remains
-                head += 1
-                stamp[vid] = -1
-                rc -= 1
-                victims.append(vid)
-                if dirty[vid]:
-                    dirty[vid] = False
-                    dc -= 1
-                    wb += 1
-            if head > 65536 and head * 2 > qn:
-                del qt[:head]
-                qbase += head
-                head = 0
-                self._qbase = qbase
-        self._qhead = head
-        self._rc = rc
-        self._dirty_count = dc
-        self._last_evicted_ids = victims
-        resident = rc * tb
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-        if nmiss or victims:
-            self.version += 1
-        return (float(nmiss * tb), float((nmiss - nspill) * tb),
-                float(nspill * tb), float(wb * tb))
 
     def flush(self) -> float:
-        """Write back every remaining dirty tile; returns the bytes moved."""
-        self._ensure(len(self._interner))
-        stamp = self._stamp
-        resident = sorted((stamp[tid], tid) for tid in range(len(stamp))
-                          if stamp[tid] >= 0)
-        order = [tid for _, tid in resident]
+        """Write back every dirty tile and empty the level; returns the bytes."""
         writeback = float(self._dirty_count * self.tile_bytes)
-        dirty = self._dirty
-        for tid in order:
-            stamp[tid] = -1
-            dirty[tid] = False
+        n = len(self._stamp)
+        self._stamp[:] = [-1] * n
+        self._dirty[:] = [False] * n
         self._dirty_count = 0
-        self._last_evicted_ids = order
         self._rc = 0
         self._qt = []
         self._qhead = 0
@@ -350,36 +146,12 @@ class LocalStore(_LRULevel):
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
-                 interner: Optional[TileInterner] = None):
-        super().__init__(capacity_bytes, tile_bytes, interner, "local-store")
-        self._ensure(len(self._interner))
-
-    def resident_footprint_bytes(self, accesses) -> int:
-        """Bytes of a footprint already held by this store (no state change)."""
-        ids = self._interner.ids
-        stamp = self._stamp
-        n = len(stamp)
-        held = set()
-        for access in accesses:
-            tid = ids.get(access)
-            if tid is not None and tid < n and stamp[tid] >= 0:
-                held.add(access)
-        return len(held) * self.tile_bytes
-
-    # ------------------------------------------------------------- updates
-    def touch(self, accesses) -> float:
-        """Bring tile names resident; returns the fill bytes required."""
-        intern = self._interner.intern
-        foot: List[int] = []
-        for access in accesses:
-            tid = intern(access)
-            if tid not in foot:
-                foot.append(tid)
-        self._ensure(len(self._interner))
-        return self.touch_ids(foot)
+                 num_tiles: int = 0):
+        super().__init__(capacity_bytes, tile_bytes, num_tiles, "local-store")
 
     def touch_ids(self, foot: Sequence[int]) -> float:
-        """Bring a deduplicated, interned footprint resident in one call."""
+        """Bring a duplicate-free footprint of tile ids resident; returns
+        the fill bytes it required."""
         stamp = self._stamp
         qt = self._qt
         head = self._qhead
@@ -404,10 +176,10 @@ class LocalStore(_LRULevel):
                 vid = qt[head]
                 st = qbase + head
                 if stamp[vid] != st:
-                    head += 1
+                    head += 1           # stale entry: the tile was re-stamped
                     continue
                 if st >= pin_floor:
-                    break
+                    break               # only the pinned footprint remains
                 head += 1
                 stamp[vid] = -1
                 rc -= 1
@@ -422,15 +194,9 @@ class LocalStore(_LRULevel):
             self.peak_resident_bytes = resident
         return float(nmiss * tb)
 
-    def invalidate(self, access: TileAccess) -> None:
-        """Drop a tile (shared-level eviction or a sibling core's write)."""
-        tid = self._interner.ids.get(access)
-        if tid is not None and tid < len(self._stamp) and self._stamp[tid] >= 0:
-            self._stamp[tid] = -1
-            self._rc -= 1
-
     def invalidate_ids(self, tids: Sequence[int]) -> None:
-        """Drop every listed tile id that is currently resident."""
+        """Drop every listed tile id that is currently resident (a shared-
+        level eviction or a sibling core's write)."""
         stamp = self._stamp
         rc = self._rc
         for tid in tids:
@@ -438,33 +204,6 @@ class LocalStore(_LRULevel):
                 stamp[tid] = -1
                 rc -= 1
         self._rc = rc
-
-
-def gemm_stream_traffic(n: int, element_bytes: int = 8,
-                        resident_fraction_of_c: float = 1.0) -> Dict[str, float]:
-    """Closed-form off-chip traffic of a streamed ``n x n x n`` GEMM.
-
-    The canonical LAP blocking keeps a block of C resident and streams the
-    panels of A and B past it.  With only a fraction of C resident, the A
-    and B panels are re-streamed once per resident sub-block
-    (``1 / fraction`` times); C is read and written exactly once either way.
-    Returns the per-operand byte counts; :class:`repro.lap.offchip`'s
-    ``TrafficSummary`` is a named view of this dictionary.
-    """
-    if n <= 0:
-        raise ValueError("problem size must be positive")
-    if element_bytes <= 0:
-        raise ValueError("element bytes must be positive")
-    if not (0.0 < resident_fraction_of_c <= 1.0):
-        raise ValueError("the resident fraction of C must lie in (0, 1]")
-    refetch = 1.0 / resident_fraction_of_c
-    matrix_bytes = float(n) * n * element_bytes
-    return {
-        "a_bytes": matrix_bytes * refetch,
-        "b_bytes": matrix_bytes * refetch,
-        "c_read_bytes": matrix_bytes,
-        "c_write_bytes": matrix_bytes,
-    }
 
 
 class BandwidthModel:
@@ -529,8 +268,8 @@ class MemoryHierarchy:
     level is inclusive and write-through, so the off-chip traffic of a fixed
     dispatch order is *identical* to the single-level model --
     ``local_store_kb=None`` reproduces the single-level accounting byte for
-    byte.  An ``interner`` shared with the scheduler's graph arrays keeps
-    tile ids consistent across all levels.
+    byte.  ``num_tiles`` sizes every level's state once: the graph's tile
+    count (``GraphArrays.num_tiles``), whose dense ids all levels share.
     """
 
     def __init__(self, capacity_bytes: float, tile: int, element_bytes: int,
@@ -538,7 +277,7 @@ class MemoryHierarchy:
                  fmac: FMACUnit, frequency_ghz: float,
                  num_cores: int = 1,
                  local_store_kb: Optional[float] = None,
-                 interner: Optional[TileInterner] = None):
+                 num_tiles: int = 0):
         if tile <= 0 or element_bytes <= 0:
             raise ValueError("tile size and element bytes must be positive")
         if num_cores < 1:
@@ -546,8 +285,7 @@ class MemoryHierarchy:
         self.tile = int(tile)
         self.element_bytes = int(element_bytes)
         tile_bytes = self.tile * self.tile * self.element_bytes
-        interner = interner if interner is not None else TileInterner()
-        self.residency = TileResidency(capacity_bytes, tile_bytes, interner)
+        self.residency = TileResidency(capacity_bytes, tile_bytes, num_tiles)
         self.bandwidth = BandwidthModel(interface, frequency_ghz)
         self.energy = TaskEnergyModel(fmac, onchip, interface)
         self.num_cores = int(num_cores)
@@ -557,7 +295,7 @@ class MemoryHierarchy:
             raise ValueError("local-store capacity must be positive")
         self.local_stores: Optional[List[LocalStore]] = (
             None if self.local_store_kb is None else
-            [LocalStore(self.local_store_kb * 1024, tile_bytes, interner)
+            [LocalStore(self.local_store_kb * 1024, tile_bytes, num_tiles)
              for _ in range(self.num_cores)])
         #: Bytes/cycle of shared-to-local (and core-to-core) transfers: the
         #: peak bandwidth of the shared on-chip SRAM.
@@ -583,7 +321,7 @@ class MemoryHierarchy:
                  on_chip_kb: Optional[float] = None,
                  bandwidth_gbs: Optional[float] = None,
                  local_store_kb: Optional[float] = None,
-                 interner: Optional[TileInterner] = None,
+                 num_tiles: int = 0,
                  offchip_pj_per_byte: Optional[float] = None) -> "MemoryHierarchy":
         """Build the hierarchy of one chip, with optional capacity/BW overrides.
 
@@ -591,10 +329,10 @@ class MemoryHierarchy:
         the chip's physical on-chip memory -- the axis the capacity sweeps
         move; ``bandwidth_gbs`` overrides the sustained off-chip bandwidth;
         ``local_store_kb`` enables the per-core second level with the given
-        per-core budget; ``offchip_pj_per_byte`` overrides the off-chip
-        interface's access energy (pJ/byte, a DRAM-technology sweep axis).
-        The remaining energy coefficients always come from the chip's
-        component models.
+        per-core budget; ``num_tiles`` sizes the levels' state;
+        ``offchip_pj_per_byte`` overrides the off-chip interface's access
+        energy (pJ/byte, a DRAM-technology sweep axis).  The remaining
+        energy coefficients always come from the chip's component models.
         """
         cfg = lap.config
         capacity = (cfg.onchip_memory_mbytes * 1024 * 1024
@@ -616,7 +354,7 @@ class MemoryHierarchy:
                    onchip=lap.onchip_memory, fmac=fmac,
                    frequency_ghz=cfg.frequency_ghz,
                    num_cores=len(lap.cores), local_store_kb=local_store_kb,
-                   interner=interner)
+                   num_tiles=num_tiles)
 
     def finish(self) -> float:
         """Flush dirty tiles at the end of the schedule; returns the bytes."""

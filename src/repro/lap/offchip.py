@@ -5,19 +5,17 @@ many bytes cross the chip boundary, at what rate they must arrive to keep the
 cores busy, and what happens when the on-chip memory is too small to hold the
 whole block of C (the extra blocking layer of Section 4.2.3).
 
-Since the memory-hierarchy refactor the byte counts themselves come from
-:func:`repro.lap.memory.gemm_stream_traffic` -- the closed-form limit of the
-tile-residency model for a streamed monolithic GEMM -- and this module is a
-thin, API-compatible view over them (equivalence is pinned by the tests).
+The byte counts are the closed form of a streamed monolithic GEMM.  With
+every tile resident it is also the limit of the scheduler's tile-residency
+model (:mod:`repro.lap.memory`): a large-capacity run of the tiled GEMM
+graph moves exactly these bytes, which the tests pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.hw.memory import OffChipInterface
-from repro.lap.memory import gemm_stream_traffic
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,23 @@ class OffChipTrafficModel:
     def traffic(self, n: int, onchip_fraction_of_c: float = 1.0) -> TrafficSummary:
         """Off-chip traffic of a square ``n x n x n`` GEMM.
 
-        ``onchip_fraction_of_c`` in (0, 1] says what fraction of the C block
-        can be kept resident; smaller fractions mean the panels of A and B are
-        re-streamed once per resident sub-block (``1/fraction`` times).
+        The canonical LAP blocking keeps a block of C resident and streams
+        the panels of A and B past it.  ``onchip_fraction_of_c`` in (0, 1]
+        says what fraction of the C block can be kept resident; smaller
+        fractions mean the panels of A and B are re-streamed once per
+        resident sub-block (``1/fraction`` times).  C is read and written
+        exactly once either way.
         """
-        parts = gemm_stream_traffic(n, self.element_bytes, onchip_fraction_of_c)
+        if n <= 0:
+            raise ValueError("problem size must be positive")
+        if not (0.0 < onchip_fraction_of_c <= 1.0):
+            raise ValueError("the resident fraction of C must lie in (0, 1]")
+        matrix_bytes = float(n) * n * self.element_bytes
+        streamed = matrix_bytes * (1.0 / onchip_fraction_of_c)
         return TrafficSummary(n=n, element_bytes=self.element_bytes,
-                              a_bytes=parts["a_bytes"], b_bytes=parts["b_bytes"],
-                              c_read_bytes=parts["c_read_bytes"],
-                              c_write_bytes=parts["c_write_bytes"])
+                              a_bytes=streamed, b_bytes=streamed,
+                              c_read_bytes=matrix_bytes,
+                              c_write_bytes=matrix_bytes)
 
     def bandwidth_bound_gflops(self, n: int, interface: OffChipInterface,
                                onchip_fraction_of_c: float = 1.0) -> float:

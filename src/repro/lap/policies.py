@@ -47,18 +47,15 @@ unknown name raises ``ValueError``.
     than waiting.  Without local stores it degrades to greedy core
     selection.
 
-:func:`bulk_priorities` scores the initial ready set of the memory-keyed
-policies in one numpy pass.  The *static* panel pre-scheduler of the
-monolithic GEMM path (:class:`GEMMScheduler` / :class:`PanelAssignment`)
-also lives here, so all scheduling code shares one module.
+The *static* panel pre-scheduler of the monolithic GEMM path
+(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here, so all
+scheduling code shares one module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 #: The scheduling policy names, in the order of the codes the scheduler
 #: loop branches on (a policy's code is its index here).
@@ -76,44 +73,6 @@ def get_policy(policy: str) -> str:
         raise ValueError(f"unknown scheduling policy '{policy}'; known "
                          f"policies: {', '.join(policy_names())}")
     return policy
-
-
-def bulk_priorities(arrays, memory, indices: Sequence[int],
-                    ready_times: Sequence) -> List[tuple]:
-    """Memory-keyed priority keys of many candidate tasks at once.
-
-    ``arrays`` is the graph's :class:`repro.lap.taskgraph.GraphArrays`,
-    ``memory`` the schedule's :class:`repro.lap.memory.MemoryHierarchy`,
-    ``indices`` graph positions (not task ids) and ``ready_times`` the
-    per-candidate ready times (entering the key tuples unchanged).  The
-    two-level tie-break term reads core 0's local store: every output
-    tile's owner before any task wrote it, which is when the scheduler
-    loop scores its initial ready set.  Footprints are gathered into one
-    flat CSR batch and scored by the residency levels' batch kernel; the
-    keys are plain Python ints, equal to the per-task keys the scheduler
-    loop computes.
-    """
-    if not indices:
-        return []
-    idx = np.asarray(indices, dtype=np.int64)
-    indptr = arrays.foot_indptr
-    counts = indptr[idx + 1] - indptr[idx]
-    sub_indptr = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(counts, out=sub_indptr[1:])
-    total = int(sub_indptr[-1])
-    # Gather each candidate's footprint slice: position arithmetic in
-    # numpy, then one fancy index for the payload.
-    offsets = (np.arange(total, dtype=np.int64)
-               - np.repeat(sub_indptr[:-1], counts)
-               + np.repeat(indptr[idx], counts))
-    flat = arrays.foot_indices[offsets]
-    missing = memory.residency.missing_bytes_batch(sub_indptr, flat)
-    stores = memory.local_stores
-    if stores is None:
-        return [(int(m), r) for m, r in zip(missing, ready_times)]
-    local = stores[0].missing_bytes_batch(sub_indptr, flat)
-    return [(int(m), int(lo), r)
-            for m, lo, r in zip(missing, local, ready_times)]
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
 from repro.lap.memory import MemoryHierarchy
-from repro.lap.policies import POLICIES, bulk_priorities, get_policy
+from repro.lap.policies import POLICIES, get_policy
 from repro.lap.replay import ScheduleTrace
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
                                  TaskDescriptor, TaskGraph, TaskKind)
@@ -381,7 +381,7 @@ class LAPRuntime:
         becomes a span on its core's track (args carrying the cycle
         decomposition and data-movement bytes), scheduler-idle gaps become
         ``idle`` spans, and spill/stall counters accumulate timestamped
-        series.  ``None`` (default) and a disabled tracer record nothing.
+        series.  ``None`` (default) records nothing.
         The spans are rebuilt from the recorded executions after the loop,
         so tracing never changes the schedule.
     """
@@ -500,7 +500,7 @@ class LAPRuntime:
         since only entries that reach the heap top are refreshed).
 
         Executions are recorded as plain row tuples that :attr:`executions`
-        materialises on first access; an enabled tracer receives the spans
+        materialises on first access; a tracer receives the spans
         and counters rebuilt from those rows after the loop.  A dependency
         cycle ends in ``RuntimeError("task graph deadlock ...")``.
         """
@@ -532,7 +532,7 @@ class LAPRuntime:
             on_chip_kb=self.on_chip_kb,
             bandwidth_gbs=self.bandwidth_gbs,
             local_store_kb=self.local_store_kb,
-            interner=ga.interner,
+            num_tiles=ga.num_tiles,
             offchip_pj_per_byte=self.offchip_pj_per_byte)
                   if self.memory_enabled else None)
         self.last_memory = memory
@@ -648,13 +648,10 @@ class LAPRuntime:
         cur_version = res_version + local_version if has_mem else 0
         heap: List[Tuple] = []
         if dynamic:
-            # Bulk-score the whole initial ready set in one numpy pass;
             # ``(key, task_id)`` is unique per entry, so heapify produces
             # the same pop sequence as repeated pushes.
-            ready0 = [i for i in range(n) if indeg[i] == 0]
-            keys = bulk_priorities(ga, memory, ready0, [0] * len(ready0))
-            heap = [(keys[k], ids[i], cur_version, i)
-                    for k, i in enumerate(ready0)]
+            heap = [(prio(i, 0), ids[i], cur_version, i)
+                    for i in range(n) if indeg[i] == 0]
             heapq.heapify(heap)
         else:
             for i in range(n):
@@ -743,7 +740,7 @@ class LAPRuntime:
                 duration = cycles * reference_freq / frequencies[c]
             compute_duration = duration
 
-            # -- data movement: TileResidency.touch_ids, inlined ----------------
+            # -- data movement: the shared-level LRU (its only implementation)
             if has_mem:
                 foot = foot_ids[i]
                 pin_floor = res_clock
@@ -920,7 +917,7 @@ class LAPRuntime:
         self._executions = None
         makespan = max(core_free) if core_free else 0
         self.last_makespan = float(makespan)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer is not None:
             self._trace(self.tracer, makespan, has_mem)
         stats: Dict[str, object] = {
             "makespan_cycles": makespan,

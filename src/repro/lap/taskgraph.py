@@ -12,7 +12,8 @@ that layer:
   with the analytics a scheduler needs (critical path, width, per-kind
   counts, topological levels);
 * :class:`GraphArrays` -- the dense per-position arrays (successors,
-  interned footprints, memoization groups) the scheduler loop runs on;
+  footprints as dense tile ids, memoization groups) the scheduler loop
+  runs on;
 * :class:`AlgorithmsByBlocks` -- the host-library decomposition of GEMM,
   Cholesky, LU (no pivoting across tiles) and tiled Householder QR into
   dependency-ordered tile graphs.
@@ -36,10 +37,6 @@ import collections.abc
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.lap.memory import TileInterner
 
 
 class TaskKind(enum.Enum):
@@ -366,10 +363,10 @@ class GraphArrays:
 
     Task ids are *not* assumed 0-based or contiguous (the builders share one
     id counter across graphs), so everything is indexed by graph position
-    with ``ids`` / ``id2idx`` translating.  The successor lists and
-    indegrees are plain Python lists, which is what the scalar hot loop
-    indexes; the interned footprints also come in CSR numpy form
-    (``foot_indptr`` / ``foot_indices``) for the bulk priority kernels.
+    with ``ids`` / ``id2idx`` translating.  Tile names are numbered densely
+    in first-seen order (``num_tiles`` of them), which is how the residency
+    levels of :mod:`repro.lap.memory` are indexed and sized.  The arrays
+    are plain Python lists, which is what the scalar hot loop indexes.
     Built once per graph and cached on it (:meth:`TaskGraph.fast_arrays`),
     so the loop inlines every policy / timing / memory decision without
     per-task method dispatch.
@@ -379,8 +376,7 @@ class GraphArrays:
         tasks = list(graph)
         n = len(tasks)
         self.tasks = tasks
-        self.interner = TileInterner()
-        intern = self.interner.intern
+        tile_ids: Dict[TileAccess, int] = {}
         self.ids = [task.task_id for task in tasks]
         self.id2idx = {tid: i for i, tid in enumerate(self.ids)}
         id2idx = self.id2idx
@@ -392,7 +388,7 @@ class GraphArrays:
         # Successor lists are built by ascending task index, so each list is
         # already sorted; the hot loop only needs a deterministic order.
         self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
-        # Interned footprints: foot_ids is the deduplicated reads+writes
+        # Footprints as tile ids: foot_ids is the deduplicated reads+writes
         # order the residency model consumes; rw_len is the raw (non-dedup)
         # operand count the on-chip energy term charges.
         self.foot_ids: List[Tuple[int, ...]] = []
@@ -421,11 +417,11 @@ class GraphArrays:
             writes = task.write_tiles()
             foot: List[int] = []
             for access in reads + writes:
-                tid = intern(access)
+                tid = tile_ids.setdefault(access, len(tile_ids))
                 if tid not in foot:
                     foot.append(tid)
             self.foot_ids.append(tuple(foot))
-            self.write_ids.append(tuple(intern(access) for access in writes))
+            self.write_ids.append(tuple(tile_ids[access] for access in writes))
             self.rw_len.append(len(reads) + len(writes))
             out = task.output
             oid = coords.get(out)
@@ -442,15 +438,7 @@ class GraphArrays:
             self.group.append(gid)
         self.num_groups = len(group_of)
         self.num_out_coords = len(coords)
-        # CSR form of the interned footprints, for the numpy-bulk priority
-        # kernel (missing bytes of many ready candidates in one call -- see
-        # ``missing_bytes_batch`` on the residency levels).
-        self.foot_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(foot) for foot in self.foot_ids],
-                  out=self.foot_indptr[1:])
-        self.foot_indices = np.fromiter(
-            (tid for foot in self.foot_ids for tid in foot), dtype=np.int64,
-            count=int(self.foot_indptr[-1]))
+        self.num_tiles = len(tile_ids)
         # Tasks per memoization group: lets the loop reconcile the
         # timing model's hit counters in one bulk call per group instead of
         # incrementing a counter per task.

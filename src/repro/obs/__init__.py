@@ -3,8 +3,7 @@
 The observability layer every other subsystem reports through:
 
 * :mod:`repro.obs.tracer` -- :class:`Tracer` / :class:`Span` /
-  :class:`Counter`, the lightweight recording primitives with a no-op fast
-  path when disabled;
+  :class:`Counter`, the lightweight recording primitives;
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export
   (``chrome://tracing`` / Perfetto), schema validation, and the adapter
   that lifts LAC-level :class:`repro.lac.trace.ExecutionTrace` phases into
@@ -26,10 +25,10 @@ from repro.obs.chrome import (lac_trace_events, to_chrome_trace, tracer_events,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.manifest import (MANIFEST_SCHEMA, build_run_manifest,
                                 manifest_path_for, write_run_manifest)
-from repro.obs.tracer import NULL_TRACER, Counter, Span, Tracer
+from repro.obs.tracer import Counter, Span, Tracer
 
 __all__ = [
-    "Counter", "Span", "Tracer", "NULL_TRACER",
+    "Counter", "Span", "Tracer",
     "CoreAttribution", "CycleAttribution", "idle_gaps",
     "lac_trace_events", "to_chrome_trace", "tracer_events",
     "validate_chrome_trace", "write_chrome_trace",

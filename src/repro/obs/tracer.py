@@ -3,11 +3,10 @@
 The observability layer records *what happened when* without perturbing the
 thing it observes: a :class:`Tracer` collects completed :class:`Span` records
 (one per scheduled task, idle gap, or engine shard) and cumulative
-:class:`Counter` series, both cheap appends.  A disabled tracer is a pure
-no-op -- every recording method returns immediately before building any
-intermediate object -- so instrumented hot loops can keep their tracer calls
-unconditionally and pay (nearly) nothing when tracing is off; passing
-``tracer=None`` to the instrumented code skips even the method call.
+:class:`Counter` series, both cheap appends.  No hot loop calls a tracer:
+the LAP runtime rebuilds its spans from the recorded executions after the
+scheduler loop, and ``tracer=None`` (the default everywhere) records
+nothing.
 
 Timestamps are dimensionless: the LAP runtime records reference-clock
 cycles, the sweep engine records seconds.  One tracer should stick to one
@@ -27,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Span", "Tracer", "NULL_TRACER"]
+__all__ = ["Counter", "Span", "Tracer"]
 
 
 @dataclass
@@ -82,39 +81,18 @@ class Counter:
         return f"Counter({self.name!r}, value={self.value})"
 
 
-class _NullCounter(Counter):
-    """Counter whose ``add`` discards everything (the disabled fast path)."""
-
-    def add(self, delta: float, ts: Optional[float] = None) -> None:
-        return None
-
-
-_SHARED_NULL_COUNTER = _NullCounter("<disabled>")
-
-
 class Tracer:
-    """Collects spans and counters; a disabled tracer records nothing.
+    """Collects spans and counters."""
 
-    Parameters
-    ----------
-    enabled:
-        When ``False`` every recording method is a no-op that returns
-        before allocating anything, so instrumentation left in hot loops
-        costs one attribute check plus one early-returning call.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}
 
     # ----------------------------------------------------------- recording
     def span(self, name: str, track: int, start: float, end: float,
              category: str = "task",
-             args: Optional[Dict[str, object]] = None) -> Optional[Span]:
-        """Record one completed span; returns it (``None`` when disabled)."""
-        if not self.enabled:
-            return None
+             args: Optional[Dict[str, object]] = None) -> Span:
+        """Record one completed span; returns it."""
         span = Span(name=name, track=int(track), start=float(start),
                     end=float(end), category=category,
                     args={} if args is None else args)
@@ -122,9 +100,7 @@ class Tracer:
         return span
 
     def counter(self, name: str) -> Counter:
-        """The named counter (a shared discard-all stub when disabled)."""
-        if not self.enabled:
-            return _SHARED_NULL_COUNTER
+        """The named counter, created on first use."""
         counter = self.counters.get(name)
         if counter is None:
             counter = self.counters[name] = Counter(name)
@@ -141,11 +117,6 @@ class Tracer:
         return grouped
 
     def clear(self) -> None:
-        """Drop every recorded span and counter (the enable flag is kept)."""
+        """Drop every recorded span and counter."""
         self.spans.clear()
         self.counters.clear()
-
-
-#: A shared, always-disabled tracer: hand it to instrumented code that
-#: requires a tracer object when you want the no-op behaviour explicitly.
-NULL_TRACER = Tracer(enabled=False)

@@ -5,8 +5,9 @@ module keeps a plain implementation of the same model for the tests to
 compare against:
 
 * :class:`OracleTileResidency` / :class:`OracleLocalStore` --
-  ``OrderedDict`` LRUs over tile names (the oracles of the product's
-  ``TileResidency`` / ``LocalStore`` in :mod:`repro.lap.memory`);
+  ``OrderedDict`` LRUs over tile names that define the residency model
+  (the loop keeps its state in the product's ``TileResidency`` /
+  ``LocalStore`` of :mod:`repro.lap.memory`);
 * :class:`OracleHierarchy` -- a :class:`MemoryHierarchy` over those levels
   whose :meth:`OracleHierarchy.account` returns one
   :class:`TaskMemoryEvent` per dispatched task;
@@ -306,8 +307,8 @@ DYNAMIC_POLICIES = ("memory_aware", "affinity")
 def priority(policy, task, ready_time, memory, owners, ranks=None) -> Tuple:
     """Heap key of a ready task (lower first; the task id breaks ties).
 
-    ``policy`` is a policy name.  ``memory`` may be any hierarchy with
-    name-based residency levels (the oracle's or the product's); ``owners``
+    ``policy`` is a policy name.  ``memory`` is an :class:`OracleHierarchy`
+    (or ``None``), whose levels answer name-based queries; ``owners``
     maps an output tile to the core that last wrote it, and ``ranks`` holds
     the graph's critical-path lengths (``critical_path`` only).
     """
@@ -362,8 +363,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         local_store_kb=runtime.local_store_kb,
         offchip_pj_per_byte=runtime.offchip_pj_per_byte)
               if runtime.memory_enabled else None)
-    tracer = (runtime.tracer if runtime.tracer is not None
-              and runtime.tracer.enabled else None)
+    tracer = runtime.tracer
     policy = runtime.policy
     ranks = (graph.critical_path_lengths() if policy == "critical_path"
              else None)

@@ -298,6 +298,38 @@ class TestExecutor:
         assert "caching disabled" in capsys.readouterr().err
         assert len(calls) == 2  # caching stopped after the failure
 
+    def test_cache_write_failure_is_scoped_to_one_run(self, tmp_path):
+        """A failed write stops writing for that run only: the run still
+        reports and persists its counters, and a later run of the same
+        executor reads and writes the cache again."""
+        from repro.engine import SweepExecutor
+
+        jobs = SweepSpec().grid(cores=(4, 8), nr=(2, 4)).jobs("design")
+        cache = ResultCache(tmp_path, code_version="v1")
+        original_put = cache.put
+        calls = []
+
+        def flaky_put(job, row):
+            calls.append(job)
+            if len(calls) >= 2:
+                raise OSError("disk full")
+            return original_put(job, row)
+
+        cache.put = flaky_put
+        executor = SweepExecutor(mode="serial", cache=cache)
+        first = executor.run(jobs)
+        assert first.executed == 4 and len(calls) == 2
+        assert first.cache_stats["misses"] == 4
+        # A fresh instance sees only what the first run persisted.
+        persisted = ResultCache(tmp_path, code_version="v1").lifetime_stats()
+        assert persisted["misses"] == 4
+        cache.put = original_put
+        second = executor.run(jobs)
+        assert second.cached == 1 and second.executed == 3
+        assert second.cache_stats["hits"] == 1
+        assert executor.run(jobs).cached == 4
+        assert json.dumps(second.rows) == json.dumps(first.rows)
+
     def test_progress_callback_reaches_total(self):
         jobs = _chip_jobs()
         seen = []

@@ -11,8 +11,10 @@ silently fork.  This suite pins that contract:
 * the full matrix of all four algorithms-by-blocks workloads x all five
   scheduling policies x {single-level, two-level} hierarchies under
   constrained capacity (spills, stalls and writebacks exercised);
-* the SoA batch kernel (CSR ``missing_bytes`` scoring) against its
-  scalar form on random residency states;
+* random DAGs of GEMM/CHOLESKY/TRSM tasks over a 3x3 tile grid, under
+  every policy, hierarchy shape, core count and capacities below one
+  footprint: the loop is the only implementation of the residency and
+  priority decisions, so this property is what pins them;
 * verify=True (numerically exact tiles) and heterogeneous-frequency /
   prefetch-overlap / memory-off / functional-timing variants;
 * the ``lap_runtime`` runner rows against the oracle's rows and the
@@ -28,12 +30,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import priority, reference_execute
+from scheduler_oracle import reference_execute
 
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
-from repro.lap.taskgraph import AlgorithmsByBlocks
+from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor,
+                                 TaskGraph, TaskKind)
 
 TILE = 8
 SIZES = {"cholesky": 40, "gemm": 32, "lu": 40, "qr": 32}
@@ -247,90 +250,47 @@ def test_runner_policy_golden_rows_survive_fast():
         assert fast_row["tasks_executed"] == row["tasks"]
 
 
-# ------------------------------------------ SoA batch kernels vs scalar oracle
-TILE_BYTES = TILE * TILE * 8
-
-
-def _tile_names(ids):
-    return [("T", int(i)) for i in ids]
+# ------------------------------------------------ random graphs vs the oracle
+#: Kinds random graphs draw from, with their input-tile counts: a 3-tile
+#: update, a 1-tile factor and a 2-tile solve, whose footprints overlap
+#: across the A/B/C/L operand names.
+RANDOM_KINDS = {TaskKind.GEMM: 2, TaskKind.CHOLESKY: 0, TaskKind.TRSM: 1}
+coords = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 @st.composite
-def residency_cases(draw):
-    """A random residency state plus a random CSR batch of footprints."""
-    ntiles = draw(st.integers(min_value=1, max_value=24))
-    touches = draw(st.lists(
-        st.lists(st.integers(0, ntiles - 1), min_size=1, max_size=6,
-                 unique=True), min_size=0, max_size=12))
-    foots = draw(st.lists(
-        st.lists(st.integers(0, ntiles - 1), min_size=0, max_size=8,
-                 unique=True), min_size=1, max_size=10))
-    capacity_tiles = draw(st.integers(min_value=1, max_value=ntiles + 2))
-    return ntiles, touches, foots, capacity_tiles
+def random_graphs(draw):
+    """A DAG of up to 24 tasks over a 3x3 tile grid, with shuffled task ids
+    so that graph position, id order and tie-breaks all differ."""
+    n = draw(st.integers(1, 24))
+    ids = draw(st.permutations(range(n)))
+    tasks = []
+    for k in range(n):
+        kind = draw(st.sampled_from(list(RANDOM_KINDS)))
+        inputs = [draw(coords) for _ in range(RANDOM_KINDS[kind])]
+        deps = draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []
+        tasks.append(TaskDescriptor(
+            ids[k], kind, output=draw(coords), inputs=inputs,
+            depends_on=[ids[d] for d in deps]))
+    return TaskGraph(tasks)
 
 
-def _csr_batch(foots, interner, ntiles):
-    """Intern every tile, then lay the footprints out as one CSR batch."""
-    ids = [interner.intern(name) for name in _tile_names(range(ntiles))]
-    indptr = np.zeros(len(foots) + 1, dtype=np.int64)
-    np.cumsum([len(f) for f in foots], out=indptr[1:])
-    indices = np.fromiter((ids[i] for f in foots for i in f),
-                          dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
-
-
-@given(residency_cases())
-@settings(max_examples=60, deadline=None)
-def test_residency_missing_bytes_batch_matches_scalar(case):
-    from repro.lap.memory import TileResidency
-
-    ntiles, touches, foots, cap = case
-    res = TileResidency(cap * TILE_BYTES, TILE_BYTES)
-    for foot in touches:
-        res.touch(_tile_names(foot), [])
-    indptr, indices = _csr_batch(foots, res._interner, ntiles)
-    batch = res.missing_bytes_batch(indptr, indices)
-    assert batch.tolist() == [res.missing_bytes(_tile_names(f))
-                              for f in foots]
-
-
-@given(residency_cases())
-@settings(max_examples=60, deadline=None)
-def test_local_store_batch_kernels_match_scalar(case):
-    from repro.lap.memory import LocalStore
-
-    ntiles, touches, foots, cap = case
-    store = LocalStore(cap * TILE_BYTES, TILE_BYTES)
-    for foot in touches:
-        store.touch(_tile_names(foot))
-    indptr, indices = _csr_batch(foots, store._interner, ntiles)
-    missing = store.missing_bytes_batch(indptr, indices)
-    assert missing.tolist() == [store.missing_bytes(_tile_names(f))
-                                for f in foots]
-
-
-def test_bulk_priorities_match_scalar_keys():
-    """`bulk_priorities` reproduces the oracle's scalar `memory_aware`
-    priority keys (values and types) over a live hierarchy, both
-    hierarchies."""
-    from repro.lap.policies import bulk_priorities
-
-    for local_store_kb in LEVELS:
-        rt = make_runtime(policy="memory_aware",
-                          local_store_kb=local_store_kb)
-        graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
-        rt.execute(graph, make_tiles(), verify=False)
-        arrays = graph.fast_arrays()
-        memory = rt.last_memory
-        indices = list(range(0, len(arrays.tasks), 3))
-        ready = [float(i) for i in range(len(indices))]
-        bulk = bulk_priorities(arrays, memory, indices, ready)
-        assert len(bulk) == len(indices)
-        for pos, key, r in zip(indices, bulk, ready):
-            scalar = priority("memory_aware", arrays.tasks[pos], r, memory, {})
-            assert key == scalar
-            assert all(type(a) is type(b) for a, b in zip(key, scalar))
-        assert bulk_priorities(arrays, memory, [], []) == []
+@given(graph=random_graphs(), policy=st.sampled_from(POLICIES),
+       local_store_kb=st.sampled_from([None, 0.5, 1.0, 2.0]),
+       on_chip_kb=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+       num_cores=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
+                                              on_chip_kb, num_cores):
+    """The scheduler loop is the only implementation of the residency and
+    priority decisions, so it is pinned to the oracle on random graphs.  A
+    tile is 0.5 KiB, so the capacities include 1 and 2 tiles, less than a
+    GEMM's 3-tile footprint, where only the pin rule keeps a footprint
+    resident."""
+    kwargs = dict(policy=policy, local_store_kb=local_store_kb,
+                  on_chip_kb=on_chip_kb, num_cores=num_cores)
+    assert_runs_identical(make_runtime(**kwargs), make_runtime(**kwargs),
+                          graph)
 
 
 # ----------------------------------------------------------------- replay

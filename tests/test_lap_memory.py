@@ -1,11 +1,13 @@
 """Tests for the unified memory-hierarchy layer of the LAP runtime.
 
-Covers the tile-residency LRU, the bandwidth-stall and energy models, the
-task footprints in the IR, the memory_aware policy, the off-chip shim
-equivalence, and the tolerance-compared golden of the traffic / stall /
-energy columns the ``lap_runtime`` runner now reports.  Per-task accounting
-in an arbitrary dispatch order goes through the oracle hierarchy of
-``scheduler_oracle``; everything else runs the product classes.
+Covers the tile-residency LRU (shared-level cases as 1-3-task graphs
+through the scheduler loop, local-store cases through ``touch_ids`` /
+``invalidate_ids``), the bandwidth-stall and energy models, the task
+footprints in the IR, the memory_aware policy, the off-chip closed form
+and its residency limit, and the tolerance-compared golden of the traffic
+/ stall / energy columns the ``lap_runtime`` runner now reports.  Per-task
+accounting in an arbitrary dispatch order goes through the oracle
+hierarchy of ``scheduler_oracle``; everything else runs the product.
 
 Refreshing the runner golden after an intentional model change::
 
@@ -18,13 +20,13 @@ import pathlib
 
 import numpy as np
 import pytest
-from scheduler_oracle import OracleHierarchy
+from scheduler_oracle import OracleHierarchy, OracleTileResidency
 
 from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.memory import (BandwidthModel, LocalStore, MemoryHierarchy,
-                              TileResidency, gemm_stream_traffic)
+                              TileResidency)
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
@@ -85,7 +87,40 @@ class TestTaskFootprints:
 
 
 # ------------------------------------------------------------ TileResidency
+def run_on_one_core(footprints, on_chip_kb=4.0):
+    """Execute one chain of tasks with explicit ``(reads, writes)``
+    footprints on one core; returns the runtime and its stats."""
+    tasks = [TaskDescriptor(i, TaskKind.GEMM, output=(0, 0),
+                            inputs=[(0, 0), (0, 0)],
+                            depends_on=[i - 1] if i else [],
+                            reads=list(reads), writes=list(writes))
+             for i, (reads, writes) in enumerate(footprints)]
+    return run_tasks(tasks, on_chip_kb=on_chip_kb)
+
+
+def run_tasks(tasks, policy="greedy", on_chip_kb=4.0):
+    """Execute hand-built tasks on one core over 6x6 grids of 8x8 tiles
+    (so one tile is 512 bytes); returns the runtime and its stats."""
+    runtime = make_runtime(num_cores=1, timing="memoized", policy=policy,
+                           on_chip_kb=on_chip_kb)
+    block = 16.0 * np.eye(8)
+    tiles = {name: {(i, j): block.copy() for i in range(6) for j in range(6)}
+             for name in ("A", "B", "C", "L")}
+    stats = runtime.execute(tasks, tiles, verify=False)
+    return runtime, stats
+
+
+def moved(execution):
+    """``(refill, compulsory, spill, writeback)`` bytes of one execution."""
+    return (execution.refill_bytes,
+            execution.refill_bytes - execution.spill_bytes,
+            execution.spill_bytes, execution.writeback_bytes)
+
+
 class TestTileResidency:
+    """The shared level through the scheduler loop, its only implementation
+    (512-byte tiles; ``on_chip_kb=1.0`` holds two of them)."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TileResidency(0, 512)
@@ -93,45 +128,59 @@ class TestTileResidency:
             TileResidency(1024, 0)
 
     def test_cold_misses_are_compulsory_once(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
-        refill, compulsory, spill, wb = res.touch([("A", (0, 0)), ("A", (0, 1))], [])
-        assert (refill, compulsory, spill, wb) == (1024, 1024, 0, 0)
-        # Re-touching resident tiles moves no bytes.
-        refill, compulsory, spill, wb = res.touch([("A", (0, 0))], [])
-        assert (refill, compulsory, spill, wb) == (0, 0, 0, 0)
+        runtime, stats = run_on_one_core([
+            ([("A", (0, 0)), ("A", (0, 1))], []),
+            ([("A", (0, 0))], []),      # re-touching resident tiles is free
+        ])
+        assert [moved(e) for e in runtime.executions] == [
+            (1024, 1024, 0, 0), (0, 0, 0, 0)]
+        assert stats["compulsory_bytes"] == 1024 and stats["spill_bytes"] == 0
 
     def test_capacity_eviction_and_spill_refill(self):
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)  # 2 tiles
-        res.touch([("A", (0, 0)), ("A", (0, 1))], [])
-        res.touch([("A", (0, 2))], [])          # evicts LRU (0, 0), clean
-        assert not res.is_resident(("A", (0, 0)))
-        refill, compulsory, spill, wb = res.touch([("A", (0, 0))], [])
-        assert spill == 512 and compulsory == 0  # re-fetch after eviction
-        assert res.resident_bytes <= 1024
+        runtime, stats = run_on_one_core([
+            ([("A", (0, 0)), ("A", (0, 1))], []),
+            ([("A", (0, 2))], []),      # evicts LRU (0, 0), clean
+            ([("A", (0, 0))], []),      # re-fetch after eviction: a spill
+        ], on_chip_kb=1.0)
+        assert moved(runtime.executions[2]) == (512, 0, 512, 0)
+        assert stats["spill_bytes"] == 512
+        assert stats["peak_resident_bytes"] == 1024
 
     def test_dirty_eviction_writes_back(self):
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
-        res.touch([], [("A", (0, 0))])           # dirty
-        res.touch([("A", (0, 1))], [])
-        _, _, _, wb = res.touch([("A", (0, 2))], [])  # evicts dirty (0, 0)
-        assert wb == 512
+        runtime, stats = run_on_one_core([
+            ([], [("A", (0, 0))]),      # dirty
+            ([("A", (0, 1))], []),
+            ([("A", (0, 2))], []),      # evicts dirty (0, 0)
+        ], on_chip_kb=1.0)
+        assert [e.writeback_bytes for e in runtime.executions] == [0, 0, 512]
+        assert runtime.last_memory.flush_writeback_bytes == 0
 
     def test_footprint_is_pinned_against_itself(self):
         """One task's tiles never evict each other, even above capacity."""
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
-        refill, compulsory, spill, wb = res.touch(
-            [("A", (0, 0)), ("A", (0, 1)), ("A", (0, 2))], [])
-        assert compulsory == 3 * 512 and spill == 0
+        runtime, stats = run_on_one_core(
+            [([("A", (0, 0)), ("A", (0, 1)), ("A", (0, 2))], [])],
+            on_chip_kb=1.0)
+        assert moved(runtime.executions[0]) == (1536, 1536, 0, 0)
         # All three stayed resident through the touch (transient overflow).
-        assert res.peak_resident_bytes == 3 * 512
+        assert stats["peak_resident_bytes"] == 3 * 512
 
     def test_missing_bytes_and_flush(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
-        res.touch([("A", (0, 0))], [("A", (0, 1))])
-        assert res.missing_bytes([("A", (0, 0)), ("A", (9, 9))]) == 512
-        assert res.flush() == 512                # one dirty tile
-        assert res.resident_bytes == 0
-        assert res.flush() == 0
+        """``memory_aware`` runs the ready task with fewer missing bytes
+        first, and the final flush writes back the one dirty tile."""
+        tasks = [TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
+                                inputs=[(0, 0), (0, 0)],
+                                reads=[("A", (0, 0))], writes=[("A", (0, 1))])]
+        for task_id, tile in ((1, ("A", (5, 5))), (2, ("A", (0, 0)))):
+            tasks.append(TaskDescriptor(task_id, TaskKind.GEMM, output=(0, 0),
+                                        inputs=[(0, 0), (0, 0)],
+                                        depends_on=[0], reads=[tile],
+                                        writes=[]))
+        for policy, order in (("greedy", [0, 1, 2]),
+                              ("memory_aware", [0, 2, 1])):
+            runtime, stats = run_tasks(tasks, policy=policy)
+            assert [e.task_id for e in runtime.executions] == order
+            assert runtime.last_memory.flush_writeback_bytes == 512
+            assert stats["writeback_bytes"] == 512
 
 
 # ------------------------------------------- bandwidth and energy models
@@ -167,34 +216,36 @@ class TestBandwidthAndEnergy:
             compose_task_cycles(1, 1, overlap_fraction=2.0)
 
 
-# ----------------------------------------------------- off-chip shim parity
+# ------------------------------------------- off-chip closed form vs residency
 class TestOffChipShim:
+    """``repro.lap.offchip``'s closed form, and its residency limit."""
+
     def test_traffic_summary_matches_stream_formula(self):
+        """A and B are re-streamed ``1 / fraction`` times; C crosses the
+        boundary once each way."""
         model = OffChipTrafficModel(num_cores=8, element_bytes=8)
+        matrix_bytes = 1024.0 * 1024 * 8
         for fraction in (1.0, 0.5, 0.25):
             summary = model.traffic(1024, fraction)
-            parts = gemm_stream_traffic(1024, 8, fraction)
-            assert summary.a_bytes == parts["a_bytes"]
-            assert summary.b_bytes == parts["b_bytes"]
-            assert summary.c_read_bytes == parts["c_read_bytes"]
-            assert summary.c_write_bytes == parts["c_write_bytes"]
+            assert summary.a_bytes == summary.b_bytes == matrix_bytes / fraction
+            assert summary.c_read_bytes == summary.c_write_bytes == matrix_bytes
 
     def test_residency_limit_equals_closed_form(self):
-        """Unconstrained residency over a GEMM graph reproduces the analytic
-        streamed traffic exactly (every operand crosses the boundary once)."""
-        n, tile, eb = 32, 8, 8
+        """With every tile resident, the scheduler loop's accounting of the
+        tiled GEMM graph reproduces the closed-form streamed traffic exactly
+        (every operand crosses the boundary once)."""
+        n, tile = 32, 8
+        runtime = make_runtime(timing="memoized", on_chip_kb=1e6)
+        rng = np.random.default_rng(0)
+        tiles = {name: runtime.tile_matrix(rng.random((n, n)), tile)
+                 for name in ("A", "B", "C")}
         graph = AlgorithmsByBlocks(tile=tile).gemm_tasks(n, n, n)
-        res = TileResidency(capacity_bytes=float("1e9"),
-                            tile_bytes=tile * tile * eb)
-        refill = writeback = 0.0
-        for task in graph:
-            r, _, _, wb = res.touch(task.read_tiles(), task.write_tiles())
-            refill += r
-            writeback += wb
-        writeback += res.flush()
-        parts = gemm_stream_traffic(n, eb, 1.0)
-        assert refill == parts["a_bytes"] + parts["b_bytes"] + parts["c_read_bytes"]
-        assert writeback == parts["c_write_bytes"]
+        stats = runtime.execute(graph, tiles, verify=False)
+        summary = OffChipTrafficModel(num_cores=2, element_bytes=8).traffic(n)
+        assert stats["spill_bytes"] == 0
+        assert stats["compulsory_bytes"] == (summary.a_bytes + summary.b_bytes
+                                             + summary.c_read_bytes)
+        assert stats["writeback_bytes"] == summary.c_write_bytes
 
     def test_degenerate_arithmetic_intensity_is_zero(self):
         summary = TrafficSummary(n=0, element_bytes=8, a_bytes=0.0, b_bytes=0.0,
@@ -290,7 +341,7 @@ class TestRuntimeDataMovement:
             make_runtime(stall_overlap=1.5)
 
     def test_resident_touches_do_not_bump_residency_version(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = OracleTileResidency(capacity_bytes=4096, tile_bytes=512)
         res.touch([("A", (0, 0))], [])
         version = res.version
         res.touch([("A", (0, 0))], [])           # fully resident: no-op
@@ -429,24 +480,23 @@ class TestLocalStore:
             LocalStore(1024, 0)
 
     def test_fill_hit_and_invalidate(self):
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
-        assert store.touch([("A", (0, 0))]) == 512          # cold fill
-        assert store.touch([("A", (0, 0))]) == 0            # hit
-        assert store.resident_footprint_bytes([("A", (0, 0))]) == 512
-        assert store.missing_bytes([("A", (0, 0)), ("A", (1, 1))]) == 512
-        store.invalidate(("A", (0, 0)))
-        assert not store.is_resident(("A", (0, 0)))
-        assert store.touch([("A", (0, 0))]) == 512          # re-fill
+        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=4)
+        assert store.touch_ids([0]) == 512                  # cold fill
+        assert store.touch_ids([0]) == 0                    # hit
+        assert store.touch_ids([0, 1]) == 512               # one tile missing
+        store.invalidate_ids([0, 3])                        # 3 is not held
+        assert store.touch_ids([1]) == 0
+        assert store.touch_ids([0]) == 512                  # re-fill
+        assert store.peak_resident_bytes == 2 * 512
 
     def test_lru_eviction_and_pinning(self):
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
-        store.touch([("A", (0, 0)), ("A", (0, 1))])
-        store.touch([("A", (0, 2))])                        # evicts (0, 0)
-        assert not store.is_resident(("A", (0, 0)))
-        assert store.is_resident(("A", (0, 1)))
+        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=6)
+        store.touch_ids([0, 1])
+        store.touch_ids([2])                                # evicts 0
+        assert store.touch_ids([1]) == 0                    # 1 stayed
+        assert store.touch_ids([0]) == 512                  # 0 was evicted
         # A footprint larger than the budget pins itself (transient overflow).
-        fill = store.touch([("B", (0, 0)), ("B", (0, 1)), ("B", (0, 2))])
-        assert fill == 3 * 512
+        assert store.touch_ids([3, 4, 5]) == 3 * 512
         assert store.peak_resident_bytes == 3 * 512
 
     def test_hierarchy_classifies_local_shared_and_c2c(self):

@@ -1,12 +1,10 @@
 """Property-based verification of the two-level memory hierarchy.
 
 Hypothesis drives randomly generated tile-access sequences (and whole task
-graphs) through the residency levels the runtime uses
-(:class:`repro.lap.memory.TileResidency`,
-:class:`repro.lap.memory.LocalStore`), through the oracle hierarchy of
-``scheduler_oracle`` (per-task accounting in an arbitrary dispatch order)
-and through the runtime, and checks the invariants the analytical layers
-above rely on:
+graphs) through the ``OrderedDict`` levels of ``scheduler_oracle``
+(:class:`OracleTileResidency`, :class:`OracleLocalStore` and the per-task
+:class:`OracleHierarchy`), which define the model, and through the runtime,
+and checks the invariants the analytical layers above rely on:
 
 * capacity: resident bytes never exceed the level's capacity (beyond the
   transient overflow of a single pinned footprint) at either level;
@@ -17,9 +15,13 @@ above rely on:
   used non-pinned tile;
 * monotonicity: for a fixed dispatch order, growing either level's
   capacity never increases off-chip spill traffic;
-* differential: the SoA levels are observationally identical to the
-  ``OrderedDict`` oracles on random access streams.
+* differential: the scheduler loop's shared level (on random access
+  streams, as one-core task chains) and ``LocalStore.touch_ids`` /
+  ``invalidate_ids`` match the ``OrderedDict`` oracles.
 
+The loop, the one product implementation of the residency and priority
+decisions, is also pinned to the oracle on random task graphs by
+``tests/test_fastpath_equivalence.py::test_loop_matches_oracle_on_random_graphs``.
 Each invariant runs 200+ random examples (see ``EXAMPLES``), as the
 acceptance criteria of the two-level-hierarchy PR require.
 """
@@ -32,9 +34,9 @@ from scheduler_oracle import (OracleHierarchy, OracleLocalStore,
                               OracleTileResidency)
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import LocalStore, TileResidency
+from repro.lap.memory import LocalStore
 from repro.lap.runtime import LAPRuntime
-from repro.lap.taskgraph import AlgorithmsByBlocks
+from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
 
 EXAMPLES = 200
 
@@ -70,8 +72,8 @@ def _footprint(reads, writes):
 def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_tiles):
     """After every touch the shared level holds at most ``capacity`` bytes,
     except when a single pinned footprint transiently overflows it."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                              tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         res.touch(reads, writes)
         footprint_bytes = len(_footprint(reads, writes)) * TILE_BYTES
@@ -83,8 +85,8 @@ def test_shared_resident_bytes_bounded_by_capacity_or_footprint(trace, capacity_
 @given(trace=traces, capacity_tiles=capacities)
 def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
     """The per-core level obeys the same capacity bound as the shared one."""
-    store = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                       tile_bytes=TILE_BYTES)
+    store = OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                             tile_bytes=TILE_BYTES)
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
         store.touch(footprint)
@@ -98,8 +100,8 @@ def test_local_store_resident_bytes_bounded(trace, capacity_tiles):
 def test_refill_splits_exactly_into_compulsory_and_spill(trace, capacity_tiles):
     """Per touch: refill == compulsory + spill, and a tile's first-ever
     fetch is compulsory while every later re-fetch is a spill."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                              tile_bytes=TILE_BYTES)
     ever = set()
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
@@ -118,8 +120,8 @@ def test_traffic_conservation_against_total_footprint(trace, capacity_tiles):
     """Whole-trace conservation: total compulsory bytes equal the distinct
     tiles ever touched, and writebacks (evictions + final flush) never
     exceed the times tiles were marked dirty."""
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                              tile_bytes=TILE_BYTES)
     total_compulsory = total_writeback = 0.0
     distinct = set()
     dirty_markings = 0
@@ -146,8 +148,8 @@ def test_lru_eviction_order(data):
     """Filling the shared level and touching one more tile evicts exactly
     the least recently used tile of the current footprint's complement."""
     capacity_tiles = data.draw(st.integers(2, 6))
-    res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                        tile_bytes=TILE_BYTES)
+    res = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+                              tile_bytes=TILE_BYTES)
     tiles = [("A", (i, 0)) for i in range(capacity_tiles)]
     order = data.draw(st.permutations(tiles))
     for access in order:
@@ -212,7 +214,7 @@ def test_larger_shared_level_never_increases_spill_for_fixed_order(data):
     graph = AlgorithmsByBlocks(tile=8).build(algorithm, n)
 
     def spill(capacity_tiles):
-        res = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
+        res = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
                             tile_bytes=TILE_BYTES)
         total = 0.0
         for task in graph:
@@ -243,76 +245,81 @@ def test_two_level_runtime_conserves_offchip_traffic_split(data):
     assert stats["offchip_traffic_bytes"] == (stats["compulsory_bytes"]
                                               + stats["spill_bytes"]
                                               + stats["writeback_bytes"])
-    hierarchy = runtime.last_memory
+    tile_bytes = runtime.last_memory.residency.tile_bytes
     touched = (stats["local_hit_bytes"] + stats["shared_to_local_bytes"]
                + stats["c2c_bytes"])
-    footprint_bytes = sum(
-        len(_footprint(t.read_tiles(), t.write_tiles()))
-        * hierarchy.residency.tile_bytes
-        for t in AlgorithmsByBlocks(8).build(algorithm, 32))
-    assert touched == footprint_bytes
+    footprints = [len(_footprint(t.read_tiles(), t.write_tiles())) * tile_bytes
+                  for t in AlgorithmsByBlocks(8).build(algorithm, 32)]
+    assert touched == sum(footprints)
     assert 0.0 <= stats["local_hit_rate"] <= 1.0
-    for store in hierarchy.local_stores:
-        assert store.resident_bytes <= max(store.capacity_bytes,
-                                           store.peak_resident_bytes)
+    assert stats["peak_local_resident_bytes"] <= max(local_kb * 1024,
+                                                     max(footprints))
 
 
-# ------------------------------------------- SoA levels vs OrderedDict oracle
+# ------------------------------------ product levels vs OrderedDict oracle
+#: Dense ids of every name ``tile_names`` can draw, as the graph arrays
+#: would number them.
+TILE_IDS = {name: k for k, name in enumerate(
+    (op, (i, j)) for op in "ABC" for i in range(6) for j in range(6))}
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities)
 def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
-    """The clock/stamp SoA residency is observationally identical to the
-    OrderedDict oracle on random access streams: per-touch traffic
-    tuples, eviction victims *in order*, membership, version counter,
-    resident/peak bytes, and the final flush."""
+    """The scheduler loop's shared level, driven by a one-core chain of
+    tasks whose explicit footprints are the touches, moves exactly the
+    oracle's bytes: per-task traffic tuples, peak bytes, the final flush
+    and the membership version."""
     ref = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
                               tile_bytes=TILE_BYTES)
-    fast = TileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
-                         tile_bytes=TILE_BYTES)
-    universe = set()
-    for reads, writes in trace:
-        universe.update(reads + writes)
-        assert fast.touch(reads, writes) == ref.touch(reads, writes)
-        assert fast.last_evicted == ref.last_evicted
-        assert fast.resident_bytes == ref.resident_bytes
-        assert fast.peak_resident_bytes == ref.peak_resident_bytes
-        assert fast.version == ref.version
-        for name in universe:
-            assert fast.is_resident(name) == ref.is_resident(name), name
-        probe = sorted(universe)[:6]
-        assert fast.missing_bytes(probe) == ref.missing_bytes(probe)
-    assert fast.flush() == ref.flush()
-    assert fast.last_evicted == ref.last_evicted
-    assert fast.resident_bytes == ref.resident_bytes == 0
+    tasks = [TaskDescriptor(k, TaskKind.GEMM, output=(0, 0),
+                            inputs=[(0, 0), (0, 0)],
+                            depends_on=[k - 1] if k else [],
+                            reads=reads, writes=writes)
+             for k, (reads, writes) in enumerate(trace)]
+    lap = LinearAlgebraProcessor(LAPConfig(num_cores=1, nr=4,
+                                           onchip_memory_mbytes=1.0))
+    runtime = LAPRuntime(lap, 8, timing="memoized",
+                         on_chip_kb=capacity_tiles * TILE_BYTES / 1024)
+    block = 16.0 * np.eye(8)
+    tiles = {op: {(i, j): block for i in range(6) for j in range(6)}
+             for op in "ABC"}
+    stats = runtime.execute(tasks, tiles, verify=False)
+    for (reads, writes), e in zip(trace, runtime.executions):
+        assert (e.refill_bytes, e.refill_bytes - e.spill_bytes, e.spill_bytes,
+                e.writeback_bytes) == ref.touch(reads, writes)
+    assert stats["peak_resident_bytes"] == ref.peak_resident_bytes
+    assert runtime.last_memory.flush_writeback_bytes == ref.flush()
+    assert runtime.last_memory.residency.version == ref.version
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities, data=st.data())
 def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
                                                      data):
-    """LocalStore mirrors OracleLocalStore under random touch/invalidate
-    interleavings (fill bytes, membership, footprint queries, peak)."""
+    """LocalStore's ``touch_ids`` / ``invalidate_ids`` (the two calls the
+    scheduler loop makes) mirror OracleLocalStore under random
+    touch/invalidate interleavings: fill bytes, peak bytes, and the
+    membership the loop reads from the stamps."""
     ref = OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
                            tile_bytes=TILE_BYTES)
     fast = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                      tile_bytes=TILE_BYTES)
+                      tile_bytes=TILE_BYTES, num_tiles=len(TILE_IDS))
     universe = set()
     for reads, writes in trace:
-        accesses = reads + writes
-        universe.update(accesses)
-        assert fast.touch(accesses) == ref.touch(accesses)
+        footprint = _footprint(reads, writes)
+        universe.update(footprint)
+        assert (fast.touch_ids([TILE_IDS[a] for a in footprint])
+                == ref.touch(footprint))
         if universe and data.draw(st.booleans()):
-            victim = data.draw(st.sampled_from(sorted(universe)))
-            ref.invalidate(victim)
-            fast.invalidate(victim)
-        assert fast.resident_bytes == ref.resident_bytes
+            victims = data.draw(st.lists(st.sampled_from(sorted(universe)),
+                                         max_size=3))
+            for victim in victims:
+                ref.invalidate(victim)
+            fast.invalidate_ids([TILE_IDS[a] for a in victims])
         assert fast.peak_resident_bytes == ref.peak_resident_bytes
         for name in universe:
-            assert fast.is_resident(name) == ref.is_resident(name), name
-        probe = sorted(universe)[:6]
-        assert fast.missing_bytes(probe) == ref.missing_bytes(probe)
-        assert (fast.resident_footprint_bytes(probe)
-                == ref.resident_footprint_bytes(probe))
+            assert (fast._stamp[TILE_IDS[name]] >= 0) == ref.is_resident(name)
 
 
 # ------------------------------------------------ schedule-replay costing

@@ -14,7 +14,7 @@ from repro.engine.spec import SweepSpec
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.timing import compose_task_cycles, decompose_task_cycles
-from repro.obs import (NULL_TRACER, CycleAttribution, Span, Tracer, idle_gaps,
+from repro.obs import (CycleAttribution, Span, Tracer, idle_gaps,
                        lac_trace_events, to_chrome_trace, tracer_events,
                        validate_chrome_trace, write_chrome_trace)
 from repro.obs.manifest import (MANIFEST_SCHEMA, build_run_manifest,
@@ -46,17 +46,6 @@ def test_tracer_records_spans_and_counters():
     assert [s.name for s in tracer.spans] == ["GEMM#0"]
 
 
-def test_disabled_tracer_is_a_noop():
-    tracer = Tracer(enabled=False)
-    assert tracer.span("x", track=0, start=0, end=1) is None
-    tracer.counter("bytes").add(100, ts=1.0)
-    assert tracer.spans == [] and tracer.counters == {}
-    # NULL_TRACER is the shared disabled instance.
-    assert NULL_TRACER.enabled is False
-    NULL_TRACER.counter("y").add(5)
-    assert NULL_TRACER.counters == {}
-
-
 def test_span_rejects_negative_duration():
     with pytest.raises(ValueError):
         Span(name="bad", track=0, start=5.0, end=4.0)
@@ -71,7 +60,7 @@ def test_spans_by_track_groups_and_sorts():
     assert sorted(grouped) == [0, 3]
     assert [s.name for s in grouped[0]] == ["a", "b"]
     tracer.clear()
-    assert tracer.spans == [] and tracer.enabled
+    assert tracer.spans == []
 
 
 # --------------------------------------------------- cycle decomposition
@@ -278,13 +267,6 @@ def test_untraced_run_matches_traced_schedule(rng):
              for e in baseline.executions]
             == [(e.core_index, e.start_cycle, e.end_cycle)
                 for e in traced.executions])
-    # A disabled tracer is also schedule-identical and records nothing.
-    disabled = make_runtime(num_cores=2, tracer=Tracer(enabled=False),
-                            on_chip_kb=8.0, bandwidth_gbs=8.0)
-    stats_c = disabled.run_blocked_cholesky(
-        64, np.random.default_rng(int(seeds[0])), verify=False)
-    assert stats_c == stats_a
-    assert disabled.tracer.spans == []
 
 
 # ------------------------------------------------------------- manifests
