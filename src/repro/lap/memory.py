@@ -40,15 +40,21 @@ Both residency levels are structure-of-arrays over the dense tile ids of
 :class:`repro.lap.taskgraph.GraphArrays`: a level keeps one LRU timestamp
 per tile id in plain Python lists (footprints are 1-4 tiles, where scalar
 list indexing beats any ufunc dispatch), sized once from
-``GraphArrays.num_tiles``.  The classes hold the state; the scheduler loop
-is the one implementation of the shared-level LRU and calls only
-:meth:`LocalStore.touch_ids` / :meth:`LocalStore.invalidate_ids` on the
-local level.  ``tests/scheduler_oracle.py`` keeps ``OrderedDict`` levels
+``GraphArrays.num_tiles``.  The two-level hierarchy adds one holder bitmask
+per tile id (:attr:`MemoryHierarchy.local_holders`): bit ``k`` is set while
+core ``k``'s store holds the tile.  Only :meth:`LocalStore.touch_ids` (set
+on fill, clear on LRU eviction) and :meth:`LocalStore.invalidate_ids`
+(clear) write the masks.  The classes hold the state; the scheduler loop
+is the one implementation of the shared-level LRU, calls only those two
+methods on the local level, and reads local membership only through the
+masks, so a write or a shared-level eviction visits just the cores that
+hold the tile.  ``tests/scheduler_oracle.py`` keeps ``OrderedDict`` levels
 that define the model, and the tests pin the loop to them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.hw.fpu import FMACUnit
@@ -71,8 +77,8 @@ class _LRULevel:
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
                  num_tiles: int, level: str):
-        if capacity_bytes <= 0:
-            raise ValueError(f"{level} capacity must be positive")
+        if not (math.isfinite(capacity_bytes) and capacity_bytes > 0):
+            raise ValueError(f"{level} capacity must be a positive finite number")
         if tile_bytes <= 0:
             raise ValueError("tile bytes must be positive")
         self.capacity_bytes = float(capacity_bytes)
@@ -143,16 +149,25 @@ class LocalStore(_LRULevel):
     of :class:`TileResidency` without the dirty/compulsory bookkeeping; a
     footprint is pinned while it is brought resident, so a footprint larger
     than the budget overflows transiently instead of evicting itself.
+
+    ``holders`` is the per-tile-id bitmask list the stores of one hierarchy
+    share (a private one by default); the store keeps bit ``core`` of it
+    equal to its own membership.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
-                 num_tiles: int = 0):
+                 num_tiles: int = 0, holders: Optional[List[int]] = None,
+                 core: int = 0):
         super().__init__(capacity_bytes, tile_bytes, num_tiles, "local-store")
+        self.holders: List[int] = [0] * num_tiles if holders is None else holders
+        self._bit = 1 << core
 
     def touch_ids(self, foot: Sequence[int]) -> float:
         """Bring a duplicate-free footprint of tile ids resident; returns
         the fill bytes it required."""
         stamp = self._stamp
+        holders = self.holders
+        bit = self._bit
         qt = self._qt
         head = self._qhead
         qbase = self._qbase
@@ -165,6 +180,7 @@ class LocalStore(_LRULevel):
             if stamp[tid] < 0:
                 nmiss += 1
                 rc += 1
+                holders[tid] |= bit
             stamp[tid] = clock
             qt.append(tid)
             clock += 1
@@ -182,6 +198,7 @@ class LocalStore(_LRULevel):
                     break               # only the pinned footprint remains
                 head += 1
                 stamp[vid] = -1
+                holders[vid] ^= bit
                 rc -= 1
             if head > 65536 and head * 2 > qn:
                 del qt[:head]
@@ -198,10 +215,13 @@ class LocalStore(_LRULevel):
         """Drop every listed tile id that is currently resident (a shared-
         level eviction or a sibling core's write)."""
         stamp = self._stamp
+        holders = self.holders
+        bit = self._bit
         rc = self._rc
         for tid in tids:
             if stamp[tid] >= 0:
                 stamp[tid] = -1
+                holders[tid] ^= bit
                 rc -= 1
         self._rc = rc
 
@@ -270,6 +290,8 @@ class MemoryHierarchy:
     ``local_store_kb=None`` reproduces the single-level accounting byte for
     byte.  ``num_tiles`` sizes every level's state once: the graph's tile
     count (``GraphArrays.num_tiles``), whose dense ids all levels share.
+    :attr:`local_holders` is the stores' shared holder bitmask per tile id
+    (``None`` without local stores).
     """
 
     def __init__(self, capacity_bytes: float, tile: int, element_bytes: int,
@@ -291,12 +313,14 @@ class MemoryHierarchy:
         self.num_cores = int(num_cores)
         self.local_store_kb = (None if local_store_kb is None
                                else float(local_store_kb))
-        if self.local_store_kb is not None and self.local_store_kb <= 0:
-            raise ValueError("local-store capacity must be positive")
-        self.local_stores: Optional[List[LocalStore]] = (
-            None if self.local_store_kb is None else
-            [LocalStore(self.local_store_kb * 1024, tile_bytes, num_tiles)
-             for _ in range(self.num_cores)])
+        self.local_holders: Optional[List[int]] = None
+        self.local_stores: Optional[List[LocalStore]] = None
+        if self.local_store_kb is not None:
+            self.local_holders = [0] * num_tiles
+            self.local_stores = [
+                LocalStore(self.local_store_kb * 1024, tile_bytes, num_tiles,
+                           self.local_holders, core)
+                for core in range(self.num_cores)]
         #: Bytes/cycle of shared-to-local (and core-to-core) transfers: the
         #: peak bandwidth of the shared on-chip SRAM.
         self.onchip_bw_bytes_per_cycle = float(onchip.peak_bandwidth_bytes_per_cycle)

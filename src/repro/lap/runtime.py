@@ -492,7 +492,11 @@ class LAPRuntime:
         the tile-residency model (in dispatch order, the serialisation the
         shared on-chip memory sees); spill refills stall the task through the
         off-chip bandwidth and the stats gain unified traffic / stall /
-        energy totals.  The memory-keyed policies (``memory_aware``,
+        energy totals.  With local stores the loop reads local membership
+        only through the hierarchy's per-tile holder masks
+        (:attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a
+        write or a shared-level eviction revokes a tile on its holders
+        alone.  The memory-keyed policies (``memory_aware``,
         ``affinity``) have stale heap keys lazily re-validated against the
         current residency state; that re-validation is bounded at one
         refresh per entry between executions, so those policies are
@@ -542,13 +546,14 @@ class LAPRuntime:
 
         # Loop-local accounting state.  When data-movement accounting is off,
         # every per-task cost below stays at these zeros.
-        stores = None
+        stores = holders = None
         stall = transfer_cycles = energy = 0.0
         local_hit = transfer_bytes = shared_fill = 0.0
         refill_b = spill_b = wb_b = 0
         if has_mem:
             res = memory.residency
             stores = memory.local_stores
+            holders = memory.local_holders
             tile_bytes = res.tile_bytes
             tb = tile_bytes
             res_capmax = res._cap_tiles
@@ -578,8 +583,6 @@ class LAPRuntime:
             tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
             tot_lhit = tot_sfill = tot_c2c = 0.0
             tot_comp = tot_spill = tot_wb = 0
-            if stores is not None:
-                store_stamps = [store._stamp for store in stores]
 
         ctx = _ExecutionContext(self, tiles)
         # Under memoized timing on uniform tiles a task's cycle count is a
@@ -617,7 +620,7 @@ class LAPRuntime:
 
         # -- memory-keyed priority (dynamic policies only; static keys are
         # built flat at the push sites) -----------------------------------------
-        if dynamic and stores is None:
+        if dynamic and holders is None:
             def prio(i, r):
                 miss = 0
                 for tid in foot_ids[i]:
@@ -626,16 +629,13 @@ class LAPRuntime:
                 return (miss * tile_bytes, r)
         elif dynamic:
             def prio(i, r):
-                foot = foot_ids[i]
-                miss = 0
-                for tid in foot:
+                ow = owner[out_id[i]]
+                bit = 1 << (ow if ow >= 0 else 0)
+                miss = lmiss = 0
+                for tid in foot_ids[i]:
                     if res_stamp[tid] < 0:
                         miss += 1
-                ow = owner[out_id[i]]
-                lstamp = store_stamps[ow if ow >= 0 else 0]
-                lmiss = 0
-                for tid in foot:
-                    if lstamp[tid] < 0:
+                    if not holders[tid] & bit:
                         lmiss += 1
                 return (miss * tile_bytes, lmiss * tile_bytes, r)
 
@@ -661,11 +661,9 @@ class LAPRuntime:
                     else:
                         heappush(heap, (0, ids[i], i))
 
-        affinity_cores = pcode == 4 and stores is not None
+        affinity_cores = pcode == 4 and holders is not None
         owner_cores = pcode in (2, 3)
         need_owner = pcode >= 2    # greedy/critical-path never read the owner map
-        track_victims = stores is not None
-        victims: Sequence[int] = ()
 
         while heap:
             if dynamic:
@@ -687,20 +685,22 @@ class LAPRuntime:
 
             # -- core selection (first-minimum scans) --------------------------
             if affinity_cores:
-                # Most footprint bytes already in the core's local store,
-                # then the output tile's owner, then the earliest start.
-                foot = foot_ids[i]
+                # Most footprint tiles already in the core's local store
+                # (counted from the holder masks), then the output tile's
+                # owner, then the earliest start.
+                held = [0] * num_cores
+                for tid in foot_ids[i]:
+                    hm = holders[tid]
+                    while hm:
+                        low = hm & -hm
+                        held[low.bit_length() - 1] += 1
+                        hm ^= low
                 ow = owner[out_id[i]]
                 bk = None
                 c = 0
                 for ci in range(num_cores):
-                    lstamp = store_stamps[ci]
-                    held = 0
-                    for tid in foot:
-                        if lstamp[tid] >= 0:
-                            held += 1
                     f = core_free[ci]
-                    ck = (-held * tile_bytes, 0 if ci == ow else 1,
+                    ck = (-held[ci], 0 if ci == ow else 1,
                           f if f > rtime else rtime)
                     if bk is None or ck < bk:
                         bk = ck
@@ -764,8 +764,6 @@ class LAPRuntime:
                 wb = 0
                 nvict = 0
                 if res_rc > res_capmax:
-                    if track_victims:
-                        victims = []
                     qn = len(res_qt)
                     while res_rc > res_capmax and res_qhead < qn:
                         vid = res_qt[res_qhead]
@@ -779,12 +777,18 @@ class LAPRuntime:
                         res_stamp[vid] = -1
                         res_rc -= 1
                         nvict += 1
-                        if track_victims:
-                            victims.append(vid)
                         if res_dirty[vid]:
                             res_dirty[vid] = False
                             res_dc -= 1
                             wb += 1
+                        if holders is not None:
+                            # Inclusion: the victim leaves the local stores
+                            # that hold it.
+                            hm = holders[vid]
+                            while hm:
+                                low = hm & -hm
+                                stores[low.bit_length() - 1].invalidate_ids((vid,))
+                                hm ^= low
                     if res_qhead > 262144 and res_qhead * 2 > qn:
                         del res_qt[:res_qhead]
                         res_qbase += res_qhead
@@ -802,33 +806,28 @@ class LAPRuntime:
                     stall = 0.0
                 flops = task_flops[i]
                 onchip_bytes = rw_len[i] * tb
-                if stores is not None:
-                    # Inclusion: shared-level victims leave every local
-                    # store; then classify the footprint against the
-                    # assigned core's store (local hit / sibling copy /
-                    # shared fill), bring it resident, and revoke sibling
-                    # copies of the written tiles (write-through).
-                    if nvict:
-                        for store in stores:
-                            store.invalidate_ids(victims)
-                    store = stores[c]
-                    sstamp = store_stamps[c]
+                if holders is not None:
+                    # Classify the footprint against the assigned core's
+                    # store by the holder masks (local hit / sibling copy /
+                    # shared fill), bring it resident, and revoke the other
+                    # holders' copies of the written tiles (write-through).
+                    bit = 1 << c
                     lhit = ncc = nsf = 0
                     for tid in foot:
-                        if sstamp[tid] >= 0:
+                        hm = holders[tid]
+                        if hm & bit:
                             lhit += 1
+                        elif hm:
+                            ncc += 1
                         else:
-                            for s2 in range(num_cores):
-                                if s2 != c and store_stamps[s2][tid] >= 0:
-                                    ncc += 1
-                                    break
-                            else:
-                                nsf += 1
-                    store.touch_ids(foot)
-                    if wids:
-                        for s2 in range(num_cores):
-                            if s2 != c:
-                                stores[s2].invalidate_ids(wids)
+                            nsf += 1
+                    stores[c].touch_ids(foot)
+                    for tid in wids:
+                        hm = holders[tid] & ~bit
+                        while hm:
+                            low = hm & -hm
+                            stores[low.bit_length() - 1].invalidate_ids((tid,))
+                            hm ^= low
                     local_version += 1
                     local_hit = float(lhit * tb)
                     shared_fill = float(nsf * tb)

@@ -278,7 +278,7 @@ def random_graphs(draw):
 @given(graph=random_graphs(), policy=st.sampled_from(POLICIES),
        local_store_kb=st.sampled_from([None, 0.5, 1.0, 2.0]),
        on_chip_kb=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
-       num_cores=st.integers(1, 3))
+       num_cores=st.sampled_from([1, 2, 3, 8]))
 @settings(max_examples=200, deadline=None)
 def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
                                               on_chip_kb, num_cores):
@@ -286,11 +286,27 @@ def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
     priority decisions, so it is pinned to the oracle on random graphs.  A
     tile is 0.5 KiB, so the capacities include 1 and 2 tiles, less than a
     GEMM's 3-tile footprint, where only the pin rule keeps a footprint
-    resident."""
+    resident.  The loop reads local membership only through the holder
+    masks, so after a two-level run bit ``k`` of a tile's mask must be set
+    exactly when core ``k``'s store holds the tile, in the product and in
+    the oracle; eight cores (``fine_cholesky``'s count) use every bit."""
     kwargs = dict(policy=policy, local_store_kb=local_store_kb,
                   on_chip_kb=on_chip_kb, num_cores=num_cores)
-    assert_runs_identical(make_runtime(**kwargs), make_runtime(**kwargs),
-                          graph)
+    ref_rt, fast_rt = make_runtime(**kwargs), make_runtime(**kwargs)
+    assert_runs_identical(ref_rt, fast_rt, graph)
+    if local_store_kb is None:
+        return
+    # Dense tile ids are first-seen positions over each task's reads+writes.
+    names = list(dict.fromkeys(access for task in graph
+                               for access in task.read_tiles() + task.write_tiles()))
+    memory = fast_rt.last_memory
+    assert len(memory.local_holders) == len(names)
+    for tid, mask in enumerate(memory.local_holders):
+        assert mask >> num_cores == 0
+        for k in range(num_cores):
+            held = memory.local_stores[k]._stamp[tid] >= 0
+            assert bool(mask >> k & 1) == held
+            assert held == ref_rt.last_memory.local_stores[k].is_resident(names[tid])
 
 
 # ----------------------------------------------------------------- replay

@@ -126,6 +126,9 @@ class TestTileResidency:
             TileResidency(0, 512)
         with pytest.raises(ValueError):
             TileResidency(1024, 0)
+        for capacity in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="on-chip capacity"):
+                TileResidency(capacity, 512)
 
     def test_cold_misses_are_compulsory_once(self):
         runtime, stats = run_on_one_core([
@@ -478,6 +481,9 @@ class TestLocalStore:
             LocalStore(0, 512)
         with pytest.raises(ValueError):
             LocalStore(1024, 0)
+        for capacity in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="local-store capacity"):
+                LocalStore(capacity, 512)
 
     def test_fill_hit_and_invalidate(self):
         store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=4)
@@ -485,6 +491,7 @@ class TestLocalStore:
         assert store.touch_ids([0]) == 0                    # hit
         assert store.touch_ids([0, 1]) == 512               # one tile missing
         store.invalidate_ids([0, 3])                        # 3 is not held
+        assert store.holders == [0, 1, 0, 0]
         assert store.touch_ids([1]) == 0
         assert store.touch_ids([0]) == 512                  # re-fill
         assert store.peak_resident_bytes == 2 * 512
@@ -493,6 +500,7 @@ class TestLocalStore:
         store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=6)
         store.touch_ids([0, 1])
         store.touch_ids([2])                                # evicts 0
+        assert store.holders[:3] == [0, 1, 1]               # ...and clears its bit
         assert store.touch_ids([1]) == 0                    # 1 stayed
         assert store.touch_ids([0]) == 512                  # 0 was evicted
         # A footprint larger than the budget pins itself (transient overflow).

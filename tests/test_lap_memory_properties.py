@@ -17,7 +17,8 @@ and checks the invariants the analytical layers above rely on:
   capacity never increases off-chip spill traffic;
 * differential: the scheduler loop's shared level (on random access
   streams, as one-core task chains) and ``LocalStore.touch_ids`` /
-  ``invalidate_ids`` match the ``OrderedDict`` oracles.
+  ``invalidate_ids`` match the ``OrderedDict`` oracles, holder masks
+  included.
 
 The loop, the one product implementation of the residency and priority
 decisions, is also pinned to the oracle on random task graphs by
@@ -299,27 +300,44 @@ def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
                                                      data):
     """LocalStore's ``touch_ids`` / ``invalidate_ids`` (the two calls the
     scheduler loop makes) mirror OracleLocalStore under random
-    touch/invalidate interleavings: fill bytes, peak bytes, and the
-    membership the loop reads from the stamps."""
-    ref = OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                           tile_bytes=TILE_BYTES)
-    fast = LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                      tile_bytes=TILE_BYTES, num_tiles=len(TILE_IDS))
+    touch/invalidate interleavings: fill bytes, peak bytes, the membership
+    in the stamps, and the holder masks the loop reads.  Two stores share
+    one holder list, as the cores of a hierarchy do, each mirrored by its
+    own oracle; a store's bit must be set on fill and cleared by both LRU
+    eviction and invalidation, and no other bit may appear."""
+    holders = [0] * len(TILE_IDS)
+    pairs = [(LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                         tile_bytes=TILE_BYTES, num_tiles=len(TILE_IDS),
+                         holders=holders, core=core),
+              OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
+                               tile_bytes=TILE_BYTES))
+             for core in range(2)]
     universe = set()
+
+    def check():
+        assert max(holders) < 4
+        for core, (fast, ref) in enumerate(pairs):
+            assert fast.peak_resident_bytes == ref.peak_resident_bytes
+            for name in universe:
+                tid = TILE_IDS[name]
+                assert (fast._stamp[tid] >= 0) == ref.is_resident(name)
+                assert bool(holders[tid] >> core & 1) == ref.is_resident(name)
+
     for reads, writes in trace:
         footprint = _footprint(reads, writes)
         universe.update(footprint)
+        fast, ref = pairs[data.draw(st.integers(0, 1))]
         assert (fast.touch_ids([TILE_IDS[a] for a in footprint])
                 == ref.touch(footprint))
+        check()
         if universe and data.draw(st.booleans()):
+            fast, ref = pairs[data.draw(st.integers(0, 1))]
             victims = data.draw(st.lists(st.sampled_from(sorted(universe)),
                                          max_size=3))
             for victim in victims:
                 ref.invalidate(victim)
             fast.invalidate_ids([TILE_IDS[a] for a in victims])
-        assert fast.peak_resident_bytes == ref.peak_resident_bytes
-        for name in universe:
-            assert (fast._stamp[TILE_IDS[name]] >= 0) == ref.is_resident(name)
+            check()
 
 
 # ------------------------------------------------ schedule-replay costing
