@@ -14,33 +14,61 @@ Covers the scaling claims of the runtime:
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
-from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind
+from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind, clear_graph_cache
 from repro.lap.timing import clear_timing_cache
 
 
+def _retained_bytes():
+    """Bytes a fresh 4k^2 Cholesky graph keeps alive once built, with its
+    ``GraphArrays`` and summary (one untimed ``tracemalloc`` pass)."""
+    clear_graph_cache()
+    tracemalloc.start()
+    try:
+        graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
+        graph.fast_arrays()
+        graph.summary()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_graph_cache()
+    return retained
+
+
 def test_taskgraph_build_and_analytics(benchmark, bench_json):
-    """Building + analysing a 5984-task Cholesky graph stays interactive."""
+    """Building + analysing a 5984-task Cholesky graph stays interactive.
+
+    Records each stage of a fresh graph: the build, its ``GraphArrays``
+    (``fast_arrays()``) and its ``summary()``; ``build_and_analytics``
+    is build plus summary.
+    """
     # The JSON payload records the duration of one call (timed inside the
     # callable): benchmark() may run many calibration rounds when
     # pytest-benchmark is enabled, so timing around it would inflate the
-    # recorded trajectory.
+    # recorded trajectory.  Each call starts from an empty graph cache, so
+    # every round times a build rather than a cache hit.
     last = {}
 
     def build():
+        clear_graph_cache()
         started = time.perf_counter()
         graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
+        built = time.perf_counter()
+        graph.fast_arrays()
+        arrays = time.perf_counter()
         summary = graph.summary()
-        last["elapsed"] = time.perf_counter() - started
+        last.update(build=built - started, arrays=arrays - built,
+                    summary=time.perf_counter() - arrays)
         return graph, summary
 
     graph, summary = benchmark(build)
-    elapsed = last["elapsed"]
+    elapsed = last["build"] + last["summary"]
     nb = 4096 // 128
     assert summary["num_tasks"] == len(graph) == nb * (nb + 1) * (nb + 2) // 6
     assert summary["kind_counts"][TaskKind.CHOLESKY.value] == nb
@@ -50,6 +78,10 @@ def test_taskgraph_build_and_analytics(benchmark, bench_json):
         "num_tasks": summary["num_tasks"],
         "build_and_analytics_seconds": elapsed,
         "tasks_per_second": summary["num_tasks"] / elapsed if elapsed else None,
+        "build_seconds": last["build"],
+        "arrays_seconds": last["arrays"],
+        "summary_seconds": last["summary"],
+        "retained_bytes": _retained_bytes(),
     })
 
 
@@ -139,8 +171,6 @@ def _cholesky_graph_and_tiles(n, tile=128):
     the per-signature warm-ups read tile *values*, so sharing the array
     keeps a 64x64-block operand at one tile of memory.
     """
-    from repro.lap.taskgraph import clear_graph_cache
-
     clear_graph_cache()
     started = time.perf_counter()
     graph = AlgorithmsByBlocks(tile=tile).cholesky_tasks(n)

@@ -305,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = _build_spec(args)
     except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
     jobs = spec.jobs(args.runner)
     if not jobs:

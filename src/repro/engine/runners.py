@@ -458,11 +458,12 @@ def run_lap_runtime(params: Params) -> dict:
     (the colon form survives the sweep CLI's comma-separated axis syntax,
     e.g. ``--set core_frequencies_ghz=1.0:2.0``).
 
-    Data movement is simulated through the runtime's memory-hierarchy layer
-    (``memory=False`` disables it): ``on_chip_kb`` constrains the tile
-    working set below the chip's physical on-chip memory and
-    ``bandwidth_gbs`` overrides the sustained off-chip bandwidth; rows gain
-    traffic / spill / stall / energy / GFLOPS-per-W columns.
+    Data movement is always simulated through the runtime's memory-hierarchy
+    layer (``memory`` may only be true, and the row's ``memory`` column
+    says so): ``on_chip_kb`` constrains the tile working set below the
+    chip's physical on-chip memory and ``bandwidth_gbs`` overrides the
+    sustained off-chip bandwidth; rows carry traffic / spill / stall /
+    energy / GFLOPS-per-W columns.
 
     ``local_store_kb`` enables the two-level hierarchy (a per-core local
     store above the shared on-chip level); rows then additionally split the
@@ -507,7 +508,9 @@ def run_lap_runtime(params: Params) -> dict:
     policy = str(params.get("policy", "greedy"))
     timing = str(params.get("timing", "functional"))
     verify = bool(params.get("verify", True))
-    memory = bool(params.get("memory", True))
+    if not params.get("memory", True):
+        raise ValueError("lap_runtime parameter 'memory' must be true: "
+                         "data-movement accounting is always on")
     on_chip_kb = params.get("on_chip_kb")
     on_chip_kb = None if on_chip_kb is None else float(on_chip_kb)
     bandwidth_gbs = params.get("bandwidth_gbs")
@@ -542,7 +545,7 @@ def run_lap_runtime(params: Params) -> dict:
     else:
         frequencies = [float(frequencies_param)] * num_cores
     structural_key = (algorithm, n, tile, num_cores, nr, onchip_mbytes, seed,
-                      policy, timing, verify, memory, on_chip_kb,
+                      policy, timing, verify, on_chip_kb,
                       local_store_kb,
                       None if frequencies is None else tuple(frequencies))
     config = LAPConfig(num_cores=num_cores, nr=nr,
@@ -550,7 +553,7 @@ def run_lap_runtime(params: Params) -> dict:
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
     if replay == "auto":
         replayed = replayed_row(
-            _recorded_schedule(structural_key), config, memory=memory,
+            _recorded_schedule(structural_key), config,
             bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
             frequency_ghz=frequency_ghz, offchip_pj_per_byte=offchip_pj,
             core_frequencies_ghz=frequencies)
@@ -558,7 +561,7 @@ def run_lap_runtime(params: Params) -> dict:
             return replayed
     lap = LinearAlgebraProcessor(config)
     runtime = LAPRuntime(lap, tile, policy=policy, timing=timing,
-                         core_frequencies_ghz=frequencies, memory=memory,
+                         core_frequencies_ghz=frequencies,
                          on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
                          local_store_kb=local_store_kb,
                          stall_overlap=0.0 if stall_overlap is None
@@ -605,40 +608,39 @@ def run_lap_runtime(params: Params) -> dict:
         "parallel_efficiency": float(stats["parallel_efficiency"]),
         "static_load_balance": static_balance,
         "residual": None if residual is None else float(residual),
-        "memory": memory,
+        "memory": True,
     })
     if stall_overlap is not None:
         row["stall_overlap"] = stall_overlap
-    if memory:
+    row.update({
+        "on_chip_kb": float(stats["on_chip_capacity_bytes"]) / 1024.0,
+        "bandwidth_gbs": float(stats["bandwidth_gbs"]),
+    })
+    if offchip_pj is not None:
+        row["offchip_pj_per_byte"] = offchip_pj
+    row.update({
+        "traffic_bytes": int(round(stats["offchip_traffic_bytes"])),
+        "compulsory_bytes": int(round(stats["compulsory_bytes"])),
+        "spill_bytes": int(round(stats["spill_bytes"])),
+        "writeback_bytes": int(round(stats["writeback_bytes"])),
+        "stall_cycles": float(stats["stall_cycles"]),
+        "energy_j": float(stats["energy_j"]),
+        "total_flops": float(stats["total_flops"]),
+        "arithmetic_intensity": float(stats["arithmetic_intensity"]),
+        "gflops_per_w": float(stats["gflops_per_w"]),
+        "peak_resident_kb": float(stats["peak_resident_bytes"]) / 1024.0,
+    })
+    if local_store_kb is not None:
         row.update({
-            "on_chip_kb": float(stats["on_chip_capacity_bytes"]) / 1024.0,
-            "bandwidth_gbs": float(stats["bandwidth_gbs"]),
+            "local_store_kb": float(stats["local_store_kb"]),
+            "local_hit_bytes": int(round(stats["local_hit_bytes"])),
+            "shared_to_local_bytes": int(round(stats["shared_to_local_bytes"])),
+            "c2c_bytes": int(round(stats["c2c_bytes"])),
+            "local_hit_rate": float(stats["local_hit_rate"]),
+            "local_transfer_cycles": float(stats["local_transfer_cycles"]),
+            "peak_local_resident_kb": (
+                float(stats["peak_local_resident_bytes"]) / 1024.0),
         })
-        if offchip_pj is not None:
-            row["offchip_pj_per_byte"] = offchip_pj
-        row.update({
-            "traffic_bytes": int(round(stats["offchip_traffic_bytes"])),
-            "compulsory_bytes": int(round(stats["compulsory_bytes"])),
-            "spill_bytes": int(round(stats["spill_bytes"])),
-            "writeback_bytes": int(round(stats["writeback_bytes"])),
-            "stall_cycles": float(stats["stall_cycles"]),
-            "energy_j": float(stats["energy_j"]),
-            "total_flops": float(stats["total_flops"]),
-            "arithmetic_intensity": float(stats["arithmetic_intensity"]),
-            "gflops_per_w": float(stats["gflops_per_w"]),
-            "peak_resident_kb": float(stats["peak_resident_bytes"]) / 1024.0,
-        })
-        if local_store_kb is not None:
-            row.update({
-                "local_store_kb": float(stats["local_store_kb"]),
-                "local_hit_bytes": int(round(stats["local_hit_bytes"])),
-                "shared_to_local_bytes": int(round(stats["shared_to_local_bytes"])),
-                "c2c_bytes": int(round(stats["c2c_bytes"])),
-                "local_hit_rate": float(stats["local_hit_rate"]),
-                "local_transfer_cycles": float(stats["local_transfer_cycles"]),
-                "peak_local_resident_kb": (
-                    float(stats["peak_local_resident_bytes"]) / 1024.0),
-            })
     if replay == "auto":
         _record_schedule(structural_key, runtime.schedule_trace(), row)
     return row

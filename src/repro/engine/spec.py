@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -30,6 +31,9 @@ def _check_value(name: str, value: object) -> ParamValue:
     if value is not None and not isinstance(value, (int, float, str, bool)):
         raise TypeError(f"sweep parameter '{name}' must be a scalar "
                         f"(int/float/str/bool/None), got {type(value).__name__}")
+    # inf / nan have no canonical integer form and no strict-JSON encoding.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"sweep parameter '{name}' must be finite, got {value}")
     return value
 
 

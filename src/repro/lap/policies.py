@@ -35,8 +35,7 @@ unknown name raises ``ValueError``.
     first because a DRAM round trip costs an order of magnitude more than an
     on-chip transfer.  The loop re-validates heap priorities lazily when the
     residency state moved on, so the ordering tracks the simulated working
-    set instead of a stale snapshot.  With data-movement accounting
-    disabled the policy degrades to greedy ordering.
+    set instead of a stale snapshot.
 ``affinity``
     the two-level counterpart of ``locality``: ready ordering is inherited
     from ``memory_aware``, and a popped task prefers the core whose local

@@ -52,8 +52,7 @@ class ScheduleTrace:
     the movement totals that gate the bandwidth and overlap axes, the
     recorded clock and core homogeneity, the energy constants the recorded
     energy was computed with (``(energy_per_flop_j, onchip_j_per_byte,
-    offchip_j_per_byte)``, ``None`` with data-movement accounting off), and
-    the chip defaults a new point's overrides fall back to.  A freshly
+    offchip_j_per_byte)``), and the chip defaults a new point's overrides fall back to.  A freshly
     recorded trace also carries ``energy_triples``, a zero-argument callable
     producing the per-task :data:`EnergyTriple` list, called on the first
     energy re-key.  The sidecar persists only the header
@@ -62,11 +61,11 @@ class ScheduleTrace:
     """
 
     def __init__(self, *, stall_overlap: float,
-                 effective_bandwidth_gbs: Optional[float],
+                 effective_bandwidth_gbs: float,
                  default_bandwidth_gbs: float, total_spill_bytes: float,
                  total_movement_cycles: float, makespan_cycles: float,
                  frequency_ghz: float, homogeneous_cores: bool,
-                 energy_constants: Optional[Tuple[float, float, float]],
+                 energy_constants: Tuple[float, float, float],
                  default_offchip_energy_per_byte_j: float,
                  flush_writeback_bytes: float,
                  energy_triples: Optional[
@@ -101,8 +100,7 @@ class ScheduleTrace:
             "makespan_cycles": self.makespan_cycles,
             "frequency_ghz": self.frequency_ghz,
             "homogeneous_cores": self.homogeneous_cores,
-            "energy_constants": (None if self.energy_constants is None
-                                 else list(self.energy_constants)),
+            "energy_constants": list(self.energy_constants),
             "default_offchip_energy_per_byte_j": (
                 self.default_offchip_energy_per_byte_j),
             "flush_writeback_bytes": self.flush_writeback_bytes,
@@ -117,20 +115,17 @@ class ScheduleTrace:
         missing a field raises (``KeyError``), which the sidecar loader
         treats as a miss.
         """
-        bandwidth = payload["effective_bandwidth_gbs"]
-        constants = payload["energy_constants"]
         return cls(
             stall_overlap=float(payload["stall_overlap"]),
-            effective_bandwidth_gbs=(None if bandwidth is None
-                                     else float(bandwidth)),
+            effective_bandwidth_gbs=float(payload["effective_bandwidth_gbs"]),
             default_bandwidth_gbs=float(payload["default_bandwidth_gbs"]),
             total_spill_bytes=float(payload["total_spill_bytes"]),
             total_movement_cycles=float(payload["total_movement_cycles"]),
             makespan_cycles=float(payload["makespan_cycles"]),
             frequency_ghz=float(payload["frequency_ghz"]),
             homogeneous_cores=bool(payload["homogeneous_cores"]),
-            energy_constants=(None if constants is None
-                              else tuple(float(v) for v in constants)),
+            energy_constants=tuple(float(v)
+                                   for v in payload["energy_constants"]),
             default_offchip_energy_per_byte_j=float(
                 payload["default_offchip_energy_per_byte_j"]),
             flush_writeback_bytes=float(payload["flush_writeback_bytes"]))
@@ -173,29 +168,25 @@ class ScheduleTrace:
         total += self.flush_writeback_bytes * epoff
         return total
 
-    def exact_for(self, bandwidth_gbs: Optional[float], stall_overlap: float,
+    def exact_for(self, bandwidth_gbs: float, stall_overlap: float,
                   frequency_ghz: float, homogeneous_cores: bool,
-                  offchip_energy_per_byte_j: Optional[float]) -> bool:
+                  offchip_energy_per_byte_j: float) -> bool:
         """Whether replaying at a new point's constants is provably exact.
 
         ``bandwidth_gbs`` is the new point's *effective* bandwidth (the chip
         default when no override is given) and ``offchip_energy_per_byte_j``
-        its off-chip energy constant; both are ``None`` when the new point
-        has data-movement accounting off.  ``frequency_ghz`` is its chip
-        clock and ``homogeneous_cores`` whether every core runs at that
-        clock.  A frequency delta with memory accounting on, or an off-chip
-        energy delta, also needs the per-task energy triples, because the
-        energy column must be re-keyed.
+        its off-chip energy constant.  ``frequency_ghz`` is its chip clock
+        and ``homogeneous_cores`` whether every core runs at that clock.  A
+        frequency delta or an off-chip energy delta also needs the per-task
+        energy triples, because the energy column must be re-keyed.
         """
-        if (bandwidth_gbs is not None
-                and self.effective_bandwidth_gbs is not None
-                and bandwidth_gbs != self.effective_bandwidth_gbs
+        if (bandwidth_gbs != self.effective_bandwidth_gbs
                 and self.total_spill_bytes != 0.0):
             return False
         if (stall_overlap != self.stall_overlap
                 and self.total_movement_cycles != 0.0):
             return False
-        needs_rekey = False
+        needs_rekey = offchip_energy_per_byte_j != self.energy_constants[2]
         if frequency_ghz != self.frequency_ghz:
             # Only a uniform rescale of every duration leaves the dispatch
             # order untouched; spill stalls move with the clock.
@@ -203,19 +194,13 @@ class ScheduleTrace:
                 return False
             if self.total_spill_bytes != 0.0:
                 return False
-            # With memory accounting on, the per-flop energy constant moves
-            # with the clock.
-            needs_rekey = bandwidth_gbs is not None
-        if offchip_energy_per_byte_j is not None:
-            if self.energy_constants is None:
-                return False
-            if offchip_energy_per_byte_j != self.energy_constants[2]:
-                needs_rekey = True
+            # The per-flop energy constant moves with the clock.
+            needs_rekey = True
         return not needs_rekey or self.has_energy_triples
 
 
 def replayed_row(recorded: Optional[Tuple[ScheduleTrace, dict]],
-                 config: LAPConfig, *, memory: bool,
+                 config: LAPConfig, *,
                  bandwidth_gbs: Optional[float],
                  stall_overlap: Optional[float],
                  frequency_ghz: Optional[float],
@@ -242,13 +227,10 @@ def replayed_row(recorded: Optional[Tuple[ScheduleTrace, dict]],
         return None
     trace, row = recorded
     new_freq = config.frequency_ghz
-    effective_bw = epoff = None
-    if memory:
-        effective_bw = (trace.default_bandwidth_gbs if bandwidth_gbs is None
-                        else bandwidth_gbs)
-        epoff = (trace.default_offchip_energy_per_byte_j
-                 if offchip_pj_per_byte is None
-                 else offchip_pj_per_byte * 1e-12)
+    effective_bw = (trace.default_bandwidth_gbs if bandwidth_gbs is None
+                    else bandwidth_gbs)
+    epoff = (trace.default_offchip_energy_per_byte_j
+             if offchip_pj_per_byte is None else offchip_pj_per_byte * 1e-12)
     homogeneous = (core_frequencies_ghz is None
                    or all(f == new_freq for f in core_frequencies_ghz))
     if not trace.exact_for(effective_bw,
@@ -271,20 +253,18 @@ def replayed_row(recorded: Optional[Tuple[ScheduleTrace, dict]],
     clock_delta = new_freq != trace.frequency_ghz
     if clock_delta:
         out["makespan_ns"] = trace.makespan_cycles / new_freq
-    if memory:
-        out["bandwidth_gbs"] = effective_bw
-        epf, epon, recorded_epoff = trace.energy_constants
-        if clock_delta or epoff != recorded_epoff:
-            if clock_delta:
-                # The per-flop and per-on-chip-byte constants follow the
-                # chip's operating point: rebuild them at the new clock.
-                energy = TaskEnergyModel(config.fmac(),
-                                         config.onchip_memory(),
-                                         config.offchip())
-                epf = energy.energy_per_flop_j
-                epon = energy.onchip_energy_per_byte_j
-            energy_j = trace.rekey_energy_j(epf, epon, epoff)
-            out["energy_j"] = energy_j
-            out["gflops_per_w"] = (float(row["total_flops"]) / energy_j / 1e9
-                                   if energy_j > 0 else 0.0)
+    out["bandwidth_gbs"] = effective_bw
+    epf, epon, recorded_epoff = trace.energy_constants
+    if clock_delta or epoff != recorded_epoff:
+        if clock_delta:
+            # The per-flop and per-on-chip-byte constants follow the chip's
+            # operating point: rebuild them at the new clock.
+            energy = TaskEnergyModel(config.fmac(), config.onchip_memory(),
+                                     config.offchip())
+            epf = energy.energy_per_flop_j
+            epon = energy.onchip_energy_per_byte_j
+        energy_j = trace.rekey_energy_j(epf, epon, epoff)
+        out["energy_j"] = energy_j
+        out["gflops_per_w"] = (float(row["total_flops"]) / energy_j / 1e9
+                               if energy_j > 0 else 0.0)
     return out

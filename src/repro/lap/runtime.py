@@ -83,12 +83,12 @@ class TaskExecution:
     Times are in cycles of the reference clock (the chip frequency); with
     homogeneous cores and no bandwidth stalls they are exact integers.
     ``stall_cycles`` / ``refill_bytes`` / ``energy_j`` carry the task's
-    data-movement accounting when the memory hierarchy is enabled;
-    ``compute_cycles`` is the pre-movement duration (what the cycle
-    decomposition attributes to compute), ``spill_bytes`` the capacity-miss
-    part of ``refill_bytes`` and ``transfer_bytes`` the shared-to-local plus
-    core-to-core movement of the two-level hierarchy, of which
-    ``shared_to_local_bytes`` is the first part.
+    data-movement accounting; ``compute_cycles`` is the pre-movement
+    duration (what the cycle decomposition attributes to compute),
+    ``spill_bytes`` the capacity-miss part of ``refill_bytes`` and
+    ``transfer_bytes`` the shared-to-local plus core-to-core movement of the
+    two-level hierarchy, of which ``shared_to_local_bytes`` is the first
+    part.
     """
 
     task_id: int
@@ -348,12 +348,6 @@ class LAPRuntime:
         defaults to the homogeneous chip frequency.  Scheduling then happens
         in reference-clock cycles (task cycles are scaled by
         ``f_ref / f_core``), where the reference clock is the chip frequency.
-    memory:
-        Data-movement accounting: ``True`` (default) simulates tile
-        residency / bandwidth stalls / energy through a fresh
-        :class:`repro.lap.memory.MemoryHierarchy` per ``execute()``;
-        ``False`` disables it (compute-only scheduling, the pre-refactor
-        behaviour).
     on_chip_kb:
         Override of the residency capacity in KiB (defaults to the chip's
         physical on-chip memory) -- the axis capacity sweeps shrink.
@@ -390,7 +384,6 @@ class LAPRuntime:
                  policy: str = "greedy",
                  timing: str = "functional",
                  core_frequencies_ghz: Optional[Sequence[float]] = None,
-                 memory: bool = True,
                  on_chip_kb: Optional[float] = None,
                  bandwidth_gbs: Optional[float] = None,
                  local_store_kb: Optional[float] = None,
@@ -402,7 +395,6 @@ class LAPRuntime:
         self.library = AlgorithmsByBlocks(tile, nr=lap.config.nr)
         self.policy = get_policy(policy)
         self.timing = get_timing_model(timing)
-        self.memory_enabled = bool(memory)
         self.on_chip_kb = on_chip_kb
         self.bandwidth_gbs = bandwidth_gbs
         self.local_store_kb = (None if local_store_kb is None
@@ -418,9 +410,8 @@ class LAPRuntime:
             raise ValueError("stall_overlap must lie in [0, 1]")
         self.stall_overlap = float(stall_overlap)
         self.tracer = tracer
-        #: Memory hierarchy of the most recent ``execute()`` call (or None);
-        #: named distinctly from the ``memory`` enable flag, which is stored
-        #: as ``memory_enabled``.
+        #: Memory hierarchy of the most recent ``execute()`` call (``None``
+        #: before the first).
         self.last_memory: Optional[MemoryHierarchy] = None
         #: Makespan of the most recent ``execute()`` call, in reference
         #: cycles (what :meth:`attribution` decomposes against).
@@ -487,12 +478,11 @@ class LAPRuntime:
         and memory decision is inlined over the graph's
         :class:`~repro.lap.taskgraph.GraphArrays` (no per-task method
         dispatch), branching on the policy name's index in
-        :data:`~repro.lap.policies.POLICIES`.  With
-        data-movement accounting enabled every dispatched task also updates
-        the tile-residency model (in dispatch order, the serialisation the
-        shared on-chip memory sees); spill refills stall the task through the
-        off-chip bandwidth and the stats gain unified traffic / stall /
-        energy totals.  With local stores the loop reads local membership
+        :data:`~repro.lap.policies.POLICIES`.  Every dispatched task also
+        updates the tile-residency model (in dispatch order, the
+        serialisation the shared on-chip memory sees); spill refills stall
+        the task through the off-chip bandwidth and the stats carry unified
+        traffic / stall / energy totals.  With local stores the loop reads local membership
         only through the hierarchy's per-tile holder masks
         (:attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a
         write or a shared-level eviction revokes a tile on its holders
@@ -514,12 +504,12 @@ class LAPRuntime:
         ga = graph.fast_arrays()
         tasks = ga.tasks
         n = len(tasks)
-        ids = ga.ids
+        ids = graph.ids
+        succ = graph.succ
         foot_ids = ga.foot_ids
         write_ids = ga.write_ids
         rw_len = ga.rw_len
         out_id = ga.out_id
-        succ = ga.succ
         group = ga.group
         kinds = ga.kinds
 
@@ -531,58 +521,53 @@ class LAPRuntime:
         homogeneous = self._homogeneous
         visible = 1.0 - self.stall_overlap
 
-        memory = (MemoryHierarchy.for_chip(
+        memory = MemoryHierarchy.for_chip(
             self.lap, t,
             on_chip_kb=self.on_chip_kb,
             bandwidth_gbs=self.bandwidth_gbs,
             local_store_kb=self.local_store_kb,
             num_tiles=ga.num_tiles,
             offchip_pj_per_byte=self.offchip_pj_per_byte)
-                  if self.memory_enabled else None)
         self.last_memory = memory
-        has_mem = memory is not None
-        dynamic = pcode >= 3 and has_mem
+        dynamic = pcode >= 3
         crit = pcode == 1
 
-        # Loop-local accounting state.  When data-movement accounting is off,
-        # every per-task cost below stays at these zeros.
-        stores = holders = None
-        stall = transfer_cycles = energy = 0.0
-        local_hit = transfer_bytes = shared_fill = 0.0
-        refill_b = spill_b = wb_b = 0
-        if has_mem:
-            res = memory.residency
-            stores = memory.local_stores
-            holders = memory.local_holders
-            tile_bytes = res.tile_bytes
-            tb = tile_bytes
-            res_capmax = res._cap_tiles
-            res_stamp = res._stamp
-            res_dirty = res._dirty
-            res_ever = res._ever
-            res_qt = res._qt
-            res_qt_append = res_qt.append
-            res_qhead = res._qhead
-            res_qbase = res._qbase
-            res_clock = res._clock
-            res_rc = res._rc
-            res_dc = res._dirty_count
-            res_version = res.version
-            peak_rc = res.peak_resident_bytes // tb
-            bandwidth = memory.bandwidth
-            bpc_off = bandwidth.interface.bytes_per_cycle(bandwidth.frequency_ghz)
-            obw = memory.onchip_bw_bytes_per_cycle
-            epf = memory.energy.energy_per_flop_j
-            epon = memory.energy.onchip_energy_per_byte_j
-            epoff = memory.energy.offchip_energy_per_byte_j
-            flops_by_code = [_TASK_FLOPS[k](t) for k in ga.kind_table]
-            task_flops = [flops_by_code[cd] for cd in ga.kind_code]
-            # Totals accumulate in locals (one per-task add each, starting
-            # from the hierarchy's 0.0/0, in dispatch order); byte counters
-            # stay integers, which is exact.
-            tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
-            tot_lhit = tot_sfill = tot_c2c = 0.0
-            tot_comp = tot_spill = tot_wb = 0
+        # Loop-local accounting state: the hierarchy's levels and constants
+        # bound to locals.  Without local stores a task's second-level costs
+        # stay at these zeros.
+        transfer_cycles = local_hit = transfer_bytes = shared_fill = 0.0
+        res = memory.residency
+        stores = memory.local_stores
+        holders = memory.local_holders
+        tile_bytes = res.tile_bytes
+        tb = tile_bytes
+        res_capmax = res._cap_tiles
+        res_stamp = res._stamp
+        res_dirty = res._dirty
+        res_ever = res._ever
+        res_qt = res._qt
+        res_qt_append = res_qt.append
+        res_qhead = res._qhead
+        res_qbase = res._qbase
+        res_clock = res._clock
+        res_rc = res._rc
+        res_dc = res._dirty_count
+        res_version = res.version
+        peak_rc = res.peak_resident_bytes // tb
+        bandwidth = memory.bandwidth
+        bpc_off = bandwidth.interface.bytes_per_cycle(bandwidth.frequency_ghz)
+        obw = memory.onchip_bw_bytes_per_cycle
+        epf = memory.energy.energy_per_flop_j
+        epon = memory.energy.onchip_energy_per_byte_j
+        epoff = memory.energy.offchip_energy_per_byte_j
+        flops_by_code = [_TASK_FLOPS[k](t) for k in ga.kind_table]
+        task_flops = [flops_by_code[cd] for cd in ga.kind_code]
+        # Totals accumulate in locals (one per-task add each, starting
+        # from the hierarchy's 0.0/0, in dispatch order); byte counters
+        # stay integers, which is exact.
+        tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
+        tot_lhit = tot_sfill = tot_c2c = 0.0
+        tot_comp = tot_spill = tot_wb = 0
 
         ctx = _ExecutionContext(self, tiles)
         # Under memoized timing on uniform tiles a task's cycle count is a
@@ -612,7 +597,7 @@ class LAPRuntime:
         busy_time: List[float] = [0] * num_cores
         owner = [-1] * ga.num_out_coords
         ready: List[float] = [0] * n
-        indeg = list(ga.indegree0)
+        indeg = list(graph.indegree)
         rows: List[Tuple] = []
         rows_append = rows.append
         heappush = heapq.heappush
@@ -645,7 +630,7 @@ class LAPRuntime:
         # key computed against a residency state that has since moved on.
         # The unique task id decides every tie before the trailing fields.
         local_version = 0
-        cur_version = res_version + local_version if has_mem else 0
+        cur_version = res_version + local_version
         heap: List[Tuple] = []
         if dynamic:
             # ``(key, task_id)`` is unique per entry, so heapify produces
@@ -741,118 +726,117 @@ class LAPRuntime:
             compute_duration = duration
 
             # -- data movement: the shared-level LRU (its only implementation)
-            if has_mem:
-                foot = foot_ids[i]
-                pin_floor = res_clock
-                nmiss = nspill = 0
-                for tid in foot:
-                    if res_stamp[tid] < 0:
-                        nmiss += 1
-                        if res_ever[tid]:
-                            nspill += 1
-                        else:
-                            res_ever[tid] = True
-                        res_rc += 1
-                    res_stamp[tid] = res_clock
-                    res_qt_append(tid)
-                    res_clock += 1
-                wids = write_ids[i]
-                for tid in wids:
-                    if not res_dirty[tid]:
-                        res_dirty[tid] = True
-                        res_dc += 1
-                wb = 0
-                nvict = 0
-                if res_rc > res_capmax:
-                    qn = len(res_qt)
-                    while res_rc > res_capmax and res_qhead < qn:
-                        vid = res_qt[res_qhead]
-                        st = res_qbase + res_qhead
-                        if res_stamp[vid] != st:
-                            res_qhead += 1      # stale entry: tile was re-stamped
-                            continue
-                        if st >= pin_floor:
-                            break               # only the pinned footprint remains
-                        res_qhead += 1
-                        res_stamp[vid] = -1
-                        res_rc -= 1
-                        nvict += 1
-                        if res_dirty[vid]:
-                            res_dirty[vid] = False
-                            res_dc -= 1
-                            wb += 1
-                        if holders is not None:
-                            # Inclusion: the victim leaves the local stores
-                            # that hold it.
-                            hm = holders[vid]
-                            while hm:
-                                low = hm & -hm
-                                stores[low.bit_length() - 1].invalidate_ids((vid,))
-                                hm ^= low
-                    if res_qhead > 262144 and res_qhead * 2 > qn:
-                        del res_qt[:res_qhead]
-                        res_qbase += res_qhead
-                        res_qhead = 0
-                if res_rc > peak_rc:
-                    peak_rc = res_rc
-                if nmiss or nvict:
-                    res_version += 1
-                refill_b = nmiss * tb
-                spill_b = nspill * tb
-                if spill_b > 0:
-                    stall = (spill_b / bpc_off if bpc_off > 0
-                             else bandwidth.stall_cycles(spill_b))
-                else:
-                    stall = 0.0
-                flops = task_flops[i]
-                onchip_bytes = rw_len[i] * tb
-                if holders is not None:
-                    # Classify the footprint against the assigned core's
-                    # store by the holder masks (local hit / sibling copy /
-                    # shared fill), bring it resident, and revoke the other
-                    # holders' copies of the written tiles (write-through).
-                    bit = 1 << c
-                    lhit = ncc = nsf = 0
-                    for tid in foot:
-                        hm = holders[tid]
-                        if hm & bit:
-                            lhit += 1
-                        elif hm:
-                            ncc += 1
-                        else:
-                            nsf += 1
-                    stores[c].touch_ids(foot)
-                    for tid in wids:
-                        hm = holders[tid] & ~bit
+            foot = foot_ids[i]
+            pin_floor = res_clock
+            nmiss = nspill = 0
+            for tid in foot:
+                if res_stamp[tid] < 0:
+                    nmiss += 1
+                    if res_ever[tid]:
+                        nspill += 1
+                    else:
+                        res_ever[tid] = True
+                    res_rc += 1
+                res_stamp[tid] = res_clock
+                res_qt_append(tid)
+                res_clock += 1
+            wids = write_ids[i]
+            for tid in wids:
+                if not res_dirty[tid]:
+                    res_dirty[tid] = True
+                    res_dc += 1
+            wb = 0
+            nvict = 0
+            if res_rc > res_capmax:
+                qn = len(res_qt)
+                while res_rc > res_capmax and res_qhead < qn:
+                    vid = res_qt[res_qhead]
+                    st = res_qbase + res_qhead
+                    if res_stamp[vid] != st:
+                        res_qhead += 1      # stale entry: tile was re-stamped
+                        continue
+                    if st >= pin_floor:
+                        break               # only the pinned footprint remains
+                    res_qhead += 1
+                    res_stamp[vid] = -1
+                    res_rc -= 1
+                    nvict += 1
+                    if res_dirty[vid]:
+                        res_dirty[vid] = False
+                        res_dc -= 1
+                        wb += 1
+                    if holders is not None:
+                        # Inclusion: the victim leaves the local stores
+                        # that hold it.
+                        hm = holders[vid]
                         while hm:
                             low = hm & -hm
-                            stores[low.bit_length() - 1].invalidate_ids((tid,))
+                            stores[low.bit_length() - 1].invalidate_ids((vid,))
                             hm ^= low
-                    local_version += 1
-                    local_hit = float(lhit * tb)
-                    shared_fill = float(nsf * tb)
-                    c2c = float(ncc * tb)
-                    transfer_bytes = shared_fill + c2c
-                    transfer_cycles = (transfer_bytes / obw
-                                       if transfer_bytes > 0 and obw > 0 else 0.0)
-                    onchip_bytes = onchip_bytes + transfer_bytes
-                    tot_lhit += local_hit
-                    tot_sfill += shared_fill
-                    tot_c2c += c2c
-                    tot_ltc += transfer_cycles
-                wb_b = wb * tb
-                energy = (flops * epf + onchip_bytes * epon
-                          + (refill_b + wb_b) * epoff)
-                tot_flops += flops
-                tot_energy += energy
-                tot_stall += stall
-                tot_comp += refill_b - spill_b
-                tot_spill += spill_b
-                tot_wb += wb_b
-                # compose_task_cycles, inlined.
-                duration = duration + (stall + transfer_cycles) * visible
-                if dynamic:
-                    cur_version = res_version + local_version
+                if res_qhead > 262144 and res_qhead * 2 > qn:
+                    del res_qt[:res_qhead]
+                    res_qbase += res_qhead
+                    res_qhead = 0
+            if res_rc > peak_rc:
+                peak_rc = res_rc
+            if nmiss or nvict:
+                res_version += 1
+            refill_b = nmiss * tb
+            spill_b = nspill * tb
+            if spill_b > 0:
+                stall = (spill_b / bpc_off if bpc_off > 0
+                         else bandwidth.stall_cycles(spill_b))
+            else:
+                stall = 0.0
+            flops = task_flops[i]
+            onchip_bytes = rw_len[i] * tb
+            if holders is not None:
+                # Classify the footprint against the assigned core's
+                # store by the holder masks (local hit / sibling copy /
+                # shared fill), bring it resident, and revoke the other
+                # holders' copies of the written tiles (write-through).
+                bit = 1 << c
+                lhit = ncc = nsf = 0
+                for tid in foot:
+                    hm = holders[tid]
+                    if hm & bit:
+                        lhit += 1
+                    elif hm:
+                        ncc += 1
+                    else:
+                        nsf += 1
+                stores[c].touch_ids(foot)
+                for tid in wids:
+                    hm = holders[tid] & ~bit
+                    while hm:
+                        low = hm & -hm
+                        stores[low.bit_length() - 1].invalidate_ids((tid,))
+                        hm ^= low
+                local_version += 1
+                local_hit = float(lhit * tb)
+                shared_fill = float(nsf * tb)
+                c2c = float(ncc * tb)
+                transfer_bytes = shared_fill + c2c
+                transfer_cycles = (transfer_bytes / obw
+                                   if transfer_bytes > 0 and obw > 0 else 0.0)
+                onchip_bytes = onchip_bytes + transfer_bytes
+                tot_lhit += local_hit
+                tot_sfill += shared_fill
+                tot_c2c += c2c
+                tot_ltc += transfer_cycles
+            wb_b = wb * tb
+            energy = (flops * epf + onchip_bytes * epon
+                      + (refill_b + wb_b) * epoff)
+            tot_flops += flops
+            tot_energy += energy
+            tot_stall += stall
+            tot_comp += refill_b - spill_b
+            tot_spill += spill_b
+            tot_wb += wb_b
+            # compose_task_cycles, inlined.
+            duration = duration + (stall + transfer_cycles) * visible
+            if dynamic:
+                cur_version = res_version + local_version
 
             end = start + duration
             core_free[c] = end
@@ -894,30 +878,29 @@ class LAPRuntime:
             for signature, count in zip(gsig, ga.group_counts):
                 timing.bulk_charge(signature, count - warm)
 
-        if has_mem:
-            res._clock = res_clock
-            res._rc = res_rc
-            res._qhead = res_qhead
-            res._qbase = res_qbase
-            res._dirty_count = res_dc
-            res.version = res_version
-            res.peak_resident_bytes = peak_rc * tb
-            memory.total_flops += tot_flops
-            memory.total_energy_j += tot_energy
-            memory.total_stall_cycles += tot_stall
-            memory.compulsory_bytes += tot_comp
-            memory.spill_bytes += tot_spill
-            memory.writeback_bytes += tot_wb
-            memory.local_hit_bytes += tot_lhit
-            memory.shared_to_local_bytes += tot_sfill
-            memory.c2c_bytes += tot_c2c
-            memory.local_transfer_cycles += tot_ltc
+        res._clock = res_clock
+        res._rc = res_rc
+        res._qhead = res_qhead
+        res._qbase = res_qbase
+        res._dirty_count = res_dc
+        res.version = res_version
+        res.peak_resident_bytes = peak_rc * tb
+        memory.total_flops += tot_flops
+        memory.total_energy_j += tot_energy
+        memory.total_stall_cycles += tot_stall
+        memory.compulsory_bytes += tot_comp
+        memory.spill_bytes += tot_spill
+        memory.writeback_bytes += tot_wb
+        memory.local_hit_bytes += tot_lhit
+        memory.shared_to_local_bytes += tot_sfill
+        memory.c2c_bytes += tot_c2c
+        memory.local_transfer_cycles += tot_ltc
         self._exec_rows = rows
         self._executions = None
         makespan = max(core_free) if core_free else 0
         self.last_makespan = float(makespan)
         if self.tracer is not None:
-            self._trace(self.tracer, makespan, has_mem)
+            self._trace(self.tracer, makespan)
         stats: Dict[str, object] = {
             "makespan_cycles": makespan,
             "per_core_busy_cycles": busy_cycles,
@@ -930,20 +913,18 @@ class LAPRuntime:
             "makespan_ns": makespan / reference_freq,
             "data_valid": timing.keeps_data(verify),
         }
-        if has_mem:
-            memory.finish()
-            stats.update(memory.summary())
+        memory.finish()
+        stats.update(memory.summary())
         stats["graph"] = graph.summary()
         return stats
 
-    def _trace(self, tracer: Tracer, makespan: float, memory: bool) -> None:
+    def _trace(self, tracer: Tracer, makespan: float) -> None:
         """Replay the recorded schedule into ``tracer``, in dispatch order.
 
         One ``task`` span per execution row on its core's track, carrying
-        the cycle decomposition and (with memory accounting on) the task's
-        non-zero data-movement bytes; the ``offchip_spill_bytes`` and
-        ``stall_cycles`` counter series; then the scheduler-idle gaps as
-        ``idle`` spans.
+        the cycle decomposition and the task's non-zero data-movement
+        bytes; the ``offchip_spill_bytes`` and ``stall_cycles`` counter
+        series; then the scheduler-idle gaps as ``idle`` spans.
         """
         rows = self.executions
         for e in rows:
@@ -958,24 +939,22 @@ class LAPRuntime:
                 "transfer_cycles": parts["transfer"],
                 "hidden_cycles": parts["hidden"],
             }
-            if memory:
-                moved = {
-                    "refill_bytes": e.refill_bytes,
-                    "compulsory_bytes": e.refill_bytes - e.spill_bytes,
-                    "spill_refill_bytes": e.spill_bytes,
-                    "writeback_bytes": e.writeback_bytes,
-                    "energy_j": e.energy_j,
-                    "flops": _TASK_FLOPS[e.kind](self.tile),
-                    "local_hit_bytes": e.local_hit_bytes,
-                    "shared_to_local_bytes": e.shared_to_local_bytes,
-                    "c2c_bytes": e.transfer_bytes - e.shared_to_local_bytes,
-                }
-                args.update((name, value) for name, value in moved.items()
-                            if value)
-                tracer.counter("offchip_spill_bytes").add(e.spill_bytes,
-                                                          ts=e.end_cycle)
-                tracer.counter("stall_cycles").add(e.stall_cycles,
-                                                   ts=e.end_cycle)
+            moved = {
+                "refill_bytes": e.refill_bytes,
+                "compulsory_bytes": e.refill_bytes - e.spill_bytes,
+                "spill_refill_bytes": e.spill_bytes,
+                "writeback_bytes": e.writeback_bytes,
+                "energy_j": e.energy_j,
+                "flops": _TASK_FLOPS[e.kind](self.tile),
+                "local_hit_bytes": e.local_hit_bytes,
+                "shared_to_local_bytes": e.shared_to_local_bytes,
+                "c2c_bytes": e.transfer_bytes - e.shared_to_local_bytes,
+            }
+            args.update((name, value) for name, value in moved.items()
+                        if value)
+            tracer.counter("offchip_spill_bytes").add(e.spill_bytes,
+                                                      ts=e.end_cycle)
+            tracer.counter("stall_cycles").add(e.stall_cycles, ts=e.end_cycle)
             tracer.span(f"{e.kind.value}#{e.task_id}", track=e.core_index,
                         start=e.start_cycle, end=e.end_cycle, category="task",
                         args=args)
@@ -1005,54 +984,43 @@ class LAPRuntime:
         when a sweep point differing only in bandwidth / prefetch-overlap /
         chip-clock / off-chip-energy constants can reuse this schedule
         exactly instead of re-simulating (see :mod:`repro.lap.replay`).
-        With memory accounting on, the trace also gets a callable deriving
-        the per-task ``(flops, onchip_bytes, offchip_bytes)`` energy triples
-        from the loop's raw execution rows and the graph's footprint
-        arrays; recording itself materialises no :class:`TaskExecution`
-        and builds no per-task list.
+        The trace also gets a callable deriving the per-task ``(flops,
+        onchip_bytes, offchip_bytes)`` energy triples from the loop's raw
+        execution rows and the graph's footprint arrays; recording itself
+        materialises no :class:`TaskExecution` and builds no per-task list.
         """
         memory = self.last_memory
-        energy_constants = None
-        flush_wb = 0.0
-        triples = None
-        if memory is not None:
-            energy = memory.energy
-            energy_constants = (energy.energy_per_flop_j,
-                                energy.onchip_energy_per_byte_j,
-                                energy.offchip_energy_per_byte_j)
-            flush_wb = memory.flush_writeback_bytes
-            rows = self._exec_rows
-            arrays = self._last_graph.fast_arrays()
-            tile = self.tile
-            tile_bytes = memory.residency.tile_bytes
+        energy = memory.energy
+        rows = self._exec_rows
+        id2idx = self._last_graph.id2idx
+        rw_len = self._last_graph.fast_arrays().rw_len
+        tile = self.tile
+        tile_bytes = memory.residency.tile_bytes
 
-            def triples():
-                # Rows hold TaskExecution's fields in order: [0] task_id,
-                # [1] kind, [6] refill, [12] transfer, [13] writeback bytes.
-                id2idx = arrays.id2idx
-                rw_len = arrays.rw_len
-                return [(_TASK_FLOPS[row[1]](tile),
-                         rw_len[id2idx[row[0]]] * tile_bytes + row[12],
-                         row[6] + row[13])
-                        for row in rows]
+        def triples():
+            # Rows hold TaskExecution's fields in order: [0] task_id,
+            # [1] kind, [6] refill, [12] transfer, [13] writeback bytes.
+            return [(_TASK_FLOPS[row[1]](tile),
+                     rw_len[id2idx[row[0]]] * tile_bytes + row[12],
+                     row[6] + row[13])
+                    for row in rows]
         return ScheduleTrace(
             stall_overlap=self.stall_overlap,
             effective_bandwidth_gbs=(
-                memory.bandwidth.interface.bandwidth_gbytes_per_sec
-                if memory is not None else None),
+                memory.bandwidth.interface.bandwidth_gbytes_per_sec),
             default_bandwidth_gbs=self.lap.offchip.bandwidth_gbytes_per_sec,
-            total_spill_bytes=(memory.spill_bytes if memory is not None
-                               else 0.0),
-            total_movement_cycles=(
-                memory.total_stall_cycles + memory.local_transfer_cycles
-                if memory is not None else 0.0),
+            total_spill_bytes=memory.spill_bytes,
+            total_movement_cycles=(memory.total_stall_cycles
+                                   + memory.local_transfer_cycles),
             makespan_cycles=self.last_makespan,
             frequency_ghz=self.lap.config.frequency_ghz,
             homogeneous_cores=self._homogeneous,
-            energy_constants=energy_constants,
+            energy_constants=(energy.energy_per_flop_j,
+                              energy.onchip_energy_per_byte_j,
+                              energy.offchip_energy_per_byte_j),
             default_offchip_energy_per_byte_j=(
                 self.lap.offchip.energy_per_byte_j),
-            flush_writeback_bytes=flush_wb,
+            flush_writeback_bytes=memory.flush_writeback_bytes,
             energy_triples=triples)
 
     # ------------------------------------------------------- whole problems

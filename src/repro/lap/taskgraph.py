@@ -9,21 +9,25 @@ that layer:
   (level-3 BLAS updates plus the factorization tile kernels of Chapter 6);
 * :class:`TaskDescriptor` -- one tile operation (the "command packet");
 * :class:`TaskGraph` -- an immutable dependency graph over task descriptors
-  with the analytics a scheduler needs (critical path, width, per-kind
-  counts, topological levels);
-* :class:`GraphArrays` -- the dense per-position arrays (successors,
-  footprints as dense tile ids, memoization groups) the scheduler loop
-  runs on;
+  that holds the graph's only adjacency (ids, positions, successors,
+  in-degrees) and the analytics a scheduler needs (critical path, width,
+  per-kind counts, topological levels);
+* :class:`GraphArrays` -- the dense per-position arrays (footprints as
+  dense tile ids, kind codes, memoization groups) the scheduler loop runs
+  on;
 * :class:`AlgorithmsByBlocks` -- the host-library decomposition of GEMM,
   Cholesky, LU (no pivoting across tiles) and tiled Householder QR into
   dependency-ordered tile graphs.
 
 Every task additionally carries its *data footprint*: the logical tiles it
-reads and writes, named ``(operand, (block_row, block_col))``.  The builders
-record footprints with aliasing resolved (a factorization updates one
-operand in place, so all of its tiles live under ``"A"``), which is what the
-tile-residency model of :mod:`repro.lap.memory` consumes to account on-chip
-working sets, spills and off-chip traffic.
+reads and writes, named ``(operand, (block_row, block_col))``.  One
+per-kind rule, :func:`task_footprint`, states every footprint; a
+factorization updates one operand in place, so its graphs name every tile
+``"A"``.  Each builder only yields its algorithm's steps and one helper
+derives the tasks: footprints from that rule, and a dependency on the last
+writer of every tile a task touches.  The tile-residency model of
+:mod:`repro.lap.memory` consumes the footprints to account on-chip working
+sets, spills and off-chip traffic.
 
 Schedulers (:mod:`repro.lap.policies`), timing models
 (:mod:`repro.lap.timing`), the memory hierarchy (:mod:`repro.lap.memory`)
@@ -33,10 +37,12 @@ touches the simulator.
 
 from __future__ import annotations
 
+import collections
 import collections.abc
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 
 class TaskKind(enum.Enum):
@@ -55,10 +61,6 @@ class TaskKind(enum.Enum):
     UNMQR = "unmqr"                #: C_tile := Q^T C_tile (reflectors of GEQRT)
     TSMQR = "tsmqr"                #: [C_top; C_bot] := Q^T [..] (reflectors of TSQRT)
 
-
-#: Kinds that factor a tile (as opposed to updating one with level-3 BLAS).
-FACTOR_KINDS = frozenset({TaskKind.CHOLESKY, TaskKind.LU, TaskKind.GEQRT,
-                          TaskKind.TSQRT})
 
 #: One logical tile: (operand name, (block_row, block_col)).
 TileAccess = Tuple[str, Tuple[int, int]]
@@ -90,6 +92,41 @@ def task_flops(task: "TaskDescriptor", tile: int) -> float:
     return _TASK_FLOPS[task.kind](tile)
 
 
+#: The triangular-solve kinds: read ``L``, update ``B`` in place.
+_SOLVE_KINDS = frozenset({TaskKind.TRSM, TaskKind.TRSM_RIGHT_T,
+                          TaskKind.TRSM_LOWER, TaskKind.TRSM_UPPER_RIGHT})
+
+
+def task_footprint(kind: TaskKind, output: Tuple[int, int],
+                   inputs: Sequence[Tuple[int, int]], in_place: bool = False
+                   ) -> Tuple[List[TileAccess], List[TileAccess]]:
+    """The ``(reads, writes)`` tile names of one task: the per-kind rule.
+
+    GEMM and SYRK read every input tile plus the accumulator ``C`` and
+    write ``C``; the solves read ``L`` and update ``B``; the factorization
+    kernels read and write ``A``.  ``in_place`` names every operand ``A``,
+    as a factorization updates one matrix, so its operand dictionaries
+    alias.  Reads keep repeats (Cholesky's diagonal SYRK reads its input
+    tile twice): the on-chip energy term charges every operand access.
+    """
+    a, b, c, l = ("A",) * 4 if in_place else ("A", "B", "C", "L")
+    if kind is TaskKind.GEMM:
+        return [(a, inputs[0]), (b, inputs[1]), (c, output)], [(c, output)]
+    if kind is TaskKind.SYRK:
+        return [(a, x) for x in inputs] + [(c, output)], [(c, output)]
+    if kind in _SOLVE_KINDS:
+        return [(l, inputs[0]), (b, output)], [(b, output)]
+    if kind is TaskKind.TSQRT:
+        both = [("A", inputs[0]), ("A", output)]
+        return both, list(both)
+    if kind is TaskKind.UNMQR:
+        return [("A", inputs[0]), ("A", output)], [("A", output)]
+    if kind is TaskKind.TSMQR:
+        return [("A", x) for x in inputs], [("A", inputs[1]), ("A", inputs[2])]
+    # CHOLESKY, LU and GEQRT factor their output tile in place.
+    return [("A", output)], [("A", output)]
+
+
 @dataclass
 class TaskDescriptor:
     """One atomic tile operation (the command-packet abstraction).
@@ -104,10 +141,10 @@ class TaskDescriptor:
 
     ``reads`` and ``writes`` are the task's data footprint as
     ``(operand, coordinate)`` tile names.  The graph builders fill them in
-    with operand aliasing resolved (a factorization reads and writes one
-    matrix); when left ``None`` they are derived from ``kind`` /
-    ``inputs`` / ``output`` with the conventional operand names, which is
-    correct for hand-built graphs whose operand dictionaries do not alias.
+    from :func:`task_footprint` with operand aliasing resolved; when left
+    ``None`` they are derived by the same rule with the conventional
+    operand names, which is correct for hand-built graphs whose operand
+    dictionaries do not alias.
     """
 
     task_id: int
@@ -125,48 +162,17 @@ class TaskDescriptor:
             raise ValueError("task ids must be non-negative")
 
     # ----------------------------------------------------------- footprints
-    def _derived_footprint(self) -> Tuple[List[TileAccess], List[TileAccess]]:
-        """Kind-derived (reads, writes) with the conventional operand names."""
-        kind = self.kind
-        if kind is TaskKind.GEMM:
-            reads = [("A", self.inputs[0]), ("B", self.inputs[1]),
-                     ("C", self.output)]
-            writes = [("C", self.output)]
-        elif kind is TaskKind.SYRK:
-            reads = [("A", self.inputs[0]), ("C", self.output)]
-            writes = [("C", self.output)]
-        elif kind in (TaskKind.TRSM, TaskKind.TRSM_RIGHT_T, TaskKind.TRSM_LOWER,
-                      TaskKind.TRSM_UPPER_RIGHT):
-            reads = [("L", self.inputs[0]), ("B", self.output)]
-            writes = [("B", self.output)]
-        elif kind in (TaskKind.CHOLESKY, TaskKind.LU, TaskKind.GEQRT):
-            reads = [("A", self.output)]
-            writes = [("A", self.output)]
-        elif kind is TaskKind.TSQRT:
-            reads = [("A", self.inputs[0]), ("A", self.output)]
-            writes = [("A", self.inputs[0]), ("A", self.output)]
-        elif kind is TaskKind.UNMQR:
-            reads = [("A", self.inputs[0]), ("A", self.output)]
-            writes = [("A", self.output)]
-        elif kind is TaskKind.TSMQR:
-            reads = [("A", self.inputs[0]), ("A", self.inputs[1]),
-                     ("A", self.inputs[2])]
-            writes = [("A", self.inputs[1]), ("A", self.inputs[2])]
-        else:  # pragma: no cover - enum exhaustive
-            raise ValueError(f"unknown task kind {kind}")
-        return reads, writes
-
     def read_tiles(self) -> List[TileAccess]:
         """Tiles the task reads (explicit footprint or kind-derived)."""
         if self.reads is not None:
             return list(self.reads)
-        return self._derived_footprint()[0]
+        return task_footprint(self.kind, self.output, self.inputs)[0]
 
     def write_tiles(self) -> List[TileAccess]:
         """Tiles the task writes (explicit footprint or kind-derived)."""
         if self.writes is not None:
             return list(self.writes)
-        return self._derived_footprint()[1]
+        return task_footprint(self.kind, self.output, self.inputs)[1]
 
     def touched_tiles(self) -> List[TileAccess]:
         """Union of read and written tiles, duplicates removed, read-order."""
@@ -195,20 +201,30 @@ class TaskGraph(collections.abc.Sequence):
 
     def __init__(self, tasks: Sequence[TaskDescriptor]):
         self._tasks: List[TaskDescriptor] = list(tasks)
-        self._by_id: Dict[int, TaskDescriptor] = {}
-        for task in self._tasks:
-            if task.task_id in self._by_id:
-                raise ValueError(f"duplicate task id {task.task_id}")
-            self._by_id[task.task_id] = task
-        for task in self._tasks:
-            for dep in task.depends_on:
-                if dep not in self._by_id:
+        # The graph's only adjacency, indexed by graph position: task ids
+        # are not assumed 0-based or contiguous (the builders share one id
+        # counter across graphs).  Successor tuples are built by ascending
+        # position, so each is sorted.
+        self.ids: List[int] = [t.task_id for t in self._tasks]
+        self.id2idx: Dict[int, int] = {tid: i for i, tid in enumerate(self.ids)}
+        if len(self.id2idx) != len(self.ids):
+            dup = next(tid for tid, count in collections.Counter(self.ids).items()
+                       if count > 1)
+            raise ValueError(f"duplicate task id {dup}")
+        id2idx = self.id2idx
+        succ: List[List[int]] = [[] for _ in self._tasks]
+        #: Number of distinct predecessors per position.
+        self.indegree: List[int] = []
+        for i, task in enumerate(self._tasks):
+            deps = set(task.depends_on)
+            for dep in deps:
+                j = id2idx.get(dep)
+                if j is None:
                     raise ValueError(f"task {task.task_id} depends on unknown "
                                      f"task id {dep}")
-        self._successors: Dict[int, List[int]] = {t.task_id: [] for t in self._tasks}
-        for task in self._tasks:
-            for dep in set(task.depends_on):
-                self._successors[dep].append(task.task_id)
+                succ[j].append(i)
+            self.indegree.append(len(deps))
+        self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
         self._levels: Optional[List[List[int]]] = None
         self._fast_arrays = None
         self._summary: Optional[Dict[str, object]] = None
@@ -226,20 +242,16 @@ class TaskGraph(collections.abc.Sequence):
 
     def task(self, task_id: int) -> TaskDescriptor:
         """Look up one task by id."""
-        return self._by_id[task_id]
-
-    @property
-    def task_ids(self) -> List[int]:
-        return [t.task_id for t in self._tasks]
+        return self._tasks[self.id2idx[task_id]]
 
     # ----------------------------------------------------------- adjacency
     def successors(self, task_id: int) -> List[int]:
         """Ids of the tasks that depend on ``task_id``."""
-        return list(self._successors[task_id])
+        return [self.ids[j] for j in self.succ[self.id2idx[task_id]]]
 
     def predecessors(self, task_id: int) -> List[int]:
         """Ids of the tasks ``task_id`` depends on (duplicates removed)."""
-        return sorted(set(self._by_id[task_id].depends_on))
+        return sorted(set(self.task(task_id).depends_on))
 
     # ------------------------------------------------------------ analytics
     def kind_counts(self) -> Dict[TaskKind, int]:
@@ -255,21 +267,21 @@ class TaskGraph(collections.abc.Sequence):
         Raises :class:`ValueError` if the graph contains a cycle.
         """
         if self._levels is None:
-            indegree = {t.task_id: len(set(t.depends_on)) for t in self._tasks}
-            frontier = sorted(tid for tid, deg in indegree.items() if deg == 0)
+            ids, succ = self.ids, self.succ
+            indegree = list(self.indegree)
+            frontier = [i for i, deg in enumerate(indegree) if deg == 0]
             levels: List[List[int]] = []
-            seen = 0
             while frontier:
-                levels.append(frontier)
-                seen += len(frontier)
+                frontier.sort(key=ids.__getitem__)
+                levels.append([ids[i] for i in frontier])
                 nxt: List[int] = []
-                for tid in frontier:
-                    for succ in self._successors[tid]:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            nxt.append(succ)
-                frontier = sorted(nxt)
-            if seen != len(self._tasks):
+                for i in frontier:
+                    for j in succ[i]:
+                        indegree[j] -= 1
+                        if indegree[j] == 0:
+                            nxt.append(j)
+                frontier = nxt
+            if sum(map(len, levels)) != len(self._tasks):
                 raise ValueError("task graph contains a dependency cycle")
             self._levels = levels
         return self._levels
@@ -291,12 +303,13 @@ class TaskGraph(collections.abc.Sequence):
         """
         if weight is None and self._unit_cpl is not None:
             return self._unit_cpl
+        ids, id2idx, succ = self.ids, self.id2idx, self.succ
         lengths: Dict[int, float] = {}
         for level in reversed(self.levels()):
             for tid in level:
-                task = self._by_id[tid]
-                w = 1.0 if weight is None else float(weight(task))
-                down = max((lengths[s] for s in self._successors[tid]), default=0.0)
+                i = id2idx[tid]
+                w = 1.0 if weight is None else float(weight(self._tasks[i]))
+                down = max((lengths[ids[j]] for j in succ[i]), default=0.0)
                 lengths[tid] = w + down
         if weight is None:
             self._unit_cpl = lengths
@@ -361,11 +374,12 @@ class TaskGraph(collections.abc.Sequence):
 class GraphArrays:
     """Dense per-index arrays of one :class:`TaskGraph` for the scheduler loop.
 
-    Task ids are *not* assumed 0-based or contiguous (the builders share one
-    id counter across graphs), so everything is indexed by graph position
-    with ``ids`` / ``id2idx`` translating.  Tile names are numbered densely
-    in first-seen order (``num_tiles`` of them), which is how the residency
-    levels of :mod:`repro.lap.memory` are indexed and sized.  The arrays
+    Footprints as dense tile ids, kind codes and memoization groups, indexed
+    by graph position like the graph's own adjacency (``ids``, ``id2idx``,
+    ``succ``, ``indegree`` on :class:`TaskGraph`), which the loop reads
+    directly.  Tile names are numbered densely in first-seen order
+    (``num_tiles`` of them), which is how the residency levels of
+    :mod:`repro.lap.memory` are indexed and sized.  The arrays
     are plain Python lists, which is what the scalar hot loop indexes.
     Built once per graph and cached on it (:meth:`TaskGraph.fast_arrays`),
     so the loop inlines every policy / timing / memory decision without
@@ -373,21 +387,9 @@ class GraphArrays:
     """
 
     def __init__(self, graph: TaskGraph):
-        tasks = list(graph)
-        n = len(tasks)
+        tasks = graph._tasks
         self.tasks = tasks
         tile_ids: Dict[TileAccess, int] = {}
-        self.ids = [task.task_id for task in tasks]
-        self.id2idx = {tid: i for i, tid in enumerate(self.ids)}
-        id2idx = self.id2idx
-        self.indegree0 = [len(set(task.depends_on)) for task in tasks]
-        succ: List[List[int]] = [[] for _ in range(n)]
-        for i, task in enumerate(tasks):
-            for dep in set(task.depends_on):
-                succ[id2idx[dep]].append(i)
-        # Successor lists are built by ascending task index, so each list is
-        # already sorted; the hot loop only needs a deterministic order.
-        self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
         # Footprints as tile ids: foot_ids is the deduplicated reads+writes
         # order the residency model consumes; rw_len is the raw (non-dedup)
         # operand count the on-chip energy term charges.
@@ -454,7 +456,7 @@ class GraphArrays:
 #: Process-wide cache of built task graphs (FIFO-bounded).  Large sweeps
 #: re-decompose the same ``(workload, n, tile)`` point for every schedule
 #: variant; the descriptors are identical each time, so the builders reuse
-#: them through :meth:`AlgorithmsByBlocks._cached`.  Kept deliberately small:
+#: them through :meth:`AlgorithmsByBlocks._graph`.  Kept deliberately small:
 #: a million-task graph holds hundreds of megabytes of descriptors.
 _GRAPH_CACHE: Dict[Tuple, "TaskGraph"] = {}
 GRAPH_CACHE_CAPACITY = 4
@@ -470,7 +472,9 @@ class AlgorithmsByBlocks:
 
     ``tile`` is the edge length of one square tile; it must be a positive
     multiple of the core dimension ``nr`` so that every tile kernel maps
-    cleanly onto the PE mesh.
+    cleanly onto the PE mesh.  Each builder only yields its algorithm's
+    steps, ``(kind, output, inputs[, alpha, transpose_b])`` in program
+    order; :meth:`_graph` derives every task's footprint and dependencies.
     """
 
     def __init__(self, tile: int, nr: int = 4):
@@ -486,13 +490,18 @@ class AlgorithmsByBlocks:
         self.nr = nr
         self._id_next = 0
 
-    def _next_id(self) -> int:
-        i = self._id_next
-        self._id_next = i + 1
-        return i
+    def _graph(self, key: Tuple, steps: Iterable[Tuple],
+               in_place: bool = True) -> TaskGraph:
+        """Build ``key``'s graph from its ``steps``, or reuse an identical one.
 
-    def _cached(self, key: Tuple, build) -> "TaskGraph":
-        """Build ``key``'s graph, or reuse a structurally identical one.
+        Each step becomes a task with the next id, the footprint of
+        :func:`task_footprint` (``in_place`` for the factorizations) and a
+        dependency on the last writer of every tile it touches: the
+        read-after-write and write-after-write order.  No write-after-read
+        edges are added: a later writer never waits for an earlier reader.
+        Only tiled QR has such a pair (TSQRT rewrites the ``R`` of a
+        diagonal tile that UNMQR reads), and UNMQR reads only the
+        reflectors below that diagonal, which TSQRT keeps.
 
         Builders are deterministic in ``(workload, dims, tile, nr)`` plus the
         instance's next task id, so the full cache key pins the exact graph a
@@ -506,13 +515,25 @@ class AlgorithmsByBlocks:
         """
         full_key = key + (self.tile, self.nr, self._id_next)
         graph = _GRAPH_CACHE.get(full_key)
-        if graph is None:
-            graph = build()
-            while len(_GRAPH_CACHE) >= GRAPH_CACHE_CAPACITY:
-                _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-            _GRAPH_CACHE[full_key] = graph
-        else:
+        if graph is not None:
             self._id_next += len(graph)
+            return graph
+        tasks: List[TaskDescriptor] = []
+        last_writer: Dict[TileAccess, int] = {}
+        for kind, output, inputs, *options in steps:
+            reads, writes = task_footprint(kind, output, inputs, in_place)
+            task_id = self._id_next
+            self._id_next += 1
+            deps = {last_writer[t] for t in reads + writes if t in last_writer}
+            tasks.append(TaskDescriptor(task_id, kind, output, inputs,
+                                        sorted(deps), *options,
+                                        reads=reads, writes=writes))
+            for access in writes:
+                last_writer[access] = task_id
+        graph = TaskGraph(tasks)
+        while len(_GRAPH_CACHE) >= GRAPH_CACHE_CAPACITY:
+            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
+        _GRAPH_CACHE[full_key] = graph
         return graph
 
     def _check_blocking(self, **dims: int) -> None:
@@ -533,25 +554,11 @@ class AlgorithmsByBlocks:
         the accumulator tile is never written concurrently.
         """
         self._check_blocking(m=m, n=n, k=k)
-        return self._cached(("gemm", m, n, k), lambda: self._build_gemm(m, n, k))
-
-    def _build_gemm(self, m: int, n: int, k: int) -> TaskGraph:
         t = self.tile
-        tasks: List[TaskDescriptor] = []
-        for bi in range(m // t):
-            for bj in range(n // t):
-                previous: Optional[int] = None
-                for bk in range(k // t):
-                    task = TaskDescriptor(
-                        task_id=self._next_id(), kind=TaskKind.GEMM,
-                        output=(bi, bj), inputs=[(bi, bk), (bk, bj)],
-                        depends_on=[previous] if previous is not None else [],
-                        reads=[("A", (bi, bk)), ("B", (bk, bj)),
-                               ("C", (bi, bj))],
-                        writes=[("C", (bi, bj))])
-                    tasks.append(task)
-                    previous = task.task_id
-        return TaskGraph(tasks)
+        steps = ((TaskKind.GEMM, (bi, bj), [(bi, bk), (bk, bj)])
+                 for bi in range(m // t) for bj in range(n // t)
+                 for bk in range(k // t))
+        return self._graph(("gemm", m, n, k), steps, in_place=False)
 
     # ------------------------------------------------------------- Cholesky
     def cholesky_tasks(self, n: int) -> TaskGraph:
@@ -561,47 +568,18 @@ class AlgorithmsByBlocks:
         SYRK/GEMM updates of the trailing tiles.
         """
         self._check_blocking(n=n)
-        return self._cached(("cholesky", n), lambda: self._build_cholesky(n))
+        return self._graph(("cholesky", n), self._cholesky_steps(n // self.tile))
 
-    def _build_cholesky(self, n: int) -> TaskGraph:
-        t = self.tile
-        nb = n // t
-        tasks: List[TaskDescriptor] = []
-        # written[(i, j)] is the id of the last task that wrote tile (i, j).
-        written: Dict[Tuple[int, int], int] = {}
+    @staticmethod
+    def _cholesky_steps(nb: int) -> Iterator[Tuple]:
         for j in range(nb):
-            chol = TaskDescriptor(self._next_id(), TaskKind.CHOLESKY, output=(j, j),
-                                  inputs=[(j, j)],
-                                  depends_on=[written[(j, j)]] if (j, j) in written else [],
-                                  reads=[("A", (j, j))], writes=[("A", (j, j))])
-            tasks.append(chol)
-            written[(j, j)] = chol.task_id
+            yield TaskKind.CHOLESKY, (j, j), [(j, j)]
             for i in range(j + 1, nb):
-                deps = [chol.task_id]
-                if (i, j) in written:
-                    deps.append(written[(i, j)])
-                trsm = TaskDescriptor(self._next_id(), TaskKind.TRSM_RIGHT_T, output=(i, j),
-                                      inputs=[(j, j), (i, j)], depends_on=deps,
-                                      reads=[("A", (j, j)), ("A", (i, j))],
-                                      writes=[("A", (i, j))])
-                tasks.append(trsm)
-                written[(i, j)] = trsm.task_id
+                yield TaskKind.TRSM_RIGHT_T, (i, j), [(j, j), (i, j)]
             for i in range(j + 1, nb):
                 for k in range(j + 1, i + 1):
-                    deps = [written[(i, j)], written[(k, j)]]
-                    if (i, k) in written:
-                        deps.append(written[(i, k)])
                     kind = TaskKind.SYRK if i == k else TaskKind.GEMM
-                    update = TaskDescriptor(self._next_id(), kind, output=(i, k),
-                                            inputs=[(i, j), (k, j)],
-                                            depends_on=sorted(set(deps)),
-                                            alpha=-1.0, transpose_b=True,
-                                            reads=[("A", (i, j)), ("A", (k, j)),
-                                                   ("A", (i, k))],
-                                            writes=[("A", (i, k))])
-                    tasks.append(update)
-                    written[(i, k)] = update.task_id
-        return TaskGraph(tasks)
+                    yield kind, (i, k), [(i, j), (k, j)], -1.0, True
 
     # ------------------------------------------------------------------- LU
     def lu_tasks(self, n: int) -> TaskGraph:
@@ -616,57 +594,19 @@ class AlgorithmsByBlocks:
         (e.g. diagonally dominant); the LU tile kernel enforces this.
         """
         self._check_blocking(n=n)
-        return self._cached(("lu", n), lambda: self._build_lu(n))
+        return self._graph(("lu", n), self._lu_steps(n // self.tile))
 
-    def _build_lu(self, n: int) -> TaskGraph:
-        t = self.tile
-        nb = n // t
-        tasks: List[TaskDescriptor] = []
-        written: Dict[Tuple[int, int], int] = {}
+    @staticmethod
+    def _lu_steps(nb: int) -> Iterator[Tuple]:
         for j in range(nb):
-            lu = TaskDescriptor(self._next_id(), TaskKind.LU, output=(j, j),
-                                inputs=[(j, j)],
-                                depends_on=[written[(j, j)]] if (j, j) in written else [],
-                                reads=[("A", (j, j))], writes=[("A", (j, j))])
-            tasks.append(lu)
-            written[(j, j)] = lu.task_id
+            yield TaskKind.LU, (j, j), [(j, j)]
             for k in range(j + 1, nb):
-                deps = [lu.task_id]
-                if (j, k) in written:
-                    deps.append(written[(j, k)])
-                trsm = TaskDescriptor(self._next_id(), TaskKind.TRSM_LOWER,
-                                      output=(j, k), inputs=[(j, j), (j, k)],
-                                      depends_on=deps,
-                                      reads=[("A", (j, j)), ("A", (j, k))],
-                                      writes=[("A", (j, k))])
-                tasks.append(trsm)
-                written[(j, k)] = trsm.task_id
+                yield TaskKind.TRSM_LOWER, (j, k), [(j, j), (j, k)]
             for i in range(j + 1, nb):
-                deps = [lu.task_id]
-                if (i, j) in written:
-                    deps.append(written[(i, j)])
-                trsm = TaskDescriptor(self._next_id(), TaskKind.TRSM_UPPER_RIGHT,
-                                      output=(i, j), inputs=[(j, j), (i, j)],
-                                      depends_on=deps,
-                                      reads=[("A", (j, j)), ("A", (i, j))],
-                                      writes=[("A", (i, j))])
-                tasks.append(trsm)
-                written[(i, j)] = trsm.task_id
+                yield TaskKind.TRSM_UPPER_RIGHT, (i, j), [(j, j), (i, j)]
             for i in range(j + 1, nb):
                 for k in range(j + 1, nb):
-                    deps = [written[(i, j)], written[(j, k)]]
-                    if (i, k) in written:
-                        deps.append(written[(i, k)])
-                    update = TaskDescriptor(self._next_id(), TaskKind.GEMM,
-                                            output=(i, k), inputs=[(i, j), (j, k)],
-                                            depends_on=sorted(set(deps)),
-                                            alpha=-1.0,
-                                            reads=[("A", (i, j)), ("A", (j, k)),
-                                                   ("A", (i, k))],
-                                            writes=[("A", (i, k))])
-                    tasks.append(update)
-                    written[(i, k)] = update.task_id
-        return TaskGraph(tasks)
+                    yield TaskKind.GEMM, (i, k), [(i, j), (j, k)], -1.0
 
     # ------------------------------------------------------------------- QR
     def qr_tasks(self, n: int) -> TaskGraph:
@@ -682,60 +622,20 @@ class AlgorithmsByBlocks:
         store.
         """
         self._check_blocking(n=n)
-        return self._cached(("qr", n), lambda: self._build_qr(n))
+        return self._graph(("qr", n), self._qr_steps(n // self.tile))
 
-    def _build_qr(self, n: int) -> TaskGraph:
-        t = self.tile
-        nb = n // t
-        tasks: List[TaskDescriptor] = []
-        written: Dict[Tuple[int, int], int] = {}
+    @staticmethod
+    def _qr_steps(nb: int) -> Iterator[Tuple]:
         for j in range(nb):
-            geqrt = TaskDescriptor(self._next_id(), TaskKind.GEQRT, output=(j, j),
-                                   inputs=[(j, j)],
-                                   depends_on=[written[(j, j)]] if (j, j) in written else [],
-                                   reads=[("A", (j, j))], writes=[("A", (j, j))])
-            tasks.append(geqrt)
-            written[(j, j)] = geqrt.task_id
+            yield TaskKind.GEQRT, (j, j), [(j, j)]
             for k in range(j + 1, nb):
-                deps = [geqrt.task_id]
-                if (j, k) in written:
-                    deps.append(written[(j, k)])
-                unmqr = TaskDescriptor(self._next_id(), TaskKind.UNMQR,
-                                       output=(j, k), inputs=[(j, j), (j, k)],
-                                       depends_on=deps,
-                                       reads=[("A", (j, j)), ("A", (j, k))],
-                                       writes=[("A", (j, k))])
-                tasks.append(unmqr)
-                written[(j, k)] = unmqr.task_id
+                yield TaskKind.UNMQR, (j, k), [(j, j), (j, k)]
             for i in range(j + 1, nb):
-                deps = [written[(j, j)]]
-                if (i, j) in written:
-                    deps.append(written[(i, j)])
-                tsqrt = TaskDescriptor(self._next_id(), TaskKind.TSQRT,
-                                       output=(i, j), inputs=[(j, j), (i, j)],
-                                       depends_on=sorted(set(deps)),
-                                       reads=[("A", (j, j)), ("A", (i, j))],
-                                       writes=[("A", (j, j)), ("A", (i, j))])
-                tasks.append(tsqrt)
                 # TSQRT rewrites the R on the diagonal *and* stores the
                 # reflectors in tile (i, j).
-                written[(j, j)] = tsqrt.task_id
-                written[(i, j)] = tsqrt.task_id
+                yield TaskKind.TSQRT, (i, j), [(j, j), (i, j)]
                 for k in range(j + 1, nb):
-                    deps = [tsqrt.task_id, written[(j, k)]]
-                    if (i, k) in written:
-                        deps.append(written[(i, k)])
-                    tsmqr = TaskDescriptor(self._next_id(), TaskKind.TSMQR,
-                                           output=(i, k),
-                                           inputs=[(i, j), (j, k), (i, k)],
-                                           depends_on=sorted(set(deps)),
-                                           reads=[("A", (i, j)), ("A", (j, k)),
-                                                  ("A", (i, k))],
-                                           writes=[("A", (j, k)), ("A", (i, k))])
-                    tasks.append(tsmqr)
-                    written[(j, k)] = tsmqr.task_id
-                    written[(i, k)] = tsmqr.task_id
-        return TaskGraph(tasks)
+                    yield TaskKind.TSMQR, (i, k), [(i, j), (j, k), (i, k)]
 
     #: Names of the workloads :meth:`build` decomposes (the ``lap_runtime``
     #: runner's algorithms and ``repro trace --workload``'s choices).

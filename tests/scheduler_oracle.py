@@ -307,16 +307,14 @@ DYNAMIC_POLICIES = ("memory_aware", "affinity")
 def priority(policy, task, ready_time, memory, owners, ranks=None) -> Tuple:
     """Heap key of a ready task (lower first; the task id breaks ties).
 
-    ``policy`` is a policy name.  ``memory`` is an :class:`OracleHierarchy`
-    (or ``None``), whose levels answer name-based queries; ``owners``
+    ``policy`` is a policy name.  ``memory`` is an :class:`OracleHierarchy`,
+    whose levels answer name-based queries; ``owners``
     maps an output tile to the core that last wrote it, and ``ranks`` holds
     the graph's critical-path lengths (``critical_path`` only).
     """
     if policy == "critical_path":
         return (-ranks.get(task.task_id, 0.0), ready_time)
     if policy in DYNAMIC_POLICIES:
-        if memory is None:
-            return (0, ready_time)
         footprint = task.touched_tiles()
         missing = memory.residency.missing_bytes(footprint)
         if memory.local_stores is not None:
@@ -333,8 +331,7 @@ def choose_core(policy, task, ready_time, core_free_at, owners, memory) -> int:
     if policy in ("locality", "memory_aware"):
         return min(cores, key=lambda i: (max(core_free_at[i], ready_time),
                                          0 if i == owner else 1, i))
-    if (policy == "affinity" and memory is not None
-            and memory.local_stores is not None):
+    if policy == "affinity" and memory.local_stores is not None:
         footprint = task.touched_tiles()
         stores = memory.local_stores
         return min(cores, key=lambda i: (
@@ -357,17 +354,16 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         for dep in deps:
             successors[dep].append(task.task_id)
 
-    memory = (OracleHierarchy.for_chip(
+    memory = OracleHierarchy.for_chip(
         runtime.lap, runtime.tile, on_chip_kb=runtime.on_chip_kb,
         bandwidth_gbs=runtime.bandwidth_gbs,
         local_store_kb=runtime.local_store_kb,
         offchip_pj_per_byte=runtime.offchip_pj_per_byte)
-              if runtime.memory_enabled else None)
     tracer = runtime.tracer
     policy = runtime.policy
     ranks = (graph.critical_path_lengths() if policy == "critical_path"
              else None)
-    dynamic = policy in DYNAMIC_POLICIES and memory is not None
+    dynamic = policy in DYNAMIC_POLICIES
     ctx = _ExecutionContext(runtime, tiles)
     num_cores = len(runtime.lap.cores)
     reference_freq = runtime.lap.config.frequency_ghz
@@ -380,7 +376,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
 
     # Heap entries are (priority, task_id, residency_version); the version
     # lets dynamic policies detect keys computed against a stale state.
-    version = memory.version if memory is not None else 0
+    version = memory.version
     heap = []
     for task in task_list:
         if indegree[task.task_id] == 0:
@@ -407,19 +403,16 @@ def reference_execute(runtime, tasks, tiles, verify=True):
             duration = (cycles * reference_freq
                         / runtime.core_frequencies_ghz[core_index])
         compute_duration = duration
-        event = None
-        if memory is not None:
-            event = memory.account(task, core_index)
-            duration = compose_task_cycles(duration, event.stall_cycles,
-                                           runtime.stall_overlap,
-                                           event.local_transfer_cycles)
+        e = memory.account(task, core_index)
+        duration = compose_task_cycles(duration, e.stall_cycles,
+                                       runtime.stall_overlap,
+                                       e.local_transfer_cycles)
         start = max(core_free_at[core_index], ready)
         end = start + duration
         core_free_at[core_index] = end
         busy_cycles[core_index] += cycles
         busy_time[core_index] += compute_duration
         tile_owner[task.output] = core_index
-        e = event if event is not None else TaskMemoryEvent(task.task_id)
         executions.append(TaskExecution(
             task.task_id, task.kind, core_index, start, end,
             stall_cycles=e.stall_cycles, refill_bytes=e.refill_bytes,
@@ -438,11 +431,10 @@ def reference_execute(runtime, tasks, tiles, verify=True):
                     "spill_stall_cycles": parts["spill_stall"],
                     "transfer_cycles": parts["transfer"],
                     "hidden_cycles": parts["hidden"]}
-            if event is not None:
-                args.update(event.as_args())
-                tracer.counter("offchip_spill_bytes").add(
-                    event.spill_refill_bytes, ts=end)
-                tracer.counter("stall_cycles").add(event.stall_cycles, ts=end)
+            args.update(e.as_args())
+            tracer.counter("offchip_spill_bytes").add(e.spill_refill_bytes,
+                                                      ts=end)
+            tracer.counter("stall_cycles").add(e.stall_cycles, ts=end)
             tracer.span(f"{task.kind.value}#{task.task_id}", track=core_index,
                         start=start, end=end, category="task", args=args)
         for succ_id in successors[task.task_id]:
@@ -452,7 +444,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
                 heapq.heappush(heap, (
                     priority(policy, by_id[succ_id], ready_time[succ_id],
                              memory, tile_owner, ranks),
-                    succ_id, memory.version if memory is not None else 0))
+                    succ_id, memory.version))
 
     if len(executions) != len(task_list):
         raise RuntimeError("task graph deadlock: circular dependencies")
@@ -479,8 +471,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         "makespan_ns": makespan / reference_freq,
         "data_valid": runtime.timing.keeps_data(verify),
     }
-    if memory is not None:
-        memory.finish()
-        stats.update(memory.summary())
+    memory.finish()
+    stats.update(memory.summary())
     stats["graph"] = graph.summary()
     return stats

@@ -177,6 +177,17 @@ def test_sweep_rejects_nonfinite_axis_value(capsys):
     assert "sweep failed" in capsys.readouterr().err
 
 
+def test_cached_sweep_rejects_nonfinite_value_by_name(tmp_path, capsys):
+    """A non-finite value fails before any job runs or any key is hashed,
+    and the message names the parameter."""
+    assert main(["sweep", "--runner", "lap_runtime", "--set", "algorithm=cholesky",
+                 "--set", "n=32", "--set", "tile=8",
+                 "--grid", "bandwidth_gbs=inf",
+                 "--cache-dir", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep failed" in err and "bandwidth_gbs" in err
+
+
 def test_sweep_best_per_metric_lists_float_axes(capsys):
     assert main(["sweep", "--runner", "design", "--grid", "cores=4,8",
                  "--grid", "frequency_ghz=0.5,1.0", "--no-cache"]) == 0

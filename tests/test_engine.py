@@ -82,6 +82,20 @@ class TestJobHashing:
         jobs = SweepSpec().grid(a=(1, 2)).jobs("design")
         assert len(set(jobs)) == 2
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_nonfinite_values_rejected(self, value):
+        """inf / nan have no canonical form: specs, jobs and keys reject
+        them with an error naming the parameter."""
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            SweepSpec().grid(x=[1.0, value])
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            SweepSpec().constants(x=value)
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            Job.create("design", {"x": value})
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            params_key("design", {"x": value})
+
 
 # ------------------------------------------------------------------ cache
 class TestResultCache:

@@ -16,7 +16,7 @@ silently fork.  This suite pins that contract:
   footprint: the loop is the only implementation of the residency and
   priority decisions, so this property is what pins them;
 * verify=True (numerically exact tiles) and heterogeneous-frequency /
-  prefetch-overlap / memory-off / functional-timing variants;
+  prefetch-overlap / functional-timing variants;
 * the ``lap_runtime`` runner rows against the oracle's rows and the
   committed PR-4/PR-5 goldens, and replayed delta-sweep rows against
   re-simulation, plus the strict sidecar header of the replay record.
@@ -49,10 +49,10 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 def make_runtime(policy="greedy", local_store_kb=None, timing="memoized",
                  on_chip_kb=3.0, bandwidth_gbs=16.0, stall_overlap=0.0,
-                 frequencies=None, num_cores=4, memory=True, tracer=None):
+                 frequencies=None, num_cores=4, tracer=None):
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=4,
                                            onchip_memory_mbytes=1.0))
-    return LAPRuntime(lap, TILE, policy=policy, timing=timing, memory=memory,
+    return LAPRuntime(lap, TILE, policy=policy, timing=timing,
                       on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
                       local_store_kb=local_store_kb,
                       stall_overlap=stall_overlap,
@@ -107,16 +107,15 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     assert ref_trace.homogeneous_cores == fast_trace.homogeneous_cores
     assert ref_trace.energy_constants == fast_trace.energy_constants
     assert ref_trace.flush_writeback_bytes == fast_trace.flush_writeback_bytes
-    if ref_trace.energy_constants is not None:
-        # The product's per-task energy triples (derived from its rows and
-        # the graph arrays) equal the oracle's per-task memory events and
-        # re-key the energy column bit for bit at the recorded constants --
-        # the identity every replay delta builds on.
-        events = ref_rt.last_memory.events
-        assert fast_trace.energy_triples() == [
-            (e.flops, e.onchip_bytes, e.offchip_bytes) for e in events]
-        assert (fast_trace.rekey_energy_j(*fast_trace.energy_constants)
-                == ref_stats["energy_j"])
+    # The product's per-task energy triples (derived from its rows and the
+    # graph arrays) equal the oracle's per-task memory events and re-key the
+    # energy column bit for bit at the recorded constants -- the identity
+    # every replay delta builds on.
+    events = ref_rt.last_memory.events
+    assert fast_trace.energy_triples() == [
+        (e.flops, e.onchip_bytes, e.offchip_bytes) for e in events]
+    assert (fast_trace.rekey_energy_j(*fast_trace.energy_constants)
+            == ref_stats["energy_j"])
     return ref_stats
 
 
@@ -142,12 +141,11 @@ def test_verify_true_keeps_tiles_exact_and_identical():
 
 
 def test_generic_fast_loop_variants_identical():
-    """Heterogeneous clocks / prefetch overlap / disabled memory /
-    functional timing each stay byte-identical to the oracle."""
+    """Heterogeneous clocks / prefetch overlap / functional timing each
+    stay byte-identical to the oracle."""
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
     for kwargs in ({"frequencies": [1.0, 2.0, 1.0, 2.0]},
                    {"stall_overlap": 0.5, "local_store_kb": 1.0},
-                   {"memory": False},
                    {"timing": "functional", "on_chip_kb": None}):
         ref_rt = make_runtime(**kwargs)
         fast_rt = make_runtime(**kwargs)
@@ -157,7 +155,7 @@ def test_generic_fast_loop_variants_identical():
 @pytest.mark.parametrize("kwargs", [
     {"policy": "memory_aware", "local_store_kb": 1.0, "stall_overlap": 0.5},
     {"policy": "critical_path", "frequencies": [1.0, 2.0, 1.0, 2.0]},
-    {"policy": "affinity", "memory": False},
+    {"policy": "affinity"},
 ])
 def test_post_loop_trace_matches_instrumented_oracle(kwargs):
     """Spans, counters and idle gaps rebuilt from the execution rows after
@@ -172,8 +170,7 @@ def test_post_loop_trace_matches_instrumented_oracle(kwargs):
     ref_events = tracer_events(ref_rt.tracer)
     assert tracer_events(fast_rt.tracer) == ref_events
     assert any(e.get("cat") == "idle" for e in ref_events)
-    assert ((kwargs.get("memory", True))
-            == any(e["ph"] == "C" for e in ref_events))
+    assert any(e["ph"] == "C" for e in ref_events)
 
 
 def test_execute_accepts_plain_task_lists():
@@ -316,7 +313,7 @@ def _trace_header(**overrides):
                   default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
                   total_movement_cycles=0.0, makespan_cycles=100.0,
                   frequency_ghz=1.0, homogeneous_cores=True,
-                  energy_constants=None,
+                  energy_constants=(1e-12, 2e-12, 60e-12),
                   default_offchip_energy_per_byte_j=60e-12,
                   flush_writeback_bytes=0.0)
     header.update(overrides)
@@ -335,16 +332,11 @@ def test_schedule_trace_payload_roundtrip():
     payload = json.loads(json.dumps(trace.to_payload()))  # disk round-trip
     loaded = ScheduleTrace.from_payload(payload)
     assert loaded.to_payload() == trace.to_payload()
-    for bandwidth in (None, 12.5, 64.0):
+    for bandwidth in (12.5, 64.0):
         for overlap in (0.25, 0.75):
-            assert (loaded.exact_for(bandwidth, overlap, 1.0, True, None)
-                    == trace.exact_for(bandwidth, overlap, 1.0, True, None))
-    # None bandwidth (memory accounting disabled) survives the round trip.
-    nomem = ScheduleTrace(**_trace_header(effective_bandwidth_gbs=None))
-    again = ScheduleTrace.from_payload(
-        json.loads(json.dumps(nomem.to_payload())))
-    assert again.effective_bandwidth_gbs is None
-    assert again.exact_for(32.0, 0.0, 1.0, True, None)
+            for epoff in (60e-12, 30e-12):
+                assert (loaded.exact_for(bandwidth, overlap, 1.0, True, epoff)
+                        == trace.exact_for(bandwidth, overlap, 1.0, True, epoff))
 
 
 def test_schedule_trace_leaves_executions_unmaterialised():
@@ -462,34 +454,29 @@ def test_exact_for_energy_and_frequency_gates():
     from repro.lap.replay import ScheduleTrace
 
     triples = [(10.0, 100.0, 50.0)]
-    full = ScheduleTrace(**_trace_header(
-        energy_constants=(1e-12, 2e-12, 60e-12), flush_writeback_bytes=64.0),
-        energy_triples=lambda: triples)
+    full = ScheduleTrace(**_trace_header(flush_writeback_bytes=64.0),
+                         energy_triples=lambda: triples)
     # Unchanged constants replay without re-keying; a changed off-chip
     # constant or clock is exact only because the triples allow re-keying.
     assert full.exact_for(16.0, 0.0, 1.0, True, 60e-12)
     assert full.exact_for(16.0, 0.0, 1.0, True, 30e-12)
-    assert full.exact_for(16.0, 0.0, 2.0, True, None)
+    assert full.exact_for(16.0, 0.0, 2.0, True, 60e-12)
     assert full.rekey_energy_j(2e-12, 1e-12, 30e-12) == (
         (10.0 * 2e-12 + 100.0 * 1e-12) + 50.0 * 30e-12 + 64.0 * 30e-12)
     # Heterogeneity on either side rejects the frequency axis.
-    assert not full.exact_for(16.0, 0.0, 2.0, False, None)
-    het = ScheduleTrace(**_trace_header(
-        homogeneous_cores=False, energy_constants=(1e-12, 2e-12, 60e-12)),
-        energy_triples=lambda: triples)
-    assert not het.exact_for(16.0, 0.0, 2.0, True, None)
+    assert not full.exact_for(16.0, 0.0, 2.0, False, 60e-12)
+    het = ScheduleTrace(**_trace_header(homogeneous_cores=False),
+                        energy_triples=lambda: triples)
+    assert not het.exact_for(16.0, 0.0, 2.0, True, 60e-12)
     # The sidecar header drops the triples: the same deltas now reject,
     # re-keying raises, and the unchanged point still replays.
     header = ScheduleTrace.from_payload(full.to_payload())
     assert not header.has_energy_triples
     assert header.exact_for(16.0, 0.0, 1.0, True, 60e-12)
     assert not header.exact_for(16.0, 0.0, 1.0, True, 30e-12)
-    assert not header.exact_for(16.0, 0.0, 2.0, True, None)
+    assert not header.exact_for(16.0, 0.0, 2.0, True, 60e-12)
     with pytest.raises(ValueError):
         header.rekey_energy_j(1e-12, 2e-12, 60e-12)
-    # No recorded constants at all: any energy check rejects outright.
-    bare = ScheduleTrace(**_trace_header())
-    assert not bare.exact_for(16.0, 0.0, 1.0, True, 60e-12)
     # A sidecar record missing any field raises in from_payload, which the
     # sidecar loader treats as a miss: the point re-simulates.
     payload = full.to_payload()

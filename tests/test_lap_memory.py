@@ -30,7 +30,7 @@ from repro.lap.memory import (BandwidthModel, LocalStore, MemoryHierarchy,
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
-                                 task_flops)
+                                 task_flops, task_footprint)
 from repro.lap.timing import compose_task_cycles
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent
@@ -67,6 +67,16 @@ class TestTaskFootprints:
         trsm = TaskDescriptor(1, TaskKind.TRSM, output=(1, 0), inputs=[(0, 0)])
         assert trsm.read_tiles() == [("L", (0, 0)), ("B", (1, 0))]
         assert trsm.write_tiles() == [("B", (1, 0))]
+        # SYRK reads every input tile, repeats included (a diagonal update
+        # names its panel tile twice), then its accumulator.
+        syrk = TaskDescriptor(2, TaskKind.SYRK, output=(1, 1),
+                              inputs=[(1, 0), (1, 0)])
+        assert syrk.read_tiles() == [("A", (1, 0)), ("A", (1, 0)), ("C", (1, 1))]
+        assert syrk.write_tiles() == [("C", (1, 1))]
+        # In a factorization graph the same rule names every operand A.
+        assert task_footprint(TaskKind.SYRK, (1, 1), [(1, 0), (1, 0)],
+                              in_place=True) == (
+            [("A", (1, 0)), ("A", (1, 0)), ("A", (1, 1))], [("A", (1, 1))])
 
     def test_touched_tiles_deduplicates(self):
         task = TaskDescriptor(0, TaskKind.SYRK, output=(1, 1),
@@ -300,20 +310,6 @@ class TestRuntimeDataMovement:
         assert t["per_core_busy_cycles"] != []
         assert f["compulsory_bytes"] == t["compulsory_bytes"]
 
-    def test_memory_disabled_restores_compute_only_stats(self):
-        runtime = make_runtime(memory=False)
-        stats = runtime.run_blocked_gemm(16, np.random.default_rng(0))
-        assert "offchip_traffic_bytes" not in stats
-        assert runtime.last_memory is None
-
-    def test_disabled_memory_matches_enabled_makespan_when_unconstrained(self):
-        on = make_runtime()
-        off = make_runtime(memory=False)
-        a = on.run_blocked_cholesky(32, np.random.default_rng(1))
-        b = off.run_blocked_cholesky(32, np.random.default_rng(1))
-        assert a["makespan_cycles"] == b["makespan_cycles"]
-        assert a["per_core_busy_cycles"] == b["per_core_busy_cycles"]
-
     def test_bandwidth_override_scales_stalls(self):
         slow = make_runtime(timing="memoized", on_chip_kb=4.0, bandwidth_gbs=8.0)
         fast = make_runtime(timing="memoized", on_chip_kb=4.0, bandwidth_gbs=64.0)
@@ -374,13 +370,6 @@ class TestRuntimeDataMovement:
                 workload, n, np.random.default_rng(0), verify=False)
         assert (results["memory_aware"]["offchip_traffic_bytes"]
                 < results["greedy"]["offchip_traffic_bytes"])
-
-    def test_memory_aware_degrades_to_greedy_without_memory(self):
-        aware = make_runtime(policy="memory_aware", memory=False)
-        greedy = make_runtime(policy="greedy", memory=False)
-        a = aware.run_blocked_cholesky(32, np.random.default_rng(0))
-        g = greedy.run_blocked_cholesky(32, np.random.default_rng(0))
-        assert a["makespan_cycles"] == g["makespan_cycles"]
 
     def test_memory_aware_schedule_stays_valid(self):
         runtime = make_runtime(timing="memoized", policy="memory_aware",
@@ -596,13 +585,14 @@ class TestTwoLevelRuntime:
     def test_full_overlap_hides_local_transfers(self):
         hidden = make_runtime(timing="memoized", local_store_kb=2.0,
                               stall_overlap=1.0)
-        compute_only = make_runtime(timing="memoized", memory=False)
+        single = make_runtime(timing="memoized", stall_overlap=1.0)
         h = hidden.run_blocked_cholesky(48, np.random.default_rng(0),
                                         verify=False)
-        c = compute_only.run_blocked_cholesky(48, np.random.default_rng(0),
-                                              verify=False)
+        s = single.run_blocked_cholesky(48, np.random.default_rng(0),
+                                        verify=False)
         assert h["local_transfer_cycles"] > 0     # still reported
-        assert h["makespan_cycles"] == c["makespan_cycles"]
+        assert "local_transfer_cycles" not in s
+        assert h["makespan_cycles"] == s["makespan_cycles"]
 
     @pytest.mark.parametrize("workload,n", [("lu", 40), ("qr", 32)])
     @pytest.mark.parametrize("local_kb", [1.0, 2.0])
@@ -631,14 +621,6 @@ class TestTwoLevelRuntime:
                                                  verify=False)
             rates[policy] = stats["local_hit_rate"]
         assert rates["affinity"] > rates["greedy"]
-
-    def test_affinity_degrades_to_greedy_without_local_stores(self):
-        affinity = make_runtime(policy="affinity", memory=False)
-        greedy = make_runtime(policy="greedy", memory=False)
-        a = affinity.run_blocked_cholesky(32, np.random.default_rng(0))
-        g = greedy.run_blocked_cholesky(32, np.random.default_rng(0))
-        assert a["makespan_cycles"] == g["makespan_cycles"]
-        assert a["per_core_busy_cycles"] == g["per_core_busy_cycles"]
 
     def test_affinity_schedule_stays_valid(self):
         runtime = make_runtime(timing="memoized", policy="affinity",
@@ -752,8 +734,10 @@ def test_lap_runtime_rows_expose_memory_columns():
         assert column in row
     assert row["spill_bytes"] > 0
     assert row["stall_cycles"] > 0
-    # memory=False keeps the row compute-only.
+    assert row["memory"] is True
+    # Data-movement accounting is always on: a job that turns it off is
+    # rejected instead of silently getting data-movement columns.
     runner = get_runner("lap_runtime")
-    lean = runner({"algorithm": "gemm", "n": 16, "tile": 8, "num_cores": 2,
-                   "memory": False})
-    assert "traffic_bytes" not in lean and lean["memory"] is False
+    with pytest.raises(ValueError, match="memory"):
+        runner({"algorithm": "gemm", "n": 16, "tile": 8, "num_cores": 2,
+                "memory": False})

@@ -6,7 +6,9 @@ implementation): the greedy policy with functional timing must reproduce
 makespan, per-core busy cycles and residuals exactly.
 """
 
+import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.lap.timing import (MemoizedTiming, clear_timing_cache,
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent
           / "goldens" / "runtime" / "lap_runtime.json")
+BUILDERS_GOLDEN = GOLDEN.parent.parent / "taskgraph" / "builders.json"
 
 
 def make_runtime(num_cores=2, tile=8, nr=4, **kwargs):
@@ -38,7 +41,8 @@ class TestTaskGraph:
         assert graph[0].task_id == 0
         assert [t.task_id for t in graph] == list(range(8))
         assert graph.task(3).task_id == 3
-        assert graph.task_ids == list(range(8))
+        assert graph.ids == list(range(8))
+        assert graph.id2idx[3] == 3 and graph.successors(0) == [1]
 
     def test_adjacency(self):
         graph = AlgorithmsByBlocks(tile=4).cholesky_tasks(8)
@@ -89,6 +93,49 @@ class TestTaskGraph:
         assert graph.width() == 0
         assert graph.critical_path_length() == 0.0
         assert graph.summary()["num_tasks"] == 0
+
+
+# --------------------------------------------------- builder graph golden
+#: (workload, tile, nr, tiles per side): every builder at three tilings.
+BUILDER_CASES = [(workload, tile, nr, nb)
+                 for workload in ("gemm", "gemm_rect", "cholesky", "lu", "qr")
+                 for tile, nr in ((4, 2), (8, 4), (16, 4))
+                 for nb in (1, 2, 3, 5, 8)]
+
+
+def _builder_graph_digest(workload, tile, nr, nb):
+    """sha256 over every task's fields and footprint plus the summary."""
+    lib, n = AlgorithmsByBlocks(tile, nr), nb * tile
+    if workload == "gemm_rect":
+        graph = lib.gemm_tasks(n, 2 * tile, 3 * tile)
+    else:
+        graph = lib.build(workload, n)
+    tasks = [(t.task_id, t.kind.value, t.output, t.inputs,
+              sorted(set(t.depends_on)), t.alpha, t.transpose_b,
+              t.read_tiles(), t.write_tiles()) for t in graph]
+    payload = json.dumps([tasks, graph.summary()], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES,
+                         ids=lambda c: "{}-t{}-nr{}-nb{}".format(*c))
+def test_builder_graph_matches_golden(case):
+    """Every builder's tasks, dependencies and footprints are pinned.
+
+    The graphs depend only on the tiles per side, so the three tilings
+    share digests.  Refresh after an intentional builder change with
+    ``REPRO_UPDATE_GOLDENS=1`` (only then is the golden rewritten).
+    """
+    key, digest = "{}-t{}-nr{}-nb{}".format(*case), _builder_graph_digest(*case)
+    if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        golden = (json.loads(BUILDERS_GOLDEN.read_text())
+                  if BUILDERS_GOLDEN.exists() else {})
+        golden[key] = digest
+        BUILDERS_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        BUILDERS_GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True)
+                                   + "\n")
+        pytest.skip("golden regenerated")
+    assert json.loads(BUILDERS_GOLDEN.read_text())[key] == digest
 
 
 # ------------------------------------------------- blocking validation (nr)

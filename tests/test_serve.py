@@ -140,6 +140,17 @@ class TestDaemonEndpoints:
         assert result.executed == len(jobs)
         assert victim.remote_hits == 0
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_nonfinite_params_rejected(self, daemon, value):
+        """A JSON body with ``Infinity`` / ``NaN`` params gets a 400 that
+        names the parameter, not a dropped connection."""
+        with pytest.raises(ServerUnavailable,
+                           match="HTTP 400.*'bandwidth_gbs' must be finite"):
+            _client(daemon).put_entry("0" * 64, {
+                "runner": "lap_runtime", "params": {"bandwidth_gbs": value},
+                "code_version": "v1", "row": {"gflops": 1.0}})
+        assert len(daemon.cache) == 0
+
     def test_stats_document(self, daemon):
         client = _client(daemon)
         client.ping()
