@@ -211,20 +211,25 @@ class OffChipInterface:
     Parameters
     ----------
     bandwidth_gbytes_per_sec:
-        Sustained bandwidth in GB/s.
+        Sustained bandwidth in GB/s (positive and finite).
     energy_per_byte_j:
-        Energy of moving one byte across the interface (pin + DRAM access);
-        a typical DDR3-class figure of ~60 pJ/byte is used as default.
+        Energy of moving one byte across the interface (pin + DRAM access;
+        non-negative and finite); a typical DDR3-class figure of
+        ~60 pJ/byte is used as default.
     """
 
     bandwidth_gbytes_per_sec: float
     energy_per_byte_j: float = 60e-12
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbytes_per_sec <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.energy_per_byte_j < 0:
-            raise ValueError("energy per byte must be non-negative")
+        bandwidth = self.bandwidth_gbytes_per_sec
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(f"bandwidth must be a positive finite number of "
+                             f"GB/s, got {bandwidth}")
+        energy = self.energy_per_byte_j
+        if not (math.isfinite(energy) and energy >= 0):
+            raise ValueError(f"energy per byte must be a non-negative finite "
+                             f"number of joules, got {energy}")
 
     def bytes_per_cycle(self, frequency_ghz: float) -> float:
         """Convert the sustained bandwidth to bytes per core cycle."""

@@ -17,7 +17,8 @@ off-chip memory interface.  This subpackage provides:
   structure-of-arrays state of the LRU tile residency over the on-chip
   capacity and of the per-core local stores, the bandwidth-stall and
   per-task energy models, and the whole-schedule traffic totals;
-* :mod:`repro.lap.timing` -- the functional and memoized timing models;
+* :mod:`repro.lap.timing` -- the functional and memoized timings (one
+  memoized path: a per-group cycle table fed by warm-ups);
 * :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
   one event-driven scheduler loop over all of the above, and the only
   implementation of the residency and priority decisions;
@@ -37,7 +38,7 @@ from repro.lap.policies import (POLICIES, GEMMScheduler, PanelAssignment,
                                 get_policy, policy_names)
 from repro.lap.memory import BandwidthModel, MemoryHierarchy, TaskEnergyModel
 from repro.lap.timing import (TIMING_MODELS, FunctionalTiming, MemoizedTiming,
-                              TimingModel, get_timing_model, timing_names)
+                              get_timing_model, timing_names)
 from repro.lap.runtime import LAPRuntime, TaskExecution
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "POLICIES",
     "get_policy",
     "policy_names",
-    "TimingModel",
     "FunctionalTiming",
     "MemoizedTiming",
     "TIMING_MODELS",

@@ -74,8 +74,9 @@ class LAPConfig:
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ValueError("at least one core is required")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValueError(f"frequency must be a positive finite number of "
+                             f"GHz, got {self.frequency_ghz}")
         if min(self.pe_store_a_kbytes, self.pe_store_b_kbytes) <= 0:
             raise ValueError("local store capacities must be positive")
         if self.onchip_memory_mbytes <= 0:

@@ -412,9 +412,7 @@ class GraphArrays:
         self.kind_table = list(kind_of)
         group_of: Dict[Tuple, int] = {}
         self.group: List[int] = []
-        #: Position of each memoization group's first task.
-        self.group_first: List[int] = []
-        for i, task in enumerate(tasks):
+        for task in tasks:
             reads = task.read_tiles()
             writes = task.write_tiles()
             foot: List[int] = []
@@ -431,20 +429,23 @@ class GraphArrays:
                 oid = len(coords)
                 coords[out] = oid
             self.out_id.append(oid)
+            # Memoization group: at one tile size and precision, a tile
+            # task's cycle count is fixed by its kind, unit alpha and
+            # transpose (see repro.lap.timing).
             gkey = (task.kind, task.alpha == 1.0, bool(task.transpose_b))
             gid = group_of.get(gkey)
             if gid is None:
                 gid = len(group_of)
                 group_of[gkey] = gid
-                self.group_first.append(i)
             self.group.append(gid)
-        self.num_groups = len(group_of)
+        #: ``(kind, unit alpha, transpose)`` of each memoization group.
+        self.group_keys: List[Tuple] = list(group_of)
         self.num_out_coords = len(coords)
         self.num_tiles = len(tile_ids)
         # Tasks per memoization group: lets the loop reconcile the
         # timing model's hit counters in one bulk call per group instead of
         # incrementing a counter per task.
-        self.group_counts = [0] * self.num_groups
+        self.group_counts = [0] * len(group_of)
         for gid in self.group:
             self.group_counts[gid] += 1
         # Negated critical-path ranks per graph position (a pure graph

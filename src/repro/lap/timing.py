@@ -1,35 +1,37 @@
-"""Timing models: decouple task cycle counts from functional execution.
+"""Timing: how a scheduled task obtains its cycle count.
 
 The LAC runs its kernels in lock step, so on dense operands the cycle count
-of a tile task is a function of its (kind, tile shapes, precision, scaling)
-signature and of the core's configuration -- not of the tile *values*.
-Tiled QR is the known exception: :func:`repro.kernels.qr.lac_householder_vector`
-skips a sub-column that is all zero (its reflector gets ``tau = inf``, which
-the reflector applications skip as well).  GEQRT of a tile whose
-sub-columns are zero takes 12 cycles at tile 8 on a default ``nr=4`` core,
-against 870 for dense data.  Warm-ups must therefore run on the real
-operand, never on a stand-in.  The runtime exploits the rule through a
-timing model:
+of a tile task is a function of its memoization group -- kind, unit alpha
+and transpose (:attr:`repro.lap.taskgraph.GraphArrays.group_keys`) -- the
+tile size, the precision and the core's configuration, not of the tile
+*values*.  Tiled QR is the known exception:
+:func:`repro.kernels.qr.lac_householder_vector` skips a sub-column that is
+all zero (its reflector gets ``tau = inf``, which the reflector
+applications skip as well).  GEQRT of a tile whose sub-columns are zero
+takes 12 cycles at tile 8 on a default ``nr=4`` core, against 870 for
+dense data.  Warm-ups must therefore run on the real operand, never on a
+stand-in.  :meth:`repro.lap.runtime.LAPRuntime.execute` offers two timings:
 
 ``functional``
-    every task is executed on the cycle-level simulator; the cycle count is
-    the simulator's counter delta and the tile data is always exact.
+    every task is executed on the cycle-level simulator of its core; the
+    cycle count is the simulator's counter delta and the tile data is
+    always exact.
 ``memoized``
-    the first task of each signature in an ``execute()`` runs functionally
-    (its *warm-up*) and every later task with the same signature is charged
-    that count without touching the simulator.  Large graphs (e.g. a
-    4096^2 Cholesky at tile 128) then schedule in seconds instead of hours.
-    With ``verify=True`` the runtime applies a fast NumPy reference update
-    for memoized tasks so that the factors stay numerically exact and
-    residual verification is retained; with ``verify=False`` the tile data
-    goes stale after the warm-up runs and residuals are unavailable.
+    the first task of each group in an ``execute()`` runs on the simulator
+    (its *warm-up*, :meth:`MemoizedTiming.task_cycles`) and every task of
+    the group is charged that count from one per-group table, without
+    touching the simulator.  Large graphs (e.g. a 4096^2 Cholesky at tile
+    128) then schedule in seconds instead of hours.  ``verify=True`` only
+    adds the NumPy update of each charged task's tiles, so the factors stay
+    numerically exact and residuals are available; with ``verify=False``
+    the tile data goes stale after the warm-ups.
 
 Warm-up counts go into one process-wide table keyed by the running core's
-full :class:`~repro.lac.core.LACConfig` plus the signature, so a sweep pays
-each warm-up once per process rather than once per point.  Sharing is
-all-or-nothing per ``execute()``: with ``verify=False``, a graph whose
-signatures are all in the table is charged entirely from it (table hits,
-no warm-up); every other execute warms its signatures exactly as in a fresh
+full :class:`~repro.lac.core.LACConfig` plus the group signature, so a
+sweep pays each warm-up once per process rather than once per point.
+Sharing is all-or-nothing per ``execute()``: with ``verify=False``, a graph
+whose signatures are all in the table is charged entirely from it (no
+warm-up); every other execute warms each group exactly as in a fresh
 process and checks each count against the table, raising on a mismatch.
 So no row depends on which executes ran earlier in the process.
 :func:`clear_timing_cache` empties the table.
@@ -43,19 +45,20 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.lap.taskgraph import TaskDescriptor
-
-#: Cache signature of one task: (kind, shapes of its read tiles, precision,
-#: unit-alpha, transpose) -- everything that selects a kernel code path.
+#: Memoization signature of one group: (kind, tile, precision, unit alpha,
+#: transpose) -- everything that selects a kernel code path and its size.
 TaskSignature = Tuple
 
 
-def task_signature(task: TaskDescriptor, shapes: Tuple, precision: str) -> TaskSignature:
-    """Signature under which a task's cycle count is memoizable."""
-    return (task.kind.value, shapes, precision, task.alpha == 1.0,
-            bool(task.transpose_b))
+def group_signatures(group_keys: Sequence[Tuple], tile: int,
+                     precision: str) -> List[TaskSignature]:
+    """Signatures of a graph's memoization groups
+    (:attr:`~repro.lap.taskgraph.GraphArrays.group_keys`) at one tile size
+    and precision; no tile is read."""
+    return [(kind.value, tile, precision, unit_alpha, transpose)
+            for kind, unit_alpha, transpose in group_keys]
 
 
 #: Process-wide warm-up counts: ``(core key, signature) -> cycles``, where
@@ -137,41 +140,17 @@ def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
     }
 
 
-class TimingModel:
-    """Base timing model: how a scheduled task obtains its cycle count.
-
-    ``ctx`` is the runtime's execution context, bound to one ``execute()``
-    call: it provides ``functional(task)`` (simulate on the assigned core,
-    update tiles, return cycles), ``reference(task)`` (NumPy tile update,
-    no cycles), ``signature(task)``, the per-core ``core_keys`` with the
-    assigned ``core_index``, and ``warmed``, the execute's own warm-up
-    counts.
-    """
+class FunctionalTiming:
+    """Run every task on the simulator of its core."""
 
     name = "functional"
 
-    def keeps_data(self, verify: bool) -> bool:
-        """Whether tile data stays numerically valid under this model."""
-        return True
 
-    def task_cycles(self, task: TaskDescriptor, ctx, verify: bool) -> int:
-        raise NotImplementedError
+class MemoizedTiming:
+    """Charge each group the count of one functional run.
 
-
-class FunctionalTiming(TimingModel):
-    """Run every task on the simulator (the pre-refactor behaviour)."""
-
-    name = "functional"
-
-    def task_cycles(self, task: TaskDescriptor, ctx, verify: bool) -> int:
-        return ctx.functional(task)
-
-
-class MemoizedTiming(TimingModel):
-    """Charge each signature the count of one functional run.
-
-    Holds statistics only: counts live in the execute's context (its own
-    warm-ups) and in the process-wide table (see the module docstring).
+    Holds statistics only: counts live in the execute's per-group table and
+    in the process-wide table (see the module docstring).
     """
 
     name = "memoized"
@@ -179,33 +158,17 @@ class MemoizedTiming(TimingModel):
     def __init__(self) -> None:
         #: Wall-clock seconds of this model's warm-up run per signature.
         self.warm_seconds_by_signature: Dict[TaskSignature, float] = {}
-        #: Tasks charged per signature since construction / reset_stats().
+        #: Tasks charged per signature since construction.
         self.task_counts: Dict[TaskSignature, int] = {}
         self.warm_runs = 0
         self.hits = 0
 
-    def keeps_data(self, verify: bool) -> bool:
-        return bool(verify)
-
-    def reset_stats(self) -> None:
-        """Zero the hit/warm counters (the process table is kept)."""
-        self.task_counts = {}
-        self.warm_runs = 0
-        self.hits = 0
-
-    def bulk_charge(self, signature: TaskSignature, count: int) -> None:
-        """Charge ``count`` cache hits of one signature in a single call.
-
-        The scheduler loop (:meth:`repro.lap.runtime.LAPRuntime.execute`)
-        resolves cycle counts through a per-group table instead of calling
-        :meth:`task_cycles` per task, and charges a fully warm graph from
-        the process table; it reconciles the hit/count statistics here so
-        that ``hits`` / ``task_counts`` count every task it scheduled.
-        """
-        if count <= 0:
-            return
-        self.task_counts[signature] = self.task_counts.get(signature, 0) + count
-        self.hits += count
+    def bulk_charge(self, signature: TaskSignature, tasks: int,
+                    hits: int) -> None:
+        """Count ``tasks`` scheduled tasks of one signature, ``hits`` of them
+        charged without a warm-up (one call per group after an execute)."""
+        self.task_counts[signature] = self.task_counts.get(signature, 0) + tasks
+        self.hits += hits
 
     @property
     def warm_seconds(self) -> float:
@@ -225,30 +188,28 @@ class MemoizedTiming(TimingModel):
         return sum(count * self.warm_seconds_by_signature.get(sig, 0.0)
                    for sig, count in self.task_counts.items())
 
-    def task_cycles(self, task: TaskDescriptor, ctx, verify: bool) -> int:
-        signature = ctx.signature(task)
-        self.task_counts[signature] = self.task_counts.get(signature, 0) + 1
-        cached = ctx.warmed.get(signature)
-        if cached is None:
-            started = time.perf_counter()
-            cycles = ctx.functional(task)
-            self.warm_seconds_by_signature[signature] = time.perf_counter() - started
-            ctx.warmed[signature] = cycles
-            self.warm_runs += 1
-            known = _CYCLE_TABLE.setdefault(
-                (ctx.core_keys[ctx.core_index], signature), cycles)
-            if known != cycles:
-                raise RuntimeError(
-                    f"memoized timing: signature {signature} took {cycles} "
-                    f"cycles, but {known} earlier in this process on the same "
-                    f"core configuration; the memoized cycle count of a "
-                    f"signature must not depend on the tile values (see "
-                    f"repro.lap.timing)")
-            return cycles
-        self.hits += 1
-        if verify:
-            ctx.reference(task)
-        return cached
+    def task_cycles(self, signature: TaskSignature, core_key: Tuple,
+                    simulate: Callable[[], int]) -> int:
+        """Warm ``signature`` up on the core configuration ``core_key``.
+
+        ``simulate()`` runs the group's first task on its core's simulator,
+        updating its tiles, and returns the cycles.  The count enters the
+        process table; raises ``RuntimeError`` if the table already holds a
+        different count for the same key.
+        """
+        started = time.perf_counter()
+        cycles = simulate()
+        self.warm_seconds_by_signature[signature] = time.perf_counter() - started
+        self.warm_runs += 1
+        known = _CYCLE_TABLE.setdefault((core_key, signature), cycles)
+        if known != cycles:
+            raise RuntimeError(
+                f"memoized timing: signature {signature} took {cycles} "
+                f"cycles, but {known} earlier in this process on the same "
+                f"core configuration; the memoized cycle count of a "
+                f"signature must not depend on the tile values (see "
+                f"repro.lap.timing)")
+        return cycles
 
 
 #: Registry of timing models by CLI/runner name.
@@ -263,7 +224,7 @@ def timing_names() -> List[str]:
     return sorted(TIMING_MODELS)
 
 
-def get_timing_model(timing: str) -> TimingModel:
+def get_timing_model(timing: str) -> Union[FunctionalTiming, MemoizedTiming]:
     """A fresh timing model of the given name; raises ``ValueError`` for an
     unknown one."""
     try:

@@ -31,6 +31,7 @@ with that shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -156,13 +157,20 @@ class CycleAttribution:
     def check(self, rel_tol: float = 1e-6) -> None:
         """Verify conservation: components tile ``cores x makespan`` exactly.
 
-        Checks every core's decomposition against the makespan and the
-        grand total against the rectangle, within ``rel_tol`` relative
-        (floating-point accumulation) tolerance.  Raises ``ValueError``
-        with the offending core on failure.
+        Checks that the makespan and every core's total are finite (a NaN
+        passes every comparison below), every core's decomposition against
+        the makespan and the grand total against the rectangle, within
+        ``rel_tol`` relative (floating-point accumulation) tolerance.
+        Raises ``ValueError`` with the offending core on failure.
         """
+        if not math.isfinite(self.makespan_cycles):
+            raise ValueError(f"attribution makespan {self.makespan_cycles} "
+                             f"is not finite")
         scale = max(abs(self.total_cycles), 1.0)
         for core in self.per_core:
+            if not math.isfinite(core.total):
+                raise ValueError(f"core {core.core_index} attribution is not "
+                                 f"finite: {core}")
             if abs(core.total - self.makespan_cycles) > rel_tol * max(
                     abs(self.makespan_cycles), 1.0):
                 raise ValueError(

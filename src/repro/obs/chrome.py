@@ -135,14 +135,16 @@ def to_chrome_trace(source: Union[Tracer, Sequence[dict]],
 
 def write_chrome_trace(payload: Union[dict, Tracer, Sequence[dict]],
                        path) -> pathlib.Path:
-    """Validate and write a trace payload; returns the written path."""
+    """Validate and write a trace payload as strict JSON (a NaN or infinite
+    value raises ``ValueError``); returns the written path."""
     if not isinstance(payload, dict):
         payload = to_chrome_trace(payload)
     validate_chrome_trace(payload)
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True, default=str)
+        json.dump(payload, handle, indent=1, sort_keys=True, default=str,
+                  allow_nan=False)
         handle.write("\n")
     return path
 

@@ -13,6 +13,8 @@ compare against:
   :class:`TaskMemoryEvent` per dispatched task;
 * :func:`priority` / :func:`choose_core` -- the five stock policies as
   scalar per-task hooks;
+* :class:`OracleTiming` -- per-task cycle counts by per-task signature,
+  independent of the product's per-group table;
 * :func:`reference_execute` -- the event-driven ready-heap loop, with its
   tracer calls made inside the loop.
 
@@ -29,7 +31,8 @@ from dataclasses import astuple, dataclass
 from typing import Dict, List, Tuple
 
 from repro.lap.memory import MemoryHierarchy
-from repro.lap.runtime import TaskExecution, _ExecutionContext
+from repro.lap.runtime import (TaskExecution, _NumPyKernels, _simulate_task,
+                                _update_tiles)
 from repro.lap.taskgraph import TaskGraph, task_flops
 from repro.lap.timing import compose_task_cycles, decompose_task_cycles
 from repro.obs.attribution import idle_gaps
@@ -340,6 +343,40 @@ def choose_core(policy, task, ready_time, core_free_at, owners, memory) -> int:
     return min(cores, key=lambda i: (core_free_at[i], i))
 
 
+# ---------------------------------------------------------- oracle timing
+class OracleTiming:
+    """Per-task cycle counts of one execute, the plain way.
+
+    Functional timing simulates every task on its core.  Memoized timing
+    simulates the first task of each per-task signature -- kind, read-tile
+    shapes, precision, unit alpha, transpose -- and reuses its count for
+    the signature's later tasks, applying their NumPy tile update under
+    ``verify``.  It keeps no process-wide state.
+    """
+
+    def __init__(self, runtime, tiles, verify):
+        self.memoized = runtime.timing.name == "memoized"
+        self.cores = runtime.lap.cores
+        self.precision = runtime.lap.config.precision.value
+        self.tiles = tiles
+        self.verify = verify
+        self.warmed = {}
+
+    def cycles(self, task, core_index):
+        core = self.cores[core_index]
+        if not self.memoized:
+            return _simulate_task(task, self.tiles, core)
+        shapes = tuple(self.tiles[operand][coord].shape
+                       for operand, coord in task.read_tiles())
+        signature = (task.kind, shapes, self.precision, task.alpha == 1.0,
+                     bool(task.transpose_b))
+        if signature not in self.warmed:
+            self.warmed[signature] = _simulate_task(task, self.tiles, core)
+        elif self.verify:
+            _update_tiles(task, self.tiles, _NumPyKernels)
+        return self.warmed[signature]
+
+
 # ---------------------------------------------------------- reference loop
 def reference_execute(runtime, tasks, tiles, verify=True):
     """Schedule ``tasks`` with ``runtime``'s configuration, the plain way."""
@@ -364,7 +401,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
     ranks = (graph.critical_path_lengths() if policy == "critical_path"
              else None)
     dynamic = policy in DYNAMIC_POLICIES
-    ctx = _ExecutionContext(runtime, tiles)
+    timing = OracleTiming(runtime, tiles, verify)
     num_cores = len(runtime.lap.cores)
     reference_freq = runtime.lap.config.frequency_ghz
     core_free_at = [0] * num_cores
@@ -394,9 +431,9 @@ def reference_execute(runtime, tasks, tiles, verify=True):
             if heap and (key, task_id) > (heap[0][0], heap[0][1]):
                 heapq.heappush(heap, (key, task_id, memory.version))
                 continue
-        ctx.core_index = core_index = choose_core(
-            policy, task, ready, core_free_at, tile_owner, memory)
-        cycles = runtime.timing.task_cycles(task, ctx, verify)
+        core_index = choose_core(policy, task, ready, core_free_at, tile_owner,
+                                 memory)
+        cycles = timing.cycles(task, core_index)
         if runtime._homogeneous:
             duration = cycles
         else:
@@ -469,7 +506,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         "policy": policy,
         "timing": runtime.timing.name,
         "makespan_ns": makespan / reference_freq,
-        "data_valid": runtime.timing.keeps_data(verify),
+        "data_valid": bool(verify) or not timing.memoized,
     }
     memory.finish()
     stats.update(memory.summary())

@@ -463,6 +463,21 @@ def test_trace_rejects_bad_geometry(tmp_path, capsys):
     assert "trace failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--n", "64", "--tile", "8", "--on-chip-kb", "6", "--bandwidth-gbs", "nan"],
+    ["--n", "32", "--tile", "8", "--bandwidth-gbs", "inf"],
+])
+def test_trace_rejects_non_finite_bandwidth(tmp_path, capsys, extra):
+    """A non-finite bandwidth used to give an inf makespan and a trace file
+    full of NaN and Infinity tokens, which strict JSON parsers reject."""
+    out = tmp_path / "x.json"
+    assert main(["trace", "--workload", "cholesky", *extra,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trace failed: bandwidth must be a positive finite number" in err
+    assert not out.exists()
+
+
 def test_report_from_trace(tmp_path, capsys):
     out, _ = _trace(tmp_path, capsys)
     assert main(["report", "--trace", out]) == 0

@@ -15,7 +15,9 @@ silently fork.  This suite pins that contract:
   every policy, hierarchy shape, core count and capacities below one
   footprint: the loop is the only implementation of the residency and
   priority decisions, so this property is what pins them;
-* verify=True (numerically exact tiles) and heterogeneous-frequency /
+* verify=True on every workload (the product's per-group table with
+  NumPy tile updates on its hits, against the oracle's own per-task
+  timing: same rows and bit-identical tiles) and heterogeneous-frequency /
   prefetch-overlap / functional-timing variants;
 * the ``lap_runtime`` runner rows against the oracle's rows and the
   committed PR-4/PR-5 goldens, and replayed delta-sweep rows against
@@ -63,8 +65,8 @@ def make_tiles(nb=6):
     """Operand tile dicts of one dense, symmetric, diagonally dominant
     block: SPD for Cholesky, pivot-free for LU, and without zero
     sub-columns, whose reflectors tiled QR would skip (cheaper warm-ups
-    than the memoized counts of dense operands).  Only the warm-ups read
-    tile values."""
+    than the memoized counts of dense operands).  Without ``verify`` only
+    the warm-ups read tile values."""
     noise = np.random.default_rng(0).random((TILE, TILE))
     block = noise + noise.T + 2 * TILE * np.eye(TILE)
     blocks = {(i, j): block.copy() for i in range(nb) for j in range(nb)}
@@ -91,9 +93,10 @@ def assert_executions_identical(ref_rt, fast_rt):
             assert rv == fv, f"task {a.task_id} {name}: {rv!r} != {fv!r}"
 
 
-def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
-    ref_stats = reference_execute(ref_rt, graph, make_tiles(), verify=verify)
-    fast_stats = fast_rt.execute(graph, make_tiles(), verify=verify)
+def assert_runs_identical(ref_rt, fast_rt, graph, verify=False, tiles=None):
+    ref_tiles, fast_tiles = tiles or (make_tiles(), make_tiles())
+    ref_stats = reference_execute(ref_rt, graph, ref_tiles, verify=verify)
+    fast_stats = fast_rt.execute(graph, fast_tiles, verify=verify)
     assert_stats_identical(ref_stats, fast_stats)
     assert_executions_identical(ref_rt, fast_rt)
     ref_att, fast_att = ref_rt.attribution(), fast_rt.attribution()
@@ -133,11 +136,23 @@ def test_fast_matches_reference(algorithm, policy, local_store_kb):
     assert stats["spill_bytes"] > 0
 
 
-def test_verify_true_keeps_tiles_exact_and_identical():
-    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+@pytest.mark.parametrize("algorithm", sorted(SIZES))
+def test_verify_true_keeps_tiles_exact_and_identical(algorithm):
+    """Memoized verify=True: the product charges every task from its
+    per-group table and applies the NumPy update on each hit (QR's
+    reflector scalars included); the oracle times each task by its own
+    per-task signature.  Rows and every final tile agree exactly."""
+    graph = AlgorithmsByBlocks(TILE).build(algorithm, SIZES[algorithm])
     ref_rt = make_runtime(local_store_kb=1.0)
     fast_rt = make_runtime(local_store_kb=1.0)
-    assert_runs_identical(ref_rt, fast_rt, graph, verify=True)
+    ref_tiles, fast_tiles = make_tiles(), make_tiles()
+    assert_runs_identical(ref_rt, fast_rt, graph, verify=True,
+                          tiles=(ref_tiles, fast_tiles))
+    assert ref_tiles.keys() == fast_tiles.keys()
+    for name, ref in ref_tiles.items():
+        assert ref.keys() == fast_tiles[name].keys()
+        for coord, value in ref.items():
+            assert np.array_equal(fast_tiles[name][coord], value), (name, coord)
 
 
 def test_generic_fast_loop_variants_identical():

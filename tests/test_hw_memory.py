@@ -67,6 +67,14 @@ def test_offchip_interface_validation():
         iface.transfer_energy_j(-5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_offchip_interface_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match=f"bandwidth .*finite.*got {value}"):
+        OffChipInterface(bandwidth_gbytes_per_sec=value)
+    with pytest.raises(ValueError, match=f"energy per byte .*finite.*got {value}"):
+        OffChipInterface(bandwidth_gbytes_per_sec=10.0, energy_per_byte_j=value)
+
+
 def test_onchip_memory_validation():
     with pytest.raises(ValueError):
         OnChipMemory(capacity_bytes=0)

@@ -109,6 +109,12 @@ def test_lap_config_validation():
     assert cfg.element_bytes == 4
 
 
+@pytest.mark.parametrize("frequency", [float("nan"), float("inf")])
+def test_lap_config_rejects_non_finite_frequency(frequency):
+    with pytest.raises(ValueError, match=f"finite number of GHz, got {frequency}"):
+        LAPConfig(frequency_ghz=frequency)
+
+
 def test_lap_peak_gflops_and_geometry():
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4, frequency_ghz=1.0))
     assert lap.num_pes == 128

@@ -161,6 +161,45 @@ def test_empty_graph_has_zero_makespan_and_efficiency(lap):
     assert runtime.executions == []
 
 
+@pytest.mark.parametrize("timing", ["functional", "memoized"])
+def test_non_square_operand_tile_is_rejected(lap, rng, timing):
+    """Every operand tile must be ``tile x tile``: the per-group cycle table
+    and the memory model's byte counts rest on it (this two-task GEMM moves
+    4,096 operand bytes, but 8 x 8 tiles would count 2,560)."""
+    tasks = [TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
+                            inputs=[(0, 0), (0, 0)]),
+             TaskDescriptor(1, TaskKind.GEMM, output=(0, 1),
+                            inputs=[(0, 0), (0, 1)])]
+    tiles = {"A": {(0, 0): rng.random((8, 16))},
+             "B": {(0, j): rng.random((16, 8)) for j in range(2)},
+             "C": {(0, j): rng.random((8, 8)) for j in range(2)}}
+    runtime = LAPRuntime(lap, 8, timing=timing)
+    with pytest.raises(ValueError,
+                       match=r"operand A tile \(0, 0\) has shape \(8, 16\)"):
+        runtime.execute(tasks, tiles)
+
+
+@pytest.mark.parametrize("timing", ["functional", "memoized"])
+def test_one_dimensional_tau_entries_are_not_checked(lap, rng, timing):
+    graph = AlgorithmsByBlocks(8).qr_tasks(16)
+    tiles = {"A": LAPRuntime.tile_matrix(rng.random((16, 16)), 8),
+             "TAU": {(1, 1): np.zeros(8)}}
+    stats = LAPRuntime(lap, 8, timing=timing).execute(graph, tiles)
+    assert stats["tasks_executed"] == len(graph)
+    assert len(tiles["TAU"][(0, 0)]) == 8
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"offchip_pj_per_byte": float("nan")},
+    {"offchip_pj_per_byte": float("inf")},
+    {"core_frequencies_ghz": [1.0, float("nan")]},
+    {"core_frequencies_ghz": [1.0, float("inf")]},
+])
+def test_runtime_rejects_non_finite_energy_and_clocks(lap, kwargs):
+    with pytest.raises(ValueError, match=r"finite number.*got (nan|inf)"):
+        LAPRuntime(lap, 8, **kwargs)
+
+
 def test_tile_and_untile_round_trip(rng):
     m = rng.random((16, 24))
     tiles = LAPRuntime.tile_matrix(m, 8)

@@ -344,8 +344,6 @@ class TestTimingModels:
         # A second graph with the same signatures is warm from the start.
         runtime.run_blocked_cholesky(48, np.random.default_rng(1), verify=False)
         assert timing.warm_runs == first_warm
-        timing.reset_stats()
-        assert timing.hits == 0 and timing.task_counts == {}
 
     def test_functional_timing_ignores_verify_flag(self):
         runtime = make_runtime(tile=8)

@@ -141,6 +141,26 @@ def test_attribution_check_rejects_double_booked_core():
         attribution.check()
 
 
+def test_attribution_check_rejects_non_finite_cycles():
+    """NaN fails every comparison, so conservation alone would pass it."""
+    class E:
+        core_index, start_cycle, end_cycle = 0, 0.0, 6.0
+        stall_cycles, local_transfer_cycles = float("nan"), 0.0
+
+    attribution = CycleAttribution.from_executions([E()], 1, 6.0)
+    with pytest.raises(ValueError, match="core 0 attribution is not finite"):
+        attribution.check()
+    empty = CycleAttribution.from_executions([], 1, float("nan"))
+    with pytest.raises(ValueError, match="makespan nan is not finite"):
+        empty.check()
+
+
+def test_write_chrome_trace_rejects_non_finite_values(tmp_path):
+    payload = {"traceEvents": [], "metadata": {"bandwidth_gbs": float("inf")}}
+    with pytest.raises(ValueError, match="Out of range float"):
+        write_chrome_trace(payload, tmp_path / "t.json")
+
+
 def test_attribution_round_trips_through_dict():
     class E:
         core_index, start_cycle, end_cycle = 0, 1.0, 5.0

@@ -12,6 +12,8 @@ This suite pins:
 * the all-or-nothing sharing rule: warm graphs are charged from the table
   without an operand, cold ones warm up as in a fresh process, and a
   warm-up that disagrees with the table raises;
+* one memoized path: ``verify`` changes no schedule and no count, and the
+  simulator runs once per group whether or not it is on;
 * that sweep rows do not depend on what ran earlier in the process.
 """
 
@@ -26,9 +28,12 @@ from hypothesis import strategies as st
 from repro.engine import SweepSpec, execute_jobs
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.runtime import LAPRuntime, _ExecutionContext
-from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
-from repro.lap.timing import clear_timing_cache
+from repro.lap.runtime import (LAPRuntime, _NumPyKernels, _simulate_task,
+                                _update_tiles)
+from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor,
+                                 TaskGraph, TaskKind)
+from repro.lap.timing import (MemoizedTiming, clear_timing_cache,
+                              group_signatures)
 from repro.reference.factorizations import ref_householder_qr_factored
 
 
@@ -80,6 +85,13 @@ def _task(kind, output=(0, 0), inputs=((0, 0),), **kwargs):
     return TaskDescriptor(0, kind, output=output, inputs=list(inputs), **kwargs)
 
 
+def _table_key(runtime, task):
+    """The process-table key ``task`` warms up under on ``runtime``."""
+    group_keys = TaskGraph([task]).fast_arrays().group_keys
+    return (runtime._core_key,
+            group_signatures(group_keys, runtime.tile, runtime._precision)[0])
+
+
 #: Every task kind the algorithms-by-blocks emit (plus the plain TRSM and
 #: the unit-alpha SYRK path), each with a function that draws its operands
 #: for one tile shape.
@@ -120,10 +132,9 @@ def test_signature_and_core_config_fix_the_cycle_count(seeds, core, order):
         task, build = KIND_CASES[index]
         for seed in seeds:
             for runtime in (used, make_runtime(nr=nr, tile=tile)):
-                ctx = _ExecutionContext(
-                    runtime, build(np.random.default_rng(seed), tile))
-                key = (ctx.core_keys[0], ctx.signature(task))
-                counts.setdefault(key, set()).add(ctx.functional(task))
+                tiles = build(np.random.default_rng(seed), tile)
+                cycles = _simulate_task(task, tiles, runtime.lap.cores[0])
+                counts.setdefault(_table_key(runtime, task), set()).add(cycles)
     assert len(counts) == len(KIND_CASES)
     assert all(len(cycles) == 1 for cycles in counts.values()), counts
 
@@ -132,14 +143,12 @@ def test_geqrt_of_zero_subcolumns_is_the_known_exception():
     """QR skips the reflector of an all-zero sub-column, so an upper
     triangular tile factors in a fraction of a dense tile's cycles: the
     reason no stand-in operand may ever feed a warm-up."""
-    runtime = make_runtime(nr=4, tile=8)
+    core = make_runtime(nr=4, tile=8).lap.cores[0]
     task = _task(TaskKind.GEQRT)
     rng = np.random.default_rng(0)
-    dense = _ExecutionContext(
-        runtime, {"A": {(0, 0): _dense(rng, 8)}}).functional(task)
+    dense = _simulate_task(task, {"A": {(0, 0): _dense(rng, 8)}}, core)
     upper = np.triu(_dense(rng, 8)) + np.eye(8)
-    zero_subcolumns = _ExecutionContext(
-        runtime, {"A": {(0, 0): upper}}).functional(task)
+    zero_subcolumns = _simulate_task(task, {"A": {(0, 0): upper}}, core)
     assert (dense, zero_subcolumns) == (870, 12)
 
 
@@ -148,12 +157,12 @@ def test_lac_and_numpy_kernel_sets_agree_per_kind():
     values on the LAC simulator and through its NumPy formulas, which
     memoized timing applies under ``verify``.  SYRK with unit alpha and no
     transpose updates the lower triangle only on both."""
-    runtime = make_runtime()
+    core = make_runtime().lap.cores[0]
     for index, (task, build) in enumerate(KIND_CASES):
         lac_tiles = build(np.random.default_rng(index), 8)
         numpy_tiles = copy.deepcopy(lac_tiles)
-        _ExecutionContext(runtime, lac_tiles).functional(task)
-        _ExecutionContext(runtime, numpy_tiles).reference(task)
+        _simulate_task(task, lac_tiles, core)
+        _update_tiles(task, numpy_tiles, _NumPyKernels)
         assert lac_tiles.keys() == numpy_tiles.keys()
         for name, lac in lac_tiles.items():
             assert lac.keys() == numpy_tiles[name].keys()
@@ -228,6 +237,39 @@ def test_warmup_that_disagrees_with_the_table_raises():
     upper = np.triu(np.random.default_rng(1).random((8, 8))) + np.eye(8)
     with pytest.raises(RuntimeError, match="must not depend on the tile"):
         make_runtime().execute(graph, {"A": {(0, 0): upper}}, verify=True)
+
+
+# ------------------------------------------------------ one memoized path
+@pytest.mark.parametrize("algorithm", ["gemm", "cholesky", "lu", "qr"])
+def test_verify_changes_no_schedule_and_warms_once_per_group(monkeypatch,
+                                                             algorithm):
+    """From an empty table, memoized ``verify=True`` and ``verify=False``
+    give the same executions, warm-ups and hits, and both call
+    ``MemoizedTiming.task_cycles`` for the warm-ups alone: a 256^2,
+    tile-32 Cholesky (120 tasks) makes 4 calls."""
+    calls = []
+    task_cycles = MemoizedTiming.task_cycles
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return task_cycles(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoizedTiming, "task_cycles", counting)
+    runs = {}
+    for verify in (True, False):
+        clear_timing_cache()
+        calls.clear()
+        runtime = make_runtime(num_cores=4, tile=32)
+        stats = runtime.run_workload(algorithm, 256, np.random.default_rng(0),
+                                     verify=verify)
+        assert (stats["residual"] is not None) == verify
+        runs[verify] = (runtime.executions, runtime.timing.warm_runs,
+                        runtime.timing.hits, len(calls))
+    assert runs[True] == runs[False]
+    executions, warm_runs, hits, num_calls = runs[True]
+    assert num_calls == warm_runs and warm_runs + hits == len(executions)
+    if algorithm == "cholesky":
+        assert (len(executions), num_calls) == (120, 4)
 
 
 # ------------------------------------------------------ history independence
