@@ -117,19 +117,6 @@ def lookup(name: str) -> ArchitectureSpec:
     raise KeyError(f"unknown architecture '{name}'")
 
 
-def lap_advantage(scope: str = "chip", precision: str = "double",
-                  metric: str = "gflops_per_watt") -> float:
-    """Ratio of the LAP/LAC to the best non-LAP competitor on a metric."""
-    specs = core_level_specs(precision) if scope == "core" else chip_level_specs(precision)
-    lap = [s for s in specs if s.is_lap]
-    others = [s for s in specs if not s.is_lap]
-    if not lap or not others:
-        raise ValueError(f"no comparison data for scope={scope}, precision={precision}")
-    lap_value = getattr(lap[0], metric)
-    best_other = max(getattr(s, metric) for s in others)
-    return lap_value / best_other
-
-
 def design_choice_comparison() -> List[Dict[str, str]]:
     """The qualitative design-choice comparison between CPUs, GPUs and the LAP.
 

@@ -92,7 +92,7 @@ def _emit_json(payload: object, path: str) -> int:
     """Write a ``--json`` payload, reporting write failures cleanly."""
     try:
         written = write_json(payload, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot write JSON to '{path}': {exc}", file=sys.stderr)
         return 2
     if written is not None:
@@ -123,7 +123,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    core = LinearAlgebraCore(LACConfig(nr=args.nr, frequency_ghz=args.frequency))
+    try:
+        core = LinearAlgebraCore(LACConfig(nr=args.nr, frequency_ghz=args.frequency))
+    except ValueError as exc:
+        print(f"simulate failed: {exc}", file=sys.stderr)
+        return 2
     n = args.size
     try:
         check_size(args.kernel, n, args.nr)
@@ -149,11 +153,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_design(args: argparse.Namespace) -> int:
     precision = Precision.SINGLE if args.precision == "single" else Precision.DOUBLE
-    design = build_lap(num_cores=args.cores, nr=args.nr, precision=precision,
-                       frequency_ghz=args.frequency,
-                       local_store_kbytes=args.local_store_kbytes,
-                       onchip_memory_mbytes=args.onchip_mbytes)
-    eff = design.efficiency(utilization=args.utilization)
+    try:
+        design = build_lap(num_cores=args.cores, nr=args.nr, precision=precision,
+                           frequency_ghz=args.frequency,
+                           local_store_kbytes=args.local_store_kbytes,
+                           onchip_memory_mbytes=args.onchip_mbytes)
+        eff = design.efficiency(utilization=args.utilization)
+    except ValueError as exc:
+        print(f"design failed: {exc}", file=sys.stderr)
+        return 2
     rows = [{
         "cores": args.cores,
         "nr": args.nr,

@@ -8,12 +8,11 @@
   benchmark harness and by EXPERIMENTS.md.
 """
 
-from repro.experiments.registry import Experiment, REGISTRY, get_experiment, list_experiments, run_experiment
+from repro.experiments.registry import Experiment, REGISTRY, get_experiment, run_experiment
 
 __all__ = [
     "Experiment",
     "REGISTRY",
     "get_experiment",
-    "list_experiments",
     "run_experiment",
 ]

@@ -27,17 +27,18 @@ def write_json(payload: object, path: PathLike) -> Optional[pathlib.Path]:
     """Serialise ``payload`` as JSON to ``path``, or to stdout when ``-``.
 
     Returns the written path, or ``None`` for stdout.  Non-JSON values
-    (enums, numpy scalars, ...) are stringified rather than rejected.
+    (enums, numpy scalars, ...) are stringified rather than rejected.  The
+    output is strict JSON: a NaN or infinite value raises ``ValueError``
+    before anything is written.
     """
+    text = json.dumps(payload, indent=2, default=str, allow_nan=False)
     if str(path) == "-":
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
         return None
     path = pathlib.Path(path)
     if path.parent != pathlib.Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        json.dump(payload, handle, indent=2, default=str)
+    path.write_text(text)
     return path
 
 

@@ -10,7 +10,7 @@ experiment automatically adds a benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.experiments import figures, tables
 from repro.models.validation import (predict_clearspeed_csx_utilization,
@@ -187,11 +187,6 @@ def get_experiment(exp_id: str) -> Experiment:
         return REGISTRY[exp_id]
     except KeyError:
         raise KeyError(f"unknown experiment '{exp_id}'; known ids: {sorted(REGISTRY)}") from None
-
-
-def list_experiments(kind: Optional[str] = None) -> List[Experiment]:
-    """All registered experiments, optionally filtered by kind."""
-    return [e for e in REGISTRY.values() if kind is None or e.kind == kind]
 
 
 def run_experiment(exp_id: str) -> object:

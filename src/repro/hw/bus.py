@@ -112,20 +112,6 @@ class BroadcastBus:
         # The latency-overhead wire is slower by construction.
         return freq / (1.0 + 0.25 * self.latency_overhead)
 
-    def broadcast_latency_cycles(self, frequency_ghz: float) -> int:
-        """Cycles needed for one broadcast at the given core frequency.
-
-        A single cycle suffices while the bus can keep up with the core
-        clock; otherwise the bus is pipelined and the latency (but not the
-        throughput) grows.  Pipelined bus latency is hidden behind the MAC
-        pipeline in the LAC design.
-        """
-        if frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
-        if frequency_ghz <= self.max_frequency_ghz:
-            return 1
-        return int(frequency_ghz / self.max_frequency_ghz + 0.999999)
-
     # ---------------------------------------------------------------- energy
     @property
     def energy_per_broadcast_j(self) -> float:

@@ -26,6 +26,7 @@ micro-architecture extensions used in Chapter 6 / Appendix A:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from repro.hw.technology import OperatingPoint, TechnologyNode, TECH_45NM
@@ -111,8 +112,9 @@ class FMACUnit:
     def __post_init__(self) -> None:
         if not (1 <= self.pipeline_stages <= 16):
             raise ValueError(f"pipeline_stages out of range: {self.pipeline_stages}")
-        if self.frequency_ghz <= 0:
-            raise ValueError(f"frequency must be positive: {self.frequency_ghz}")
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValueError(f"frequency must be a positive finite number of "
+                             f"GHz, got {self.frequency_ghz}")
 
     # ------------------------------------------------------------------ area
     @property

@@ -85,16 +85,6 @@ class OnChipMemory:
         """Aggregate bandwidth with every bank supplying one word per cycle."""
         return self.banks * self.word_bytes
 
-    def sustainable_bandwidth_bytes_per_cycle(self, required: float) -> float:
-        """Bandwidth actually deliverable against a requirement.
-
-        Returns ``min(required, peak)``; callers use the ratio to derive an
-        achievable-utilisation bound exactly as Section 4.3 does for Fermi.
-        """
-        if required < 0:
-            raise ValueError("required bandwidth must be non-negative")
-        return min(required, self.peak_bandwidth_bytes_per_cycle)
-
     # ---------------------------------------------------------------- energy
     def energy_per_access_j(self) -> float:
         """Energy of one word access (single bank touched per access)."""

@@ -20,12 +20,13 @@ operations on the LAC:
 This module models latency, area and energy for each option, using a
 Goldschmidt-style iteration count derived from the seed accuracy of a minimax
 lookup table, which is how the referenced divide/square-root design operates.
+It models cost only: the functional simulator computes the values itself
+(:meth:`repro.lac.core.LinearAlgebraCore.special`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from repro.hw.fpu import FMACUnit, Precision
@@ -229,17 +230,3 @@ class SpecialFunctionUnit:
             f"recip {self.latency_cycles(SpecialOp.RECIPROCAL)} cyc, "
             f"inv-sqrt {self.latency_cycles(SpecialOp.INV_SQRT)} cyc"
         )
-
-
-def reciprocal_reference(x: float) -> float:
-    """Reference scalar reciprocal used by the functional simulator."""
-    if x == 0.0:
-        raise ZeroDivisionError("reciprocal of zero")
-    return 1.0 / x
-
-
-def inverse_sqrt_reference(x: float) -> float:
-    """Reference scalar inverse square root used by the functional simulator."""
-    if x <= 0.0:
-        raise ValueError(f"inverse sqrt requires a positive argument, got {x}")
-    return 1.0 / math.sqrt(x)

@@ -112,15 +112,6 @@ def scale_frequency(freq_ghz: float, from_node: TechnologyNode, to_node: Technol
     return freq_ghz * s
 
 
-def scale_energy_per_op(energy_j: float, from_node: TechnologyNode, to_node: TechnologyNode) -> float:
-    """Scale dynamic energy per operation between nodes (E ~ C * V^2)."""
-    if energy_j < 0:
-        raise ValueError(f"energy must be non-negative, got {energy_j}")
-    s = from_node.feature_nm / to_node.feature_nm
-    v = (to_node.nominal_vdd / from_node.nominal_vdd) ** 2
-    return energy_j * v / s
-
-
 @dataclass
 class OperatingPoint:
     """A (frequency, voltage) operating point for a component.
@@ -158,7 +149,3 @@ class OperatingPoint:
         Dynamic power ~ f * V^2 (activity and capacitance held constant).
         """
         return (self.frequency_ghz / reference.frequency_ghz) * (self.vdd / reference.vdd) ** 2
-
-    def energy_per_op_scale(self, reference: "OperatingPoint") -> float:
-        """Ratio of per-operation energy relative to ``reference`` (E ~ V^2)."""
-        return (self.vdd / reference.vdd) ** 2

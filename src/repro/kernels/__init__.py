@@ -8,8 +8,6 @@ cycle/access counts:
 * :mod:`repro.kernels.syrk` -- SYRK and SYR2K with the diagonal-PE transpose,
 * :mod:`repro.kernels.trsm` -- triangular solve (basic, stacked and
   software-pipelined inner kernels, blocked algorithm),
-* :mod:`repro.kernels.trmm` / :mod:`repro.kernels.symm` -- the remaining
-  level-3 BLAS,
 * :mod:`repro.kernels.cholesky`, :mod:`repro.kernels.lu`,
   :mod:`repro.kernels.qr` -- the matrix-factorization inner kernels of
   Chapter 6 (Cholesky, LU with partial pivoting, Householder QR and the
@@ -21,14 +19,11 @@ from repro.kernels.common import KernelResult
 from repro.kernels.gemm import lac_gemm, lac_rank1_sequence
 from repro.kernels.syrk import lac_syrk, lac_syr2k
 from repro.kernels.trsm import lac_trsm, lac_trsm_unblocked
-from repro.kernels.trmm import lac_trmm
-from repro.kernels.symm import lac_symm
 from repro.kernels.cholesky import lac_cholesky
 from repro.kernels.lu import lac_lu_panel
 from repro.kernels.qr import lac_vector_norm, lac_householder_qr_panel
 from repro.kernels.blocked_factorizations import lac_lu_blocked, lac_qr_blocked
 from repro.kernels.fft import lac_fft
-from repro.kernels.fft2d import lac_fft2d
 
 __all__ = [
     "KernelResult",
@@ -38,8 +33,6 @@ __all__ = [
     "lac_syr2k",
     "lac_trsm",
     "lac_trsm_unblocked",
-    "lac_trmm",
-    "lac_symm",
     "lac_cholesky",
     "lac_lu_panel",
     "lac_lu_blocked",
@@ -47,5 +40,4 @@ __all__ = [
     "lac_vector_norm",
     "lac_householder_qr_panel",
     "lac_fft",
-    "lac_fft2d",
 ]

@@ -18,17 +18,14 @@ steps, and streamed back out — exactly the loop structure of Section 3.3.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.kernels.common import KernelResult, check_divisible
+from repro.kernels.common import KernelResult, check_divisible, counters_delta
 from repro.lac.core import LinearAlgebraCore
 
 
 def lac_rank1_sequence(core: LinearAlgebraCore, c_block: np.ndarray,
-                       a_slice: np.ndarray, b_slice: np.ndarray,
-                       count_b_reads: bool = True) -> np.ndarray:
+                       a_slice: np.ndarray, b_slice: np.ndarray) -> np.ndarray:
     """Update one ``nr x nr`` block of C with ``kc`` rank-1 updates.
 
     Parameters
@@ -41,10 +38,6 @@ def lac_rank1_sequence(core: LinearAlgebraCore, c_block: np.ndarray,
         ``nr x kc`` slice of A (column ``p`` is broadcast in step ``p``).
     b_slice:
         ``kc x nr`` slice of B (row ``p`` is broadcast / read in step ``p``).
-    count_b_reads:
-        When True, charge one ``MEM B`` read per PE per step (the replicated-B
-        organisation); when False the B values are assumed to arrive over the
-        column buses only.
 
     Returns the updated ``nr x nr`` block.
     """
@@ -65,9 +58,8 @@ def lac_rank1_sequence(core: LinearAlgebraCore, c_block: np.ndarray,
         core.rank1_update_step(a_slice[:, p], b_slice[p, :])
         # One read of A from the owning PEs' MEM A to drive the row buses.
         core.counters.store_a_reads += nr
-        if count_b_reads:
-            # Every PE reads its replicated copy of beta_{p,j} from MEM B.
-            core.counters.store_b_reads += nr * nr
+        # Every PE reads its replicated copy of beta_{p,j} from MEM B.
+        core.counters.store_b_reads += nr * nr
     return core.store_c_accumulators()
 
 
@@ -114,10 +106,8 @@ def lac_gemm(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray, b: np.ndarra
             c[i:i + nr, j:j + nr] = lac_rank1_sequence(
                 core, c[i:i + nr, j:j + nr], a[i:i + nr, :], b_panel)
 
-    delta = core.counters.copy()
-    for name, value in start.as_dict().items():
-        setattr(delta, name, getattr(delta, name) - value)
-    return KernelResult(name="gemm", output=c, counters=delta, num_pes=core.num_pes)
+    return KernelResult(name="gemm", output=c, counters=counters_delta(core.counters, start),
+                        num_pes=core.num_pes)
 
 
 def lac_gemm_steady_state_cycles(nr: int, mc: int, kc: int, n: int) -> int:

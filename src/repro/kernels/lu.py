@@ -94,25 +94,3 @@ def lac_lu_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
     delta = counters_delta(core.counters, start)
     return KernelResult(name="lu_panel", output=a, counters=delta, num_pes=core.num_pes,
                         extra={"pivots": pivots})
-
-
-def apply_panel_pivots(matrix: np.ndarray, pivots: List[int]) -> np.ndarray:
-    """Apply the recorded row interchanges of :func:`lac_lu_panel` to a matrix."""
-    out = np.array(matrix, dtype=float, copy=True)
-    for i, piv in enumerate(pivots):
-        if piv != i:
-            out[[i, piv], :] = out[[piv, i], :]
-    return out
-
-
-def reconstruct_from_panel(factored: np.ndarray) -> (np.ndarray, np.ndarray):
-    """Split a factored ``k x nr`` panel into its L (unit lower) and U parts."""
-    factored = np.asarray(factored, dtype=float)
-    k, nr = factored.shape
-    l = np.zeros((k, nr), dtype=float)
-    u = np.zeros((nr, nr), dtype=float)
-    for j in range(nr):
-        u[: j + 1, j] = factored[: j + 1, j]
-        l[j, j] = 1.0
-        l[j + 1:, j] = factored[j + 1:, j]
-    return l, u

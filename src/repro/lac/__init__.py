@@ -22,8 +22,6 @@ from repro.lac.stats import AccessCounters
 from repro.lac.pe import ProcessingElement, PEConfig
 from repro.lac.bus import RowColumnBuses
 from repro.lac.core import LinearAlgebraCore, LACConfig
-from repro.lac.controller import PEController, OperationSelect, MicroProgram
-from repro.lac.trace import ExecutionTrace
 
 __all__ = [
     "AccessCounters",
@@ -32,8 +30,4 @@ __all__ = [
     "RowColumnBuses",
     "LinearAlgebraCore",
     "LACConfig",
-    "PEController",
-    "OperationSelect",
-    "MicroProgram",
-    "ExecutionTrace",
 ]

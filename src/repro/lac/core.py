@@ -66,8 +66,9 @@ class LACConfig:
     def __post_init__(self) -> None:
         if self.nr < 2:
             raise ValueError("core dimension nr must be >= 2")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValueError(f"frequency must be a positive finite number of "
+                             f"GHz, got {self.frequency_ghz}")
 
 
 class LinearAlgebraCore:
@@ -184,14 +185,12 @@ class LinearAlgebraCore:
 
     # -------------------------------------------------------- rank-1 engine
     def rank1_update_step(self, a_column: Sequence[float], b_row: Sequence[float],
-                          accumulator: int = 0, count_store_reads: bool = True) -> None:
+                          accumulator: int = 0) -> None:
         """One rank-1 update: C += a_column * b_row, one MAC per PE, one cycle.
 
         ``a_column`` (length nr) is driven onto the row buses by the root
         column; ``b_row`` (length nr) is driven onto the column buses by the
-        root row (or read from the replicated local copies of B -- in that
-        case the column broadcast is skipped by the caller via
-        ``count_store_reads``).
+        root row.  The calling kernel charges the local-store reads.
         """
         if len(a_column) != self.nr or len(b_row) != self.nr:
             raise ValueError("rank-1 operands must have length nr")
@@ -205,10 +204,6 @@ class LinearAlgebraCore:
                 pe.latch_row_bus(alpha)
                 pe.latch_column_bus(beta)
                 pe.mac(alpha, beta, accumulator)
-                if count_store_reads:
-                    # The root PEs read A/B out of their local stores to drive
-                    # the buses; non-root PEs read B from their replicated copy.
-                    self.counters.store_b_reads += 0  # replicated-B reads counted by kernels
         self.buses.clear()
         self.tick(1)
 

@@ -67,8 +67,8 @@ class ProcessingElement:
 
     The PE exposes small, architecturally meaningful operations (read/write a
     store word, perform a MAC into an accumulator, drive or latch a bus
-    value); the core's controller sequences them.  All accesses are counted
-    in the ``counters`` object shared with the owning core.
+    value); the kernels sequence them through the core.  All accesses are
+    counted in the ``counters`` object shared with the owning core.
     """
 
     def __init__(self, row: int, col: int, config: PEConfig,

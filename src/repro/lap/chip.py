@@ -7,8 +7,8 @@ This object glues the pieces together at chip level:
   :class:`repro.hw.memory.OffChipInterface`,
 * the :class:`repro.lap.policies.GEMMScheduler` that splits large GEMMs into
   per-core row-panel work,
-* and the power/area aggregation that turns per-component models into the
-  chip-level numbers reported in Chapter 4.
+* and the area aggregation over its components (the chip-level power
+  breakdown of Chapter 4 is :func:`repro.arch.breakdowns.lap_breakdown`).
 
 Two execution paths are provided.  ``run_gemm`` functionally executes a GEMM
 on the core simulators (each core processes its panels; cycle counts per core
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.hw.bus import BroadcastBus
 from repro.hw.fpu import FMACUnit, Precision
 from repro.hw.memory import OffChipInterface, OnChipMemory
 from repro.hw.sram import pe_store_a, pe_store_b
@@ -34,7 +33,6 @@ from repro.lac.core import LACConfig, LinearAlgebraCore
 from repro.lac.pe import PEConfig
 from repro.lap.policies import GEMMScheduler
 from repro.models.chip_model import ChipGEMMModel, ChipModelResult
-from repro.models.power import PowerComponent, PowerModel, PowerBreakdown
 
 
 @dataclass
@@ -196,62 +194,7 @@ class LinearAlgebraProcessor:
         z = self.offchip.bytes_per_cycle(cfg.frequency_ghz) / cfg.element_bytes
         return self.analytical.cycles_offchip(n, z, mc=mc, kc=kc)
 
-    # ------------------------------------------------------------ power/area
-    def component_inventory(self, gemm_like_activity: bool = True) -> List[PowerComponent]:
-        """Chip-wide component inventory for the power model.
-
-        Activity factors reflect steady-state GEMM: MAC units fully busy, the
-        A store read once every ``nr`` cycles per PE, the B store read every
-        cycle, buses carrying one broadcast per cycle, the on-chip memory
-        supplying the streaming bandwidth of the analytical model.
-        """
-        cfg = self.config
-        fmac = cfg.fmac()
-        store_a = pe_store_a(int(cfg.pe_store_a_kbytes * 1024))
-        store_b = pe_store_b(int(cfg.pe_store_b_kbytes * 1024))
-        bus = BroadcastBus(width_bits=cfg.precision.bits, span_pes=cfg.nr)
-        n_pes = self.num_pes
-        n_buses = 2 * cfg.nr * cfg.num_cores
-
-        activity_mac = 1.0 if gemm_like_activity else 0.0
-        activity_a = 1.0 / cfg.nr if gemm_like_activity else 0.0
-        activity_b = 1.0 if gemm_like_activity else 0.0
-        activity_bus = 1.0 if gemm_like_activity else 0.0
-
-        kc = 256
-        mc = 256
-        stream_words = self.analytical.onchip_bandwidth_words_per_cycle(mc, kc)
-        onchip_accesses = min(stream_words, self.onchip_memory.peak_bandwidth_bytes_per_cycle
-                              / cfg.element_bytes)
-        components = [
-            PowerComponent("MAC units", n_pes * fmac.dynamic_power_w, activity_mac,
-                           category="compute", essential=True),
-            PowerComponent("PE store A", n_pes * store_a.dynamic_power_w(cfg.frequency_ghz, 1.0),
-                           activity_a, category="memory", essential=True),
-            PowerComponent("PE store B", n_pes * store_b.dynamic_power_w(cfg.frequency_ghz, 1.0),
-                           activity_b, category="memory", essential=True),
-            PowerComponent("Broadcast buses",
-                           n_buses * bus.dynamic_power_w(cfg.frequency_ghz, 1.0),
-                           activity_bus, category="interconnect", essential=True),
-            PowerComponent("On-chip memory",
-                           self.onchip_memory.dynamic_power_w(onchip_accesses),
-                           1.0 if gemm_like_activity else 0.0,
-                           category="memory", essential=True),
-            PowerComponent("Memory interface / IO",
-                           0.05 * n_pes * fmac.dynamic_power_w,
-                           1.0 if gemm_like_activity else 0.0,
-                           category="io", essential=True),
-        ]
-        return components
-
-    def power_breakdown(self, utilization: float = 0.9) -> PowerBreakdown:
-        """Chip power breakdown running GEMM at the given utilisation."""
-        if not (0.0 < utilization <= 1.0):
-            raise ValueError("utilization must lie in (0, 1]")
-        model = PowerModel(idle_ratio=0.25)
-        gflops = self.peak_gflops() * utilization
-        return model.breakdown("LAP", self.component_inventory(), gflops=gflops)
-
+    # ------------------------------------------------------------------ area
     def area_mm2(self) -> float:
         """Total chip area: PEs (MAC + stores + bus share) plus on-chip memory."""
         cfg = self.config

@@ -121,27 +121,6 @@ class GEMMScheduler:
         self.num_cores = num_cores
         self.nr = nr
 
-    def choose_mc(self, n: int, onchip_capacity_words: float, kc: int) -> int:
-        """Pick the largest panel height whose A blocks fit next to C on chip.
-
-        The on-chip memory must hold ``n^2`` words of C, ``S * mc * kc`` words
-        of A blocks and ``2 * kc * n`` words of B panels; mc is rounded down
-        to a multiple of ``nr`` and at least ``nr``.
-        """
-        if n <= 0 or kc <= 0:
-            raise ValueError("problem dimensions must be positive")
-        if onchip_capacity_words <= 0:
-            raise ValueError("on-chip capacity must be positive")
-        available = onchip_capacity_words - float(n) * n - 2.0 * kc * n
-        if available <= 0:
-            return self.nr
-        mc = int(available / (self.num_cores * kc))
-        mc = max(self.nr, (mc // self.nr) * self.nr)
-        # A panel taller than the share of the problem assigned to one core is
-        # pointless.
-        per_core_rows = max(self.nr, (n // (self.num_cores * self.nr)) * self.nr)
-        return min(mc, per_core_rows) if per_core_rows >= self.nr else self.nr
-
     def assign_panels(self, n: int, mc: int) -> List[PanelAssignment]:
         """Round-robin assignment of ``mc``-row panels of C to cores.
 

@@ -174,14 +174,6 @@ class TaskDescriptor:
             return list(self.writes)
         return task_footprint(self.kind, self.output, self.inputs)[1]
 
-    def touched_tiles(self) -> List[TileAccess]:
-        """Union of read and written tiles, duplicates removed, read-order."""
-        seen: List[TileAccess] = []
-        for access in self.read_tiles() + self.write_tiles():
-            if access not in seen:
-                seen.append(access)
-        return seen
-
 
 class TaskGraph(collections.abc.Sequence):
     """An immutable tile-task dependency graph with scheduling analytics.
@@ -331,20 +323,6 @@ class TaskGraph(collections.abc.Sequence):
         if self._fast_arrays is None:
             self._fast_arrays = GraphArrays(self)
         return self._fast_arrays
-
-    def working_set_tiles(self) -> List[TileAccess]:
-        """Unique ``(operand, coordinate)`` tiles any task touches."""
-        seen: Dict[TileAccess, None] = {}
-        for task in self._tasks:
-            for access in task.touched_tiles():
-                seen.setdefault(access, None)
-        return list(seen)
-
-    def working_set_bytes(self, tile: int, element_bytes: int = 8) -> int:
-        """Bytes of the full tile working set (`tile x tile` per tile)."""
-        if tile <= 0 or element_bytes <= 0:
-            raise ValueError("tile size and element bytes must be positive")
-        return len(self.working_set_tiles()) * tile * tile * element_bytes
 
     def total_flops(self, tile: int) -> float:
         """Leading-order flop count of the whole graph at one tile size."""

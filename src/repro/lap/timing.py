@@ -170,11 +170,6 @@ class MemoizedTiming:
         self.task_counts[signature] = self.task_counts.get(signature, 0) + tasks
         self.hits += hits
 
-    @property
-    def warm_seconds(self) -> float:
-        """Total wall time spent in functional warm-up runs."""
-        return sum(self.warm_seconds_by_signature.values())
-
     def estimated_functional_seconds(self) -> float:
         """Measured-cost estimate of running every charged task functionally.
 

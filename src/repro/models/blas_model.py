@@ -83,16 +83,6 @@ class BlasCoreModel:
         self.gemm_model = CoreGEMMModel(nr=nr, element_bytes=element_bytes)
 
     # ------------------------------------------------- inner kernel models
-    def trsm_stacked_utilization(self, g: int) -> float:
-        """Utilisation of the software-pipelined stacked TRSM inner kernel.
-
-        Section 5.3.1 derives ``g*(nr+1) / (2*(g+1)*nr)`` for ``g`` stacked
-        sub-panels on an ``nr x nr`` core, roughly 60% for nr=4 and large g.
-        """
-        if g < 1:
-            raise ValueError("number of software-pipelined sub-panels must be >= 1")
-        nr = self.nr
-        return g * (nr + 1) / (2.0 * (g + 1) * nr)
 
     def trsm_blocked_utilization(self, k_blocks: int) -> float:
         """Utilisation of the blocked TRSM over ``k_blocks`` block-rows.
@@ -107,12 +97,6 @@ class BlasCoreModel:
         num = sum(i + 0.5 for i in range(k_blocks + 1))
         den = sum(i + 1.0 for i in range(k_blocks + 1))
         return num / den
-
-    def trsm_average_bandwidth(self, k_blocks: int) -> float:
-        """Average off-core bandwidth demand of TRSM in elements/cycle (~4*nr/k)."""
-        if k_blocks < 1:
-            raise ValueError("number of blocks must be >= 1")
-        return 4.0 * self.nr / k_blocks
 
     def syrk_inner_utilization(self, m_blocks: int) -> float:
         """Utilisation of blocked SYRK over ``m_blocks`` block-rows of C.

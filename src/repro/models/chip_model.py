@@ -308,22 +308,6 @@ class ChipGEMMModel:
                 })
         return rows
 
-    def performance_vs_offchip(self, n: int, offchip_bandwidths_words: Sequence[float],
-                               frequency_ghz: float = 1.4) -> List[dict]:
-        """Data behind Fig. 4.6: GFLOPS vs off-chip bandwidth and memory size."""
-        rows = []
-        for z in offchip_bandwidths_words:
-            res = self.cycles_offchip(n, z)
-            rows.append({
-                "n": n,
-                "num_cores": self.num_cores,
-                "offchip_bandwidth_bytes_per_cycle": z * self.element_bytes,
-                "onchip_memory_mbytes": (n * n) * self.element_bytes / 2 ** 20,
-                "utilization": res.utilization,
-                "gflops": res.gflops(frequency_ghz),
-            })
-        return rows
-
     # --------------------------------------------------------------- helpers
     def _check(self, mc: int, kc: int, n: int) -> None:
         if mc <= 0 or kc <= 0 or n <= 0:

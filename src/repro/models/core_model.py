@@ -174,15 +174,6 @@ class CoreGEMMModel:
             req += nr2 / float(n)
         return req
 
-    def intra_core_bandwidth_words_per_cycle(self, mc: int, kc: int, n: Optional[int] = None,
-                                             full_overlap: bool = True) -> float:
-        """Bandwidth on the intra-core buses in words/cycle (Table 4.1)."""
-        self._check_blocking(mc, kc)
-        base = self.nr * (1.0 + (2.0 / kc + 1.0 / mc))
-        if full_overlap and n is not None and n > 0:
-            base += self.nr / float(n)
-        return base
-
     # ------------------------------------------------------- sweep utilities
     def sweep_local_store(self, bandwidths: Sequence[float], kc_values: Iterable[int],
                           n: int = 512, full_overlap: bool = False) -> List[CoreModelResult]:

@@ -104,14 +104,6 @@ class EfficiencyMetrics:
         return 1e3 * self.power_w / self.gflops
 
     # ------------------------------------------------------------- helpers
-    def ratio_to(self, other: "EfficiencyMetrics") -> dict:
-        """Efficiency ratios of this design point relative to another."""
-        return {
-            "gflops_per_watt": self.gflops_per_watt / other.gflops_per_watt,
-            "gflops_per_mm2": self.gflops_per_mm2 / other.gflops_per_mm2,
-            "inverse_energy_delay": (self.inverse_energy_delay / other.inverse_energy_delay
-                                     if other.inverse_energy_delay > 0 else float("inf")),
-        }
 
     def as_row(self) -> dict:
         """Dictionary row for table rendering."""

@@ -69,11 +69,6 @@ class FFTProblem:
             raise ValueError("point count must be a power of two")
 
     @property
-    def complex_bytes(self) -> int:
-        """Bytes per complex point."""
-        return 2 * self.precision_bytes
-
-    @property
     def stages_radix4(self) -> int:
         """Number of radix-4 stages (log4 of the point count)."""
         return int(round(math.log(self.points, 4)))
@@ -129,14 +124,6 @@ class FFTCoreModel:
         io_words = 2.0 * points * 2  # load + store, 2 words per complex point
         io_cycles = io_words / self.nr  # nr column buses, one word each per cycle
         return compute + io_cycles
-
-    def core_fft_utilization(self, points: int, overlap_io: bool = True) -> float:
-        """Fraction of peak FMA issue achieved for a core-contained FFT."""
-        cycles = self.core_fft_cycles(points, overlap_io)
-        pes = self.nr * self.nr
-        useful = FFTProblem(points).stages_radix4 * self.butterflies_per_stage(points) \
-            * FMA_OPS_PER_RADIX4_BUTTERFLY / pes
-        return min(1.0, useful / cycles) if cycles > 0 else 0.0
 
     # --------------------------------------------------- storage / bandwidth
     def local_store_words_per_pe(self, block_points: int, overlap: bool = True) -> float:

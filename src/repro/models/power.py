@@ -62,10 +62,6 @@ class PowerComponent:
         """Dynamic power contribution of the component."""
         return self.max_power_w * self.activity
 
-    def with_activity(self, activity: float) -> "PowerComponent":
-        """Return a copy with a different activity factor."""
-        return replace(self, activity=activity)
-
 
 @dataclass
 class PowerBreakdown:
@@ -104,27 +100,11 @@ class PowerBreakdown:
         out["Idle/Leakage"] = self.idle_power_w
         return out
 
-    def by_category(self) -> Dict[str, float]:
-        """Dynamic power per category, plus the leakage bucket."""
-        out: Dict[str, float] = {}
-        for c in self.components:
-            out[c.category] = out.get(c.category, 0.0) + c.dynamic_power_w
-        out["idle"] = self.idle_power_w
-        return out
-
     def normalized_by_performance(self) -> Dict[str, float]:
         """W/GFLOPS per component -- the quantity plotted in Figs. 4.13-4.15."""
         if self.gflops <= 0:
             raise ValueError(f"breakdown '{self.label}' has no recorded throughput")
         return {name: watts / self.gflops for name, watts in self.by_component().items()}
-
-    def overhead_fraction(self) -> float:
-        """Fraction of dynamic power burnt in non-essential components."""
-        total = self.dynamic_power_w
-        if total <= 0:
-            return 0.0
-        overhead = sum(c.dynamic_power_w for c in self.components if not c.essential)
-        return overhead / total
 
     def scaled(self, factor: float, label: Optional[str] = None) -> "PowerBreakdown":
         """Return a copy with every component's max power scaled by ``factor``."""
@@ -164,13 +144,3 @@ class PowerModel:
         """Total (dynamic + idle) power of a component inventory."""
         dyn = sum(c.dynamic_power_w for c in components)
         return dyn * (1.0 + self.idle_ratio)
-
-    @staticmethod
-    def memory_activity_from_access_rate(accesses_per_cycle: float,
-                                         ports: int = 1) -> float:
-        """Activity factor of a memory given its access rate and port count."""
-        if ports < 1:
-            raise ValueError("port count must be >= 1")
-        if accesses_per_cycle < 0:
-            raise ValueError("access rate must be non-negative")
-        return min(1.0, accesses_per_cycle / ports)

@@ -5,9 +5,7 @@ The observability layer every other subsystem reports through:
 * :mod:`repro.obs.tracer` -- :class:`Tracer` / :class:`Span` /
   :class:`Counter`, the lightweight recording primitives;
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export
-  (``chrome://tracing`` / Perfetto), schema validation, and the adapter
-  that lifts LAC-level :class:`repro.lac.trace.ExecutionTrace` phases into
-  the same format;
+  (``chrome://tracing`` / Perfetto) and schema validation;
 * :mod:`repro.obs.attribution` -- :class:`CycleAttribution`, the
   per-component cycle decomposition (compute / spill-stall / transfer /
   idle) whose parts provably sum to ``cores x makespan``;
@@ -21,7 +19,7 @@ subsystem never creates an import cycle.
 """
 
 from repro.obs.attribution import CoreAttribution, CycleAttribution, idle_gaps
-from repro.obs.chrome import (lac_trace_events, to_chrome_trace, tracer_events,
+from repro.obs.chrome import (to_chrome_trace, tracer_events,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.manifest import (MANIFEST_SCHEMA, build_run_manifest,
                                 manifest_path_for, write_run_manifest)
@@ -30,7 +28,7 @@ from repro.obs.tracer import Counter, Span, Tracer
 __all__ = [
     "Counter", "Span", "Tracer",
     "CoreAttribution", "CycleAttribution", "idle_gaps",
-    "lac_trace_events", "to_chrome_trace", "tracer_events",
+    "to_chrome_trace", "tracer_events",
     "validate_chrome_trace", "write_chrome_trace",
     "MANIFEST_SCHEMA", "build_run_manifest", "manifest_path_for",
     "write_run_manifest",

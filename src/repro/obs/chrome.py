@@ -3,9 +3,7 @@
 The `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 is the lingua franca of ``chrome://tracing`` and Perfetto.  This module
-renders a :class:`repro.obs.tracer.Tracer` (and, through an adapter, the
-LAC-level :class:`repro.lac.trace.ExecutionTrace`) into its JSON-object
-form::
+renders a :class:`repro.obs.tracer.Tracer` into its JSON-object form::
 
     {"traceEvents": [...], "displayTimeUnit": "ns", "metadata": {...}}
 
@@ -19,8 +17,8 @@ beat lossy unit conversion for a cycle-accurate model.
 
 :func:`validate_chrome_trace` checks the invariants the rest of the repo
 relies on (required keys per event phase, numeric non-negative timestamps,
-and per-track non-overlap of ``task``/``idle`` spans -- nested ``phase``
-spans from LAC traces are exempt, nesting is how they express structure).
+and per-track non-overlap of ``task``/``idle`` spans -- spans of other
+categories may nest).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.obs.tracer import Tracer
 
 __all__ = [
-    "lac_trace_events", "to_chrome_trace", "tracer_events",
+    "to_chrome_trace", "tracer_events",
     "validate_chrome_trace", "write_chrome_trace",
 ]
 
@@ -43,7 +41,7 @@ REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid")
 PHASE_REQUIRED_KEYS = {"X": ("dur", "tid"), "M": (), "C": ("args",)}
 
 #: Span categories whose per-track events must not overlap (task/idle lanes
-#: tile a core's timeline; "phase" spans nest and are exempt).
+#: tile a core's timeline; spans of other categories may nest).
 NON_OVERLAP_CATEGORIES = ("task", "idle")
 
 
@@ -79,38 +77,6 @@ def tracer_events(tracer: Tracer, pid: int = 0,
         for ts, value in counter.series:
             events.append({"name": counter.name, "ph": "C", "ts": ts,
                            "pid": pid, "args": {"value": value}})
-    return events
-
-
-def lac_trace_events(trace, pid: int = 0, tid: int = 0,
-                     process_name: str = "LAC",
-                     track_name: str = "phases") -> List[dict]:
-    """Adapt a :class:`repro.lac.trace.ExecutionTrace` to Chrome events.
-
-    Each recorded phase becomes a complete event on one track; nested
-    phases (``nesting > 0``) stay nested in the viewer because complete
-    events nest by containment.  The phase's counter deltas ride along in
-    ``args``, so LAC-level and LAP-level traces open side by side in one
-    Perfetto session without touching ``repro.lac.trace`` itself.
-    """
-    events: List[dict] = [
-        {"name": "process_name", "ph": "M", "ts": 0, "pid": pid,
-         "args": {"name": process_name}},
-        {"name": "thread_name", "ph": "M", "ts": 0, "pid": pid, "tid": tid,
-         "args": {"name": track_name}},
-    ]
-    for event in trace.events:
-        events.append({
-            "name": event.name,
-            "cat": "phase",
-            "ph": "X",
-            "ts": event.start_cycle,
-            "dur": event.cycles,
-            "pid": pid,
-            "tid": tid,
-            "args": {"nesting": event.nesting,
-                     **event.counters.as_dict()},
-        })
     return events
 
 

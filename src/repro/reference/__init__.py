@@ -1,15 +1,14 @@
 """Plain NumPy reference implementations used to verify the LAC kernels.
 
-Every algorithm mapped onto the LAC simulator is checked against one of the
-functions in this subpackage.  The references are deliberately written as
+The tests check the LAC kernels (GEMM, SYRK, SYR2K, TRSM, Cholesky, LU,
+QR, the vector norm and the FFT) against the functions in this subpackage;
+nothing else calls them.  The references are deliberately written as
 straightforward, readable NumPy code (they are the "ground truth", not the
 artifact under study).
 """
 
 from repro.reference.blas3 import (
     ref_gemm,
-    ref_symm,
-    ref_trmm,
     ref_syrk,
     ref_syr2k,
     ref_trsm,
@@ -25,8 +24,6 @@ from repro.reference.fft_ref import ref_dft, ref_fft_radix4
 
 __all__ = [
     "ref_gemm",
-    "ref_symm",
-    "ref_trmm",
     "ref_syrk",
     "ref_syr2k",
     "ref_trsm",

@@ -3,8 +3,6 @@
 These follow the operation definitions of Chapter 5:
 
 * ``GEMM``  : C := C + A B
-* ``SYMM``  : C := C + A B with symmetric A (only the lower triangle stored)
-* ``TRMM``  : B := L B with lower triangular L
 * ``SYRK``  : C := C + A A^T, updating only the lower triangle of C
 * ``SYR2K`` : C := C + A B^T + B A^T, updating only the lower triangle
 * ``TRSM``  : solve L X = B for X with lower triangular L
@@ -32,26 +30,6 @@ def ref_gemm(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if c.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"C has shape {c.shape}, expected {(a.shape[0], b.shape[1])}")
     return c + a @ b
-
-
-def ref_symm(c: np.ndarray, a_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric matrix multiply: C + sym(A) @ B with A stored lower triangular."""
-    c = _as_2d(c, "C")
-    a_lower = _as_2d(a_lower, "A")
-    b = _as_2d(b, "B")
-    if a_lower.shape[0] != a_lower.shape[1]:
-        raise ValueError("A must be square for SYMM")
-    a_full = np.tril(a_lower) + np.tril(a_lower, -1).T
-    return c + a_full @ b
-
-
-def ref_trmm(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triangular matrix multiply: returns L @ B with L lower triangular."""
-    l = _as_2d(l, "L")
-    b = _as_2d(b, "B")
-    if l.shape[0] != l.shape[1]:
-        raise ValueError("L must be square for TRMM")
-    return np.tril(l) @ b
 
 
 def ref_syrk(c: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ compare against:
   whose :meth:`OracleHierarchy.account` returns one
   :class:`TaskMemoryEvent` per dispatched task;
 * :func:`priority` / :func:`choose_core` -- the five stock policies as
-  scalar per-task hooks;
+  scalar per-task hooks over :func:`touched_tiles`;
 * :class:`OracleTiming` -- per-task cycle counts by per-task signature,
   independent of the product's per-group table;
 * :func:`reference_execute` -- the event-driven ready-heap loop, with its
@@ -275,7 +275,7 @@ class OracleHierarchy(MemoryHierarchy):
         local_hit = shared_fill = c2c = transfer_cycles = 0.0
         if self.local_stores is not None:
             local_hit, shared_fill, c2c = self._account_local(
-                task.touched_tiles(), writes, core_index)
+                touched_tiles(task), writes, core_index)
             transfer_bytes = shared_fill + c2c
             if transfer_bytes > 0 and self.onchip_bw_bytes_per_cycle > 0:
                 transfer_cycles = transfer_bytes / self.onchip_bw_bytes_per_cycle
@@ -307,6 +307,15 @@ class OracleHierarchy(MemoryHierarchy):
 DYNAMIC_POLICIES = ("memory_aware", "affinity")
 
 
+def touched_tiles(task) -> List:
+    """Union of a task's read and written tiles, duplicates removed, read-order."""
+    seen = []
+    for access in task.read_tiles() + task.write_tiles():
+        if access not in seen:
+            seen.append(access)
+    return seen
+
+
 def priority(policy, task, ready_time, memory, owners, ranks=None) -> Tuple:
     """Heap key of a ready task (lower first; the task id breaks ties).
 
@@ -318,7 +327,7 @@ def priority(policy, task, ready_time, memory, owners, ranks=None) -> Tuple:
     if policy == "critical_path":
         return (-ranks.get(task.task_id, 0.0), ready_time)
     if policy in DYNAMIC_POLICIES:
-        footprint = task.touched_tiles()
+        footprint = touched_tiles(task)
         missing = memory.residency.missing_bytes(footprint)
         if memory.local_stores is not None:
             store = memory.local_stores[owners.get(task.output, 0)]
@@ -335,7 +344,7 @@ def choose_core(policy, task, ready_time, core_free_at, owners, memory) -> int:
         return min(cores, key=lambda i: (max(core_free_at[i], ready_time),
                                          0 if i == owner else 1, i))
     if policy == "affinity" and memory.local_stores is not None:
-        footprint = task.touched_tiles()
+        footprint = touched_tiles(task)
         stores = memory.local_stores
         return min(cores, key=lambda i: (
             -stores[i].resident_footprint_bytes(footprint),

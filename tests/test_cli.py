@@ -171,6 +171,20 @@ def test_simulate_rejects_nonpositive_size(capsys):
     assert "size must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", [["simulate", "gemm", "--size", "8"],
+                                     ["design", "--json", "-"]],
+                         ids=["simulate", "design"])
+def test_simulate_and_design_reject_bad_frequency(capsys, command, value):
+    """A NaN or infinite clock used to print "GFLOPS @ nan GHz" or write NaN
+    into the JSON, and a zero or negative one ended in a traceback."""
+    assert main([*command, "--frequency", value]) == 2
+    captured = capsys.readouterr()
+    assert (f"{command[0]} failed: frequency must be a positive finite number "
+            f"of GHz, got {float(value)}") in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_rejects_nonfinite_axis_value(capsys):
     assert main(["sweep", "--runner", "design", "--grid", "cores=inf",
                  "--no-cache"]) == 2

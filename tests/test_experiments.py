@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.registry import REGISTRY, get_experiment, list_experiments, run_experiment
+from repro.experiments.registry import REGISTRY, get_experiment, run_experiment
 from repro.experiments.report import format_value, render_series, render_table, summarize_experiment
 
 
@@ -42,11 +42,6 @@ def test_lookup_helpers():
     assert exp.exp_id == "table_3_1"
     with pytest.raises(KeyError):
         get_experiment("table_99_9")
-    tables = list_experiments("table")
-    figures = list_experiments("figure")
-    assert all(e.kind == "table" for e in tables)
-    assert all(e.kind == "figure" for e in figures)
-    assert len(tables) + len(figures) + len(list_experiments("validation")) == len(REGISTRY)
 
 
 def test_format_value_handles_types():

@@ -1,9 +1,10 @@
-"""Golden-value regression suite for every figure generator.
+"""Golden-value regression suite for every registered experiment.
 
-Each registered figure experiment has a JSON snapshot under
-``tests/goldens/``; the tests regenerate the figure data and compare it
-against the snapshot with per-metric relative tolerances, so any refactor
-that drifts a reproduced number fails mechanically instead of silently.
+Each registered experiment (figures, tables and the validation summary) has
+a JSON snapshot under ``tests/goldens/``; the tests regenerate its data and
+compare it against the snapshot with per-metric relative tolerances, so any
+refactor that drifts a reproduced number fails mechanically instead of
+silently.
 
 Refreshing the snapshots after an intentional model change::
 
@@ -41,8 +42,7 @@ METRIC_RTOL = {
     "energy_delay": 1e-5,
 }
 
-FIGURE_IDS = sorted(exp_id for exp_id, exp in REGISTRY.items()
-                    if exp.kind == "figure")
+EXPERIMENT_IDS = sorted(REGISTRY)
 
 
 def _golden_path(exp_id: str) -> pathlib.Path:
@@ -95,30 +95,30 @@ def _assert_matches(actual, golden, path=""):
 
 
 def test_every_figure_has_a_golden():
-    """Adding a figure generator requires snapshotting it as well."""
+    """Registering an experiment requires snapshotting it as well."""
     if os.environ.get(UPDATE_ENV):
         pytest.skip("goldens are being regenerated")
-    missing = [exp_id for exp_id in FIGURE_IDS
+    missing = [exp_id for exp_id in EXPERIMENT_IDS
                if not _golden_path(exp_id).is_file()]
-    assert not missing, (f"figures without goldens: {missing}; run "
+    assert not missing, (f"experiments without goldens: {missing}; run "
                          f"{UPDATE_ENV}=1 pytest tests/test_figures_golden.py")
 
 
 def test_no_stale_goldens():
-    """A golden whose figure was removed/renamed must be deleted with it."""
-    known = {f"{exp_id}.json" for exp_id in FIGURE_IDS}
+    """A golden whose experiment was removed/renamed must be deleted with it."""
+    known = {f"{exp_id}.json" for exp_id in EXPERIMENT_IDS}
     stale = [p.name for p in GOLDEN_DIR.glob("*.json") if p.name not in known]
-    assert not stale, f"goldens without figure experiments: {stale}"
+    assert not stale, f"goldens without experiments: {stale}"
 
 
-@pytest.mark.parametrize("exp_id", FIGURE_IDS)
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_figure_matches_golden(exp_id):
     data = _sanitize(run_experiment(exp_id))
     path = _golden_path(exp_id)
     if os.environ.get(UPDATE_ENV):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         with path.open("w") as handle:
-            json.dump(data, handle, indent=1, sort_keys=True)
+            json.dump(data, handle, indent=1, sort_keys=True, allow_nan=False)
             handle.write("\n")
         return
     if not path.is_file():

@@ -22,18 +22,6 @@ def test_wire_model_frequency_targets():
     assert BroadcastBus(span_pes=16).max_frequency_ghz > 1.2
 
 
-def test_single_cycle_broadcast_when_bus_keeps_up():
-    bus = BroadcastBus(span_pes=4)
-    assert bus.broadcast_latency_cycles(1.0) == 1
-    assert bus.broadcast_latency_cycles(2.0) == 1
-
-
-def test_pipelined_broadcast_when_core_clock_exceeds_bus():
-    bus = BroadcastBus(span_pes=16)
-    fast_clock = bus.max_frequency_ghz * 2.5
-    assert bus.broadcast_latency_cycles(fast_clock) >= 2
-
-
 def test_energy_grows_with_width_and_length():
     narrow = BroadcastBus(width_bits=32, span_pes=4)
     wide = BroadcastBus(width_bits=64, span_pes=4)
@@ -68,8 +56,6 @@ def test_validation_of_parameters():
         BroadcastBus(span_pes=0)
     with pytest.raises(ValueError):
         BroadcastBus(latency_overhead=2.0)
-    with pytest.raises(ValueError):
-        BroadcastBus().broadcast_latency_cycles(0.0)
     with pytest.raises(ValueError):
         BroadcastBus().dynamic_power_w(1.0, broadcasts_per_cycle=-1.0)
 

@@ -1,5 +1,7 @@
 """Tests for the FMAC unit model."""
 
+import math
+
 import pytest
 
 from repro.hw.fpu import FMACUnit, Precision
@@ -79,6 +81,12 @@ def test_invalid_configuration_rejected():
         FMACUnit(pipeline_stages=0)
     with pytest.raises(ValueError):
         FMACUnit(frequency_ghz=-1.0)
+
+
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, 0.0, -1.0])
+def test_frequency_must_be_positive_and_finite(frequency):
+    with pytest.raises(ValueError, match=f"got {frequency}"):
+        FMACUnit(frequency_ghz=frequency)
 
 
 def test_describe_mentions_precision_and_frequency():

@@ -17,12 +17,6 @@ def test_onchip_memory_area_grows_with_capacity():
     assert big.area_mm2 > small.area_mm2
 
 
-def test_sustainable_bandwidth_is_clamped_to_peak():
-    mem = OnChipMemory(capacity_bytes=2 * 2 ** 20, banks=8, word_bytes=8)
-    assert mem.sustainable_bandwidth_bytes_per_cycle(1.0) == 1.0
-    assert mem.sustainable_bandwidth_bytes_per_cycle(1e9) == mem.peak_bandwidth_bytes_per_cycle
-
-
 def test_onchip_dynamic_power_scales_with_access_rate():
     mem = OnChipMemory(capacity_bytes=4 * 2 ** 20, banks=8)
     assert mem.dynamic_power_w(8.0) == pytest.approx(8.0 * mem.dynamic_power_w(1.0))
@@ -83,8 +77,6 @@ def test_onchip_memory_validation():
     mem = OnChipMemory(capacity_bytes=2 ** 20)
     with pytest.raises(ValueError):
         mem.dynamic_power_w(-1.0)
-    with pytest.raises(ValueError):
-        mem.sustainable_bandwidth_bytes_per_cycle(-1.0)
 
 
 def test_nuca_validation():

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.hw.fpu import Precision
-from repro.hw.sfu import (GoldschmidtDivider, SFUPlacement, SpecialFunctionUnit, SpecialOp,
-                          inverse_sqrt_reference, reciprocal_reference)
+from repro.hw.sfu import GoldschmidtDivider, SFUPlacement, SpecialFunctionUnit, SpecialOp
 
 
 def test_goldschmidt_iteration_counts():
@@ -72,15 +71,6 @@ def test_energy_per_op_positive_and_finite():
 def test_isolated_unit_idle_power_nonzero_software_zero():
     assert SpecialFunctionUnit(placement=SFUPlacement.ISOLATED).idle_power_w > 0.0
     assert SpecialFunctionUnit(placement=SFUPlacement.SOFTWARE).idle_power_w == 0.0
-
-
-def test_reference_helpers():
-    assert reciprocal_reference(4.0) == pytest.approx(0.25)
-    assert inverse_sqrt_reference(4.0) == pytest.approx(0.5)
-    with pytest.raises(ZeroDivisionError):
-        reciprocal_reference(0.0)
-    with pytest.raises(ValueError):
-        inverse_sqrt_reference(-1.0)
 
 
 def test_describe_mentions_placement():

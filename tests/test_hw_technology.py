@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.hw.technology import (OperatingPoint, TECH_45NM, TECH_65NM, TECH_90NM,
-                                 TechnologyNode, scale_area, scale_energy_per_op,
-                                 scale_frequency, scale_power)
+                                 TechnologyNode, scale_area, scale_frequency, scale_power)
 
 
 def test_known_nodes_have_expected_features():
@@ -44,12 +43,6 @@ def test_frequency_scaling_increases_when_shrinking():
     assert f == pytest.approx(2.0)
 
 
-def test_energy_scaling_decreases_when_shrinking():
-    e90 = 1e-12
-    e45 = scale_energy_per_op(e90, TECH_90NM, TECH_45NM)
-    assert e45 < e90
-
-
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         scale_area(-1.0, TECH_65NM, TECH_45NM)
@@ -57,8 +50,6 @@ def test_negative_inputs_rejected():
         scale_power(-1.0, TECH_65NM, TECH_45NM)
     with pytest.raises(ValueError):
         scale_frequency(-1.0, TECH_65NM, TECH_45NM)
-    with pytest.raises(ValueError):
-        scale_energy_per_op(-1.0, TECH_65NM, TECH_45NM)
 
 
 def test_operating_point_voltage_interpolation():
@@ -86,9 +77,3 @@ def test_dynamic_power_scale_grows_with_frequency_and_voltage():
     faster = OperatingPoint(frequency_ghz=2.0, vdd=1.0)
     scale = faster.dynamic_power_scale(ref)
     assert scale == pytest.approx(2.0 * (1.0 / 0.8) ** 2)
-
-
-def test_energy_per_op_scale_only_depends_on_voltage():
-    ref = OperatingPoint(frequency_ghz=1.0, vdd=0.8)
-    same_v = OperatingPoint(frequency_ghz=2.0, vdd=0.8)
-    assert same_v.energy_per_op_scale(ref) == pytest.approx(1.0)

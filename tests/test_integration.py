@@ -9,6 +9,7 @@ regenerate an experiment through the registry.
 import numpy as np
 import pytest
 
+from repro.arch.breakdowns import lap_breakdown
 from repro.experiments.registry import run_experiment
 from repro.hw.fpu import FMACUnit, Precision
 from repro.hw.sram import pe_store_a, pe_store_b
@@ -111,9 +112,8 @@ def test_experiment_registry_round_trip_with_report():
 
 
 def test_full_precision_pipeline_single_vs_double():
-    """The same workload on SP and DP LAPs: SP is roughly twice as efficient."""
-    sp = LinearAlgebraProcessor(LAPConfig(num_cores=4, precision=Precision.SINGLE))
-    dp = LinearAlgebraProcessor(LAPConfig(num_cores=4, precision=Precision.DOUBLE))
-    sp_eff = sp.power_breakdown(0.9).gflops_per_watt
-    dp_eff = dp.power_breakdown(0.9).gflops_per_watt
-    assert sp_eff > 1.5 * dp_eff
+    """The same throughput on SP and DP LAPs: SP is roughly twice as efficient."""
+    for target_gflops in (20.0, 100.0, 470.0, 940.0):
+        sp_eff = lap_breakdown(target_gflops, Precision.SINGLE).gflops_per_watt
+        dp_eff = lap_breakdown(target_gflops, Precision.DOUBLE).gflops_per_watt
+        assert sp_eff > 1.5 * dp_eff

@@ -1,11 +1,10 @@
-"""Tests for the blocked LU / QR drivers and the 2D FFT kernel."""
+"""Tests for the blocked LU / QR drivers."""
 
 import numpy as np
 import pytest
 
 from repro.kernels.blocked_factorizations import (lac_lu_blocked, lac_qr_blocked,
                                                   lu_blocked_reconstruct, qr_blocked_q)
-from repro.kernels.fft2d import lac_fft2d
 from repro.lac.core import LinearAlgebraCore
 
 
@@ -90,33 +89,3 @@ def test_blocked_qr_validation(rng):
         lac_qr_blocked(LinearAlgebraCore(), rng.random((4, 8)))
     with pytest.raises(ValueError):
         lac_qr_blocked(LinearAlgebraCore(), rng.random((8, 6)))
-
-
-# ----------------------------------------------------------------- 2D FFT
-@pytest.mark.parametrize("n", [4, 16])
-def test_fft2d_matches_numpy(rng, n):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    result = lac_fft2d(LinearAlgebraCore(), x)
-    np.testing.assert_allclose(result.output, np.fft.fft2(x), rtol=1e-9, atol=1e-9)
-
-
-def test_fft2d_impulse_response(rng):
-    x = np.zeros((16, 16), dtype=complex)
-    x[0, 0] = 1.0
-    result = lac_fft2d(LinearAlgebraCore(), x)
-    np.testing.assert_allclose(result.output, np.ones((16, 16), dtype=complex), atol=1e-12)
-
-
-def test_fft2d_counts_transpose_traffic(rng):
-    x = rng.standard_normal((16, 16)) + 0j
-    result = lac_fft2d(LinearAlgebraCore(), x)
-    # Transpose between the passes moves every point in and out once.
-    assert result.counters.external_loads >= 2 * 16 * 16
-    assert result.counters.external_stores >= 2 * 16 * 16
-
-
-def test_fft2d_validation(rng):
-    with pytest.raises(ValueError):
-        lac_fft2d(LinearAlgebraCore(), rng.standard_normal((8, 16)))
-    with pytest.raises(ValueError):
-        lac_fft2d(LinearAlgebraCore(), rng.standard_normal((8, 8)))  # 8 not a power of 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.cholesky import cholesky_unblocked_cycle_estimate, lac_cholesky
-from repro.kernels.lu import apply_panel_pivots, lac_lu_panel, reconstruct_from_panel
+from repro.kernels.lu import lac_lu_panel
 from repro.kernels.qr import lac_householder_qr_panel, lac_vector_norm
 from repro.lac.core import LACConfig, LinearAlgebraCore
 from repro.reference import (ref_cholesky, ref_householder_qr, ref_lu_partial_pivoting,
@@ -24,6 +24,28 @@ def rng():
 def _spd(rng, n):
     m = rng.random((n, n))
     return m @ m.T + n * np.eye(n)
+
+
+def apply_panel_pivots(matrix, pivots):
+    """Apply the recorded row interchanges of :func:`lac_lu_panel` to a matrix."""
+    out = np.array(matrix, dtype=float, copy=True)
+    for i, piv in enumerate(pivots):
+        if piv != i:
+            out[[i, piv], :] = out[[piv, i], :]
+    return out
+
+
+def reconstruct_from_panel(factored):
+    """Split a factored ``k x nr`` panel into its L (unit lower) and U parts."""
+    factored = np.asarray(factored, dtype=float)
+    k, nr = factored.shape
+    l = np.zeros((k, nr), dtype=float)
+    u = np.zeros((nr, nr), dtype=float)
+    for j in range(nr):
+        u[: j + 1, j] = factored[: j + 1, j]
+        l[j, j] = 1.0
+        l[j + 1:, j] = factored[j + 1:, j]
+    return l, u
 
 
 # -------------------------------------------------------------- Cholesky
@@ -77,12 +99,16 @@ def test_lu_panel_matches_reference(core, rng, k):
 
 
 def test_lu_panel_pivot_choices_match_reference(core, rng):
-    panel = rng.random((12, 4))
-    result = lac_lu_panel(core, panel)
-    p, l_ref, u_ref = ref_lu_partial_pivoting(panel[:4, :4]) if False else (None, None, None)
-    # Check the multipliers are bounded by 1 in magnitude (the point of pivoting).
-    l, _ = reconstruct_from_panel(result.output)
-    assert np.max(np.abs(np.tril(l, -1))) <= 1.0 + 1e-12
+    for k in (4, 8, 12, 16, 32):
+        panel = rng.random((k, 4))
+        result = lac_lu_panel(core, panel)
+        p, l_ref, u_ref = ref_lu_partial_pivoting(panel)
+        # Same row interchanges as the reference, so the same permuted panel.
+        np.testing.assert_array_equal(
+            p @ panel, apply_panel_pivots(panel, result.extra["pivots"]))
+        l, u = reconstruct_from_panel(result.output)
+        np.testing.assert_allclose(l, l_ref[:, :4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, u_ref[:4], rtol=0, atol=1e-12)
 
 
 def test_lu_panel_without_comparator_costs_more_cycles(rng):

@@ -1,83 +1,10 @@
-"""Tests for the distributed controller model and the access counters."""
+"""Tests for the LAC access counters."""
 
 import pytest
 
-from repro.lac.controller import (BASIC_GEMM_COUNTERS, BASIC_GEMM_STATES,
-                                  BLOCKED_GEMM_COUNTERS, BLOCKED_GEMM_STATES,
-                                  ControlState, MicroProgram, MicroStep, OperationSelect,
-                                  PEController)
 from repro.lac.stats import AccessCounters
 
 
-def test_basic_controller_budget_matches_paper():
-    """The basic GEMM state machine: 8 states, 2 address registers, 1 counter."""
-    ctrl = PEController(blocking_levels=1)
-    assert ctrl.num_states == BASIC_GEMM_STATES == 8
-    assert ctrl.num_counters == BASIC_GEMM_COUNTERS == 1
-    assert len(ctrl.address_registers) == 2
-
-
-def test_three_level_blocking_budget_matches_paper():
-    """With three blocking levels: 10 states and 4 counters."""
-    ctrl = PEController(blocking_levels=3)
-    assert ctrl.num_states == BLOCKED_GEMM_STATES == 10
-    assert ctrl.num_counters == BLOCKED_GEMM_COUNTERS == 4
-
-
-def test_controller_rejects_invalid_blocking_depth():
-    with pytest.raises(ValueError):
-        PEController(blocking_levels=0)
-    with pytest.raises(ValueError):
-        PEController(blocking_levels=4)
-
-
-def test_gemm_schedule_steady_state_is_single_cycle_per_rank1():
-    ctrl = PEController()
-    program = ctrl.gemm_schedule(kc=32, n_panels=2)
-    assert program.count("rank1") == 64
-    assert program.total_cycles == 64  # loads/stores overlapped
-
-
-def test_gemm_schedule_without_prefetch_adds_stall_steps():
-    ctrl = PEController()
-    program = ctrl.gemm_schedule(kc=8, n_panels=3, prefetch=False)
-    assert program.count("stall") == 3
-
-
-def test_gemm_schedule_validates_bounds():
-    ctrl = PEController()
-    with pytest.raises(ValueError):
-        ctrl.gemm_schedule(kc=0)
-
-
-def test_operation_select_resets_state():
-    ctrl = PEController()
-    ctrl.transition(ControlState.RANK1_LOOP)
-    ctrl.select_operation(OperationSelect.TRSM)
-    assert ctrl.state is ControlState.IDLE
-    assert ctrl.operation is OperationSelect.TRSM
-
-
-def test_transition_type_checked():
-    ctrl = PEController()
-    with pytest.raises(TypeError):
-        ctrl.transition("rank1")
-
-
-def test_micro_step_rejects_negative_cycles():
-    with pytest.raises(ValueError):
-        MicroStep(kind="rank1", cycles=-1)
-
-
-def test_micro_program_iteration_and_len():
-    program = MicroProgram(OperationSelect.GEMM)
-    program.add("rank1", 1)
-    program.add("store_c", 0)
-    assert len(program) == 2
-    assert [s.kind for s in program] == ["rank1", "store_c"]
-
-
-# --------------------------------------------------------------- counters
 def test_counters_merge_and_copy():
     a = AccessCounters(cycles=10, mac_ops=160)
     b = AccessCounters(cycles=5, mac_ops=80, row_broadcasts=5)

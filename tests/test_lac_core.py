@@ -28,6 +28,12 @@ def test_config_validation():
         LACConfig(frequency_ghz=0.0)
 
 
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_non_finite_or_non_positive_frequency(frequency):
+    with pytest.raises(ValueError, match=f"got {frequency}"):
+        LACConfig(frequency_ghz=frequency)
+
+
 def test_distribute_a_round_robin_layout(core):
     a = np.arange(8 * 8, dtype=float).reshape(8, 8)
     words = core.distribute_a(a)
@@ -36,6 +42,7 @@ def test_distribute_a_round_robin_layout(core):
     assert core.pe(1, 2).store_a[3] == a[5, 6]
     assert core.pe(0, 0).store_a[0] == a[0, 0]
     assert core.counters.external_loads == 64
+    assert core.counters.mac_ops == 0  # distribution issues no MAC
 
 
 def test_distribute_b_replication(core):

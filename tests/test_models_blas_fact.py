@@ -34,20 +34,10 @@ def test_design_point_utilizations_match_paper_ranges(blas):
     assert results[Level3Operation.SYR2K].utilization > 0.75
 
 
-def test_trsm_inner_kernel_utilization_formula(blas):
-    """Software-pipelined stacked TRSM: g*(nr+1) / (2*(g+1)*nr) ~ 60% for large g."""
-    assert blas.trsm_stacked_utilization(g=1) == pytest.approx(5.0 / 16.0)
-    assert blas.trsm_stacked_utilization(g=100) == pytest.approx(0.625, abs=0.01)
-
-
 def test_trsm_blocked_utilization_grows_with_blocks(blas):
     assert blas.trsm_blocked_utilization(1) < blas.trsm_blocked_utilization(8) \
         < blas.trsm_blocked_utilization(64)
     assert blas.trsm_blocked_utilization(64) > 0.95
-
-
-def test_trsm_average_bandwidth_shrinks_with_panel_height(blas):
-    assert blas.trsm_average_bandwidth(4) > blas.trsm_average_bandwidth(32)
 
 
 def test_syrk_inner_utilization_grows_with_blocks(blas):
@@ -69,8 +59,6 @@ def test_sweep_shapes(blas):
 
 
 def test_blas_model_validation(blas):
-    with pytest.raises(ValueError):
-        blas.trsm_stacked_utilization(0)
     with pytest.raises(ValueError):
         blas.trsm_blocked_utilization(0)
     with pytest.raises(ValueError):

@@ -16,13 +16,6 @@ def test_total_power_is_dynamic_plus_idle():
     assert breakdown.total_power_w == pytest.approx(15.0)
 
 
-def test_activity_factor_scales_dynamic_power():
-    busy = PowerComponent("FPU", 10.0, 1.0)
-    half = busy.with_activity(0.5)
-    assert half.dynamic_power_w == pytest.approx(5.0)
-    assert busy.dynamic_power_w == pytest.approx(10.0)
-
-
 def test_component_validation():
     with pytest.raises(ValueError):
         PowerComponent("bad", -1.0)
@@ -30,7 +23,7 @@ def test_component_validation():
         PowerComponent("bad", 1.0, activity=1.5)
 
 
-def test_breakdown_by_component_and_category():
+def test_breakdown_by_component():
     model = PowerModel(idle_ratio=0.3)
     bd = model.breakdown("arch", [
         PowerComponent("FPU", 5.0, 1.0, category="compute"),
@@ -39,20 +32,7 @@ def test_breakdown_by_component_and_category():
     ], gflops=20.0)
     by_comp = bd.by_component()
     assert by_comp["FPU"] == 5.0
-    assert "Idle/Leakage" in by_comp
-    by_cat = bd.by_category()
-    assert by_cat["overhead"] == 6.0
-    assert by_cat["idle"] == pytest.approx(0.3 * 12.0)
-
-
-def test_overhead_fraction_identifies_non_essential_components():
-    model = PowerModel()
-    bd = model.breakdown("gpu-ish", [
-        PowerComponent("FPU", 3.0, 1.0, essential=True),
-        PowerComponent("RegFile", 6.0, 1.0, essential=False),
-        PowerComponent("ICache", 1.0, 1.0, essential=False),
-    ], gflops=10.0)
-    assert bd.overhead_fraction() == pytest.approx(7.0 / 10.0)
+    assert by_comp["Idle/Leakage"] == pytest.approx(0.3 * 12.0)
 
 
 def test_normalized_by_performance_requires_throughput():
@@ -81,11 +61,6 @@ def test_power_model_validation():
         model.breakdown("empty", [], gflops=1.0)
     with pytest.raises(ValueError):
         model.breakdown("neg", [PowerComponent("x", 1.0)], gflops=-1.0)
-    assert model.memory_activity_from_access_rate(0.5, ports=2) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        model.memory_activity_from_access_rate(-1.0)
-    with pytest.raises(ValueError):
-        model.memory_activity_from_access_rate(1.0, ports=0)
 
 
 # ------------------------------------------------------------ efficiency
@@ -99,14 +74,6 @@ def test_efficiency_metric_definitions():
     assert eff.inverse_energy_delay == pytest.approx(100.0 ** 2 / 2.0)
     assert eff.mm2_per_gflop == pytest.approx(0.05)
     assert eff.mw_per_gflop == pytest.approx(20.0)
-
-
-def test_efficiency_ratio_to_other_design():
-    lap = EfficiencyMetrics("lap", gflops=600.0, power_w=30.0, area_mm2=120.0)
-    gpu = EfficiencyMetrics("gpu", gflops=470.0, power_w=180.0, area_mm2=500.0)
-    ratios = lap.ratio_to(gpu)
-    assert ratios["gflops_per_watt"] > 5.0
-    assert ratios["gflops_per_mm2"] > 1.0
 
 
 def test_efficiency_as_row_contains_expected_keys():

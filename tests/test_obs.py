@@ -15,8 +15,8 @@ from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.timing import compose_task_cycles, decompose_task_cycles
 from repro.obs import (CycleAttribution, Span, Tracer, idle_gaps,
-                       lac_trace_events, to_chrome_trace, tracer_events,
-                       validate_chrome_trace, write_chrome_trace)
+                       to_chrome_trace, tracer_events, validate_chrome_trace,
+                       write_chrome_trace)
 from repro.obs.manifest import (MANIFEST_SCHEMA, build_run_manifest,
                                 manifest_path_for, write_run_manifest)
 
@@ -230,7 +230,7 @@ def test_validate_rejects_malformed_traces():
              "pid": 0, "tid": 0},
             {"name": "b", "cat": "task", "ph": "X", "ts": 3, "dur": 5,
              "pid": 0, "tid": 0}]})
-    # Nested "phase" spans are exempt from the overlap rule.
+    # Spans of other categories may nest: the overlap rule skips them.
     validate_chrome_trace({"traceEvents": [
         {"name": "outer", "cat": "phase", "ph": "X", "ts": 0, "dur": 10,
          "pid": 0, "tid": 0},
@@ -249,27 +249,6 @@ def test_write_chrome_trace_round_trips(tmp_path, rng):
     assert loaded["metadata"]["time_unit"] == "cycles"
     assert loaded["metadata"]["n"] == 32
     validate_chrome_trace(loaded)
-
-
-def test_lac_trace_adapter(tmp_path):
-    from repro.lac import LinearAlgebraCore
-    from repro.lac.trace import ExecutionTrace
-
-    core = LinearAlgebraCore()
-    trace = ExecutionTrace(core)
-    with trace.phase("outer"):
-        core.tick(10)
-        with trace.phase("inner"):
-            core.tick(5)
-    events = lac_trace_events(trace)
-    phases = [e for e in events if e.get("cat") == "phase"]
-    assert [e["name"] for e in phases] == ["inner", "outer"]
-    inner = next(e for e in phases if e["name"] == "inner")
-    assert inner["args"]["nesting"] == 1 and inner["dur"] == 5
-    assert "cycles" in inner["args"]
-    # Nested phases export as a valid (overlap-exempt) Chrome trace.
-    payload = to_chrome_trace(events, time_unit="lac-cycles")
-    write_chrome_trace(payload, tmp_path / "lac.trace.json")
 
 
 # ------------------------------------------------- runtime no-op parity

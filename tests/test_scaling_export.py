@@ -8,7 +8,7 @@ import pytest
 from repro.arch.scaling import (PUBLISHED_MEASUREMENTS, PublishedMeasurement,
                                 ScaledMeasurement, scale_measurement,
                                 scaled_comparison_rows)
-from repro.experiments.export import export_all, export_experiment
+from repro.experiments.export import export_all, export_experiment, write_json
 from repro.hw.technology import KNOWN_NODES, TECH_45NM
 
 
@@ -95,6 +95,16 @@ def test_export_rejects_unknown_format_and_id(tmp_path):
         export_experiment("table_4_1", tmp_path, fmt="xml")
     with pytest.raises(KeyError):
         export_experiment("table_nope", tmp_path)
+
+
+def test_write_json_rejects_non_finite_values_before_writing(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json({"power_w": float("nan")}, path)
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        write_json([float("inf")], "-")
+    assert capsys.readouterr().out == ""
 
 
 def test_export_all_selected_experiments_writes_manifest(tmp_path):
