@@ -12,9 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.kernels.blocked_factorizations import lac_lu_blocked, lac_qr_blocked
 from repro.kernels.cholesky import lac_cholesky
 from repro.kernels.fft import lac_fft
 from repro.kernels.gemm import lac_gemm
+from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lac.core import LACConfig, LinearAlgebraCore
 from repro.models.core_model import CoreGEMMModel
@@ -132,3 +134,43 @@ def test_simulated_gemm_8x8_core(benchmark):
     result = benchmark(run)
     np.testing.assert_allclose(result.output, c + a @ b, rtol=1e-12)
     assert result.num_pes == 64
+
+
+def _lac_kernel_cases():
+    """The LAC warm-up kernels of perfbench ``coarse_cholesky`` (tile 48) and
+    of tiled LU and QR at tile 64, on seeded operands, with their MAC counts
+    on a default 4x4 core."""
+    rng = np.random.default_rng(7)
+    g, c = rng.random((48, 48)), rng.random((48, 48))
+    spd = g @ g.T + 48 * np.eye(48)
+    lower = np.tril(g) + 48 * np.eye(48)
+    dense = rng.random((64, 64))
+    dominant = dense + 64 * np.eye(64)
+    return [
+        ("lac_gemm", lambda core: lac_gemm(core, c, g, g.T), 110_592),
+        ("lac_syrk", lambda core: lac_syrk(core, c, g), 59_904),
+        ("lac_trsm", lambda core: lac_trsm(core, lower, g), 56_448),
+        ("lac_cholesky", lambda core: lac_cholesky(core, spd), 21_304),
+        ("lac_lu_blocked", lambda core: lac_lu_blocked(core, dominant), 91_360),
+        ("lac_qr_blocked", lambda core: lac_qr_blocked(core, dense), 179_949),
+    ]
+
+
+def test_lac_kernel_throughput(bench_json):
+    """Wall time and MAC rate of the simulator on the kernels that memoized
+    timing warms up.  The MAC counts are pinned; the times are recorded in
+    ``BENCH_lac_kernels.json`` with the environment block, not asserted
+    (the host speed drifts up to 2x)."""
+    payload = {}
+    for name, run, macs in _lac_kernel_cases():
+        seconds = []
+        for _ in range(3):
+            core = _fresh_core()
+            started = time.perf_counter()
+            result = run(core)
+            seconds.append(time.perf_counter() - started)
+        assert result.counters.mac_ops == macs, name
+        best = min(seconds)
+        payload[name] = {"seconds": best, "mac_ops": macs, "macs_per_s": macs / best,
+                         "cycles": result.cycles}
+    bench_json("lac_kernels", payload)

@@ -132,7 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         check_size(args.kernel, n, args.nr)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"simulate failed: {exc}", file=sys.stderr)
         return 2
     if args.kernel == "fft":
         points = fft_point_count(n)

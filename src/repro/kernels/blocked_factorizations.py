@@ -31,7 +31,7 @@ from repro.kernels.cholesky import lac_cholesky
 from repro.kernels.common import KernelResult, check_divisible, counters_delta
 from repro.kernels.gemm import lac_rank1_sequence
 from repro.kernels.lu import lac_lu_panel
-from repro.kernels.qr import lac_householder_qr_panel
+from repro.kernels.qr import apply_reflector, lac_householder_qr_panel
 from repro.kernels.trsm import lac_trsm_unblocked
 from repro.lac.core import LinearAlgebraCore
 
@@ -91,13 +91,9 @@ def lac_lu_blocked(core: LinearAlgebraCore, a: np.ndarray,
             l_jj = np.tril(a[j:j + nr, j:j + nr], -1) + np.eye(nr)
             a[j:j + nr, j + nr:] = lac_trsm_unblocked(core, l_jj, a[j:j + nr, j + nr:])
             # 4. Trailing update: A22 -= L21 U12, cast as rank-1 sequences.
-            l21 = a[j + nr:, j:j + nr]
-            u12 = a[j:j + nr, j + nr:]
-            for i in range(j + nr, n, nr):
-                for k in range(j + nr, n, nr):
-                    block = a[i:i + nr, k:k + nr]
-                    a[i:i + nr, k:k + nr] = lac_rank1_sequence(
-                        core, block, -l21[i - j - nr:i - j, :], u12[:, k - j - nr:k - j])
+            a[j + nr:, j + nr:] = lac_rank1_sequence(core, a[j + nr:, j + nr:],
+                                                     -a[j + nr:, j:j + nr],
+                                                     a[j:j + nr, j + nr:])
 
     permutation = np.arange(n)
     for i, piv in enumerate(pivots):
@@ -149,21 +145,8 @@ def lac_qr_blocked(core: LinearAlgebraCore, a: np.ndarray,
                 if not np.isfinite(tau):
                     continue
                 col = j + local
-                u = np.concatenate(([1.0], a[col + 1:, col]))
-                trailing = a[col:, j + nr:]
-                w = np.zeros(trailing.shape[1], dtype=float)
-                for c in range(trailing.shape[1]):
-                    acc = 0.0
-                    for r in range(trailing.shape[0]):
-                        acc = core.pes[r % nr][c % nr].multiply_add(u[r], trailing[r, c], acc)
-                    w[c] = acc / tau
-                core.tick(int(np.ceil(trailing.size / float(nr * nr))) + core.mac_latency)
-                for r in range(trailing.shape[0]):
-                    for c in range(trailing.shape[1]):
-                        trailing[r, c] = core.pes[r % nr][c % nr].multiply_add(
-                            -u[r], w[c], trailing[r, c])
-                core.tick(int(np.ceil(trailing.size / float(nr * nr))) + core.mac_latency)
-                a[col:, j + nr:] = trailing
+                apply_reflector(core, np.concatenate(([1.0], a[col + 1:, col])), tau,
+                                a[col:, j + nr:])
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="qr_blocked", output=a, counters=delta, num_pes=core.num_pes,

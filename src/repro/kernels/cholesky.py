@@ -41,18 +41,17 @@ def _cholesky_unblocked(core: LinearAlgebraCore, a_block: np.ndarray) -> np.ndar
         # S2: broadcast 1/sqrt(a_ii) along row i and column i, scale.
         core.broadcast_row(i, inv_sqrt)
         core.broadcast_column(i, inv_sqrt)
-        a[i, i] = core.pes[i][i].multiply(diag, inv_sqrt)  # sqrt(a_ii)
-        for r in range(i + 1, nr):
-            a[r, i] = core.pes[r][i].multiply(a[r, i], inv_sqrt)
-        for c in range(i + 1, nr):
-            a[i, c] = core.pes[i][c].multiply(a[i, c], inv_sqrt)
+        a[i, i] = diag * inv_sqrt  # sqrt(a_ii)
+        a[i + 1:, i] = a[i + 1:, i] * inv_sqrt
+        a[i, i + 1:] = a[i, i + 1:] * inv_sqrt
+        rest = nr - i - 1
+        core.counters.mac_ops += 1 + 2 * rest
         # S3: rank-1 update of the trailing submatrix.
-        if i + 1 < nr:
+        if rest:
             core.counters.row_broadcasts += 1
             core.counters.column_broadcasts += 1
-            for r in range(i + 1, nr):
-                for c in range(i + 1, nr):
-                    a[r, c] = core.pes[r][c].multiply_add(-a[r, i], a[i, c], a[r, c])
+            a[i + 1:, i + 1:] = np.multiply.outer(-a[i + 1:, i], a[i, i + 1:]) + a[i + 1:, i + 1:]
+            core.counters.mac_ops += rest * rest
         core.tick(2 * p)
     return np.tril(a)
 
@@ -89,17 +88,14 @@ def lac_cholesky(core: LinearAlgebraCore, a: np.ndarray) -> KernelResult:
             panel = work[j + nr:, j:j + nr]
             solved_t = lac_trsm_unblocked(core, l_jj, panel.T)
             l[j + nr:, j:j + nr] = solved_t.T
-            # Trailing update: work[i, k] -= L[i, j] L[k, j]^T (SYRK-shaped).
+            # Trailing update: work[i, k] -= L[i, j] L[k, j]^T (SYRK-shaped),
+            # one block row at a time, for the blocks on and below the
+            # diagonal; the blocks above it are never read again.
             lp = l[j + nr:, j:j + nr]
             for i in range(j + nr, n, nr):
-                for k in range(j + nr, i + nr, nr):
-                    block = work[i:i + nr, k:k + nr]
-                    work[i:i + nr, k:k + nr] = lac_rank1_sequence(
-                        core, block, -lp[i - j - nr:i - j, :],
-                        lp[k - j - nr:k - j, :].T)
-                    # Keep symmetry of the trailing matrix for the next diagonal block.
-                    if k != i:
-                        work[k:k + nr, i:i + nr] = work[i:i + nr, k:k + nr].T
+                work[i:i + nr, j + nr:i + nr] = lac_rank1_sequence(
+                    core, work[i:i + nr, j + nr:i + nr], -lp[i - j - nr:i - j, :],
+                    lp[:i - j, :].T)
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="cholesky", output=l, counters=delta, num_pes=core.num_pes)

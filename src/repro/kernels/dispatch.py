@@ -22,7 +22,7 @@ from repro.kernels.gemm import lac_gemm
 from repro.kernels.lu import lac_lu_panel
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
-from repro.lac import LinearAlgebraCore
+from repro.lac import LinearAlgebraCore, PEConfig
 
 OperandBuilder = Callable[[np.random.Generator, int, int], Tuple]
 Runner = Callable[..., KernelResult]
@@ -54,19 +54,31 @@ class KernelSpec:
     #: Whether the requested size must be a multiple of the core dimension
     #: (matrix kernels); the FFT derives its own radix-4 point count instead.
     requires_nr_alignment: bool = True
+    #: Words per PE the operands of ``(size, nr)`` occupy in ``MEM A`` and
+    #: ``MEM B``: an ``n x n`` block of A takes ``ceil(n/nr)^2`` words, a
+    #: replicated ``n x nr`` panel of B ``n`` (the FFT uses neither store).
+    store_words: Callable[[int, int], Tuple[int, int]] = lambda n, nr: (0, 0)
 
 
 def check_size(kernel: str, size: int, nr: int) -> None:
     """Validate a requested problem size for ``kernel`` (raises ValueError).
 
-    Shared by the CLI and the engine's ``simulate`` runner so both entry
-    points agree on which jobs are valid.
+    The size must be positive, a multiple of ``nr`` for the matrix kernels,
+    and small enough that the operands fit the default PE stores.  Shared
+    by the CLI and the engine's ``simulate`` runner so both entry points
+    agree on which jobs are valid.
     """
     spec = get_kernel(kernel)
     if size < 1:
         raise ValueError("size must be positive")
     if spec.requires_nr_alignment and size % nr:
         raise ValueError(f"size must be a multiple of nr={nr}")
+    pe = PEConfig()
+    for store, words, capacity in zip(("MEM A", "MEM B"), spec.store_words(size, nr),
+                                      (pe.store_a_words, pe.store_b_words)):
+        if words > capacity:
+            raise ValueError(f"{kernel} at size {size} needs {words} words of {store} "
+                             f"per PE at nr={nr}; the store holds {capacity}")
 
 
 def _gemm_operands(rng: np.random.Generator, n: int, nr: int) -> Tuple:
@@ -98,15 +110,20 @@ def _fft_operands(rng: np.random.Generator, n: int, nr: int) -> Tuple:
 
 KERNEL_DISPATCH: Dict[str, KernelSpec] = {
     "gemm": KernelSpec("gemm", _gemm_operands,
-                       lambda core, ops: lac_gemm(core, ops[0], ops[1], ops[2])),
+                       lambda core, ops: lac_gemm(core, ops[0], ops[1], ops[2]),
+                       store_words=lambda n, nr: (math.ceil(n / nr) ** 2, n)),
     "syrk": KernelSpec("syrk", _syrk_operands,
-                       lambda core, ops: lac_syrk(core, ops[0], ops[1])),
+                       lambda core, ops: lac_syrk(core, ops[0], ops[1]),
+                       store_words=lambda n, nr: (math.ceil(n / nr) ** 2, 0)),
     "trsm": KernelSpec("trsm", _trsm_operands,
-                       lambda core, ops: lac_trsm(core, ops[0], ops[1])),
+                       lambda core, ops: lac_trsm(core, ops[0], ops[1]),
+                       store_words=lambda n, nr: (math.ceil(n / nr) ** 2, 0)),
     "cholesky": KernelSpec("cholesky", _cholesky_operands,
-                           lambda core, ops: lac_cholesky(core, ops[0])),
+                           lambda core, ops: lac_cholesky(core, ops[0]),
+                           store_words=lambda n, nr: (math.ceil(n / nr) ** 2, 0)),
     "lu": KernelSpec("lu", _lu_operands,
-                     lambda core, ops: lac_lu_panel(core, ops[0])),
+                     lambda core, ops: lac_lu_panel(core, ops[0]),
+                     store_words=lambda n, nr: (math.ceil(max(n, nr) / nr), 0)),
     "fft": KernelSpec("fft", _fft_operands,
                       lambda core, ops: lac_fft(core, ops[0]),
                       effective_size=lambda n, nr: fft_point_count(n),

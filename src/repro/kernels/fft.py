@@ -108,14 +108,15 @@ def _core_fft(core: LinearAlgebraCore, x: np.ndarray) -> np.ndarray:
                 data[idx[1]] = t0 - 1j * t1 - t2 + 1j * t3
                 data[idx[2]] = t0 - t1 + t2 - t3
                 data[idx[3]] = t0 + 1j * t1 - t2 - 1j * t3
-                # One FMA-optimised butterfly executed by the owning PE.
-                owner = core.pes[(idx[0] // 4) % nr][(idx[0] // (4 * nr)) % nr]
-                owner.counters.mac_ops += FMA_OPS_PER_RADIX4_BUTTERFLY
-                owner.counters.store_a_reads += 8   # 4 complex inputs
-                owner.counters.store_a_writes += 8  # 4 complex outputs
+        # Each butterfly is one FMA-optimised DAG executed by the PE owning
+        # its first point: 24 FMAs, 4 complex inputs read from and 4 complex
+        # outputs written to its local store.
+        butterflies = n // 4
+        core.counters.mac_ops += butterflies * FMA_OPS_PER_RADIX4_BUTTERFLY
+        core.counters.store_a_reads += butterflies * 8
+        core.counters.store_a_writes += butterflies * 8
         # Butterfly issue cycles for this stage: (n/4) butterflies spread over
         # the PEs at 24 FMAs each, one FMA per cycle per PE.
-        butterflies = n // 4
         core.tick(int(math.ceil(butterflies * FMA_OPS_PER_RADIX4_BUTTERFLY / pes)))
         # Inter-stage exchange: alternate row-bus and column-bus patterns.
         exchanged_words = 2 * n  # every point moves once between stages

@@ -24,43 +24,66 @@ from repro.kernels.common import KernelResult, check_divisible, counters_delta
 from repro.lac.core import LinearAlgebraCore
 
 
-def lac_rank1_sequence(core: LinearAlgebraCore, c_block: np.ndarray,
-                       a_slice: np.ndarray, b_slice: np.ndarray) -> np.ndarray:
-    """Update one ``nr x nr`` block of C with ``kc`` rank-1 updates.
+def lac_rank1_sequence(core: LinearAlgebraCore, c: np.ndarray,
+                       a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Update every ``nr x nr`` block of C with ``kc`` rank-1 updates.
+
+    Each block streams through the accumulators in turn: preload, ``kc``
+    single-cycle rank-1 steps (column ``p`` of its rows of A on the row
+    buses, row ``p`` of its columns of B read from the replicated ``MEM B``
+    copy), stream-out.  Step ``p`` adds ``a[i, p] * b[p, j]`` to every
+    element, so the simulator runs it for all blocks as one outer product:
+    each element gets the same sum in the same order.  The counters of all
+    blocks are charged at once, and the last (bottom-right) block is left in
+    the accumulators.
 
     Parameters
     ----------
     core:
         The LAC simulator instance.
-    c_block:
-        ``nr x nr`` block of C (preloaded into the accumulators here).
-    a_slice:
-        ``nr x kc`` slice of A (column ``p`` is broadcast in step ``p``).
-    b_slice:
-        ``kc x nr`` slice of B (row ``p`` is broadcast / read in step ``p``).
+    c:
+        ``m x n`` region of C; both dimensions multiples of ``nr``.
+    a:
+        ``m x kc`` slice of A (column ``p`` is broadcast in step ``p``).
+    b:
+        ``kc x n`` slice of B (row ``p`` is broadcast / read in step ``p``).
 
-    Returns the updated ``nr x nr`` block.
+    Returns the updated region.
     """
     nr = core.nr
-    c_block = np.asarray(c_block, dtype=float)
-    a_slice = np.asarray(a_slice, dtype=float)
-    b_slice = np.asarray(b_slice, dtype=float)
-    if c_block.shape != (nr, nr):
-        raise ValueError(f"C block must be {nr}x{nr}")
-    if a_slice.shape[0] != nr or b_slice.shape[1] != nr:
-        raise ValueError("A slice must be nr x kc and B slice kc x nr")
-    if a_slice.shape[1] != b_slice.shape[0]:
+    out = np.array(c, dtype=float, copy=True)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if out.ndim != 2 or out.shape[0] % nr or out.shape[1] % nr:
+        raise ValueError(f"C must be a region of {nr}x{nr} blocks, got {out.shape}")
+    m, n = out.shape
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != m or b.shape[1] != n:
+        raise ValueError("A slice must be m x kc and B slice kc x n")
+    if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimensions of the rank-1 sequence do not match")
 
-    kc = a_slice.shape[1]
-    core.load_c_accumulators(c_block)
+    kc = a.shape[1]
     for p in range(kc):
-        core.rank1_update_step(a_slice[:, p], b_slice[p, :])
-        # One read of A from the owning PEs' MEM A to drive the row buses.
-        core.counters.store_a_reads += nr
-        # Every PE reads its replicated copy of beta_{p,j} from MEM B.
-        core.counters.store_b_reads += nr * nr
-    return core.store_c_accumulators()
+        out += np.multiply.outer(a[:, p], b[p, :])
+    blocks = (m // nr) * (n // nr)
+    if blocks:
+        core.accumulators[:, :, 0] = out[-nr:, -nr:]
+    counters = core.counters
+    # Per block: preload and stream-out of nr x nr words over the column
+    # buses (nr cycles each), then kc steps of nr row and nr column
+    # broadcasts, nr*nr MACs, nr MEM A reads (the broadcast column of A) and
+    # nr*nr MEM B reads (every PE's replicated beta), one cycle each.
+    counters.accumulator_writes += blocks * nr * nr
+    counters.accumulator_reads += blocks * nr * nr
+    counters.external_loads += blocks * nr * nr
+    counters.external_stores += blocks * nr * nr
+    counters.row_broadcasts += blocks * kc * nr
+    counters.column_broadcasts += blocks * kc * nr
+    counters.mac_ops += blocks * kc * nr * nr
+    counters.store_a_reads += blocks * kc * nr
+    counters.store_b_reads += blocks * kc * nr * nr
+    core.tick(blocks * (2 * nr + kc))
+    return out
 
 
 def lac_gemm(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -69,7 +92,10 @@ def lac_gemm(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray, b: np.ndarra
 
     ``C`` is ``mc x n``, ``A`` is ``mc x kc`` (the resident block), ``B`` is
     ``kc x n`` (streamed in ``nr``-column panels).  All three dimensions must
-    be multiples of the core size ``nr``.
+    be multiples of the core size ``nr``.  Every ``nr``-column panel of ``B``
+    is replicated into ``MEM B`` and every ``nr x nr`` block of ``C`` gets
+    its ``kc`` rank-1 updates; the blocks are independent, so one
+    :func:`lac_rank1_sequence` runs them all.
 
     Parameters
     ----------
@@ -81,7 +107,6 @@ def lac_gemm(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray, b: np.ndarra
         resetting the counters around the inner loop instead.
     """
     start = core.counters.copy()
-    c = np.array(c, dtype=float, copy=True)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nr = core.nr
@@ -89,22 +114,17 @@ def lac_gemm(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray, b: np.ndarra
     kb, n = b.shape
     if kb != kc:
         raise ValueError(f"inner dimensions do not match: A {a.shape}, B {b.shape}")
-    if c.shape != (mc, n):
-        raise ValueError(f"C has shape {c.shape}, expected {(mc, n)}")
+    if np.shape(c) != (mc, n):
+        raise ValueError(f"C has shape {np.shape(c)}, expected {(mc, n)}")
     check_divisible(mc, nr, "mc")
     check_divisible(kc, nr, "kc")
     check_divisible(n, nr, "n")
 
     if distribute_operands:
         core.distribute_a(a)
-
-    for j in range(0, n, nr):
-        b_panel = b[:, j:j + nr]
-        if distribute_operands:
-            core.distribute_b_replicated(b_panel)
-        for i in range(0, mc, nr):
-            c[i:i + nr, j:j + nr] = lac_rank1_sequence(
-                core, c[i:i + nr, j:j + nr], a[i:i + nr, :], b_panel)
+        for j in range(0, n, nr):
+            core.distribute_b_replicated(b[:, j:j + nr])
+    c = lac_rank1_sequence(core, c, a, b)
 
     return KernelResult(name="gemm", output=c, counters=counters_delta(core.counters, start),
                         num_pes=core.num_pes)

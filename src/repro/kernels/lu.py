@@ -77,18 +77,16 @@ def lac_lu_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
 
         # S3: broadcast 1/pivot down column i and scale the sub-column.
         core.broadcast_column(i, inv)
-        for r in range(i + 1, k):
-            a[r, i] = core.pes[r % nr][i].multiply(a[r, i], inv)
+        a[i + 1:, i] = a[i + 1:, i] * inv
+        core.counters.mac_ops += k - i - 1
         core.tick(int(np.ceil((k - i - 1) / float(nr))) + p)
 
         # S4: rank-1 update of the trailing (k-i-1) x (nr-i-1) panel.
         if i + 1 < nr:
             core.counters.row_broadcasts += 1
             core.counters.column_broadcasts += 1
-            for r in range(i + 1, k):
-                for c in range(i + 1, nr):
-                    pe = core.pes[r % nr][c]
-                    a[r, c] = pe.multiply_add(-a[r, i], a[i, c], a[r, c])
+            a[i + 1:, i + 1:] = np.multiply.outer(-a[i + 1:, i], a[i, i + 1:]) + a[i + 1:, i + 1:]
+            core.counters.mac_ops += (k - i - 1) * (nr - i - 1)
             core.tick(int(np.ceil((k - i - 1) * (nr - i - 1) / float(nr * nr))) + p)
 
     delta = counters_delta(core.counters, start)

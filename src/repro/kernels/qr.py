@@ -68,19 +68,19 @@ def lac_vector_norm(core: LinearAlgebraCore, x: np.ndarray, owner_column: int = 
         core.counters.mac_ops += k            # the scaling multiplies
         core.tick(int(np.ceil(k / float(2 * nr))) + p)
 
-    # S1: the owner column and its neighbour accumulate partial inner products.
-    neighbour = (owner_column + 1) % nr
+    # S1: the owner column and its neighbour accumulate partial inner
+    # products; element idx goes to lane idx mod 2nr (lanes 0..nr-1 are the
+    # owner column's PEs, nr..2nr-1 its neighbour's).
     partials = np.zeros(2 * nr, dtype=float)
-    for idx, value in enumerate(values):
-        lane = idx % (2 * nr)
-        row = lane % nr
-        col = owner_column if lane < nr else neighbour
-        partials[lane] = core.pes[row][col].multiply_add(value, value, partials[lane])
+    for first in range(0, k, 2 * nr):
+        chunk = values[first:first + 2 * nr]
+        partials[:chunk.size] = chunk * chunk + partials[:chunk.size]
+    core.counters.mac_ops += k
     core.counters.row_broadcasts += k // 2    # sharing half the vector sideways
     core.tick(int(np.ceil(k / float(2 * nr))) + p)
 
     # S2: reduce the neighbour column's partials back into the owner column.
-    owner_partials = [partials[r] + partials[nr + r] for r in range(nr)]
+    owner_partials = partials[:nr] + partials[nr:]
     core.counters.mac_ops += nr
     core.counters.row_broadcasts += nr
     core.tick(1 + p)
@@ -113,12 +113,33 @@ def lac_householder_vector(core: LinearAlgebraCore, x: np.ndarray,
     rho1 = -np.sign(alpha1) * alpha if alpha1 != 0.0 else -alpha
     nu1 = alpha1 - rho1
     inv_nu1 = core.special(SpecialOp.RECIPROCAL, nu1)
-    u2 = np.array([core.pes[i % core.nr][0].multiply(v, inv_nu1) for i, v in enumerate(x2)])
+    u2 = x2 * inv_nu1
     chi2_scaled = abs(chi2 * inv_nu1)
-    core.counters.mac_ops += 1
+    core.counters.mac_ops += x2.size + 1
     tau1 = (1.0 + chi2_scaled ** 2) / 2.0
     core.tick(core.mac_latency)
     return float(rho1), u2, float(tau1)
+
+
+def apply_reflector(core: LinearAlgebraCore, u: np.ndarray, tau: float,
+                    block: np.ndarray) -> None:
+    """Apply ``H = I - u u^T / tau`` to ``block`` in place on the LAC mesh.
+
+    ``w = (u^T block) / tau`` is a matrix-vector product: each column's sum
+    runs down the rows in order, one MAC per element, and the columns
+    proceed in parallel.  ``block -= u w^T`` is then a rank-1 update.  Each
+    pass costs ``ceil(size / nr^2)`` cycles plus a pipeline drain.
+    """
+    rows, cols = block.shape
+    w = np.zeros(cols, dtype=float)
+    for r in range(rows):
+        w = u[r] * block[r] + w
+    w = w / tau
+    cycles = int(np.ceil(block.size / float(core.num_pes))) + core.mac_latency
+    core.tick(cycles)
+    block[...] = np.multiply.outer(-u, w) + block
+    core.tick(cycles)
+    core.counters.mac_ops += 2 * block.size
 
 
 def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
@@ -137,7 +158,6 @@ def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
         raise ValueError(f"panel must be k x nr with nr={nr}, got {a.shape}")
     if k < nr:
         raise ValueError("panel must have at least nr rows")
-    p = core.mac_latency
 
     core.distribute_a(a)
     taus: List[float] = []
@@ -148,25 +168,8 @@ def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
         if not np.isfinite(tau):
             a[j, j] = rho if u2.size else a[j, j]
             continue
-        u = np.concatenate(([1.0], u2))
-        # Apply H = I - u u^T / tau to the trailing columns: w = (u^T A)/tau,
-        # A -= u w^T -- a matrix-vector product plus a rank-1 update.
-        trailing = a[j:, j + 1:]
-        if trailing.size:
-            w = np.zeros(trailing.shape[1], dtype=float)
-            for c in range(trailing.shape[1]):
-                acc = 0.0
-                for r in range(trailing.shape[0]):
-                    acc = core.pes[r % nr][(j + 1 + c) % nr].multiply_add(
-                        u[r], trailing[r, c], acc)
-                w[c] = acc / tau
-            core.tick(int(np.ceil(trailing.size / float(nr * nr))) + p)
-            for r in range(trailing.shape[0]):
-                for c in range(trailing.shape[1]):
-                    trailing[r, c] = core.pes[r % nr][(j + 1 + c) % nr].multiply_add(
-                        -u[r], w[c], trailing[r, c])
-            core.tick(int(np.ceil(trailing.size / float(nr * nr))) + p)
-            a[j:, j + 1:] = trailing
+        if j + 1 < nr:
+            apply_reflector(core, np.concatenate(([1.0], u2)), tau, a[j:, j + 1:])
         # Store rho on the diagonal and the essential reflector below it.
         a[j, j] = rho
         a[j + 1:, j] = u2
@@ -191,8 +194,6 @@ def lac_apply_reflectors(core: LinearAlgebraCore, v: np.ndarray,
     start = core.counters.copy()
     v = np.asarray(v, dtype=float)
     c = np.array(c, dtype=float, copy=True)
-    nr = core.nr
-    p = core.mac_latency
     if v.ndim != 2 or c.ndim != 2:
         raise ValueError("reflector block and C must be 2-D")
     m, num_reflectors = v.shape
@@ -202,25 +203,11 @@ def lac_apply_reflectors(core: LinearAlgebraCore, v: np.ndarray,
     if len(taus) != num_reflectors:
         raise ValueError(f"expected {num_reflectors} tau scalars, got {len(taus)}")
 
-    q = c.shape[1]
     for j in range(num_reflectors):
         tau = taus[j]
         if not np.isfinite(tau):
             continue
-        u = np.concatenate(([1.0], v[j + 1:, j]))
-        rows = m - j
-        w = np.zeros(q, dtype=float)
-        for col in range(q):
-            acc = 0.0
-            for r in range(rows):
-                acc = core.pes[r % nr][col % nr].multiply_add(u[r], c[j + r, col], acc)
-            w[col] = acc / tau
-        core.tick(int(np.ceil(rows * q / float(nr * nr))) + p)
-        for r in range(rows):
-            for col in range(q):
-                c[j + r, col] = core.pes[r % nr][col % nr].multiply_add(
-                    -u[r], w[col], c[j + r, col])
-        core.tick(int(np.ceil(rows * q / float(nr * nr))) + p)
+        apply_reflector(core, np.concatenate(([1.0], v[j + 1:, j])), tau, c[j:])
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="apply_reflectors", output=c, counters=delta,

@@ -25,42 +25,6 @@ from repro.kernels.gemm import lac_rank1_sequence
 from repro.lac.core import LinearAlgebraCore
 
 
-def _syrk_unblocked(core: LinearAlgebraCore, c_block: np.ndarray,
-                    a_panel: np.ndarray) -> np.ndarray:
-    """Unblocked SYRK of one ``nr x nr`` diagonal block: C += A A^T.
-
-    ``a_panel`` is ``nr x kc``.  Each iteration broadcasts one column of A on
-    the row buses, transposes it over the diagonal PEs onto the column buses
-    and performs the rank-1 update -- the three concurrent activities of
-    Figure 5.2 (here charged as the transpose step plus the single-cycle
-    update).
-    """
-    nr = core.nr
-    c_block = np.asarray(c_block, dtype=float)
-    a_panel = np.asarray(a_panel, dtype=float)
-    if c_block.shape != (nr, nr) or a_panel.shape[0] != nr:
-        raise ValueError("diagonal SYRK operands have the wrong shape")
-    kc = a_panel.shape[1]
-
-    core.load_c_accumulators(c_block)
-    for p in range(kc):
-        column = a_panel[:, p]
-        transposed = core.transpose_via_diagonal(column)
-        # rank-1 update with a_i on the rows and a_i^T on the columns; the
-        # transpose step already drove the buses, so this is the MAC step.
-        for i in range(nr):
-            for j in range(nr):
-                core.pes[i][j].mac(column[i], transposed[j])
-        core.counters.store_a_reads += nr
-        core.tick(1)
-    updated = core.store_c_accumulators()
-    # Only the lower triangle is defined by the operation.
-    out = np.asarray(c_block, dtype=float).copy()
-    lower = np.tril_indices(nr)
-    out[lower] = updated[lower]
-    return out
-
-
 def lac_syrk(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray) -> KernelResult:
     """Blocked SYRK ``C := C + A A^T`` (lower triangle) on a single LAC.
 
@@ -82,13 +46,14 @@ def lac_syrk(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray) -> KernelRes
 
     core.distribute_a(a)
     for j in range(0, mc, nr):
-        # (1a/1b) diagonal block and the transposed panel A_j^T.
-        c[j:j + nr, j:j + nr] = _syrk_unblocked(core, c[j:j + nr, j:j + nr], a[j:j + nr, :])
+        # (1a/1b) diagonal block and the transposed panel A_j^T: each column
+        # of A_j is read once from MEM A and transposed over the diagonal PEs.
+        c[j:j + nr, j:j + nr] = _cross_unblocked(core, c[j:j + nr, j:j + nr], a[j:j + nr, :],
+                                                 a[j:j + nr, :], nr)
         a_j_t = a[j:j + nr, :].T  # kc x nr, retained in the PE rows by the kernel
         # (2) the panel below the diagonal: C[i, j] += A_i * A_j^T as GEMM.
-        for i in range(j + nr, mc, nr):
-            c[i:i + nr, j:j + nr] = lac_rank1_sequence(
-                core, c[i:i + nr, j:j + nr], a[i:i + nr, :], a_j_t)
+        c[j + nr:, j:j + nr] = lac_rank1_sequence(core, c[j + nr:, j:j + nr],
+                                                  a[j + nr:, :], a_j_t)
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="syrk", output=c, counters=delta, num_pes=core.num_pes)
@@ -119,36 +84,46 @@ def lac_syr2k(core: LinearAlgebraCore, c: np.ndarray, a: np.ndarray,
     for j in range(0, mc, nr):
         # Diagonal block: C_jj += A_j B_j^T + B_j A_j^T, via two transposing passes.
         block = c[j:j + nr, j:j + nr]
-        tmp = _cross_unblocked(core, block, a[j:j + nr, :], b[j:j + nr, :])
-        c[j:j + nr, j:j + nr] = _cross_unblocked(core, tmp, b[j:j + nr, :], a[j:j + nr, :])
-        a_j_t = a[j:j + nr, :].T
-        b_j_t = b[j:j + nr, :].T
-        for i in range(j + nr, mc, nr):
-            block = lac_rank1_sequence(core, c[i:i + nr, j:j + nr], a[i:i + nr, :], b_j_t)
-            c[i:i + nr, j:j + nr] = lac_rank1_sequence(core, block, b[i:i + nr, :], a_j_t)
+        tmp = _cross_unblocked(core, block, a[j:j + nr, :], b[j:j + nr, :], 2 * nr)
+        c[j:j + nr, j:j + nr] = _cross_unblocked(core, tmp, b[j:j + nr, :],
+                                                 a[j:j + nr, :], 2 * nr)
+        # Below the diagonal, each block runs its A_i B_j^T sequence and then
+        # its B_i A_j^T sequence.
+        panel = lac_rank1_sequence(core, c[j + nr:, j:j + nr], a[j + nr:, :],
+                                   b[j:j + nr, :].T)
+        c[j + nr:, j:j + nr] = lac_rank1_sequence(core, panel, b[j + nr:, :],
+                                                  a[j:j + nr, :].T)
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="syr2k", output=c, counters=delta, num_pes=core.num_pes)
 
 
 def _cross_unblocked(core: LinearAlgebraCore, c_block: np.ndarray,
-                     left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Diagonal-block cross term ``C += left * right^T`` with on-the-fly transpose."""
+                     left: np.ndarray, right: np.ndarray,
+                     reads_per_step: int) -> np.ndarray:
+    """Diagonal-block update ``C += left * right^T`` with on-the-fly transpose.
+
+    Step ``p`` broadcasts column ``p`` of ``right`` on the row buses, the
+    diagonal PEs re-broadcast it down the column buses, and every PE adds
+    its product with column ``p`` of ``left`` to its accumulator (one MAC
+    per PE, one cycle) -- the three concurrent activities of Figure 5.2.
+    ``reads_per_step`` ``MEM A`` words feed each step.  Only the lower
+    triangle of the block is updated.
+    """
     nr = core.nr
-    c_block = np.asarray(c_block, dtype=float)
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
     kc = left.shape[1]
     core.load_c_accumulators(c_block)
+    acc = core.accumulators[:, :, 0]
     for p in range(kc):
-        col_left = np.asarray(left, dtype=float)[:, p]
-        col_right = np.asarray(right, dtype=float)[:, p]
-        transposed = core.transpose_via_diagonal(col_right)
-        for i in range(nr):
-            for j in range(nr):
-                core.pes[i][j].mac(col_left[i], transposed[j])
-        core.counters.store_a_reads += 2 * nr
-        core.tick(1)
+        transposed = core.transpose_via_diagonal(right[:, p])
+        acc += np.multiply.outer(left[:, p], transposed)
+    core.counters.mac_ops += kc * nr * nr
+    core.counters.store_a_reads += kc * reads_per_step
+    core.tick(kc)
     updated = core.store_c_accumulators()
-    out = c_block.copy()
+    out = np.array(c_block, dtype=float, copy=True)
     lower = np.tril_indices(nr)
     out[lower] = updated[lower]
     return out

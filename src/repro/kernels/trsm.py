@@ -67,15 +67,11 @@ def lac_trsm_unblocked(core: LinearAlgebraCore, l_block: np.ndarray,
         # the i-th PE row, then scale the i-th row of B.
         inv = core.special(SpecialOp.RECIPROCAL, diag)
         core.broadcast_row(i, inv)
-        for j in range(m):
-            b_panel[i, j] = core.pes[i][j % nr].multiply(b_panel[i, j], inv)
+        b_panel[i] = b_panel[i] * inv
         # S3: broadcast the solved row down the columns and the i-th column of
         # L along the rows, rank-1 update of the remaining rows.
-        for r in range(i + 1, nr):
-            coeff = l_block[r, i]
-            for j in range(m):
-                pe = core.pes[r][j % nr]
-                b_panel[r, j] = pe.multiply_add(-coeff, b_panel[i, j], b_panel[r, j])
+        b_panel[i + 1:] = np.multiply.outer(-l_block[i + 1:, i], b_panel[i]) + b_panel[i + 1:]
+        core.counters.mac_ops += (nr - i) * m
         core.counters.row_broadcasts += 1
         core.counters.column_broadcasts += 1
 
@@ -119,12 +115,10 @@ def lac_trsm(core: LinearAlgebraCore, l: np.ndarray, b: np.ndarray,
 
     core.distribute_a(np.tril(l))
     for i in range(0, k, nr):
-        # (1) GEMM update with the already-computed rows of X.
-        for jj in range(0, m, nr):
-            block = b[i:i + nr, jj:jj + nr]
-            if i > 0:
-                block = lac_rank1_sequence(core, block, -l[i:i + nr, :i], b[:i, jj:jj + nr])
-            b[i:i + nr, jj:jj + nr] = block
+        # (1) GEMM update of the block row with the already-computed rows of X.
+        if i > 0:
+            b[i:i + nr, :] = lac_rank1_sequence(core, b[i:i + nr, :], -l[i:i + nr, :i],
+                                                b[:i, :])
         # (2) unblocked TRSM with the diagonal block, across the whole panel.
         b[i:i + nr, :] = lac_trsm_unblocked(core, l[i:i + nr, i:i + nr], b[i:i + nr, :],
                                             variant=variant)

@@ -11,23 +11,24 @@ one logical step at a time and charges cycles according to the operation
 performed (rank-1 updates are single-cycle throughput, dependent scalar steps
 pay the MAC pipeline latency, special functions pay the SFU latency).
 
-Numerical results are bit-identical to an equivalent NumPy computation except
-for floating-point summation order, which the tests account for with standard
-tolerances.  Every data movement increments an access counter so that the
-power model can be driven by realistic activity factors
-(:mod:`repro.lac.stats`).
+The PE state of a core is held as NumPy arrays indexed ``[row, col,
+address]`` (:class:`~repro.lac.core.LinearAlgebraCore`), and each step of a
+kernel updates the whole mesh with one array operation.  Every output element
+comes from the same floating-point operations, in the same order, as a PE
+issuing one MAC at a time would perform, so results are bit-identical to that
+literal model.  The access counters that drive the power model
+(:mod:`repro.lac.stats`) are charged once per operation in closed form; they
+equal the per-event counts of the per-PE model kept in the test suite as an
+oracle (``tests/lac_oracle.py``).
 """
 
 from repro.lac.stats import AccessCounters
-from repro.lac.pe import ProcessingElement, PEConfig
-from repro.lac.bus import RowColumnBuses
+from repro.lac.pe import PEConfig
 from repro.lac.core import LinearAlgebraCore, LACConfig
 
 __all__ = [
     "AccessCounters",
-    "ProcessingElement",
     "PEConfig",
-    "RowColumnBuses",
     "LinearAlgebraCore",
     "LACConfig",
 ]

@@ -1,20 +1,27 @@
 """The Linear Algebra Core (LAC): an ``nr x nr`` mesh of PEs with buses.
 
-This is the central object of the functional/cycle-level simulator.  It owns
-the PEs, the broadcast buses, the shared access counters and a special
-function unit, and provides the primitive operations that the kernel mappings
-in :mod:`repro.kernels` compose:
+This is the central object of the cycle-level simulator.  It owns the PE
+state, the shared access counters and a special function unit, and provides
+the primitive operations that the kernel mappings in :mod:`repro.kernels`
+compose:
 
 * 2D cyclic round-robin distribution of matrix blocks into the PE local
   stores (``alpha[i, p]`` lives in PE ``(i mod nr, p mod nr)``; the panel of
   ``B`` is replicated down the PE columns),
 * preloading of ``C`` into the MAC accumulators and streaming it back out,
-* the single-cycle rank-1 update step (column of ``A`` on the row buses, row
-  of ``B`` on the column buses, one MAC per PE),
 * diagonal-PE transposition (used by SYRK),
 * row/column broadcasts and reductions for the factorization kernels,
 * special function operations (reciprocal, square root, inverse square root)
   charged with the configured SFU latency.
+
+The PE state is three NumPy arrays indexed ``[row, col, address]``:
+``store_a`` (``MEM A``), ``store_b`` (``MEM B``) and ``accumulators``, sized
+from :class:`~repro.lac.pe.PEConfig`.  Each primitive updates the whole mesh
+with one array operation and charges its counters once, in closed form; the
+kernels do the same for their MAC steps (the rank-1 engine is
+:func:`repro.kernels.gemm.lac_rank1_sequence`).  A broadcast has no state
+beyond its counters: the value driven on a bus is the value every PE on it
+latches in the same step.
 
 Cycle accounting follows the dissertation's design: rank-1 updates sustain a
 throughput of one per cycle; dependent scalar steps pay the MAC pipeline
@@ -27,14 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.hw.sfu import SFUPlacement, SpecialFunctionUnit, SpecialOp
 from repro.hw.fpu import Precision
-from repro.lac.bus import RowColumnBuses
-from repro.lac.pe import PEConfig, ProcessingElement
+from repro.lac.pe import PEConfig
 from repro.lac.stats import AccessCounters
 
 
@@ -52,7 +58,7 @@ class LACConfig:
         Which divide/square-root option the core uses.
     precision:
         Operating precision (affects only the SFU latency model here; the
-        functional simulation always computes in Python floats).
+        functional simulation always computes in double precision).
     frequency_ghz:
         Clock frequency, used when converting cycle counts to time/energy.
     """
@@ -71,25 +77,34 @@ class LACConfig:
                              f"GHz, got {self.frequency_ghz}")
 
 
+def _check_words(base: int, words: int, limit: int, what: str) -> None:
+    """Raise the ``IndexError`` of the first of ``words`` sequential writes
+    from ``base`` that falls outside ``[0, limit)`` (none when all fit)."""
+    if words > 0 and not (0 <= base and base + words <= limit):
+        address = base if base < 0 or base >= limit else limit
+        raise IndexError(f"{what} address {address} out of range [0, {limit})")
+
+
 class LinearAlgebraCore:
     """Functional/cycle-level model of one LAC."""
 
     def __init__(self, config: Optional[LACConfig] = None):
         self.config = config if config is not None else LACConfig()
         nr = self.config.nr
+        pe = self.config.pe
         self.nr = nr
         self.counters = AccessCounters()
-        self.buses = RowColumnBuses(nr, self.counters)
-        self.pes: List[List[ProcessingElement]] = [
-            [ProcessingElement(r, c, self.config.pe, self.counters) for c in range(nr)]
-            for r in range(nr)
-        ]
+        #: ``MEM A``, ``MEM B`` and the MAC accumulators of every PE,
+        #: indexed ``[row, col, address]``.
+        self.store_a = np.zeros((nr, nr, pe.store_a_words))
+        self.store_b = np.zeros((nr, nr, pe.store_b_words))
+        self.accumulators = np.zeros((nr, nr, pe.accumulators))
         self.sfu = SpecialFunctionUnit(
             placement=self.config.sfu_placement,
             precision=self.config.precision,
             frequency_ghz=self.config.frequency_ghz,
             nr=nr,
-            mac_pipeline_stages=self.config.pe.mac_pipeline_stages,
+            mac_pipeline_stages=pe.mac_pipeline_stages,
         )
 
     # ------------------------------------------------------------ properties
@@ -102,14 +117,6 @@ class LinearAlgebraCore:
     def mac_latency(self) -> int:
         """MAC pipeline depth in cycles."""
         return self.config.pe.mac_pipeline_stages
-
-    def pe(self, row: int, col: int) -> ProcessingElement:
-        """Access one PE by mesh coordinates."""
-        return self.pes[row][col]
-
-    def reset_counters(self) -> None:
-        """Zero the shared access counters (keeps memory contents)."""
-        self.counters.reset()
 
     def tick(self, cycles: int = 1) -> None:
         """Advance the cycle counter by ``cycles``."""
@@ -132,13 +139,13 @@ class LinearAlgebraCore:
         m, k = a.shape
         nr = self.nr
         words_per_pe = int(math.ceil(m / nr) * math.ceil(k / nr))
-        next_addr = [[base_address for _ in range(nr)] for _ in range(nr)]
-        for i in range(m):
-            for p in range(k):
-                pe = self.pes[i % nr][p % nr]
-                addr = next_addr[i % nr][p % nr]
-                pe.write_store_a(addr, a[i, p])
-                next_addr[i % nr][p % nr] = addr + 1
+        _check_words(base_address, words_per_pe, self.config.pe.store_a_words,
+                     "store A")
+        for r in range(min(m, nr)):
+            for c in range(min(k, nr)):
+                words = a[r::nr, c::nr].ravel()
+                self.store_a[r, c, base_address:base_address + words.size] = words
+        self.counters.store_a_writes += m * k
         self.counters.external_loads += m * k
         self.tick(int(math.ceil(m * k / nr)))
         return words_per_pe
@@ -151,82 +158,61 @@ class LinearAlgebraCore:
         words written per PE.
         """
         b = np.asarray(b, dtype=float)
-        if b.ndim != 2 or b.shape[1] != self.nr:
-            raise ValueError(f"B panel must be k x nr (nr={self.nr}), got {b.shape}")
+        nr = self.nr
+        if b.ndim != 2 or b.shape[1] != nr:
+            raise ValueError(f"B panel must be k x nr (nr={nr}), got {b.shape}")
         k = b.shape[0]
-        for p in range(k):
-            for j in range(self.nr):
-                for i in range(self.nr):
-                    self.pes[i][j].write_store_b(base_address + p, b[p, j])
-        self.counters.external_loads += k * self.nr
-        self.tick(int(math.ceil(k * self.nr / self.nr)))
+        _check_words(base_address, k, self.config.pe.store_b_words, "store B")
+        self.store_b[:, :, base_address:base_address + k] = b.T
+        self.counters.store_b_writes += k * nr * nr
+        self.counters.external_loads += k * nr
+        self.tick(k)
         return k
 
     def load_c_accumulators(self, c: np.ndarray, accumulator: int = 0) -> None:
         """Preload an ``nr x nr`` block of C into the MAC accumulators."""
         c = np.asarray(c, dtype=float)
-        if c.shape != (self.nr, self.nr):
-            raise ValueError(f"C block must be {self.nr} x {self.nr}, got {c.shape}")
-        for i in range(self.nr):
-            for j in range(self.nr):
-                self.pes[i][j].set_accumulator(c[i, j], accumulator)
-        self.counters.external_loads += self.nr * self.nr
-        self.tick(self.nr)  # nr columns buses move nr words/cycle
+        nr = self.nr
+        if c.shape != (nr, nr):
+            raise ValueError(f"C block must be {nr} x {nr}, got {c.shape}")
+        _check_words(accumulator, 1, self.config.pe.accumulators, "accumulator")
+        self.accumulators[:, :, accumulator] = c
+        self.counters.accumulator_writes += nr * nr
+        self.counters.external_loads += nr * nr
+        self.tick(nr)  # nr columns buses move nr words/cycle
 
     def store_c_accumulators(self, accumulator: int = 0) -> np.ndarray:
         """Stream the ``nr x nr`` block of C out of the accumulators."""
-        out = np.empty((self.nr, self.nr), dtype=float)
-        for i in range(self.nr):
-            for j in range(self.nr):
-                out[i, j] = self.pes[i][j].get_accumulator(accumulator)
-        self.counters.external_stores += self.nr * self.nr
-        self.tick(self.nr)
+        nr = self.nr
+        _check_words(accumulator, 1, self.config.pe.accumulators, "accumulator")
+        out = self.accumulators[:, :, accumulator].copy()
+        self.counters.accumulator_reads += nr * nr
+        self.counters.external_stores += nr * nr
+        self.tick(nr)
         return out
-
-    # -------------------------------------------------------- rank-1 engine
-    def rank1_update_step(self, a_column: Sequence[float], b_row: Sequence[float],
-                          accumulator: int = 0) -> None:
-        """One rank-1 update: C += a_column * b_row, one MAC per PE, one cycle.
-
-        ``a_column`` (length nr) is driven onto the row buses by the root
-        column; ``b_row`` (length nr) is driven onto the column buses by the
-        root row.  The calling kernel charges the local-store reads.
-        """
-        if len(a_column) != self.nr or len(b_row) != self.nr:
-            raise ValueError("rank-1 operands must have length nr")
-        self.buses.broadcast_row_vector(list(a_column))
-        self.buses.broadcast_column_vector(list(b_row))
-        for i in range(self.nr):
-            alpha = self.buses.read_row(i)
-            for j in range(self.nr):
-                beta = self.buses.read_column(j)
-                pe = self.pes[i][j]
-                pe.latch_row_bus(alpha)
-                pe.latch_column_bus(beta)
-                pe.mac(alpha, beta, accumulator)
-        self.buses.clear()
-        self.tick(1)
 
     def drain_pipeline(self) -> None:
         """Charge the MAC pipeline drain latency after a dependent sequence."""
         self.tick(self.mac_latency)
 
     # -------------------------------------------------- broadcasts/reductions
+    def _check_bus(self, index: int) -> None:
+        if not (0 <= index < self.nr):
+            raise IndexError(f"bus index {index} out of range [0, {self.nr})")
+
     def broadcast_row(self, row: int, value: float) -> float:
         """Broadcast a scalar along one PE row (single cycle)."""
-        self.buses.drive_row(row, value)
-        out = self.buses.read_row(row)
-        self.buses.clear()
+        self._check_bus(row)
+        self.counters.row_broadcasts += 1
         self.tick(1)
-        return out
+        return float(value)
 
     def broadcast_column(self, col: int, value: float) -> float:
         """Broadcast a scalar along one PE column (single cycle)."""
-        self.buses.drive_column(col, value)
-        out = self.buses.read_column(col)
-        self.buses.clear()
+        self._check_bus(col)
+        self.counters.column_broadcasts += 1
         self.tick(1)
-        return out
+        return float(value)
 
     def transpose_via_diagonal(self, column_values: Sequence[float]) -> List[float]:
         """Transpose a column vector into a row vector via the diagonal PEs.
@@ -237,15 +223,10 @@ class LinearAlgebraCore:
         """
         if len(column_values) != self.nr:
             raise ValueError("transpose operand must have length nr")
-        self.buses.broadcast_row_vector(list(column_values))
-        latched = [self.buses.read_row(i) for i in range(self.nr)]
-        self.buses.clear()
-        self.tick(1)
-        self.buses.broadcast_column_vector(latched)
-        out = [self.buses.read_column(j) for j in range(self.nr)]
-        self.buses.clear()
-        self.tick(1)
-        return out
+        self.counters.row_broadcasts += self.nr
+        self.counters.column_broadcasts += self.nr
+        self.tick(2)
+        return [float(value) for value in column_values]
 
     def reduce_column(self, partials: Sequence[float]) -> float:
         """Sum ``nr`` partial values held by the PEs of one column.
@@ -259,9 +240,9 @@ class LinearAlgebraCore:
         total = 0.0
         for value in partials:
             total += float(value)
-            self.counters.column_broadcasts += 1
-            self.counters.mac_ops += 1
-            self.tick(1)
+        self.counters.column_broadcasts += self.nr
+        self.counters.mac_ops += self.nr
+        self.tick(self.nr)
         self.drain_pipeline()
         return total
 
@@ -304,8 +285,3 @@ class LinearAlgebraCore:
     def elapsed_seconds(self) -> float:
         """Wall-clock time represented by the recorded cycles."""
         return self.counters.cycles / (self.config.frequency_ghz * 1e9)
-
-    def achieved_gflops(self) -> float:
-        """Achieved GFLOPS since the last counter reset."""
-        seconds = self.elapsed_seconds()
-        return self.counters.flops / seconds / 1e9 if seconds > 0 else 0.0

@@ -25,7 +25,7 @@ from typing import Dict
 
 @dataclass
 class AccessCounters:
-    """Event counters for one simulation run (or one PE, when used per-PE)."""
+    """Event counters for one simulation run."""
 
     cycles: int = 0
     mac_ops: int = 0
@@ -44,12 +44,6 @@ class AccessCounters:
     external_stores: int = 0
 
     # ------------------------------------------------------------ arithmetic
-    def merge(self, other: "AccessCounters") -> "AccessCounters":
-        """Accumulate another counter set into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
     def copy(self) -> "AccessCounters":
         """Return an independent copy of the counters."""
         out = AccessCounters()
@@ -71,17 +65,6 @@ class AccessCounters:
     def flops(self) -> int:
         """Useful floating point operations (one MAC = 2 flops)."""
         return 2 * self.mac_ops
-
-    @property
-    def local_store_accesses(self) -> int:
-        """Total local store traffic (reads + writes, both stores)."""
-        return (self.store_a_reads + self.store_a_writes
-                + self.store_b_reads + self.store_b_writes)
-
-    @property
-    def bus_broadcasts(self) -> int:
-        """Total broadcast count over row and column buses."""
-        return self.row_broadcasts + self.column_broadcasts
 
     @property
     def external_words(self) -> int:

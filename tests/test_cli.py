@@ -48,6 +48,41 @@ def test_simulate_rejects_misaligned_size(capsys):
     assert "multiple of nr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel,size,nr,needed,store,capacity", [
+    ("gemm", 184, 4, 2116, "MEM A", 2048),
+    ("syrk", 184, 4, 2116, "MEM A", 2048),
+    ("trsm", 184, 4, 2116, "MEM A", 2048),
+    ("cholesky", 184, 4, 2116, "MEM A", 2048),
+    ("lu", 8196, 4, 2049, "MEM A", 2048),
+    ("gemm", 264, 8, 264, "MEM B", 256),
+])
+def test_simulate_rejects_operands_beyond_the_pe_stores(capsys, kernel, size, nr,
+                                                        needed, store, capacity):
+    """Operands that overflow a PE store fail cleanly instead of ending in
+    the simulator's IndexError traceback."""
+    assert main(["simulate", kernel, "--size", str(size), "--nr", str(nr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        f"simulate failed: {kernel} at size {size} needs {needed} words of {store} "
+        f"per PE at nr={nr}; the store holds {capacity}")
+    assert captured.out == ""
+
+
+def test_largest_fitting_sizes_pass_the_store_check():
+    from repro.kernels.dispatch import check_size
+
+    check_size("gemm", 180, 4)
+    check_size("lu", 8192, 4)
+    check_size("fft", 4096, 4)
+
+
+def test_sweep_rejects_operands_beyond_the_pe_stores(capsys):
+    assert main(["sweep", "--runner", "simulate", "--grid", "kernel=gemm",
+                 "--grid", "size=16,256", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep failed: gemm at size 256 needs 4096 words of MEM A" in err
+
+
 def test_design_summary(capsys):
     assert main(["design", "--cores", "8", "--frequency", "1.0"]) == 0
     out = capsys.readouterr().out

@@ -25,25 +25,12 @@ from typing import Dict, Iterator, List, Tuple
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONSUMER_DIRS = ("examples", "benchmarks", "perfbench")
 
-PER_PE = ("per-PE simulator path: moves into a test oracle when the LAC "
-          "simulator is vectorized")
 LEDGER = "model-vs-simulator error ledger: will compare the analytical models with it"
 TEST_REFERENCE = "test reference: tests compare product output against it"
 HTTP_HOOK = "http.server hook: BaseHTTPRequestHandler calls it by name"
 
 #: Qualified name -> why the definition stays without a consumer.
 ALLOWED: Dict[str, str] = {
-    "repro.lac.bus.RowColumnBuses.row_is_driven": PER_PE,
-    "repro.lac.bus.RowColumnBuses.column_is_driven": PER_PE,
-    "repro.lac.core.LinearAlgebraCore.reset_counters": PER_PE,
-    "repro.lac.core.LinearAlgebraCore.achieved_gflops": PER_PE,
-    "repro.lac.pe.ProcessingElement.read_store_a": PER_PE,
-    "repro.lac.pe.ProcessingElement.read_store_b": PER_PE,
-    "repro.lac.pe.ProcessingElement.write_register": PER_PE,
-    "repro.lac.pe.ProcessingElement.read_register": PER_PE,
-    "repro.lac.stats.AccessCounters.merge": PER_PE,
-    "repro.lac.stats.AccessCounters.local_store_accesses": PER_PE,
-    "repro.lac.stats.AccessCounters.bus_broadcasts": PER_PE,
     "repro.lap.offchip.OffChipTrafficModel": LEDGER,
     "repro.lap.offchip.OffChipTrafficModel.roofline_gflops": LEDGER,
     "repro.kernels.gemm.lac_gemm_steady_state_cycles": LEDGER,

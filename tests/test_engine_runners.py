@@ -8,6 +8,8 @@ residual against the numpy reference).
 """
 
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -288,3 +290,41 @@ def test_auto_mode_picks_pool_for_new_heavy_runners():
     executor = SweepExecutor(mode="auto")
     mode = executor._resolve_mode([(i, j) for i, j in enumerate(jobs)], workers=4)
     assert mode == "process"
+
+
+# ------------------------------------------------ simulator runner golden
+SIMULATOR_GOLDEN = (pathlib.Path(__file__).resolve().parent / "goldens"
+                    / "runtime" / "simulator_runners.json")
+
+
+def _simulator_runner_jobs():
+    """The ``simulate`` sweep over every kernel and the ``blocked_fact``
+    sweep over every method, at sizes 8-64 on 2x2 and 4x4 cores (96 jobs,
+    the same grids as ``repro sweep --runner simulate --grid
+    kernel=gemm,syrk,trsm,cholesky,lu,fft --grid size=8,16,32,64 --grid
+    nr=2,4`` and ``repro sweep --runner blocked_fact --grid
+    method=cholesky,lu,qr --grid n=8,16,32,64 --grid nr=2,4 --grid
+    use_extension=0,1``)."""
+    jobs = (SweepSpec()
+            .grid(kernel=("gemm", "syrk", "trsm", "cholesky", "lu", "fft"),
+                  size=(8, 16, 32, 64), nr=(2, 4))
+            .jobs("simulate"))
+    jobs += (SweepSpec()
+             .grid(method=("cholesky", "lu", "qr"), n=(8, 16, 32, 64),
+                   nr=(2, 4), use_extension=(0, 1))
+             .jobs("blocked_fact"))
+    return jobs
+
+
+def test_simulator_runner_rows_match_golden():
+    """Every ``simulate`` and ``blocked_fact`` row is pinned exactly, float
+    columns (utilisation, GFLOPS, residuals) included.  Regenerate only for
+    an intended change, with ``REPRO_UPDATE_GOLDENS=1``."""
+    rows = [get_runner(job.runner)(job.params_dict) for job in
+            _simulator_runner_jobs()]
+    text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        SIMULATOR_GOLDEN.write_text(text)
+        pytest.skip("golden regenerated")
+    assert len(rows) == 96
+    assert text == SIMULATOR_GOLDEN.read_text()

@@ -1,9 +1,14 @@
-"""Tests for the PE and broadcast-bus building blocks of the LAC simulator."""
+"""Tests for the PE and broadcast-bus building blocks of the per-PE LAC oracle.
+
+The product simulator keeps no PE or bus objects (its state is the arrays of
+``repro.lac.core.LinearAlgebraCore``); these pin the oracle's literal model
+that ``tests/test_lac_oracle.py`` compares the product against.
+"""
 
 import pytest
 
-from repro.lac.bus import RowColumnBuses
-from repro.lac.pe import PEConfig, ProcessingElement
+from lac_oracle import ProcessingElement, RowColumnBuses
+from repro.lac.pe import PEConfig
 from repro.lac.stats import AccessCounters
 
 
