@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.models.efficiency import EfficiencyMetrics
-
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -42,14 +40,6 @@ class ArchitectureSpec:
     gflops_per_watt: float
     utilization: float
     is_lap: bool = False
-
-    def efficiency(self) -> EfficiencyMetrics:
-        """Convert to the standard efficiency-metric container."""
-        area = self.gflops / self.gflops_per_mm2 if self.gflops_per_mm2 > 0 else 1.0
-        power = self.gflops / self.gflops_per_watt if self.gflops_per_watt > 0 else 1.0
-        return EfficiencyMetrics(label=self.name, gflops=self.gflops, power_w=power,
-                                 area_mm2=area, utilization=min(1.0, self.utilization),
-                                 precision=self.precision)
 
     @property
     def inverse_energy_delay(self) -> float:
@@ -107,14 +97,6 @@ def core_level_specs(precision: Optional[str] = None) -> List[ArchitectureSpec]:
 def chip_level_specs(precision: Optional[str] = None) -> List[ArchitectureSpec]:
     """Chip-level comparison entries, optionally filtered by precision."""
     return [s for s in _CHIP_LEVEL if precision is None or s.precision == precision]
-
-
-def lookup(name: str) -> ArchitectureSpec:
-    """Find one architecture by name across both scopes."""
-    for spec in _CORE_LEVEL + _CHIP_LEVEL:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"unknown architecture '{name}'")
 
 
 def design_choice_comparison() -> List[Dict[str, str]]:

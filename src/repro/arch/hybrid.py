@@ -34,13 +34,6 @@ class PEDesignVariant(enum.Enum):
     DEDICATED_FFT = "fft"
     HYBRID = "hybrid"
 
-    def describe(self) -> str:
-        return {
-            PEDesignVariant.DEDICATED_LAC: "dedicated linear-algebra PE",
-            PEDesignVariant.DEDICATED_FFT: "dedicated FFT PE (two single-ported SRAMs)",
-            PEDesignVariant.HYBRID: "hybrid LAC/FFT PE",
-        }[self]
-
 
 @dataclass(frozen=True)
 class HybridPEDesign:

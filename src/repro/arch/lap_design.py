@@ -11,6 +11,7 @@ path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -185,8 +186,11 @@ def build_pe(precision: Precision = Precision.DOUBLE, frequency_ghz: float = 1.0
              local_store_kbytes: float = 16.0, store_b_kbytes: float = 2.0,
              pipeline_stages: int = 5) -> PEDesignPoint:
     """Build one PE design point from the component models."""
-    if local_store_kbytes <= 0 or store_b_kbytes <= 0:
-        raise ValueError("local store capacities must be positive")
+    for name, kbytes in (("local_store_kbytes", local_store_kbytes),
+                         ("store_b_kbytes", store_b_kbytes)):
+        if not (math.isfinite(kbytes) and kbytes > 0):
+            raise ValueError(f"{name} must be a positive finite number of KB, "
+                             f"got {kbytes}")
     fmac = FMACUnit(precision=precision, frequency_ghz=frequency_ghz,
                     pipeline_stages=pipeline_stages)
     store_a = pe_store_a(int(local_store_kbytes * 1024))
@@ -212,8 +216,11 @@ def build_lap(num_cores: int = 8, nr: int = 4, precision: Precision = Precision.
               onchip_memory_mbytes: float = 4.0,
               offchip_bandwidth_gb_s: float = 32.0) -> LAPDesignPoint:
     """Build one LAP design point."""
-    if onchip_memory_mbytes <= 0:
-        raise ValueError("on-chip memory capacity must be positive")
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be at least 1, got {num_cores}")
+    if not (math.isfinite(onchip_memory_mbytes) and onchip_memory_mbytes > 0):
+        raise ValueError(f"onchip_memory_mbytes must be a positive finite number "
+                         f"of MB, got {onchip_memory_mbytes}")
     core = build_lac(nr=nr, precision=precision, frequency_ghz=frequency_ghz,
                      local_store_kbytes=local_store_kbytes)
     memory = OnChipMemory(capacity_bytes=int(onchip_memory_mbytes * 1024 * 1024),

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hw.technology import (KNOWN_NODES, TECH_45NM, TechnologyNode, scale_area,
-                                 scale_frequency, scale_power)
-from repro.models.efficiency import EfficiencyMetrics
+                                 scale_power)
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,6 @@ class ScaledMeasurement:
     def gflops_per_mm2(self) -> float:
         return self.gflops / self.area_mm2
 
-    def efficiency(self) -> EfficiencyMetrics:
-        """Standard efficiency container for the scaled measurement."""
-        return EfficiencyMetrics(
-            label=f"{self.original.name} @ {self.target_node.name}",
-            gflops=self.gflops, power_w=self.power_w, area_mm2=self.area_mm2,
-            utilization=self.original.utilization,
-            frequency_ghz=self.frequency_ghz,
-        )
-
     def as_row(self) -> Dict[str, object]:
         """Provenance row: published values next to the scaled ones."""
         return {
@@ -86,29 +76,20 @@ class ScaledMeasurement:
 
 
 def scale_measurement(measurement: PublishedMeasurement,
-                      target: TechnologyNode = TECH_45NM,
-                      rescale_frequency: bool = False) -> ScaledMeasurement:
+                      target: TechnologyNode = TECH_45NM) -> ScaledMeasurement:
     """Scale one published measurement to the target node.
 
-    With ``rescale_frequency=False`` (the paper's convention) the design keeps
-    its original clock: area shrinks quadratically, power shrinks with the
-    capacitance/voltage product, throughput is unchanged.  With
-    ``rescale_frequency=True`` the clock (and throughput) also speed up by the
-    feature-size ratio, which is used for "what could this design do if also
-    re-timed" style sensitivity checks.
+    The design keeps its original clock, as the paper's comparisons do: area
+    shrinks quadratically, power shrinks with the capacitance/voltage
+    product, and throughput is unchanged.
     """
     node = measurement.node
     area = scale_area(measurement.area_mm2, node, target)
     power = scale_power(measurement.power_w, node, target, same_frequency=True)
-    gflops = measurement.gflops
-    freq = measurement.frequency_ghz
-    if rescale_frequency:
-        ratio = node.feature_nm / target.feature_nm
-        gflops *= ratio
-        power *= ratio
-        freq = scale_frequency(freq, node, target) if freq else None
-    return ScaledMeasurement(original=measurement, target_node=target, gflops=gflops,
-                             power_w=power, area_mm2=area, frequency_ghz=freq)
+    return ScaledMeasurement(original=measurement, target_node=target,
+                             gflops=measurement.gflops, power_w=power,
+                             area_mm2=area,
+                             frequency_ghz=measurement.frequency_ghz)
 
 
 #: Published measurements used by the comparison tables, in their native nodes.

@@ -59,6 +59,7 @@ Provides eight sub-commands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -192,6 +193,30 @@ def _parse_scalar(token: str):
         except ValueError:
             continue
     return token
+
+
+def _budget_mb(text: str) -> float:
+    """``--max-mb``: a positive, finite number of megabytes."""
+    try:
+        mbytes = float(text)
+    except ValueError:
+        mbytes = math.nan
+    if not (math.isfinite(mbytes) and mbytes > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of MB, got '{text}'")
+    return mbytes
+
+
+def _entry_budget(text: str) -> int:
+    """``--max-entries``: a non-negative entry count."""
+    try:
+        entries = int(text)
+    except ValueError:
+        entries = -1
+    if entries < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of entries, got '{text}'")
+    return entries
 
 
 def _parse_axis(option: str, text: str) -> Dict[str, list]:
@@ -754,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8731,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8731)")
-    p_srv.add_argument("--max-mb", type=float, default=None,
+    p_srv.add_argument("--max-mb", type=_budget_mb, default=None,
                        help="size budget in MB for the served cache "
                             "(default: REPRO_CACHE_MAX_MB)")
     p_srv.add_argument("--quiet", action="store_true",
@@ -767,10 +792,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "entry; prune: LRU-evict down to the limits")
     p_cache.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                          help=f"cache directory (default: {DEFAULT_CACHE_DIR})")
-    p_cache.add_argument("--max-mb", type=float, default=None,
+    p_cache.add_argument("--max-mb", type=_budget_mb, default=None,
                          help="size budget in MB for prune (default: "
                               "REPRO_CACHE_MAX_MB)")
-    p_cache.add_argument("--max-entries", type=int, default=None,
+    p_cache.add_argument("--max-entries", type=_entry_budget, default=None,
                          help="entry-count budget for prune")
     p_cache.add_argument("--json", metavar="PATH",
                          help="write the result as JSON to PATH ('-' for stdout)")

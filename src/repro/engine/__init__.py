@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.engine.analysis import (DEFAULT_OBJECTIVES, IncrementalPareto,
-                                   best_per_metric, dominates, frontier_report,
+                                   best_per_metric, frontier_report,
                                    pareto_frontier)
 from repro.engine.cache import (CACHE_MAX_MB_ENV, ResultCache, SidecarStore,
                                 default_code_version, env_max_bytes,
@@ -50,7 +50,7 @@ __all__ = [
     "CACHE_MAX_MB_ENV", "env_max_bytes",
     "SweepExecutor", "SweepResult", "SweepStream", "StreamRow",
     "ProgressCallback", "execute_jobs", "stream_jobs",
-    "pareto_frontier", "best_per_metric", "dominates", "frontier_report",
+    "pareto_frontier", "best_per_metric", "frontier_report",
     "IncrementalPareto",
     "DEFAULT_OBJECTIVES", "PARETO_OBJECTIVES", "RUNNERS", "HEAVY_RUNNERS",
     "KNOWN_PARAMS",

@@ -33,15 +33,6 @@ def _oriented(row: Row, objectives: Sequence[str], minimize: Collection[str]) ->
             for o in objectives]
 
 
-def dominates(a: Row, b: Row, objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-              minimize: Collection[str] = ()) -> bool:
-    """True when ``a`` is at least as good as ``b`` on every objective and
-    strictly better on at least one."""
-    va = _oriented(a, objectives, minimize)
-    vb = _oriented(b, objectives, minimize)
-    return all(x >= y for x, y in zip(va, vb)) and any(x > y for x, y in zip(va, vb))
-
-
 def pareto_frontier(rows: Sequence[Row], objectives: Sequence[str] = DEFAULT_OBJECTIVES,
                     minimize: Collection[str] = ()) -> List[Row]:
     """The non-dominated subset of ``rows``, preserving input order.
@@ -120,19 +111,12 @@ class IncrementalPareto:
         self._vectors = keep_vectors
         return True
 
-    def update(self, rows: Sequence[Row]) -> int:
-        """Fold many rows in; returns how many joined the frontier."""
-        return sum(1 for row in rows if self.add(row))
-
     def frontier(self) -> List[Row]:
         """Current frontier members, in arrival order."""
         return list(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __iter__(self):
-        return iter(self._rows)
 
 
 def best_per_metric(rows: Sequence[Row], metrics: Sequence[str] = DEFAULT_OBJECTIVES,

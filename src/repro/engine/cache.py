@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -90,8 +91,8 @@ def _unlink(path: PathLike) -> None:
 def _env_budget_bytes(env_name: str, label: str) -> Optional[int]:
     """A size budget in bytes from a ``<ENV>`` megabyte knob, or ``None``.
 
-    An unparsable or non-positive value degrades to "no limit" with a
-    warning, mirroring how the other engine environment knobs behave.
+    An unparsable, non-finite or non-positive value degrades to "no limit"
+    with a warning, mirroring how the other engine environment knobs behave.
     """
     raw = os.environ.get(env_name)
     if raw is None or not raw.strip():
@@ -102,8 +103,8 @@ def _env_budget_bytes(env_name: str, label: str) -> Optional[int]:
         print(f"warning: {env_name}='{raw}' is not a number; "
               f"{label} size is unlimited", file=sys.stderr)
         return None
-    if mbytes <= 0:
-        print(f"warning: {env_name}={mbytes} is not positive; "
+    if not math.isfinite(mbytes) or mbytes <= 0:
+        print(f"warning: {env_name}={mbytes} is not a positive finite number; "
               f"{label} size is unlimited", file=sys.stderr)
         return None
     return int(mbytes * 1024 * 1024)
@@ -524,9 +525,6 @@ class ResultCache(_FanoutStore):
         directory is unwritable.
         """
         return self._write(self.path_for(job), self.entry_for(job, row))
-
-    def __contains__(self, job: Job) -> bool:
-        return self.path_for(job).is_file()
 
     # ------------------------------------------------------- key-addressed
     def get_by_key(self, key: str) -> Optional[dict]:

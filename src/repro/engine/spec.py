@@ -2,14 +2,15 @@
 
 A :class:`SweepSpec` describes a region of the design space as a set of
 constants, grid axes (cartesian product), zip groups (axes that vary
-together) and filters.  ``expand()`` turns the spec into a deterministic
-list of parameter dictionaries, and ``jobs()`` wraps each point in a
+together) and filters.  ``iter_points()`` yields the spec's parameter
+dictionaries in a deterministic order, and ``jobs()`` wraps each point in a
 hashable :class:`Job` bound to a named runner (see
 :mod:`repro.engine.runners`).
 
 Jobs hash stably: two jobs with the same runner and the same parameters
-(regardless of insertion order) share the same ``key``, which is what the
-result cache and the executor use to identify work.
+(regardless of insertion order) share the same content key
+(:func:`params_key`), which is what the result cache and the executor use
+to identify work.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 #: Parameter values must stay JSON-serialisable scalars so that jobs can be
 #: hashed, cached on disk and shipped to worker processes.
@@ -80,15 +80,6 @@ class Job:
         """Parameters as a plain (mutable) dictionary."""
         return dict(self.params)
 
-    @property
-    def key(self) -> str:
-        """Content hash identifying the job (independent of code version)."""
-        return params_key(self.runner, self.params_dict)
-
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.runner}({inner})"
-
 
 class SweepSpec:
     """Declarative description of a design-space sweep.
@@ -98,7 +89,7 @@ class SweepSpec:
 
     >>> base = SweepSpec().constants(nr=4)
     >>> spec = base.grid(cores=(4, 8), frequency_ghz=(1.0, 1.4))
-    >>> len(spec)
+    >>> len(spec.jobs("design"))
     4
     """
 
@@ -208,10 +199,6 @@ class SweepSpec:
             if all(pred(point) for pred in self._filters):
                 yield point
 
-    def expand(self) -> List[Params]:
-        """All parameter points, in deterministic declaration order."""
-        return list(self.iter_points())
-
     def iter_jobs(self, runner: str) -> Iterator[Job]:
         """Lazily yield every point as a :class:`Job` bound to ``runner``."""
         for point in self.iter_points():
@@ -220,12 +207,3 @@ class SweepSpec:
     def jobs(self, runner: str) -> List[Job]:
         """Wrap every point into a :class:`Job` bound to ``runner``."""
         return list(self.iter_jobs(runner))
-
-    def __len__(self) -> int:
-        return len(self.expand())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SweepSpec(constants={sorted(self._constants)}, "
-                f"grid={[n for n, _ in self._grid_axes]}, "
-                f"zip={[[n for n, _ in g] for g in self._zip_groups]}, "
-                f"filters={len(self._filters)})")

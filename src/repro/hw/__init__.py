@@ -19,7 +19,7 @@ All models are calibrated to the constants quoted in the dissertation so
 that the tables and figures of the evaluation chapters can be regenerated.
 """
 
-from repro.hw.technology import TechnologyNode, TECH_45NM, TECH_65NM, TECH_90NM, scale_power, scale_area, scale_frequency
+from repro.hw.technology import TechnologyNode, TECH_45NM, TECH_65NM, TECH_90NM, scale_power, scale_area
 from repro.hw.fpu import FMACUnit, Precision
 from repro.hw.sfu import SpecialFunctionUnit, SFUPlacement, GoldschmidtDivider
 from repro.hw.sram import SRAMConfig, SRAMModel
@@ -33,7 +33,6 @@ __all__ = [
     "TECH_90NM",
     "scale_power",
     "scale_area",
-    "scale_frequency",
     "FMACUnit",
     "Precision",
     "SpecialFunctionUnit",

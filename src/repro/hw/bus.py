@@ -128,17 +128,3 @@ class BroadcastBus:
         if broadcasts_per_cycle < 0:
             raise ValueError("broadcast rate must be non-negative")
         return self.energy_per_broadcast_j * broadcasts_per_cycle * frequency_ghz * 1e9
-
-    # ------------------------------------------------------------------ area
-    @property
-    def area_mm2(self) -> float:
-        """Wiring area of this bus (half of the per-PE row+column budget)."""
-        return 0.5 * BUS_AREA_PER_PE_MM2 * self.span_pes
-
-    def describe(self) -> str:
-        """One-line summary for reports."""
-        return (
-            f"Bus[{self.width_bits}b x {self.span_pes} PEs, {self.wire_class.value}]: "
-            f"{self.length_mm:.2f} mm, fmax {self.max_frequency_ghz:.2f} GHz, "
-            f"{self.energy_per_broadcast_j * 1e12:.2f} pJ/broadcast"
-        )

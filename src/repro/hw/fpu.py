@@ -157,47 +157,7 @@ class FMACUnit:
         """Leakage/idle power modelled as a technology-dependent fraction."""
         return self.dynamic_power_w * self.node.leakage_fraction
 
-    # ----------------------------------------------------------- performance
-    @property
-    def flops_per_cycle(self) -> int:
-        """Floating point operations per cycle (a MAC counts as 2 flops)."""
-        return 2
-
-    @property
-    def peak_gflops(self) -> float:
-        """Peak throughput in GFLOPS (one MAC = 2 flops per cycle)."""
-        return self.flops_per_cycle * self.frequency_ghz
-
-    @property
-    def gflops_per_watt(self) -> float:
-        """Peak compute efficiency of the bare unit."""
-        return self.peak_gflops / self.dynamic_power_w
-
-    @property
-    def gflops_per_mm2(self) -> float:
-        """Peak areal compute density of the bare unit."""
-        return self.peak_gflops / self.area_mm2
-
     # ------------------------------------------------------------- factories
-    def at_frequency(self, frequency_ghz: float) -> "FMACUnit":
-        """Return a copy of this unit clocked at a different frequency."""
-        return replace(self, frequency_ghz=frequency_ghz)
-
     def with_extensions(self, comparator: bool = False, extended_exponent: bool = False) -> "FMACUnit":
         """Return a copy with the Chapter-6 MAC extensions toggled."""
         return replace(self, has_comparator=comparator, extended_exponent=extended_exponent)
-
-    def describe(self) -> str:
-        """One-line human readable summary of the design point."""
-        ext = []
-        if self.has_comparator:
-            ext.append("cmp")
-        if self.extended_exponent:
-            ext.append("exp+1")
-        ext_s = "+".join(ext) if ext else "base"
-        return (
-            f"FMAC[{self.precision.value}, {self.pipeline_stages} stages, "
-            f"{self.frequency_ghz:.2f} GHz, {ext_s}]: "
-            f"{self.area_mm2 * 1e3:.1f}e-3 mm^2, {self.dynamic_power_w * 1e3:.1f} mW, "
-            f"{self.peak_gflops:.2f} GFLOPS"
-        )

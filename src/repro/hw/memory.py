@@ -102,14 +102,6 @@ class OnChipMemory:
         """Total leakage of all banks."""
         return self.banks * self._bank_model().leakage_power_w
 
-    def describe(self) -> str:
-        mb = self.capacity_bytes / (1024.0 * 1024.0)
-        return (
-            f"OnChipSRAM[{mb:.2f} MB, {self.banks} banks"
-            f"{', HP' if self.high_performance else ''}]: "
-            f"{self.area_mm2:.1f} mm^2, peak {self.peak_bandwidth_bytes_per_cycle:.0f} B/cycle"
-        )
-
 
 @dataclass(frozen=True)
 class NUCACache:
@@ -186,13 +178,6 @@ class NUCACache:
         """Leakage, dominated by the high-performance banks when present."""
         return self._sram().leakage_power_w * (1.0 + self.TAG_AREA_OVERHEAD)
 
-    def describe(self) -> str:
-        mb = self.capacity_bytes / (1024.0 * 1024.0)
-        return (
-            f"NUCA[{mb:.2f} MB, {self.associativity}-way, {self.banks} banks]: "
-            f"{self.area_mm2:.1f} mm^2"
-        )
-
 
 @dataclass(frozen=True)
 class OffChipInterface:
@@ -237,6 +222,3 @@ class OffChipInterface:
         """Cycles needed to transfer ``num_bytes`` at the given core clock."""
         bpc = self.bytes_per_cycle(frequency_ghz)
         return num_bytes / bpc if bpc > 0 else math.inf
-
-    def describe(self) -> str:
-        return f"OffChip[{self.bandwidth_gbytes_per_sec:.0f} GB/s]"

@@ -39,13 +39,6 @@ class SFUPlacement(enum.Enum):
     ISOLATED = "isolate"     #: one shared unit per core
     DIAGONAL = "diag"        #: MAC extensions on the diagonal PEs
 
-    def describe(self) -> str:
-        return {
-            SFUPlacement.SOFTWARE: "software (Goldschmidt on PE MAC)",
-            SFUPlacement.ISOLATED: "isolated per-core divide/sqrt unit",
-            SFUPlacement.DIAGONAL: "extended MAC units on diagonal PEs",
-        }[self]
-
 
 class SpecialOp(enum.Enum):
     """The special operations required by the factorization kernels."""
@@ -220,13 +213,3 @@ class SpecialFunctionUnit:
             fmac = FMACUnit(precision=self.precision, frequency_ghz=self.frequency_ghz)
             return self.divider.mac_operations(op) * fmac.energy_per_mac_j
         return self.active_power_w * seconds
-
-    # -------------------------------------------------------------- summary
-    def describe(self) -> str:
-        """Human readable description of the option."""
-        return (
-            f"SFU[{self.placement.value}, {self.precision.value}]: "
-            f"area {self.area_mm2:.3f} mm^2, "
-            f"recip {self.latency_cycles(SpecialOp.RECIPROCAL)} cyc, "
-            f"inv-sqrt {self.latency_cycles(SpecialOp.INV_SQRT)} cyc"
-        )

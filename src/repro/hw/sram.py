@@ -24,7 +24,7 @@ evaluation only depends on relative behaviour across sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.technology import TechnologyNode, TECH_45NM
 
@@ -92,11 +92,6 @@ class SRAMConfig:
     def capacity_kbytes(self) -> float:
         """Capacity in kilobytes."""
         return self.capacity_bytes / 1024.0
-
-    @property
-    def words(self) -> int:
-        """Number of addressable words."""
-        return max(1, self.capacity_bytes // self.word_bytes)
 
 
 class SRAMModel:
@@ -194,16 +189,6 @@ class SRAMModel:
         if self.config.high_performance:
             freq *= 1.4
         return freq
-
-    # -------------------------------------------------------------- summary
-    def describe(self) -> str:
-        """One-line summary used by the experiment report generators."""
-        cfg = self.config
-        return (
-            f"SRAM[{cfg.capacity_kbytes:.1f} KB, {cfg.ports}p, {cfg.banks}b"
-            f"{', HP' if cfg.high_performance else ''}]: "
-            f"{self.area_mm2:.3f} mm^2, {self.energy_per_access_j * 1e12:.2f} pJ/access"
-        )
 
 
 def pe_store_a(capacity_bytes: int, node: TechnologyNode = TECH_45NM) -> SRAMModel:

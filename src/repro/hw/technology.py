@@ -104,14 +104,6 @@ def scale_power(power_w: float, from_node: TechnologyNode, to_node: TechnologyNo
     return scaled
 
 
-def scale_frequency(freq_ghz: float, from_node: TechnologyNode, to_node: TechnologyNode) -> float:
-    """Scale an achievable clock frequency between nodes (delay ~ feature size)."""
-    if freq_ghz < 0:
-        raise ValueError(f"frequency must be non-negative, got {freq_ghz}")
-    s = from_node.feature_nm / to_node.feature_nm
-    return freq_ghz * s
-
-
 @dataclass
 class OperatingPoint:
     """A (frequency, voltage) operating point for a component.

@@ -278,10 +278,6 @@ class LinearAlgebraCore:
         raise ValueError(f"unknown special operation {op}")
 
     # ------------------------------------------------------------- reporting
-    def utilization(self) -> float:
-        """MAC issue rate relative to peak since the last counter reset."""
-        return self.counters.utilization(self.num_pes)
-
     def elapsed_seconds(self) -> float:
         """Wall-clock time represented by the recorded cycles."""
         return self.counters.cycles / (self.config.frequency_ghz * 1e9)

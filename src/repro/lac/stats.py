@@ -51,11 +51,6 @@ class AccessCounters:
             setattr(out, f.name, getattr(self, f.name))
         return out
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dictionary."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

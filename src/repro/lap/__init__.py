@@ -5,7 +5,8 @@ The LAP surrounds ``S`` Linear Algebra Cores with a shared on-chip memory
 off-chip memory interface.  This subpackage provides:
 
 * :mod:`repro.lap.chip` -- the chip object tying cores, on-chip memory and
-  the off-chip interface together, with chip-wide cycle/energy accounting;
+  the off-chip interface together (its area and power design point is
+  :class:`repro.arch.lap_design.LAPDesignPoint`);
 * :mod:`repro.lap.policies` -- all scheduling code: the names of the
   task-graph policies (greedy / critical_path / locality / memory_aware /
   affinity) plus the static panel-blocking :class:`GEMMScheduler` of

@@ -112,10 +112,6 @@ class TaskExecution:
     writeback_bytes: float = 0.0
     shared_to_local_bytes: float = 0.0
 
-    @property
-    def cycles(self) -> float:
-        return self.end_cycle - self.start_cycle
-
 
 class _LACKernels:
     """The tile kernels on one core of the cycle-level LAC simulator.
@@ -761,8 +757,7 @@ class LAPRuntime:
             refill_b = nmiss * tb
             spill_b = nspill * tb
             if spill_b > 0:
-                stall = (spill_b / bpc_off if bpc_off > 0
-                         else bandwidth.stall_cycles(spill_b))
+                stall = spill_b / bpc_off
             else:
                 stall = 0.0
             flops = task_flops[i]

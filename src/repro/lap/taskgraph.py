@@ -180,7 +180,7 @@ class TaskGraph(collections.abc.Sequence):
 
     Behaves as a sequence of :class:`TaskDescriptor` (so existing callers
     that expect a task list keep working) and adds the graph structure and
-    metrics a scheduler wants: predecessor/successor adjacency, per-kind
+    metrics a scheduler wants: successor adjacency and in-degrees, per-kind
     counts, topological levels, width (the largest level -- an upper bound
     on exploitable task parallelism) and critical-path lengths, optionally
     weighted by an estimated per-task cost.
@@ -235,15 +235,6 @@ class TaskGraph(collections.abc.Sequence):
     def task(self, task_id: int) -> TaskDescriptor:
         """Look up one task by id."""
         return self._tasks[self.id2idx[task_id]]
-
-    # ----------------------------------------------------------- adjacency
-    def successors(self, task_id: int) -> List[int]:
-        """Ids of the tasks that depend on ``task_id``."""
-        return [self.ids[j] for j in self.succ[self.id2idx[task_id]]]
-
-    def predecessors(self, task_id: int) -> List[int]:
-        """Ids of the tasks ``task_id`` depends on (duplicates removed)."""
-        return sorted(set(self.task(task_id).depends_on))
 
     # ------------------------------------------------------------ analytics
     def kind_counts(self) -> Dict[TaskKind, int]:

@@ -21,9 +21,8 @@ key results reproduced here are:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.models.core_model import CoreGEMMModel
 
@@ -37,18 +36,6 @@ class Level3Operation(enum.Enum):
     SYRK = "syrk"
     SYR2K = "syr2k"
     TRSM = "trsm"
-
-    @property
-    def flops(self) -> str:
-        """Asymptotic flop count formula (for documentation/report purposes)."""
-        return {
-            Level3Operation.GEMM: "2*m*n*k",
-            Level3Operation.SYMM: "2*m*m*n",
-            Level3Operation.TRMM: "m*m*n",
-            Level3Operation.SYRK: "n*n*m",
-            Level3Operation.SYR2K: "2*n*n*m",
-            Level3Operation.TRSM: "n*n*m",
-        }[self]
 
 
 @dataclass(frozen=True)
@@ -165,17 +152,6 @@ class BlasCoreModel:
         )
 
     # ------------------------------------------------------------ sweeps
-    def sweep_local_store(self, operation: Level3Operation, bandwidths: Sequence[float],
-                          kc_values: Iterable[int], n: int = 512,
-                          full_overlap: bool = False) -> List[BlasModelResult]:
-        """Utilisation vs local store for several bandwidths (Figs. 5.8/5.9)."""
-        out: List[BlasModelResult] = []
-        for bw in bandwidths:
-            for kc in kc_values:
-                out.append(self.utilization(operation, mc=kc, kc=kc, n=n,
-                                            bandwidth_elements_per_cycle=bw,
-                                            full_overlap=full_overlap))
-        return out
 
     def compare_operations(self, mc: int, kc: int, n: int,
                            bandwidth_elements_per_cycle: float,

@@ -18,7 +18,6 @@ This module reproduces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -312,7 +311,3 @@ class ChipGEMMModel:
     def _check(self, mc: int, kc: int, n: int) -> None:
         if mc <= 0 or kc <= 0 or n <= 0:
             raise ValueError(f"all of mc, kc, n must be positive (mc={mc}, kc={kc}, n={n})")
-
-    def peak_gflops(self, frequency_ghz: float) -> float:
-        """Peak GFLOPS of the whole LAP."""
-        return 2.0 * self.num_cores * self.nr * self.nr * frequency_ghz

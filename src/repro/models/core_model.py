@@ -25,9 +25,8 @@ the partial-overlap design and ``2*(mc + nr^2)*kc`` for full overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,6 @@ class CoreModelResult:
     def local_store_bytes_per_pe(self) -> float:
         """Local store requirement per PE in bytes (double precision)."""
         return self.local_store_elements_per_pe * 8.0
-
-    @property
-    def gflops(self) -> float:
-        """Not frequency-scaled; callers multiply by frequency * 2 * nr^2."""
-        return self.utilization
 
 
 class CoreGEMMModel:
@@ -150,11 +144,6 @@ class CoreGEMMModel:
             full_overlap=full_overlap,
         )
 
-    def utilization(self, mc: int, kc: int, n: int, bandwidth_elements_per_cycle: float,
-                    full_overlap: bool = False) -> float:
-        """Convenience wrapper returning only the utilisation fraction."""
-        return self.cycles(mc, kc, n, bandwidth_elements_per_cycle, full_overlap).utilization
-
     # ------------------------------------------------- bandwidth requirements
     def required_bandwidth_for_peak(self, mc: int, kc: int, n: Optional[int] = None,
                                     full_overlap: bool = True) -> float:
@@ -175,20 +164,6 @@ class CoreGEMMModel:
         return req
 
     # ------------------------------------------------------- sweep utilities
-    def sweep_local_store(self, bandwidths: Sequence[float], kc_values: Iterable[int],
-                          n: int = 512, full_overlap: bool = False) -> List[CoreModelResult]:
-        """Sweep square blockings (mc = kc) against a set of bandwidths.
-
-        This reproduces the data behind Figure 3.4: utilisation as a function
-        of per-PE local store size for several core-to-memory bandwidths.
-        """
-        results: List[CoreModelResult] = []
-        for bw in bandwidths:
-            for kc in kc_values:
-                results.append(self.cycles(mc=kc, kc=kc, n=n,
-                                           bandwidth_elements_per_cycle=bw,
-                                           full_overlap=full_overlap))
-        return results
 
     def peak_bandwidth_vs_local_store(self, kc_values: Iterable[int], n: int = 512) -> List[dict]:
         """Bandwidth needed for peak vs. resulting local store size (Fig. 3.5)."""

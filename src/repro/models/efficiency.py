@@ -102,18 +102,3 @@ class EfficiencyMetrics:
         if self.gflops == 0:
             return float("inf")
         return 1e3 * self.power_w / self.gflops
-
-    # ------------------------------------------------------------- helpers
-
-    def as_row(self) -> dict:
-        """Dictionary row for table rendering."""
-        return {
-            "label": self.label,
-            "precision": self.precision or "-",
-            "gflops": round(self.gflops, 2),
-            "w_per_mm2": round(self.watts_per_mm2, 3),
-            "gflops_per_mm2": round(self.gflops_per_mm2, 3),
-            "gflops_per_w": round(self.gflops_per_watt, 2),
-            "gflops2_per_w": round(self.inverse_energy_delay, 1),
-            "utilization_pct": round(100.0 * self.utilization, 1),
-        }

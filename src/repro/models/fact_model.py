@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
 
 from repro.hw.fpu import FMACUnit, Precision
 from repro.hw.sfu import SFUPlacement, SpecialFunctionUnit, SpecialOp
@@ -35,13 +34,6 @@ class MACExtension(enum.Enum):
     NONE = "none"                #: baseline MAC unit
     COMPARATOR = "comparator"    #: adds pivot-search comparator (LU)
     EXPONENT = "exponent"        #: adds an extra exponent bit (vector norm)
-
-    def describe(self) -> str:
-        return {
-            MACExtension.NONE: "baseline MAC",
-            MACExtension.COMPARATOR: "MAC + comparator",
-            MACExtension.EXPONENT: "MAC + extended exponent",
-        }[self]
 
 
 class FactorizationKernel(enum.Enum):
@@ -288,19 +280,6 @@ class FactorizationKernelModel:
         return KernelCostResult(kernel=kernel, k=k, nr=self.nr, placement=placement,
                                 extension=extension, cycles=cycles, useful_flops=flops,
                                 dynamic_energy_j=energy)
-
-    def sweep(self, kernel: FactorizationKernel, sizes: Sequence[int],
-              placements: Optional[Sequence[SFUPlacement]] = None,
-              extensions: Optional[Sequence[MACExtension]] = None) -> List[KernelCostResult]:
-        """Evaluate a kernel across problem sizes and architecture options."""
-        placements = list(placements or SFUPlacement)
-        extensions = list(extensions or MACExtension)
-        out: List[KernelCostResult] = []
-        for k in sizes:
-            for pl in placements:
-                for ext in extensions:
-                    out.append(self.evaluate(kernel, k, pl, ext))
-        return out
 
     # ----------------------------------------------------- efficiency rows
     def efficiency(self, result: KernelCostResult, core_area_mm2: float) -> EfficiencyMetrics:

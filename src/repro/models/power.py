@@ -18,8 +18,8 @@ container used to reproduce the normalised power-breakdown figures
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,6 @@ class PowerBreakdown:
             raise ValueError(f"breakdown '{self.label}' has no recorded throughput")
         return {name: watts / self.gflops for name, watts in self.by_component().items()}
 
-    def scaled(self, factor: float, label: Optional[str] = None) -> "PowerBreakdown":
-        """Return a copy with every component's max power scaled by ``factor``."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        comps = [replace(c, max_power_w=c.max_power_w * factor) for c in self.components]
-        return PowerBreakdown(label=label or self.label, components=comps,
-                              idle_ratio=self.idle_ratio, gflops=self.gflops)
-
 
 class PowerModel:
     """Builds :class:`PowerBreakdown` objects from component inventories.
@@ -139,8 +131,3 @@ class PowerModel:
             raise ValueError("throughput must be non-negative")
         return PowerBreakdown(label=label, components=comps,
                               idle_ratio=self.idle_ratio, gflops=gflops)
-
-    def total_power_w(self, components: Iterable[PowerComponent]) -> float:
-        """Total (dynamic + idle) power of a component inventory."""
-        dyn = sum(c.dynamic_power_w for c in components)
-        return dyn * (1.0 + self.idle_ratio)

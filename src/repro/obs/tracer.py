@@ -77,9 +77,6 @@ class Counter:
         if ts is not None:
             self.series.append((ts, self.value))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, value={self.value})"
-
 
 class Tracer:
     """Collects spans and counters."""
@@ -115,8 +112,3 @@ class Tracer:
         for group in grouped.values():
             group.sort(key=lambda s: (s.start, s.end))
         return grouped
-
-    def clear(self) -> None:
-        """Drop every recorded span and counter."""
-        self.spans.clear()
-        self.counters.clear()

@@ -12,8 +12,9 @@ for the tests to compare against:
   bus per step, with contention and idle-read checks;
 * :class:`OracleCore` -- the mesh of PEs and buses with the primitives of
   the product core, each issued word by word and MAC by MAC;
-* :func:`merge_counters`, :func:`local_store_accesses` and
-  :func:`bus_broadcasts` -- counter arithmetic that only tests use;
+* :func:`merge_counters`, :func:`reset_counters`,
+  :func:`local_store_accesses` and :func:`bus_broadcasts` -- counter
+  arithmetic that only tests use;
 * the kernels of :mod:`repro.kernels` under their product names
   (:func:`lac_gemm`, :func:`lac_syrk`, ... :func:`lac_fft`), each driving
   one PE method call per MAC on an :class:`OracleCore`.
@@ -45,6 +46,12 @@ def merge_counters(total: AccessCounters, other: AccessCounters) -> AccessCounte
     for name, value in other.as_dict().items():
         setattr(total, name, getattr(total, name) + value)
     return total
+
+
+def reset_counters(counters: AccessCounters) -> None:
+    """Zero every counter field in place."""
+    for name in counters.as_dict():
+        setattr(counters, name, 0)
 
 
 def local_store_accesses(counters: AccessCounters) -> int:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.arch.breakdowns import (cpu_penryn_breakdown, efficiency_comparison,
                                    gpu_fermi_breakdown, gpu_tesla_breakdown, lap_breakdown)
-from repro.arch.database import (chip_level_specs, core_level_specs,
-                                 design_choice_comparison, lookup)
+from repro.arch.database import (ArchitectureSpec, chip_level_specs, core_level_specs,
+                                 design_choice_comparison)
 from repro.arch.hybrid import (PEDesignVariant, build_variant, fft_alternatives_comparison,
                                hybrid_design_comparison)
 from repro.arch.lap_design import (build_lac, build_lap, build_pe,
@@ -15,6 +15,14 @@ from repro.hw.sfu import SFUPlacement
 
 
 # --------------------------------------------------------------- database
+def lookup(name: str) -> ArchitectureSpec:
+    """Find one architecture by name across both scopes."""
+    for spec in core_level_specs() + chip_level_specs():
+        if spec.name == name:
+            return spec
+    raise KeyError(f"unknown architecture '{name}'")
+
+
 def test_database_contains_lap_and_competitors():
     core = core_level_specs()
     chips = chip_level_specs()
@@ -68,13 +76,6 @@ def test_inverse_energy_delay_ranking():
     assert all(lap.inverse_energy_delay > s.inverse_energy_delay for s in others)
 
 
-def test_efficiency_conversion_round_trip():
-    spec = lookup("Cell SPE")
-    eff = spec.efficiency()
-    assert eff.gflops_per_watt == pytest.approx(spec.gflops_per_watt, rel=1e-9)
-    assert eff.gflops_per_mm2 == pytest.approx(spec.gflops_per_mm2, rel=1e-9)
-
-
 def test_design_choice_comparison_covers_key_aspects():
     rows = design_choice_comparison()
     aspects = {r["aspect"] for r in rows}
@@ -120,6 +121,27 @@ def test_single_precision_core_efficiency_higher_than_double():
     sp = build_lac(nr=4, precision=Precision.SINGLE, frequency_ghz=1.0).efficiency()
     dp = build_lac(nr=4, precision=Precision.DOUBLE, frequency_ghz=1.0).efficiency()
     assert sp.gflops_per_watt > 1.5 * dp.gflops_per_watt
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"local_store_kbytes": float("inf")}, "local_store_kbytes .* got inf"),
+    ({"local_store_kbytes": float("nan")}, "local_store_kbytes .* got nan"),
+    ({"store_b_kbytes": 0.0}, "store_b_kbytes .* got 0.0"),
+])
+def test_build_pe_rejects_unusable_store_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_pe(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"num_cores": 0}, "num_cores must be at least 1, got 0"),
+    ({"onchip_memory_mbytes": float("inf")}, "onchip_memory_mbytes .* got inf"),
+    ({"onchip_memory_mbytes": float("nan")}, "onchip_memory_mbytes .* got nan"),
+    ({"local_store_kbytes": float("inf")}, "local_store_kbytes .* got inf"),
+])
+def test_build_lap_rejects_unusable_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_lap(**kwargs)
 
 
 def test_lap_design_point_aggregates_cores_and_memory():

@@ -220,6 +220,36 @@ def test_simulate_and_design_reject_bad_frequency(capsys, command, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["design", "--cores", "0"], "num_cores must be at least 1, got 0"),
+    (["design", "--local-store-kbytes", "inf"],
+     "local_store_kbytes must be a positive finite number of KB, got inf"),
+    (["design", "--local-store-kbytes", "nan"],
+     "local_store_kbytes must be a positive finite number of KB, got nan"),
+    (["design", "--onchip-mbytes", "inf"],
+     "onchip_memory_mbytes must be a positive finite number of MB, got inf"),
+    (["design", "--onchip-mbytes", "nan"],
+     "onchip_memory_mbytes must be a positive finite number of MB, got nan"),
+    (["trace", "--onchip-mbytes", "inf"],
+     "onchip_memory_mbytes must be a positive finite number of MB, got inf"),
+    (["trace", "--onchip-mbytes", "nan"],
+     "onchip_memory_mbytes must be a positive finite number of MB, got nan"),
+    (["sweep", "--runner", "design", "--set", "cores=0", "--no-cache"],
+     "num_cores must be at least 1, got 0"),
+], ids=["design-cores-0", "design-store-inf", "design-store-nan",
+        "design-onchip-inf", "design-onchip-nan", "trace-onchip-inf",
+        "trace-onchip-nan", "sweep-cores-0"])
+def test_chip_sizes_are_validated_by_name(tmp_path, capsys, argv, message):
+    """A zero-core chip used to print a 0-GFLOPS design point, and an infinite
+    or NaN size ended in a traceback or an error naming no parameter."""
+    if argv[0] == "trace":
+        argv = [*argv, "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{argv[0]} failed: {message}" in captured.err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_sweep_rejects_nonfinite_axis_value(capsys):
     assert main(["sweep", "--runner", "design", "--grid", "cores=inf",
                  "--no-cache"]) == 2
@@ -415,6 +445,38 @@ def test_cache_prune_without_limits_fails_cleanly(tmp_path, capsys, monkeypatch)
     cache_dir = _seed_cache(tmp_path, capsys)
     assert main(["cache", "prune", "--cache-dir", cache_dir]) == 2
     assert "needs a limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--max-mb", "nan"), ("--max-mb", "inf"),
+                                        ("--max-mb", "0"), ("--max-entries", "-1")])
+def test_cache_prune_rejects_unusable_budgets(tmp_path, capsys, flag, value):
+    """A NaN or infinite --max-mb used to end in a traceback, and
+    --max-entries -1 pruned every entry."""
+    cache_dir = _seed_cache(tmp_path, capsys)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "prune", "--cache-dir", cache_dir, flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert main(["cache", "stats", "--cache-dir", cache_dir, "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["cache"]["entries"] == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_serve_rejects_non_finite_budget(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--cache-dir", str(tmp_path), "--port", "0",
+              "--max-mb", value])
+    assert excinfo.value.code == 2
+    assert "argument --max-mb: must be a positive finite number" in capsys.readouterr().err
+
+
+def test_sweep_runs_unlimited_on_non_finite_env_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "nan")
+    assert main(["sweep", "--runner", "design", "--grid", "cores=4,8",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    captured = capsys.readouterr()
+    assert "REPRO_CACHE_MAX_MB=nan is not a positive finite number" in captured.err
+    assert "2 executed" in captured.out
 
 
 def test_cache_clear(tmp_path, capsys):

@@ -2,13 +2,20 @@
 
 The scan parses every module of ``src/repro`` and lists its functions,
 classes and methods; dunder methods are left out, because the interpreter
-calls them.  A definition has a consumer when its name appears as a whole
-word -- in code, a string such as the callables ``perfbench/layers.py``
-wraps by name, or a comment -- in ``src/repro`` outside the definition's
-own body, or anywhere in ``examples/``, ``benchmarks/`` or ``perfbench/``.
-Package ``__init__`` modules do not count: a re-export is not a use.  Tests
-do not count either: code whose only caller is its own test belongs in
-``tests/`` or nowhere.
+calls them.  A definition has a consumer when code names it outside the
+definition's own body, in ``src/repro`` or anywhere in ``examples/``,
+``benchmarks/`` or ``perfbench/``.  Code names a definition through a
+``Name``, an ``Attribute`` or a word of a string literal used as a value,
+such as the callables ``perfbench/layers.py`` wraps by name.  Comments,
+docstrings and other bare string statements, ``__all__`` entries and
+``import`` statements do not count, and neither do package ``__init__``
+modules: a mention or a re-export is not a use.  Tests do not count
+either: code whose only caller is its own test belongs in ``tests/`` or
+nowhere.
+
+The scan matches names, not objects, so a method that only tests call stays
+hidden when another class's method of the same name has a consumer; a trace
+of what the entry points execute finds those.
 
 :data:`ALLOWED` names the definitions kept on purpose without a consumer,
 each with its reason, and an entry that no longer matches an unconsumed
@@ -33,6 +40,7 @@ HTTP_HOOK = "http.server hook: BaseHTTPRequestHandler calls it by name"
 ALLOWED: Dict[str, str] = {
     "repro.lap.offchip.OffChipTrafficModel": LEDGER,
     "repro.lap.offchip.OffChipTrafficModel.roofline_gflops": LEDGER,
+    "repro.lap.offchip.OffChipTrafficModel.transfer_energy_j": LEDGER,
     "repro.kernels.gemm.lac_gemm_steady_state_cycles": LEDGER,
     "repro.kernels.trsm.trsm_unblocked_cycle_estimate": LEDGER,
     "repro.kernels.cholesky.cholesky_unblocked_cycle_estimate": LEDGER,
@@ -40,6 +48,8 @@ ALLOWED: Dict[str, str] = {
     "repro.reference.blas3.ref_syr2k": LEDGER,
     "repro.reference.blas3.ref_gemm": TEST_REFERENCE,
     "repro.reference.blas3.ref_syrk": TEST_REFERENCE,
+    "repro.reference.fft_ref.ref_dft": TEST_REFERENCE,
+    "repro.reference.fft_ref.ref_fft_radix4": TEST_REFERENCE,
     "repro.reference.factorizations.ref_lu_partial_pivoting": TEST_REFERENCE,
     "repro.reference.factorizations.ref_householder_qr": TEST_REFERENCE,
     "repro.models.chip_model.ChipGEMMModel.sweep_onchip_memory_vs_bandwidth":
@@ -67,6 +77,31 @@ def _definitions(body, prefix: str, path: pathlib.Path) -> Iterator[Definition]:
                 yield from _definitions(node.body, qualname, path)
 
 
+def _is_all(target: ast.expr) -> bool:
+    return isinstance(target, ast.Name) and target.id == "__all__"
+
+
+def _uses(node: ast.AST) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` for every name the code under ``node`` uses."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+        return
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(_is_all(target) for target in targets):
+            return
+    if isinstance(node, ast.Name):
+        yield node.id, node.lineno
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, node.lineno
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        for word in re.findall(r"\w+", node.value):
+            yield word, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child)
+
+
 def unconsumed_definitions(root: pathlib.Path = ROOT) -> List[str]:
     """Qualified names of ``src/repro`` definitions with no consumer."""
     source = root / "src"
@@ -84,9 +119,9 @@ def unconsumed_definitions(root: pathlib.Path = ROOT) -> List[str]:
         consumers.extend(sorted((root / directory).rglob("*.py")))
     uses: Dict[str, List[Tuple[pathlib.Path, int]]] = {}
     for path in consumers:
-        for line_no, line in enumerate(path.read_text().splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                uses.setdefault(word, []).append((path, line_no))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for word, line_no in _uses(tree):
+            uses.setdefault(word, []).append((path, line_no))
     return [qualname for qualname, name, path, first, last in definitions
             if all(where == path and first <= line_no <= last
                    for where, line_no in uses.get(name, ()))]
@@ -120,3 +155,30 @@ def test_scan_flags_an_unused_function(tmp_path):
         "from repro import helper\nhelper()\nprint(getattr(object(), 'Box'))\n")
     assert unconsumed_definitions(tmp_path) == ["repro.used.orphan",
                                                 "repro.used.Box.size"]
+
+
+def test_scan_counts_only_code(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "defs.py").write_text(
+        "def in_comment():\n    pass\n\n\n"
+        "def in_docstring():\n    pass\n\n\n"
+        "def in_all():\n    pass\n\n\n"
+        "def in_import():\n    pass\n\n\n"
+        "def in_string_value():\n    pass\n\n\n"
+        "def in_code():\n    pass\n")
+    (package / "user.py").write_text(
+        '"""Wraps in_docstring."""\n'
+        "from repro.defs import in_import, in_code\n"
+        "__all__ = ['in_all']\n\n\n"
+        "def run(tracer, owner):\n"
+        "    # in_comment\n"
+        "    tracer.patch(owner, 'in_string_value', None)\n"
+        "    return in_code()\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.user import run\nrun(None, None)\n")
+    assert unconsumed_definitions(tmp_path) == [
+        "repro.defs.in_comment", "repro.defs.in_docstring",
+        "repro.defs.in_all", "repro.defs.in_import"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import (SweepSpec, best_per_metric, dominates, execute_jobs,
+from repro.engine import (SweepSpec, best_per_metric, execute_jobs,
                           frontier_report, get_runner, pareto_frontier, runner_names,
                           sweep)
 from repro.engine.cache import ResultCache, default_code_version, source_fingerprint
@@ -15,23 +15,23 @@ from repro.engine.spec import Job, canonical_params, params_key
 class TestSweepSpec:
     def test_grid_expands_cartesian_product(self):
         spec = SweepSpec().grid(a=(1, 2, 3), b=(10, 20))
-        points = spec.expand()
+        points = list(spec.iter_points())
         assert len(points) == 6
         assert points[0] == {"a": 1, "b": 10}
         assert points[-1] == {"a": 3, "b": 20}
 
     def test_constants_apply_to_every_point(self):
         spec = SweepSpec().constants(nr=4).grid(cores=(4, 8))
-        assert all(p["nr"] == 4 for p in spec.expand())
+        assert all(p["nr"] == 4 for p in spec.iter_points())
 
     def test_zip_axes_vary_together(self):
         spec = SweepSpec().zip(a=(1, 2, 3), b=(10, 20, 30))
-        assert spec.expand() == [{"a": 1, "b": 10}, {"a": 2, "b": 20},
+        assert list(spec.iter_points()) == [{"a": 1, "b": 10}, {"a": 2, "b": 20},
                                  {"a": 3, "b": 30}]
 
     def test_zip_crossed_with_grid(self):
         spec = SweepSpec().grid(c=(0, 1)).zip(a=(1, 2), b=(10, 20))
-        assert len(spec) == 4
+        assert len(list(spec.iter_points())) == 4
 
     def test_zip_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal lengths"):
@@ -39,7 +39,7 @@ class TestSweepSpec:
 
     def test_filter_prunes_points(self):
         spec = SweepSpec().grid(a=(1, 2, 3, 4)).filter(lambda p: p["a"] % 2 == 0)
-        assert [p["a"] for p in spec.expand()] == [2, 4]
+        assert [p["a"] for p in spec.iter_points()] == [2, 4]
 
     def test_duplicate_axis_raises(self):
         with pytest.raises(ValueError, match="already defined"):
@@ -48,15 +48,15 @@ class TestSweepSpec:
     def test_combinators_do_not_mutate_parent(self):
         base = SweepSpec().grid(a=(1, 2))
         extended = base.grid(b=(1, 2, 3))
-        assert len(base) == 2
-        assert len(extended) == 6
+        assert len(list(base.iter_points())) == 2
+        assert len(list(extended.iter_points())) == 6
 
     def test_non_scalar_value_rejected(self):
         with pytest.raises(TypeError, match="scalar"):
             SweepSpec().constants(a={"no": "dicts"})
 
     def test_expansion_is_deterministic(self):
-        make = lambda: SweepSpec().grid(a=(3, 1, 2), b=("x", "y")).expand()
+        make = lambda: list(SweepSpec().grid(a=(3, 1, 2), b=("x", "y")).iter_points())
         assert make() == make()
 
 
@@ -65,13 +65,13 @@ class TestJobHashing:
         j1 = Job.create("design", {"cores": 8, "nr": 4})
         j2 = Job.create("design", {"nr": 4, "cores": 8})
         assert j1 == j2
-        assert j1.key == j2.key
+        assert params_key(j1.runner, j1.params_dict) == params_key(j2.runner, j2.params_dict)
 
     def test_key_differs_across_params_and_runner(self):
         j1 = Job.create("design", {"cores": 8})
         j2 = Job.create("design", {"cores": 16})
         j3 = Job.create("simulate", {"cores": 8})
-        assert len({j1.key, j2.key, j3.key}) == 3
+        assert len({params_key(j.runner, j.params_dict) for j in (j1, j2, j3)}) == 3
 
     def test_integral_floats_normalised(self):
         assert canonical_params({"nr": 4.0}) == canonical_params({"nr": 4})
@@ -109,7 +109,7 @@ class TestResultCache:
         cache.put(job, {"gflops": 100.0})
         assert cache.get(job) == {"gflops": 100.0}
         assert cache.hits == 1 and cache.misses == 1
-        assert job in cache
+        assert cache.get(job) is not None
 
     def test_code_version_invalidates(self, tmp_path):
         job = self._job()
@@ -250,6 +250,20 @@ class TestCacheEviction:
         assert env_max_bytes() is None
         monkeypatch.delenv("REPRO_CACHE_MAX_MB")
         assert env_max_bytes() is None
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_env_budget_degrades_on_non_finite(self, tmp_path, monkeypatch, capsys, value):
+        """A non-finite budget used to raise from int(); it now warns and
+        runs unlimited, for the result cache and the replay sidecar alike."""
+        from repro.engine.cache import REPLAY_MAX_MB_ENV
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", value)
+        monkeypatch.setenv(REPLAY_MAX_MB_ENV, value)
+        cache = ResultCache(tmp_path, code_version="v1")
+        assert cache.max_bytes is None
+        assert cache.sidecar().max_bytes is None
+        err = capsys.readouterr().err
+        assert "REPRO_CACHE_MAX_MB" in err and REPLAY_MAX_MB_ENV in err
 
 
 # --------------------------------------------------------------- executor
@@ -476,11 +490,6 @@ class TestPareto:
         ids = [r["id"] for r in pareto_frontier(self.ROWS)]
         assert "a" in ids and "d" in ids
 
-    def test_dominates(self):
-        a, b, c = self.ROWS[0], self.ROWS[1], self.ROWS[2]
-        assert dominates(b, c, ("gflops", "gflops_per_w"))
-        assert not dominates(a, b, ("gflops", "gflops_per_w"))
-
     def test_minimize_flips_sense(self):
         rows = [{"cost": 1.0, "perf": 1.0}, {"cost": 2.0, "perf": 1.0}]
         frontier = pareto_frontier(rows, ("cost", "perf"), minimize={"cost"})
@@ -629,7 +638,7 @@ class TestStreaming:
         spec = (SweepSpec().constants(nr=4).grid(a=(1, 2, 3))
                 .filter(lambda p: p["a"] != 2))
         assert list(spec.iter_jobs("design")) == spec.jobs("design")
-        assert list(spec.iter_points()) == spec.expand()
+        assert list(spec.iter_points()) == [job.params_dict for job in spec.jobs("design")]
 
 
 # ------------------------------------------------------ incremental Pareto
@@ -642,7 +651,8 @@ class TestIncrementalPareto:
 
         rows = self._rows([(1, 1), (2, 2), (0, 3), (2, 2), (3, 0), (1, 2)])
         inc = IncrementalPareto(objectives=("x", "y"))
-        inc.update(rows)
+        for row in rows:
+            inc.add(row)
         assert inc.frontier() == pareto_frontier(rows, objectives=("x", "y"))
         assert len(inc) == len(pareto_frontier(rows, objectives=("x", "y")))
         assert inc.seen == len(rows)
@@ -652,7 +662,8 @@ class TestIncrementalPareto:
 
         rows = self._rows([(1, 5), (2, 3), (3, 4), (2, 3), (4, 1)])
         inc = IncrementalPareto(objectives=("x", "y"), minimize=("y",))
-        inc.update(rows)
+        for row in rows:
+            inc.add(row)
         assert inc.frontier() == pareto_frontier(rows, objectives=("x", "y"),
                                                  minimize=("y",))
 
@@ -663,7 +674,7 @@ class TestIncrementalPareto:
         assert inc.add({"x": 1.0, "y": 1.0}) is True
         assert inc.add({"x": 0.5, "y": 0.5}) is False   # dominated
         assert inc.add({"x": 2.0, "y": 2.0}) is True    # evicts (1, 1)
-        assert [r["x"] for r in inc] == [2.0]
+        assert [r["x"] for r in inc.frontier()] == [2.0]
 
     def test_requires_objectives(self):
         from repro.engine import IncrementalPareto

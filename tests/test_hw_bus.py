@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.arch.lap_design import build_pe
 from repro.hw.bus import BroadcastBus, WireClass, BUS_AREA_PER_PE_MM2
+from repro.hw.fpu import Precision
 
 
 def test_default_4pe_bus_needs_no_repeaters():
@@ -45,8 +47,11 @@ def test_bus_power_is_small_compared_to_a_double_precision_mac():
 
 
 def test_bus_area_fraction_of_pe_budget():
-    bus = BroadcastBus(span_pes=4)
-    assert bus.area_mm2 == pytest.approx(0.5 * BUS_AREA_PER_PE_MM2 * 4)
+    """The row+column wiring charged to each PE is a small slice of its area."""
+    pe = build_pe(precision=Precision.DOUBLE, frequency_ghz=1.0)
+    bare = pe.fmac.area_mm2 + pe.store_a.area_mm2 + pe.store_b.area_mm2
+    assert pe.area_mm2 == pytest.approx(bare + BUS_AREA_PER_PE_MM2)
+    assert 0.0 < BUS_AREA_PER_PE_MM2 < 0.2 * pe.area_mm2
 
 
 def test_validation_of_parameters():

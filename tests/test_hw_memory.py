@@ -84,9 +84,3 @@ def test_nuca_validation():
         NUCACache(capacity_bytes=0)
     with pytest.raises(ValueError):
         NUCACache(capacity_bytes=1024, associativity=0)
-
-
-def test_describe_strings():
-    assert "MB" in OnChipMemory(capacity_bytes=2 ** 20).describe()
-    assert "NUCA" in NUCACache(capacity_bytes=2 ** 20).describe()
-    assert "GB/s" in OffChipInterface(bandwidth_gbytes_per_sec=20).describe()

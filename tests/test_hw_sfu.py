@@ -71,8 +71,3 @@ def test_energy_per_op_positive_and_finite():
 def test_isolated_unit_idle_power_nonzero_software_zero():
     assert SpecialFunctionUnit(placement=SFUPlacement.ISOLATED).idle_power_w > 0.0
     assert SpecialFunctionUnit(placement=SFUPlacement.SOFTWARE).idle_power_w == 0.0
-
-
-def test_describe_mentions_placement():
-    text = SpecialFunctionUnit(placement=SFUPlacement.DIAGONAL).describe()
-    assert "diag" in text

@@ -80,8 +80,3 @@ def test_pe_store_helpers_have_expected_port_counts():
 def test_small_arrays_reach_high_frequency():
     small = SRAMModel(SRAMConfig(8 * 1024, ports=1))
     assert small.max_frequency_ghz() >= 2.5
-
-
-def test_describe_contains_capacity():
-    text = SRAMModel(SRAMConfig(16 * 1024, ports=2)).describe()
-    assert "16.0 KB" in text

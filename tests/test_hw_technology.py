@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.hw.technology import (OperatingPoint, TECH_45NM, TECH_65NM, TECH_90NM,
-                                 TechnologyNode, scale_area, scale_frequency, scale_power)
+                                 TechnologyNode, scale_area, scale_power)
 
 
 def test_known_nodes_have_expected_features():
@@ -38,18 +38,11 @@ def test_power_scaling_shrinks_when_moving_to_smaller_node():
     assert p45 < p65
 
 
-def test_frequency_scaling_increases_when_shrinking():
-    f = scale_frequency(1.0, TECH_90NM, TECH_45NM)
-    assert f == pytest.approx(2.0)
-
-
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         scale_area(-1.0, TECH_65NM, TECH_45NM)
     with pytest.raises(ValueError):
         scale_power(-1.0, TECH_65NM, TECH_45NM)
-    with pytest.raises(ValueError):
-        scale_frequency(-1.0, TECH_65NM, TECH_45NM)
 
 
 def test_operating_point_voltage_interpolation():

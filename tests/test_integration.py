@@ -19,6 +19,8 @@ from repro.kernels.cholesky import lac_cholesky
 from repro.lac.core import LACConfig, LinearAlgebraCore
 from repro.lac.pe import PEConfig
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+from repro.lap.runtime import LAPRuntime
+from repro.models.chip_model import ChipGEMMModel
 from repro.models.core_model import CoreGEMMModel
 from repro.models.power import PowerComponent, PowerModel
 from repro.reference import ref_cholesky, ref_trsm
@@ -94,13 +96,19 @@ def test_trsm_and_cholesky_compose_to_solve_a_linear_system():
 
 def test_chip_simulation_agrees_with_chip_model_trend():
     """Functional multi-core GEMM utilisation should not contradict the model."""
-    lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4, onchip_memory_mbytes=1.0))
-    rng = np.random.default_rng(3)
-    n = 16
-    run = lap.run_gemm(rng.random((n, n)), rng.random((n, n)), rng.random((n, n)))
-    assert 0.05 < run["utilization"] <= 1.0
-    model = lap.model_gemm(1024)
-    assert 0.5 < model.utilization <= 1.0
+    config = LAPConfig(num_cores=2, nr=4, onchip_memory_mbytes=1.0)
+    runtime = LAPRuntime(LinearAlgebraProcessor(config), tile=8)
+    run = runtime.run_blocked_gemm(16, np.random.default_rng(3))
+    assert run["residual"] < 1e-12
+    num_pes = config.num_cores * config.nr * config.nr
+    utilization = run["total_flops"] / 2.0 / (run["makespan_cycles"] * num_pes)
+    assert 0.05 < utilization <= 1.0
+    model = ChipGEMMModel(num_cores=config.num_cores, nr=config.nr,
+                          element_bytes=config.element_bytes)
+    words_per_cycle = (config.offchip().bytes_per_cycle(config.frequency_ghz)
+                       / config.element_bytes)
+    result = model.cycles_offchip(1024, words_per_cycle, mc=256, kc=256)
+    assert 0.5 < result.utilization <= 1.0
 
 
 def test_experiment_registry_round_trip_with_report():

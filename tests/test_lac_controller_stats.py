@@ -2,7 +2,8 @@
 
 import pytest
 
-from lac_oracle import bus_broadcasts, local_store_accesses, merge_counters
+from lac_oracle import (bus_broadcasts, local_store_accesses, merge_counters,
+                        reset_counters)
 from repro.lac.stats import AccessCounters
 
 
@@ -17,7 +18,7 @@ def test_counters_merge_and_copy():
 
 def test_counters_reset():
     c = AccessCounters(cycles=3, sfu_ops=2)
-    c.reset()
+    reset_counters(c)
     assert c.cycles == 0 and c.sfu_ops == 0
 
 

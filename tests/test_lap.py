@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.arch.breakdowns import lap_breakdown
+from repro.arch.lap_design import build_lap
 from repro.hw.fpu import Precision
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.offchip import OffChipTrafficModel
 from repro.lap.policies import GEMMScheduler
+from repro.lap.runtime import LAPRuntime
+from repro.models.chip_model import ChipGEMMModel
 
 
 # -------------------------------------------------------------- scheduler
@@ -105,45 +108,69 @@ def test_lap_config_rejects_non_finite_frequency(frequency):
         LAPConfig(frequency_ghz=frequency)
 
 
+@pytest.mark.parametrize("field", ["pe_store_a_kbytes", "pe_store_b_kbytes",
+                                   "onchip_memory_mbytes"])
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0])
+def test_lap_config_rejects_unusable_sizes_by_name(field, size):
+    with pytest.raises(ValueError, match=f"{field} must be a positive finite "
+                                         f"number of [KM]B, got {size}"):
+        LAPConfig(**{field: size})
+
+
+def test_lap_config_names_the_core_count():
+    with pytest.raises(ValueError, match="num_cores must be at least 1, got 0"):
+        LAPConfig(num_cores=0)
+
+
 def test_lap_peak_gflops_and_geometry():
-    lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4, frequency_ghz=1.0))
-    assert lap.num_pes == 128
-    assert lap.peak_gflops() == pytest.approx(256.0)
-    assert "LAP" in lap.describe()
+    config = LAPConfig(num_cores=8, nr=4, frequency_ghz=1.0)
+    lap = LinearAlgebraProcessor(config)
+    assert len(lap.cores) == 8
+    assert all(core.config.nr == 4 for core in lap.cores)
+    assert sum(core.num_pes for core in lap.cores) == 128
+    design = build_lap(num_cores=8, nr=4, frequency_ghz=1.0)
+    assert design.num_pes == 128
+    assert design.peak_gflops == pytest.approx(256.0)
 
 
 def test_lap_run_gemm_functional_correctness():
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4, onchip_memory_mbytes=1.0))
-    rng = np.random.default_rng(1)
-    m = k = n = 16
-    a, b, c = rng.random((m, k)), rng.random((k, n)), rng.random((m, n))
-    result = lap.run_gemm(c, a, b)
-    np.testing.assert_allclose(result["c"], c + a @ b, rtol=1e-12)
-    assert result["chip_cycles"] > 0
-    assert 0.0 < result["utilization"] <= 1.0
-    assert len(result["per_core_cycles"]) == 2
-    assert all(cycles > 0 for cycles in result["per_core_cycles"])
+    stats = LAPRuntime(lap, tile=8).run_blocked_gemm(16, np.random.default_rng(1))
+    assert stats["residual"] < 1e-12
+    busy = stats["per_core_busy_cycles"]
+    assert len(busy) == 2 and all(cycles > 0 for cycles in busy)
+    utilization = stats["total_flops"] / 2.0 / (stats["makespan_cycles"] * 2 * 16)
+    assert 0.0 < utilization <= 1.0
 
 
 def test_lap_run_gemm_validates_shapes():
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
     with pytest.raises(ValueError):
-        lap.run_gemm(np.zeros((8, 8)), np.zeros((8, 6)), np.zeros((6, 8)))
+        LAPRuntime(lap, tile=6)
     with pytest.raises(ValueError):
-        lap.run_gemm(np.zeros((9, 8)), np.zeros((9, 8)), np.zeros((8, 8)))
+        LAPRuntime(lap, tile=8).run_blocked_gemm(12, np.random.default_rng(0))
 
 
 def test_lap_model_gemm_behaviour():
-    lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4, offchip_bandwidth_gb_s=32.0))
-    small = lap.model_gemm(256)
-    large = lap.model_gemm(2048)
+    config = LAPConfig(num_cores=8, nr=4, offchip_bandwidth_gb_s=32.0)
+    model = ChipGEMMModel(num_cores=config.num_cores, nr=config.nr,
+                          element_bytes=config.element_bytes)
+    words_per_cycle = (config.offchip().bytes_per_cycle(config.frequency_ghz)
+                       / config.element_bytes)
+    small = model.cycles_offchip(256, words_per_cycle, mc=128, kc=128)
+    large = model.cycles_offchip(2048, words_per_cycle, mc=256, kc=256)
     assert large.utilization >= small.utilization
-    assert large.gflops(1.0) <= lap.peak_gflops()
+    peak = build_lap(num_cores=8, nr=4, frequency_ghz=config.frequency_ghz).peak_gflops
+    assert large.gflops(config.frequency_ghz) <= peak
 
 
 def test_lap_area_is_positive():
-    lap = LinearAlgebraProcessor(LAPConfig(num_cores=8, nr=4))
-    assert lap.area_mm2() > 0.0
+    """The chip has one area: cores, their SFUs and the on-chip memory."""
+    lap = build_lap(num_cores=8, nr=4)
+    assert lap.area_mm2 > 0.0
+    core = lap.core
+    assert core.area_mm2 == pytest.approx(16 * core.pe.area_mm2 + core.sfu.area_mm2)
+    assert lap.area_mm2 == pytest.approx(8 * core.area_mm2 + lap.onchip_memory.area_mm2)
 
 
 def test_lap_double_precision_efficiency_in_paper_ballpark():

@@ -42,16 +42,20 @@ class TestTaskGraph:
         assert [t.task_id for t in graph] == list(range(8))
         assert graph.task(3).task_id == 3
         assert graph.ids == list(range(8))
-        assert graph.id2idx[3] == 3 and graph.successors(0) == [1]
+        assert graph.id2idx[3] == 3 and graph.succ[graph.id2idx[0]] == (1,)
 
     def test_adjacency(self):
         graph = AlgorithmsByBlocks(tile=4).cholesky_tasks(8)
         chol = graph[0]
         assert chol.kind is TaskKind.CHOLESKY
-        succs = graph.successors(chol.task_id)
+        succs = [graph.ids[j] for j in graph.succ[graph.id2idx[chol.task_id]]]
+        assert succs
         assert all(chol.task_id in graph.task(s).depends_on for s in succs)
-        for task in graph:
-            assert graph.predecessors(task.task_id) == sorted(set(task.depends_on))
+        # ``succ`` is exactly the inverse of ``depends_on``.
+        for i, task in enumerate(graph):
+            preds = sorted(graph.ids[j] for j, targets in enumerate(graph.succ)
+                           if i in targets)
+            assert preds == sorted(set(task.depends_on))
 
     def test_levels_width_and_critical_path(self):
         graph = AlgorithmsByBlocks(tile=4).cholesky_tasks(16)  # 4x4 tiles

@@ -51,13 +51,6 @@ def test_syr2k_doubles_bandwidth_pressure(blas):
     assert syr2k.utilization <= syrk.utilization
 
 
-def test_sweep_shapes(blas):
-    rows = blas.sweep_local_store(Level3Operation.SYRK, bandwidths=[0.5, 1.0],
-                                  kc_values=[64, 128, 256])
-    assert len(rows) == 6
-    assert all(0 < r.utilization <= 1 for r in rows)
-
-
 def test_blas_model_validation(blas):
     with pytest.raises(ValueError):
         blas.trsm_blocked_utilization(0)
@@ -115,14 +108,6 @@ def test_extensions_improve_lu_power_efficiency(fact):
     ext = fact.evaluate(FactorizationKernel.LU, 256, SFUPlacement.DIAGONAL,
                         MACExtension.COMPARATOR)
     assert ext.gflops_per_watt(1.0) > base.gflops_per_watt(1.0)
-
-
-def test_sweep_covers_all_requested_options(fact):
-    rows = fact.sweep(FactorizationKernel.VECTOR_NORM, sizes=[64, 128],
-                      placements=[SFUPlacement.SOFTWARE, SFUPlacement.DIAGONAL],
-                      extensions=[MACExtension.NONE, MACExtension.EXPONENT])
-    assert len(rows) == 8
-    assert all(r.cycles > 0 and r.dynamic_energy_j > 0 for r in rows)
 
 
 def test_efficiency_wrapper_produces_valid_metrics(fact):

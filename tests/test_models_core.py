@@ -17,16 +17,16 @@ def test_peak_compute_cycles(model):
 
 
 def test_utilization_decreases_with_lower_bandwidth(model):
-    high = model.utilization(mc=64, kc=64, n=512, bandwidth_elements_per_cycle=4.0)
-    low = model.utilization(mc=64, kc=64, n=512, bandwidth_elements_per_cycle=0.25)
+    high = model.cycles(mc=64, kc=64, n=512, bandwidth_elements_per_cycle=4.0).utilization
+    low = model.cycles(mc=64, kc=64, n=512, bandwidth_elements_per_cycle=0.25).utilization
     assert high > low
     assert 0.0 < low < 1.0
 
 
 def test_utilization_increases_with_local_store(model):
     """Bigger blockings (more local store) tolerate less bandwidth (Fig. 3.4)."""
-    small = model.utilization(mc=32, kc=32, n=512, bandwidth_elements_per_cycle=0.5)
-    large = model.utilization(mc=256, kc=256, n=512, bandwidth_elements_per_cycle=0.5)
+    small = model.cycles(mc=32, kc=32, n=512, bandwidth_elements_per_cycle=0.5).utilization
+    large = model.cycles(mc=256, kc=256, n=512, bandwidth_elements_per_cycle=0.5).utilization
     assert large > small
 
 
@@ -72,14 +72,11 @@ def test_paper_design_point_reaches_high_utilization(model):
     assert kc is not None
     store_kb = model.local_store_bytes_per_pe(kc, kc, full_overlap=True) / 1024.0
     assert store_kb <= 40.0
-    util = model.utilization(mc=256, kc=256, n=512, bandwidth_elements_per_cycle=0.5)
+    util = model.cycles(mc=256, kc=256, n=512, bandwidth_elements_per_cycle=0.5).utilization
     assert util > 0.9
 
 
 def test_sweep_and_peak_tables(model):
-    sweep = model.sweep_local_store(bandwidths=[0.5, 1.0], kc_values=[32, 64, 128], n=512)
-    assert len(sweep) == 6
-    assert all(0.0 < r.utilization <= 1.0 for r in sweep)
     table = model.peak_bandwidth_vs_local_store(kc_values=[32, 64, 128])
     assert len(table) == 3
     # Bandwidth needed for peak decreases as the local store grows.

@@ -46,11 +46,11 @@ def test_gflops_per_watt_and_scaling():
     model = PowerModel(idle_ratio=0.0)
     bd = model.breakdown("x", [PowerComponent("FPU", 10.0, 1.0)], gflops=100.0)
     assert bd.gflops_per_watt == pytest.approx(10.0)
-    scaled = bd.scaled(0.5, label="y")
-    assert scaled.total_power_w == pytest.approx(5.0)
-    assert scaled.label == "y"
-    with pytest.raises(ValueError):
-        bd.scaled(-1.0)
+    assert bd.total_power_w == pytest.approx(10.0)
+    idle = PowerModel(idle_ratio=0.25).breakdown(
+        "y", [PowerComponent("FPU", 10.0, 1.0)], gflops=100.0)
+    assert idle.total_power_w == pytest.approx(12.5)
+    assert idle.gflops_per_watt == pytest.approx(8.0)
 
 
 def test_power_model_validation():
@@ -74,13 +74,6 @@ def test_efficiency_metric_definitions():
     assert eff.inverse_energy_delay == pytest.approx(100.0 ** 2 / 2.0)
     assert eff.mm2_per_gflop == pytest.approx(0.05)
     assert eff.mw_per_gflop == pytest.approx(20.0)
-
-
-def test_efficiency_as_row_contains_expected_keys():
-    row = EfficiencyMetrics("x", 10.0, 1.0, 2.0, 0.5, precision="double").as_row()
-    for key in ("label", "gflops", "gflops_per_w", "gflops_per_mm2", "utilization_pct"):
-        assert key in row
-    assert row["utilization_pct"] == 50.0
 
 
 def test_efficiency_validation():

@@ -59,8 +59,7 @@ def test_spans_by_track_groups_and_sorts():
     grouped = tracer.spans_by_track()
     assert sorted(grouped) == [0, 3]
     assert [s.name for s in grouped[0]] == ["a", "b"]
-    tracer.clear()
-    assert tracer.spans == []
+    assert Tracer().spans_by_track() == {}
 
 
 # --------------------------------------------------- cycle decomposition

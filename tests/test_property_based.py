@@ -50,8 +50,8 @@ def test_core_model_utilization_always_in_unit_interval(kc, bw, n):
 def test_core_model_utilization_monotone_in_bandwidth(kc, n, bw1, bw2):
     model = CoreGEMMModel(nr=4)
     lo, hi = sorted((bw1, bw2))
-    u_lo = model.utilization(mc=kc, kc=kc, n=n, bandwidth_elements_per_cycle=lo)
-    u_hi = model.utilization(mc=kc, kc=kc, n=n, bandwidth_elements_per_cycle=hi)
+    u_lo = model.cycles(mc=kc, kc=kc, n=n, bandwidth_elements_per_cycle=lo).utilization
+    u_hi = model.cycles(mc=kc, kc=kc, n=n, bandwidth_elements_per_cycle=hi).utilization
     assert u_hi >= u_lo - 1e-12
 
 
@@ -160,7 +160,10 @@ def test_gemm_on_lac_matches_numpy_for_random_shapes(data):
 def test_trsm_on_lac_solves_system_for_random_triangles(data):
     k = 8
     raw = data.draw(small_matrix(k, k))
-    l = np.tril(raw) + k * np.eye(k)   # well conditioned
+    # Strictly diagonally dominant, so nonsingular and well conditioned: each
+    # diagonal entry is its row's off-diagonal absolute sum plus one.
+    l = np.tril(raw, -1)
+    l += np.diag(np.abs(l).sum(axis=1) + 1.0)
     b = data.draw(small_matrix(k, 4))
     result = lac_trsm(LinearAlgebraCore(), l, b)
     np.testing.assert_allclose(np.tril(l) @ result.output, b, rtol=1e-8, atol=1e-8)
