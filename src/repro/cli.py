@@ -26,8 +26,8 @@ Provides eight sub-commands:
     ``--set bandwidth_gbs=16`` to surface spills, stalls and energy;
     enable the per-core second level with ``--grid local_store_kb=1,2,4``
     and sweep prefetch overlap with ``--grid stall_overlap=0,0.5,1`` for
-    local-hit-rate and per-level traffic columns).  ``--stream`` consumes
-    the executor's row stream directly and prints a live progress line
+    local-hit-rate and per-level traffic columns).  Every sweep consumes
+    the executor's row stream; ``--stream`` adds a live progress line
     (rows done / cache hit-rate / incremental Pareto frontier size)
     instead of going silent until the sweep finishes.  ``--server URL``
     adds a shared ``repro serve`` daemon as a second cache tier
@@ -69,8 +69,7 @@ import numpy as np
 from repro.arch.lap_design import build_lap
 from repro.engine import (KNOWN_PARAMS, PARETO_OBJECTIVES, IncrementalPareto,
                           ResultCache, SweepExecutor, SweepSpec,
-                          execute_jobs, frontier_report, runner_names,
-                          usable_cache_dir)
+                          frontier_report, runner_names, usable_cache_dir)
 from repro.experiments.export import write_json
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.experiments.report import (format_value, render_table,
@@ -82,7 +81,8 @@ from repro.lac import LACConfig, LinearAlgebraCore
 from repro.lap.policies import policy_names
 from repro.lap.taskgraph import AlgorithmsByBlocks
 from repro.lap.timing import timing_names
-from repro.obs.manifest import manifest_path_for, write_run_manifest
+from repro.obs.manifest import (MANIFEST_SCHEMA, manifest_path_for,
+                                write_run_manifest)
 
 #: Default on-disk cache location of the ``sweep`` sub-command; override
 #: with ``--cache-dir``, ``REPRO_CACHE_DIR`` or disable with ``--no-cache``.
@@ -207,16 +207,23 @@ def _budget_mb(text: str) -> float:
     return mbytes
 
 
-def _entry_budget(text: str) -> int:
-    """``--max-entries``: a non-negative entry count."""
-    try:
-        entries = int(text)
-    except ValueError:
-        entries = -1
-    if entries < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative number of entries, got '{text}'")
-    return entries
+def _int_in(what: str, high: Optional[int] = None):
+    """argparse type: an integer in ``[0, high]``, described as ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0 or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {what}, got '{text}'")
+        return value
+
+    return parse
+
+
+_entry_budget = _int_in("a non-negative number of entries")
+_row_budget = _int_in("a non-negative number of rows")
+_port = _int_in("a port number in 0-65535", high=65535)
 
 
 def _parse_axis(option: str, text: str) -> Dict[str, list]:
@@ -259,14 +266,14 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     return spec
 
 
-def _stream_sweep(jobs, args: argparse.Namespace, cache: Optional[ResultCache],
-                  objectives: List[str]):
-    """Run a sweep through the streaming executor with a live progress line.
+def _run_sweep(jobs, args: argparse.Namespace, cache: Optional[ResultCache],
+               objectives: List[str]):
+    """Run a sweep through the streaming executor; returns its ``SweepResult``.
 
-    Rows are folded into an :class:`IncrementalPareto` as they land, so the
-    stderr line shows rows done, cache hit-rate and the current frontier
-    size while the sweep is still executing.  Returns the same
-    ``SweepResult`` the batch path produces.
+    With ``--stream`` rows are also folded into an
+    :class:`IncrementalPareto` as they land, and a live stderr line shows
+    rows done, cache hit-rate and the current frontier size while the
+    sweep is still executing.
 
     Redraws are throttled to ~10 per second (cached warm sweeps can land
     tens of thousands of rows a second, and unthrottled carriage-return
@@ -276,10 +283,11 @@ def _stream_sweep(jobs, args: argparse.Namespace, cache: Optional[ResultCache],
     """
     import time
 
-    executor = SweepExecutor(mode=args.mode, max_workers=args.workers,
-                             batch_size=args.batch_size, cache=cache)
+    stream = SweepExecutor(mode=args.mode, max_workers=args.workers,
+                           batch_size=args.batch_size, cache=cache).stream(jobs)
+    if not args.stream:
+        return stream.result()
     pareto = IncrementalPareto(objectives) if objectives else None
-    stream = executor.stream(jobs)
     done = 0
     hits = 0
     is_tty = getattr(sys.stderr, "isatty", lambda: False)()
@@ -352,30 +360,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"{', '.join(unknown)}; it understands: {', '.join(sorted(known))}",
                   file=sys.stderr)
 
-    progress = None
-    if args.progress and not args.stream:
-        def progress(done: int, total: int) -> None:
-            print(f"\r{done}/{total} jobs", end="", file=sys.stderr, flush=True)
-
     objectives = ([o.strip() for o in args.objectives.split(",") if o.strip()]
                   if args.objectives else list(PARETO_OBJECTIVES.get(args.runner, ())))
     cache_dir = usable_cache_dir(None if args.no_cache else args.cache_dir)
     try:
-        cache = _build_sweep_cache(args, cache_dir)
-        if args.stream:
-            result = _stream_sweep(jobs, args, cache, objectives)
-        else:
-            result = execute_jobs(jobs, mode=args.mode,
-                                  max_workers=args.workers,
-                                  batch_size=args.batch_size, cache=cache,
-                                  progress=progress)
+        result = _run_sweep(jobs, args, _build_sweep_cache(args, cache_dir),
+                            objectives)
     except (KeyError, ValueError, OverflowError, OSError) as exc:
-        if args.progress and not args.stream:
-            print(file=sys.stderr)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
-    if args.progress and not args.stream:
-        print(file=sys.stderr)
 
     # Persist the run's telemetry (shard wall times, job latencies, cache
     # hit-rate) next to the sweep output: an explicit --manifest path wins,
@@ -499,10 +492,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for key in ("directory", "code_version", "entries", "size_bytes",
                     "size_mbytes", "max_bytes"):
             print(f"{key:<14s}: {stats[key]}")
-        sidecar = stats["sidecar"]
-        print(f"{'replay':<14s}: {sidecar['entries']} sidecar entries, "
-              f"{sidecar['size_bytes']} bytes, "
-              f"{sidecar['evictions']} pruned (lifetime)")
         lifetime = stats["lifetime"]
         print(f"{'hits':<14s}: {lifetime['hits']} (lifetime)")
         print(f"{'misses':<14s}: {lifetime['misses']} (lifetime)")
@@ -626,6 +615,44 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_run_manifest(manifest: object) -> dict:
+    """``manifest`` if ``report`` can print it, else ``ValueError`` (why).
+
+    It must be a JSON object stamped with :data:`MANIFEST_SCHEMA`, and every
+    field the report prints must have the type the report formats it as.
+    """
+    if not isinstance(manifest, dict):
+        raise ValueError(f"not a JSON object ({type(manifest).__name__})")
+    if manifest.get("schema") != MANIFEST_SCHEMA:
+        raise ValueError(f"schema is {manifest.get('schema')!r}, "
+                         f"not {MANIFEST_SCHEMA!r}")
+
+    def block(name: str) -> dict:
+        value = manifest.get(name) or {}
+        if not isinstance(value, dict):
+            raise ValueError(f"'{name}' is not an object")
+        return value
+
+    def number(value: object, name: str) -> None:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"'{name}' is {value!r}, not a number")
+
+    number(manifest.get("elapsed_s", 0.0), "elapsed_s")
+    number(block("cache").get("hit_rate", 0.0), "cache.hit_rate")
+    latency = block("latency")
+    for key in ("mean_s", "max_s") if latency.get("count") else ():
+        number(latency.get(key), f"latency.{key}")
+    streaming = block("streaming")
+    for key in (("first_row_s", "last_row_s")
+                if streaming.get("first_row_s") is not None else ()):
+        number(streaming.get(key), f"streaming.{key}")
+    shards = manifest.get("shards") or []
+    if not (isinstance(shards, list)
+            and all(isinstance(shard, dict) for shard in shards)):
+        raise ValueError("'shards' is not a list of objects")
+    return manifest
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     import json as json_module
 
@@ -661,8 +688,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.manifest:
         try:
             with open(args.manifest) as handle:
-                manifest = json_module.load(handle)
-        except (OSError, json_module.JSONDecodeError) as exc:
+                manifest = _check_run_manifest(json_module.load(handle))
+        except (OSError, ValueError) as exc:
             print(f"cannot read run manifest '{args.manifest}': {exc}",
                   file=sys.stderr)
             return 2
@@ -706,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiments", help="list or regenerate evaluation experiments")
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default: list all)")
     p_exp.add_argument("--list", action="store_true", help="only list the registry")
-    p_exp.add_argument("--max-rows", type=int, default=12)
+    p_exp.add_argument("--max-rows", type=_row_budget, default=12)
     p_exp.add_argument("--json", metavar="PATH",
                        help="write results as JSON to PATH ('-' for stdout)")
     p_exp.set_defaults(func=_cmd_experiments)
@@ -750,13 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run every job even if cached results exist")
     p_swp.add_argument("--objectives", metavar="A,B,...",
                        help="Pareto objectives (default depends on the runner)")
-    p_swp.add_argument("--max-rows", type=int, default=16)
-    p_swp.add_argument("--progress", action="store_true",
-                       help="print job progress to stderr")
+    p_swp.add_argument("--max-rows", type=_row_budget, default=16)
     p_swp.add_argument("--stream", action="store_true",
-                       help="consume rows as they land: live stderr line "
-                            "with rows done / cache hit-rate / incremental "
-                            "Pareto frontier size (supersedes --progress)")
+                       help="live stderr line while rows land: rows done / "
+                            "cache hit-rate / incremental Pareto frontier "
+                            "size")
     p_swp.add_argument("--server", metavar="URL", default=None,
                        help="URL of a `repro serve` daemon used as a shared "
                             "second cache tier (read-through/write-behind; "
@@ -776,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"served cache directory (default: {DEFAULT_CACHE_DIR})")
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
-    p_srv.add_argument("--port", type=int, default=8731,
+    p_srv.add_argument("--port", type=_port, default=8731,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8731)")
     p_srv.add_argument("--max-mb", type=_budget_mb, default=None,
@@ -838,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a .trace.json written by `repro trace`")
     p_rep.add_argument("--manifest", metavar="PATH", default=None,
                        help="a run manifest written by `repro sweep`")
-    p_rep.add_argument("--max-rows", type=int, default=16)
+    p_rep.add_argument("--max-rows", type=_row_budget, default=16)
     p_rep.add_argument("--json", metavar="PATH", default=None,
                        help="write the report as JSON to PATH ('-' for stdout)")
     p_rep.set_defaults(func=_cmd_report)

@@ -5,18 +5,18 @@ incremental, parallel runs:
 
 * :mod:`repro.engine.spec` -- :class:`SweepSpec` (grid / zip / filter
   combinators) expanding into hashable :class:`Job` objects,
-* :mod:`repro.engine.cache` -- one content-addressed on-disk store with
-  two namespaces: result rows keyed by job parameters plus a code version
-  derived from the package source, and the replay sidecar; both share the
-  atomic writes, LRU budgets (``REPRO_CACHE_MAX_MB`` /
-  ``REPRO_REPLAY_MAX_MB`` and an explicit ``prune()``) and lifetime stats,
+* :mod:`repro.engine.cache` -- one content-addressed on-disk store: result
+  rows keyed by job parameters plus a code version derived from the
+  package source, and the schedule replay records filed beside them under
+  the same atomic writes, LRU budget (``REPRO_CACHE_MAX_MB`` and an
+  explicit ``prune()``), ``clear()`` and lifetime stats,
 * :mod:`repro.engine.executor` -- a streaming work-stealing executor over
   ``concurrent.futures``: ``stream()`` yields rows as they land,
   ``run()`` collects them with deterministic (job-order) result ordering,
-* :mod:`repro.engine.analysis` -- Pareto-frontier extraction (batch and
-  incremental/streaming) and best-per-metric selection over result rows,
+* :mod:`repro.engine.analysis` -- Pareto-frontier extraction (one streaming
+  fold, also run over whole row lists) and best-per-metric selection,
 * :mod:`repro.engine.runners` -- adapters exposing the existing design
-  evaluation, LAC kernel simulations and experiment registry as runners.
+  evaluation, analytical models and cycle-level simulations as runners.
 
 Quickstart
 ----------
@@ -37,9 +37,8 @@ from repro.engine.analysis import (DEFAULT_OBJECTIVES, IncrementalPareto,
 from repro.engine.cache import (CACHE_MAX_MB_ENV, ResultCache, SidecarStore,
                                 default_code_version, env_max_bytes,
                                 usable_cache_dir)
-from repro.engine.executor import (ProgressCallback, StreamRow, SweepExecutor,
-                                   SweepResult, SweepStream, execute_jobs,
-                                   stream_jobs)
+from repro.engine.executor import (StreamRow, SweepExecutor, SweepResult,
+                                   SweepStream, execute_jobs, stream_jobs)
 from repro.engine.runners import (HEAVY_RUNNERS, KNOWN_PARAMS, PARETO_OBJECTIVES,
                                   RUNNERS, get_runner, runner_names)
 from repro.engine.spec import Job, Params, SweepSpec, canonical_params, params_key
@@ -49,7 +48,7 @@ __all__ = [
     "ResultCache", "SidecarStore", "default_code_version", "usable_cache_dir",
     "CACHE_MAX_MB_ENV", "env_max_bytes",
     "SweepExecutor", "SweepResult", "SweepStream", "StreamRow",
-    "ProgressCallback", "execute_jobs", "stream_jobs",
+    "execute_jobs", "stream_jobs",
     "pareto_frontier", "best_per_metric", "frontier_report",
     "IncrementalPareto",
     "DEFAULT_OBJECTIVES", "PARETO_OBJECTIVES", "RUNNERS", "HEAVY_RUNNERS",
@@ -61,8 +60,8 @@ __all__ = [
 
 def sweep(spec_or_jobs: Union[SweepSpec, Sequence[Job]], runner: Optional[str] = None,
           mode: str = "auto", max_workers: Optional[int] = None,
-          batch_size: Optional[int] = None, cache_dir: Optional[str] = None,
-          progress: Optional[ProgressCallback] = None) -> SweepResult:
+          batch_size: Optional[int] = None,
+          cache_dir: Optional[str] = None) -> SweepResult:
     """Run a sweep end to end: expand, resolve from cache, fan out, collect.
 
     Accepts either a :class:`SweepSpec` (``runner`` required) or a
@@ -80,4 +79,4 @@ def sweep(spec_or_jobs: Union[SweepSpec, Sequence[Job]], runner: Optional[str] =
             raise ValueError("explicit runner does not match the jobs' runner")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     return execute_jobs(jobs, mode=mode, max_workers=max_workers,
-                        batch_size=batch_size, cache=cache, progress=progress)
+                        batch_size=batch_size, cache=cache)

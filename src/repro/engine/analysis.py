@@ -33,50 +33,29 @@ def _oriented(row: Row, objectives: Sequence[str], minimize: Collection[str]) ->
             for o in objectives]
 
 
-def pareto_frontier(rows: Sequence[Row], objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-                    minimize: Collection[str] = ()) -> List[Row]:
-    """The non-dominated subset of ``rows``, preserving input order.
-
-    Duplicate objective vectors all survive (none strictly dominates the
-    other), which keeps equally-good design alternatives visible.
-    """
-    if not objectives:
-        raise ValueError("at least one objective is required")
-    vectors = [_oriented(row, objectives, minimize) for row in rows]
-    frontier: List[Row] = []
-    for i, vec in enumerate(vectors):
-        dominated = False
-        for j, other in enumerate(vectors):
-            if j == i:
-                continue
-            if (all(x >= y for x, y in zip(other, vec))
-                    and any(x > y for x, y in zip(other, vec))):
-                dominated = True
-                break
-        if not dominated:
-            frontier.append(rows[i])
-    return frontier
+def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether oriented vector ``a`` strictly dominates ``b``."""
+    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
 
 
 class IncrementalPareto:
     """Streaming Pareto frontier: fold rows in one at a time.
 
-    Maintains exactly the frontier :func:`pareto_frontier` would return on
-    the rows seen so far, in arrival order, but costs O(frontier) per row
-    instead of O(n^2) per recomputation -- built for consuming
+    Maintains the non-dominated subset of the rows seen so far, in arrival
+    order, at O(frontier) per row -- built for consuming
     :meth:`repro.engine.executor.SweepExecutor.stream` while the sweep is
-    still running.
+    still running; :func:`pareto_frontier` is the same fold over a list.
 
-    Equality with the batch frontier holds because strict dominance is
+    The members equal the pairwise definition (a row survives unless some
+    other row strictly dominates it) because strict dominance is
     transitive: a new row is rejected only when some current member
     dominates it, and if that member is later evicted by a better row, the
     better row dominates the rejected one too (so it stays correctly
     rejected); conversely every evicted member is dominated by a row that
-    remains.  Members therefore coincide with the non-dominated subset of
-    everything ever added, and since survivors are appended in arrival
-    order (evictions never reorder), the ordering matches the batch
-    function's input-order traversal.  Rows with equal objective vectors
-    all survive, exactly like the batch frontier.
+    remains.  Survivors are appended in arrival order (evictions never
+    reorder), so the order is the input order.  Rows with equal objective
+    vectors all survive, which keeps equally-good design alternatives
+    visible.
     """
 
     def __init__(self, objectives: Sequence[str] = DEFAULT_OBJECTIVES,
@@ -93,22 +72,12 @@ class IncrementalPareto:
         """Fold one row in; returns whether it joined the frontier."""
         vec = _oriented(row, self.objectives, self.minimize)
         self.seen += 1
-        for other in self._vectors:
-            if (all(x >= y for x, y in zip(other, vec))
-                    and any(x > y for x, y in zip(other, vec))):
-                return False
-        keep_rows: List[Row] = []
-        keep_vectors: List[List[float]] = []
-        for member, other in zip(self._rows, self._vectors):
-            if (all(x >= y for x, y in zip(vec, other))
-                    and any(x > y for x, y in zip(vec, other))):
-                continue
-            keep_rows.append(member)
-            keep_vectors.append(other)
-        keep_rows.append(row)
-        keep_vectors.append(vec)
-        self._rows = keep_rows
-        self._vectors = keep_vectors
+        if any(_dominates(other, vec) for other in self._vectors):
+            return False
+        keep = [(member, other) for member, other in zip(self._rows, self._vectors)
+                if not _dominates(vec, other)]
+        self._rows = [member for member, _ in keep] + [row]
+        self._vectors = [other for _, other in keep] + [vec]
         return True
 
     def frontier(self) -> List[Row]:
@@ -117,6 +86,19 @@ class IncrementalPareto:
 
     def __len__(self) -> int:
         return len(self._rows)
+
+
+def pareto_frontier(rows: Sequence[Row], objectives: Sequence[str] = DEFAULT_OBJECTIVES,
+                    minimize: Collection[str] = ()) -> List[Row]:
+    """The non-dominated subset of ``rows``, preserving input order.
+
+    Folds the rows through :class:`IncrementalPareto`.  Duplicate objective
+    vectors all survive (none strictly dominates the other).
+    """
+    frontier = IncrementalPareto(objectives, minimize)
+    for row in rows:
+        frontier.add(row)
+    return frontier.frontier()
 
 
 def best_per_metric(rows: Sequence[Row], metrics: Sequence[str] = DEFAULT_OBJECTIVES,

@@ -4,10 +4,12 @@ One private fan-out core owns the on-disk format: JSON objects under
 ``<root>/??/<sha256>.json``, written atomically (one temp file, one
 ``os.replace``), read best effort (a corrupt entry reads as a miss and is
 dropped), bounded by an LRU byte budget, and counted in an append-only
-``_stats.log`` of lifetime hits, misses and evictions.  Two thin
-namespaces sit on it: :class:`ResultCache` (one row per executed job,
-budget ``REPRO_CACHE_MAX_MB``) and :class:`SidecarStore` (schedule replay
-records under ``<cache-dir>/replay/``, budget ``REPRO_REPLAY_MAX_MB``).
+``_stats.log`` of lifetime hits, misses and evictions.  Two thin views
+file their entries in the same directory: :class:`ResultCache` (one row
+per executed job) and :class:`SidecarStore` (schedule replay records).
+So one budget (``REPRO_CACHE_MAX_MB``), one LRU order and one
+``clear``/``prune`` cover rows and records alike; hits and misses count
+row lookups only.
 
 Keys fold in a *code version* that defaults to
 :func:`default_code_version`, a sha256 over the source of the whole
@@ -44,11 +46,6 @@ KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 #: Environment variable holding the default cache size budget in megabytes.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
-#: Environment variable holding the default replay-sidecar size budget in
-#: megabytes (schedule recordings are pure optimisations, so bounding them
-#: costs only re-simulation, never correctness).
-REPLAY_MAX_MB_ENV = "REPRO_REPLAY_MAX_MB"
-
 #: Enforce the size budget only every this many writes, so large sweeps do
 #: not pay a directory scan per job once the running estimate is warm.
 _ENFORCE_EVERY_PUTS = 32
@@ -62,8 +59,8 @@ _REFRESHED_KEYS_MAX = 65536
 #: full prune scan on every subsequent write.
 _LOW_WATER_FRACTION = 0.9
 
-#: Entries of a store; the glob never matches the stats log or the
-#: ``replay/`` sidecar root, whose name is longer than two characters.
+#: Entries of a store, rows and replay records alike; the glob never
+#: matches the stats log.
 _ENTRY_GLOB = "??/*.json"
 
 #: Append-only log of lifetime counter deltas in a store's root, one JSON
@@ -71,9 +68,6 @@ _ENTRY_GLOB = "??/*.json"
 _STATS_LOG = "_stats.log"
 
 _COUNTER_KEYS = ("hits", "misses", "evictions")
-
-#: Subdirectory of the cache root holding the replay sidecar.
-_SIDECAR_DIRNAME = "replay"
 
 
 def is_valid_key(key: object) -> bool:
@@ -88,31 +82,26 @@ def _unlink(path: PathLike) -> None:
         pass
 
 
-def _env_budget_bytes(env_name: str, label: str) -> Optional[int]:
-    """A size budget in bytes from a ``<ENV>`` megabyte knob, or ``None``.
+def env_max_bytes() -> Optional[int]:
+    """Cache size budget from ``REPRO_CACHE_MAX_MB``, or ``None`` if unset.
 
     An unparsable, non-finite or non-positive value degrades to "no limit"
     with a warning, mirroring how the other engine environment knobs behave.
     """
-    raw = os.environ.get(env_name)
+    raw = os.environ.get(CACHE_MAX_MB_ENV)
     if raw is None or not raw.strip():
         return None
     try:
         mbytes = float(raw)
     except ValueError:
-        print(f"warning: {env_name}='{raw}' is not a number; "
-              f"{label} size is unlimited", file=sys.stderr)
+        print(f"warning: {CACHE_MAX_MB_ENV}='{raw}' is not a number; "
+              f"cache size is unlimited", file=sys.stderr)
         return None
     if not math.isfinite(mbytes) or mbytes <= 0:
-        print(f"warning: {env_name}={mbytes} is not a positive finite number; "
-              f"{label} size is unlimited", file=sys.stderr)
+        print(f"warning: {CACHE_MAX_MB_ENV}={mbytes} is not a positive finite "
+              f"number; cache size is unlimited", file=sys.stderr)
         return None
     return int(mbytes * 1024 * 1024)
-
-
-def env_max_bytes() -> Optional[int]:
-    """Cache size budget from ``REPRO_CACHE_MAX_MB``, or ``None`` if unset."""
-    return _env_budget_bytes(CACHE_MAX_MB_ENV, "cache")
 
 
 def usable_cache_dir(cache_dir: Optional[PathLike],
@@ -174,12 +163,17 @@ class _FanoutStore:
 
     Stores one JSON object per content key at ``<directory>/??/<key>.json``
     and owns everything about those files: the atomic write, best-effort
-    reads, the LRU byte budget (``max_bytes``; ``None`` is unbounded),
-    ``prune`` / ``size_bytes`` / ``len`` / ``clear``, and the lifetime
-    counters in ``<directory>/_stats.log``.
+    reads, the LRU byte budget (``max_bytes``; ``None`` reads
+    ``REPRO_CACHE_MAX_MB``, and when that is unset too the store is
+    unbounded), ``prune`` / ``size_bytes`` / ``len`` / ``clear`` over every
+    entry in the directory, and the lifetime counters in
+    ``<directory>/_stats.log``.  Evictions are counted here; hits and
+    misses only by :class:`ResultCache`, whose lookups they describe.
     """
 
     def __init__(self, directory: PathLike, max_bytes: Optional[int]) -> None:
+        if max_bytes is None:
+            max_bytes = env_max_bytes()
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be positive (or None for unlimited)")
         self.directory = pathlib.Path(directory).expanduser()
@@ -222,13 +216,10 @@ class _FanoutStore:
             if not isinstance(payload, dict):
                 raise TypeError("a store entry must hold a JSON object")
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
             _unlink(path)
-            self.misses += 1
             return None
-        self.hits += 1
         if not (refresh_once and path.name in self._refreshed):
             try:
                 os.utime(path, None)
@@ -394,64 +385,40 @@ class _FanoutStore:
 
 
 class SidecarStore(_FanoutStore):
-    """Content-addressed JSON store for derived artifacts next to a cache.
+    """Replay records filed among a result cache's rows.
 
-    Where :class:`ResultCache` stores final result *rows*, the sidecar
-    stores reusable *intermediates* -- the
-    :class:`~repro.lap.replay.ScheduleTrace` replay records that let a
-    warm sweep point skip the scheduler loop.  Keys hash a ``kind`` tag,
-    an opaque ``material`` string (e.g. a schedule's structural key) and
-    the cache's ``code_version``, so a source edit orphans records exactly
-    like result rows.  Everything is best effort: an unwritable or corrupt
-    sidecar degrades to misses, because its records can be recomputed.
-    :meth:`config` / :meth:`from_config` ship it to worker processes.
-
-    ``max_bytes`` bounds the store under the LRU policy (reads refresh
-    recency); ``None`` reads ``REPRO_REPLAY_MAX_MB``, and when that is
-    unset too the store is unbounded.  An evicted record only costs a
-    re-simulation, so the budget trades disk for scheduler time.
+    Where :class:`ResultCache` stores final result *rows*, this view stores
+    reusable *intermediates* -- the :class:`~repro.lap.replay.ScheduleTrace`
+    replay records that let a warm sweep point skip the scheduler loop --
+    as ordinary entries of the same directory, under the same budget;
+    workers build it from :meth:`ResultCache.config`.  Keys hash a
+    ``kind`` tag, an opaque ``material`` string (e.g. a schedule's
+    structural key) and the cache's ``code_version``, so a source edit
+    orphans records exactly like result rows.  Everything is best effort:
+    an unwritable or corrupt record degrades to a miss, because it can be
+    recomputed.  Record lookups are not counted as cache hits or misses.
     """
 
     def __init__(self, directory: PathLike, code_version: str = "",
                  max_bytes: Optional[int] = None) -> None:
-        super().__init__(directory, max_bytes if max_bytes is not None
-                         else _env_budget_bytes(REPLAY_MAX_MB_ENV, "replay sidecar"))
+        super().__init__(directory, max_bytes)
         self.code_version = code_version
-
-    @classmethod
-    def from_config(cls, config: Mapping) -> "SidecarStore":
-        return cls(directory=config["directory"],
-                   code_version=config.get("code_version", ""),
-                   max_bytes=config.get("max_bytes"))
-
-    def config(self) -> Dict[str, object]:
-        """Picklable description, for shipping to worker processes."""
-        return {"directory": str(self.directory),
-                "code_version": self.code_version,
-                "max_bytes": self.max_bytes}
 
     def key_for(self, kind: str, material: str) -> str:
         blob = f"{kind}\n{material}\n{self.code_version}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def path_for(self, kind: str, material: str) -> pathlib.Path:
-        return self._path(self.key_for(kind, material))
-
     def get(self, kind: str, material: str) -> Optional[dict]:
         """The stored payload, or ``None`` on miss/corruption (best effort)."""
-        return self._read(self.path_for(kind, material))
+        return self._read(self._path(self.key_for(kind, material)))
 
     def put(self, kind: str, material: str,
             payload: Mapping) -> Optional[pathlib.Path]:
         """Atomically store a payload; returns ``None`` when unwritable."""
         try:
-            return self._write(self.path_for(kind, material), payload)
+            return self._write(self._path(self.key_for(kind, material)), payload)
         except (OSError, TypeError, ValueError):
             return None
-
-    def lifetime_evictions(self) -> int:
-        """Records pruned from this directory across all store instances."""
-        return self._lifetime()["evictions"]
 
 
 class ResultCache(_FanoutStore):
@@ -465,7 +432,8 @@ class ResultCache(_FanoutStore):
         Cache namespace; defaults to :func:`default_code_version`, the
         source fingerprint of the ``repro`` package.
     max_bytes:
-        Size budget for LRU eviction.  ``None`` (the default) reads
+        Size budget for LRU eviction, shared with the replay records in
+        the same directory.  ``None`` (the default) reads
         ``REPRO_CACHE_MAX_MB`` from the environment; when that is also
         unset the cache grows without bound and only explicit ``prune()``
         or ``clear()`` calls remove entries.
@@ -473,8 +441,7 @@ class ResultCache(_FanoutStore):
 
     def __init__(self, directory: PathLike, code_version: Optional[str] = None,
                  max_bytes: Optional[int] = None) -> None:
-        super().__init__(directory, max_bytes if max_bytes is not None
-                         else env_max_bytes())
+        super().__init__(directory, max_bytes)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.code_version = (code_version if code_version is not None
                              else default_code_version())
@@ -496,26 +463,26 @@ class ResultCache(_FanoutStore):
         return {"runner": job.runner, "params": job.params_dict,
                 "code_version": self.code_version, "row": dict(row)}
 
-    # -------------------------------------------------------------- sidecar
-    def sidecar(self) -> SidecarStore:
-        """The cache's replay sidecar (``<directory>/replay/``).
-
-        Shares the cache's ``code_version`` namespace, so a source edit
-        invalidates stored schedules together with result rows.  The
-        sidecar lives outside the ``??/`` entry fan-out and is exempt from
-        the cache's LRU eviction, ``clear()`` and ``prune()``.
-        """
-        return SidecarStore(self.directory / _SIDECAR_DIRNAME,
-                            code_version=self.code_version)
-
-    def sidecar_config(self) -> Dict[str, str]:
-        """Picklable sidecar description for worker processes."""
-        return self.sidecar().config()
+    def config(self) -> Dict[str, object]:
+        """Picklable description (directory, code version, budget), shipped
+        to workers, which build the cache's :class:`SidecarStore` from it."""
+        return {"directory": str(self.directory),
+                "code_version": self.code_version,
+                "max_bytes": self.max_bytes}
 
     # ------------------------------------------------------------- storage
+    def _counted(self, payload: Optional[dict]) -> Optional[dict]:
+        """Count one row lookup as a hit or a miss; returns ``payload``."""
+        if payload is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return payload
+
     def get(self, job: Job) -> Optional[dict]:
         """The cached result row for ``job``, or ``None`` on a miss."""
-        return self._read(self.path_for(job), field="row", refresh_once=True)
+        return self._counted(self._read(self.path_for(job), field="row",
+                                        refresh_once=True))
 
     def put(self, job: Job, row: Mapping) -> pathlib.Path:
         """Store the result row of an executed job (atomic write).
@@ -534,7 +501,7 @@ class ResultCache(_FanoutStore):
         daemon); ``None`` on a miss.  Counts hits and misses like
         :meth:`get`, and every hit refreshes recency.
         """
-        return self._read(self._path(key))
+        return self._counted(self._read(self._path(key)))
 
     def put_by_key(self, key: str, payload: Mapping) -> Optional[pathlib.Path]:
         """Store a raw entry payload under a content key (atomic write).
@@ -579,7 +546,6 @@ class ResultCache(_FanoutStore):
         that has used the directory (see :meth:`persist_stats`).
         """
         entries = self._entries()
-        sidecar = self.sidecar()
         return {
             "directory": str(self.directory),
             "code_version": self.code_version,
@@ -588,8 +554,4 @@ class ResultCache(_FanoutStore):
             "entries": len(entries),
             "size_bytes": sum(size for _, size, _ in entries),
             "max_bytes": self.max_bytes,
-            "sidecar": {"entries": len(sidecar),
-                        "size_bytes": sidecar.size_bytes(),
-                        "max_bytes": sidecar.max_bytes,
-                        "evictions": sidecar.lifetime_evictions()},
         }

@@ -24,9 +24,10 @@ Two ways to consume a run:
 Workers receive only (runner name, parameter dicts, worker context); the
 runner function is re-resolved inside the worker from
 :mod:`repro.engine.runners`, which keeps batches trivially picklable.  The
-worker context ships the cache's replay-sidecar location so worker processes
-load prebuilt :class:`~repro.lap.replay.ScheduleTrace` records instead of
-re-scheduling (see :meth:`~repro.engine.cache.ResultCache.sidecar`).
+worker context is the cache's :meth:`~repro.engine.cache.ResultCache.config`,
+so worker processes load the :class:`~repro.lap.replay.ScheduleTrace`
+records filed in the cache instead of re-scheduling.  Serial runs, and the
+serial re-run after a broken process pool, go through one loop.
 
 Every run also measures its own telemetry -- per-batch wall times, per-job
 latency (measured inside the worker), time-to-first/last row and the cache's
@@ -41,13 +42,10 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
 from repro.engine.spec import Job, Params
-
-ProgressCallback = Callable[[int, int], None]
 
 MODES = ("auto", "serial", "thread", "process")
 
@@ -69,8 +67,9 @@ def _run_shard(runner_name: str, params_list: List[Params],
 
     Returns the result rows plus the per-job wall seconds, measured in the
     worker so pool queueing never inflates a job's reported latency.
-    ``worker_context`` configures worker-process state (currently the
-    replay-sidecar location) before the first job runs.
+    ``worker_context`` (the cache's config, or ``None``) points the
+    worker's schedule replay at the cache's records before the first job
+    runs.
     """
     from repro.engine.runners import configure_worker, get_runner
 
@@ -258,16 +257,13 @@ class SweepExecutor:
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are written back as each micro-batch completes.  Its
-        replay sidecar is shipped to workers so recorded schedules are
-        shared across processes.
-    progress:
-        Optional callback invoked as ``progress(done, total)`` after the
-        cache scan and after every completed micro-batch.
+        config is shipped to workers so recorded schedules are shared
+        across processes.
     """
 
     def __init__(self, mode: str = "auto", max_workers: Optional[int] = None,
-                 batch_size: Optional[int] = None, cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None) -> None:
+                 batch_size: Optional[int] = None,
+                 cache: Optional[ResultCache] = None) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
         if max_workers is not None and max_workers < 1:
@@ -278,7 +274,6 @@ class SweepExecutor:
         self.max_workers = max_workers
         self.batch_size = batch_size
         self.cache = cache
-        self.progress = progress
 
     # ------------------------------------------------------------ internals
     def _resolve_workers(self) -> int:
@@ -320,13 +315,7 @@ class SweepExecutor:
 
     def _worker_context(self) -> Optional[dict]:
         """Per-worker configuration shipped with every micro-batch."""
-        if self.cache is None:
-            return None
-        return {"replay_sidecar": self.cache.sidecar_config()}
-
-    def _report(self, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(done, total)
+        return None if self.cache is None else self.cache.config()
 
     # --------------------------------------------------------------- stream
     def stream(self, jobs: Iterable[Job]) -> SweepStream:
@@ -341,7 +330,6 @@ class SweepExecutor:
 
     def _events(self, state: _StreamState) -> Iterator[StreamRow]:
         jobs = state.jobs
-        total = len(jobs)
         hits: List[Tuple[int, dict]] = []
         if self.cache is not None:
             for index, job in enumerate(jobs):
@@ -353,7 +341,6 @@ class SweepExecutor:
         pending = [(i, job) for i, job in enumerate(jobs)
                    if state.rows[i] is None]
         state.executed = len(pending)
-        self._report(state.cached, total)
         if hits:
             # The zero-job shard entries: cache resolution is a real source
             # of rows and gets a timing-table line even when nothing
@@ -384,31 +371,30 @@ class SweepExecutor:
             # single batch (worker isolation may be the point); only
             # "serial" and fully-cached runs execute in-process.
             state.mode = "serial"
-            yield from self._serial_events(state, queue, workers, total)
+            yield from self._serial_events(state, queue, workers)
         else:
             state.mode = mode
-            yield from self._pool_events(state, queue, workers, total)
+            yield from self._pool_events(state, queue, workers)
 
         if self.cache is not None:
             state.cache_stats = self.cache.counters()
             self.cache.persist_stats()
 
     def _serial_events(self, state: _StreamState, queue: "deque[Tuple[int, Job]]",
-                       workers: int, total: int) -> Iterator[StreamRow]:
+                       workers: int, shard_id: int = 0,
+                       fallback: bool = False) -> Iterator[StreamRow]:
+        """Run the queue in-process, one micro-batch after another."""
         context = self._worker_context()
-        done = state.cached
-        shard_id = 0
         while queue:
             batch = self._next_batch(queue, workers)
             outcome = _run_shard(batch[0][1].runner,
                                  [job.params_dict for _, job in batch], context)
-            yield from self._finish_batch(state, batch, outcome, shard_id)
+            yield from self._finish_batch(state, batch, outcome, shard_id,
+                                          fallback)
             shard_id += 1
-            done += len(batch)
-            self._report(done, total)
 
     def _pool_events(self, state: _StreamState, queue: "deque[Tuple[int, Job]]",
-                     workers: int, total: int) -> Iterator[StreamRow]:
+                     workers: int) -> Iterator[StreamRow]:
         pool_cls = (concurrent.futures.ProcessPoolExecutor
                     if state.mode == "process"
                     else concurrent.futures.ThreadPoolExecutor)
@@ -421,7 +407,6 @@ class SweepExecutor:
             state.mode = "thread"
             pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_workers)
         context = self._worker_context()
-        done = state.cached
         shard_id = 0
         inflight: Dict[concurrent.futures.Future, Tuple[int, List[Tuple[int, Job]]]] = {}
 
@@ -449,8 +434,6 @@ class SweepExecutor:
                             submit_next()
                         yield from self._finish_batch(state, batch, outcome,
                                                       batch_id)
-                        done += len(batch)
-                        self._report(done, total)
             except concurrent.futures.BrokenExecutor:
                 if state.mode != "process":
                     raise
@@ -459,18 +442,8 @@ class SweepExecutor:
                 state.mode = "serial"
                 missing = deque((index, job) for index, job in enumerate(state.jobs)
                                 if state.rows[index] is None)
-                done = total - len(missing)
-                self._report(done, total)
-                while missing:
-                    batch = self._next_batch(missing, workers)
-                    outcome = _run_shard(batch[0][1].runner,
-                                         [job.params_dict for _, job in batch],
-                                         context)
-                    yield from self._finish_batch(state, batch, outcome,
-                                                  shard_id, fallback=True)
-                    shard_id += 1
-                    done += len(batch)
-                    self._report(done, total)
+                yield from self._serial_events(state, missing, workers,
+                                               shard_id, fallback=True)
         finally:
             # Never wait for stragglers here: on the normal path every
             # future has already completed, and when the consumer abandons
@@ -527,19 +500,17 @@ class SweepExecutor:
 
 def execute_jobs(jobs: Sequence[Job], mode: str = "auto",
                  max_workers: Optional[int] = None, batch_size: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None) -> SweepResult:
+                 cache: Optional[ResultCache] = None) -> SweepResult:
     """One-shot convenience wrapper around :class:`SweepExecutor`."""
     executor = SweepExecutor(mode=mode, max_workers=max_workers,
-                             batch_size=batch_size, cache=cache, progress=progress)
+                             batch_size=batch_size, cache=cache)
     return executor.run(jobs)
 
 
 def stream_jobs(jobs: Sequence[Job], mode: str = "auto",
                 max_workers: Optional[int] = None, batch_size: Optional[int] = None,
-                cache: Optional[ResultCache] = None,
-                progress: Optional[ProgressCallback] = None) -> SweepStream:
+                cache: Optional[ResultCache] = None) -> SweepStream:
     """One-shot convenience wrapper around :meth:`SweepExecutor.stream`."""
     executor = SweepExecutor(mode=mode, max_workers=max_workers,
-                             batch_size=batch_size, cache=cache, progress=progress)
+                             batch_size=batch_size, cache=cache)
     return executor.stream(jobs)

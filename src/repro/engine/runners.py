@@ -31,13 +31,12 @@ code path the paper figures sweep:
     counts x scheduling policies x timing models),
 ``blocked_fact``
     a full blocked Cholesky/LU/QR factorization on the cycle-level LAC
-    simulator, cross-checked against the analytical panel model,
-``experiment``
-    one :mod:`repro.experiments.registry` entry (cached artifact regeneration).
+    simulator, cross-checked against the analytical panel model.
 
-Rows contain only JSON-serialisable scalars (except ``experiment``, whose
-``data`` field carries the experiment payload) so results cache cleanly and
+Rows contain only JSON-serialisable scalars so results cache cleanly and
 compare byte-identically across serial / thread / process execution.
+``lap_runtime`` also files schedule replay records in the result cache
+(see :func:`configure_worker`).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.engine.spec import Params
 
 #: Runners that do enough work per job for a process pool to pay off; the
 #: analytical models run in microseconds and stay serial under mode="auto".
-HEAVY_RUNNERS = frozenset({"simulate", "experiment", "lap_runtime", "blocked_fact"})
+HEAVY_RUNNERS = frozenset({"simulate", "lap_runtime", "blocked_fact"})
 
 #: Parameters each runner understands; anything else in a job's params is
 #: silently unused, so the CLI warns when a sweep axis is not listed here.
@@ -77,7 +76,6 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
                               "frequency_ghz", "offchip_pj_per_byte"}),
     "blocked_fact": frozenset({"method", "n", "nr", "seed", "use_extension",
                                "frequency_ghz"}),
-    "experiment": frozenset({"exp_id"}),
 }
 
 
@@ -89,36 +87,36 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
 _REPLAY_MEMO: "Dict[tuple, tuple]" = {}
 _REPLAY_MEMO_MAX = 16
 
-#: Cross-process replay sidecar (a :class:`repro.engine.cache.SidecarStore`)
-#: configured by the executor through :func:`configure_worker`; ``None``
-#: keeps replay purely in-process.  Worker processes each configure their
-#: own handle from the picklable context shipped with every micro-batch.
+#: Replay records of the result cache the executor runs against (a
+#: :class:`repro.engine.cache.SidecarStore` over the cache's directory),
+#: built from the cache's ``config()`` by :func:`configure_worker`, which
+#: keeps that config in ``_WORKER_CACHE_CONFIG``; ``None`` keeps replay
+#: purely in-process.  Worker processes each build their own handle from
+#: the config shipped with every micro-batch.
 _WORKER_SIDECAR = None
+_WORKER_CACHE_CONFIG: Optional[dict] = None
 
-#: Sidecar record kind for persisted ``lap_runtime`` schedule recordings.
+#: Record kind of persisted ``lap_runtime`` schedule recordings.
 _REPLAY_SIDECAR_KIND = "lap_runtime/schedule_trace"
 
 
-def configure_worker(context: Optional[Mapping] = None) -> None:
-    """Apply executor-provided per-worker context (idempotent).
+def configure_worker(cache_config: Optional[Mapping] = None) -> None:
+    """Point replay at the records of the cache ``cache_config`` describes.
 
-    Currently the context carries the result cache's replay-sidecar
-    location (``{"replay_sidecar": {"directory": ..., "code_version":
-    ...}}``); passing ``None`` or an empty context resets to purely
-    in-process replay.  Called by the executor at the start of serial runs
-    and inside every pool worker before a micro-batch executes.
+    ``cache_config`` is :meth:`repro.engine.cache.ResultCache.config`
+    (directory, code version, budget); ``None`` resets to purely
+    in-process replay.  Idempotent: the same config keeps the same store.
+    Called by the executor before every micro-batch, in-process for serial
+    runs and inside every pool worker.
     """
-    global _WORKER_SIDECAR
-    sidecar_config = context.get("replay_sidecar") if context else None
-    if not sidecar_config:
-        _WORKER_SIDECAR = None
-        return
-    if (_WORKER_SIDECAR is not None
-            and _WORKER_SIDECAR.config() == dict(sidecar_config)):
+    global _WORKER_SIDECAR, _WORKER_CACHE_CONFIG
+    config = dict(cache_config) if cache_config else None
+    if config == _WORKER_CACHE_CONFIG:
         return
     from repro.engine.cache import SidecarStore
 
-    _WORKER_SIDECAR = SidecarStore.from_config(sidecar_config)
+    _WORKER_CACHE_CONFIG = config
+    _WORKER_SIDECAR = None if config is None else SidecarStore(**config)
 
 
 def _memoize_schedule(structural_key: tuple, recorded: tuple) -> None:
@@ -130,9 +128,10 @@ def _memoize_schedule(structural_key: tuple, recorded: tuple) -> None:
 def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
     """The ``(ScheduleTrace, row)`` recorded for a structural key, if any.
 
-    Looks in the in-process memo first, then in the replay sidecar (another
-    worker, or an earlier run, may have published the schedule there); a
-    sidecar hit seeds the memo.  A record that does not parse is a miss.
+    Looks in the in-process memo first, then among the cache's replay
+    records (another worker, or an earlier run, may have published the
+    schedule there); a record hit seeds the memo.  A record that does not
+    parse is a miss.
     """
     recorded = _REPLAY_MEMO.get(structural_key)
     if recorded is not None or _WORKER_SIDECAR is None:
@@ -156,7 +155,7 @@ def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
 
 
 def _record_schedule(structural_key: tuple, trace, row: dict) -> None:
-    """Memoize a fresh recording and publish it to the sidecar (best effort)."""
+    """Memoize a fresh recording and publish it to the cache (best effort)."""
     from repro.lap.replay import REPLAY_STATS
 
     row = dict(row)
@@ -725,25 +724,6 @@ def run_blocked_factorization(params: Params) -> dict:
     }
 
 
-def run_registry_experiment(params: Params) -> dict:
-    """Regenerate one registered experiment (table / figure data series)."""
-    # Imported lazily: the registry imports the figure generators, which in
-    # turn import this engine, so a module-level import would be circular.
-    from repro.experiments.registry import get_experiment
-
-    exp_id = str(params["exp_id"])
-    experiment = get_experiment(exp_id)
-    data = experiment.run()
-    num_rows = len(data) if isinstance(data, (Mapping, list, tuple)) else 1
-    return {
-        "exp_id": exp_id,
-        "kind": experiment.kind,
-        "source": experiment.source,
-        "num_rows": num_rows,
-        "data": data,
-    }
-
-
 RUNNERS: Dict[str, Callable[[Params], dict]] = {
     "design": run_design_point,
     "pe": run_pe_point,
@@ -755,7 +735,6 @@ RUNNERS: Dict[str, Callable[[Params], dict]] = {
     "fact_kernel": run_fact_kernel,
     "lap_runtime": run_lap_runtime,
     "blocked_fact": run_blocked_factorization,
-    "experiment": run_registry_experiment,
 }
 
 #: Default Pareto objectives per runner (used by the ``sweep`` CLI when the
@@ -771,7 +750,6 @@ PARETO_OBJECTIVES: Dict[str, Tuple[str, ...]] = {
     "fact_kernel": ("gflops_per_w", "gflops_per_mm2"),
     "lap_runtime": ("parallel_efficiency",),
     "blocked_fact": ("gflops", "utilization"),
-    "experiment": (),
 }
 
 

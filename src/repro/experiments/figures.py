@@ -7,18 +7,15 @@ them to matplotlib if available.
 
 Every multi-point sweep (core/chip GEMM utilisation, PE frequency and
 local-store sweeps, on-chip bandwidth vs memory, level-3 BLAS utilisation,
-factorization-kernel efficiency) expands through :mod:`repro.engine`, so
-regenerating the paper artifacts inherits the engine's batching, caching
-and parallelism: set ``REPRO_FIGURE_CACHE`` to a directory to make figure
-regeneration incremental, and ``REPRO_FIGURE_MODE`` to
-``thread``/``process`` to force a backend.  The remaining generators are
-single-point constructions (breakdowns, comparisons) with nothing to fan
-out.
+factorization-kernel efficiency, the runtime sweeps) expands through
+:mod:`repro.engine` and runs serially without a cache: together they take
+a fraction of a second, so neither a cache nor a worker pool pays for
+itself.  The remaining generators are single-point constructions
+(breakdowns, comparisons) with nothing to fan out.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence
 
 from repro.arch.breakdowns import (cpu_penryn_breakdown, efficiency_comparison,
@@ -36,28 +33,6 @@ from repro.models.fact_model import FactorizationKernel, MACExtension
 from repro.models.fft_model import FFTCoreModel, FFTProblem, FFTVariant
 
 
-def _engine_kwargs() -> Dict:
-    """Execution options for the figure sweeps (overridable via env).
-
-    Invalid settings degrade with a warning rather than failing figure
-    regeneration: an unknown mode falls back to ``auto``, an unusable cache
-    directory disables caching.
-    """
-    import sys
-
-    from repro.engine import usable_cache_dir
-    from repro.engine.executor import MODES
-
-    mode = os.environ.get("REPRO_FIGURE_MODE", "auto")
-    if mode not in MODES:
-        print(f"warning: REPRO_FIGURE_MODE='{mode}' is not one of {MODES}; "
-              f"using 'auto'", file=sys.stderr)
-        mode = "auto"
-    cache_dir = usable_cache_dir(os.environ.get("REPRO_FIGURE_CACHE") or None,
-                                 label="REPRO_FIGURE_CACHE")
-    return {"mode": mode, "cache_dir": cache_dir}
-
-
 # ----------------------------------------------------------------- Fig. 3.4
 def fig_3_4_core_utilization_vs_local_store(n: int = 512) -> List[Dict]:
     """Core utilisation vs local store size for several on-chip bandwidths."""
@@ -67,7 +42,7 @@ def fig_3_4_core_utilization_vs_local_store(n: int = 512) -> List[Dict]:
                   bandwidth_bytes_per_cycle=(1, 2, 3, 4, 8),
                   kc=(16, 32, 48, 64, 96, 128, 192, 256, 320, 384, 448, 512))
             .filter(lambda p: p["kc"] <= p["n"]))
-    result = sweep(spec.jobs("core_gemm"), **_engine_kwargs())
+    result = sweep(spec.jobs("core_gemm"), mode="serial")
     return [{
         "nr": row["nr"],
         "bandwidth_bytes_per_cycle": int(row["bandwidth_bytes_per_cycle"]),
@@ -94,7 +69,7 @@ def fig_3_6_pe_efficiency_vs_frequency(precision: Precision = Precision.DOUBLE) 
             .constants(precision=precision.value, local_store_kbytes=16.0)
             .grid(frequency_ghz=(0.2, 0.33, 0.5, 0.75, 0.95, 1.0, 1.2,
                                  1.4, 1.6, 1.81, 2.08)))
-    result = sweep(spec.jobs("pe"), **_engine_kwargs())
+    result = sweep(spec.jobs("pe"), mode="serial")
     return [{
         "frequency_ghz": row["frequency_ghz"],
         "mm2_per_gflop": row["mm2_per_gflop"],
@@ -119,7 +94,7 @@ def fig_4_2_onchip_bw_vs_memory() -> List[Dict]:
                 .filter(lambda p: p["kc"] <= p["n"]
                         and p["num_cores"] * p["kc"] <= p["n"]))
         jobs.extend(spec.jobs("chip_gemm_onchip"))
-    result = sweep(jobs, **_engine_kwargs())
+    result = sweep(jobs, mode="serial")
     return [{
         "n": row["n"],
         "num_cores": row["num_cores"],
@@ -157,7 +132,7 @@ def fig_4_3_performance_vs_cores_and_bw(n: int = 1024) -> List[Dict]:
                 .grid(kc=kc_values)
                 .filter(lambda p: p["num_cores"] * p["kc"] <= p["n"]))
         jobs.extend(spec.jobs("chip_gemm_onchip"))
-    result = sweep(jobs, **_engine_kwargs())
+    result = sweep(jobs, mode="serial")
     base = min(row["total_cycles"] for row in result.rows[:len(base_jobs)])
     return [{
         "num_cores": row["num_cores"],
@@ -198,7 +173,7 @@ def fig_4_6_performance_vs_offchip_bw(frequency_ghz: float = 1.4) -> List[Dict]:
             .grid(num_cores=(4, 8, 16),
                   n=(256, 512, 768, 1024),
                   offchip_bw_bytes_per_cycle=(4, 8, 16, 24)))
-    result = sweep(spec.jobs("chip_gemm"), **_engine_kwargs())
+    result = sweep(spec.jobs("chip_gemm"), mode="serial")
     return [{
         "num_cores": row["num_cores"],
         "n": row["n"],
@@ -215,7 +190,7 @@ def fig_4_7_4_8_pe_area_power_vs_local_store() -> List[Dict]:
     spec = (SweepSpec()
             .constants(precision=Precision.DOUBLE.value, frequency_ghz=1.0)
             .grid(local_store_kbytes=(2, 4, 6, 8, 10, 12, 14, 16, 18, 20)))
-    result = sweep(spec.jobs("pe"), **_engine_kwargs())
+    result = sweep(spec.jobs("pe"), mode="serial")
     return [{
         "local_store_kbytes": int(row["local_store_kbytes"]),
         "pe_area_mm2": row["pe_area_mm2"],
@@ -305,7 +280,7 @@ def fig_5_8_5_9_syrk_trsm_utilization(mc: int = 256) -> List[Dict]:
                   operation=(Level3Operation.SYRK.value, Level3Operation.TRSM.value),
                   bandwidth_bytes_per_cycle=(1, 2, 3, 4, 8),
                   kc=(16, 32, 64, 96, 128, 192, 256, 320, 384, 448, 512)))
-    result = sweep(spec.jobs("blas"), **_engine_kwargs())
+    result = sweep(spec.jobs("blas"), mode="serial")
     return [{
         "operation": row["operation"],
         "nr": row["nr"],
@@ -327,7 +302,7 @@ def fig_5_10_blas_utilization_comparison() -> List[Dict]:
                 .grid(kc=(16, 32, 64, 96, 128, 192, 256, 320, 384, 448, 512),
                       operation=operations))
         jobs.extend(spec.jobs("blas"))
-    result = sweep(jobs, **_engine_kwargs())
+    result = sweep(jobs, mode="serial")
     return [{
         "operation": row["operation"],
         "nr": row["nr"],
@@ -379,7 +354,7 @@ def fig_6_6_6_7_factorization_efficiency(sizes: Sequence[int] = (64, 128, 256)) 
                       sfu=placements,
                       mac_extension=tuple(e.value for e in extensions)))
         jobs.extend(spec.jobs("fact_kernel"))
-    result = sweep(jobs, **_engine_kwargs())
+    result = sweep(jobs, mode="serial")
     return [{
         "kernel": row["kernel"],
         "k": row["k"],
@@ -447,7 +422,7 @@ def runtime_policy_comparison(sizes: Sequence[int] = (32, 64),
             .grid(policy=tuple(policy_names()),
                   num_cores=tuple(core_counts),
                   n=tuple(sizes)))
-    result = sweep(spec.jobs("lap_runtime"), **_engine_kwargs())
+    result = sweep(spec.jobs("lap_runtime"), mode="serial")
     greedy_makespan = {(row["n"], row["num_cores"]): row["makespan_cycles"]
                        for row in result.rows if row["policy"] == "greedy"}
     return [{
@@ -485,7 +460,7 @@ def runtime_memory_capacity_sweep(on_chip_kb: Sequence[float] = (64.0, 6.0, 3.0)
             .constants(algorithm="cholesky", n=n, tile=tile, nr=4, seed=0,
                        num_cores=num_cores, timing="memoized", verify=False)
             .grid(policy=tuple(policies), on_chip_kb=tuple(on_chip_kb)))
-    result = sweep(spec.jobs("lap_runtime"), **_engine_kwargs())
+    result = sweep(spec.jobs("lap_runtime"), mode="serial")
     greedy_traffic = {row["on_chip_kb"]: row["traffic_bytes"]
                       for row in result.rows if row["policy"] == "greedy"}
 
@@ -561,7 +536,7 @@ def runtime_energy_pareto(on_chip_kb: Sequence[float] = (64.0, 6.0, 3.0),
                   bandwidth_gbs=tuple(bandwidth_gbs),
                   stall_overlap=tuple(stall_overlap),
                   num_cores=tuple(int(c) for c in core_counts)))
-    result = sweep(spec.jobs("lap_runtime"), **_engine_kwargs())
+    result = sweep(spec.jobs("lap_runtime"), mode="serial")
     rows = []
     for row in result.rows:
         leakage_w = _memory_subsystem_leakage_w(float(row["on_chip_kb"]),

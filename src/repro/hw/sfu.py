@@ -124,9 +124,9 @@ class SpecialFunctionUnit:
     frequency_ghz:
         Clock of the hosting core.
     nr:
-        Core dimension; the diagonal option replicates the extension on the
-        ``nr`` diagonal PEs, the isolated option instantiates exactly one
-        unit per core.
+        Core dimension (at least 2, as for every LAC); the diagonal option
+        replicates the extension on the ``nr`` diagonal PEs, the isolated
+        option instantiates exactly one unit per core.
     mac_pipeline_stages:
         Pipeline depth of the underlying MAC units (drives iteration latency).
     """
@@ -139,8 +139,8 @@ class SpecialFunctionUnit:
     divider: GoldschmidtDivider = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.nr < 1:
-            raise ValueError("core dimension nr must be >= 1")
+        if self.nr < 2:
+            raise ValueError("core dimension nr must be >= 2")
         if self.divider is None:
             object.__setattr__(
                 self,

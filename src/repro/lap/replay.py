@@ -22,7 +22,8 @@ schedule (:meth:`repro.lap.runtime.LAPRuntime.schedule_trace`), and
 with the affected columns re-keyed, or ``None`` when the point must be
 re-simulated.  :data:`REPLAY_STATS` counts both outcomes.  The
 ``lap_runtime`` runner keeps recorded schedules in a per-process memo and
-in the result cache's replay sidecar (:mod:`repro.engine.runners`).
+as replay records among the result cache's entries
+(:mod:`repro.engine.runners`).
 """
 
 from __future__ import annotations

@@ -83,6 +83,15 @@ def test_sweep_rejects_operands_beyond_the_pe_stores(capsys):
     assert "sweep failed: gemm at size 256 needs 4096 words of MEM A" in err
 
 
+def test_design_rejects_a_one_by_one_core(capsys):
+    """Bugfix: ``--nr 1`` used to print a LAP of 1x1 cores that no simulator
+    or model accepts; it now fails like the other commands."""
+    assert main(["design", "--nr", "1"]) == 2
+    assert "design failed: core dimension nr must be >= 2" in capsys.readouterr().err
+    assert main(["sweep", "--runner", "design", "--set", "nr=1", "--no-cache"]) == 2
+    assert "sweep failed: core dimension nr must be >= 2" in capsys.readouterr().err
+
+
 def test_design_summary(capsys):
     assert main(["design", "--cores", "8", "--frequency", "1.0"]) == 0
     out = capsys.readouterr().out
@@ -395,7 +404,6 @@ def test_cache_stats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "entries       : 4" in out
     assert "size_mbytes" in out
-    assert "replay        : 0 sidecar entries" in out
 
 
 def test_cache_stats_json(tmp_path, capsys):
@@ -686,6 +694,29 @@ def test_report_missing_trace_fails_cleanly(tmp_path, capsys):
     assert "cannot read attribution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document,reason", [
+    ([], "not a JSON object"),
+    ({"elapsed_s": None}, "schema is None"),
+    ({"latency": {"count": 2}}, "schema is None"),
+    ({"schema": "repro.obs.run_manifest/v1", "elapsed_s": None},
+     "'elapsed_s' is None, not a number"),
+    ({"schema": "repro.obs.run_manifest/v1", "latency": {"count": 2}},
+     "'latency.mean_s' is None, not a number"),
+    ({"schema": "repro.obs.run_manifest/v1", "cache": [1]},
+     "'cache' is not an object"),
+    ({"schema": "repro.obs.run_manifest/v1", "shards": [1]},
+     "'shards' is not a list of objects"),
+])
+def test_report_rejects_what_is_not_a_run_manifest(tmp_path, capsys, document,
+                                                   reason):
+    """Bugfix: JSON that is not a run manifest ended in a traceback."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    assert main(["report", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read run manifest '{path}': {reason}" in err
+
+
 def test_cache_stats_reports_lifetime_counters(tmp_path, capsys):
     cache_dir = _seed_cache(tmp_path, capsys)
     _seed_cache(tmp_path, capsys)  # warm second run: all hits
@@ -697,6 +728,29 @@ def test_cache_stats_reports_lifetime_counters(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- serve
+@pytest.mark.parametrize("argv,flag", [
+    (["serve", "--port", "70000"], "--port"),
+    (["serve", "--port", "-1"], "--port"),
+    (["experiments", "table_4_1", "--max-rows", "-1"], "--max-rows"),
+    (["sweep", "--runner", "design", "--grid", "cores=4,8", "--no-cache",
+      "--max-rows", "-1"], "--max-rows"),
+    (["report", "--manifest", "m.json", "--max-rows", "-1"], "--max-rows"),
+])
+def test_integer_flags_are_range_checked(capsys, argv, flag):
+    """Bugfix: a port outside 0-65535 ended in an OverflowError traceback,
+    and a negative --max-rows silently dropped rows from the table."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+
+
+def test_sweep_max_rows_zero_prints_no_rows(capsys):
+    assert main(["sweep", "--runner", "design", "--grid", "cores=4,8",
+                 "--no-cache", "--objectives", "gflops", "--max-rows", "0"]) == 0
+    assert "... (1 more rows)" in capsys.readouterr().out
+
+
 def test_sweep_server_without_local_tier_warns_and_runs(capsys):
     assert main(["sweep", "--runner", "design", "--set", "nr=4",
                  "--grid", "cores=2,4", "--mode", "serial", "--no-cache",

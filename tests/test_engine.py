@@ -254,16 +254,11 @@ class TestCacheEviction:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_env_budget_degrades_on_non_finite(self, tmp_path, monkeypatch, capsys, value):
         """A non-finite budget used to raise from int(); it now warns and
-        runs unlimited, for the result cache and the replay sidecar alike."""
-        from repro.engine.cache import REPLAY_MAX_MB_ENV
-
+        runs unlimited."""
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", value)
-        monkeypatch.setenv(REPLAY_MAX_MB_ENV, value)
         cache = ResultCache(tmp_path, code_version="v1")
         assert cache.max_bytes is None
-        assert cache.sidecar().max_bytes is None
-        err = capsys.readouterr().err
-        assert "REPRO_CACHE_MAX_MB" in err and REPLAY_MAX_MB_ENV in err
+        assert "REPRO_CACHE_MAX_MB" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- executor
@@ -358,16 +353,6 @@ class TestExecutor:
         assert executor.run(jobs).cached == 4
         assert json.dumps(second.rows) == json.dumps(first.rows)
 
-    def test_progress_callback_reaches_total(self):
-        jobs = _chip_jobs()
-        seen = []
-        execute_jobs(jobs, mode="serial", batch_size=2,
-                     progress=lambda done, total: seen.append((done, total)))
-        assert seen[0] == (0, len(jobs))
-        assert seen[-1] == (len(jobs), len(jobs))
-        dones = [d for d, _ in seen]
-        assert dones == sorted(dones)
-
     def test_runner_error_propagates(self):
         bad = [Job.create("simulate", {"kernel": "gemm", "size": 10, "nr": 4})]
         with pytest.raises(ValueError, match="multiple of nr"):
@@ -426,8 +411,7 @@ class TestExecutor:
 class TestRunners:
     def test_registry_contents(self):
         names = runner_names()
-        for expected in ("design", "pe", "simulate", "chip_gemm", "core_gemm",
-                         "experiment"):
+        for expected in ("design", "pe", "simulate", "chip_gemm", "core_gemm"):
             assert expected in names
 
     def test_design_runner_row(self):
@@ -447,12 +431,6 @@ class TestRunners:
     def test_simulate_runner_reports_fft_points(self):
         row = get_runner("simulate")({"kernel": "fft", "size": 8, "nr": 4})
         assert row["effective_size"] == 64
-
-    def test_experiment_runner_wraps_registry(self):
-        row = get_runner("experiment")({"exp_id": "table_4_1"})
-        assert row["exp_id"] == "table_4_1"
-        assert row["num_rows"] > 0
-        assert isinstance(row["data"], list)
 
     def test_source_fingerprint_follows_package_edits(self, tmp_path):
         """The default cache namespace hashes the package source: an
@@ -513,25 +491,6 @@ class TestPareto:
     def test_empty_rows(self):
         assert pareto_frontier([]) == []
         assert best_per_metric([]) == {}
-
-
-# ---------------------------------------------------------------- figures
-class TestFigureEngineEnv:
-    def test_invalid_mode_degrades_with_warning(self, monkeypatch, capsys):
-        from repro.experiments.figures import _engine_kwargs
-
-        monkeypatch.setenv("REPRO_FIGURE_MODE", "proces")
-        kwargs = _engine_kwargs()
-        assert kwargs["mode"] == "auto"
-        assert "REPRO_FIGURE_MODE" in capsys.readouterr().err
-
-    def test_unusable_cache_dir_degrades_with_warning(self, monkeypatch, capsys):
-        from repro.experiments.figures import _engine_kwargs
-
-        monkeypatch.setenv("REPRO_FIGURE_CACHE", "/proc/nope/x")
-        kwargs = _engine_kwargs()
-        assert kwargs["cache_dir"] is None
-        assert "REPRO_FIGURE_CACHE" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- streaming
@@ -642,6 +601,17 @@ class TestStreaming:
 
 
 # ------------------------------------------------------ incremental Pareto
+def _pairwise_frontier(rows, objectives, minimize=()):
+    """Reference: a row survives unless another row strictly dominates it
+    (the O(n^2) definition, independent of the product's fold)."""
+    vectors = [[-float(row[o]) if o in minimize else float(row[o])
+                for o in objectives] for row in rows]
+    return [row for row, vec in zip(rows, vectors)
+            if not any(all(x >= y for x, y in zip(other, vec))
+                       and any(x > y for x, y in zip(other, vec))
+                       for other in vectors)]
+
+
 class TestIncrementalPareto:
     def _rows(self, vectors):
         return [{"x": float(x), "y": float(y)} for x, y in vectors]
@@ -653,8 +623,10 @@ class TestIncrementalPareto:
         inc = IncrementalPareto(objectives=("x", "y"))
         for row in rows:
             inc.add(row)
-        assert inc.frontier() == pareto_frontier(rows, objectives=("x", "y"))
-        assert len(inc) == len(pareto_frontier(rows, objectives=("x", "y")))
+        expected = _pairwise_frontier(rows, ("x", "y"))
+        assert inc.frontier() == expected
+        assert pareto_frontier(rows, objectives=("x", "y")) == expected
+        assert len(inc) == len(expected)
         assert inc.seen == len(rows)
 
     def test_minimize_axes_match_batch(self):
@@ -664,8 +636,10 @@ class TestIncrementalPareto:
         inc = IncrementalPareto(objectives=("x", "y"), minimize=("y",))
         for row in rows:
             inc.add(row)
-        assert inc.frontier() == pareto_frontier(rows, objectives=("x", "y"),
-                                                 minimize=("y",))
+        expected = _pairwise_frontier(rows, ("x", "y"), minimize=("y",))
+        assert inc.frontier() == expected
+        assert pareto_frontier(rows, objectives=("x", "y"),
+                               minimize=("y",)) == expected
 
     def test_add_reports_membership(self):
         from repro.engine import IncrementalPareto
@@ -690,8 +664,9 @@ class TestIncrementalPareto:
 
 
 def test_incremental_pareto_equals_batch_property():
-    """Hypothesis: IncrementalPareto == pareto_frontier for random row
-    streams (duplicates, ties and arbitrary orders included)."""
+    """Hypothesis: IncrementalPareto and pareto_frontier equal the pairwise
+    definition for random row streams (duplicates, ties and arbitrary
+    orders included)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -711,9 +686,10 @@ def test_incremental_pareto_equals_batch_property():
         inc = IncrementalPareto(objectives=objectives, minimize=minimize)
         for row in dicts:
             inc.add(row)
-        expected = pareto_frontier(dicts, objectives=objectives,
-                                   minimize=minimize)
+        expected = _pairwise_frontier(dicts, objectives, minimize)
         assert inc.frontier() == expected
+        assert pareto_frontier(dicts, objectives=objectives,
+                               minimize=minimize) == expected
 
     check()
 
@@ -784,30 +760,37 @@ class TestReplaySidecar:
     def test_sidecar_store_roundtrip(self, tmp_path):
         from repro.engine import SidecarStore
 
-        store = SidecarStore(tmp_path / "replay", code_version="v1")
+        store = SidecarStore(tmp_path, code_version="v1")
         assert store.get("kind", "mat") is None
-        assert store.put("kind", "mat", {"a": 1}) is not None
+        path = store.put("kind", "mat", {"a": 1})
+        assert path.parent.parent == tmp_path  # the cache's own ??/ fan-out
         assert store.get("kind", "mat") == {"a": 1}
         assert len(store) == 1
         # A different code version is a different namespace.
-        other = SidecarStore(tmp_path / "replay", code_version="v2")
+        other = SidecarStore(tmp_path, code_version="v2")
         assert other.get("kind", "mat") is None
         # Corruption degrades to a miss and drops the record.
-        path = store.path_for("kind", "mat")
         path.write_text("{nope")
         assert store.get("kind", "mat") is None
         assert not path.exists()
 
-    def test_sidecar_survives_cache_clear_and_prune(self, tmp_path):
+    def test_cache_clear_and_prune_remove_sidecar_records(self, tmp_path):
+        """Replay records are ordinary cache entries: `entries` counts them
+        next to rows, and `clear` and `prune` remove them."""
+        from repro.engine import SidecarStore
+
         cache = ResultCache(tmp_path, code_version="v1")
         execute_jobs(_chip_jobs(n_cores=(4,), bws=(8,)), mode="serial",
                      cache=cache)
-        sidecar = cache.sidecar()
+        sidecar = SidecarStore(**cache.config())
         sidecar.put("kind", "mat", {"a": 1})
-        cache.clear()
-        cache.prune(max_entries=0)
-        assert sidecar.get("kind", "mat") == {"a": 1}
-        assert cache.stats()["sidecar"]["entries"] == 1
+        assert cache.stats()["entries"] == 2
+        assert cache.clear() == 2
+        assert sidecar.get("kind", "mat") is None
+        sidecar.put("kind", "mat", {"a": 1})
+        assert cache.prune(max_entries=0) == 1
+        assert sidecar.get("kind", "mat") is None
+        assert not list(tmp_path.rglob("*.json"))
 
     def test_replay_shared_across_simulated_processes(self, tmp_path):
         """A schedule recorded under one process's memo replays in a fresh
@@ -820,7 +803,7 @@ class TestReplaySidecar:
         try:
             base = execute_jobs(self._lap_jobs(), mode="serial", cache=cache)
             assert base.executed == 1
-            assert len(cache.sidecar()) == 1  # recording was published
+            assert len(cache) == 2  # the row and its published recording
 
             _REPLAY_MEMO.clear()  # simulate a brand-new worker process
             before = dict(REPLAY_STATS)
@@ -830,6 +813,8 @@ class TestReplaySidecar:
             assert after["sidecar_loaded"] == before["sidecar_loaded"] + 1
             assert after["replayed"] == before["replayed"] + 1
             assert after["recorded"] == before["recorded"]  # 0 scheduler loops
+            # The record lookups are not row lookups.
+            assert (cache.hits, cache.misses) == (0, 2)
 
             _REPLAY_MEMO.clear()
             configure_worker(None)  # no sidecar: the delta must re-simulate
@@ -840,47 +825,46 @@ class TestReplaySidecar:
             _REPLAY_MEMO.clear()
 
     def test_sidecar_budget_prunes_lru(self, tmp_path, monkeypatch):
-        """The replay sidecar evicts least-recently-used records past its
-        byte budget, persists the pruned count for `cache stats`, and reads
-        its default budget from REPRO_REPLAY_MAX_MB."""
+        """Rows and replay records share the cache's byte budget
+        (REPRO_CACHE_MAX_MB) and leave in one LRU order, whichever handle
+        writes; evictions of both kinds reach the lifetime counter, while
+        hits and misses count row lookups only."""
         import os
 
         from repro.engine import SidecarStore
-        from repro.engine.cache import REPLAY_MAX_MB_ENV
 
-        monkeypatch.delenv(REPLAY_MAX_MB_ENV, raising=False)
-        root = tmp_path / "replay"
-        unbounded = SidecarStore(root, code_version="v1")
-        assert unbounded.max_bytes is None
-        paths = []
-        for i in range(4):
-            path = unbounded.put("kind", f"mat{i}", {"pad": "x" * 400})
-            os.utime(path, (i + 1.0, i + 1.0))  # deterministic LRU order
-            paths.append(path)
-
-        store = SidecarStore(root, code_version="v1", max_bytes=1200)
-        removed = store.prune()
-        assert removed == 2
-        assert not paths[0].exists() and not paths[1].exists()
-        assert paths[3].exists()
-        assert store.size_bytes() <= 1200
-        assert store.evictions == removed
-        # Writes enforce the budget themselves (no explicit prune needed).
-        big = store.put("kind", "big", {"pad": "y" * 800})
-        assert big.exists()
-        assert store.size_bytes() <= 1200
-        # The lifetime counter survives into fresh instances and the cache
-        # stats block (one store is built per ``sidecar()`` call).
-        assert SidecarStore(root).lifetime_evictions() == store.evictions
+        monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
         cache = ResultCache(tmp_path, code_version="v1")
-        assert cache.stats()["sidecar"]["evictions"] == store.evictions
-        # A get() refreshes recency so hot records survive later prunes.
-        assert store.get("kind", "big") is not None
-        # Environment knob: megabytes, with junk degrading to unlimited.
-        monkeypatch.setenv(REPLAY_MAX_MB_ENV, "2")
-        assert SidecarStore(root).max_bytes == 2 * 1024 * 1024
-        monkeypatch.setenv(REPLAY_MAX_MB_ENV, "junk")
-        assert SidecarStore(root).max_bytes is None
+        store = SidecarStore(**cache.config())
+        assert store.max_bytes is None
+        paths = []
+        for i in range(2):
+            paths.append(store.put("kind", f"mat{i}", {"pad": "x" * 400}))
+            paths.append(cache.put(Job.create("design", {"cores": i}),
+                                   {"pad": "x" * 400}))
+        for age, path in enumerate(paths):  # record0 < row0 < record1 < row1
+            os.utime(path, (age + 1.0, age + 1.0))
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", str(2400 / 2 ** 20))
+        cache = ResultCache(tmp_path, code_version="v1")
+        store = SidecarStore(**cache.config())
+        assert cache.max_bytes == store.max_bytes == 2400
+        assert SidecarStore(tmp_path, code_version="v1").max_bytes == 2400
+        # Record lookups refresh recency but are not row lookups.
+        assert store.get("kind", "mat1") == {"pad": "x" * 400}
+        assert store.get("kind", "nope") is None
+        # A record write past the budget evicts the oldest entries first,
+        # a record and then a row, down to the low-water mark.
+        big = store.put("kind", "big", {"pad": "y" * 1000})
+        assert [path.exists() for path in paths] == [False, False, True, True]
+        assert big.exists() and cache.size_bytes() <= 2400
+        assert store.evictions == 2
+        # The refreshed record outlives the row written after it.
+        assert cache.prune(max_entries=2) == 1
+        assert paths[2].exists() and not paths[3].exists()
+        lifetime = ResultCache(tmp_path, code_version="v1").lifetime_stats()
+        assert lifetime["evictions"] == 3
+        assert (lifetime["hits"], lifetime["misses"]) == (0, 0)
 
     def test_changed_code_fingerprint_orphans_sidecar(self, tmp_path):
         """A schedule recorded under one code fingerprint is invisible to a
@@ -893,7 +877,7 @@ class TestReplaySidecar:
         try:
             old = ResultCache(tmp_path, code_version="fp-old")
             execute_jobs(self._lap_jobs(seed=15), mode="serial", cache=old)
-            assert len(old.sidecar()) == 1
+            assert len(old) == 2  # the row and its recording
 
             _REPLAY_MEMO.clear()
             new = ResultCache(tmp_path, code_version="fp-new")
@@ -915,6 +899,32 @@ class TestReplaySidecar:
             # The fp-new namespace works: the next delta replays from it.
             assert after["sidecar_loaded"] == before["sidecar_loaded"] + 1
             assert after["replayed"] == before["replayed"] + 1
+        finally:
+            configure_worker(None)
+            _REPLAY_MEMO.clear()
+
+    def test_cleared_cache_replays_like_an_empty_one(self, tmp_path):
+        """`clear` leaves no record behind: a re-run records and replays
+        exactly as a run on an empty directory does."""
+        from repro.engine.runners import _REPLAY_MEMO, configure_worker
+        from repro.lap.replay import REPLAY_STATS
+
+        jobs = (self._lap_jobs(seed=21)
+                + self._lap_jobs(seed=21, bandwidth_gbs=64.0))
+
+        def replay_deltas(cache):
+            _REPLAY_MEMO.clear()
+            before = dict(REPLAY_STATS)
+            assert execute_jobs(jobs, mode="serial", cache=cache).executed == 2
+            return {key: REPLAY_STATS[key] - before[key] for key in REPLAY_STATS}
+
+        try:
+            cache = ResultCache(tmp_path / "cache", code_version="v1")
+            fresh = replay_deltas(cache)
+            assert fresh["recorded"] == fresh["replayed"] == 1
+            assert cache.clear() == 3  # two rows and one replay record
+            assert not list((tmp_path / "cache").rglob("*.json"))
+            assert replay_deltas(cache) == fresh
         finally:
             configure_worker(None)
             _REPLAY_MEMO.clear()
@@ -1005,8 +1015,8 @@ class TestExecutorRegressions:
 
     def test_broken_pool_fallback_reports_progress_and_tags_shards(
             self, monkeypatch):
-        """Bugfix: the serial fallback after a broken process pool reports
-        progress per batch and tags its shard entries as fallback work."""
+        """Bugfix: the serial fallback after a broken process pool tags
+        its shard entries as fallback work."""
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -1027,19 +1037,12 @@ class TestExecutorRegressions:
         monkeypatch.setitem(runners_module.RUNNERS, "stub",
                             lambda p: {"i": p["i"]})
         jobs = [Job.create("stub", {"i": i}) for i in range(6)]
-        calls = []
-        result = execute_jobs(jobs, mode="process", batch_size=2,
-                              progress=lambda d, t: calls.append((d, t)))
+        result = execute_jobs(jobs, mode="process", batch_size=2)
         assert result.mode == "serial"
         assert [row["i"] for row in result.rows] == list(range(6))
         executed = [s for s in result.shard_timings if s["jobs"] > 0]
         assert len(executed) == 3
         assert all(s.get("fallback") is True for s in executed)
-        # Progress: initial cache report, the fallback baseline, then one
-        # call per re-run batch -- monotone and ending at (total, total).
-        assert calls[-1] == (6, 6)
-        assert [d for d, _ in calls] == sorted(d for d, _ in calls)
-        assert len(calls) >= 5
 
     def test_regular_shards_are_not_tagged_fallback(self):
         result = execute_jobs(_chip_jobs(n_cores=(4, 8), bws=(8,)),

@@ -3,9 +3,7 @@
 Each ``_legacy_*`` function below is the pre-migration serial
 implementation of a figure generator, preserved verbatim (modulo local
 imports).  The tests assert that the engine-backed generators return the
-same rows — same order, same keys, every value within 1e-9 relative — and
-that a warm cache lets any migrated figure regenerate with zero executed
-jobs.
+same rows — same order, same keys, every value within 1e-9 relative.
 """
 
 from typing import Dict, List
@@ -158,34 +156,7 @@ def _assert_rows_equivalent(new_rows, legacy_rows):
                 assert value == legacy_value, f"row {index}, metric '{key}'"
 
 
-@pytest.fixture(autouse=True)
-def _isolated_engine_env(monkeypatch):
-    """Figure sweeps run uncached and in their default mode during the proof."""
-    monkeypatch.delenv("REPRO_FIGURE_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_FIGURE_MODE", raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_migrated_generator_matches_legacy_rows(name):
     migrated, legacy = CASES[name]
     _assert_rows_equivalent(migrated(), legacy())
-
-
-def test_warm_cache_rerun_executes_zero_jobs(tmp_path, monkeypatch):
-    """Acceptance: a warm-cache re-run of a migrated figure runs no jobs."""
-    monkeypatch.setenv("REPRO_FIGURE_CACHE", str(tmp_path))
-    observed = []
-    real_sweep = figures.sweep
-
-    def recording_sweep(jobs, **kwargs):
-        result = real_sweep(jobs, **kwargs)
-        observed.append(result)
-        return result
-
-    monkeypatch.setattr(figures, "sweep", recording_sweep)
-    cold = figures.fig_5_10_blas_utilization_comparison()
-    warm = figures.fig_5_10_blas_utilization_comparison()
-    assert warm == cold
-    assert observed[0].executed == observed[0].total > 0
-    assert observed[1].executed == 0
-    assert observed[1].cached == observed[1].total
