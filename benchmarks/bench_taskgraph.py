@@ -9,10 +9,16 @@ Covers the scaling claims of the runtime:
 * memoized timing makes a 2048^2 blocked Cholesky (tile 128) schedule at
   least 10x faster than the functional path, whose cost is estimated from
   the measured per-signature warm-up runs rather than paid in full,
-* a 4k^2 Cholesky builds and schedules well inside an interactive budget
-  (the ``scale_smoke`` regression gate).
+* a 4k^2 Cholesky builds and schedules well inside an interactive budget,
+  and a cold verify-off 4k^2 ``lap_runtime`` row allocates far less than
+  its 128 MiB operand (the ``scale_smoke`` regression gates).
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -144,9 +150,10 @@ def test_memoized_2048_cholesky_10x_faster_than_functional(bench_json):
     nb = 2048 // 128
     assert stats["tasks_executed"] == nb * (nb + 1) * (nb + 2) // 6 == 816
     assert stats["makespan_cycles"] > 0
-    # One functional warm-up per (kind, shape) signature; everything else hit.
+    # One functional warm-up per (kind, shape) signature, on the 3 x 3-tile
+    # instance; every task of the point itself is a hit.
     assert timing.warm_runs == 4
-    assert timing.hits == 816 - 4
+    assert timing.hits == 816
     functional_estimate = timing.estimated_functional_seconds()
     assert functional_estimate > 0
     assert memoized_seconds * 10 <= functional_estimate, (
@@ -209,3 +216,72 @@ def test_scale_smoke_4k_cholesky_wall_time(bench_json):
         "budget_seconds": budget_seconds,
         "tasks_per_second": len(graph) / elapsed,
     })
+
+
+#: One cold ``lap_runtime`` row in a fresh interpreter: Cholesky 4096^2 at
+#: tile 128, 8 cores, ``memory_aware``, memoized, verify off.  Prints the
+#: wall time of the row (imports excluded), the process's peak RSS (Linux
+#: ``ru_maxrss``) and, with ``traced`` as argument, the tracemalloc peak.
+_COLD_POINT = """
+import json, resource, sys, time, tracemalloc
+import numpy
+import repro.lap.chip, repro.lap.policies, repro.lap.replay, repro.lap.runtime
+from repro.engine.runners import get_runner
+
+traced = sys.argv[1:] == ["traced"]
+if traced:
+    tracemalloc.start()
+started = time.perf_counter()
+row = get_runner("lap_runtime")({
+    "algorithm": "cholesky", "n": 4096, "tile": 128, "num_cores": 8,
+    "policy": "memory_aware", "timing": "memoized", "verify": False})
+result = {"wall_s": time.perf_counter() - started,
+          "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+          "tasks": row["tasks_executed"],
+          "makespan_cycles": row["makespan_cycles"],
+          "residual": row["residual"]}
+if traced:
+    result["tracemalloc_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+print(json.dumps(result))
+"""
+
+
+def _cold_point(*args):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _COLD_POINT, *args],
+                          env=env, stdout=subprocess.PIPE, text=True,
+                          check=True, timeout=600)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.scale_smoke
+def test_scale_smoke_cold_point_never_builds_its_operand(bench_json):
+    """Memory gate: a cold verify-off 4096^2, tile-128 Cholesky row warms
+    its cycle table on a 3 x 3-tile instance and runs shape-only, so its
+    traced allocation peak stays below a quarter of the 128 MiB operand it
+    no longer builds (it reached 397 MiB while it did).  Wall time and
+    peak RSS come from a second, untraced fresh process and are recorded,
+    not gated."""
+    budget_mib = 32.0
+    traced = _cold_point("traced")
+    timed = _cold_point()
+    assert traced["tasks"] == timed["tasks"] == 5984
+    assert traced["residual"] is None
+    assert traced["makespan_cycles"] == timed["makespan_cycles"]
+    bench_json("cold_point", {
+        "n": 4096,
+        "tile": 128,
+        "num_cores": 8,
+        "policy": "memory_aware",
+        "tasks": timed["tasks"],
+        "wall_seconds_excluding_import": timed["wall_s"],
+        "peak_rss_mib": timed["peak_rss_mib"],
+        "tracemalloc_peak_mib": traced["tracemalloc_peak_mib"],
+        "tracemalloc_budget_mib": budget_mib,
+    })
+    assert traced["tracemalloc_peak_mib"] < budget_mib, (
+        f"cold 4096^2 point allocated {traced['tracemalloc_peak_mib']:.1f} "
+        f"MiB (budget {budget_mib:.0f} MiB): it builds its operand again")

@@ -178,6 +178,19 @@ def _precision(params: Mapping) -> "Precision":
     raise ValueError(f"unknown precision '{name}' (use 'single' or 'double')")
 
 
+def _flag(params: Mapping, name: str, default: bool) -> bool:
+    """A boolean job parameter: a bool or the integer 0 or 1.
+
+    Anything else raises ``ValueError`` naming the parameter and the value:
+    ``bool("off")`` is true, so a truthiness test would turn ``off`` on.
+    """
+    value = params.get(name, default)
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"parameter '{name}' must be true, false, 0 or 1, "
+                     f"got {value!r}")
+
+
 def run_design_point(params: Params) -> dict:
     """Evaluate one LAP chip design point (area / power / efficiency)."""
     from repro.arch.lap_design import build_lap
@@ -335,7 +348,7 @@ def run_chip_gemm_onchip(params: Params) -> dict:
     n = int(params.get("n", 1024))
     kc = int(params.get("kc", 128))
     mc = int(params.get("mc", kc))
-    full_overlap = bool(params.get("full_overlap", False))
+    full_overlap = _flag(params, "full_overlap", False)
     frequency = float(params.get("frequency_ghz", 1.0))
     model = ChipGEMMModel(num_cores=num_cores, nr=nr)
     bw = params.get("onchip_bw_words_per_cycle")
@@ -374,7 +387,7 @@ def run_blas_point(params: Params) -> dict:
     kc = int(params.get("kc", 128))
     mc = int(params.get("mc", kc))
     bw_bytes = float(params.get("bandwidth_bytes_per_cycle", 4.0))
-    full_overlap = bool(params.get("full_overlap", False))
+    full_overlap = _flag(params, "full_overlap", False)
     model = BlasCoreModel(nr=nr)
     res = model.utilization(operation, mc=mc, kc=kc, n=n,
                             bandwidth_elements_per_cycle=bw_bytes / 8.0,
@@ -449,14 +462,17 @@ def run_lap_runtime(params: Params) -> dict:
     load-balance / graph analytics / correctness.
 
     ``policy`` selects the scheduler (greedy / critical_path / locality /
-    memory_aware), ``timing`` the timing model (functional / memoized),
-    ``verify`` keeps the tile data exact under memoized timing (residual
-    available), and ``core_frequencies_ghz`` accepts per-core clocks for
+    memory_aware / affinity), ``timing`` the timing model (functional /
+    memoized), ``verify`` keeps the tile data exact under memoized timing
+    (residual available; a memoized ``verify=False`` row never builds its
+    ``n x n`` operand), and ``core_frequencies_ghz`` accepts per-core clocks for
     heterogeneous-tile studies: a sequence, a single number (applied to
     every core), or a delimited string -- ``"1.0,2.0"`` or ``"1.0:2.0"``
     (the colon form survives the sweep CLI's comma-separated axis syntax,
     e.g. ``--set core_frequencies_ghz=1.0:2.0``).
 
+    The flags ``verify`` and ``memory`` take true, false, 0 or 1; any
+    other value (``"off"``, ``"no"``) raises ``ValueError`` naming it.
     Data movement is always simulated through the runtime's memory-hierarchy
     layer (``memory`` may only be true, and the row's ``memory`` column
     says so): ``on_chip_kb`` constrains the tile working set below the
@@ -506,8 +522,8 @@ def run_lap_runtime(params: Params) -> dict:
     seed = int(params.get("seed", 0))
     policy = str(params.get("policy", "greedy"))
     timing = str(params.get("timing", "functional"))
-    verify = bool(params.get("verify", True))
-    if not params.get("memory", True):
+    verify = _flag(params, "verify", True)
+    if not _flag(params, "memory", True):
         raise ValueError("lap_runtime parameter 'memory' must be true: "
                          "data-movement accounting is always on")
     on_chip_kb = params.get("on_chip_kb")
@@ -669,7 +685,7 @@ def run_blocked_factorization(params: Params) -> dict:
     n = int(params.get("n", 8))
     nr = int(params.get("nr", 4))
     seed = int(params.get("seed", 0))
-    use_extension = bool(params.get("use_extension", True))
+    use_extension = _flag(params, "use_extension", True)
     frequency = float(params.get("frequency_ghz", 1.0))
     core = LinearAlgebraCore(LACConfig(nr=nr, frequency_ghz=frequency))
     rng = np.random.default_rng(seed)

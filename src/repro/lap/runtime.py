@@ -39,9 +39,10 @@ The runtime is layered (TaskGraph -> Scheduler -> timing -> LAP):
   with every policy / timing / memory decision inlined.
 
 Each task kind's tile update is written once, in :func:`_update_tiles`,
-over a kernel set: the LAC kernels on the assigned core
-(:func:`_simulate_task`: functional runs and memoized warm-ups) or their
-NumPy formulas (the other memoized tasks under ``verify``).
+over a kernel set: the LAC kernels on a core (:func:`_simulate_task`:
+functional runs and memoized warm-ups) or their NumPy formulas (the other
+memoized tasks under ``verify``, and the other tasks of the small instance
+a cold shape-only point warms on).
 """
 
 from __future__ import annotations
@@ -288,6 +289,12 @@ def _check_tile_shapes(tiles: Dict, t: int) -> None:
                 raise ValueError(f"operand {name} tile {coord} has shape "
                                  f"{shape}; every operand tile must be "
                                  f"{t} x {t}")
+
+
+#: Tiles per side of the instance that warms a cold shape-only point
+#: (:meth:`LAPRuntime._warm_up`): a 3 x 3-tile graph of each workload holds
+#: every memoization group of a larger one.
+WARM_TILES = 3
 
 
 class LAPRuntime:
@@ -997,22 +1004,23 @@ class LAPRuntime:
     # ------------------------------------------------------- whole problems
     def _execute_shape_only(self, graph: TaskGraph, n: int,
                             verify: bool) -> Optional[Dict[str, object]]:
-        """Execute a fully warm ``n x n`` graph without building an operand.
+        """Execute a memoized ``verify=False`` ``n x n`` graph without its
+        operand.
 
-        Under memoized timing with ``verify`` off, a graph whose group
-        signatures (taken from the graph alone) are all in the process table
-        reads no tile value, so one aliased ``tile x tile`` array stands in
-        for every tile and the stats carry ``residual=None``.  Returns
-        ``None`` for any other point: its warm-ups need the real operand,
-        because QR cycle counts depend on the data (see
-        :mod:`repro.lap.timing`).
+        Returns ``None`` under functional timing or ``verify``: those points
+        read tile values, so they need the real operand.  Otherwise the
+        group signatures come from the graph alone; if the process table
+        lacks one, :meth:`_warm_up` first warms the point's groups on a
+        :data:`WARM_TILES`-tile instance of the same workload.  The point
+        then reads no tile value, so one aliased ``tile x tile`` array
+        stands in for every tile and the stats carry ``residual=None``.
         """
         if verify or type(self.timing) is not MemoizedTiming:
             return None
         signatures = group_signatures(graph.fast_arrays().group_keys,
                                       self.tile, self._precision)
         if table_cycles(self._core_key, signatures) is None:
-            return None
+            self._warm_up(graph.workload, signatures)
         nb = n // self.tile
         block = np.zeros((self.tile, self.tile))
         blocks = {(i, j): block for i in range(nb) for j in range(nb)}
@@ -1021,119 +1029,92 @@ class LAPRuntime:
         stats["residual"] = None
         return stats
 
+    def _warm_up(self, workload: str,
+                 signatures: Sequence[Tuple]) -> None:
+        """Warm every one of ``signatures`` on a small real instance of
+        ``workload``, as in a fresh process.
+
+        The instance is :data:`WARM_TILES` tiles per side, built on a fresh
+        :class:`AlgorithmsByBlocks`: the runtime's own library would shift
+        its next task id, and with it the graph-cache key of every later
+        graph.  Its tasks run in program order on a seeded operand: the
+        first task of each signature on core 0's simulator through
+        :meth:`MemoizedTiming.task_cycles` (which enters the count in the
+        process table and raises on one that disagrees), every other task
+        up to the last warm-up through its NumPy update, so each warm-up
+        reads dense, correctly factored data.  Raises ``RuntimeError`` if
+        the instance lacks a signature of the point (a :data:`WARM_TILES`
+        too small for the workload).
+        """
+        t = self.tile
+        small = AlgorithmsByBlocks(t, nr=self.lap.config.nr).build(
+            workload, WARM_TILES * t)
+        arrays = small.fast_arrays()
+        small_signatures = group_signatures(arrays.group_keys, t,
+                                            self._precision)
+        tiles, _ = _problem(workload, WARM_TILES * t, t,
+                            np.random.default_rng(0))
+        todo = set(signatures)
+        core = self.lap.cores[0]
+        for task, g in zip(arrays.tasks, arrays.group):
+            signature = small_signatures[g]
+            if signature not in todo:
+                _update_tiles(task, tiles, _NumPyKernels)
+                continue
+            todo.remove(signature)
+            self.timing.task_cycles(signature, self._core_key,
+                                    functools.partial(_simulate_task, task,
+                                                      tiles, core))
+            if not todo:
+                return
+        raise RuntimeError(
+            f"the {WARM_TILES} x {WARM_TILES}-tile {workload} graph lacks "
+            f"the memoization group(s) {sorted(todo)} of the point, so it "
+            f"cannot warm it")
+
+    def _run(self, graph: TaskGraph, n: int, rng: np.random.Generator,
+             verify: bool) -> Dict[str, object]:
+        """Execute one ``n x n`` workload graph; the stats carry the
+        ``residual`` of its seeded operand (:func:`_problem`), ``None``
+        when the timing model dropped the data."""
+        stats = self._execute_shape_only(graph, n, verify)
+        if stats is None:
+            tiles, residual = _problem(graph.workload, n, self.tile, rng)
+            stats = self.execute(graph, tiles, verify=verify)
+            stats["residual"] = residual() if stats["data_valid"] else None
+        return stats
+
     def run_blocked_gemm(self, n: int, rng: np.random.Generator,
                          verify: bool = True) -> Dict[str, object]:
         """Decompose, schedule and verify one ``n x n`` GEMM end to end.
 
-        Builds seeded operands, tiles them, executes the task graph on the
-        LAP cores and extends the scheduler stats with a ``residual`` (the
-        max absolute error against the numpy reference), so sweep rows can
-        assert functional correctness alongside makespan and efficiency.
-        Under memoized timing with ``verify=False`` the tile data goes stale
-        and ``residual`` is ``None``; a point whose signatures are all warm
-        then builds no operand at all (:meth:`_execute_shape_only`), and
-        neither do the other ``run_blocked_*`` methods.
+        Executes the task graph on the LAP cores, and the stats carry a
+        ``residual`` against the NumPy product, so sweep rows can assert
+        functional correctness alongside makespan and efficiency.  Only
+        ``verify=True`` and functional timing build the seeded ``n x n``
+        operands: a memoized ``verify=False`` point runs shape-only, with
+        ``residual=None`` (:meth:`_execute_shape_only`), and so do the
+        other ``run_blocked_*`` methods.
         """
-        tasks = self.library.gemm_tasks(n, n, n)
-        stats = self._execute_shape_only(tasks, n, verify)
-        if stats is not None:
-            return stats
-        a, b = rng.random((n, n)), rng.random((n, n))
-        c = rng.random((n, n))
-        tiles = {
-            "A": self.tile_matrix(a, self.tile),
-            "B": self.tile_matrix(b, self.tile),
-            "C": self.tile_matrix(c, self.tile),
-        }
-        stats = self.execute(tasks, tiles, verify=verify)
-        if stats["data_valid"]:
-            result = self.untile_matrix(tiles["C"], self.tile)
-            stats["residual"] = float(np.max(np.abs(result - (c + a @ b))))
-        else:
-            stats["residual"] = None
-        return stats
+        return self._run(self.library.gemm_tasks(n, n, n), n, rng, verify)
 
     def run_blocked_cholesky(self, n: int, rng: np.random.Generator,
                              verify: bool = True) -> Dict[str, object]:
-        """Decompose, schedule and verify one ``n x n`` Cholesky end to end.
-
-        The seeded operand is made symmetric positive definite; all operand
-        names alias one tile dictionary because the factorization updates A
-        in place.  The returned stats carry the ``residual`` of
-        ``L L^T - A`` (``None`` when the timing model dropped the data).
-        """
-        tasks = self.library.cholesky_tasks(n)
-        stats = self._execute_shape_only(tasks, n, verify)
-        if stats is not None:
-            return stats
-        g = rng.random((n, n))
-        a = g @ g.T + n * np.eye(n)
-        a_tiles = self.tile_matrix(a, self.tile)
-        tiles = {"A": a_tiles, "B": a_tiles, "C": a_tiles, "L": a_tiles}
-        stats = self.execute(tasks, tiles, verify=verify)
-        if stats["data_valid"]:
-            factor = np.tril(self.untile_matrix(a_tiles, self.tile))
-            stats["residual"] = float(np.max(np.abs(factor @ factor.T - a)))
-        else:
-            stats["residual"] = None
-        return stats
+        """Decompose, schedule and verify one ``n x n`` Cholesky end to end
+        (``residual`` of ``L L^T - A``)."""
+        return self._run(self.library.cholesky_tasks(n), n, rng, verify)
 
     def run_blocked_lu(self, n: int, rng: np.random.Generator,
                        verify: bool = True) -> Dict[str, object]:
-        """Decompose, schedule and verify one ``n x n`` tiled LU end to end.
-
-        The seeded operand is made strictly diagonally dominant so that the
-        no-pivot tile factorization is stable (row interchanges never leave
-        a diagonal tile).  The stats carry the ``residual`` of ``L U - A``.
-        """
-        tasks = self.library.lu_tasks(n)
-        stats = self._execute_shape_only(tasks, n, verify)
-        if stats is not None:
-            return stats
-        a = rng.random((n, n)) + n * np.eye(n)
-        a_tiles = self.tile_matrix(a, self.tile)
-        tiles = {"A": a_tiles, "B": a_tiles, "C": a_tiles, "L": a_tiles}
-        stats = self.execute(tasks, tiles, verify=verify)
-        if stats["data_valid"]:
-            packed = self.untile_matrix(a_tiles, self.tile)
-            lower = np.tril(packed, -1) + np.eye(n)
-            upper = np.triu(packed)
-            stats["residual"] = float(np.max(np.abs(lower @ upper - a)))
-        else:
-            stats["residual"] = None
-        return stats
+        """Decompose, schedule and verify one ``n x n`` tiled LU end to end
+        (``residual`` of ``L U - A``; no pivoting across tiles)."""
+        return self._run(self.library.lu_tasks(n), n, rng, verify)
 
     def run_blocked_qr(self, n: int, rng: np.random.Generator,
                        verify: bool = True) -> Dict[str, object]:
-        """Decompose, schedule and verify one ``n x n`` tiled QR end to end.
-
-        The final upper block triangle holds ``R``; ``Q`` stays implicit in
-        the packed reflectors, so correctness is checked through the normal
-        equations: ``R^T R == A^T A`` exactly when ``A == Q R`` with an
-        orthogonal ``Q``.  The ``residual`` is the max absolute error of
-        that identity, normalised by ``max |A^T A|``.
-        """
-        tasks = self.library.qr_tasks(n)
-        stats = self._execute_shape_only(tasks, n, verify)
-        if stats is not None:
-            return stats
-        a = rng.random((n, n))
-        tiles: Dict = {"A": self.tile_matrix(a, self.tile), "TAU": {}}
-        stats = self.execute(tasks, tiles, verify=verify)
-        if stats["data_valid"]:
-            t = self.tile
-            r = np.zeros((n, n))
-            for (bi, bj), block in tiles["A"].items():
-                if bj > bi:
-                    r[bi * t:(bi + 1) * t, bj * t:(bj + 1) * t] = block
-                elif bi == bj:
-                    r[bi * t:(bi + 1) * t, bj * t:(bj + 1) * t] = np.triu(block)
-            gram = a.T @ a
-            stats["residual"] = float(np.max(np.abs(r.T @ r - gram))
-                                      / max(1.0, np.max(np.abs(gram))))
-        else:
-            stats["residual"] = None
-        return stats
+        """Decompose, schedule and verify one ``n x n`` tiled QR end to end
+        (``residual`` of ``R^T R - A^T A``, normalised)."""
+        return self._run(self.library.qr_tasks(n), n, rng, verify)
 
     def run_workload(self, workload: str, n: int, rng: np.random.Generator,
                      verify: bool = True) -> Dict[str, object]:
@@ -1174,3 +1155,53 @@ class LAPRuntime:
         for (i, j), block in tiles.items():
             out[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile] = block
         return out
+
+
+def _problem(workload: str, n: int, t: int, rng: np.random.Generator):
+    """The seeded ``n x n`` operand of ``workload`` in ``t x t`` tiles, and a
+    function returning the residual of those tiles once its graph ran.
+
+    GEMM draws ``A``, ``B`` and ``C`` (residual against ``C + A B``).  The
+    factorizations bind every operand name to one tile dictionary, which
+    they update in place: Cholesky's ``G G^T + n I`` is symmetric positive
+    definite (residual of ``L L^T - A``), LU's ``R + n I`` strictly
+    diagonally dominant, so no row interchange leaves a diagonal tile
+    (residual of ``L U - A``).  QR's upper triangle ends up holding ``R``
+    while ``Q`` stays implicit in the packed reflectors, so its residual
+    checks the normal equations, ``R^T R == A^T A``, normalised by
+    ``max |A^T A|``.
+    """
+    if workload == "gemm":
+        a, b = rng.random((n, n)), rng.random((n, n))
+        c = rng.random((n, n))
+        tiles = {"A": LAPRuntime.tile_matrix(a, t),
+                 "B": LAPRuntime.tile_matrix(b, t),
+                 "C": LAPRuntime.tile_matrix(c, t)}
+    else:
+        if workload == "cholesky":
+            g = rng.random((n, n))
+            a = g @ g.T + n * np.eye(n)
+        elif workload == "lu":
+            a = rng.random((n, n)) + n * np.eye(n)
+        else:
+            a = rng.random((n, n))
+        blocks = LAPRuntime.tile_matrix(a, t)
+        tiles = {"A": blocks, "B": blocks, "C": blocks, "L": blocks}
+
+    def residual() -> float:
+        # GEMM's result, or the factored operand (a factorization's C
+        # aliases its A).
+        out = LAPRuntime.untile_matrix(tiles["C"], t)
+        if workload == "gemm":
+            return float(np.max(np.abs(out - (c + a @ b))))
+        if workload == "cholesky":
+            lower = np.tril(out)
+            return float(np.max(np.abs(lower @ lower.T - a)))
+        if workload == "lu":
+            lower = np.tril(out, -1) + np.eye(n)
+            return float(np.max(np.abs(lower @ np.triu(out) - a)))
+        r = np.triu(out)
+        gram = a.T @ a
+        return float(np.max(np.abs(r.T @ r - gram))
+                     / max(1.0, np.max(np.abs(gram))))
+    return tiles, residual

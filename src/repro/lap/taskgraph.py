@@ -221,6 +221,9 @@ class TaskGraph(collections.abc.Sequence):
         self._fast_arrays = None
         self._summary: Optional[Dict[str, object]] = None
         self._unit_cpl: Optional[Dict[int, float]] = None
+        #: Name of the :class:`AlgorithmsByBlocks` workload that built the
+        #: graph (``None`` for a hand-built one).
+        self.workload: Optional[str] = None
 
     # -------------------------------------------------------- sequence API
     def __len__(self) -> int:
@@ -473,7 +476,9 @@ class AlgorithmsByBlocks:
         diagonal tile that UNMQR reads), and UNMQR reads only the
         reflectors below that diagonal, which TSQRT keeps.
 
-        Builders are deterministic in ``(workload, dims, tile, nr)`` plus the
+        ``key`` is ``(workload, dims...)``; the graph records the workload
+        name as :attr:`TaskGraph.workload`.  Builders are deterministic in
+        ``(workload, dims, tile, nr)`` plus the
         instance's next task id, so the full cache key pins the exact graph a
         fresh build would produce -- including its id range.  On a hit the id
         counter still advances by ``len(graph)``, keeping the instance's
@@ -501,6 +506,7 @@ class AlgorithmsByBlocks:
             for access in writes:
                 last_writer[access] = task_id
         graph = TaskGraph(tasks)
+        graph.workload = key[0]
         while len(_GRAPH_CACHE) >= GRAPH_CACHE_CAPACITY:
             _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
         _GRAPH_CACHE[full_key] = graph

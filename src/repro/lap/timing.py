@@ -9,7 +9,7 @@ tile size, the precision and the core's configuration, not of the tile
 all zero (its reflector gets ``tau = inf``, which the reflector
 applications skip as well).  GEQRT of a tile whose sub-columns are zero
 takes 12 cycles at tile 8 on a default ``nr=4`` core, against 870 for
-dense data.  Warm-ups must therefore run on the real operand, never on a
+dense data.  Warm-ups must therefore run on a real operand, never on a
 stand-in.  :meth:`repro.lap.runtime.LAPRuntime.execute` offers two timings:
 
 ``functional``
@@ -17,14 +17,14 @@ stand-in.  :meth:`repro.lap.runtime.LAPRuntime.execute` offers two timings:
     cycle count is the simulator's counter delta and the tile data is
     always exact.
 ``memoized``
-    the first task of each group in an ``execute()`` runs on the simulator
-    (its *warm-up*, :meth:`MemoizedTiming.task_cycles`) and every task of
-    the group is charged that count from one per-group table, without
-    touching the simulator.  Large graphs (e.g. a 4096^2 Cholesky at tile
-    128) then schedule in seconds instead of hours.  ``verify=True`` only
-    adds the NumPy update of each charged task's tiles, so the factors stay
+    the first task of each group runs on the simulator (its *warm-up*,
+    :meth:`MemoizedTiming.task_cycles`) and every task of the group is
+    charged that count from one per-group table, without touching the
+    simulator.  Large graphs (e.g. a 4096^2 Cholesky at tile 128) then
+    schedule in seconds instead of hours.  ``verify=True`` only adds the
+    NumPy update of each charged task's tiles, so the factors stay
     numerically exact and residuals are available; with ``verify=False``
-    the tile data goes stale after the warm-ups.
+    the tile data goes stale.
 
 Warm-up counts go into one process-wide table keyed by the running core's
 full :class:`~repro.lac.core.LACConfig` plus the group signature, so a
@@ -34,7 +34,16 @@ whose signatures are all in the table is charged entirely from it (no
 warm-up); every other execute warms each group exactly as in a fresh
 process and checks each count against the table, raising on a mismatch.
 So no row depends on which executes ran earlier in the process.
-:func:`clear_timing_cache` empties the table.
+
+A memoized ``verify=False`` point of ``LAPRuntime.run_blocked_*`` never
+builds its ``n x n`` operand.  If the table lacks one of its groups, the
+runtime first warms every group of the point on a real operand of the same
+workload at 3 x 3 tiles (``LAPRuntime._warm_up``), which holds every group
+a larger graph has; it raises if that instance lacks one.  The point then
+runs on one stand-in tile and is charged entirely from the table.  A
+``verify=True`` point still warms on its own operand, so it cross-checks
+every count the small instance entered.  :func:`clear_timing_cache`
+empties the table.
 
 The model object also records warm-up wall time per signature, which lets a
 benchmark compare a memoized schedule against a (measured, per-signature)

@@ -276,6 +276,33 @@ def test_cached_sweep_rejects_nonfinite_value_by_name(tmp_path, capsys):
     assert "sweep failed" in err and "bandwidth_gbs" in err
 
 
+@pytest.mark.parametrize("runner, setting", [
+    ("lap_runtime", "verify=off"),
+    ("lap_runtime", "verify=no"),
+    ("lap_runtime", "memory=off"),
+    ("blocked_fact", "use_extension=off"),
+    ("blas", "full_overlap=off"),
+    ("chip_gemm_onchip", "full_overlap=2"),
+])
+def test_sweep_rejects_a_flag_that_is_not_boolean(capsys, runner, setting):
+    """Bugfix: flags were read by truthiness, so ``verify=off`` ran verified
+    rows with a residual, ``use_extension=off`` priced the extension and
+    ``full_overlap=off`` overlapped.  A flag takes true, false, 0 or 1."""
+    assert main(["sweep", "--runner", runner, "--set", setting,
+                 "--no-cache"]) == 2
+    name, value = setting.split("=")
+    err = capsys.readouterr().err
+    assert (f"sweep failed: parameter '{name}' must be true, false, 0 or 1, "
+            f"got ") in err and value in err
+
+
+@pytest.mark.parametrize("value", ["true", "false", "0", "1"])
+def test_sweep_accepts_boolean_flags(capsys, value):
+    assert main(["sweep", "--runner", "blas", "--set", f"full_overlap={value}",
+                 "--no-cache"]) == 0
+    assert "1 executed" in capsys.readouterr().out
+
+
 def test_sweep_best_per_metric_lists_float_axes(capsys):
     assert main(["sweep", "--runner", "design", "--grid", "cores=4,8",
                  "--grid", "frequency_ghz=0.5,1.0", "--no-cache"]) == 0

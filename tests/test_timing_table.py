@@ -14,11 +14,15 @@ This suite pins:
   warm-up that disagrees with the table raises;
 * one memoized path: ``verify`` changes no schedule and no count, and the
   simulator runs once per group whether or not it is on;
+* cold ``verify=False`` points: they warm on a 3 x 3-tile instance of the
+  same workload, never build their operand, and give the rows a warm-up
+  on their own operand gives;
 * that sweep rows do not depend on what ran earlier in the process.
 """
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +31,12 @@ from hypothesis import strategies as st
 
 from repro.engine import SweepSpec, execute_jobs
 from repro.engine.runners import get_runner
+from repro.lap import runtime as runtime_module
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import (LAPRuntime, _NumPyKernels, _simulate_task,
                                 _update_tiles)
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor,
-                                 TaskGraph, TaskKind)
+                                 TaskGraph, TaskKind, clear_graph_cache)
 from repro.lap.timing import (MemoizedTiming, clear_timing_cache,
                               group_signatures)
 from repro.reference.factorizations import ref_householder_qr_factored
@@ -244,9 +249,12 @@ def test_warmup_that_disagrees_with_the_table_raises():
 def test_verify_changes_no_schedule_and_warms_once_per_group(monkeypatch,
                                                              algorithm):
     """From an empty table, memoized ``verify=True`` and ``verify=False``
-    give the same executions, warm-ups and hits, and both call
-    ``MemoizedTiming.task_cycles`` for the warm-ups alone: a 256^2,
-    tile-32 Cholesky (120 tasks) makes 4 calls."""
+    give the same executions and warm-ups, and both call
+    ``MemoizedTiming.task_cycles`` once per group: a 256^2, tile-32
+    Cholesky (120 tasks) makes 4 calls.  ``verify=True`` warms on its own
+    operand, so its warm-ups are not hits; ``verify=False`` warms on the
+    3 x 3-tile instance first and charges every task of the point from
+    the table."""
     calls = []
     task_cycles = MemoizedTiming.task_cycles
 
@@ -263,13 +271,73 @@ def test_verify_changes_no_schedule_and_warms_once_per_group(monkeypatch,
         stats = runtime.run_workload(algorithm, 256, np.random.default_rng(0),
                                      verify=verify)
         assert (stats["residual"] is not None) == verify
+        groups = len(runtime._last_graph.fast_arrays().group_keys)
+        assert len(calls) == runtime.timing.warm_runs == groups
         runs[verify] = (runtime.executions, runtime.timing.warm_runs,
-                        runtime.timing.hits, len(calls))
-    assert runs[True] == runs[False]
-    executions, warm_runs, hits, num_calls = runs[True]
-    assert num_calls == warm_runs and warm_runs + hits == len(executions)
+                        runtime.timing.hits)
+    assert runs[True][:2] == runs[False][:2]
+    executions, warm_runs, hits = runs[True]
+    assert warm_runs + hits == len(executions)
+    assert runs[False][2] == len(executions)
     if algorithm == "cholesky":
-        assert (len(executions), num_calls) == (120, 4)
+        assert (len(executions), warm_runs) == (120, 4)
+
+
+# ------------------------------------------------------ cold shape-only points
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+@pytest.mark.parametrize("setting", [
+    {"policy": "greedy", "nr": 2},
+    {"policy": "memory_aware", "nr": 4, "local_store_kb": 2, "on_chip_kb": 4}])
+@pytest.mark.parametrize("algorithm", AlgorithmsByBlocks.WORKLOADS)
+def test_cold_verify_off_row_equals_the_row_after_a_warm_up(algorithm,
+                                                            setting, blocks):
+    """A cold ``verify=False`` row warms on the 3 x 3-tile instance; the
+    same row charged from a table that the point's own verified run filled
+    is identical, also for points smaller than their warm instance."""
+    runner = get_runner("lap_runtime")
+    params = {"algorithm": algorithm, "n": 8 * blocks, "tile": 8,
+              "num_cores": 2, "timing": "memoized", "verify": 0,
+              "replay": "off", **setting}
+    clear_timing_cache()
+    cold = runner(params)
+    clear_timing_cache()
+    assert runner({**params, "verify": 1})["residual"] < 1e-8
+    assert runner(params) == cold
+
+
+def test_cold_verify_off_point_allocates_less_than_its_operand():
+    """A cold 2048^2, tile-128 Cholesky row never builds its operand: the
+    traced allocation peak stays below one 2048^2 float64 matrix (32 MiB),
+    where building it peaked at about 100 MiB."""
+    runner = get_runner("lap_runtime")
+    params = {"algorithm": "cholesky", "n": 2048, "tile": 128,
+              "num_cores": 4, "timing": "memoized", "verify": 0,
+              "replay": "off"}
+    clear_timing_cache()
+    clear_graph_cache()
+    tracemalloc.start()
+    try:
+        row = runner(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row["tasks_executed"] == 816 and row["residual"] is None
+    assert peak < 2048 * 2048 * 8, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_warm_instance_that_lacks_a_group_of_the_point_raises(monkeypatch):
+    """The small instance must hold every group of the point; a 1 x 1-tile
+    Cholesky has only the diagonal factorization, which is enough for a
+    1 x 1-tile point alone."""
+    monkeypatch.setattr(runtime_module, "WARM_TILES", 1)
+    clear_timing_cache()
+    with pytest.raises(RuntimeError, match="lacks the memoization group"):
+        make_runtime().run_blocked_cholesky(16, np.random.default_rng(0),
+                                            verify=False)
+    clear_timing_cache()
+    runtime = make_runtime()
+    runtime.run_blocked_cholesky(8, np.random.default_rng(0), verify=False)
+    assert runtime.timing.warm_runs == 1
 
 
 # ------------------------------------------------------ history independence
