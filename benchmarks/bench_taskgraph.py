@@ -10,8 +10,10 @@ Covers the scaling claims of the runtime:
   least 10x faster than the functional path, whose cost is estimated from
   the measured per-signature warm-up runs rather than paid in full,
 * a 4k^2 Cholesky builds and schedules well inside an interactive budget,
-  and a cold verify-off 4k^2 ``lap_runtime`` row allocates far less than
-  its 128 MiB operand (the ``scale_smoke`` regression gates).
+  a cold verify-off 4k^2 ``lap_runtime`` row allocates far less than its
+  128 MiB operand, and a built graph keeps only the arrays the scheduler
+  loop reads (the ``scale_smoke`` regression gates; the last also records
+  the graph phases of a 357,760-task row).
 """
 
 import json
@@ -31,13 +33,15 @@ from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind, clear_graph_cache
 from repro.lap.timing import clear_timing_cache
 
 
-def _retained_bytes():
+def _retained_bytes(tile=128):
     """Bytes a fresh 4k^2 Cholesky graph keeps alive once built, with its
-    ``GraphArrays`` and summary (one untimed ``tracemalloc`` pass)."""
+    summary (one untimed ``tracemalloc`` pass).  Objects the interpreter
+    reuses from its free lists (a few thousand small tuples) go untraced,
+    which only a graph of tens of thousands of tasks makes negligible."""
     clear_graph_cache()
     tracemalloc.start()
     try:
-        graph = AlgorithmsByBlocks(tile=128).cholesky_tasks(4096)
+        graph = AlgorithmsByBlocks(tile=tile).cholesky_tasks(4096)
         graph.fast_arrays()
         graph.summary()
         retained, _ = tracemalloc.get_traced_memory()
@@ -50,9 +54,10 @@ def _retained_bytes():
 def test_taskgraph_build_and_analytics(benchmark, bench_json):
     """Building + analysing a 5984-task Cholesky graph stays interactive.
 
-    Records each stage of a fresh graph: the build, its ``GraphArrays``
-    (``fast_arrays()``) and its ``summary()``; ``build_and_analytics``
-    is build plus summary.
+    Records each stage of a fresh graph: the build (which emits every
+    array the scheduler loop reads), ``fast_arrays()`` (the graph itself,
+    so about zero) and ``summary()``; ``build_and_analytics`` is build plus
+    summary.
     """
     # The JSON payload records the duration of one call (timed inside the
     # callable): benchmark() may run many calibration rounds when
@@ -174,9 +179,10 @@ def test_memoized_2048_cholesky_10x_faster_than_functional(bench_json):
 def _cholesky_graph_and_tiles(n, tile=128):
     """A fresh (cache-miss) blocked-Cholesky graph plus synthetic tiles.
 
-    Every block aliases one SPD identity tile: under memoized timing only
-    the per-signature warm-ups read tile *values*, so sharing the array
-    keeps a 64x64-block operand at one tile of memory.
+    Every block aliases one SPD identity tile: a memoized verify-off
+    execute reads no tile *value* (a cold table warms on a seeded 3 x 3-tile
+    instance of the workload), so sharing the array keeps a 64x64-block
+    operand at one tile of memory.
     """
     clear_graph_cache()
     started = time.perf_counter()
@@ -246,12 +252,14 @@ print(json.dumps(result))
 """
 
 
-def _cold_point(*args):
+def _fresh_process(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``;
+    returns the JSON object it prints last."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _COLD_POINT, *args],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, stdout=subprocess.PIPE, text=True,
                           check=True, timeout=600)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -266,8 +274,8 @@ def test_scale_smoke_cold_point_never_builds_its_operand(bench_json):
     peak RSS come from a second, untraced fresh process and are recorded,
     not gated."""
     budget_mib = 32.0
-    traced = _cold_point("traced")
-    timed = _cold_point()
+    traced = _fresh_process(_COLD_POINT, "traced")
+    timed = _fresh_process(_COLD_POINT)
     assert traced["tasks"] == timed["tasks"] == 5984
     assert traced["residual"] is None
     assert traced["makespan_cycles"] == timed["makespan_cycles"]
@@ -285,3 +293,77 @@ def test_scale_smoke_cold_point_never_builds_its_operand(bench_json):
     assert traced["tracemalloc_peak_mib"] < budget_mib, (
         f"cold 4096^2 point allocated {traced['tracemalloc_peak_mib']:.1f} "
         f"MiB (budget {budget_mib:.0f} MiB): it builds its operand again")
+
+
+#: One ``lap_runtime`` row in a fresh interpreter: Cholesky 4096^2 at tile
+#: 32 (357,760 tasks), 8 cores, ``memory_aware``, memoized, verify off.  The
+#: graph phases -- ``cholesky_tasks`` (the build), ``fast_arrays`` and
+#: ``summary`` -- are wrapped to sum their CPU seconds.  Prints those, the
+#: row's CPU seconds (imports excluded), the process's peak RSS (Linux
+#: ``ru_maxrss``) and the makespan.
+_GRAPH_ROW = """
+import json, resource, time
+import repro.lap.chip, repro.lap.policies, repro.lap.replay, repro.lap.runtime
+from repro.engine.runners import get_runner
+from repro.lap.taskgraph import AlgorithmsByBlocks, TaskGraph
+
+phases = {"build": 0.0, "fast_arrays": 0.0, "summary": 0.0}
+
+def timed(owner, name, phase):
+    original = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        started = time.process_time()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            phases[phase] += time.process_time() - started
+    setattr(owner, name, wrapper)
+
+timed(AlgorithmsByBlocks, "cholesky_tasks", "build")
+timed(TaskGraph, "fast_arrays", "fast_arrays")
+timed(TaskGraph, "summary", "summary")
+started = time.process_time()
+row = get_runner("lap_runtime")({
+    "algorithm": "cholesky", "n": 4096, "tile": 32, "num_cores": 8,
+    "policy": "memory_aware", "timing": "memoized", "verify": False})
+print(json.dumps({
+    "row_cpu_s": time.process_time() - started,
+    "graph_phase_s": phases,
+    "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "tasks": row["tasks_executed"],
+    "makespan_cycles": row["makespan_cycles"]}))
+"""
+
+
+@pytest.mark.scale_smoke
+def test_scale_smoke_built_graph_keeps_only_its_arrays(bench_json):
+    """Memory gate: a built 4096^2, tile-64 Cholesky graph (45,760 tasks)
+    with its summary keeps under 600 bytes per task alive -- the
+    per-position arrays the scheduler loop reads (a descriptor list beside
+    a second, array copy of the graph kept 1,325).  The Cholesky 4096^2,
+    tile-32 row (357,760 tasks) runs in a fresh process; its graph-phase
+    and row CPU seconds, peak RSS and makespan are recorded, not gated,
+    except that the schedule must not move."""
+    budget = 600.0
+    per_task = _retained_bytes(tile=64) / 45760
+    row = _fresh_process(_GRAPH_ROW)
+    assert row["tasks"] == 357760
+    assert row["makespan_cycles"] == 401203680
+    phases = row["graph_phase_s"]
+    bench_json("graph_arrays", {
+        "n": 4096,
+        "tile": 32,
+        "num_cores": 8,
+        "policy": "memory_aware",
+        "tasks": row["tasks"],
+        "graph_phase_seconds": phases,
+        "graph_phases_total_seconds": sum(phases.values()),
+        "row_cpu_seconds_excluding_import": row["row_cpu_s"],
+        "peak_rss_mib": row["peak_rss_mib"],
+        "makespan_cycles": row["makespan_cycles"],
+        "retained_bytes_per_task": per_task,
+        "retained_bytes_per_task_budget": budget,
+    })
+    assert per_task < budget, (
+        f"a built 4096^2, tile-64 Cholesky graph keeps {per_task:.0f} "
+        f"bytes per task (budget {budget:.0f}): it stores its tasks twice")

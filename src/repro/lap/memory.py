@@ -37,10 +37,10 @@ exactly that data movement for the task-graph runtime:
   accounting.
 
 Both residency levels are structure-of-arrays over the dense tile ids of
-:class:`repro.lap.taskgraph.GraphArrays`: a level keeps one LRU timestamp
+a :class:`repro.lap.taskgraph.TaskGraph`: a level keeps one LRU timestamp
 per tile id in plain Python lists (footprints are 1-4 tiles, where scalar
 list indexing beats any ufunc dispatch), sized once from
-``GraphArrays.num_tiles``.  The two-level hierarchy adds one holder bitmask
+``TaskGraph.num_tiles``.  The two-level hierarchy adds one holder bitmask
 per tile id (:attr:`MemoryHierarchy.local_holders`): bit ``k`` is set while
 core ``k``'s store holds the tile.  Only :meth:`LocalStore.touch_ids` (set
 on fill, clear on LRU eviction) and :meth:`LocalStore.invalidate_ids`
@@ -289,7 +289,7 @@ class MemoryHierarchy:
     dispatch order is *identical* to the single-level model --
     ``local_store_kb=None`` reproduces the single-level accounting byte for
     byte.  ``num_tiles`` sizes every level's state once: the graph's tile
-    count (``GraphArrays.num_tiles``), whose dense ids all levels share.
+    count (``TaskGraph.num_tiles``), whose dense ids all levels share.
     :attr:`local_holders` is the stores' shared holder bitmask per tile id
     (``None`` without local stores).
     """

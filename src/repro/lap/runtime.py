@@ -34,9 +34,11 @@ The runtime is layered (TaskGraph -> Scheduler -> timing -> LAP):
   four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
   optionally with heterogeneous per-core clock frequencies.  Its
   :meth:`LAPRuntime.execute` is the one scheduler loop: an event-driven
-  ready heap over the graph's :class:`~repro.lap.taskgraph.GraphArrays`
-  and the structure-of-arrays residency levels of :mod:`repro.lap.memory`,
-  with every policy / timing / memory decision inlined.
+  ready heap over the per-position arrays of the
+  :class:`~repro.lap.taskgraph.TaskGraph` and the structure-of-arrays
+  residency levels of :mod:`repro.lap.memory`, with every policy / timing /
+  memory decision inlined.  Only simulated tasks and verify updates read a
+  task's :class:`~repro.lap.taskgraph.TaskDescriptor`.
 
 Each task kind's tile update is written once, in :func:`_update_tiles`,
 over a kernel set: the LAC kernels on a core (:func:`_simulate_task`:
@@ -445,21 +447,25 @@ class LAPRuntime:
         NumPy tile update, so the tile data stays numerically exact and
         residual checks remain possible.  With ``verify`` off, a graph
         whose signatures are all in the process-wide table is charged from
-        it without reading a tile; any other memoized execute warms each
-        group's first task on the simulator, as in a fresh process.
+        it without reading a tile.  If the table lacks one, an
+        :class:`~repro.lap.taskgraph.AlgorithmsByBlocks` graph (its
+        ``workload`` set) first warms its groups on a small seeded instance
+        of that workload (:meth:`_warm_up`), never on ``tiles``, which may
+        be stand-ins; a hand-built graph warms each group's first task on
+        ``tiles``, and so does every memoized execute with ``verify``, as in
+        a fresh process.
 
         The loop is event driven: a heap of ready tasks ordered by the
         scheduling policy and a single accumulation pass over per-core busy
         time -- O(V log V + E) for the static policies.  Every policy, timing
-        and memory decision is inlined over the graph's
-        :class:`~repro.lap.taskgraph.GraphArrays` (no per-task method
-        dispatch), branching on the policy name's index in
-        :data:`~repro.lap.policies.POLICIES`.  Every dispatched task also
+        and memory decision is inlined over the graph's per-position arrays
+        (no per-task method dispatch), branching on the policy name's index
+        in :data:`~repro.lap.policies.POLICIES`.  Every dispatched task also
         updates the tile-residency model (in dispatch order, the
         serialisation the shared on-chip memory sees); spill refills stall
         the task through the off-chip bandwidth and the stats carry unified
-        traffic / stall / energy totals.  With local stores the loop reads local membership
-        only through the hierarchy's per-tile holder masks
+        traffic / stall / energy totals.  With local stores the loop reads
+        local membership only through the hierarchy's per-tile holder masks
         (:attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a
         write or a shared-level eviction revokes a tile on its holders
         alone.  The memory-keyed policies (``memory_aware``,
@@ -479,16 +485,14 @@ class LAPRuntime:
         pcode = POLICIES.index(self.policy)
         self._last_graph = graph
         ga = graph.fast_arrays()
-        tasks = ga.tasks
-        n = len(tasks)
-        ids = graph.ids
-        succ = graph.succ
+        n = len(ga)
+        ids = ga.ids
+        succ = ga.succ
         foot_ids = ga.foot_ids
         write_ids = ga.write_ids
         rw_len = ga.rw_len
         out_id = ga.out_id
         group = ga.group
-        kinds = ga.kinds
 
         timing = self.timing
         memoized = type(timing) is MemoizedTiming
@@ -539,8 +543,9 @@ class LAPRuntime:
         epf = memory.energy.energy_per_flop_j
         epon = memory.energy.onchip_energy_per_byte_j
         epoff = memory.energy.offchip_energy_per_byte_j
-        flops_by_code = [_TASK_FLOPS[k](t) for k in ga.kind_table]
-        task_flops = [flops_by_code[cd] for cd in ga.kind_code]
+        # A task's kind, and so its flops, is its memoization group's.
+        group_kind = [kind for kind, _, _ in ga.group_keys]
+        group_flops = [_TASK_FLOPS[kind](t) for kind in group_kind]
         # Totals accumulate in locals (one per-task add each, starting
         # from the hierarchy's 0.0/0, in dispatch order); byte counters
         # stay integers, which is exact.
@@ -548,24 +553,32 @@ class LAPRuntime:
         tot_lhit = tot_sfill = tot_c2c = 0.0
         tot_comp = tot_spill = tot_wb = 0
 
+        warming = False
         if memoized:
             # A task's cycle count is its memoization group's: one list
             # lookup per task, with the timing model's hit counters
-            # reconciled in bulk after the loop.  Without verify, a graph
-            # whose groups are all in the process table is charged from it
-            # entirely; otherwise each group's first task warms up.
+            # reconciled in bulk after the loop.  Without verify, a graph is
+            # charged from the process table; on a miss a workload graph
+            # first warms its groups on a seeded small instance, never on
+            # the caller's tiles, which may be stand-ins.  Otherwise each
+            # group's first task warms up on the tiles.
             core_key = self._core_key
             gsig = group_signatures(ga.group_keys, t, self._precision)
             gtable = None if verify else table_cycles(core_key, gsig)
+            if gtable is None and not verify and graph.workload is not None:
+                self._warm_up(graph.workload, gsig)
+                gtable = table_cycles(core_key, gsig)
             warming = gtable is None
             if warming:
                 gtable = [None] * len(gsig)
+        # Only simulated tasks and verify updates read a task's descriptor.
+        tasks = list(graph) if warming or verify or not memoized else None
 
         if crit:
             negrank = ga._negrank
             if negrank is None:
                 # Pure graph property (unit-weight critical-path ranks), cached
-                # on the arrays so repeat executes skip the n-element rebuild.
+                # on the graph so repeat executes skip the n-element rebuild.
                 ranks = graph.critical_path_lengths()
                 negrank = [-ranks[tid] for tid in ids]
                 ga._negrank = negrank
@@ -688,8 +701,8 @@ class LAPRuntime:
                     start = rtime
 
             # -- timing ----------------------------------------------------------
+            g = group[i]
             if memoized:
-                g = group[i]
                 cycles = gtable[g]
                 if cycles is None:
                     cycles = gtable[g] = timing.task_cycles(
@@ -767,7 +780,7 @@ class LAPRuntime:
                 stall = spill_b / bpc_off
             else:
                 stall = 0.0
-            flops = task_flops[i]
+            flops = group_flops[g]
             onchip_bytes = rw_len[i] * tb
             if holders is not None:
                 # Classify the footprint against the assigned core's
@@ -827,10 +840,10 @@ class LAPRuntime:
                 busy_time[c] += compute_duration
             if need_owner:
                 owner[out_id[i]] = c
-            rows_append((ids[i], kinds[i], c, start, end, stall, float(refill_b),
-                         energy, transfer_cycles, local_hit, compute_duration,
-                         float(spill_b), transfer_bytes, float(wb_b),
-                         shared_fill))
+            rows_append((ids[i], group_kind[g], c, start, end, stall,
+                         float(refill_b), energy, transfer_cycles, local_hit,
+                         compute_duration, float(spill_b), transfer_bytes,
+                         float(wb_b), shared_fill))
 
             for j in succ[i]:
                 rj = ready[j]
@@ -970,16 +983,16 @@ class LAPRuntime:
         memory = self.last_memory
         energy = memory.energy
         rows = self._exec_rows
-        id2idx = self._last_graph.id2idx
-        rw_len = self._last_graph.fast_arrays().rw_len
+        ids, rw_len = self._last_graph.ids, self._last_graph.fast_arrays().rw_len
         tile = self.tile
         tile_bytes = memory.residency.tile_bytes
 
         def triples():
             # Rows hold TaskExecution's fields in order: [0] task_id,
             # [1] kind, [6] refill, [12] transfer, [13] writeback bytes.
+            position = {tid: i for i, tid in enumerate(ids)}
             return [(_TASK_FLOPS[row[1]](tile),
-                     rw_len[id2idx[row[0]]] * tile_bytes + row[12],
+                     rw_len[position[row[0]]] * tile_bytes + row[12],
                      row[6] + row[13])
                     for row in rows]
         return ScheduleTrace(
@@ -1002,37 +1015,11 @@ class LAPRuntime:
             energy_triples=triples)
 
     # ------------------------------------------------------- whole problems
-    def _execute_shape_only(self, graph: TaskGraph, n: int,
-                            verify: bool) -> Optional[Dict[str, object]]:
-        """Execute a memoized ``verify=False`` ``n x n`` graph without its
-        operand.
-
-        Returns ``None`` under functional timing or ``verify``: those points
-        read tile values, so they need the real operand.  Otherwise the
-        group signatures come from the graph alone; if the process table
-        lacks one, :meth:`_warm_up` first warms the point's groups on a
-        :data:`WARM_TILES`-tile instance of the same workload.  The point
-        then reads no tile value, so one aliased ``tile x tile`` array
-        stands in for every tile and the stats carry ``residual=None``.
-        """
-        if verify or type(self.timing) is not MemoizedTiming:
-            return None
-        signatures = group_signatures(graph.fast_arrays().group_keys,
-                                      self.tile, self._precision)
-        if table_cycles(self._core_key, signatures) is None:
-            self._warm_up(graph.workload, signatures)
-        nb = n // self.tile
-        block = np.zeros((self.tile, self.tile))
-        blocks = {(i, j): block for i in range(nb) for j in range(nb)}
-        tiles = {"A": blocks, "B": blocks, "C": blocks, "L": blocks}
-        stats = self.execute(graph, tiles, verify=False)
-        stats["residual"] = None
-        return stats
-
     def _warm_up(self, workload: str,
                  signatures: Sequence[Tuple]) -> None:
         """Warm every one of ``signatures`` on a small real instance of
-        ``workload``, as in a fresh process.
+        ``workload``, as in a fresh process (a cold memoized ``verify=False``
+        execute of a workload graph calls it).
 
         The instance is :data:`WARM_TILES` tiles per side, built on a fresh
         :class:`AlgorithmsByBlocks`: the runtime's own library would shift
@@ -1049,14 +1036,13 @@ class LAPRuntime:
         t = self.tile
         small = AlgorithmsByBlocks(t, nr=self.lap.config.nr).build(
             workload, WARM_TILES * t)
-        arrays = small.fast_arrays()
-        small_signatures = group_signatures(arrays.group_keys, t,
+        small_signatures = group_signatures(small.group_keys, t,
                                             self._precision)
         tiles, _ = _problem(workload, WARM_TILES * t, t,
                             np.random.default_rng(0))
         todo = set(signatures)
         core = self.lap.cores[0]
-        for task, g in zip(arrays.tasks, arrays.group):
+        for task, g in zip(small, small.group):
             signature = small_signatures[g]
             if signature not in todo:
                 _update_tiles(task, tiles, _NumPyKernels)
@@ -1071,6 +1057,28 @@ class LAPRuntime:
             f"the {WARM_TILES} x {WARM_TILES}-tile {workload} graph lacks "
             f"the memoization group(s) {sorted(todo)} of the point, so it "
             f"cannot warm it")
+
+    def _execute_shape_only(self, graph: TaskGraph, n: int,
+                            verify: bool) -> Optional[Dict[str, object]]:
+        """Execute a memoized ``verify=False`` ``n x n`` graph without its
+        operand.
+
+        Returns ``None`` under functional timing or ``verify``: those points
+        read tile values, so they need the real operand.  Otherwise the
+        point reads no tile value (:meth:`execute` warms a cold table on a
+        :data:`WARM_TILES`-tile instance of the workload), so one aliased
+        ``tile x tile`` array stands in for every tile and the stats carry
+        ``residual=None``.
+        """
+        if verify or type(self.timing) is not MemoizedTiming:
+            return None
+        nb = n // self.tile
+        block = np.zeros((self.tile, self.tile))
+        blocks = {(i, j): block for i in range(nb) for j in range(nb)}
+        tiles = {"A": blocks, "B": blocks, "C": blocks, "L": blocks}
+        stats = self.execute(graph, tiles, verify=False)
+        stats["residual"] = None
+        return stats
 
     def _run(self, graph: TaskGraph, n: int, rng: np.random.Generator,
              verify: bool) -> Dict[str, object]:

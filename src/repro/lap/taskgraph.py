@@ -7,14 +7,14 @@ that layer:
 
 * :class:`TaskKind` -- the atomic tile operations the runtime understands
   (level-3 BLAS updates plus the factorization tile kernels of Chapter 6);
-* :class:`TaskDescriptor` -- one tile operation (the "command packet");
-* :class:`TaskGraph` -- an immutable dependency graph over task descriptors
-  that holds the graph's only adjacency (ids, positions, successors,
-  in-degrees) and the analytics a scheduler needs (critical path, width,
-  per-kind counts, topological levels);
-* :class:`GraphArrays` -- the dense per-position arrays (footprints as
-  dense tile ids, kind codes, memoization groups) the scheduler loop runs
-  on;
+* :class:`TaskDescriptor` -- one tile operation (the "command packet"): the
+  input format of hand-built graphs and an on-demand view of any graph;
+* :class:`TaskGraph` -- an immutable dependency graph held as dense
+  per-position arrays: the adjacency (ids, successors, in-degrees), each
+  task's footprint as dense tile ids, its output coordinate and memoization
+  group -- exactly what the scheduler loop reads -- and the analytics a
+  scheduler needs (critical path, width, per-kind counts, topological
+  levels), computed from those arrays;
 * :class:`AlgorithmsByBlocks` -- the host-library decomposition of GEMM,
   Cholesky, LU (no pivoting across tiles) and tiled Householder QR into
   dependency-ordered tile graphs.
@@ -23,11 +23,11 @@ Every task additionally carries its *data footprint*: the logical tiles it
 reads and writes, named ``(operand, (block_row, block_col))``.  One
 per-kind rule, :func:`task_footprint`, states every footprint; a
 factorization updates one operand in place, so its graphs name every tile
-``"A"``.  Each builder only yields its algorithm's steps and one helper
-derives the tasks: footprints from that rule, and a dependency on the last
-writer of every tile a task touches.  The tile-residency model of
-:mod:`repro.lap.memory` consumes the footprints to account on-chip working
-sets, spills and off-chip traffic.
+``"A"``.  Each builder only yields its algorithm's steps, and one pass over
+them numbers the footprints and links every task to the last writer of each
+tile it touches.  The tile-residency model of :mod:`repro.lap.memory`
+consumes the footprints to account on-chip working sets, spills and
+off-chip traffic.
 
 Schedulers (:mod:`repro.lap.policies`), timing models
 (:mod:`repro.lap.timing`), the memory hierarchy (:mod:`repro.lap.memory`)
@@ -40,6 +40,8 @@ from __future__ import annotations
 import collections
 import collections.abc
 import enum
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -60,6 +62,18 @@ class TaskKind(enum.Enum):
     TSQRT = "tsqrt"                #: [R; A_tile] := QR (triangle-on-top-of-square)
     UNMQR = "unmqr"                #: C_tile := Q^T C_tile (reflectors of GEQRT)
     TSMQR = "tsmqr"                #: [C_top; C_bot] := Q^T [..] (reflectors of TSQRT)
+
+    # Members are singletons, so the identity hash agrees with equality;
+    # Enum's default hashes the name in Python code, which a graph build
+    # would pay on every task's memoization-group lookup.
+    __hash__ = object.__hash__
+
+
+# Member lookups on an Enum class go through its metaclass's attribute hook
+# (several hundred ns each in CPython 3.11); the per-step code reads these.
+_GEMM, _SYRK, _TSQRT, _UNMQR, _TSMQR = (TaskKind.GEMM, TaskKind.SYRK,
+                                        TaskKind.TSQRT, TaskKind.UNMQR,
+                                        TaskKind.TSMQR)
 
 
 #: One logical tile: (operand name, (block_row, block_col)).
@@ -110,18 +124,18 @@ def task_footprint(kind: TaskKind, output: Tuple[int, int],
     tile twice): the on-chip energy term charges every operand access.
     """
     a, b, c, l = ("A",) * 4 if in_place else ("A", "B", "C", "L")
-    if kind is TaskKind.GEMM:
+    if kind is _GEMM:
         return [(a, inputs[0]), (b, inputs[1]), (c, output)], [(c, output)]
-    if kind is TaskKind.SYRK:
+    if kind is _SYRK:
         return [(a, x) for x in inputs] + [(c, output)], [(c, output)]
     if kind in _SOLVE_KINDS:
         return [(l, inputs[0]), (b, output)], [(b, output)]
-    if kind is TaskKind.TSQRT:
+    if kind is _TSQRT:
         both = [("A", inputs[0]), ("A", output)]
         return both, list(both)
-    if kind is TaskKind.UNMQR:
+    if kind is _UNMQR:
         return [("A", inputs[0]), ("A", output)], [("A", output)]
-    if kind is TaskKind.TSMQR:
+    if kind is _TSMQR:
         return [("A", x) for x in inputs], [("A", inputs[1]), ("A", inputs[2])]
     # CHOLESKY, LU and GEQRT factor their output tile in place.
     return [("A", output)], [("A", output)]
@@ -129,7 +143,9 @@ def task_footprint(kind: TaskKind, output: Tuple[int, int],
 
 @dataclass
 class TaskDescriptor:
-    """One atomic tile operation (the command-packet abstraction).
+    """One atomic tile operation (the command-packet abstraction): the input
+    format of hand-built graphs and the on-demand view of any
+    :class:`TaskGraph`.
 
     ``inputs`` and ``output`` are tile coordinates ``(block_row, block_col)``
     into the blocked operand; ``depends_on`` lists task ids that must complete
@@ -175,15 +191,33 @@ class TaskDescriptor:
         return task_footprint(self.kind, self.output, self.inputs)[1]
 
 
-class TaskGraph(collections.abc.Sequence):
-    """An immutable tile-task dependency graph with scheduling analytics.
+def _group_key(kind: TaskKind, alpha: float = 1.0,
+               transpose_b: bool = False) -> Tuple[TaskKind, bool, bool]:
+    """Memoization group of a task: at one tile size and precision, a tile
+    task's cycle count is fixed by its kind, unit alpha and transpose (see
+    :mod:`repro.lap.timing`)."""
+    return kind, alpha == 1.0, bool(transpose_b)
 
-    Behaves as a sequence of :class:`TaskDescriptor` (so existing callers
-    that expect a task list keep working) and adds the graph structure and
-    metrics a scheduler wants: successor adjacency and in-degrees, per-kind
-    counts, topological levels, width (the largest level -- an upper bound
-    on exploitable task parallelism) and critical-path lengths, optionally
-    weighted by an estimated per-task cost.
+
+class TaskGraph(collections.abc.Sequence):
+    """An immutable tile-task dependency graph held as per-position arrays.
+
+    The arrays are what the scheduler loop of
+    :meth:`repro.lap.runtime.LAPRuntime.execute` reads: ``ids`` (not
+    assumed 0-based or contiguous: the builders share one id counter),
+    ``succ`` (sorted successor positions), ``indegree``, ``group`` (index
+    into ``group_keys``, whose kind is the task's), ``out_id`` (dense
+    output coordinate), ``foot_ids`` (reads-then-writes footprint as dense
+    tile ids, deduplicated; ``num_tiles`` of them size the residency
+    levels of :mod:`repro.lap.memory`), ``write_ids`` and ``rw_len`` (the
+    operand count the on-chip energy term charges).  A hand-built graph,
+    ``TaskGraph(descriptors)``, numbers its footprint arrays on the first
+    :meth:`fast_arrays`.  The analytics (per-kind counts, levels, width,
+    critical paths) come from one forward and one reverse pass over them.
+
+    The graph is also a sequence of :class:`TaskDescriptor`: a hand-built
+    graph's own, or rebuilt by re-running an :class:`AlgorithmsByBlocks`
+    step generator on every access (hold ``list(graph)`` to index many).
 
     Dependencies on unknown task ids are rejected here; cycles are only
     detected lazily (by :meth:`levels` / the scheduler's deadlock check) so
@@ -191,23 +225,30 @@ class TaskGraph(collections.abc.Sequence):
     tests.
     """
 
-    def __init__(self, tasks: Sequence[TaskDescriptor]):
-        self._tasks: List[TaskDescriptor] = list(tasks)
-        # The graph's only adjacency, indexed by graph position: task ids
-        # are not assumed 0-based or contiguous (the builders share one id
-        # counter across graphs).  Successor tuples are built by ascending
-        # position, so each is sorted.
-        self.ids: List[int] = [t.task_id for t in self._tasks]
-        self.id2idx: Dict[int, int] = {tid: i for i, tid in enumerate(self.ids)}
-        if len(self.id2idx) != len(self.ids):
-            dup = next(tid for tid, count in collections.Counter(self.ids).items()
+    #: Name of the :class:`AlgorithmsByBlocks` workload that built the graph
+    #: (``None`` for a hand-built one).
+    workload: Optional[str] = None
+    #: ``None`` until a hand-built graph's first :meth:`fast_arrays`, so a
+    #: graph of tasks without a valid footprint can still be analysed.
+    group: Optional[List[int]] = None
+    _tasks: Optional[List[TaskDescriptor]] = None     # given, if hand-built
+    _level_positions: Optional[List[List[int]]] = None
+    _summary: Optional[Dict[str, object]] = None
+    #: Negated unit critical-path ranks per position, cached by the first
+    #: ``critical_path`` execute for later ones.
+    _negrank: Optional[List[float]] = None
+
+    def __init__(self, tasks: Iterable[TaskDescriptor]):
+        tasks = list(tasks)
+        ids = [task.task_id for task in tasks]
+        id2idx = {tid: i for i, tid in enumerate(ids)}
+        if len(id2idx) != len(ids):
+            dup = next(tid for tid, count in collections.Counter(ids).items()
                        if count > 1)
             raise ValueError(f"duplicate task id {dup}")
-        id2idx = self.id2idx
-        succ: List[List[int]] = [[] for _ in self._tasks]
-        #: Number of distinct predecessors per position.
-        self.indegree: List[int] = []
-        for i, task in enumerate(self._tasks):
+        succ: List[List[int]] = [[] for _ in tasks]
+        indegree: List[int] = []
+        for i, task in enumerate(tasks):
             deps = set(task.depends_on)
             for dep in deps:
                 j = id2idx.get(dep)
@@ -215,112 +256,243 @@ class TaskGraph(collections.abc.Sequence):
                     raise ValueError(f"task {task.task_id} depends on unknown "
                                      f"task id {dep}")
                 succ[j].append(i)
-            self.indegree.append(len(deps))
-        self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
-        self._levels: Optional[List[List[int]]] = None
-        self._fast_arrays = None
-        self._summary: Optional[Dict[str, object]] = None
-        self._unit_cpl: Optional[Dict[int, float]] = None
-        #: Name of the :class:`AlgorithmsByBlocks` workload that built the
-        #: graph (``None`` for a hand-built one).
-        self.workload: Optional[str] = None
+            indegree.append(len(deps))
+        self.ids: List[int] = ids
+        self.id2idx = id2idx
+        self.succ: List[Tuple[int, ...]] = list(map(tuple, succ))
+        self.indegree = indegree
+        self._tasks = tasks
+
+    @classmethod
+    def _from_steps(cls, workload: str, steps: Callable[[], Iterable[Tuple]],
+                    in_place: bool, first_id: int) -> "TaskGraph":
+        """The graph of a builder's ``steps()`` (kept for the descriptor
+        view), task ids from ``first_id``: footprints by
+        :func:`task_footprint`, dependencies by the last-writer rule."""
+        graph = cls.__new__(cls)
+        # Nothing the pass allocates can form a reference cycle, so the
+        # cyclic collector's full passes over the growing graph (a fifth
+        # of a 357,760-task build) are paused until it is done.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            graph._number(
+                ((kind, output, *task_footprint(kind, output, inputs, in_place),
+                  _group_key(kind, *options))
+                 for kind, output, inputs, *options in steps()),
+                last_writer_rule=True)
+        finally:
+            if collecting:
+                gc.enable()
+        graph.ids = list(range(first_id, first_id + len(graph.succ)))
+        graph._steps = steps
+        graph._in_place = in_place
+        graph.workload = workload
+        return graph
+
+    def _number(self, tasks: Iterable[Tuple],
+                last_writer_rule: bool = False) -> None:
+        """Fill the footprint arrays from one pass over ``tasks``, each
+        ``(kind, output, reads, writes, group key)``, numbering tile names,
+        output coordinates and groups densely in first-seen order.
+
+        ``last_writer_rule`` also links every task to the last writer of
+        each tile it reads or writes (the read-after-write and
+        write-after-write order), so every predecessor precedes its task.
+        """
+        tile_ids: Dict[TileAccess, int] = {}
+        tile_id = tile_ids.get
+        coords: Dict[Tuple[int, int], int] = {}
+        group_of: Dict[Tuple, int] = {}
+        last_writer: List[int] = []      # position, by tile id; -1: none yet
+        succ: List[List[int]] = []
+        indegree: List[int] = []
+        group, out_id, foot_ids, write_ids, rw_len = [], [], [], [], []
+        for i, (kind, output, reads, writes, gkey) in enumerate(tasks):
+            group.append(group_of.setdefault(gkey, len(group_of)))
+            out_id.append(coords.setdefault(output, len(coords)))
+            # Reads, then writes: the footprint keeps first-seen order.
+            foot: List[int] = []
+            for access in reads:
+                tid = tile_id(access)
+                if tid is None:
+                    tid = tile_ids[access] = len(last_writer)
+                    last_writer.append(-1)
+                if tid not in foot:
+                    foot.append(tid)
+            wids: List[int] = []
+            for access in writes:
+                tid = tile_id(access)
+                if tid is None:
+                    tid = tile_ids[access] = len(last_writer)
+                    last_writer.append(-1)
+                if tid not in foot:
+                    foot.append(tid)
+                wids.append(tid)
+            foot_ids.append(tuple(foot))
+            write_ids.append(tuple(wids))
+            rw_len.append(len(reads) + len(wids))
+            if last_writer_rule:
+                deps: List[int] = []
+                for tid in foot:
+                    j = last_writer[tid]
+                    if j >= 0 and j not in deps:
+                        deps.append(j)
+                        succ[j].append(i)
+                succ.append([])
+                indegree.append(len(deps))
+                for tid in wids:
+                    last_writer[tid] = i
+        #: ``(kind, unit alpha, transpose)`` of each memoization group.
+        self.group_keys: List[Tuple] = list(group_of)
+        counts = collections.Counter(group)
+        self.group_counts = [counts[gid] for gid in range(len(group_of))]
+        self.out_id = out_id
+        self.num_out_coords = len(coords)
+        self.foot_ids = foot_ids
+        self.write_ids = write_ids
+        self.rw_len = rw_len
+        self.num_tiles = len(tile_ids)
+        self.group = group
+        if last_writer_rule:
+            self.succ = list(map(tuple, succ))
+            self.indegree = indegree
+
+    @functools.cached_property
+    def id2idx(self) -> Dict[int, int]:
+        """Graph position of each task id."""
+        return {tid: i for i, tid in enumerate(self.ids)}
 
     # -------------------------------------------------------- sequence API
+    def _descriptors(self) -> List[TaskDescriptor]:
+        """The tasks as descriptors, in graph order."""
+        if self._tasks is not None:
+            return self._tasks
+        ids = self.ids
+        preds: List[List[int]] = [[] for _ in ids]
+        for i, targets in enumerate(self.succ):
+            for j in targets:
+                preds[j].append(ids[i])
+        tasks = []
+        for task_id, deps, (kind, output, inputs, *options) in zip(
+                ids, preds, self._steps()):
+            reads, writes = task_footprint(kind, output, inputs,
+                                           self._in_place)
+            tasks.append(TaskDescriptor(task_id, kind, output, inputs, deps,
+                                        *options, reads=reads, writes=writes))
+        return tasks
+
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self.succ)
 
     def __iter__(self) -> Iterator[TaskDescriptor]:
-        return iter(self._tasks)
+        return iter(self._descriptors())
 
     def __getitem__(self, index):
-        return self._tasks[index]
+        return self._descriptors()[index]
 
     def task(self, task_id: int) -> TaskDescriptor:
         """Look up one task by id."""
-        return self._tasks[self.id2idx[task_id]]
+        return self._descriptors()[self.id2idx[task_id]]
+
+    def fast_arrays(self) -> "TaskGraph":
+        """The graph, with the footprint arrays the scheduler loop reads.
+
+        A builder graph has them from its build; a hand-built graph derives
+        them from its descriptors on the first call, by the same numbering.
+        """
+        if self.group is None:
+            self._number((task.kind, task.output, task.read_tiles(),
+                          task.write_tiles(),
+                          _group_key(task.kind, task.alpha, task.transpose_b))
+                         for task in self._tasks)
+        return self
 
     # ------------------------------------------------------------ analytics
     def kind_counts(self) -> Dict[TaskKind, int]:
         """Number of tasks of each kind present in the graph."""
+        arrays = self.fast_arrays()
         counts: Dict[TaskKind, int] = {}
-        for task in self._tasks:
-            counts[task.kind] = counts.get(task.kind, 0) + 1
+        for (kind, _, _), count in zip(arrays.group_keys, arrays.group_counts):
+            counts[kind] = counts.get(kind, 0) + count
         return counts
+
+    def _levels(self) -> List[List[int]]:
+        """Positions by topological level (dependency depth), from one
+        forward pass over the graph; cached.
+
+        Raises :class:`ValueError` if the graph contains a cycle.
+        """
+        if self._level_positions is None:
+            succ = self.succ
+            remaining = list(self.indegree)
+            frontier = [i for i, deg in enumerate(remaining) if deg == 0]
+            levels: List[List[int]] = []
+            while frontier:
+                levels.append(frontier)
+                frontier = []
+                for i in levels[-1]:
+                    for j in succ[i]:
+                        left = remaining[j] - 1
+                        remaining[j] = left
+                        if not left:
+                            frontier.append(j)
+            if sum(map(len, levels)) != len(succ):
+                raise ValueError("task graph contains a dependency cycle")
+            self._level_positions = levels
+        return self._level_positions
 
     def levels(self) -> List[List[int]]:
         """Topological levels: level ``d`` holds the ids at dependency depth ``d``.
 
         Raises :class:`ValueError` if the graph contains a cycle.
         """
-        if self._levels is None:
-            ids, succ = self.ids, self.succ
-            indegree = list(self.indegree)
-            frontier = [i for i, deg in enumerate(indegree) if deg == 0]
-            levels: List[List[int]] = []
-            while frontier:
-                frontier.sort(key=ids.__getitem__)
-                levels.append([ids[i] for i in frontier])
-                nxt: List[int] = []
-                for i in frontier:
-                    for j in succ[i]:
-                        indegree[j] -= 1
-                        if indegree[j] == 0:
-                            nxt.append(j)
-                frontier = nxt
-            if sum(map(len, levels)) != len(self._tasks):
-                raise ValueError("task graph contains a dependency cycle")
-            self._levels = levels
-        return self._levels
+        ids = self.ids
+        return [sorted([ids[i] for i in level]) for level in self._levels()]
 
     def width(self) -> int:
         """Size of the largest topological level (peak task parallelism)."""
-        return max((len(level) for level in self.levels()), default=0)
+        return max(map(len, self._levels()), default=0)
+
+    def _path_lengths(
+            self, weight: Optional[Callable[[TaskDescriptor], float]] = None
+    ) -> List[float]:
+        """Longest path from each position to any exit, inclusive of the
+        task: one reverse pass over the levels."""
+        succ = self.succ
+        tasks = None if weight is None else self._descriptors()
+        lengths = [0.0] * len(succ)
+        for level in reversed(self._levels()):
+            for i in level:
+                after = succ[i]
+                down = lengths[after[0]] if after else 0.0
+                for j in after:
+                    if lengths[j] > down:
+                        down = lengths[j]
+                w = 1.0 if tasks is None else float(weight(tasks[i]))
+                lengths[i] = w + down
+        return lengths
 
     def critical_path_lengths(
             self, weight: Optional[Callable[[TaskDescriptor], float]] = None
     ) -> Dict[int, float]:
-        """Longest path from each task to any exit, inclusive of the task.
+        """Longest path from each task id to any exit, inclusive of the task.
 
         With the default unit weight the value is the number of tasks on the
         longest downstream chain; pass ``weight`` to use estimated cycles.
-        Used by the critical-path scheduling policy.  The unit-weight result
-        is cached on the (immutable) graph, which the graph summary and the
-        critical-path ranks both read; callers must not mutate it.
+        Used by the critical-path scheduling policy.
         """
-        if weight is None and self._unit_cpl is not None:
-            return self._unit_cpl
-        ids, id2idx, succ = self.ids, self.id2idx, self.succ
-        lengths: Dict[int, float] = {}
-        for level in reversed(self.levels()):
-            for tid in level:
-                i = id2idx[tid]
-                w = 1.0 if weight is None else float(weight(self._tasks[i]))
-                down = max((lengths[ids[j]] for j in succ[i]), default=0.0)
-                lengths[tid] = w + down
-        if weight is None:
-            self._unit_cpl = lengths
-        return lengths
+        return dict(zip(self.ids, self._path_lengths(weight)))
 
     def critical_path_length(
             self, weight: Optional[Callable[[TaskDescriptor], float]] = None
     ) -> float:
         """Length of the longest dependency chain in the graph."""
-        lengths = self.critical_path_lengths(weight)
-        return max(lengths.values(), default=0.0)
-
-    def fast_arrays(self) -> "GraphArrays":
-        """Dense array form of the graph for the scheduler loop.
-
-        Built on first use and cached (the graph is immutable); see
-        :class:`GraphArrays`.
-        """
-        if self._fast_arrays is None:
-            self._fast_arrays = GraphArrays(self)
-        return self._fast_arrays
+        return max(self._path_lengths(weight), default=0.0)
 
     def total_flops(self, tile: int) -> float:
         """Leading-order flop count of the whole graph at one tile size."""
-        return sum(task_flops(task, tile) for task in self._tasks)
+        return sum(task_flops(task, tile) for task in self)
 
     def summary(self) -> Dict[str, object]:
         """Scalar graph metrics (handy for sweep rows and reports).
@@ -331,7 +503,7 @@ class TaskGraph(collections.abc.Sequence):
         """
         if self._summary is None:
             self._summary = {
-                "num_tasks": len(self._tasks),
+                "num_tasks": len(self),
                 "num_levels": len(self.levels()),
                 "width": self.width(),
                 "critical_path_tasks": int(self.critical_path_length()),
@@ -343,100 +515,18 @@ class TaskGraph(collections.abc.Sequence):
         return out
 
 
-class GraphArrays:
-    """Dense per-index arrays of one :class:`TaskGraph` for the scheduler loop.
-
-    Footprints as dense tile ids, kind codes and memoization groups, indexed
-    by graph position like the graph's own adjacency (``ids``, ``id2idx``,
-    ``succ``, ``indegree`` on :class:`TaskGraph`), which the loop reads
-    directly.  Tile names are numbered densely in first-seen order
-    (``num_tiles`` of them), which is how the residency levels of
-    :mod:`repro.lap.memory` are indexed and sized.  The arrays
-    are plain Python lists, which is what the scalar hot loop indexes.
-    Built once per graph and cached on it (:meth:`TaskGraph.fast_arrays`),
-    so the loop inlines every policy / timing / memory decision without
-    per-task method dispatch.
-    """
-
-    def __init__(self, graph: TaskGraph):
-        tasks = graph._tasks
-        self.tasks = tasks
-        tile_ids: Dict[TileAccess, int] = {}
-        # Footprints as tile ids: foot_ids is the deduplicated reads+writes
-        # order the residency model consumes; rw_len is the raw (non-dedup)
-        # operand count the on-chip energy term charges.
-        self.foot_ids: List[Tuple[int, ...]] = []
-        self.write_ids: List[Tuple[int, ...]] = []
-        self.rw_len: List[int] = []
-        coords: Dict[Tuple[int, int], int] = {}
-        self.out_id: List[int] = []
-        self.kinds = [task.kind for task in tasks]
-        # Dense kind codes: the loop resolves per-task flops by a list index
-        # instead of hashing a TaskKind enum a million times.
-        kind_of: Dict = {}
-        self.kind_code: List[int] = []
-        for k in self.kinds:
-            code = kind_of.get(k)
-            if code is None:
-                code = len(kind_of)
-                kind_of[k] = code
-            self.kind_code.append(code)
-        self.kind_table = list(kind_of)
-        group_of: Dict[Tuple, int] = {}
-        self.group: List[int] = []
-        for task in tasks:
-            reads = task.read_tiles()
-            writes = task.write_tiles()
-            foot: List[int] = []
-            for access in reads + writes:
-                tid = tile_ids.setdefault(access, len(tile_ids))
-                if tid not in foot:
-                    foot.append(tid)
-            self.foot_ids.append(tuple(foot))
-            self.write_ids.append(tuple(tile_ids[access] for access in writes))
-            self.rw_len.append(len(reads) + len(writes))
-            out = task.output
-            oid = coords.get(out)
-            if oid is None:
-                oid = len(coords)
-                coords[out] = oid
-            self.out_id.append(oid)
-            # Memoization group: at one tile size and precision, a tile
-            # task's cycle count is fixed by its kind, unit alpha and
-            # transpose (see repro.lap.timing).
-            gkey = (task.kind, task.alpha == 1.0, bool(task.transpose_b))
-            gid = group_of.get(gkey)
-            if gid is None:
-                gid = len(group_of)
-                group_of[gkey] = gid
-            self.group.append(gid)
-        #: ``(kind, unit alpha, transpose)`` of each memoization group.
-        self.group_keys: List[Tuple] = list(group_of)
-        self.num_out_coords = len(coords)
-        self.num_tiles = len(tile_ids)
-        # Tasks per memoization group: lets the loop reconcile the
-        # timing model's hit counters in one bulk call per group instead of
-        # incrementing a counter per task.
-        self.group_counts = [0] * len(group_of)
-        for gid in self.group:
-            self.group_counts[gid] += 1
-        # Negated critical-path ranks per graph position (a pure graph
-        # property under unit weights); built lazily on the first
-        # critical_path execute and reused across sweep points.
-        self._negrank: Optional[List[float]] = None
-
-
-#: Process-wide cache of built task graphs (FIFO-bounded).  Large sweeps
-#: re-decompose the same ``(workload, n, tile)`` point for every schedule
-#: variant; the descriptors are identical each time, so the builders reuse
-#: them through :meth:`AlgorithmsByBlocks._graph`.  Kept deliberately small:
-#: a million-task graph holds hundreds of megabytes of descriptors.
+#: Process-wide cache of built task graphs, evicted oldest first.  Large
+#: sweeps re-decompose the same ``(workload, n, tile)`` point for every
+#: schedule variant; the graphs are identical each time, so the builders
+#: reuse them through :meth:`AlgorithmsByBlocks._graph`.
 _GRAPH_CACHE: Dict[Tuple, "TaskGraph"] = {}
-GRAPH_CACHE_CAPACITY = 4
+
+#: Bound on the tasks of all cached graphs together.  PLACEHOLDER
+GRAPH_CACHE_TASKS = 600_000
 
 
 def clear_graph_cache() -> None:
-    """Drop every cached task graph (frees descriptor memory)."""
+    """Drop every cached task graph (frees their arrays)."""
     _GRAPH_CACHE.clear()
 
 
@@ -463,9 +553,9 @@ class AlgorithmsByBlocks:
         self.nr = nr
         self._id_next = 0
 
-    def _graph(self, key: Tuple, steps: Iterable[Tuple],
+    def _graph(self, key: Tuple, steps: Callable[[], Iterable[Tuple]],
                in_place: bool = True) -> TaskGraph:
-        """Build ``key``'s graph from its ``steps``, or reuse an identical one.
+        """Build ``key``'s graph from its ``steps()``, or reuse an identical one.
 
         Each step becomes a task with the next id, the footprint of
         :func:`task_footprint` (``in_place`` for the factorizations) and a
@@ -476,40 +566,24 @@ class AlgorithmsByBlocks:
         diagonal tile that UNMQR reads), and UNMQR reads only the
         reflectors below that diagonal, which TSQRT keeps.
 
-        ``key`` is ``(workload, dims...)``; the graph records the workload
-        name as :attr:`TaskGraph.workload`.  Builders are deterministic in
-        ``(workload, dims, tile, nr)`` plus the
-        instance's next task id, so the full cache key pins the exact graph a
-        fresh build would produce -- including its id range.  On a hit the id
-        counter still advances by ``len(graph)``, keeping the instance's
-        visible id trajectory indistinguishable from an uncached build.
-        Reuse is safe because :class:`TaskGraph` is immutable and consumers
-        attach only derived, shareable state (summary tables, fast-path
-        arrays); sharing those across sweep points is exactly the point --
-        a million-task sweep pays the descriptor build once per process.
+        ``key`` is ``(workload, dims...)``.  The full cache key adds tile,
+        nr and the instance's next task id, which pin the exact graph a
+        fresh build would produce; a hit still advances the id counter by
+        ``len(graph)``.  Reuse is safe because the graph is immutable and
+        its consumers attach only shareable derived state (summary,
+        critical-path ranks).
         """
         full_key = key + (self.tile, self.nr, self._id_next)
         graph = _GRAPH_CACHE.get(full_key)
-        if graph is not None:
-            self._id_next += len(graph)
-            return graph
-        tasks: List[TaskDescriptor] = []
-        last_writer: Dict[TileAccess, int] = {}
-        for kind, output, inputs, *options in steps:
-            reads, writes = task_footprint(kind, output, inputs, in_place)
-            task_id = self._id_next
-            self._id_next += 1
-            deps = {last_writer[t] for t in reads + writes if t in last_writer}
-            tasks.append(TaskDescriptor(task_id, kind, output, inputs,
-                                        sorted(deps), *options,
-                                        reads=reads, writes=writes))
-            for access in writes:
-                last_writer[access] = task_id
-        graph = TaskGraph(tasks)
-        graph.workload = key[0]
-        while len(_GRAPH_CACHE) >= GRAPH_CACHE_CAPACITY:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        _GRAPH_CACHE[full_key] = graph
+        if graph is None:
+            graph = TaskGraph._from_steps(key[0], steps, in_place,
+                                          self._id_next)
+            if len(graph) <= GRAPH_CACHE_TASKS:
+                cached = sum(map(len, _GRAPH_CACHE.values()))
+                while cached + len(graph) > GRAPH_CACHE_TASKS:
+                    cached -= len(_GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE))))
+                _GRAPH_CACHE[full_key] = graph
+        self._id_next += len(graph)
         return graph
 
     def _check_blocking(self, **dims: int) -> None:
@@ -531,10 +605,15 @@ class AlgorithmsByBlocks:
         """
         self._check_blocking(m=m, n=n, k=k)
         t = self.tile
-        steps = ((TaskKind.GEMM, (bi, bj), [(bi, bk), (bk, bj)])
-                 for bi in range(m // t) for bj in range(n // t)
-                 for bk in range(k // t))
-        return self._graph(("gemm", m, n, k), steps, in_place=False)
+        return self._graph(("gemm", m, n, k), functools.partial(
+            self._gemm_steps, m // t, n // t, k // t), in_place=False)
+
+    @staticmethod
+    def _gemm_steps(mb: int, nb: int, kb: int) -> Iterator[Tuple]:
+        for bi in range(mb):
+            for bj in range(nb):
+                for bk in range(kb):
+                    yield _GEMM, (bi, bj), [(bi, bk), (bk, bj)]
 
     # ------------------------------------------------------------- Cholesky
     def cholesky_tasks(self, n: int) -> TaskGraph:
@@ -544,7 +623,8 @@ class AlgorithmsByBlocks:
         SYRK/GEMM updates of the trailing tiles.
         """
         self._check_blocking(n=n)
-        return self._graph(("cholesky", n), self._cholesky_steps(n // self.tile))
+        return self._graph(("cholesky", n), functools.partial(
+            self._cholesky_steps, n // self.tile))
 
     @staticmethod
     def _cholesky_steps(nb: int) -> Iterator[Tuple]:
@@ -554,7 +634,7 @@ class AlgorithmsByBlocks:
                 yield TaskKind.TRSM_RIGHT_T, (i, j), [(j, j), (i, j)]
             for i in range(j + 1, nb):
                 for k in range(j + 1, i + 1):
-                    kind = TaskKind.SYRK if i == k else TaskKind.GEMM
+                    kind = _SYRK if i == k else _GEMM
                     yield kind, (i, k), [(i, j), (k, j)], -1.0, True
 
     # ------------------------------------------------------------------- LU
@@ -570,7 +650,8 @@ class AlgorithmsByBlocks:
         (e.g. diagonally dominant); the LU tile kernel enforces this.
         """
         self._check_blocking(n=n)
-        return self._graph(("lu", n), self._lu_steps(n // self.tile))
+        return self._graph(("lu", n), functools.partial(
+            self._lu_steps, n // self.tile))
 
     @staticmethod
     def _lu_steps(nb: int) -> Iterator[Tuple]:
@@ -582,7 +663,7 @@ class AlgorithmsByBlocks:
                 yield TaskKind.TRSM_UPPER_RIGHT, (i, j), [(j, j), (i, j)]
             for i in range(j + 1, nb):
                 for k in range(j + 1, nb):
-                    yield TaskKind.GEMM, (i, k), [(i, j), (j, k)], -1.0
+                    yield _GEMM, (i, k), [(i, j), (j, k)], -1.0
 
     # ------------------------------------------------------------------- QR
     def qr_tasks(self, n: int) -> TaskGraph:
@@ -598,20 +679,21 @@ class AlgorithmsByBlocks:
         store.
         """
         self._check_blocking(n=n)
-        return self._graph(("qr", n), self._qr_steps(n // self.tile))
+        return self._graph(("qr", n), functools.partial(
+            self._qr_steps, n // self.tile))
 
     @staticmethod
     def _qr_steps(nb: int) -> Iterator[Tuple]:
         for j in range(nb):
             yield TaskKind.GEQRT, (j, j), [(j, j)]
             for k in range(j + 1, nb):
-                yield TaskKind.UNMQR, (j, k), [(j, j), (j, k)]
+                yield _UNMQR, (j, k), [(j, j), (j, k)]
             for i in range(j + 1, nb):
                 # TSQRT rewrites the R on the diagonal *and* stores the
                 # reflectors in tile (i, j).
-                yield TaskKind.TSQRT, (i, j), [(j, j), (i, j)]
+                yield _TSQRT, (i, j), [(j, j), (i, j)]
                 for k in range(j + 1, nb):
-                    yield TaskKind.TSMQR, (i, k), [(i, j), (j, k), (i, k)]
+                    yield _TSMQR, (i, k), [(i, j), (j, k), (i, k)]
 
     #: Names of the workloads :meth:`build` decomposes (the ``lap_runtime``
     #: runner's algorithms and ``repro trace --workload``'s choices).

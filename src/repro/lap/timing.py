@@ -2,7 +2,7 @@
 
 The LAC runs its kernels in lock step, so on dense operands the cycle count
 of a tile task is a function of its memoization group -- kind, unit alpha
-and transpose (:attr:`repro.lap.taskgraph.GraphArrays.group_keys`) -- the
+and transpose (:attr:`repro.lap.taskgraph.TaskGraph.group_keys`) -- the
 tile size, the precision and the core's configuration, not of the tile
 *values*.  Tiled QR is the known exception:
 :func:`repro.kernels.qr.lac_householder_vector` skips a sub-column that is
@@ -31,16 +31,18 @@ full :class:`~repro.lac.core.LACConfig` plus the group signature, so a
 sweep pays each warm-up once per process rather than once per point.
 Sharing is all-or-nothing per ``execute()``: with ``verify=False``, a graph
 whose signatures are all in the table is charged entirely from it (no
-warm-up); every other execute warms each group exactly as in a fresh
-process and checks each count against the table, raising on a mismatch.
-So no row depends on which executes ran earlier in the process.
+warm-up).  If the table lacks one of its groups, a workload graph (one an
+``AlgorithmsByBlocks`` builder made) first warms every group on a real
+operand of the same workload at 3 x 3 tiles (``LAPRuntime._warm_up``),
+which holds every group a larger graph has (it raises if that instance
+lacks one), and is then charged from the table: the counts it enters never
+come from the caller's tiles.  Every other execute (``verify=True``, or a
+hand-built graph) warms each group exactly as in a fresh process and checks
+each count against the table, raising on a mismatch.  So no row depends on
+which executes ran earlier in the process.
 
 A memoized ``verify=False`` point of ``LAPRuntime.run_blocked_*`` never
-builds its ``n x n`` operand.  If the table lacks one of its groups, the
-runtime first warms every group of the point on a real operand of the same
-workload at 3 x 3 tiles (``LAPRuntime._warm_up``), which holds every group
-a larger graph has; it raises if that instance lacks one.  The point then
-runs on one stand-in tile and is charged entirely from the table.  A
+builds its ``n x n`` operand: it runs on one stand-in tile.  A
 ``verify=True`` point still warms on its own operand, so it cross-checks
 every count the small instance entered.  :func:`clear_timing_cache`
 empties the table.
@@ -64,7 +66,7 @@ TaskSignature = Tuple
 def group_signatures(group_keys: Sequence[Tuple], tile: int,
                      precision: str) -> List[TaskSignature]:
     """Signatures of a graph's memoization groups
-    (:attr:`~repro.lap.taskgraph.GraphArrays.group_keys`) at one tile size
+    (:attr:`~repro.lap.taskgraph.TaskGraph.group_keys`) at one tile size
     and precision; no tile is read."""
     return [(kind.value, tile, precision, unit_alpha, transpose)
             for kind, unit_alpha, transpose in group_keys]

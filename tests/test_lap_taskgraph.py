@@ -14,11 +14,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.lap import taskgraph
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.policies import POLICIES, get_policy, policy_names
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
-                                 TaskKind)
+                                 TaskKind, clear_graph_cache)
 from repro.lap.timing import (MemoizedTiming, clear_timing_cache,
                               get_timing_model, timing_names)
 
@@ -107,13 +108,16 @@ BUILDER_CASES = [(workload, tile, nr, nb)
                  for nb in (1, 2, 3, 5, 8)]
 
 
-def _builder_graph_digest(workload, tile, nr, nb):
-    """sha256 over every task's fields and footprint plus the summary."""
+def _builder_graph(workload, tile, nr, nb):
     lib, n = AlgorithmsByBlocks(tile, nr), nb * tile
     if workload == "gemm_rect":
-        graph = lib.gemm_tasks(n, 2 * tile, 3 * tile)
-    else:
-        graph = lib.build(workload, n)
+        return lib.gemm_tasks(n, 2 * tile, 3 * tile)
+    return lib.build(workload, n)
+
+
+def _builder_graph_digest(workload, tile, nr, nb):
+    """sha256 over every task's fields and footprint plus the summary."""
+    graph = _builder_graph(workload, tile, nr, nb)
     tasks = [(t.task_id, t.kind.value, t.output, t.inputs,
               sorted(set(t.depends_on)), t.alpha, t.transpose_b,
               t.read_tiles(), t.write_tiles()) for t in graph]
@@ -140,6 +144,79 @@ def test_builder_graph_matches_golden(case):
                                    + "\n")
         pytest.skip("golden regenerated")
     assert json.loads(BUILDERS_GOLDEN.read_text())[key] == digest
+
+
+#: The per-position arrays (and their sizes) the scheduler loop reads.
+LOOP_ARRAYS = ("ids", "succ", "indegree", "group", "group_keys",
+               "group_counts", "out_id", "num_out_coords", "foot_ids",
+               "write_ids", "rw_len", "num_tiles")
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES,
+                         ids=lambda c: "{}-t{}-nr{}-nb{}".format(*c))
+def test_descriptor_view_rebuilds_the_same_graph(case):
+    """The one representation: fed a builder graph's descriptor view, the
+    hand-built path derives the arrays, successors, in-degrees and summary
+    the builder emitted (explicit dependencies instead of the last-writer
+    rule, the same numbering)."""
+    graph = _builder_graph(*case)
+    rebuilt = TaskGraph(list(graph)).fast_arrays()
+    for name in LOOP_ARRAYS:
+        assert getattr(rebuilt, name) == getattr(graph, name), name
+    assert rebuilt.summary() == graph.summary()
+    assert rebuilt.critical_path_lengths() == graph.critical_path_lengths()
+    assert rebuilt.levels() == graph.levels()
+
+
+def test_memoized_verify_off_row_creates_no_descriptor(monkeypatch):
+    """A memoized verify-off row reads only the graph's arrays: from an
+    empty graph cache and a warm cycle table it constructs no
+    TaskDescriptor (a descriptor-first build made one per task)."""
+    make_runtime(tile=8, timing="memoized").run_blocked_cholesky(
+        64, np.random.default_rng(0), verify=False)
+    clear_graph_cache()
+    created = []
+    post_init = TaskDescriptor.__post_init__
+
+    def counting(self):
+        created.append(self.task_id)
+        post_init(self)
+
+    monkeypatch.setattr(TaskDescriptor, "__post_init__", counting)
+    stats = make_runtime(tile=8, timing="memoized").run_blocked_cholesky(
+        64, np.random.default_rng(0), verify=False)
+    assert stats["tasks_executed"] == 120
+    assert created == []
+    # The view still builds every descriptor on demand.
+    assert len(list(AlgorithmsByBlocks(8).cholesky_tasks(64))) == 120
+    assert len(created) == 120
+
+
+def test_graph_cache_is_bounded_by_its_tasks(monkeypatch):
+    """The process-wide graph cache holds at most GRAPH_CACHE_TASKS tasks,
+    evicting the oldest graphs first, and never caches a graph that
+    exceeds the bound alone."""
+    monkeypatch.setattr(taskgraph, "GRAPH_CACHE_TASKS", 30)
+    clear_graph_cache()
+
+    def cached():
+        return list(taskgraph._GRAPH_CACHE.values())
+
+    try:
+        lib = AlgorithmsByBlocks(tile=8)
+        small = lib.cholesky_tasks(24)            # 10 tasks
+        middle = lib.cholesky_tasks(32)           # 20 tasks: 30 in all
+        assert cached() == [small, middle]
+        # A hit reuses the graph and advances the ids like a build.
+        again = AlgorithmsByBlocks(tile=8)
+        assert again.cholesky_tasks(24) is small and again._id_next == 10
+        gemm = lib.gemm_tasks(16, 16, 16)         # 8 tasks: evicts small
+        assert cached() == [middle, gemm]
+        big = lib.cholesky_tasks(40)              # 35 tasks: never cached
+        assert len(big) == 35 and cached() == [middle, gemm]
+        assert sum(map(len, cached())) <= 30
+    finally:
+        clear_graph_cache()
 
 
 # ------------------------------------------------- blocking validation (nr)

@@ -244,6 +244,34 @@ def test_warmup_that_disagrees_with_the_table_raises():
         make_runtime().execute(graph, {"A": {(0, 0): upper}}, verify=True)
 
 
+def test_cold_execute_warms_a_workload_graph_on_its_own_instance():
+    """A cold ``verify=False`` execute of a builder's graph warms its groups
+    on the seeded 3 x 3-tile instance, never on the tiles it is handed:
+    identity stand-ins take GEQRT 12 cycles (870 on dense data), and a
+    later cold QR row in the same process used to be charged from them
+    (makespan 1231 instead of 2947).  A hand-built graph names no workload,
+    so it still warms on its caller's tiles."""
+    eye = np.eye(8)
+    stand_ins = {"A": {(i, j): eye.copy() for i in range(2) for j in range(2)}}
+    clear_timing_cache()
+    runtime = make_runtime()
+    graph = runtime.library.qr_tasks(16)
+    runtime.execute(graph, stand_ins, verify=False)
+    assert runtime.timing.warm_runs == 4
+    assert all(tile.tolist() == eye.tolist()
+               for tile in stand_ins["A"].values())
+    stats = make_runtime().run_blocked_qr(16, np.random.default_rng(0),
+                                          verify=False)
+    assert stats["makespan_cycles"] == 2947
+    clear_timing_cache()
+    try:
+        hand_built = make_runtime().execute(TaskGraph(list(graph)), stand_ins,
+                                            verify=False)
+        assert hand_built["makespan_cycles"] != 2947
+    finally:
+        clear_timing_cache()
+
+
 # ------------------------------------------------------ one memoized path
 @pytest.mark.parametrize("algorithm", ["gemm", "cholesky", "lu", "qr"])
 def test_verify_changes_no_schedule_and_warms_once_per_group(monkeypatch,
