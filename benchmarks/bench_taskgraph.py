@@ -11,9 +11,11 @@ Covers the scaling claims of the runtime:
   the measured per-signature warm-up runs rather than paid in full,
 * a 4k^2 Cholesky builds and schedules well inside an interactive budget,
   a cold verify-off 4k^2 ``lap_runtime`` row allocates far less than its
-  128 MiB operand, and a built graph keeps only the arrays the scheduler
-  loop reads (the ``scale_smoke`` regression gates; the last also records
-  the graph phases of a 357,760-task row).
+  128 MiB operand, a built graph keeps only the arrays the scheduler
+  loop reads, and ``repro trace`` of a 45,760-task schedule streams its
+  events in about the memory of the same run without a trace (the
+  ``scale_smoke`` regression gates; the third also records the graph
+  phases of a 357,760-task row).
 """
 
 import json
@@ -31,6 +33,7 @@ from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind, clear_graph_cache
 from repro.lap.timing import clear_timing_cache
+from repro.obs import validate_chrome_trace
 
 
 def _retained_bytes(tile=128):
@@ -367,3 +370,78 @@ def test_scale_smoke_built_graph_keeps_only_its_arrays(bench_json):
     assert per_task < budget, (
         f"a built 4096^2, tile-64 Cholesky graph keeps {per_task:.0f} "
         f"bytes per task (budget {budget:.0f}): it stores its tasks twice")
+
+
+#: One verified Cholesky 2048^2, tile-32 point (45,760 tasks) on 8 cores
+#: under ``memory_aware``, in a fresh interpreter: ``repro trace`` writing
+#: the trace file named as argument, or with ``untraced`` the same point
+#: without a trace -- ``run_workload`` plus the checked ``attribution()``,
+#: the work ``repro trace`` does before it exports.  Prints the CPU seconds
+#: (imports excluded), the process's peak RSS (Linux ``ru_maxrss``) and the
+#: makespan.
+_TRACE_POINT = """
+import json, resource, sys, time
+import numpy
+import repro.cli, repro.lap.chip, repro.lap.runtime, repro.obs
+
+started = time.process_time()
+if sys.argv[1] == "untraced":
+    runtime = repro.lap.runtime.LAPRuntime(
+        repro.lap.chip.LinearAlgebraProcessor(repro.lap.chip.LAPConfig(
+            num_cores=8, nr=4, onchip_memory_mbytes=4.0)),
+        32, policy="memory_aware", timing="memoized")
+    stats = runtime.run_workload("cholesky", 2048, numpy.random.default_rng(0))
+    runtime.attribution().check()
+    makespan = stats["makespan_cycles"]
+else:
+    assert repro.cli.main([
+        "trace", "--workload", "cholesky", "--n", "2048", "--tile", "32",
+        "--cores", "8", "--policy", "memory_aware", "--out", sys.argv[1]]) == 0
+    makespan = None
+print(json.dumps({
+    "cpu_s": time.process_time() - started,
+    "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "makespan_cycles": makespan}))
+"""
+
+
+@pytest.mark.scale_smoke
+def test_scale_smoke_trace_streams_in_the_memory_of_the_run(tmp_path,
+                                                            bench_json):
+    """Memory gate: ``repro trace`` of the verified Cholesky 2048^2,
+    tile-32 point streams its 142,336 events to disk, so its peak RSS stays
+    within 1.1x that of the same point run without a trace (1.18-1.19x
+    while the trace went through a span layer and was encoded whole).
+    Both run in fresh interpreters; their CPU seconds are recorded, not
+    gated, and the written trace must validate and carry the untraced
+    run's makespan."""
+    budget = 1.1
+    out = tmp_path / "cholesky_n2048.trace.json"
+    traced = _fresh_process(_TRACE_POINT, str(out))
+    untraced = _fresh_process(_TRACE_POINT, "untraced")
+    with out.open() as handle:
+        payload = json.load(handle)
+    events = validate_chrome_trace(payload)
+    assert len(events) == 142336
+    assert (payload["metadata"]["stats"]["makespan_cycles"]
+            == untraced["makespan_cycles"])
+    ratio = traced["peak_rss_mib"] / untraced["peak_rss_mib"]
+    bench_json("trace_stream", {
+        "n": 2048,
+        "tile": 32,
+        "num_cores": 8,
+        "policy": "memory_aware",
+        "tasks": payload["metadata"]["stats"]["tasks_executed"],
+        "events": len(events),
+        "trace_bytes": out.stat().st_size,
+        "traced_cpu_seconds_excluding_import": traced["cpu_s"],
+        "untraced_cpu_seconds_excluding_import": untraced["cpu_s"],
+        "traced_peak_rss_mib": traced["peak_rss_mib"],
+        "untraced_peak_rss_mib": untraced["peak_rss_mib"],
+        "peak_rss_ratio": ratio,
+        "peak_rss_ratio_budget": budget,
+    })
+    assert ratio <= budget, (
+        f"repro trace peaked at {traced['peak_rss_mib']:.0f} MiB, "
+        f"{ratio:.2f}x the untraced run's {untraced['peak_rss_mib']:.0f} MiB "
+        f"(budget {budget}x): the trace is held in memory again")

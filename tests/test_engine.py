@@ -941,6 +941,99 @@ class TestReplaySidecar:
             configure_worker(None)
             _REPLAY_MEMO.clear()
 
+    def test_replay_memo_is_bounded_by_its_tasks(self, tmp_path, monkeypatch):
+        """The replay memo's entries, each charged its schedule's tasks
+        plus REPLAY_MEMO_ENTRY_TASKS, stay within REPLAY_MEMO_TASKS,
+        oldest out; a schedule over the bound alone is not memoized, but
+        its replay record is still filed in the cache and serves a delta
+        point; many 1-task schedules are bounded by their fixed charge."""
+        from repro.engine import runners
+        from repro.engine.runners import _REPLAY_MEMO, configure_worker
+        from repro.lap.replay import REPLAY_STATS
+
+        extra = runners.REPLAY_MEMO_ENTRY_TASKS
+        bound = 30 + 2 * extra
+        monkeypatch.setattr(runners, "REPLAY_MEMO_TASKS", bound)
+        cache = ResultCache(tmp_path, code_version="v1")
+
+        def run(**overrides):
+            before = dict(REPLAY_STATS)
+            execute_jobs(self._lap_jobs(**overrides), mode="serial",
+                         cache=cache)
+            return {key: REPLAY_STATS[key] - before[key] for key in before}
+
+        def memoized():
+            return [(row["n"], row["seed"]) for _, row in _REPLAY_MEMO.values()]
+
+        def charged():
+            return sum(row["tasks_executed"] + extra
+                       for _, row in _REPLAY_MEMO.values())
+
+        try:
+            _REPLAY_MEMO.clear()
+            run(n=24)                                # 10 tasks
+            run(n=32)                                # 20 tasks: the bound
+            assert memoized() == [(24, 3), (32, 3)]
+            assert _REPLAY_MEMO.held == charged() == bound
+            run(n=16)                                # 4 tasks: evicts n=24
+            assert memoized() == [(32, 3), (16, 3)]
+            big = run(n=48)                          # 56 tasks
+            assert big["recorded"] == big["sidecar_stored"] == 1
+            assert memoized() == [(32, 3), (16, 3)]
+            delta = run(n=48, bandwidth_gbs=64.0)
+            assert delta["sidecar_loaded"] == delta["replayed"] == 1
+            assert delta["recorded"] == 0
+            assert memoized() == [(32, 3), (16, 3)]
+            for seed in range(10):                   # 1 task each
+                run(n=8, seed=seed)
+            fit = bound // (1 + extra)
+            assert memoized() == [(8, seed) for seed in range(10 - fit, 10)]
+            assert _REPLAY_MEMO.held == charged() <= bound
+        finally:
+            configure_worker(None)
+            _REPLAY_MEMO.clear()
+
+    def test_replay_memo_charge_covers_what_an_entry_keeps(self):
+        """An entry keeps at most its charge times the bytes per charged
+        task that REPLAY_MEMO_TASKS allots under the 256 MiB budget, also
+        for 1-task schedules, whose fixed cost dominates (tracemalloc)."""
+        import gc
+        import tracemalloc
+
+        from repro.engine import runners
+        from repro.lap.taskgraph import clear_graph_cache
+
+        budget = 256 * 2 ** 20 / runners.REPLAY_MEMO_TASKS
+        point = {"algorithm": "lu", "tile": 8, "num_cores": 4, "nr": 4,
+                 "seed": 0, "timing": "memoized", "verify": 0,
+                 "policy": "memory_aware", "on_chip_kb": 64,
+                 "local_store_kb": 8, "bandwidth_gbs": 16, "stall_overlap": 1,
+                 "frequency_ghz": 1.4, "offchip_pj_per_byte": 30.0,
+                 "core_frequencies_ghz": [1.0, 1.2, 1.4, 1.6]}
+
+        def kept(params):
+            runners._REPLAY_MEMO.clear()
+            runners.configure_worker(None)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                runners.get_runner("lap_runtime")(params)
+                assert len(runners._REPLAY_MEMO) == 1
+                charge = runners._REPLAY_MEMO.held
+                clear_graph_cache()
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                runners._REPLAY_MEMO.clear()
+                gc.collect()
+                return charge, held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        for n in (8, 32, 64):
+            kept({**point, "n": n})              # warm the tables
+            charge, nbytes = kept({**point, "n": n})
+            assert nbytes <= charge * budget, (n, nbytes, charge)
+
 
 # ------------------------------------------------------------- end-to-end
 def test_serial_and_parallel_sweeps_are_byte_identical(tmp_path):

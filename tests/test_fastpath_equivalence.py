@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import reference_execute
+from scheduler_oracle import reference_execute, resimulated_row
 
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
@@ -51,14 +51,14 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 def make_runtime(policy="greedy", local_store_kb=None, timing="memoized",
                  on_chip_kb=3.0, bandwidth_gbs=16.0, stall_overlap=0.0,
-                 frequencies=None, num_cores=4, tracer=None):
+                 frequencies=None, num_cores=4):
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=4,
                                            onchip_memory_mbytes=1.0))
     return LAPRuntime(lap, TILE, policy=policy, timing=timing,
                       on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
                       local_store_kb=local_store_kb,
                       stall_overlap=stall_overlap,
-                      core_frequencies_ghz=frequencies, tracer=tracer)
+                      core_frequencies_ghz=frequencies)
 
 
 def make_tiles(nb=6):
@@ -173,17 +173,17 @@ def test_generic_fast_loop_variants_identical():
     {"policy": "affinity"},
 ])
 def test_post_loop_trace_matches_instrumented_oracle(kwargs):
-    """Spans, counters and idle gaps rebuilt from the execution rows after
-    the loop equal the ones the oracle records inside its loop."""
-    from repro.obs import Tracer, tracer_events
-
+    """The trace events built from the execution rows after the loop
+    (spans, counters and idle gaps) equal the ones the oracle records
+    inside its loop, in order, with the same keys and value types."""
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
-    ref_rt = make_runtime(tracer=Tracer(), **kwargs)
-    fast_rt = make_runtime(tracer=Tracer(), **kwargs)
-    reference_execute(ref_rt, graph, make_tiles(), verify=False)
+    ref_rt, fast_rt = make_runtime(**kwargs), make_runtime(**kwargs)
+    ref_events = []
+    reference_execute(ref_rt, graph, make_tiles(), verify=False,
+                      trace=ref_events)
     fast_rt.execute(graph, make_tiles(), verify=False)
-    ref_events = tracer_events(ref_rt.tracer)
-    assert tracer_events(fast_rt.tracer) == ref_events
+    assert (json.dumps(list(fast_rt.trace_events("LAP")))
+            == json.dumps(ref_events))
     assert any(e.get("cat") == "idle" for e in ref_events)
     assert any(e["ph"] == "C" for e in ref_events)
 
@@ -230,14 +230,13 @@ def test_runner_fast_rows_match_memory_goldens(monkeypatch):
         (GOLDEN_DIR / "runtime" / "lap_runtime_memory.json").read_text())
     runner = get_runner("lap_runtime")
     assert len(golden) == len(MEMORY_GOLDEN_CASES)
-    fast_rows = [runner({**case, "replay": "off"})
-                 for case in MEMORY_GOLDEN_CASES]
+    fast_rows = [resimulated_row(case) for case in MEMORY_GOLDEN_CASES]
     monkeypatch.setattr(LAPRuntime, "execute", reference_execute)
     # The oracle warms every signature, so it always needs the real operand.
     monkeypatch.setattr(LAPRuntime, "_execute_shape_only",
                         lambda self, graph, n, verify: None)
     for case, fast_row, expected in zip(MEMORY_GOLDEN_CASES, fast_rows, golden):
-        assert runner({**case, "replay": "off"}) == fast_row
+        assert resimulated_row(case) == fast_row
         assert set(fast_row) == set(expected)
         for key, value in expected.items():
             if isinstance(value, float):
@@ -251,13 +250,11 @@ def test_runner_policy_golden_rows_survive_fast():
     """The PR-3 policy-comparison golden (makespans per policy/core count)
     is reproduced by the runner."""
     golden = json.loads((GOLDEN_DIR / "runtime_policies.json").read_text())
-    runner = get_runner("lap_runtime")
     for row in golden[:6]:
-        fast_row = runner({"algorithm": "cholesky", "n": row["n"],
-                           "tile": row["tile"], "num_cores": row["num_cores"],
-                           "nr": 4, "seed": 0, "timing": "memoized",
-                           "verify": False, "policy": row["policy"],
-                           "replay": "off"})
+        fast_row = resimulated_row({
+            "algorithm": "cholesky", "n": row["n"], "tile": row["tile"],
+            "num_cores": row["num_cores"], "nr": 4, "seed": 0,
+            "timing": "memoized", "verify": False, "policy": row["policy"]})
         assert fast_row["makespan_cycles"] == row["makespan_cycles"]
         assert fast_row["tasks_executed"] == row["tasks"]
 
@@ -393,17 +390,16 @@ def test_replay_delta_rows_equal_resimulation():
     before = dict(REPLAY_STATS)
     replayed = runner({**base, "bandwidth_gbs": 64.0})
     assert REPLAY_STATS["replayed"] == before["replayed"] + 1
-    resim = runner({**base, "bandwidth_gbs": 64.0, "replay": "off"})
-    assert replayed == resim
+    assert replayed == resimulated_row({**base, "bandwidth_gbs": 64.0})
     # Constrained capacity: spills couple bandwidth to the schedule, so the
-    # delta must force a re-simulation (and still agree with replay="off").
+    # delta must force a re-simulation, which equals a fresh one.
     tight = {**base, "seed": 12, "on_chip_kb": 4.0}
     first = runner(dict(tight))
     assert first["spill_bytes"] > 0
     before = dict(REPLAY_STATS)
     forced = runner({**tight, "bandwidth_gbs": 64.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**tight, "bandwidth_gbs": 64.0, "replay": "off"})
+    assert forced == resimulated_row({**tight, "bandwidth_gbs": 64.0})
 
 
 def test_frequency_and_energy_replay_equal_resimulation():
@@ -420,15 +416,15 @@ def test_frequency_and_energy_replay_equal_resimulation():
                 "policy": policy}
         if local_store_kb is not None:
             base["local_store_kb"] = local_store_kb
-        runner(dict(base))  # records the trace
         for delta in ({"frequency_ghz": 2.0},
                       {"offchip_pj_per_byte": 30.0},
                       {"frequency_ghz": 0.5, "offchip_pj_per_byte": 120.0,
                        "bandwidth_gbs": 64.0}):
+            resimulated_row(base)  # records the trace
             before = dict(REPLAY_STATS)
             replayed = runner({**base, **delta})
             assert REPLAY_STATS["replayed"] == before["replayed"] + 1, delta
-            resim = runner({**base, **delta, "replay": "off"})
+            resim = resimulated_row({**base, **delta})
             assert list(replayed) == list(resim), delta
             for key in resim:
                 assert type(replayed[key]) is type(resim[key]), (delta, key)
@@ -437,7 +433,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
 
 def test_frequency_replay_rejections_force_resimulation():
     """Heterogeneous clocks and spill-coupled stalls both disqualify the
-    frequency axis; the forced re-simulation still matches replay='off'."""
+    frequency axis; the forced re-simulation still matches a fresh one."""
     from repro.lap.replay import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
@@ -449,7 +445,7 @@ def test_frequency_replay_rejections_force_resimulation():
     before = dict(REPLAY_STATS)
     forced = runner({**het, "frequency_ghz": 2.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**het, "frequency_ghz": 2.0, "replay": "off"})
+    assert forced == resimulated_row({**het, "frequency_ghz": 2.0})
     # Spill traffic enters the cycle domain through clock-dependent stalls.
     tight = {**base, "seed": 28, "on_chip_kb": 4.0}
     first = runner(dict(tight))
@@ -457,7 +453,7 @@ def test_frequency_replay_rejections_force_resimulation():
     before = dict(REPLAY_STATS)
     forced = runner({**tight, "frequency_ghz": 2.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**tight, "frequency_ghz": 2.0, "replay": "off"})
+    assert forced == resimulated_row({**tight, "frequency_ghz": 2.0})
 
 
 def test_exact_for_energy_and_frequency_gates():

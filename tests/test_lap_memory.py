@@ -31,7 +31,6 @@ from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
                                  task_flops, task_footprint)
-from repro.lap.timing import compose_task_cycles
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent
           / "goldens" / "runtime" / "lap_runtime_memory.json")
@@ -219,14 +218,6 @@ class TestBandwidthAndEnergy:
                 > energy.task_energy_j(0, 1024, 0))
         with pytest.raises(ValueError):
             energy.task_energy_j(-1, 0, 0)
-
-    def test_compose_task_cycles(self):
-        assert compose_task_cycles(100, 20) == 120
-        assert compose_task_cycles(100, 20, overlap_fraction=1.0) == 100
-        with pytest.raises(ValueError):
-            compose_task_cycles(-1, 0)
-        with pytest.raises(ValueError):
-            compose_task_cycles(1, 1, overlap_fraction=2.0)
 
 
 # ------------------------------------------- off-chip closed form vs residency

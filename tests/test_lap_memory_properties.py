@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scheduler_oracle import (OracleHierarchy, OracleLocalStore,
-                              OracleTileResidency)
+                              OracleTileResidency, resimulated_row)
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.memory import LocalStore
@@ -361,5 +361,4 @@ def test_replayed_rows_equal_resimulated_rows(data):
     if data.draw(st.booleans()):
         delta["stall_overlap"] = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     replayed = runner(dict(delta))
-    resimulated = runner({**delta, "replay": "off"})
-    assert replayed == resimulated
+    assert replayed == resimulated_row(delta)

@@ -1,21 +1,22 @@
-"""Tests for the observability layer: tracer, Chrome export, attribution,
-run manifests and their runtime/engine integration."""
+"""Tests for the observability layer: trace events, Chrome export,
+attribution, run manifests and their runtime/engine integration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scheduler_oracle import compose_task_cycles
 
 from repro.engine.cache import ResultCache
 from repro.engine.executor import SweepExecutor
 from repro.engine.spec import SweepSpec
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
-from repro.lap.timing import compose_task_cycles, decompose_task_cycles
-from repro.obs import (CycleAttribution, Span, Tracer, idle_gaps,
-                       to_chrome_trace, tracer_events, validate_chrome_trace,
+from repro.lap.timing import decompose_task_cycles
+from repro.obs import (CycleAttribution, idle_gaps, validate_chrome_trace,
                        write_chrome_trace)
 from repro.obs.manifest import (MANIFEST_SCHEMA, build_run_manifest,
                                 manifest_path_for, write_run_manifest)
@@ -26,40 +27,11 @@ def rng():
     return np.random.default_rng(7)
 
 
-def make_runtime(num_cores=2, tracer=None, **kwargs):
+def make_runtime(num_cores=2, **kwargs):
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=4,
                                            onchip_memory_mbytes=1.0))
     kwargs.setdefault("timing", "memoized")
-    return LAPRuntime(lap, 16, tracer=tracer, **kwargs)
-
-
-# --------------------------------------------------------------- tracer
-def test_tracer_records_spans_and_counters():
-    tracer = Tracer()
-    span = tracer.span("GEMM#0", track=1, start=10.0, end=26.0,
-                       args={"compute_cycles": 16.0})
-    assert span.duration == 16.0
-    tracer.counter("bytes").add(64, ts=26.0)
-    tracer.counter("bytes").add(36, ts=30.0)
-    assert tracer.counter("bytes").value == 100.0
-    assert tracer.counter("bytes").series == [(26.0, 64.0), (30.0, 100.0)]
-    assert [s.name for s in tracer.spans] == ["GEMM#0"]
-
-
-def test_span_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        Span(name="bad", track=0, start=5.0, end=4.0)
-
-
-def test_spans_by_track_groups_and_sorts():
-    tracer = Tracer()
-    tracer.span("b", track=0, start=5, end=6)
-    tracer.span("a", track=0, start=1, end=2)
-    tracer.span("c", track=3, start=0, end=1)
-    grouped = tracer.spans_by_track()
-    assert sorted(grouped) == [0, 3]
-    assert [s.name for s in grouped[0]] == ["a", "b"]
-    assert Tracer().spans_by_track() == {}
+    return LAPRuntime(lap, 16, **kwargs)
 
 
 # --------------------------------------------------- cycle decomposition
@@ -95,8 +67,7 @@ def test_idle_gaps_complement_executions():
 @pytest.mark.parametrize("local_kb,overlap", [(None, 0.0), (2.0, 0.0),
                                               (2.0, 0.5), (2.0, 1.0)])
 def test_attribution_conserves_cycles(rng, policy, local_kb, overlap):
-    runtime = make_runtime(num_cores=2, tracer=Tracer(), policy=policy,
-                           on_chip_kb=8.0, bandwidth_gbs=8.0,
+    runtime = make_runtime(num_cores=2, policy=policy, on_chip_kb=8.0, bandwidth_gbs=8.0,
                            local_store_kb=local_kb, stall_overlap=overlap)
     runtime.run_blocked_cholesky(64, rng, verify=False)
     attribution = runtime.attribution()
@@ -155,9 +126,10 @@ def test_attribution_check_rejects_non_finite_cycles():
 
 
 def test_write_chrome_trace_rejects_non_finite_values(tmp_path):
-    payload = {"traceEvents": [], "metadata": {"bandwidth_gbs": float("inf")}}
     with pytest.raises(ValueError, match="Out of range float"):
-        write_chrome_trace(payload, tmp_path / "t.json")
+        write_chrome_trace([], tmp_path / "t.json",
+                           {"bandwidth_gbs": float("inf")})
+    assert not list(tmp_path.iterdir())
 
 
 def test_attribution_round_trips_through_dict():
@@ -179,10 +151,10 @@ def test_attribution_round_trips_through_dict():
 
 # --------------------------------------------------------- chrome export
 def test_tracer_events_one_track_per_core(rng):
-    tracer = Tracer()
-    runtime = make_runtime(num_cores=2, tracer=tracer)
+    runtime = make_runtime(num_cores=2)
     runtime.run_blocked_cholesky(48, rng, verify=False)
-    events = tracer_events(tracer, process_name="LAP test")
+    events = list(runtime.trace_events("LAP test"))
+    assert events[0]["args"] == {"name": "LAP test"}
     thread_names = [e for e in events if e["name"] == "thread_name"]
     assert {e["tid"] for e in thread_names} == {0, 1}
     tasks = [e for e in events if e.get("cat") == "task"]
@@ -194,12 +166,10 @@ def test_tracer_events_one_track_per_core(rng):
 
 
 def test_runtime_trace_validates_and_covers_makespan(rng):
-    tracer = Tracer()
-    runtime = make_runtime(num_cores=2, tracer=tracer, on_chip_kb=8.0,
-                           bandwidth_gbs=8.0)
+    runtime = make_runtime(num_cores=2, on_chip_kb=8.0, bandwidth_gbs=8.0)
     stats = runtime.run_blocked_lu(48, rng, verify=False)
-    payload = to_chrome_trace(tracer)
-    events = validate_chrome_trace(payload)
+    events = validate_chrome_trace(
+        {"traceEvents": list(runtime.trace_events("LAP"))})
     spans = [e for e in events if e["ph"] == "X"]
     # task + idle spans tile each core's [0, makespan] exactly.
     for tid in (0, 1):
@@ -238,33 +208,78 @@ def test_validate_rejects_malformed_traces():
 
 
 def test_write_chrome_trace_round_trips(tmp_path, rng):
-    tracer = Tracer()
-    runtime = make_runtime(num_cores=2, tracer=tracer)
+    runtime = make_runtime(num_cores=2)
     runtime.run_blocked_gemm(32, rng, verify=False)
-    path = write_chrome_trace(to_chrome_trace(tracer, metadata={"n": 32}),
-                              tmp_path / "t.trace.json")
+    path = tmp_path / "t.trace.json"
+    written = write_chrome_trace(runtime.trace_events("LAP"), path,
+                                 {"time_unit": "cycles", "n": 32})
     with path.open() as handle:
         loaded = json.load(handle)
-    assert loaded["metadata"]["time_unit"] == "cycles"
-    assert loaded["metadata"]["n"] == 32
+    assert loaded["metadata"] == {"time_unit": "cycles", "n": 32}
+    assert loaded["displayTimeUnit"] == "ns"
+    assert loaded["traceEvents"] == list(runtime.trace_events("LAP"))
+    assert written == len(loaded["traceEvents"])
     validate_chrome_trace(loaded)
+    # One event per line between the header and the closing bracket.
+    lines = path.read_text().splitlines()
+    assert len(lines) == written + 2
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == \
+        loaded["traceEvents"]
 
 
-# ------------------------------------------------- runtime no-op parity
-def test_untraced_run_matches_traced_schedule(rng):
-    seeds = np.random.default_rng(3).integers(0, 2 ** 16, 2)
-    baseline = make_runtime(num_cores=2, on_chip_kb=8.0, bandwidth_gbs=8.0)
-    stats_a = baseline.run_blocked_cholesky(
-        64, np.random.default_rng(int(seeds[0])), verify=False)
-    traced = make_runtime(num_cores=2, tracer=Tracer(), on_chip_kb=8.0,
-                          bandwidth_gbs=8.0)
-    stats_b = traced.run_blocked_cholesky(
-        64, np.random.default_rng(int(seeds[0])), verify=False)
-    assert stats_a == stats_b
-    assert ([(e.core_index, e.start_cycle, e.end_cycle)
-             for e in baseline.executions]
-            == [(e.core_index, e.start_cycle, e.end_cycle)
-                for e in traced.executions])
+def _counter_events(count):
+    for i in range(count):
+        yield {"name": "stall_cycles", "ph": "C", "ts": float(i), "pid": 0,
+               "args": {"value": float(i)}}
+
+
+def test_write_chrome_trace_writes_each_event_before_pulling_the_next(tmp_path):
+    """The writer streams: while the generator still yields, its events
+    are already in the temp file beside the target, and the target only
+    appears once the file is complete."""
+    path = tmp_path / "t.trace.json"
+    sizes = []
+
+    def events():
+        for event in _counter_events(5000):
+            temp = [p for p in tmp_path.iterdir() if p != path]
+            assert not path.exists() and len(temp) == 1
+            sizes.append(temp[0].stat().st_size)
+            yield event
+
+    assert write_chrome_trace(events(), path, {}) == 5000
+    assert sizes == sorted(sizes) and 0 < sizes[len(sizes) // 2] < sizes[-1]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with path.open() as handle:
+        assert json.load(handle)["traceEvents"] == list(_counter_events(5000))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"name": "x", "ph": "X", "ts": 0, "dur": 1, "tid": 0},
+     "missing required key 'pid'"),
+    ({"name": "x", "ph": "X", "ts": -1.0, "dur": 1, "pid": 0, "tid": 0},
+     "invalid ts"),
+    ({"name": "x", "ph": "X", "ts": math.nan, "dur": 1, "pid": 0, "tid": 0},
+     "invalid ts"),
+    ({"name": "x", "ph": "C", "ts": 1.0, "pid": 0, "args": {"value": math.nan}},
+     "Out of range float"),
+    ({"name": "b", "cat": "task", "ph": "X", "ts": 3999.0, "dur": 5, "pid": 0,
+      "tid": 0}, "overlaps the task span ending at 4000.0"),
+])
+def test_write_chrome_trace_rejects_a_bad_event_and_leaves_no_file(
+        tmp_path, bad, message):
+    """An event that fails the per-event check, or a task span overlapping
+    its track's previous one, raises after thousands of good events have
+    been written, and neither the target nor the temp file remains."""
+    def events():
+        yield from _counter_events(3000)
+        yield {"name": "a", "cat": "task", "ph": "X", "ts": 0.0,
+               "dur": 4000.0, "pid": 0, "tid": 0}
+        yield bad
+
+    with pytest.raises(ValueError, match=message):
+        write_chrome_trace(events(), tmp_path / "t.trace.json", {})
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------- manifests

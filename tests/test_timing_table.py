@@ -28,9 +28,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scheduler_oracle import resimulated_row
 
 from repro.engine import SweepSpec, execute_jobs
-from repro.engine.runners import get_runner
+from repro.engine.runners import _REPLAY_MEMO, get_runner
 from repro.lap import runtime as runtime_module
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import (LAPRuntime, _NumPyKernels, _simulate_task,
@@ -321,31 +322,28 @@ def test_cold_verify_off_row_equals_the_row_after_a_warm_up(algorithm,
                                                             setting, blocks):
     """A cold ``verify=False`` row warms on the 3 x 3-tile instance; the
     same row charged from a table that the point's own verified run filled
-    is identical, also for points smaller than their warm instance."""
-    runner = get_runner("lap_runtime")
+    is identical, also for points smaller than their warm instance.  Every
+    row is simulated, none replayed."""
     params = {"algorithm": algorithm, "n": 8 * blocks, "tile": 8,
-              "num_cores": 2, "timing": "memoized", "verify": 0,
-              "replay": "off", **setting}
+              "num_cores": 2, "timing": "memoized", "verify": 0, **setting}
     clear_timing_cache()
-    cold = runner(params)
+    cold = resimulated_row(params)
     clear_timing_cache()
-    assert runner({**params, "verify": 1})["residual"] < 1e-8
-    assert runner(params) == cold
+    assert resimulated_row({**params, "verify": 1})["residual"] < 1e-8
+    assert resimulated_row(params) == cold
 
 
 def test_cold_verify_off_point_allocates_less_than_its_operand():
     """A cold 2048^2, tile-128 Cholesky row never builds its operand: the
     traced allocation peak stays below one 2048^2 float64 matrix (32 MiB),
     where building it peaked at about 100 MiB."""
-    runner = get_runner("lap_runtime")
     params = {"algorithm": "cholesky", "n": 2048, "tile": 128,
-              "num_cores": 4, "timing": "memoized", "verify": 0,
-              "replay": "off"}
+              "num_cores": 4, "timing": "memoized", "verify": 0}
     clear_timing_cache()
     clear_graph_cache()
     tracemalloc.start()
     try:
-        row = runner(params)
+        row = resimulated_row(params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,22 +367,34 @@ def test_warm_instance_that_lacks_a_group_of_the_point_raises(monkeypatch):
 
 
 # ------------------------------------------------------ history independence
-def test_sweep_rows_do_not_depend_on_process_history():
+def test_sweep_rows_do_not_depend_on_process_history(monkeypatch):
     """Serial in one process, a process pool, and job by job from an empty
-    table give byte-identical rows."""
+    table give byte-identical rows, every one simulated: with the replay
+    memo's bound at zero nothing is memoized, no result cache holds replay
+    records, and the pool's forked workers inherit the bound."""
+    from repro.engine import runners
+    from repro.lap.replay import REPLAY_STATS
+
     jobs = (SweepSpec()
-            .constants(n=16, num_cores=2, seed=3, timing="memoized",
-                       replay="off")
+            .constants(n=16, num_cores=2, seed=3, timing="memoized")
             .grid(algorithm=("gemm", "cholesky", "lu", "qr"), tile=(4, 8),
                   nr=(2, 4), verify=(0, 1), frequency_ghz=(1.0, 1.4))
             .jobs("lap_runtime"))
+    monkeypatch.setattr(runners, "REPLAY_MEMO_TASKS", 0)
+    _REPLAY_MEMO.clear()
+    before = dict(REPLAY_STATS)
     serial = execute_jobs(jobs, mode="serial").rows
+    assert REPLAY_STATS["recorded"] == before["recorded"] + 64
+    assert REPLAY_STATS["replayed"] == before["replayed"]
+    assert not _REPLAY_MEMO
     pooled = execute_jobs(jobs, mode="process", max_workers=2,
                           batch_size=8).rows
     isolated = []
     for job in jobs:
         clear_timing_cache()
+        recorded = REPLAY_STATS["recorded"]
         isolated.extend(execute_jobs([job], mode="serial").rows)
+        assert REPLAY_STATS["recorded"] == recorded + 1
     assert len(serial) == len(jobs) == 64
     assert json.dumps(serial) == json.dumps(isolated)
     assert json.dumps(pooled) == json.dumps(isolated)
