@@ -1,15 +1,18 @@
 """Benchmarks of the sweep engine: serial vs parallel vs warm-cache runs.
 
 Measures the same 12-point cycle-level simulation sweep (4 kernels x 3
-problem sizes) through the three execution paths the engine offers, and
+problem sizes) serially, through a process pool and from a warm cache, and
 asserts the headline property of the subsystem: a warm cache turns a sweep
 into pure lookups (zero executed jobs), which is far cheaper than
 recomputing even a small sweep.
 """
 
+import concurrent.futures
+import functools
 import gc
 import json
 import math
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,13 +53,6 @@ def test_sweep_serial(benchmark, bench_json):
     })
 
 
-def test_sweep_parallel_matches_serial(benchmark):
-    jobs = _jobs()
-    result = benchmark(lambda: execute_jobs(jobs, mode="thread", max_workers=4))
-    serial = execute_jobs(jobs, mode="serial")
-    assert json.dumps(result.rows) == json.dumps(serial.rows)
-
-
 def test_sweep_warm_cache(benchmark, tmp_path):
     jobs = _jobs()
     cache = ResultCache(tmp_path, code_version=default_code_version())
@@ -74,12 +70,15 @@ def test_sweep_warm_cache(benchmark, tmp_path):
     assert warm.elapsed_s < cold.elapsed_s
 
 
-def test_sweep_process_pool_if_available(benchmark):
-    """Process fan-out stays byte-identical to serial (and falls back
-    gracefully where process pools are unavailable)."""
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_sweep_process_pool_if_available(benchmark, batch_size):
+    """Process fan-out, with adaptive and fixed micro-batches, stays
+    byte-identical to serial (and falls back gracefully where process
+    pools are unavailable)."""
     jobs = _jobs()
     result = benchmark(lambda: execute_jobs(jobs, mode="process",
-                                            max_workers=2, batch_size=3))
+                                            max_workers=2,
+                                            batch_size=batch_size))
     serial = execute_jobs(jobs, mode="serial")
     assert json.dumps(result.rows) == json.dumps(serial.rows)
 
@@ -110,7 +109,7 @@ def test_sweep_blocked_fact_runner(benchmark):
     assert all(row["cycles"] > 0 for row in result.rows)
 
 
-def test_streaming_beats_sharded_batch_on_stragglers(bench_json):
+def test_streaming_beats_sharded_batch_on_stragglers(bench_json, monkeypatch):
     """Streaming work-stealing hides stragglers that stall a sharded batch.
 
     Synthetic straggler mix: one 500 ms job plus 28 cheap 10 ms jobs.  The
@@ -135,6 +134,14 @@ def test_streaming_beats_sharded_batch_on_stragglers(bench_json):
         time.sleep(params["cost_s"])
         return {"index": params["index"], "cost_s": params["cost_s"]}
 
+    # The pool workers reach the stub runner only as a copy of this
+    # process, whatever the interpreter's default start method.
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(
+                            concurrent.futures.ProcessPoolExecutor,
+                            mp_context=multiprocessing.get_context("fork")))
     RUNNERS["_stream_bench"] = _bench_runner
     try:
         jobs = [Job.create("_stream_bench", {"index": 0, "cost_s": STRAGGLER_S})]
@@ -160,9 +167,10 @@ def test_streaming_beats_sharded_batch_on_stragglers(bench_json):
 
         # Streaming run: record when each row actually becomes available.
         # Collect the garbage earlier cases left first, so that a collection
-        # does not land in the ~25 ms window to the first row.
+        # does not land in the ~25 ms window to the first row (about half
+        # of it the process pool forking its workers).
         gc.collect()
-        executor = SweepExecutor(mode="thread", max_workers=WORKERS)
+        executor = SweepExecutor(mode="process", max_workers=WORKERS)
         stream_latencies = [0.0] * len(jobs)
         started = time.perf_counter()
         stream = executor.stream(jobs)

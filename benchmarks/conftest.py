@@ -1,14 +1,10 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures of the performance and gate benchmarks.
 
-Each benchmark regenerates one table or figure of the evaluation, asserts its
-headline qualitative claim, and (when ``--print-experiments`` is given or the
-environment variable ``REPRO_PRINT_EXPERIMENTS`` is set) prints the rendered
-table so that EXPERIMENTS.md can be refreshed from the bench output.
-
-Benchmarks that track a perf trajectory across PRs additionally emit
-machine-readable ``BENCH_<name>.json`` files through the :func:`bench_json`
-fixture (directory: ``$REPRO_BENCH_JSON_DIR``, default
-``benchmarks/results/``), so CI runs can be diffed mechanically.
+Benchmarks that track a perf trajectory across PRs emit machine-readable
+``BENCH_<name>.json`` files through the :func:`bench_json` fixture
+(directory: ``$REPRO_BENCH_JSON_DIR``, default ``benchmarks/results/``), so
+CI runs can be diffed mechanically.  The paper's claims are tier-1 tests
+(``tests/test_paper_claims.py``), not benchmarks.
 """
 
 from __future__ import annotations
@@ -21,27 +17,6 @@ import subprocess
 import time
 
 import pytest
-
-from repro.experiments.report import summarize_experiment
-
-
-def pytest_addoption(parser):
-    parser.addoption("--print-experiments", action="store_true", default=False,
-                     help="print every regenerated table/figure to stdout")
-
-
-@pytest.fixture
-def report(request):
-    """Callable fixture: report(exp_id, data) prints the rendered experiment."""
-    enabled = (request.config.getoption("--print-experiments")
-               or bool(os.environ.get("REPRO_PRINT_EXPERIMENTS")))
-
-    def _report(exp_id: str, data) -> None:
-        if enabled:
-            print()
-            print(summarize_experiment(exp_id, data))
-
-    return _report
 
 
 @pytest.fixture(scope="session")

@@ -122,7 +122,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--target-gflops", type=float, default=600.0,
                         help="target double-precision GEMM throughput")
-    parser.add_argument("--mode", choices=["auto", "serial", "thread", "process"],
+    parser.add_argument("--mode", choices=["auto", "serial", "process"],
                         default="auto", help="sweep engine execution backend")
     parser.add_argument("--cache-dir", default=None,
                         help="reuse sweep results from this directory")

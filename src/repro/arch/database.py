@@ -14,7 +14,7 @@ report (throughput when running GEMM, power density, areal and power
 efficiency, achieved utilisation).  They intentionally mirror the magnitudes
 of the published tables so that the reproduction's qualitative claims --
 which architecture wins, and by roughly what factor -- can be asserted by the
-benchmark harness.
+paper-claim tests.
 """
 
 from __future__ import annotations

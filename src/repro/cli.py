@@ -654,6 +654,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.obs.attribution import CycleAttribution
+    from repro.obs.chrome import read_trace_metadata
 
     if not args.trace and not args.manifest:
         print("nothing to report: pass --trace TRACE.json and/or "
@@ -662,8 +663,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     payload: Dict[str, object] = {}
     if args.trace:
         try:
-            with open(args.trace) as handle:
-                metadata = json_module.load(handle)["metadata"]
+            metadata = read_trace_metadata(args.trace)
             attribution_dict = metadata["cycle_attribution"]
             attribution = CycleAttribution.from_dict(attribution_dict)
             attribution.check()
@@ -671,8 +671,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if workload is not None and not isinstance(workload, dict):
                 raise ValueError(f"metadata.workload is {workload!r}, "
                                  f"not an object")
-        except (OSError, json_module.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read attribution from '{args.trace}': {exc}",
                   file=sys.stderr)
             return 2
@@ -768,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="axes that vary together (repeatable, equal lengths)")
     p_swp.add_argument("--set", action="append", metavar="NAME=VALUE",
                        help="constant parameter applied to every job (repeatable)")
-    p_swp.add_argument("--mode", choices=["auto", "serial", "thread", "process"],
+    p_swp.add_argument("--mode", choices=["auto", "serial", "process"],
                        default="auto", help="execution backend (default: auto)")
     p_swp.add_argument("--workers", type=int, default=None, help="pool size")
     p_swp.add_argument("--batch-size", type=int, default=None, help="jobs per shard")

@@ -19,7 +19,7 @@ Two ways to consume a run:
   while the sweep is still running.
 * :meth:`SweepExecutor.run` drains the same stream and returns the classic
   batch :class:`SweepResult` -- rows in job order, byte-identical across
-  serial / thread / process execution and to the pre-streaming executor.
+  serial and process execution and to the pre-streaming executor.
 
 Workers receive only (runner name, parameter dicts, worker context); the
 runner function is re-resolved inside the worker from
@@ -27,7 +27,8 @@ runner function is re-resolved inside the worker from
 worker context is the cache's :meth:`~repro.engine.cache.ResultCache.config`,
 so worker processes load the :class:`~repro.lap.replay.ScheduleTrace`
 records filed in the cache instead of re-scheduling.  Serial runs, and the
-serial re-run after a broken process pool, go through one loop.
+serial re-run after a process pool that cannot start or breaks, go through
+one loop.
 
 Every run also measures its own telemetry -- per-batch wall times, per-job
 latency (measured inside the worker), time-to-first/last row and the cache's
@@ -47,7 +48,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.engine.cache import ResultCache
 from repro.engine.spec import Job, Params
 
-MODES = ("auto", "serial", "thread", "process")
+MODES = ("auto", "serial", "process")
 
 #: Adaptive micro-batch sizing: target this many batches per worker over the
 #: *remaining* queue, so batches start large enough to amortise pool chatter
@@ -243,17 +244,18 @@ class SweepExecutor:
     Parameters
     ----------
     mode:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``.  Auto picks
+        ``"serial"``, ``"process"`` or ``"auto"``.  Auto picks
         a process pool for heavy runners (cycle-level simulations) with
         enough pending jobs, and serial execution for the cheap analytical
         models where pool overhead dominates.
     max_workers:
         Pool size (default: ``os.cpu_count()`` capped at 8).
     batch_size:
-        Fixed jobs per micro-batch; by default the size adapts to the
-        remaining queue (about ``remaining / (workers * 4)``, floored at 1),
-        which bounds pool chatter up front while the tail degrades to
-        single-job hand-outs so stragglers never quantise the finish.
+        Fixed jobs per micro-batch; by default a pool's first round hands
+        each worker one job, then the size adapts to the remaining queue
+        (about ``remaining / (workers * 4)``, floored at 1), which bounds
+        pool chatter up front while the tail degrades to single-job
+        hand-outs so stragglers never quantise the finish.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are written back as each micro-batch completes.  Its
@@ -295,18 +297,18 @@ class SweepExecutor:
             return "process"
         return "serial"
 
-    def _next_batch(self, queue: "deque[Tuple[int, Job]]",
-                    workers: int) -> List[Tuple[int, Job]]:
+    def _next_batch(self, queue: "deque[Tuple[int, Job]]", workers: int,
+                    first_round: bool = False) -> List[Tuple[int, Job]]:
         """Pop the next same-runner micro-batch off the pending queue.
 
         With an explicit ``batch_size`` the size is fixed; otherwise it
         adapts to the remaining queue so early batches amortise dispatch
         overhead while the tail hands out single jobs (straggler-aware).
+        A pool's ``first_round`` (one batch per worker) gets single jobs, so
+        the first row lands one job after the pool starts, not one batch.
         """
-        if self.batch_size is not None:
-            size = self.batch_size
-        else:
-            size = max(1, math.ceil(len(queue) / (workers * _BATCHES_PER_WORKER)))
+        size = self.batch_size or (1 if first_round else math.ceil(
+            len(queue) / (workers * _BATCHES_PER_WORKER)))
         batch = [queue.popleft()]
         runner = batch[0][1].runner
         while queue and len(batch) < size and queue[0][1].runner == runner:
@@ -393,26 +395,32 @@ class SweepExecutor:
                                           fallback)
             shard_id += 1
 
+    def _fallback_events(self, state: _StreamState, workers: int,
+                         shard_id: int) -> Iterator[StreamRow]:
+        """Serial re-run of every job whose row is still missing."""
+        state.mode = "serial"
+        missing = deque((index, job) for index, job in enumerate(state.jobs)
+                        if state.rows[index] is None)
+        yield from self._serial_events(state, missing, workers, shard_id,
+                                       fallback=True)
+
     def _pool_events(self, state: _StreamState, queue: "deque[Tuple[int, Job]]",
                      workers: int) -> Iterator[StreamRow]:
-        pool_cls = (concurrent.futures.ProcessPoolExecutor
-                    if state.mode == "process"
-                    else concurrent.futures.ThreadPoolExecutor)
         pool_workers = min(workers, len(queue))
         try:
-            pool = pool_cls(max_workers=pool_workers)
-        except (OSError, PermissionError, ImportError):
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=pool_workers)
+        except (OSError, ImportError):
             # Environments without working process spawning (restricted
-            # sandboxes) silently fall back to threads.
-            state.mode = "thread"
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=pool_workers)
+            # sandboxes) run serially, as after a broken pool.
+            yield from self._fallback_events(state, workers, 0)
+            return
         context = self._worker_context()
         shard_id = 0
         inflight: Dict[concurrent.futures.Future, Tuple[int, List[Tuple[int, Job]]]] = {}
 
         def submit_next() -> None:
             nonlocal shard_id
-            batch = self._next_batch(queue, workers)
+            batch = self._next_batch(queue, workers, shard_id < pool_workers)
             future = pool.submit(_run_shard, batch[0][1].runner,
                                  [job.params_dict for _, job in batch], context)
             inflight[future] = (shard_id, batch)
@@ -435,15 +443,9 @@ class SweepExecutor:
                         yield from self._finish_batch(state, batch, outcome,
                                                       batch_id)
             except concurrent.futures.BrokenExecutor:
-                if state.mode != "process":
-                    raise
                 # A broken process pool (e.g. fork disallowed) degrades to a
                 # serial re-run of every job whose row is still missing.
-                state.mode = "serial"
-                missing = deque((index, job) for index, job in enumerate(state.jobs)
-                                if state.rows[index] is None)
-                yield from self._serial_events(state, missing, workers,
-                                               shard_id, fallback=True)
+                yield from self._fallback_events(state, workers, shard_id)
         finally:
             # Never wait for stragglers here: on the normal path every
             # future has already completed, and when the consumer abandons
@@ -464,7 +466,7 @@ class SweepExecutor:
             "elapsed_s": float(sum(batch_seconds)),
         }
         if fallback:
-            # Serial re-runs after a broken pool stay distinguishable from
+            # Serial re-runs after a failed pool stay distinguishable from
             # regular shards in the timing table / run manifest.
             timing["fallback"] = True
         state.shard_timings.append(timing)

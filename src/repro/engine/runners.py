@@ -34,7 +34,7 @@ code path the paper figures sweep:
     simulator, cross-checked against the analytical panel model.
 
 Rows contain only JSON-serialisable scalars so results cache cleanly and
-compare byte-identically across serial / thread / process execution.
+compare byte-identically across serial and process execution.
 ``lap_runtime`` also files schedule replay records in the result cache
 (see :func:`configure_worker`).
 """

@@ -4,8 +4,8 @@
   experiments (id, kind, paper location, generator).
 * :mod:`repro.experiments.tables` -- generators for the numbered tables.
 * :mod:`repro.experiments.figures` -- generators for the figure data series.
-* :mod:`repro.experiments.report` -- plain-text rendering used by the
-  benchmark harness and by EXPERIMENTS.md.
+* :mod:`repro.experiments.report` -- plain-text rendering used by
+  ``repro experiments`` and ``repro sweep``.
 """
 
 from repro.experiments.registry import Experiment, REGISTRY, get_experiment, run_experiment

@@ -1,9 +1,9 @@
 """Generators for the figure data series of the evaluation chapters.
 
 Each function returns the data points a figure plots (as lists of dicts or
-dicts of series), without any plotting dependency; the benchmark harness
-prints the series and asserts the qualitative shape, and examples can feed
-them to matplotlib if available.
+dicts of series), without any plotting dependency; ``repro experiments``
+prints the series, the paper-claim tests assert their qualitative shape,
+and examples can feed them to matplotlib if available.
 
 Every multi-point sweep (core/chip GEMM utilisation, PE frequency and
 local-store sweeps, on-chip bandwidth vs memory, level-3 BLAS utilisation,

@@ -1,10 +1,11 @@
 """Registry mapping every evaluated table / figure to its generator.
 
-Each entry records the experiment id (as referenced by DESIGN.md and
-EXPERIMENTS.md), the kind (table or figure), where in the dissertation it
-comes from, a one-line description, and the callable that regenerates the
-data.  The benchmark harness iterates over this registry so that adding a new
-experiment automatically adds a benchmark.
+Each entry records the experiment id (what ``repro experiments`` and the
+goldens under ``tests/goldens/`` are keyed by), the kind (table, figure or
+validation), where in the dissertation it comes from, a one-line
+description, and the callable that regenerates the data.  The golden suite
+iterates over this registry, so a new experiment fails it until its golden
+is written.
 """
 
 from __future__ import annotations

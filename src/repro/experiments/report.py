@@ -1,6 +1,6 @@
-"""Plain-text rendering of experiment data for benches and EXPERIMENTS.md.
+"""Plain-text rendering of experiment data for the command line.
 
-Keeps the formatting logic out of the benchmark files: a list of dict rows
+Keeps the formatting logic out of :mod:`repro.cli`: a list of dict rows
 becomes a fixed-width text table, and a dict of named series becomes a short
 listing.  No plotting libraries are required anywhere in the package.
 """

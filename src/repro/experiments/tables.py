@@ -1,8 +1,8 @@
 """Generators for the numbered tables of the evaluation chapters.
 
 Every function returns a list of dictionaries (one per table row), so the
-benchmark harness, the text report and the tests can all consume the same
-data without any plotting dependencies.
+CLI, the text report and the tests can all consume the same data without
+any plotting dependencies.
 """
 
 from __future__ import annotations

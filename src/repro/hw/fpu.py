@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.hw.technology import OperatingPoint, TechnologyNode, TECH_45NM
 
@@ -156,8 +156,3 @@ class FMACUnit:
     def idle_power_w(self) -> float:
         """Leakage/idle power modelled as a technology-dependent fraction."""
         return self.dynamic_power_w * self.node.leakage_fraction
-
-    # ------------------------------------------------------------- factories
-    def with_extensions(self, comparator: bool = False, extended_exponent: bool = False) -> "FMACUnit":
-        """Return a copy with the Chapter-6 MAC extensions toggled."""
-        return replace(self, has_comparator=comparator, extended_exponent=extended_exponent)

@@ -25,7 +25,6 @@ from repro.kernels.trsm import lac_trsm
 from repro.lac import LinearAlgebraCore, PEConfig
 
 OperandBuilder = Callable[[np.random.Generator, int, int], Tuple]
-Runner = Callable[..., KernelResult]
 
 
 def fft_point_count(size: int) -> int:

@@ -916,8 +916,7 @@ class LAPRuntime:
         cycles; each core's task spans, and its gaps, come in start order.
         """
         rows = self._exec_rows
-        gaps = idle_gaps(self.executions, len(self.lap.cores),
-                         self.last_makespan)
+        gaps = idle_gaps(self._spans(), len(self.lap.cores), self.last_makespan)
         yield {"name": "process_name", "ph": "M", "ts": 0, "pid": 0,
                "args": {"name": process_name}}
         for core in sorted({row[2] for row in rows} | {gap[0] for gap in gaps}):
@@ -960,17 +959,20 @@ class LAPRuntime:
                 yield {"name": name, "ph": "C", "ts": row[4], "pid": 0,
                        "args": {"value": value}}
 
+    def _spans(self) -> Iterator[Tuple]:
+        """``(core, start, end, stall, transfer cycles)`` of each loop row."""
+        return ((row[2], row[3], row[4], row[5], row[8]) for row in self._exec_rows)
+
     def attribution(self) -> CycleAttribution:
         """Cycle attribution of the most recent ``execute()`` call.
 
         Decomposes every core's ``[0, makespan]`` timeline into compute /
-        spill-stall / transfer / idle from the recorded
-        :class:`TaskExecution` rows; the components sum to
-        ``cores x makespan`` (see
-        :class:`repro.obs.attribution.CycleAttribution`).
+        spill-stall / transfer / idle from the loop's rows, building no
+        :class:`TaskExecution`; the components sum to ``cores x makespan``
+        (see :class:`repro.obs.attribution.CycleAttribution`).
         """
         return CycleAttribution.from_executions(
-            self.executions, len(self.lap.cores), self.last_makespan,
+            self._spans(), len(self.lap.cores), self.last_makespan,
             stall_overlap=self.stall_overlap)
 
     def schedule_trace(self) -> ScheduleTrace:

@@ -31,10 +31,6 @@ from typing import List, Optional, Sequence
 #: fused mapping.
 FMA_OPS_PER_RADIX4_BUTTERFLY = 24
 
-#: Classical flop count of one radix-4 butterfly (for "Cooley-Tukey flops",
-#: the 5 N log2 N convention is used at the transform level instead).
-COMPLEX_POINTS_PER_BUTTERFLY = 4
-
 
 class FFTVariant(enum.Enum):
     """Transform organisations analysed in Appendix B."""

@@ -22,11 +22,10 @@ additionally verifies the *bottom-up* identity -- the summed per-task span
 durations plus the measured gaps tile each core's timeline exactly -- so a
 runtime change that double-books a core or drops a stall term fails loudly.
 
-The module is duck-typed over :class:`repro.lap.runtime.TaskExecution`
-records (``core_index`` / ``start_cycle`` / ``end_cycle`` /
-``stall_cycles`` / ``local_transfer_cycles``) and deliberately imports
-nothing from :mod:`repro.lap`, so it can attribute any execution timeline
-with that shape.
+The module takes plain ``(core, start, end[, stall, transfer])`` tuples,
+one per task execution (the runtime yields them from its loop's rows), and
+deliberately imports nothing from :mod:`repro.lap`, so it can attribute any
+execution timeline.
 """
 
 from __future__ import annotations
@@ -41,14 +40,14 @@ __all__ = ["CoreAttribution", "CycleAttribution", "idle_gaps"]
 COMPONENTS = ("compute", "spill_stall", "transfer", "idle")
 
 
-def idle_gaps(executions: Iterable, num_cores: int,
+def idle_gaps(executions: Iterable[Sequence], num_cores: int,
               makespan: float) -> List[Tuple[int, float, float]]:
     """Scheduler-idle intervals ``(core, start, end)`` of a schedule.
 
     A gap is any part of ``[0, makespan]`` on a core not covered by one of
-    its task executions (leading waits, dependence stalls between tasks and
-    the tail after a core runs out of work).  Degenerate zero-length gaps
-    are dropped.
+    its task executions, given as ``(core, start, end, ...)`` tuples
+    (leading waits, dependence stalls between tasks and the tail after a
+    core runs out of work).  Degenerate zero-length gaps are dropped.
     """
     if num_cores < 1:
         raise ValueError("need at least one core")
@@ -56,8 +55,7 @@ def idle_gaps(executions: Iterable, num_cores: int,
         raise ValueError("makespan must be non-negative")
     per_core: Dict[int, List[Tuple[float, float]]] = {c: [] for c in range(num_cores)}
     for execution in executions:
-        per_core[execution.core_index].append(
-            (execution.start_cycle, execution.end_cycle))
+        per_core[execution[0]].append((execution[1], execution[2]))
     gaps: List[Tuple[int, float, float]] = []
     for core in range(num_cores):
         cursor = 0.0
@@ -96,10 +94,11 @@ class CycleAttribution:
     per_core: List[CoreAttribution] = field(default_factory=list)
 
     @classmethod
-    def from_executions(cls, executions: Sequence, num_cores: int,
+    def from_executions(cls, executions: Iterable[Sequence], num_cores: int,
                         makespan: float,
                         stall_overlap: float = 0.0) -> "CycleAttribution":
-        """Attribute a schedule from its per-task execution records.
+        """Attribute a schedule from one pass over its per-task
+        ``(core, start, end[, stall, transfer])`` execution tuples.
 
         Each execution's duration splits into the visible data-movement
         cycles (``(stall + transfer) * (1 - stall_overlap)``, the split of
@@ -110,16 +109,19 @@ class CycleAttribution:
             raise ValueError("stall_overlap must lie in [0, 1]")
         cores = [CoreAttribution(core_index=c) for c in range(num_cores)]
         visible = 1.0 - stall_overlap
-        for execution in executions:
-            core = cores[execution.core_index]
-            duration = execution.end_cycle - execution.start_cycle
-            stall = getattr(execution, "stall_cycles", 0.0) * visible
-            transfer = getattr(execution, "local_transfer_cycles", 0.0) * visible
-            core.compute += duration - stall - transfer
-            core.spill_stall += stall
-            core.transfer += transfer
-            core.tasks += 1
-        for core, start, end in idle_gaps(executions, num_cores, makespan):
+
+        def charged():
+            # Charge each execution to its core as idle_gaps pulls it.
+            for core_index, start, end, *moved in executions:
+                stall, transfer = [cycles * visible for cycles in moved] or (0.0, 0.0)
+                core = cores[core_index]
+                core.compute += end - start - stall - transfer
+                core.spill_stall += stall
+                core.transfer += transfer
+                core.tasks += 1
+                yield core_index, start, end
+
+        for core, start, end in idle_gaps(charged(), num_cores, makespan):
             cores[core].idle += end - start
         return cls(num_cores=num_cores, makespan_cycles=float(makespan),
                    stall_overlap=float(stall_overlap), per_core=cores)

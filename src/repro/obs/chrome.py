@@ -23,7 +23,8 @@ exact integers beat lossy unit conversion for a cycle-accurate model.
 the rest of the repo relies on (required keys per event phase, numeric
 non-negative timestamps, and per-track non-overlap of ``task``/``idle``
 spans -- spans of other categories may nest); the writer applies the same
-per-event check to every event it writes.
+per-event check to every event it writes.  :func:`read_trace_metadata`
+parses a written trace's ``metadata`` from its first line alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import os
 import pathlib
 from typing import Dict, Iterable, List, Mapping
 
-__all__ = ["validate_chrome_trace", "write_chrome_trace"]
+__all__ = ["read_trace_metadata", "validate_chrome_trace", "write_chrome_trace"]
 
 #: Keys every trace event must carry (the spec's required set).
 REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid")
@@ -119,6 +120,20 @@ def write_chrome_trace(events: Iterable[dict], path,
         tmp.unlink(missing_ok=True)
         raise
     return count
+
+
+def read_trace_metadata(path) -> object:
+    """The ``metadata`` of a trace :func:`write_chrome_trace` wrote, parsed
+    from the file's first line alone (the header that opens
+    ``traceEvents``); raises ``ValueError`` for a file in another layout,
+    ``KeyError`` for a header without metadata and ``OSError`` if the file
+    cannot be read."""
+    with open(path) as handle:
+        head = handle.readline().rstrip("\n")
+    if not head.endswith(',"traceEvents":['):
+        raise ValueError("its first line is not a trace header ending in "
+                         "'\"traceEvents\":['")
+    return json.loads(head + "]}")["metadata"]
 
 
 def validate_chrome_trace(payload: object) -> List[dict]:

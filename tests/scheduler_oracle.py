@@ -530,8 +530,8 @@ def reference_execute(runtime, tasks, tiles, verify=True, trace=None):
     runtime.last_memory = memory
     runtime.last_makespan = float(makespan)
     if trace is not None:
-        for core, gap_start, gap_end in idle_gaps(executions, num_cores,
-                                                  makespan):
+        timeline = [(e.core_index, e.start_cycle, e.end_cycle) for e in executions]
+        for core, gap_start, gap_end in idle_gaps(timeline, num_cores, makespan):
             spans.append({"name": "idle", "cat": "idle", "ph": "X",
                           "ts": float(gap_start),
                           "dur": float(gap_end) - float(gap_start), "pid": 0,

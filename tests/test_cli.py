@@ -659,12 +659,53 @@ def test_report_rejects_a_trace_it_cannot_print(tmp_path, capsys, corrupt,
         payload = json.load(handle)
     corrupt(payload["metadata"])
     with open(out, "w") as handle:
-        json.dump(payload, handle)
+        handle.write('{"displayTimeUnit":"ns","metadata":'
+                     + json.dumps(payload["metadata"], separators=(",", ":"))
+                     + ',"traceEvents":[\n]}\n')
     assert main(["report", "--trace", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cannot read attribution from '{out}': ")
     assert reason in captured.err
+
+
+def test_report_rejects_a_trace_in_another_layout(tmp_path, capsys):
+    """The report reads only the writer's header line; the same payload
+    re-encoded with other separators is not a trace it can read."""
+    out, _ = _trace(tmp_path, capsys)
+    with open(out) as handle:
+        payload = json.load(handle)
+    with open(out, "w") as handle:
+        json.dump(payload, handle)
+    assert main(["report", "--trace", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read attribution from '{out}': "
+                                   "its first line is not a trace header")
+
+
+def test_report_reads_only_the_trace_header(tmp_path, capsys):
+    """Reporting a 100,000-event trace parses its first line alone: it
+    allocates under 1 MiB, where loading the whole file took megabytes."""
+    import itertools
+    import tracemalloc
+
+    out, _ = _trace(tmp_path, capsys)
+    lines = pathlib.Path(out).read_text().splitlines()
+    events = [line.rstrip(",") for line in lines[1:-1]]
+    big = tmp_path / "big.trace.json"
+    big.write_text(lines[0] + "\n" + ",\n".join(
+        itertools.islice(itertools.cycle(events), 100_000)) + "\n]}\n")
+    assert main(["report", "--trace", out]) == 0
+    expected = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        assert main(["report", "--trace", str(big)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == expected
+    assert peak < 2 ** 20, peak
 
 
 def test_report_from_manifest_and_json(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """No feature without a consumer: every definition in ``src/repro`` is used.
 
 The scan parses every module of ``src/repro`` and lists its functions,
-classes and methods; dunder methods are left out, because the interpreter
-calls them.  A definition has a consumer when code names it outside the
+classes and methods, and the names its module-level assignments bind
+(``__all__`` aside; package ``__init__`` modules are not scanned for
+them); dunder methods are left out, because the interpreter calls them.
+A definition has a consumer when code names it outside the
 definition's own body, in ``src/repro`` or anywhere in ``examples/``,
 ``benchmarks/`` or ``perfbench/``.  Code names a definition through a
 ``Name``, an ``Attribute`` or a word of a string literal used as a value,
@@ -65,7 +67,8 @@ ALLOWED: Dict[str, str] = {
 Definition = Tuple[str, str, pathlib.Path, int, int]
 
 
-def _definitions(body, prefix: str, path: pathlib.Path) -> Iterator[Definition]:
+def _definitions(body, prefix: str, path: pathlib.Path,
+                 assignments: bool = False) -> Iterator[Definition]:
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if node.name.startswith("__") and node.name.endswith("__"):
@@ -75,6 +78,14 @@ def _definitions(body, prefix: str, path: pathlib.Path) -> Iterator[Definition]:
             yield qualname, node.name, path, first, node.end_lineno
             if isinstance(node, ast.ClassDef):
                 yield from _definitions(node.body, qualname, path)
+        elif assignments and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and not _is_all(name)):
+                        yield (f"{prefix}.{name.id}", name.id, path, node.lineno,
+                               node.end_lineno)
 
 
 def _is_all(target: ast.expr) -> bool:
@@ -109,12 +120,14 @@ def unconsumed_definitions(root: pathlib.Path = ROOT) -> List[str]:
     consumers = []
     for path in sorted((source / "repro").rglob("*.py")):
         parts = list(path.relative_to(source).with_suffix("").parts)
-        if parts[-1] == "__init__":
+        package = parts[-1] == "__init__"
+        if package:
             parts.pop()
         else:
             consumers.append(path)
         tree = ast.parse(path.read_text(), filename=str(path))
-        definitions.extend(_definitions(tree.body, ".".join(parts), path))
+        definitions.extend(_definitions(tree.body, ".".join(parts), path,
+                                        assignments=not package))
     for directory in CONSUMER_DIRS:
         consumers.extend(sorted((root / directory).rglob("*.py")))
     uses: Dict[str, List[Tuple[pathlib.Path, int]]] = {}
@@ -182,3 +195,23 @@ def test_scan_counts_only_code(tmp_path):
     assert unconsumed_definitions(tmp_path) == [
         "repro.defs.in_comment", "repro.defs.in_docstring",
         "repro.defs.in_all", "repro.defs.in_import"]
+
+
+def test_scan_flags_an_unread_module_name(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("VERSION = '1'\n")
+    (package / "consts.py").write_text(
+        "READ = 1\n"
+        "UNREAD: int = 2\n"
+        "PAIR, SPARE = 3, 4\n"
+        "TABLE = {}\n"
+        "TABLE['key'] = READ\n"
+        "__all__ = ['UNREAD']\n\n\n"
+        "class Box:\n    size = 5\n\n\n"
+        "def total():\n    return READ + PAIR + TABLE['key'] + Box.size\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.consts import total\ntotal()\n")
+    assert unconsumed_definitions(tmp_path) == ["repro.consts.UNREAD",
+                                                "repro.consts.SPARE"]

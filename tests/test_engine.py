@@ -269,17 +269,15 @@ def _chip_jobs(n_cores=(4, 8, 12, 16), bws=(8, 16, 24)):
 
 
 class TestExecutor:
-    def test_serial_matches_thread_and_process(self):
+    def test_serial_matches_process(self):
         jobs = _chip_jobs()
         serial = execute_jobs(jobs, mode="serial")
-        thread = execute_jobs(jobs, mode="thread", max_workers=4)
         process = execute_jobs(jobs, mode="process", max_workers=2)
-        assert json.dumps(serial.rows) == json.dumps(thread.rows)
         assert json.dumps(serial.rows) == json.dumps(process.rows)
 
     def test_rows_follow_job_order(self):
         jobs = _chip_jobs()
-        result = execute_jobs(jobs, mode="thread", max_workers=4, batch_size=1)
+        result = execute_jobs(jobs, mode="process", max_workers=2, batch_size=1)
         for job, row in zip(result.jobs, result.rows):
             params = job.params_dict
             assert row["num_cores"] == params["num_cores"]
@@ -516,7 +514,7 @@ class TestStreaming:
 
         from repro.engine import SweepExecutor
 
-        stream = SweepExecutor(mode="thread", max_workers=4,
+        stream = SweepExecutor(mode="process", max_workers=2,
                                cache=stream_cache).stream(jobs)
         events = list(stream)
         streamed = stream.result()
@@ -560,7 +558,7 @@ class TestStreaming:
 
     def test_adaptive_batches_shrink_to_single_jobs_at_tail(self):
         jobs = _chip_jobs(n_cores=(4, 8, 12, 16), bws=(8, 16, 24))  # 12 jobs
-        result = execute_jobs(jobs, mode="thread", max_workers=2)
+        result = execute_jobs(jobs, mode="serial", max_workers=2)
         sizes = [s["jobs"] for s in result.shard_timings]
         assert sum(sizes) == len(jobs)
         # remaining/(workers*4) starts at ceil(12/8)=2 and decays to 1.
@@ -1048,6 +1046,22 @@ def test_serial_and_parallel_sweeps_are_byte_identical(tmp_path):
 
 
 # ----------------------------------------------------- executor regressions
+@pytest.fixture
+def forked_pool(monkeypatch):
+    """Pool workers forked from the test process, so they see a stub runner
+    the test registers in ``RUNNERS`` whatever the default start method."""
+    import concurrent.futures
+    import functools
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(
+                            concurrent.futures.ProcessPoolExecutor,
+                            mp_context=multiprocessing.get_context("fork")))
+
+
 class TestExecutorRegressions:
     def test_mixed_runner_cache_hits_get_per_runner_entries(self, tmp_path):
         """Bugfix: a warm mixed-runner sweep records one zero-job cache
@@ -1064,7 +1078,8 @@ class TestExecutorRegressions:
             {("design", 2), ("chip_gemm", 1)}
         assert all(s["jobs"] == 0 for s in zero)
 
-    def test_abandoned_stream_does_not_wait_for_stragglers(self, monkeypatch):
+    def test_abandoned_stream_does_not_wait_for_stragglers(self, monkeypatch,
+                                                           forked_pool):
         """Bugfix: breaking out of a stream shuts the pool down without
         draining in-flight batches, so abandoning a sweep is prompt."""
         import time
@@ -1078,7 +1093,7 @@ class TestExecutorRegressions:
 
         monkeypatch.setitem(runners_module.RUNNERS, "dawdle", dawdle)
         jobs = [Job.create("dawdle", {"i": i}) for i in range(12)]
-        stream = stream_jobs(jobs, mode="thread", max_workers=2, batch_size=1)
+        stream = stream_jobs(jobs, mode="process", max_workers=2, batch_size=1)
         next(stream)
         started = time.monotonic()
         stream.close()
@@ -1088,7 +1103,7 @@ class TestExecutorRegressions:
         result = stream.result()
         assert sum(1 for row in result.rows if row is not None) < len(jobs)
 
-    def test_stream_is_a_context_manager(self, monkeypatch):
+    def test_stream_is_a_context_manager(self, monkeypatch, forked_pool):
         import time
 
         from repro.engine import runners as runners_module
@@ -1101,7 +1116,7 @@ class TestExecutorRegressions:
         monkeypatch.setitem(runners_module.RUNNERS, "dawdle", dawdle)
         jobs = [Job.create("dawdle", {"i": i}) for i in range(8)]
         started = time.monotonic()
-        with stream_jobs(jobs, mode="thread", max_workers=2,
+        with stream_jobs(jobs, mode="process", max_workers=2,
                          batch_size=1) as stream:
             next(stream)  # abandon after the first row
         assert time.monotonic() - started < 1.5
@@ -1137,7 +1152,33 @@ class TestExecutorRegressions:
         assert len(executed) == 3
         assert all(s.get("fallback") is True for s in executed)
 
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
+        """A process pool that cannot start takes the serial re-run a
+        broken pool takes: serial rows, shard entries tagged fallback."""
+        import concurrent.futures
+
+        def no_pool(max_workers):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        jobs = _chip_jobs(n_cores=(4, 8), bws=(8, 16))
+        result = execute_jobs(jobs, mode="process", max_workers=2, batch_size=2)
+        assert result.mode == "serial"
+        assert json.dumps(result.rows) == \
+            json.dumps(execute_jobs(jobs, mode="serial").rows)
+        assert [s["jobs"] for s in result.shard_timings] == [2, 2]
+        assert all(s.get("fallback") is True for s in result.shard_timings)
+
+    def test_pool_first_round_hands_out_single_jobs(self):
+        """The first row waits one job after the pool starts, not one
+        adaptive batch (here ceil(12/8) = 2 jobs)."""
+        result = execute_jobs(_chip_jobs(), mode="process", max_workers=2)
+        sizes = {s["shard"]: s["jobs"] for s in result.shard_timings}
+        assert sizes[0] == sizes[1] == 1
+        assert sum(sizes.values()) == 12
+        assert max(sizes.values()) == 2
+
     def test_regular_shards_are_not_tagged_fallback(self):
         result = execute_jobs(_chip_jobs(n_cores=(4, 8), bws=(8,)),
-                              mode="thread", max_workers=2)
+                              mode="process", max_workers=2)
         assert all("fallback" not in s for s in result.shard_timings)

@@ -7,7 +7,7 @@ from repro.experiments.report import format_value, render_series, render_table, 
 
 
 def test_registry_covers_every_planned_experiment():
-    """DESIGN.md lists these experiment ids; all must be registered."""
+    """The dissertation's tables and figures; all must be registered."""
     expected = {
         "table_3_1", "fig_3_4", "fig_3_5", "fig_3_6", "table_3_2",
         "table_4_1", "fig_4_2", "fig_4_3", "fig_4_5", "fig_4_6", "validation_4_3",

@@ -1,5 +1,6 @@
 """Tests for the FMAC unit model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -46,7 +47,7 @@ def test_delayed_normalization_saves_power():
 
 def test_extensions_add_small_overheads():
     base = FMACUnit()
-    extended = base.with_extensions(comparator=True, extended_exponent=True)
+    extended = dataclasses.replace(base, has_comparator=True, extended_exponent=True)
     assert extended.area_mm2 > base.area_mm2
     assert extended.dynamic_power_w > base.dynamic_power_w
     # The overheads are small (a few percent), not a redesign.
