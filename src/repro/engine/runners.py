@@ -517,14 +517,19 @@ def run_lap_runtime(params: Params) -> dict:
     ``frequency_ghz`` / ``offchip_pj_per_byte`` reuses the recorded row,
     re-keyed, whenever :func:`repro.lap.replay.replayed_row` proves the
     schedule unchanged (the row then equals its re-simulation); anything
-    else re-simulates.
+    else re-simulates.  Before that decision the point's delta constants
+    pass the checks a simulation applies (the chip clock in
+    :class:`~repro.lap.chip.LAPConfig`, bandwidth and off-chip energy in
+    the point's off-chip interface, the overlap range of
+    :class:`~repro.lap.runtime.LAPRuntime`), so replay serves only points a
+    simulation accepts.
     """
     import numpy as np
 
     from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-    from repro.lap.policies import GEMMScheduler
+    from repro.lap.memory import offchip_interface
     from repro.lap.replay import replayed_row
-    from repro.lap.runtime import LAPRuntime
+    from repro.lap.runtime import LAPRuntime, check_stall_overlap
     from repro.lap.taskgraph import AlgorithmsByBlocks
 
     algorithm = str(params.get("algorithm", "gemm")).lower()
@@ -553,12 +558,8 @@ def run_lap_runtime(params: Params) -> dict:
     stall_overlap = None if stall_overlap is None else float(stall_overlap)
     frequency_ghz = params.get("frequency_ghz")
     frequency_ghz = None if frequency_ghz is None else float(frequency_ghz)
-    if frequency_ghz is not None and frequency_ghz <= 0:
-        raise ValueError("frequency_ghz must be positive")
     offchip_pj = params.get("offchip_pj_per_byte")
     offchip_pj = None if offchip_pj is None else float(offchip_pj)
-    if offchip_pj is not None and offchip_pj < 0:
-        raise ValueError("offchip_pj_per_byte must be non-negative")
     frequencies_param = params.get("core_frequencies_ghz")
     if frequencies_param is None:
         frequencies = None
@@ -579,6 +580,10 @@ def run_lap_runtime(params: Params) -> dict:
     config = LAPConfig(num_cores=num_cores, nr=nr,
                        onchip_memory_mbytes=onchip_mbytes,
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
+    # Replay may serve only a point that a simulation accepts.
+    offchip_interface(config.offchip(), bandwidth_gbs, offchip_pj)
+    if stall_overlap is not None:
+        check_stall_overlap(stall_overlap)
     replayed = replayed_row(
         _recorded_schedule(structural_key), config,
         bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
@@ -597,11 +602,12 @@ def run_lap_runtime(params: Params) -> dict:
     rng = np.random.default_rng(seed)
     stats = runtime.run_workload(algorithm, n, rng, verify=verify)
     if algorithm == "gemm":
-        # The panel-blocking scheduler's static distribution only describes
-        # GEMM row panels; a factorization's shrinking trailing matrix has
+        # Figure 4.1's static distribution deals the n // tile row panels
+        # of C round robin over the cores: the lightest core's panels over
+        # the busiest's.  A factorization's shrinking trailing matrix has
         # no such static assignment, so the metric is null otherwise.
-        scheduler = GEMMScheduler(num_cores=num_cores, nr=nr)
-        static_balance = float(scheduler.load_balance(scheduler.assign_panels(n, tile)))
+        panels = n // tile
+        static_balance = (panels // num_cores) / -(-panels // num_cores)
     else:
         static_balance = None
     busy = stats["per_core_busy_cycles"]

@@ -406,13 +406,13 @@ def runtime_policy_comparison(sizes: Sequence[int] = (32, 64),
 
     Schedules blocked Cholesky task graphs through the LAP runtime under
     every *registered* scheduling policy (greedy earliest-core,
-    critical-path priority, locality-aware, memory-aware -- the sweep
-    follows ``policy_names()``, so registering a new policy intentionally
-    grows this experiment's rows and its golden), with memoized timing so
-    the sweep scales to larger graphs; the ``speedup_vs_greedy`` column
-    quantifies what a smarter policy buys at each design point.  Expands
-    through :mod:`repro.engine` like every other multi-point figure
-    (cached, parallel).
+    critical-path priority, locality-aware, memory-aware, affinity -- the
+    sweep follows ``policy_names()``, so registering a new policy
+    intentionally grows this experiment's rows and its golden), with
+    memoized timing so the sweep scales to larger graphs; the
+    ``speedup_vs_greedy`` column quantifies what a smarter policy buys at
+    each design point.  Expands through :mod:`repro.engine` like every
+    other multi-point figure (serially, without a cache).
     """
     from repro.lap.policies import policy_names
 

@@ -7,17 +7,16 @@ off-chip memory interface.  This subpackage provides:
 * :mod:`repro.lap.chip` -- the chip object tying cores, on-chip memory and
   the off-chip interface together (its area and power design point is
   :class:`repro.arch.lap_design.LAPDesignPoint`);
-* :mod:`repro.lap.policies` -- all scheduling code: the names of the
-  task-graph policies (greedy / critical_path / locality / memory_aware /
-  affinity) plus the static panel-blocking :class:`GEMMScheduler` of
-  Figure 4.1 (each core owns a row panel of C; panels of B are broadcast
-  to all cores);
+* :mod:`repro.lap.policies` -- the names of the task-graph policies
+  (greedy / critical_path / locality / memory_aware / affinity) the
+  scheduler loop implements;
 * :mod:`repro.lap.taskgraph` -- the task-graph IR, the algorithms-by-blocks
   decompositions and the dense graph arrays the scheduler loop runs on;
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: the
   structure-of-arrays state of the LRU tile residency over the on-chip
-  capacity and of the per-core local stores, the bandwidth-stall and
-  per-task energy models, and the whole-schedule traffic totals;
+  capacity and of the per-core local stores, the off-chip interface and
+  clock the loop converts spill bytes into stall cycles with, the per-task
+  energy constants, and the whole-schedule traffic totals;
 * :mod:`repro.lap.timing` -- the functional and memoized timings (one
   memoized path: a per-group cycle table fed by warm-ups);
 * :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
@@ -35,9 +34,8 @@ from repro.lap.chip import LinearAlgebraProcessor, LAPConfig
 from repro.lap.offchip import OffChipTrafficModel
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
-from repro.lap.policies import (POLICIES, GEMMScheduler, PanelAssignment,
-                                get_policy, policy_names)
-from repro.lap.memory import BandwidthModel, MemoryHierarchy, TaskEnergyModel
+from repro.lap.policies import POLICIES, get_policy, policy_names
+from repro.lap.memory import MemoryHierarchy, TaskEnergyModel
 from repro.lap.timing import (TIMING_MODELS, FunctionalTiming, MemoizedTiming,
                               get_timing_model, timing_names)
 from repro.lap.runtime import LAPRuntime, TaskExecution
@@ -45,10 +43,7 @@ from repro.lap.runtime import LAPRuntime, TaskExecution
 __all__ = [
     "LinearAlgebraProcessor",
     "LAPConfig",
-    "GEMMScheduler",
-    "PanelAssignment",
     "OffChipTrafficModel",
-    "BandwidthModel",
     "MemoryHierarchy",
     "TaskEnergyModel",
     "AlgorithmsByBlocks",

@@ -24,17 +24,17 @@ exactly that data movement for the task-graph runtime:
   enabling local stores never changes the off-chip traffic of a fixed
   schedule -- it splits the on-chip side of the movement and adds the
   transfer time.
-* :class:`BandwidthModel` -- converts spill refill bytes into stall cycles
-  through the sustained bandwidth of the
-  :class:`repro.hw.memory.OffChipInterface`.
-* :class:`TaskEnergyModel` -- per-task energy from three first-order terms:
-  pJ/flop of the FMAC units, pJ/byte of on-chip SRAM accesses and pJ/byte
-  moved across the chip boundary, so a schedule reports GFLOPS/W like the
-  paper's headline comparisons.
-* :class:`MemoryHierarchy` -- composes the levels and models for one
-  schedule and holds its whole-schedule totals; the runtime's scheduler
-  loop (:meth:`repro.lap.runtime.LAPRuntime.execute`) does the per-task
-  accounting.
+* :class:`TaskEnergyModel` -- the constants of the first-order per-task
+  energy: pJ/flop of the FMAC units, pJ/byte of on-chip SRAM accesses and
+  pJ/byte moved across the chip boundary, so a schedule reports GFLOPS/W
+  like the paper's headline comparisons.
+* :class:`MemoryHierarchy` -- composes the levels, the point's
+  :class:`repro.hw.memory.OffChipInterface` (:func:`offchip_interface`) and
+  clock, and the energy constants for one schedule, and holds its
+  whole-schedule totals; the runtime's scheduler loop
+  (:meth:`repro.lap.runtime.LAPRuntime.execute`) does the per-task
+  accounting, converting spill refill bytes into stall cycles through the
+  interface's bytes per cycle and charging each task's energy.
 
 Both residency levels are structure-of-arrays over the dense tile ids of
 a :class:`repro.lap.taskgraph.TaskGraph`: a level keeps one LRU timestamp
@@ -61,8 +61,8 @@ from repro.hw.fpu import FMACUnit
 from repro.hw.memory import OffChipInterface, OnChipMemory
 
 __all__ = [
-    "BandwidthModel", "LocalStore", "MemoryHierarchy", "TaskEnergyModel",
-    "TileResidency",
+    "LocalStore", "MemoryHierarchy", "TaskEnergyModel", "TileResidency",
+    "offchip_interface",
 ]
 
 
@@ -226,30 +226,15 @@ class LocalStore(_LRULevel):
         self._rc = rc
 
 
-class BandwidthModel:
-    """Converts off-chip refill bytes into stall cycles of the core clock."""
-
-    def __init__(self, interface: OffChipInterface, frequency_ghz: float):
-        if frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
-        self.interface = interface
-        self.frequency_ghz = float(frequency_ghz)
-
-    def stall_cycles(self, num_bytes: float) -> float:
-        """Cycles the interface needs to move ``num_bytes`` (0 for 0 bytes)."""
-        if num_bytes <= 0:
-            return 0.0
-        return self.interface.transfer_cycles(num_bytes, self.frequency_ghz)
-
-
 class TaskEnergyModel:
-    """First-order per-task energy: compute + on-chip SRAM + off-chip pJ.
+    """Constants of the first-order per-task energy: compute + on-chip SRAM
+    + off-chip pJ.
 
-    ``energy = flops * J/flop + onchip_bytes * J/byte + offchip_bytes *
-    J/byte``.  The per-flop energy comes from the FMAC model (one MAC is two
-    flops), the on-chip per-byte energy from the banked SRAM's per-access
-    energy, and the off-chip per-byte energy from the DRAM interface
-    (~60 pJ/byte by default).
+    A task costs ``flops * J/flop + onchip_bytes * J/byte + offchip_bytes *
+    J/byte`` (the scheduler loop's expression).  The per-flop energy comes
+    from the FMAC model (one MAC is two flops), the on-chip per-byte energy
+    from the banked SRAM's per-access energy, and the off-chip per-byte
+    energy from the DRAM interface (~60 pJ/byte by default).
     """
 
     def __init__(self, fmac: FMACUnit, onchip: OnChipMemory,
@@ -259,13 +244,25 @@ class TaskEnergyModel:
         self.onchip_energy_per_byte_j = onchip.energy_per_access_j() / word_bytes
         self.offchip_energy_per_byte_j = interface.energy_per_byte_j
 
-    def task_energy_j(self, flops: float, onchip_bytes: float,
-                      offchip_bytes: float) -> float:
-        if min(flops, onchip_bytes, offchip_bytes) < 0:
-            raise ValueError("flops and byte counts must be non-negative")
-        return (flops * self.energy_per_flop_j
-                + onchip_bytes * self.onchip_energy_per_byte_j
-                + offchip_bytes * self.offchip_energy_per_byte_j)
+
+def offchip_interface(chip: OffChipInterface,
+                      bandwidth_gbs: Optional[float] = None,
+                      offchip_pj_per_byte: Optional[float] = None
+                      ) -> OffChipInterface:
+    """The off-chip interface of one sweep point: the chip's interface
+    ``chip`` with the point's overrides of the sustained bandwidth (GB/s)
+    and the access energy (pJ/byte); an override that is not a usable
+    number raises ``ValueError`` from
+    :class:`~repro.hw.memory.OffChipInterface`."""
+    if bandwidth_gbs is None and offchip_pj_per_byte is None:
+        return chip
+    return OffChipInterface(
+        bandwidth_gbytes_per_sec=(chip.bandwidth_gbytes_per_sec
+                                  if bandwidth_gbs is None
+                                  else float(bandwidth_gbs)),
+        energy_per_byte_j=(chip.energy_per_byte_j
+                           if offchip_pj_per_byte is None
+                           else float(offchip_pj_per_byte) * 1e-12))
 
 
 class MemoryHierarchy:
@@ -274,10 +271,10 @@ class MemoryHierarchy:
     The runtime's scheduler loop drives the hierarchy task by task in
     dispatch order: it touches each footprint in the shared
     :class:`TileResidency`, converts spill refills into stall cycles
-    through :attr:`bandwidth`, attributes energy per task through
-    :attr:`energy`, and adds the per-task traffic to the whole-schedule
-    totals below (:meth:`summary`); :meth:`finish` flushes the dirty tiles
-    at the end.
+    through :attr:`interface` at :attr:`frequency_ghz`, attributes energy
+    per task with the constants of :attr:`energy`, and adds the per-task
+    traffic to the whole-schedule totals below (:meth:`summary`);
+    :meth:`finish` flushes the dirty tiles at the end.
 
     With ``local_store_kb`` set the hierarchy becomes two-level: one
     :class:`LocalStore` per core sits above the shared residency.  A
@@ -304,11 +301,14 @@ class MemoryHierarchy:
             raise ValueError("tile size and element bytes must be positive")
         if num_cores < 1:
             raise ValueError("the hierarchy needs at least one core")
+        if frequency_ghz <= 0:
+            raise ValueError("frequency must be positive")
         self.tile = int(tile)
         self.element_bytes = int(element_bytes)
         tile_bytes = self.tile * self.tile * self.element_bytes
         self.residency = TileResidency(capacity_bytes, tile_bytes, num_tiles)
-        self.bandwidth = BandwidthModel(interface, frequency_ghz)
+        self.interface = interface
+        self.frequency_ghz = float(frequency_ghz)
         self.energy = TaskEnergyModel(fmac, onchip, interface)
         self.num_cores = int(num_cores)
         self.local_store_kb = (None if local_store_kb is None
@@ -361,21 +361,11 @@ class MemoryHierarchy:
         cfg = lap.config
         capacity = (cfg.onchip_memory_mbytes * 1024 * 1024
                     if on_chip_kb is None else float(on_chip_kb) * 1024)
-        if bandwidth_gbs is None and offchip_pj_per_byte is None:
-            interface = lap.offchip
-        else:
-            interface = OffChipInterface(
-                bandwidth_gbytes_per_sec=(
-                    lap.offchip.bandwidth_gbytes_per_sec
-                    if bandwidth_gbs is None else float(bandwidth_gbs)),
-                energy_per_byte_j=(
-                    lap.offchip.energy_per_byte_j
-                    if offchip_pj_per_byte is None
-                    else float(offchip_pj_per_byte) * 1e-12))
-        fmac = cfg.fmac()
         return cls(capacity_bytes=capacity, tile=tile,
-                   element_bytes=cfg.element_bytes, interface=interface,
-                   onchip=lap.onchip_memory, fmac=fmac,
+                   element_bytes=cfg.element_bytes,
+                   interface=offchip_interface(lap.offchip, bandwidth_gbs,
+                                               offchip_pj_per_byte),
+                   onchip=lap.onchip_memory, fmac=cfg.fmac(),
                    frequency_ghz=cfg.frequency_ghz,
                    num_cores=len(lap.cores), local_store_kb=local_store_kb,
                    num_tiles=num_tiles)
@@ -388,7 +378,7 @@ class MemoryHierarchy:
         writeback = self.residency.flush()
         self.flush_writeback_bytes = writeback
         self.writeback_bytes += writeback
-        self.total_energy_j += self.energy.task_energy_j(0.0, 0.0, writeback)
+        self.total_energy_j += writeback * self.energy.offchip_energy_per_byte_j
         return writeback
 
     # -------------------------------------------------------------- totals
@@ -437,7 +427,7 @@ class MemoryHierarchy:
             "gflops_per_w": self.gflops_per_watt(),
             "peak_resident_bytes": float(self.residency.peak_resident_bytes),
             "on_chip_capacity_bytes": self.residency.capacity_bytes,
-            "bandwidth_gbs": self.bandwidth.interface.bandwidth_gbytes_per_sec,
+            "bandwidth_gbs": self.interface.bandwidth_gbytes_per_sec,
         }
         if self.local_stores is not None:
             totals.update({

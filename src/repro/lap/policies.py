@@ -45,16 +45,11 @@ unknown name raises ``ValueError``.
     free earlier: re-fetching through the shared level usually costs more
     than waiting.  Without local stores it degrades to greedy core
     selection.
-
-The *static* panel pre-scheduler of the monolithic GEMM path
-(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here, so all
-scheduling code shares one module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 #: The scheduling policy names, in the order of the codes the scheduler
 #: loop branches on (a policy's code is its index here).
@@ -72,90 +67,3 @@ def get_policy(policy: str) -> str:
         raise ValueError(f"unknown scheduling policy '{policy}'; known "
                          f"policies: {', '.join(policy_names())}")
     return policy
-
-
-# --------------------------------------------------------------------------
-# Static panel pre-scheduler (Figure 4.1), so that one module owns all
-# scheduling code.
-# --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PanelAssignment:
-    """Assignment of one ``mc``-row panel of C (and A) to one core."""
-
-    core_index: int
-    row_start: int
-    row_end: int            #: exclusive
-    panel_index: int        #: global index of the row panel
-
-    @property
-    def rows(self) -> int:
-        """Number of matrix rows in the panel."""
-        return self.row_end - self.row_start
-
-
-class GEMMScheduler:
-    """Distributes the row panels of C over the cores of a LAP.
-
-    Figure 4.1 of the dissertation describes how a large ``C += A B`` is
-    split across cores: the on-chip memory holds an ``n x n`` block of C
-    plus the current ``kc x n`` row panel of B; each core is assigned a
-    distinct set of ``mc``-row panels of C (and the matching row panels of
-    A), while every core shares the same panel of B.  This is the *static*
-    counterpart of the task-graph policies above: it produces an up-front
-    panel assignment for the monolithic GEMM path instead of scheduling a
-    dependency graph event by event.
-
-    Parameters
-    ----------
-    num_cores:
-        Number of cores (``S``).
-    nr:
-        Core dimension; panel heights must be multiples of ``nr``.
-    """
-
-    def __init__(self, num_cores: int, nr: int = 4):
-        if num_cores < 1:
-            raise ValueError("the LAP needs at least one core")
-        if nr < 2:
-            raise ValueError("core dimension must be >= 2")
-        self.num_cores = num_cores
-        self.nr = nr
-
-    def assign_panels(self, n: int, mc: int) -> List[PanelAssignment]:
-        """Round-robin assignment of ``mc``-row panels of C to cores.
-
-        The final panel may be shorter when ``n`` is not a multiple of ``mc``;
-        it is still a multiple of ``nr`` because callers validate ``n``.
-        """
-        if n <= 0 or mc <= 0:
-            raise ValueError("problem size and panel height must be positive")
-        if n % self.nr != 0 or mc % self.nr != 0:
-            raise ValueError("n and mc must be multiples of the core size nr")
-        assignments: List[PanelAssignment] = []
-        panel_index = 0
-        for row_start in range(0, n, mc):
-            row_end = min(row_start + mc, n)
-            assignments.append(PanelAssignment(
-                core_index=panel_index % self.num_cores,
-                row_start=row_start,
-                row_end=row_end,
-                panel_index=panel_index,
-            ))
-            panel_index += 1
-        return assignments
-
-    def per_core_work(self, assignments: Sequence[PanelAssignment]) -> Dict[int, List[PanelAssignment]]:
-        """Group the panel assignments by core index."""
-        out: Dict[int, List[PanelAssignment]] = {i: [] for i in range(self.num_cores)}
-        for a in assignments:
-            out[a.core_index].append(a)
-        return out
-
-    def load_balance(self, assignments: Sequence[PanelAssignment]) -> float:
-        """Ratio of the lightest to the heaviest per-core row count (1.0 = perfect)."""
-        work = self.per_core_work(assignments)
-        rows = [sum(a.rows for a in panels) for panels in work.values()]
-        busiest = max(rows) if rows else 0
-        if busiest == 0:
-            return 1.0
-        return min(rows) / busiest

@@ -25,11 +25,11 @@ The runtime is layered (TaskGraph -> Scheduler -> timing -> LAP):
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: an LRU
   tile-residency model over the shared on-chip capacity, optionally topped
   by per-core local stores (``local_store_kb``, the two-level hierarchy),
-  plus a bandwidth model that turns spill refills into stall cycles and a
-  per-task energy model (pJ/flop + pJ/byte); every schedule reports
-  off-chip traffic, stalls and GFLOPS/W alongside the makespan, and the
-  two-level model splits on-chip movement into local-hit / core-to-core /
-  shared-to-local traffic;
+  plus the off-chip interface through which the loop turns spill refills
+  into stall cycles and the per-task energy constants (pJ/flop + pJ/byte);
+  every schedule reports off-chip traffic, stalls and GFLOPS/W alongside
+  the makespan, and the two-level model splits on-chip movement into
+  local-hit / core-to-core / shared-to-local traffic;
 * :class:`LAPRuntime` (this module) -- the driver/dispatcher that binds the
   four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
   optionally with heterogeneous per-core clock frequencies.  Its
@@ -77,7 +77,7 @@ from repro.reference.factorizations import (ref_apply_reflectors,
                                             ref_householder_qr_factored,
                                             ref_lu_nopivot)
 
-__all__ = ["LAPRuntime", "TaskExecution"]
+__all__ = ["LAPRuntime", "TaskExecution", "check_stall_overlap"]
 
 
 @dataclass
@@ -292,6 +292,14 @@ def _check_tile_shapes(tiles: Dict, t: int) -> None:
                                  f"{t} x {t}")
 
 
+def check_stall_overlap(stall_overlap: float) -> float:
+    """The prefetch-overlap fraction as a float; raises ``ValueError``
+    unless it lies in [0, 1]."""
+    if not (0.0 <= stall_overlap <= 1.0):
+        raise ValueError("stall_overlap must lie in [0, 1]")
+    return float(stall_overlap)
+
+
 #: Tiles per side of the instance that warms a cold shape-only point
 #: (:meth:`LAPRuntime._warm_up`): a 3 x 3-tile graph of each workload holds
 #: every memoization group of a larger one.
@@ -383,9 +391,7 @@ class LAPRuntime:
                 and self.offchip_pj_per_byte >= 0):
             raise ValueError(f"offchip_pj_per_byte must be a non-negative "
                              f"finite number, got {self.offchip_pj_per_byte}")
-        if not (0.0 <= stall_overlap <= 1.0):
-            raise ValueError("stall_overlap must lie in [0, 1]")
-        self.stall_overlap = float(stall_overlap)
+        self.stall_overlap = check_stall_overlap(stall_overlap)
         #: Memory hierarchy of the most recent ``execute()`` call (``None``
         #: before the first).
         self.last_memory: Optional[MemoryHierarchy] = None
@@ -532,8 +538,7 @@ class LAPRuntime:
         res_dc = res._dirty_count
         res_version = res.version
         peak_rc = res.peak_resident_bytes // tb
-        bandwidth = memory.bandwidth
-        bpc_off = bandwidth.interface.bytes_per_cycle(bandwidth.frequency_ghz)
+        bpc_off = memory.interface.bytes_per_cycle(memory.frequency_ghz)
         obw = memory.onchip_bw_bytes_per_cycle
         epf = memory.energy.energy_per_flop_j
         epon = memory.energy.onchip_energy_per_byte_j
@@ -1004,8 +1009,7 @@ class LAPRuntime:
                     for row in rows]
         return ScheduleTrace(
             stall_overlap=self.stall_overlap,
-            effective_bandwidth_gbs=(
-                memory.bandwidth.interface.bandwidth_gbytes_per_sec),
+            effective_bandwidth_gbs=memory.interface.bandwidth_gbytes_per_sec,
             default_bandwidth_gbs=self.lap.offchip.bandwidth_gbytes_per_sec,
             total_spill_bytes=memory.spill_bytes,
             total_movement_cycles=(memory.total_stall_cycles

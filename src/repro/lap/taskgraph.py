@@ -99,13 +99,6 @@ _TASK_FLOPS: Dict[TaskKind, Callable[[int], float]] = {
 }
 
 
-def task_flops(task: "TaskDescriptor", tile: int) -> float:
-    """Estimated useful flops of one tile task (leading-order count)."""
-    if tile <= 0:
-        raise ValueError("tile size must be positive")
-    return _TASK_FLOPS[task.kind](tile)
-
-
 #: The triangular-solve kinds: read ``L``, update ``B`` in place.
 _SOLVE_KINDS = frozenset({TaskKind.TRSM, TaskKind.TRSM_RIGHT_T,
                           TaskKind.TRSM_LOWER, TaskKind.TRSM_UPPER_RIGHT})
@@ -489,10 +482,6 @@ class TaskGraph(collections.abc.Sequence):
     ) -> float:
         """Length of the longest dependency chain in the graph."""
         return max(self._path_lengths(weight), default=0.0)
-
-    def total_flops(self, tile: int) -> float:
-        """Leading-order flop count of the whole graph at one tile size."""
-        return sum(task_flops(task, tile) for task in self)
 
     def summary(self) -> Dict[str, object]:
         """Scalar graph metrics (handy for sweep rows and reports).

@@ -106,7 +106,8 @@ def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
     """Split one task's duration into its attributable cycle components.
 
     ``stall_cycles`` is the off-chip transfer time of the spill refills the
-    task caused (:class:`repro.lap.memory.BandwidthModel`); compulsory
+    task caused (their bytes over the bytes per cycle of
+    :attr:`repro.lap.memory.MemoryHierarchy.interface`); compulsory
     streaming is assumed fully overlapped by the LAP's double buffering and
     never appears here.  ``local_transfer_cycles`` is the shared-to-local
     movement of the two-level hierarchy (:class:`repro.lap.memory.LocalStore`

@@ -10,7 +10,9 @@ compare against:
   ``LocalStore`` of :mod:`repro.lap.memory`);
 * :class:`OracleHierarchy` -- a :class:`MemoryHierarchy` over those levels
   whose :meth:`OracleHierarchy.account` returns one
-  :class:`TaskMemoryEvent` per dispatched task;
+  :class:`TaskMemoryEvent` per dispatched task, from the oracle's own stall
+  conversion, flop table (:data:`FLOPS`) and per-task energy expression
+  (only the constants come from the product);
 * :func:`priority` / :func:`choose_core` -- the five stock policies as
   scalar per-task hooks over :func:`touched_tiles`;
 * :class:`OracleTiming` -- per-task cycle counts by per-task signature,
@@ -36,7 +38,7 @@ from typing import Dict, List, Tuple
 from repro.lap.memory import MemoryHierarchy
 from repro.lap.runtime import (TaskExecution, _NumPyKernels, _simulate_task,
                                 _update_tiles)
-from repro.lap.taskgraph import TaskGraph, task_flops
+from repro.lap.taskgraph import TaskGraph, TaskKind
 from repro.lap.timing import decompose_task_cycles
 from repro.obs.attribution import idle_gaps
 
@@ -52,6 +54,23 @@ def compose_task_cycles(compute_cycles, stall_cycles, overlap_fraction=0.0,
         raise ValueError("overlap fraction must lie in [0, 1]")
     return (compute_cycles
             + (stall_cycles + local_transfer_cycles) * (1.0 - overlap_fraction))
+
+
+#: Leading-order flops of one task on ``t x t`` tiles, per task kind.
+FLOPS = {
+    TaskKind.GEMM: lambda t: 2 * t ** 3,
+    TaskKind.SYRK: lambda t: t ** 2 * (t + 1),
+    TaskKind.TRSM: lambda t: t ** 3,
+    TaskKind.TRSM_RIGHT_T: lambda t: t ** 3,
+    TaskKind.TRSM_LOWER: lambda t: t ** 3,
+    TaskKind.TRSM_UPPER_RIGHT: lambda t: t ** 3,
+    TaskKind.CHOLESKY: lambda t: t ** 3 / 3,
+    TaskKind.LU: lambda t: 2 * t ** 3 / 3,
+    TaskKind.GEQRT: lambda t: 4 * t ** 3 / 3,
+    TaskKind.TSQRT: lambda t: 2 * t ** 3,
+    TaskKind.UNMQR: lambda t: 2 * t ** 3,
+    TaskKind.TSMQR: lambda t: 3 * t ** 3,
+}
 
 
 @dataclass
@@ -285,8 +304,10 @@ class OracleHierarchy(MemoryHierarchy):
                              f"{self.num_cores} cores")
         reads, writes = task.read_tiles(), task.write_tiles()
         refill, compulsory, spill, writeback = self.residency.touch(reads, writes)
-        stall = self.bandwidth.stall_cycles(spill)
-        flops = task_flops(task, self.tile)
+        # Spill bytes over bytes per cycle: GB/s over GHz.
+        stall = (spill / (self.interface.bandwidth_gbytes_per_sec
+                          / self.frequency_ghz) if spill > 0 else 0.0)
+        flops = float(FLOPS[task.kind](self.tile))
         onchip_bytes = (len(reads) + len(writes)) * self.residency.tile_bytes
         local_hit = shared_fill = c2c = transfer_cycles = 0.0
         if self.local_stores is not None:
@@ -296,8 +317,9 @@ class OracleHierarchy(MemoryHierarchy):
             if transfer_bytes > 0 and self.onchip_bw_bytes_per_cycle > 0:
                 transfer_cycles = transfer_bytes / self.onchip_bw_bytes_per_cycle
             onchip_bytes += transfer_bytes
-        energy = self.energy.task_energy_j(flops, onchip_bytes,
-                                           refill + writeback)
+        energy = (flops * self.energy.energy_per_flop_j
+                  + onchip_bytes * self.energy.onchip_energy_per_byte_j
+                  + (refill + writeback) * self.energy.offchip_energy_per_byte_j)
         event = TaskMemoryEvent(
             task_id=task.task_id, refill_bytes=refill,
             compulsory_bytes=compulsory, spill_refill_bytes=spill,

@@ -8,13 +8,16 @@ residual against the numpy reference).
 """
 
 import json
+import math
 import os
 import pathlib
 
 import pytest
 
 from repro.engine import (HEAVY_RUNNERS, KNOWN_PARAMS, PARETO_OBJECTIVES,
-                          SweepSpec, execute_jobs, get_runner, runner_names)
+                          ResultCache, SweepSpec, execute_jobs, get_runner,
+                          runner_names)
+from repro.engine.runners import _REPLAY_MEMO, configure_worker
 from repro.engine.spec import Job
 
 NEW_RUNNERS = ("chip_gemm_onchip", "blas", "fact_kernel", "lap_runtime",
@@ -207,6 +210,57 @@ class TestLapRuntimeRunner:
                   "seed": 11}
         runner = get_runner("lap_runtime")
         assert runner(dict(params)) == runner(dict(params))
+
+
+#: A point without spill or movement cycles: every bandwidth, overlap and
+#: off-chip energy delta of it replays.
+REPLAY_BASE = {"algorithm": "cholesky", "n": 32, "tile": 8, "seed": 0,
+               "timing": "memoized", "verify": False}
+
+#: Delta values a simulation rejects.
+INVALID_DELTAS = [("bandwidth_gbs", -5.0), ("bandwidth_gbs", 0.0),
+                  ("stall_overlap", 2.5), ("stall_overlap", -0.5),
+                  ("offchip_pj_per_byte", math.inf)]
+
+
+class TestReplayChecksThePoint:
+    """Schedule replay serves only points a simulation accepts: an invalid
+    delta after a recorded valid point raises what it raises alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_recordings(self):
+        configure_worker(None)
+        _REPLAY_MEMO.clear()
+        yield
+        configure_worker(None)
+        _REPLAY_MEMO.clear()
+
+    @staticmethod
+    def raised(params):
+        with pytest.raises(ValueError) as info:
+            get_runner("lap_runtime")(params)
+        return str(info.value)
+
+    @pytest.mark.parametrize("name, value", INVALID_DELTAS)
+    def test_after_a_point_recorded_in_process(self, name, value):
+        point = {**REPLAY_BASE, name: value}
+        alone = self.raised(point)
+        get_runner("lap_runtime")(dict(REPLAY_BASE))
+        assert self.raised(point) == alone
+
+    # An off-chip energy delta needs the per-task energy triples, which a
+    # replay record does not keep, so it re-simulates after a record.
+    @pytest.mark.parametrize("name, value", INVALID_DELTAS[:4])
+    def test_after_a_point_recorded_in_the_cache(self, name, value, tmp_path):
+        point = {**REPLAY_BASE, name: value}
+        alone = self.raised(point)
+        cache = ResultCache(tmp_path, code_version="v1")
+        execute_jobs([Job.create("lap_runtime", REPLAY_BASE)], mode="serial",
+                     cache=cache)
+        assert len(cache) == 2  # the row and its replay record
+        _REPLAY_MEMO.clear()  # a later process reads the record
+        configure_worker(cache.config())
+        assert self.raised(point) == alone
 
 
 class TestBlockedFactRunner:

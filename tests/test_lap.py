@@ -1,56 +1,56 @@
-"""Tests for the chip-level LAP: scheduler, off-chip traffic and the chip object."""
+"""Tests for the chip-level LAP: static load balance, off-chip traffic and the chip object."""
 
 import numpy as np
 import pytest
 
 from repro.arch.breakdowns import lap_breakdown
 from repro.arch.lap_design import build_lap
+from repro.engine.runners import get_runner
 from repro.hw.fpu import Precision
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.offchip import OffChipTrafficModel
-from repro.lap.policies import GEMMScheduler
 from repro.lap.runtime import LAPRuntime
 from repro.models.chip_model import ChipGEMMModel
 
 
-# -------------------------------------------------------------- scheduler
-def test_panel_assignment_covers_all_rows_disjointly():
-    sched = GEMMScheduler(num_cores=4, nr=4)
-    assignments = sched.assign_panels(n=64, mc=8)
-    covered = []
-    for a in assignments:
-        covered.extend(range(a.row_start, a.row_end))
-    assert sorted(covered) == list(range(64))
-    assert len(covered) == len(set(covered))
+# ------------------------------------------------------ static load balance
+def round_robin_balance(panels, cores):
+    """Lightest over busiest core's panel count when ``panels`` row panels
+    of C are dealt round robin to ``cores`` cores (Figure 4.1)."""
+    counts = [0] * cores
+    for panel in range(panels):
+        counts[panel % cores] += 1
+    return min(counts) / max(counts)
 
 
-def test_panel_assignment_round_robin_over_cores():
-    sched = GEMMScheduler(num_cores=3, nr=4)
-    assignments = sched.assign_panels(n=48, mc=4)
-    assert [a.core_index for a in assignments[:6]] == [0, 1, 2, 0, 1, 2]
+def static_load_balance(panels, cores):
+    """A GEMM row's ``static_load_balance`` for ``panels`` panels (n // tile)
+    on ``cores`` cores."""
+    row = get_runner("lap_runtime")({
+        "algorithm": "gemm", "n": 8 * panels, "tile": 8, "num_cores": cores,
+        "timing": "memoized", "verify": False})
+    return row["static_load_balance"]
+
+
+def test_static_load_balance_is_the_round_robin_count():
+    """The closed form the ``lap_runtime`` runner reports, ``(P // S) /
+    ceil(P / S)``, equals the round-robin deal of P panels over S cores bit
+    for bit; the two tests below pin the runner's rows to it."""
+    for panels in range(1, 41):
+        for cores in range(1, 17):
+            assert ((panels // cores) / -(-panels // cores)
+                    == round_robin_balance(panels, cores))
 
 
 def test_load_balance_perfect_when_panels_divide_evenly():
-    sched = GEMMScheduler(num_cores=4, nr=4)
-    assignments = sched.assign_panels(n=64, mc=4)
-    assert sched.load_balance(assignments) == pytest.approx(1.0)
+    assert static_load_balance(8, 4) == round_robin_balance(8, 4) == 1.0
 
 
 def test_load_balance_reported_when_uneven():
-    sched = GEMMScheduler(num_cores=3, nr=4)
-    assignments = sched.assign_panels(n=16, mc=4)  # 4 panels over 3 cores
-    assert sched.load_balance(assignments) == pytest.approx(0.5)
-
-
-def test_scheduler_validation():
-    with pytest.raises(ValueError):
-        GEMMScheduler(num_cores=0)
-    sched = GEMMScheduler(num_cores=2, nr=4)
-    with pytest.raises(ValueError):
-        sched.assign_panels(n=30, mc=4)
-    with pytest.raises(ValueError):
-        sched.assign_panels(n=32, mc=6)
+    assert static_load_balance(4, 3) == round_robin_balance(4, 3) == 0.5
+    # Fewer panels than cores leaves a core without a panel.
+    assert static_load_balance(2, 4) == round_robin_balance(2, 4) == 0.0
 
 
 # --------------------------------------------------------- off-chip model

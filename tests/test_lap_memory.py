@@ -2,7 +2,7 @@
 
 Covers the tile-residency LRU (shared-level cases as 1-3-task graphs
 through the scheduler loop, local-store cases through ``touch_ids`` /
-``invalidate_ids``), the bandwidth-stall and energy models, the task
+``invalidate_ids``), the stall conversion and energy constants, the task
 footprints in the IR, the memory_aware policy, the off-chip closed form
 and its residency limit, and the tolerance-compared golden of the traffic
 / stall / energy columns the ``lap_runtime`` runner now reports.  Per-task
@@ -25,12 +25,11 @@ from scheduler_oracle import OracleHierarchy, OracleTileResidency, touched_tiles
 from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import (BandwidthModel, LocalStore, MemoryHierarchy,
-                              TileResidency)
+from repro.lap.memory import LocalStore, MemoryHierarchy, TileResidency
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
-                                 task_flops, task_footprint)
+                                 task_footprint)
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent
           / "goldens" / "runtime" / "lap_runtime_memory.json")
@@ -86,13 +85,16 @@ class TestTaskFootprints:
 
     def test_task_flops_and_working_set(self):
         graph = AlgorithmsByBlocks(tile=8).cholesky_tasks(24)
-        assert task_flops(graph[0], 8) == pytest.approx(8 ** 3 / 3.0)
-        with pytest.raises(ValueError):
-            task_flops(graph[0], 0)
-        # 3x3 blocking -> the tasks touch the 6 lower-triangle tiles.
+        # 3x3 blocking: 3 tile Cholesky (t^3 / 3), 3 TRSM (t^3), 3 SYRK
+        # (t^2 (t + 1)) and one GEMM (2 t^3) flops.
+        t = 8
+        stats = make_runtime(tile=t).run_blocked_cholesky(
+            24, np.random.default_rng(0))
+        assert stats["total_flops"] == pytest.approx(
+            3 * t ** 3 / 3 + 3 * t ** 3 + 3 * t * t * (t + 1) + 2 * t ** 3)
+        # ... touching the 6 lower-triangle tiles.
         working_set = {access for task in graph for access in touched_tiles(task)}
         assert len(working_set) == 6
-        assert graph.total_flops(8) > 0
 
 
 # ------------------------------------------------------------ TileResidency
@@ -195,16 +197,22 @@ class TestTileResidency:
             assert stats["writeback_bytes"] == 512
 
 
-# ------------------------------------------- bandwidth and energy models
+# ------------------------------------ stall conversion and energy constants
 class TestBandwidthAndEnergy:
     def test_stall_cycles_follow_interface_bandwidth(self):
-        interface = OffChipInterface(bandwidth_gbytes_per_sec=32.0)
-        model = BandwidthModel(interface, frequency_ghz=1.0)
-        # 32 GB/s at 1 GHz = 32 bytes/cycle.
-        assert model.stall_cycles(3200) == pytest.approx(100.0)
-        assert model.stall_cycles(0) == 0.0
-        with pytest.raises(ValueError):
-            BandwidthModel(interface, frequency_ghz=0.0)
+        # 8 GB/s at 2 GHz = 4 bytes/cycle.
+        lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4,
+                                               frequency_ghz=2.0))
+        runtime = LAPRuntime(lap, 8, timing="memoized", on_chip_kb=2.0,
+                             bandwidth_gbs=8.0)
+        stats = runtime.run_blocked_cholesky(48, np.random.default_rng(0),
+                                             verify=False)
+        assert stats["spill_bytes"] > 0
+        assert stats["stall_cycles"] == pytest.approx(stats["spill_bytes"] / 4.0)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            MemoryHierarchy(2048, 8, 8, OffChipInterface(8.0),
+                            lap.onchip_memory, lap.config.fmac(),
+                            frequency_ghz=0.0)
 
     def test_energy_model_terms(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
@@ -214,10 +222,7 @@ class TestBandwidthAndEnergy:
         assert energy.onchip_energy_per_byte_j > 0
         assert energy.offchip_energy_per_byte_j == pytest.approx(60e-12)
         # Off-chip bytes dominate on-chip bytes at equal counts.
-        assert (energy.task_energy_j(0, 0, 1024)
-                > energy.task_energy_j(0, 1024, 0))
-        with pytest.raises(ValueError):
-            energy.task_energy_j(-1, 0, 0)
+        assert energy.offchip_energy_per_byte_j > energy.onchip_energy_per_byte_j
 
 
 # ------------------------------------------- off-chip closed form vs residency

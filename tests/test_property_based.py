@@ -12,7 +12,6 @@ from repro.kernels.gemm import lac_gemm
 from repro.kernels.trsm import lac_trsm
 from repro.lac.core import LinearAlgebraCore
 from repro.lac.stats import AccessCounters
-from repro.lap.policies import GEMMScheduler
 from repro.models.chip_model import ChipGEMMModel
 from repro.models.core_model import CoreGEMMModel
 from repro.models.power import PowerComponent, PowerModel
@@ -84,22 +83,6 @@ def test_offchip_bandwidth_demand_decreases_with_problem_size(num_cores, n):
     model = ChipGEMMModel(num_cores=num_cores, nr=4)
     assert model.offchip_bandwidth_words_per_cycle(n) >= \
         model.offchip_bandwidth_words_per_cycle(2 * n)
-
-
-# ------------------------------------------------------------- scheduler
-@given(num_cores=st.integers(min_value=1, max_value=12),
-       panels=st.integers(min_value=1, max_value=24),
-       mc_blocks=st.integers(min_value=1, max_value=8))
-@settings(max_examples=60, deadline=None)
-def test_scheduler_covers_rows_exactly_once(num_cores, panels, mc_blocks):
-    nr = 4
-    mc = mc_blocks * nr
-    n = panels * mc
-    sched = GEMMScheduler(num_cores=num_cores, nr=nr)
-    assignments = sched.assign_panels(n=n, mc=mc)
-    covered = sorted(r for a in assignments for r in range(a.row_start, a.row_end))
-    assert covered == list(range(n))
-    assert all(0 <= a.core_index < num_cores for a in assignments)
 
 
 # ----------------------------------------------------------- power model
