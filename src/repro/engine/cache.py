@@ -393,7 +393,7 @@ class SidecarStore(_FanoutStore):
     as ordinary entries of the same directory, under the same budget;
     workers build it from :meth:`ResultCache.config`.  Keys hash a
     ``kind`` tag, an opaque ``material`` string (e.g. a schedule's
-    structural key) and the cache's ``code_version``, so a source edit
+    replay key) and the cache's ``code_version``, so a source edit
     orphans records exactly like result rows.  Everything is best effort:
     an unwritable or corrupt record degrades to a miss, because it can be
     recomputed.  Record lookups are not counted as cache hits or misses.

@@ -36,7 +36,8 @@ code path the paper figures sweep:
 Rows contain only JSON-serialisable scalars so results cache cleanly and
 compare byte-identically across serial and process execution.
 ``lap_runtime`` also files schedule replay records in the result cache
-(see :func:`configure_worker`).
+(see :func:`configure_worker`), each under its job's parameters minus
+:data:`DELTA_PARAMS`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,19 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
                                "frequency_ghz"}),
 }
 
+#: ``lap_runtime`` parameters a delta point may change around a recorded
+#: schedule (see :mod:`repro.lap.replay`).  A job's replay key is the
+#: sorted JSON of its other parameters, so any other parameter, known to
+#: the runner or not, keeps two jobs' schedules apart.
+DELTA_PARAMS = frozenset({"bandwidth_gbs", "stall_overlap", "frequency_ghz",
+                          "offchip_pj_per_byte"})
+
+#: Gated ``lap_runtime`` columns: each appears only when its parameter is
+#: set, right after the column it is filed under here.
+_GATED_AFTER = {"core_frequencies_ghz": "frequency_ghz",
+                "memory": "stall_overlap",
+                "bandwidth_gbs": "offchip_pj_per_byte"}
+
 
 #: Bound on the memoized schedules together, in tasks.  A fresh recording
 #: keeps its execution rows alive for the energy re-key: tracemalloc
@@ -102,12 +116,11 @@ def _memo_charge(recorded: tuple) -> int:
 
 
 #: Per-process memo of recorded schedules for ``lap_runtime`` schedule
-#: replay: structural key (everything except the bandwidth / overlap /
-#: clock / energy constants) -> (ScheduleTrace, fresh row), bounded by
-#: :data:`REPLAY_MEMO_TASKS`, oldest out; a schedule over the bound alone
-#: is not memoized.  Worker processes each keep their own (replay is an
-#: optimisation, never a correctness dependency -- a miss just
-#: re-simulates).
+#: replay: replay key (see :data:`DELTA_PARAMS`) -> (ScheduleTrace, fresh
+#: row without its gated columns), bounded by :data:`REPLAY_MEMO_TASKS`,
+#: oldest out; a schedule over the bound alone is not memoized.  Worker
+#: processes each keep their own (replay is an optimisation, never a
+#: correctness dependency -- a miss just re-simulates).
 _REPLAY_MEMO = BoundedCache(_memo_charge)
 
 #: Replay records of the result cache the executor runs against (a
@@ -142,21 +155,20 @@ def configure_worker(cache_config: Optional[Mapping] = None) -> None:
     _WORKER_SIDECAR = None if config is None else SidecarStore(**config)
 
 
-def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
-    """The ``(ScheduleTrace, row)`` recorded for a structural key, if any.
+def _recorded_schedule(key: str) -> Optional[tuple]:
+    """The ``(ScheduleTrace, row)`` recorded under a replay key, if any.
 
     Looks in the in-process memo first, then among the cache's replay
     records (another worker, or an earlier run, may have published the
     schedule there); a record hit seeds the memo.  A record that does not
     parse is a miss.
     """
-    recorded = _REPLAY_MEMO.get(structural_key)
+    recorded = _REPLAY_MEMO.get(key)
     if recorded is not None or _WORKER_SIDECAR is None:
         return recorded
     from repro.lap.replay import REPLAY_STATS, ScheduleTrace
 
-    payload = _WORKER_SIDECAR.get(_REPLAY_SIDECAR_KIND,
-                                  json.dumps(structural_key))
+    payload = _WORKER_SIDECAR.get(_REPLAY_SIDECAR_KIND, key)
     if payload is None:
         return None
     try:
@@ -164,24 +176,35 @@ def _recorded_schedule(structural_key: tuple) -> Optional[tuple]:
                     payload["row"])
         if not isinstance(recorded[1], dict):
             raise TypeError("sidecar replay row must be a dict")
-        _REPLAY_MEMO.put(structural_key, recorded, REPLAY_MEMO_TASKS)
+        _REPLAY_MEMO.put(key, recorded, REPLAY_MEMO_TASKS)
     except (KeyError, TypeError, ValueError):
         return None
     REPLAY_STATS["sidecar_loaded"] += 1
     return recorded
 
 
-def _record_schedule(structural_key: tuple, trace, row: dict) -> None:
+def _record_schedule(key: str, trace, row: dict) -> None:
     """Memoize a fresh recording and publish it to the cache (best effort)."""
     from repro.lap.replay import REPLAY_STATS
 
-    row = dict(row)
-    _REPLAY_MEMO.put(structural_key, (trace, row), REPLAY_MEMO_TASKS)
+    _REPLAY_MEMO.put(key, (trace, row), REPLAY_MEMO_TASKS)
     REPLAY_STATS["recorded"] += 1
     if _WORKER_SIDECAR is not None and _WORKER_SIDECAR.put(
-            _REPLAY_SIDECAR_KIND, json.dumps(structural_key),
+            _REPLAY_SIDECAR_KIND, key,
             {"trace": trace.to_payload(), "row": row}) is not None:
         REPLAY_STATS["sidecar_stored"] += 1
+
+
+def _gated(row: Mapping, values: Mapping[str, Optional[float]]) -> dict:
+    """``row`` with each gated column set in ``values`` placed right after
+    the column :data:`_GATED_AFTER` files it under."""
+    out = {}
+    for key, value in row.items():
+        out[key] = value
+        name = _GATED_AFTER.get(key)
+        if name is not None and values[name] is not None:
+            out[name] = values[name]
+    return out
 
 
 def _precision(params: Mapping) -> "Precision":
@@ -193,6 +216,11 @@ def _precision(params: Mapping) -> "Precision":
     if name in ("double", "dp"):
         return Precision.DOUBLE
     raise ValueError(f"unknown precision '{name}' (use 'single' or 'double')")
+
+
+def _float_or_none(params: Mapping, name: str) -> Optional[float]:
+    value = params.get(name)
+    return None if value is None else float(value)
 
 
 def _flag(params: Mapping, name: str, default: bool) -> bool:
@@ -512,17 +540,20 @@ def run_lap_runtime(params: Params) -> dict:
     existing rows stay byte-identical.
 
     Delta sweeps are costed by schedule replay: every simulated point
-    records a :class:`repro.lap.replay.ScheduleTrace`, and a later point
-    that differs only in ``bandwidth_gbs`` / ``stall_overlap`` /
-    ``frequency_ghz`` / ``offchip_pj_per_byte`` reuses the recorded row,
-    re-keyed, whenever :func:`repro.lap.replay.replayed_row` proves the
-    schedule unchanged (the row then equals its re-simulation); anything
-    else re-simulates.  Before that decision the point's delta constants
-    pass the checks a simulation applies (the chip clock in
-    :class:`~repro.lap.chip.LAPConfig`, bandwidth and off-chip energy in
-    the point's off-chip interface, the overlap range of
-    :class:`~repro.lap.runtime.LAPRuntime`), so replay serves only points a
-    simulation accepts.
+    records a :class:`repro.lap.replay.ScheduleTrace` under its replay key,
+    the sorted JSON of its parameters minus :data:`DELTA_PARAMS`, and a
+    later point with the same key (one that differs only in
+    ``bandwidth_gbs`` / ``stall_overlap`` / ``frequency_ghz`` /
+    ``offchip_pj_per_byte``) reuses the recorded row, re-keyed, whenever
+    :func:`repro.lap.replay.replayed_row` proves the schedule unchanged
+    (the row then equals its re-simulation); anything else re-simulates.
+    Before that decision the point's delta constants pass the checks a
+    simulation applies (the chip clock in :class:`~repro.lap.chip.LAPConfig`,
+    bandwidth and off-chip energy in the point's off-chip interface,
+    :func:`repro.lap.memory.offchip_interface`, which replay then reads,
+    and :func:`repro.lap.runtime.check_stall_overlap`), so replay serves
+    only points a simulation accepts.  Fresh and replayed rows get their
+    gated columns from one helper.
     """
     import numpy as np
 
@@ -548,18 +579,12 @@ def run_lap_runtime(params: Params) -> dict:
     if not _flag(params, "memory", True):
         raise ValueError("lap_runtime parameter 'memory' must be true: "
                          "data-movement accounting is always on")
-    on_chip_kb = params.get("on_chip_kb")
-    on_chip_kb = None if on_chip_kb is None else float(on_chip_kb)
-    bandwidth_gbs = params.get("bandwidth_gbs")
-    bandwidth_gbs = None if bandwidth_gbs is None else float(bandwidth_gbs)
-    local_store_kb = params.get("local_store_kb")
-    local_store_kb = None if local_store_kb is None else float(local_store_kb)
-    stall_overlap = params.get("stall_overlap")
-    stall_overlap = None if stall_overlap is None else float(stall_overlap)
-    frequency_ghz = params.get("frequency_ghz")
-    frequency_ghz = None if frequency_ghz is None else float(frequency_ghz)
-    offchip_pj = params.get("offchip_pj_per_byte")
-    offchip_pj = None if offchip_pj is None else float(offchip_pj)
+    on_chip_kb = _float_or_none(params, "on_chip_kb")
+    bandwidth_gbs = _float_or_none(params, "bandwidth_gbs")
+    local_store_kb = _float_or_none(params, "local_store_kb")
+    stall_overlap = _float_or_none(params, "stall_overlap")
+    frequency_ghz = _float_or_none(params, "frequency_ghz")
+    offchip_pj = _float_or_none(params, "offchip_pj_per_byte")
     frequencies_param = params.get("core_frequencies_ghz")
     if frequencies_param is None:
         frequencies = None
@@ -573,31 +598,26 @@ def run_lap_runtime(params: Params) -> dict:
         frequencies = [float(f) for f in frequencies_param]
     else:
         frequencies = [float(frequencies_param)] * num_cores
-    structural_key = (algorithm, n, tile, num_cores, nr, onchip_mbytes, seed,
-                      policy, timing, verify, on_chip_kb,
-                      local_store_kb,
-                      None if frequencies is None else tuple(frequencies))
+    key = json.dumps({name: value for name, value in params.items()
+                      if name not in DELTA_PARAMS}, sort_keys=True)
     config = LAPConfig(num_cores=num_cores, nr=nr,
                        onchip_memory_mbytes=onchip_mbytes,
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
     # Replay may serve only a point that a simulation accepts.
-    offchip_interface(config.offchip(), bandwidth_gbs, offchip_pj)
-    if stall_overlap is not None:
-        check_stall_overlap(stall_overlap)
-    replayed = replayed_row(
-        _recorded_schedule(structural_key), config,
-        bandwidth_gbs=bandwidth_gbs, stall_overlap=stall_overlap,
-        frequency_ghz=frequency_ghz, offchip_pj_per_byte=offchip_pj,
-        core_frequencies_ghz=frequencies)
+    interface = offchip_interface(config.offchip(), bandwidth_gbs, offchip_pj)
+    overlap = check_stall_overlap(0.0 if stall_overlap is None
+                                  else stall_overlap)
+    gated = {"frequency_ghz": frequency_ghz, "stall_overlap": stall_overlap,
+             "offchip_pj_per_byte": offchip_pj}
+    replayed = replayed_row(_recorded_schedule(key), config, interface,
+                            overlap, frequencies)
     if replayed is not None:
-        return replayed
+        return _gated(replayed, gated)
     lap = LinearAlgebraProcessor(config)
     runtime = LAPRuntime(lap, tile, policy=policy, timing=timing,
                          core_frequencies_ghz=frequencies,
                          on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
-                         local_store_kb=local_store_kb,
-                         stall_overlap=0.0 if stall_overlap is None
-                         else stall_overlap,
+                         local_store_kb=local_store_kb, stall_overlap=overlap,
                          offchip_pj_per_byte=offchip_pj)
     rng = np.random.default_rng(seed)
     stats = runtime.run_workload(algorithm, n, rng, verify=verify)
@@ -625,10 +645,6 @@ def run_lap_runtime(params: Params) -> dict:
         "verify": verify,
         "core_frequencies_ghz": (",".join(f"{f:g}" for f in frequencies)
                                  if frequencies else None),
-    }
-    if frequency_ghz is not None:
-        row["frequency_ghz"] = frequency_ghz
-    row.update({
         "tasks_executed": int(stats["tasks_executed"]),
         "critical_path_tasks": int(graph["critical_path_tasks"]),
         "graph_width": int(graph["width"]),
@@ -642,16 +658,8 @@ def run_lap_runtime(params: Params) -> dict:
         "static_load_balance": static_balance,
         "residual": None if residual is None else float(residual),
         "memory": True,
-    })
-    if stall_overlap is not None:
-        row["stall_overlap"] = stall_overlap
-    row.update({
         "on_chip_kb": float(stats["on_chip_capacity_bytes"]) / 1024.0,
         "bandwidth_gbs": float(stats["bandwidth_gbs"]),
-    })
-    if offchip_pj is not None:
-        row["offchip_pj_per_byte"] = offchip_pj
-    row.update({
         "traffic_bytes": int(round(stats["offchip_traffic_bytes"])),
         "compulsory_bytes": int(round(stats["compulsory_bytes"])),
         "spill_bytes": int(round(stats["spill_bytes"])),
@@ -662,7 +670,7 @@ def run_lap_runtime(params: Params) -> dict:
         "arithmetic_intensity": float(stats["arithmetic_intensity"]),
         "gflops_per_w": float(stats["gflops_per_w"]),
         "peak_resident_kb": float(stats["peak_resident_bytes"]) / 1024.0,
-    })
+    }
     if local_store_kb is not None:
         row.update({
             "local_store_kb": float(stats["local_store_kb"]),
@@ -674,8 +682,8 @@ def run_lap_runtime(params: Params) -> dict:
             "peak_local_resident_kb": (
                 float(stats["peak_local_resident_bytes"]) / 1024.0),
         })
-    _record_schedule(structural_key, runtime.schedule_trace(), row)
-    return row
+    _record_schedule(key, runtime.schedule_trace(), row)
+    return _gated(row, gated)
 
 
 def run_blocked_factorization(params: Params) -> dict:

@@ -2,10 +2,9 @@
 
 A :class:`SweepSpec` describes a region of the design space as a set of
 constants, grid axes (cartesian product), zip groups (axes that vary
-together) and filters.  ``iter_points()`` yields the spec's parameter
-dictionaries in a deterministic order, and ``jobs()`` wraps each point in a
-hashable :class:`Job` bound to a named runner (see
-:mod:`repro.engine.runners`).
+together) and filters.  ``jobs()`` expands the spec's parameter points in
+a deterministic order and wraps each in a hashable :class:`Job` bound to
+a named runner (see :mod:`repro.engine.runners`).
 
 Jobs hash stably: two jobs with the same runner and the same parameters
 (regardless of insertion order) share the same content key
@@ -20,7 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 #: Parameter values must stay JSON-serialisable scalars so that jobs can be
 #: hashed, cached on disk and shipped to worker processes.
@@ -172,7 +171,10 @@ class SweepSpec:
         return clone
 
     # ------------------------------------------------------------ expansion
-    def _iter_points(self) -> Iterator[Params]:
+    def jobs(self, runner: str) -> List[Job]:
+        """Every point that passes the filters, in declaration order (grid
+        axes outermost, then zip groups), as a :class:`Job` bound to
+        ``runner``."""
         grid_choices = [[(name, value) for value in values]
                         for name, values in self._grid_axes]
         zip_choices = []
@@ -180,30 +182,13 @@ class SweepSpec:
             length = len(group[0][1])
             zip_choices.append([[(name, values[i]) for name, values in group]
                                 for i in range(length)])
+        jobs = []
         for grid_combo in itertools.product(*grid_choices):
             for zip_combo in itertools.product(*zip_choices):
                 point = dict(self._constants)
                 point.update(grid_combo)
                 for pairs in zip_combo:
                     point.update(pairs)
-                yield point
-
-    def iter_points(self) -> Iterator[Params]:
-        """Lazily yield parameter points in deterministic declaration order.
-
-        Streaming twin of :meth:`expand`: nothing is materialised, so huge
-        sweeps can be fed point-by-point into
-        :meth:`repro.engine.executor.SweepExecutor.stream`.
-        """
-        for point in self._iter_points():
-            if all(pred(point) for pred in self._filters):
-                yield point
-
-    def iter_jobs(self, runner: str) -> Iterator[Job]:
-        """Lazily yield every point as a :class:`Job` bound to ``runner``."""
-        for point in self.iter_points():
-            yield Job.create(runner, point)
-
-    def jobs(self, runner: str) -> List[Job]:
-        """Wrap every point into a :class:`Job` bound to ``runner``."""
-        return list(self.iter_jobs(runner))
+                if all(pred(point) for pred in self._filters):
+                    jobs.append(Job.create(runner, point))
+        return jobs

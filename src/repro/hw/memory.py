@@ -217,8 +217,3 @@ class OffChipInterface:
         if num_bytes < 0:
             raise ValueError("byte count must be non-negative")
         return num_bytes * self.energy_per_byte_j
-
-    def transfer_cycles(self, num_bytes: float, frequency_ghz: float) -> float:
-        """Cycles needed to transfer ``num_bytes`` at the given core clock."""
-        bpc = self.bytes_per_cycle(frequency_ghz)
-        return num_bytes / bpc if bpc > 0 else math.inf

@@ -251,18 +251,24 @@ def offchip_interface(chip: OffChipInterface,
                       ) -> OffChipInterface:
     """The off-chip interface of one sweep point: the chip's interface
     ``chip`` with the point's overrides of the sustained bandwidth (GB/s)
-    and the access energy (pJ/byte); an override that is not a usable
-    number raises ``ValueError`` from
-    :class:`~repro.hw.memory.OffChipInterface`."""
+    and the access energy (pJ/byte).  An energy that is not a non-negative
+    finite number of pJ/byte raises ``ValueError`` naming
+    ``offchip_pj_per_byte``; a bandwidth that is not a positive finite
+    number raises it from :class:`~repro.hw.memory.OffChipInterface`."""
     if bandwidth_gbs is None and offchip_pj_per_byte is None:
         return chip
+    energy = chip.energy_per_byte_j
+    if offchip_pj_per_byte is not None:
+        pj = float(offchip_pj_per_byte)
+        if not (math.isfinite(pj) and pj >= 0):
+            raise ValueError(f"offchip_pj_per_byte must be a non-negative "
+                             f"finite number of pJ/byte, got {pj}")
+        energy = pj * 1e-12
     return OffChipInterface(
         bandwidth_gbytes_per_sec=(chip.bandwidth_gbytes_per_sec
                                   if bandwidth_gbs is None
                                   else float(bandwidth_gbs)),
-        energy_per_byte_j=(chip.energy_per_byte_j
-                           if offchip_pj_per_byte is None
-                           else float(offchip_pj_per_byte) * 1e-12))
+        energy_per_byte_j=energy)
 
 
 class MemoryHierarchy:

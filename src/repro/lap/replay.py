@@ -21,15 +21,18 @@ schedule (:meth:`repro.lap.runtime.LAPRuntime.schedule_trace`), and
 :func:`replayed_row` decides one new point: it returns the recorded row
 with the affected columns re-keyed, or ``None`` when the point must be
 re-simulated.  :data:`REPLAY_STATS` counts both outcomes.  The
-``lap_runtime`` runner keeps recorded schedules in a per-process memo and
-as replay records among the result cache's entries
-(:mod:`repro.engine.runners`).
+``lap_runtime`` runner (:mod:`repro.engine.runners`) files a recorded
+schedule under the job's parameters minus the four constants above
+(``DELTA_PARAMS``), in a per-process memo and as a replay record among
+the result cache's entries, and places the gated columns of every row.
 """
 
 from __future__ import annotations
 
+from dataclasses import InitVar, asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig
 from repro.lap.memory import TaskEnergyModel
 
@@ -37,6 +40,13 @@ __all__ = ["REPLAY_STATS", "ScheduleTrace", "replayed_row"]
 
 #: Per-task ``(flops, onchip_bytes, offchip_bytes)`` energy factors.
 EnergyTriple = Tuple[float, float, float]
+
+#: ``(energy_per_flop_j, onchip_j_per_byte, offchip_j_per_byte)``.
+EnergyConstants = Tuple[float, float, float]
+
+#: Reads a header field back from a record's JSON, by its annotation.
+_FROM_JSON = {"float": float, "bool": bool,
+              "EnergyConstants": lambda values: tuple(float(v) for v in values)}
 
 #: Counters of schedule replay (reset freely in tests): points recorded,
 #: replayed and forced to re-simulate, plus the cross-process replay
@@ -46,90 +56,55 @@ REPLAY_STATS: Dict[str, int] = {"recorded": 0, "replayed": 0, "forced": 0,
                                 "sidecar_loaded": 0, "sidecar_stored": 0}
 
 
+@dataclass
 class ScheduleTrace:
     """Recorded schedule of one ``execute()`` call, for delta-sweep replay.
 
-    The scalar header is what :meth:`exact_for` and the energy re-key read:
-    the movement totals that gate the bandwidth and overlap axes, the
-    recorded clock and core homogeneity, the energy constants the recorded
-    energy was computed with (``(energy_per_flop_j, onchip_j_per_byte,
-    offchip_j_per_byte)``), and the chip defaults a new point's overrides fall back to.  A freshly
-    recorded trace also carries ``energy_triples``, a zero-argument callable
-    producing the per-task :data:`EnergyTriple` list, called on the first
-    energy re-key.  The sidecar persists only the header
+    The fields are the header :meth:`exact_for` and the energy re-key
+    read: the movement totals that gate the bandwidth and overlap axes, the
+    recorded clock and core homogeneity, and the energy constants the
+    recorded energy was computed with.  A freshly recorded trace also gets
+    ``triples``, a zero-argument callable producing the per-task
+    :data:`EnergyTriple` list, called on the first energy re-key
+    (:meth:`energy_triples`).  A replay record persists only the header
     (:meth:`to_payload`), so a trace rebuilt from it refuses every delta
     that needs a re-key.
     """
 
-    def __init__(self, *, stall_overlap: float,
-                 effective_bandwidth_gbs: float,
-                 default_bandwidth_gbs: float, total_spill_bytes: float,
-                 total_movement_cycles: float, makespan_cycles: float,
-                 frequency_ghz: float, homogeneous_cores: bool,
-                 energy_constants: Tuple[float, float, float],
-                 default_offchip_energy_per_byte_j: float,
-                 flush_writeback_bytes: float,
-                 energy_triples: Optional[
-                     Callable[[], List[EnergyTriple]]] = None):
-        self.stall_overlap = stall_overlap
-        self.effective_bandwidth_gbs = effective_bandwidth_gbs
-        self.default_bandwidth_gbs = default_bandwidth_gbs
-        self.total_spill_bytes = total_spill_bytes
-        self.total_movement_cycles = total_movement_cycles
-        self.makespan_cycles = makespan_cycles
-        self.frequency_ghz = frequency_ghz
-        self.homogeneous_cores = homogeneous_cores
-        self.energy_constants = energy_constants
-        self.default_offchip_energy_per_byte_j = (
-            default_offchip_energy_per_byte_j)
-        self.flush_writeback_bytes = flush_writeback_bytes
-        self._triples_thunk = energy_triples
+    stall_overlap: float
+    effective_bandwidth_gbs: float
+    total_spill_bytes: float
+    total_movement_cycles: float
+    makespan_cycles: float
+    frequency_ghz: float
+    homogeneous_cores: bool
+    energy_constants: EnergyConstants
+    flush_writeback_bytes: float
+    triples: InitVar[Optional[Callable[[], List[EnergyTriple]]]] = None
+
+    def __post_init__(self, triples) -> None:
+        self._triples_thunk = triples
         self._triples: Optional[List[EnergyTriple]] = None
 
     def to_payload(self) -> Dict[str, object]:
-        """JSON-serialisable header for the cross-process replay sidecar.
+        """The header, for a replay record.
 
         The per-task energy triples are deliberately dropped, so a record
         stays a few hundred bytes even for million-task schedules.
         """
-        return {
-            "stall_overlap": self.stall_overlap,
-            "effective_bandwidth_gbs": self.effective_bandwidth_gbs,
-            "default_bandwidth_gbs": self.default_bandwidth_gbs,
-            "total_spill_bytes": self.total_spill_bytes,
-            "total_movement_cycles": self.total_movement_cycles,
-            "makespan_cycles": self.makespan_cycles,
-            "frequency_ghz": self.frequency_ghz,
-            "homogeneous_cores": self.homogeneous_cores,
-            "energy_constants": list(self.energy_constants),
-            "default_offchip_energy_per_byte_j": (
-                self.default_offchip_energy_per_byte_j),
-            "flush_writeback_bytes": self.flush_writeback_bytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ScheduleTrace":
         """Rebuild a header-only trace persisted by :meth:`to_payload`.
 
-        Every field is required: the sidecar's keys hash the package
-        source, so every record was written by this code, and a record
-        missing a field raises (``KeyError``), which the sidecar loader
-        treats as a miss.
+        Each field is read back as its annotated type, and every field is
+        required: the record keys hash the package source, so every record
+        was written by this code, and a record missing a field raises
+        (``KeyError``), which the record loader treats as a miss.
         """
-        return cls(
-            stall_overlap=float(payload["stall_overlap"]),
-            effective_bandwidth_gbs=float(payload["effective_bandwidth_gbs"]),
-            default_bandwidth_gbs=float(payload["default_bandwidth_gbs"]),
-            total_spill_bytes=float(payload["total_spill_bytes"]),
-            total_movement_cycles=float(payload["total_movement_cycles"]),
-            makespan_cycles=float(payload["makespan_cycles"]),
-            frequency_ghz=float(payload["frequency_ghz"]),
-            homogeneous_cores=bool(payload["homogeneous_cores"]),
-            energy_constants=tuple(float(v)
-                                   for v in payload["energy_constants"]),
-            default_offchip_energy_per_byte_j=float(
-                payload["default_offchip_energy_per_byte_j"]),
-            flush_writeback_bytes=float(payload["flush_writeback_bytes"]))
+        return cls(**{field.name: _FROM_JSON[field.type](payload[field.name])
+                      for field in fields(cls)})
 
     # --------------------------------------------------- energy re-keying
     @property
@@ -139,7 +114,7 @@ class ScheduleTrace:
 
     def energy_triples(self) -> Optional[List[EnergyTriple]]:
         """Per-task energy triples in dispatch order; ``None`` on a
-        header-only trace rebuilt from the sidecar."""
+        header-only trace rebuilt from a replay record."""
         if self._triples is None and self._triples_thunk is not None:
             self._triples = self._triples_thunk()
             self._triples_thunk = None
@@ -201,67 +176,50 @@ class ScheduleTrace:
 
 
 def replayed_row(recorded: Optional[Tuple[ScheduleTrace, dict]],
-                 config: LAPConfig, *,
-                 bandwidth_gbs: Optional[float],
-                 stall_overlap: Optional[float],
-                 frequency_ghz: Optional[float],
-                 offchip_pj_per_byte: Optional[float],
+                 config: LAPConfig, interface: OffChipInterface,
+                 stall_overlap: float,
                  core_frequencies_ghz: Optional[Sequence[float]]
                  ) -> Optional[dict]:
     """The ``lap_runtime`` row of a new point replayed from a recording.
 
     ``recorded`` is the ``(trace, row)`` of a simulated point with the same
-    structure (``None`` when there is none), ``config`` the new point's
-    chip and the keyword arguments its ``lap_runtime`` parameters (``None``
-    where unset).  Returns ``None`` -- the point must be re-simulated --
-    unless :meth:`ScheduleTrace.exact_for` proves the recorded schedule
-    exact at the new constants.  Otherwise only what the constants change
-    is patched: the gated ``stall_overlap`` / ``frequency_ghz`` /
-    ``offchip_pj_per_byte`` columns (present exactly when the new point
-    sets the parameter, where a fresh row has them), the effective
-    ``bandwidth_gbs``, ``makespan_ns`` under a clock delta, and
-    ``energy_j`` / ``gflops_per_w`` re-keyed from the per-task energy
-    triples under a clock or off-chip energy delta.  Every other column is
-    byte-identical to a re-simulation.
+    replay key (``None`` when there is none); ``config`` is the new point's
+    chip, ``interface`` its off-chip interface
+    (:func:`repro.lap.memory.offchip_interface`), ``stall_overlap`` its
+    prefetch-overlap fraction and ``core_frequencies_ghz`` its per-core
+    clocks (``None`` for the chip clock on every core).  Returns ``None``
+    -- the point must be re-simulated -- unless
+    :meth:`ScheduleTrace.exact_for` proves the recorded schedule exact at
+    the new constants.  Otherwise a copy of the row is patched where the
+    constants change it: the effective ``bandwidth_gbs``, ``makespan_ns``
+    under a clock delta, and ``energy_j`` / ``gflops_per_w`` re-keyed from
+    the per-task energy triples under a clock or off-chip energy delta.
+    Every other column is byte-identical to a re-simulation.
     """
     if recorded is None:
         return None
     trace, row = recorded
     new_freq = config.frequency_ghz
-    effective_bw = (trace.default_bandwidth_gbs if bandwidth_gbs is None
-                    else bandwidth_gbs)
-    epoff = (trace.default_offchip_energy_per_byte_j
-             if offchip_pj_per_byte is None else offchip_pj_per_byte * 1e-12)
+    epoff = interface.energy_per_byte_j
     homogeneous = (core_frequencies_ghz is None
                    or all(f == new_freq for f in core_frequencies_ghz))
-    if not trace.exact_for(effective_bw,
-                           0.0 if stall_overlap is None else stall_overlap,
+    if not trace.exact_for(interface.bandwidth_gbytes_per_sec, stall_overlap,
                            new_freq, homogeneous, epoff):
         REPLAY_STATS["forced"] += 1
         return None
     REPLAY_STATS["replayed"] += 1
-    out = {}
-    for key, value in row.items():
-        if key in ("stall_overlap", "frequency_ghz", "offchip_pj_per_byte"):
-            continue
-        out[key] = value
-        if key == "core_frequencies_ghz" and frequency_ghz is not None:
-            out["frequency_ghz"] = frequency_ghz
-        if key == "memory" and stall_overlap is not None:
-            out["stall_overlap"] = stall_overlap
-        if key == "bandwidth_gbs" and offchip_pj_per_byte is not None:
-            out["offchip_pj_per_byte"] = offchip_pj_per_byte
+    out = dict(row)
     clock_delta = new_freq != trace.frequency_ghz
     if clock_delta:
         out["makespan_ns"] = trace.makespan_cycles / new_freq
-    out["bandwidth_gbs"] = effective_bw
+    out["bandwidth_gbs"] = interface.bandwidth_gbytes_per_sec
     epf, epon, recorded_epoff = trace.energy_constants
     if clock_delta or epoff != recorded_epoff:
         if clock_delta:
             # The per-flop and per-on-chip-byte constants follow the chip's
             # operating point: rebuild them at the new clock.
             energy = TaskEnergyModel(config.fmac(), config.onchip_memory(),
-                                     config.offchip())
+                                     interface)
             epf = energy.energy_per_flop_j
             epon = energy.onchip_energy_per_byte_j
         energy_j = trace.rekey_energy_j(epf, epon, epoff)

@@ -64,7 +64,7 @@ from repro.kernels.qr import lac_apply_reflectors
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
-from repro.lap.memory import MemoryHierarchy
+from repro.lap.memory import MemoryHierarchy, offchip_interface
 from repro.lap.policies import POLICIES, get_policy
 from repro.lap.replay import ScheduleTrace
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
@@ -333,13 +333,14 @@ class LAPRuntime:
         physical on-chip memory) -- the axis capacity sweeps shrink.
     bandwidth_gbs:
         Override of the sustained off-chip bandwidth in GB/s (defaults to
-        the chip's off-chip interface).
+        the chip's off-chip interface; a positive finite number).
     offchip_pj_per_byte:
         Override of the off-chip interface's access energy in pJ/byte (a
         DRAM-technology sweep axis; defaults to the chip interface's
         constant; a non-negative finite number).  Only the
         energy/GFLOPS-per-W columns depend on it, so sweeps across it replay
-        recorded schedules exactly.
+        recorded schedules exactly.  Both overrides are checked by
+        :func:`repro.lap.memory.offchip_interface` on construction.
     local_store_kb:
         Per-core local-store budget in KiB; enables the two-level hierarchy
         (a per-core :class:`repro.lap.memory.LocalStore` above the shared
@@ -384,13 +385,9 @@ class LAPRuntime:
         #: Off-chip access-energy override in pJ/byte (a DRAM-technology
         #: sweep axis); ``None`` keeps the chip interface's constant.  Only
         #: the energy column depends on it, never the schedule.
-        self.offchip_pj_per_byte = (None if offchip_pj_per_byte is None
-                                    else float(offchip_pj_per_byte))
-        if self.offchip_pj_per_byte is not None and not (
-                math.isfinite(self.offchip_pj_per_byte)
-                and self.offchip_pj_per_byte >= 0):
-            raise ValueError(f"offchip_pj_per_byte must be a non-negative "
-                             f"finite number, got {self.offchip_pj_per_byte}")
+        self.offchip_pj_per_byte = offchip_pj_per_byte
+        # Unusable off-chip overrides raise here, not at the first execute.
+        offchip_interface(lap.offchip, bandwidth_gbs, offchip_pj_per_byte)
         self.stall_overlap = check_stall_overlap(stall_overlap)
         #: Memory hierarchy of the most recent ``execute()`` call (``None``
         #: before the first).
@@ -1010,7 +1007,6 @@ class LAPRuntime:
         return ScheduleTrace(
             stall_overlap=self.stall_overlap,
             effective_bandwidth_gbs=memory.interface.bandwidth_gbytes_per_sec,
-            default_bandwidth_gbs=self.lap.offchip.bandwidth_gbytes_per_sec,
             total_spill_bytes=memory.spill_bytes,
             total_movement_cycles=(memory.total_stall_cycles
                                    + memory.local_transfer_cycles),
@@ -1020,10 +1016,8 @@ class LAPRuntime:
             energy_constants=(energy.energy_per_flop_j,
                               energy.onchip_energy_per_byte_j,
                               energy.offchip_energy_per_byte_j),
-            default_offchip_energy_per_byte_j=(
-                self.lap.offchip.energy_per_byte_j),
             flush_writeback_bytes=memory.flush_writeback_bytes,
-            energy_triples=triples)
+            triples=triples)
 
     # ------------------------------------------------------- whole problems
     def _warm_up(self, workload: str,

@@ -276,6 +276,17 @@ def test_cached_sweep_rejects_nonfinite_value_by_name(tmp_path, capsys):
     assert "sweep failed" in err and "bandwidth_gbs" in err
 
 
+def test_sweep_names_a_negative_offchip_energy(capsys):
+    """The off-chip energy has one check, which names the parameter in
+    its unit (LAPRuntime raises the same message)."""
+    assert main(["sweep", "--runner", "lap_runtime", "--set", "algorithm=cholesky",
+                 "--set", "n=32", "--set", "tile=8", "--set", "timing=memoized",
+                 "--set", "verify=false", "--set", "offchip_pj_per_byte=-1",
+                 "--no-cache", "--mode", "serial"]) == 2
+    assert ("sweep failed: offchip_pj_per_byte must be a non-negative finite "
+            "number of pJ/byte, got -1.0") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("runner, setting", [
     ("lap_runtime", "verify=off"),
     ("lap_runtime", "verify=no"),

@@ -12,26 +12,31 @@ from repro.engine.spec import Job, canonical_params, params_key
 
 
 # ------------------------------------------------------------------- spec
+def points(spec):
+    """The parameter points of ``spec``'s jobs, in job order."""
+    return [job.params_dict for job in spec.jobs("design")]
+
+
 class TestSweepSpec:
     def test_grid_expands_cartesian_product(self):
         spec = SweepSpec().grid(a=(1, 2, 3), b=(10, 20))
-        points = list(spec.iter_points())
-        assert len(points) == 6
-        assert points[0] == {"a": 1, "b": 10}
-        assert points[-1] == {"a": 3, "b": 20}
+        expanded = points(spec)
+        assert len(expanded) == 6
+        assert expanded[0] == {"a": 1, "b": 10}
+        assert expanded[-1] == {"a": 3, "b": 20}
 
     def test_constants_apply_to_every_point(self):
         spec = SweepSpec().constants(nr=4).grid(cores=(4, 8))
-        assert all(p["nr"] == 4 for p in spec.iter_points())
+        assert all(p["nr"] == 4 for p in points(spec))
 
     def test_zip_axes_vary_together(self):
         spec = SweepSpec().zip(a=(1, 2, 3), b=(10, 20, 30))
-        assert list(spec.iter_points()) == [{"a": 1, "b": 10}, {"a": 2, "b": 20},
-                                 {"a": 3, "b": 30}]
+        assert points(spec) == [{"a": 1, "b": 10}, {"a": 2, "b": 20},
+                                {"a": 3, "b": 30}]
 
     def test_zip_crossed_with_grid(self):
         spec = SweepSpec().grid(c=(0, 1)).zip(a=(1, 2), b=(10, 20))
-        assert len(list(spec.iter_points())) == 4
+        assert len(points(spec)) == 4
 
     def test_zip_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal lengths"):
@@ -39,7 +44,7 @@ class TestSweepSpec:
 
     def test_filter_prunes_points(self):
         spec = SweepSpec().grid(a=(1, 2, 3, 4)).filter(lambda p: p["a"] % 2 == 0)
-        assert [p["a"] for p in spec.iter_points()] == [2, 4]
+        assert [p["a"] for p in points(spec)] == [2, 4]
 
     def test_duplicate_axis_raises(self):
         with pytest.raises(ValueError, match="already defined"):
@@ -48,15 +53,15 @@ class TestSweepSpec:
     def test_combinators_do_not_mutate_parent(self):
         base = SweepSpec().grid(a=(1, 2))
         extended = base.grid(b=(1, 2, 3))
-        assert len(list(base.iter_points())) == 2
-        assert len(list(extended.iter_points())) == 6
+        assert len(points(base)) == 2
+        assert len(points(extended)) == 6
 
     def test_non_scalar_value_rejected(self):
         with pytest.raises(TypeError, match="scalar"):
             SweepSpec().constants(a={"no": "dicts"})
 
     def test_expansion_is_deterministic(self):
-        make = lambda: list(SweepSpec().grid(a=(3, 1, 2), b=("x", "y")).iter_points())
+        make = lambda: points(SweepSpec().grid(a=(3, 1, 2), b=("x", "y")))
         assert make() == make()
 
 
@@ -590,12 +595,6 @@ class TestStreaming:
         zero = [s for s in mixed.shard_timings if s["jobs"] == 0]
         assert len(zero) == 1 and zero[0]["cached"] == 2
         assert sum(s["jobs"] for s in mixed.shard_timings) == 2
-
-    def test_spec_iter_jobs_matches_jobs(self):
-        spec = (SweepSpec().constants(nr=4).grid(a=(1, 2, 3))
-                .filter(lambda p: p["a"] != 2))
-        assert list(spec.iter_jobs("design")) == spec.jobs("design")
-        assert list(spec.iter_points()) == [job.params_dict for job in spec.jobs("design")]
 
 
 # ------------------------------------------------------ incremental Pareto

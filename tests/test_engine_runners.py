@@ -17,8 +17,10 @@ import pytest
 from repro.engine import (HEAVY_RUNNERS, KNOWN_PARAMS, PARETO_OBJECTIVES,
                           ResultCache, SweepSpec, execute_jobs, get_runner,
                           runner_names)
-from repro.engine.runners import _REPLAY_MEMO, configure_worker
+from repro.engine.runners import DELTA_PARAMS, _REPLAY_MEMO, configure_worker
 from repro.engine.spec import Job
+from repro.lap.replay import REPLAY_STATS
+from scheduler_oracle import resimulated_row
 
 NEW_RUNNERS = ("chip_gemm_onchip", "blas", "fact_kernel", "lap_runtime",
                "blocked_fact")
@@ -261,6 +263,58 @@ class TestReplayChecksThePoint:
         _REPLAY_MEMO.clear()  # a later process reads the record
         configure_worker(cache.config())
         assert self.raised(point) == alone
+
+
+#: A second valid value of every ``lap_runtime`` parameter outside
+#: DELTA_PARAMS, except ``memory``, which accepts only true.
+STRUCTURAL_CHANGES = {
+    "algorithm": "lu", "n": 48, "tile": 16, "num_cores": 3, "nr": 2,
+    "onchip_mbytes": 2.0, "seed": 1, "policy": "critical_path",
+    "timing": "functional", "verify": True,
+    "core_frequencies_ghz": "1.0:2.0", "on_chip_kb": 4.0,
+    "local_store_kb": 1.0}
+
+
+class TestReplayKey:
+    """A job's replay key is its parameters minus DELTA_PARAMS: a change
+    in any other parameter re-simulates, and a delta alone replays."""
+
+    @pytest.fixture(autouse=True)
+    def no_recordings(self):
+        configure_worker(None)
+        _REPLAY_MEMO.clear()
+        yield
+        configure_worker(None)
+        _REPLAY_MEMO.clear()
+
+    def test_every_other_runner_parameter_is_structural(self):
+        assert DELTA_PARAMS <= KNOWN_PARAMS["lap_runtime"]
+        assert set(STRUCTURAL_CHANGES) == (
+            KNOWN_PARAMS["lap_runtime"] - DELTA_PARAMS - {"memory"})
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURAL_CHANGES))
+    def test_a_structural_change_resimulates(self, name):
+        point = {**REPLAY_BASE, name: STRUCTURAL_CHANGES[name]}
+        get_runner("lap_runtime")(dict(REPLAY_BASE))
+        replayed = REPLAY_STATS["replayed"]
+        row = get_runner("lap_runtime")(dict(point))
+        assert REPLAY_STATS["replayed"] == replayed
+        assert row == resimulated_row(point)
+
+    # perfbench passes ``fast=1``, which the runner ignores.
+    @pytest.mark.parametrize("ignored", [{}, {"fast": 1}])
+    @pytest.mark.parametrize("name, value", [
+        ("bandwidth_gbs", 64.0), ("stall_overlap", 0.5),
+        ("frequency_ghz", 1.4), ("offchip_pj_per_byte", 30.0)])
+    def test_a_delta_alone_replays(self, name, value, ignored):
+        base = {**REPLAY_BASE, **ignored}
+        point = {**base, name: value}
+        get_runner("lap_runtime")(dict(base))
+        replayed = REPLAY_STATS["replayed"]
+        row = get_runner("lap_runtime")(dict(point))
+        assert REPLAY_STATS["replayed"] == replayed + 1
+        # Equal values in the same column order.
+        assert list(row.items()) == list(resimulated_row(point).items())
 
 
 class TestBlockedFactRunner:

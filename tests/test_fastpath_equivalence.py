@@ -322,11 +322,10 @@ def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
 def _trace_header(**overrides):
     """Every header field of a `ScheduleTrace`, with overrides."""
     header = dict(stall_overlap=0.0, effective_bandwidth_gbs=16.0,
-                  default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
-                  total_movement_cycles=0.0, makespan_cycles=100.0,
-                  frequency_ghz=1.0, homogeneous_cores=True,
+                  total_spill_bytes=0.0, total_movement_cycles=0.0,
+                  makespan_cycles=100.0, frequency_ghz=1.0,
+                  homogeneous_cores=True,
                   energy_constants=(1e-12, 2e-12, 60e-12),
-                  default_offchip_energy_per_byte_j=60e-12,
                   flush_writeback_bytes=0.0)
     header.update(overrides)
     return header
@@ -343,7 +342,16 @@ def test_schedule_trace_payload_roundtrip():
                                           total_spill_bytes=4096.0))
     payload = json.loads(json.dumps(trace.to_payload()))  # disk round-trip
     loaded = ScheduleTrace.from_payload(payload)
+    assert loaded == trace
     assert loaded.to_payload() == trace.to_payload()
+    # Each field is read back as its annotated type.
+    coerced = ScheduleTrace.from_payload({**payload, "makespan_cycles": 100,
+                                          "homogeneous_cores": 1,
+                                          "energy_constants": [1, 2, 60]})
+    assert type(coerced.makespan_cycles) is float
+    assert coerced.homogeneous_cores is True
+    assert coerced.energy_constants == (1.0, 2.0, 60.0)
+    assert {type(value) for value in coerced.energy_constants} == {float}
     for bandwidth in (12.5, 64.0):
         for overlap in (0.25, 0.75):
             for epoff in (60e-12, 30e-12):
@@ -466,7 +474,7 @@ def test_exact_for_energy_and_frequency_gates():
 
     triples = [(10.0, 100.0, 50.0)]
     full = ScheduleTrace(**_trace_header(flush_writeback_bytes=64.0),
-                         energy_triples=lambda: triples)
+                         triples=lambda: triples)
     # Unchanged constants replay without re-keying; a changed off-chip
     # constant or clock is exact only because the triples allow re-keying.
     assert full.exact_for(16.0, 0.0, 1.0, True, 60e-12)
@@ -477,7 +485,7 @@ def test_exact_for_energy_and_frequency_gates():
     # Heterogeneity on either side rejects the frequency axis.
     assert not full.exact_for(16.0, 0.0, 2.0, False, 60e-12)
     het = ScheduleTrace(**_trace_header(homogeneous_cores=False),
-                        energy_triples=lambda: triples)
+                        triples=lambda: triples)
     assert not het.exact_for(16.0, 0.0, 2.0, True, 60e-12)
     # The sidecar header drops the triples: the same deltas now reject,
     # re-keying raises, and the unchanged point still replays.

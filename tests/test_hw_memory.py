@@ -47,7 +47,6 @@ def test_offchip_interface_conversions():
     iface = OffChipInterface(bandwidth_gbytes_per_sec=32.0)
     assert iface.bytes_per_cycle(1.0) == pytest.approx(32.0)
     assert iface.bytes_per_cycle(2.0) == pytest.approx(16.0)
-    assert iface.transfer_cycles(64.0, 1.0) == pytest.approx(2.0)
     assert iface.transfer_energy_j(1e9) == pytest.approx(1e9 * 60e-12)
 
 

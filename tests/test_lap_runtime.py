@@ -200,6 +200,14 @@ def test_runtime_rejects_non_finite_energy_and_clocks(lap, kwargs):
         LAPRuntime(lap, 8, **kwargs)
 
 
+def test_runtime_names_a_negative_offchip_energy(lap):
+    """The same message a ``lap_runtime`` sweep point gets (one check)."""
+    with pytest.raises(ValueError) as info:
+        LAPRuntime(lap, 8, offchip_pj_per_byte=-1)
+    assert str(info.value) == ("offchip_pj_per_byte must be a non-negative "
+                               "finite number of pJ/byte, got -1.0")
+
+
 def test_tile_and_untile_round_trip(rng):
     m = rng.random((16, 24))
     tiles = LAPRuntime.tile_matrix(m, 8)
