@@ -395,8 +395,10 @@ if sys.argv[1] == "untraced":
     makespan = stats["makespan_cycles"]
 else:
     assert repro.cli.main([
-        "trace", "--workload", "cholesky", "--n", "2048", "--tile", "32",
-        "--cores", "8", "--policy", "memory_aware", "--out", sys.argv[1]]) == 0
+        "trace", "--set", "algorithm=cholesky", "--set", "n=2048",
+        "--set", "tile=32", "--set", "num_cores=8",
+        "--set", "policy=memory_aware", "--set", "onchip_mbytes=4",
+        "--set", "timing=memoized", "--out", sys.argv[1]]) == 0
     makespan = None
 print(json.dumps({
     "cpu_s": time.process_time() - started,
@@ -423,7 +425,7 @@ def test_scale_smoke_trace_streams_in_the_memory_of_the_run(tmp_path,
         payload = json.load(handle)
     events = validate_chrome_trace(payload)
     assert len(events) == 142336
-    assert (payload["metadata"]["stats"]["makespan_cycles"]
+    assert (payload["metadata"]["row"]["makespan_cycles"]
             == untraced["makespan_cycles"])
     ratio = traced["peak_rss_mib"] / untraced["peak_rss_mib"]
     bench_json("trace_stream", {
@@ -431,7 +433,7 @@ def test_scale_smoke_trace_streams_in_the_memory_of_the_run(tmp_path,
         "tile": 32,
         "num_cores": 8,
         "policy": "memory_aware",
-        "tasks": payload["metadata"]["stats"]["tasks_executed"],
+        "tasks": payload["metadata"]["row"]["tasks_executed"],
         "events": len(events),
         "trace_bytes": out.stat().st_size,
         "traced_cpu_seconds_excluding_import": traced["cpu_s"],

@@ -43,11 +43,16 @@ Provides eight sub-commands:
     (``python -m repro.cli cache stats`` / ``... cache prune --max-mb 64``
     / ``... cache clear``); ``stats`` reports live and lifetime hit-rates.
 ``trace``
-    run one workload through the LAP runtime, stream its schedule to a
-    Chrome-trace-event JSON (one track per core, per-task cycle
-    decompositions, idle gaps; one event per line) and print the
-    cycle-attribution table (``python -m repro.cli trace --workload
-    cholesky --n 512``); open the ``.trace.json`` in Perfetto
+    simulate one ``lap_runtime`` job, given by the sweep's ``--set
+    NAME=VALUE`` parameters with the runner's names and defaults, stream
+    its schedule to a Chrome-trace-event JSON (one track per core,
+    per-task cycle decompositions, idle gaps; one event per line) and
+    print the cycle-attribution table (``python -m repro.cli trace --set
+    algorithm=cholesky --set n=512 --set tile=64 --set num_cores=8``).
+    The trace's ``metadata`` holds the job (``params``) and the runner's
+    row for it (``row``), which equals the row ``repro sweep --runner
+    lap_runtime`` computes for the same ``--set``s; the trace never
+    replays.  Open the ``.trace.json`` in Perfetto
     (https://ui.perfetto.dev) or ``chrome://tracing``.
 ``report``
     re-print the cycle-attribution table of a saved ``.trace.json`` and/or
@@ -78,9 +83,6 @@ from repro.hw.fpu import Precision
 from repro.kernels.dispatch import (check_size, fft_point_count, kernel_names,
                                     simulate_kernel)
 from repro.lac import LACConfig, LinearAlgebraCore
-from repro.lap.policies import policy_names
-from repro.lap.taskgraph import AlgorithmsByBlocks
-from repro.lap.timing import timing_names
 from repro.obs.manifest import (MANIFEST_SCHEMA, manifest_path_for,
                                 write_run_manifest)
 
@@ -239,10 +241,10 @@ def _parse_axis(option: str, text: str) -> Dict[str, list]:
     return {name: [_parse_scalar(t.strip()) for t in tokens]}
 
 
-def _build_spec(args: argparse.Namespace) -> SweepSpec:
-    spec = SweepSpec()
+def _parse_constants(texts: Optional[List[str]]) -> Dict[str, object]:
+    """The ``--set NAME=VALUE`` constants of ``sweep`` and ``trace``."""
     constants = {}
-    for text in args.set or []:
+    for text in texts or []:
         axis = _parse_axis("--set", text)
         ((name, values),) = axis.items()
         if len(values) != 1:
@@ -250,8 +252,21 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
         if name in constants:
             raise argparse.ArgumentTypeError(f"sweep axis '{name}' is already defined")
         constants[name] = values[0]
-    if constants:
-        spec = spec.constants(**constants)
+    return constants
+
+
+def _warn_unknown_params(runner: str, params: Dict[str, object]) -> None:
+    """Warn about parameters ``runner`` does not read (see ``KNOWN_PARAMS``)."""
+    known = KNOWN_PARAMS[runner]
+    unknown = sorted(set(params) - known)
+    if unknown:
+        print(f"warning: runner '{runner}' ignores parameter(s) "
+              f"{', '.join(unknown)}; it understands: {', '.join(sorted(known))}",
+              file=sys.stderr)
+
+
+def _build_spec(args: argparse.Namespace) -> SweepSpec:
+    spec = SweepSpec().constants(**_parse_constants(args.set))
     for text in args.grid or []:
         spec = spec.grid(**_parse_axis("--grid", text))
     zip_axes: Dict[str, list] = {}
@@ -352,13 +367,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not jobs:
         print("the sweep's filters prune every point", file=sys.stderr)
         return 2
-    known = KNOWN_PARAMS.get(args.runner)
-    if known:
-        unknown = sorted(set(jobs[0].params_dict) - known)
-        if unknown:
-            print(f"warning: runner '{args.runner}' ignores parameter(s) "
-                  f"{', '.join(unknown)}; it understands: {', '.join(sorted(known))}",
-                  file=sys.stderr)
+    _warn_unknown_params(args.runner, jobs[0].params_dict)
 
     objectives = ([o.strip() for o in args.objectives.split(",") if o.strip()]
                   if args.objectives else list(PARETO_OBJECTIVES.get(args.runner, ())))
@@ -546,64 +555,39 @@ def _attribution_table(attribution) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-    from repro.lap.runtime import LAPRuntime
+    from repro.engine.runners import parse_lap_runtime, simulate_lap_runtime
     from repro.obs import write_chrome_trace
 
     try:
-        lap = LinearAlgebraProcessor(LAPConfig(
-            num_cores=args.cores, nr=args.nr,
-            onchip_memory_mbytes=args.onchip_mbytes))
-        runtime = LAPRuntime(
-            lap, args.tile, policy=args.policy, timing=args.timing,
-            on_chip_kb=args.on_chip_kb, bandwidth_gbs=args.bandwidth_gbs,
-            local_store_kb=args.local_store_kb,
-            stall_overlap=args.stall_overlap)
-        stats = runtime.run_workload(args.workload, args.n,
-                                     np.random.default_rng(args.seed))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"trace failed: {exc}", file=sys.stderr)
-        return 2
-    attribution = runtime.attribution()
-    try:
+        params = _parse_constants(args.set)
+        _warn_unknown_params("lap_runtime", params)
+        runtime, row = simulate_lap_runtime(parse_lap_runtime(params))
+        attribution = runtime.attribution()
         # Conservation is a hard export precondition: a trace whose
         # components do not tile cores x makespan is a runtime bug.
         attribution.check()
-    except ValueError as exc:
+    except (argparse.ArgumentTypeError, ValueError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out or f"{args.workload}_n{args.n}.trace.json"
-    metadata = {
-        "time_unit": "cycles",
-        "workload": {
-            "workload": args.workload, "n": args.n, "tile": args.tile,
-            "num_cores": args.cores, "nr": args.nr,
-            "policy": runtime.policy, "timing": runtime.timing.name,
-            "seed": args.seed, "on_chip_kb": args.on_chip_kb,
-            "bandwidth_gbs": args.bandwidth_gbs,
-            "local_store_kb": args.local_store_kb,
-            "stall_overlap": args.stall_overlap,
-        },
-        "stats": {key: value for key, value in stats.items()
-                  if key != "graph"},
-        "graph": stats["graph"],
-        "cycle_attribution": attribution.as_dict(),
-    }
+    out = args.out or f"{row['algorithm']}_n{row['n']}.trace.json"
+    metadata = {"time_unit": "cycles", "params": params, "row": row,
+                "cycle_attribution": attribution.as_dict()}
     events = runtime.trace_events(
-        f"LAP ({args.cores} cores, {args.workload} n={args.n})")
+        f"LAP ({row['num_cores']} cores, {row['algorithm']} n={row['n']})")
     try:
         written = write_chrome_trace(events, out, metadata)
     except (OSError, ValueError) as exc:
         print(f"trace failed: cannot export '{out}': {exc}", file=sys.stderr)
         return 2
 
-    print(f"{args.workload} n={args.n} tile={args.tile} on {args.cores} cores "
-          f"[{runtime.policy}/{runtime.timing.name}]: "
-          f"makespan {stats['makespan_cycles']:.0f} cycles, "
-          f"parallel efficiency {100 * stats['parallel_efficiency']:.1f}%")
-    if stats.get("residual") is not None:
-        print(f"residual      : {stats['residual']:.3e}")
+    print(f"{row['algorithm']} n={row['n']} tile={row['tile']} on "
+          f"{row['num_cores']} cores [{row['policy']}/{row['timing']}]: "
+          f"makespan {row['makespan_cycles']} cycles, "
+          f"parallel efficiency {100 * row['parallel_efficiency']:.1f}%")
+    if row["residual"] is not None:
+        print(f"residual      : {row['residual']:.3e}")
     print()
     print(_attribution_table(attribution))
     print()
@@ -667,19 +651,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
             attribution_dict = metadata["cycle_attribution"]
             attribution = CycleAttribution.from_dict(attribution_dict)
             attribution.check()
-            workload = metadata.get("workload")
-            if workload is not None and not isinstance(workload, dict):
-                raise ValueError(f"metadata.workload is {workload!r}, "
+            params = metadata.get("params")
+            if params is not None and not isinstance(params, dict):
+                raise ValueError(f"metadata.params is {params!r}, "
                                  f"not an object")
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read attribution from '{args.trace}': {exc}",
                   file=sys.stderr)
             return 2
-        payload["trace"] = {"path": args.trace, "workload": workload,
+        payload["trace"] = {"path": args.trace, "params": params,
                             "cycle_attribution": attribution_dict}
         if not args.json:
             label = " ".join(f"{key}={value}" for key, value in
-                             sorted((workload or {}).items())
+                             sorted((params or {}).items())
                              if value is not None)
             print(f"cycle attribution [{label}]" if label
                   else "cycle attribution")
@@ -827,34 +811,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(func=_cmd_cache)
 
     p_trc = sub.add_parser("trace",
-                           help="export a Chrome trace of one LAP workload")
-    p_trc.add_argument("--workload", choices=AlgorithmsByBlocks.WORKLOADS,
-                       default="cholesky",
-                       help="blocked algorithm to schedule (default: cholesky)")
-    p_trc.add_argument("--n", type=int, default=512, help="problem dimension")
-    p_trc.add_argument("--tile", type=int, default=64,
-                       help="tile edge length (a multiple of --nr)")
-    p_trc.add_argument("--cores", type=int, default=8)
-    p_trc.add_argument("--nr", type=int, default=4, help="core dimension")
-    p_trc.add_argument("--policy", choices=policy_names(), default="greedy")
-    p_trc.add_argument("--timing", choices=timing_names(), default="memoized")
-    p_trc.add_argument("--seed", type=int, default=0)
-    p_trc.add_argument("--onchip-mbytes", type=float, default=4.0,
-                       help="physical on-chip memory in MB")
-    p_trc.add_argument("--on-chip-kb", type=float, default=None,
-                       help="tile-residency capacity override in KiB "
-                            "(shrink to surface spill stalls)")
-    p_trc.add_argument("--bandwidth-gbs", type=float, default=None,
-                       help="off-chip bandwidth override in GB/s")
-    p_trc.add_argument("--local-store-kb", type=float, default=None,
-                       help="per-core local store in KiB (enables the "
-                            "two-level hierarchy)")
-    p_trc.add_argument("--stall-overlap", type=float, default=0.0,
-                       help="fraction of data-movement cycles hidden under "
-                            "compute, in [0, 1] (default: 0)")
+                           help="export a Chrome trace of one lap_runtime job")
+    p_trc.add_argument("--set", action="append", metavar="NAME=VALUE",
+                       help="a parameter of the job, as in `repro sweep "
+                            "--runner lap_runtime --set` (repeatable)")
     p_trc.add_argument("--out", metavar="PATH", default=None,
                        help="trace output path (default: "
-                            "<workload>_n<n>.trace.json)")
+                            "<algorithm>_n<n>.trace.json)")
     p_trc.set_defaults(func=_cmd_trace)
 
     p_rep = sub.add_parser("report",

@@ -249,10 +249,13 @@ class SweepExecutor:
         enough pending jobs, and serial execution for the cheap analytical
         models where pool overhead dominates.
     max_workers:
-        Pool size (default: ``os.cpu_count()`` capped at 8).
+        Pool size (default: the CPUs this process may run on,
+        ``os.sched_getaffinity`` where it exists, else ``os.cpu_count()``,
+        capped at 8).
     batch_size:
         Fixed jobs per micro-batch; by default a pool's first round hands
-        each worker one job, then the size adapts to the remaining queue
+        each worker one job (a serial run's first batch is one job too),
+        then the size adapts to the remaining queue
         (about ``remaining / (workers * 4)``, floored at 1), which bounds
         pool chatter up front while the tail degrades to single-job
         hand-outs so stragglers never quantise the finish.
@@ -283,7 +286,9 @@ class SweepExecutor:
             return self.max_workers
         import os
 
-        return max(1, min(os.cpu_count() or 1, 8))
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        return max(1, min(cpus or 1, 8))
 
     def _resolve_mode(self, pending: Sequence[Tuple[int, Job]], workers: int) -> str:
         if self.mode != "auto":
@@ -304,8 +309,9 @@ class SweepExecutor:
         With an explicit ``batch_size`` the size is fixed; otherwise it
         adapts to the remaining queue so early batches amortise dispatch
         overhead while the tail hands out single jobs (straggler-aware).
-        A pool's ``first_round`` (one batch per worker) gets single jobs, so
-        the first row lands one job after the pool starts, not one batch.
+        The ``first_round`` (one batch per pool worker; a serial run's
+        first batch) gets single jobs, so the first row lands one job after
+        the run starts, not one batch, whatever the worker count.
         """
         size = self.batch_size or (1 if first_round else math.ceil(
             len(queue) / (workers * _BATCHES_PER_WORKER)))
@@ -387,8 +393,10 @@ class SweepExecutor:
                        fallback: bool = False) -> Iterator[StreamRow]:
         """Run the queue in-process, one micro-batch after another."""
         context = self._worker_context()
+        first_round = True
         while queue:
-            batch = self._next_batch(queue, workers)
+            batch = self._next_batch(queue, workers, first_round)
+            first_round = False
             outcome = _run_shard(batch[0][1].runner,
                                  [job.params_dict for _, job in batch], context)
             yield from self._finish_batch(state, batch, outcome, shard_id,

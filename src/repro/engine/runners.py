@@ -43,7 +43,8 @@ compare byte-identically across serial and process execution.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from repro.engine.analysis import DEFAULT_OBJECTIVES
 from repro.engine.spec import Params
@@ -497,70 +498,46 @@ def run_fact_kernel(params: Params) -> dict:
     }
 
 
-def run_lap_runtime(params: Params) -> dict:
-    """Schedule one blocked algorithm through the LAP runtime simulator.
+class LapRuntimePoint(NamedTuple):
+    """One ``lap_runtime`` job as :func:`parse_lap_runtime` reads it: the
+    runner's names and defaults applied, plus the chip, off-chip interface
+    and prefetch-overlap fraction that a simulation of the point runs on
+    and that replay reads."""
 
-    Decomposes an ``n x n`` problem into ``tile x tile`` tasks with the
-    algorithms-by-blocks library (GEMM, Cholesky, tiled LU or tiled QR),
-    executes the task graph on the cores of a cycle-level LAP under the
-    requested scheduling policy and timing model, and reports makespan /
-    load-balance / graph analytics / correctness.
+    algorithm: str
+    n: int
+    tile: int
+    seed: int
+    policy: str
+    timing: str
+    verify: bool
+    frequencies: Optional[List[float]]
+    on_chip_kb: Optional[float]
+    bandwidth_gbs: Optional[float]
+    local_store_kb: Optional[float]
+    offchip_pj_per_byte: Optional[float]
+    overlap: float
+    config: "LAPConfig"
+    interface: "OffChipInterface"
+    #: The gated columns' values (see :data:`_GATED_AFTER`).
+    gated: Dict[str, Optional[float]]
 
-    ``policy`` selects the scheduler (greedy / critical_path / locality /
-    memory_aware / affinity), ``timing`` the timing model (functional /
-    memoized), ``verify`` keeps the tile data exact under memoized timing
-    (residual available; a memoized ``verify=False`` row never builds its
-    ``n x n`` operand), and ``core_frequencies_ghz`` accepts per-core clocks for
-    heterogeneous-tile studies: a sequence, a single number (applied to
-    every core), or a delimited string -- ``"1.0,2.0"`` or ``"1.0:2.0"``
-    (the colon form survives the sweep CLI's comma-separated axis syntax,
-    e.g. ``--set core_frequencies_ghz=1.0:2.0``).
 
-    The flags ``verify`` and ``memory`` take true, false, 0 or 1; any
-    other value (``"off"``, ``"no"``) raises ``ValueError`` naming it.
-    Data movement is always simulated through the runtime's memory-hierarchy
-    layer (``memory`` may only be true, and the row's ``memory`` column
-    says so): ``on_chip_kb`` constrains the tile working set below the
-    chip's physical on-chip memory and ``bandwidth_gbs`` overrides the
-    sustained off-chip bandwidth; rows carry traffic / spill / stall /
-    energy / GFLOPS-per-W columns.
+def parse_lap_runtime(params: Mapping) -> LapRuntimePoint:
+    """Read and check one ``lap_runtime`` job: the one place that states
+    the runner's parameter names (:data:`KNOWN_PARAMS` lists the same set),
+    their defaults and their checks.
 
-    ``local_store_kb`` enables the two-level hierarchy (a per-core local
-    store above the shared on-chip level); rows then additionally split the
-    on-chip movement into local-hit / shared-to-local / core-to-core bytes
-    and report the local hit rate and transfer cycles.  ``stall_overlap``
-    exposes the prefetch-overlap fraction (0 = data-movement cycles fully
-    serialised, 1 = fully hidden) as a sweep axis.  Both columns appear
-    only when their parameter is given, so existing single-level rows stay
-    byte-identical.
-
-    ``frequency_ghz`` sets the chip clock (all cores, default 1.0) and
-    ``offchip_pj_per_byte`` overrides the DRAM interface's access energy
-    in pJ/byte; both appear as gated row columns only when given, so
-    existing rows stay byte-identical.
-
-    Delta sweeps are costed by schedule replay: every simulated point
-    records a :class:`repro.lap.replay.ScheduleTrace` under its replay key,
-    the sorted JSON of its parameters minus :data:`DELTA_PARAMS`, and a
-    later point with the same key (one that differs only in
-    ``bandwidth_gbs`` / ``stall_overlap`` / ``frequency_ghz`` /
-    ``offchip_pj_per_byte``) reuses the recorded row, re-keyed, whenever
-    :func:`repro.lap.replay.replayed_row` proves the schedule unchanged
-    (the row then equals its re-simulation); anything else re-simulates.
-    Before that decision the point's delta constants pass the checks a
-    simulation applies (the chip clock in :class:`~repro.lap.chip.LAPConfig`,
-    bandwidth and off-chip energy in the point's off-chip interface,
-    :func:`repro.lap.memory.offchip_interface`, which replay then reads,
-    and :func:`repro.lap.runtime.check_stall_overlap`), so replay serves
-    only points a simulation accepts.  Fresh and replayed rows get their
-    gated columns from one helper.
+    The point's delta constants pass the checks a simulation applies (the
+    chip clock in :class:`~repro.lap.chip.LAPConfig`, bandwidth and
+    off-chip energy in :func:`repro.lap.memory.offchip_interface`, and
+    :func:`repro.lap.runtime.check_stall_overlap`), so replay serves only
+    points a simulation accepts.  The flags ``verify`` and ``memory`` take
+    true, false, 0 or 1 (see :func:`_flag`); ``memory`` may only be true.
     """
-    import numpy as np
-
-    from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+    from repro.lap.chip import LAPConfig
     from repro.lap.memory import offchip_interface
-    from repro.lap.replay import replayed_row
-    from repro.lap.runtime import LAPRuntime, check_stall_overlap
+    from repro.lap.runtime import check_stall_overlap
     from repro.lap.taskgraph import AlgorithmsByBlocks
 
     algorithm = str(params.get("algorithm", "gemm")).lower()
@@ -598,30 +575,41 @@ def run_lap_runtime(params: Params) -> dict:
         frequencies = [float(f) for f in frequencies_param]
     else:
         frequencies = [float(frequencies_param)] * num_cores
-    key = json.dumps({name: value for name, value in params.items()
-                      if name not in DELTA_PARAMS}, sort_keys=True)
     config = LAPConfig(num_cores=num_cores, nr=nr,
                        onchip_memory_mbytes=onchip_mbytes,
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
-    # Replay may serve only a point that a simulation accepts.
     interface = offchip_interface(config.offchip(), bandwidth_gbs, offchip_pj)
     overlap = check_stall_overlap(0.0 if stall_overlap is None
                                   else stall_overlap)
-    gated = {"frequency_ghz": frequency_ghz, "stall_overlap": stall_overlap,
-             "offchip_pj_per_byte": offchip_pj}
-    replayed = replayed_row(_recorded_schedule(key), config, interface,
-                            overlap, frequencies)
-    if replayed is not None:
-        return _gated(replayed, gated)
-    lap = LinearAlgebraProcessor(config)
-    runtime = LAPRuntime(lap, tile, policy=policy, timing=timing,
-                         core_frequencies_ghz=frequencies,
-                         on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
-                         local_store_kb=local_store_kb, stall_overlap=overlap,
-                         offchip_pj_per_byte=offchip_pj)
-    rng = np.random.default_rng(seed)
-    stats = runtime.run_workload(algorithm, n, rng, verify=verify)
-    if algorithm == "gemm":
+    return LapRuntimePoint(
+        algorithm, n, tile, seed, policy, timing, verify, frequencies,
+        on_chip_kb, bandwidth_gbs, local_store_kb, offchip_pj, overlap,
+        config, interface,
+        {"frequency_ghz": frequency_ghz, "stall_overlap": stall_overlap,
+         "offchip_pj_per_byte": offchip_pj})
+
+
+def simulate_lap_runtime(point: LapRuntimePoint) -> Tuple["LAPRuntime", dict]:
+    """Simulate one parsed ``lap_runtime`` point; returns the runtime that
+    ran it (its schedule, attribution and trace events) and the row."""
+    import numpy as np
+
+    from repro.lap.chip import LinearAlgebraProcessor
+    from repro.lap.runtime import LAPRuntime
+
+    runtime = LAPRuntime(LinearAlgebraProcessor(point.config), point.tile,
+                         policy=point.policy, timing=point.timing,
+                         core_frequencies_ghz=point.frequencies,
+                         on_chip_kb=point.on_chip_kb,
+                         bandwidth_gbs=point.bandwidth_gbs,
+                         local_store_kb=point.local_store_kb,
+                         stall_overlap=point.overlap,
+                         offchip_pj_per_byte=point.offchip_pj_per_byte)
+    n, tile, num_cores = point.n, point.tile, point.config.num_cores
+    stats = runtime.run_workload(point.algorithm, n,
+                                 np.random.default_rng(point.seed),
+                                 verify=point.verify)
+    if point.algorithm == "gemm":
         # Figure 4.1's static distribution deals the n // tile row panels
         # of C round robin over the cores: the lightest core's panels over
         # the busiest's.  A factorization's shrinking trailing matrix has
@@ -633,16 +621,17 @@ def run_lap_runtime(params: Params) -> dict:
     busy = stats["per_core_busy_cycles"]
     graph = stats["graph"]
     residual = stats["residual"]
+    frequencies = point.frequencies
     row = {
-        "algorithm": algorithm,
+        "algorithm": point.algorithm,
         "n": n,
         "tile": tile,
         "num_cores": num_cores,
-        "nr": nr,
-        "seed": seed,
-        "policy": policy,
-        "timing": timing,
-        "verify": verify,
+        "nr": point.config.nr,
+        "seed": point.seed,
+        "policy": point.policy,
+        "timing": point.timing,
+        "verify": point.verify,
         "core_frequencies_ghz": (",".join(f"{f:g}" for f in frequencies)
                                  if frequencies else None),
         "tasks_executed": int(stats["tasks_executed"]),
@@ -671,7 +660,7 @@ def run_lap_runtime(params: Params) -> dict:
         "gflops_per_w": float(stats["gflops_per_w"]),
         "peak_resident_kb": float(stats["peak_resident_bytes"]) / 1024.0,
     }
-    if local_store_kb is not None:
+    if point.local_store_kb is not None:
         row.update({
             "local_store_kb": float(stats["local_store_kb"]),
             "local_hit_bytes": int(round(stats["local_hit_bytes"])),
@@ -682,8 +671,77 @@ def run_lap_runtime(params: Params) -> dict:
             "peak_local_resident_kb": (
                 float(stats["peak_local_resident_bytes"]) / 1024.0),
         })
-    _record_schedule(key, runtime.schedule_trace(), row)
-    return _gated(row, gated)
+    return runtime, _gated(row, point.gated)
+
+
+def run_lap_runtime(params: Params) -> dict:
+    """Schedule one blocked algorithm through the LAP runtime simulator.
+
+    Decomposes an ``n x n`` problem into ``tile x tile`` tasks with the
+    algorithms-by-blocks library (GEMM, Cholesky, tiled LU or tiled QR),
+    executes the task graph on the cores of a cycle-level LAP under the
+    requested scheduling policy and timing model, and reports makespan /
+    load-balance / graph analytics / correctness.  The job is read by
+    :func:`parse_lap_runtime` and simulated by :func:`simulate_lap_runtime`
+    (which ``repro trace`` calls too, so a trace's row is this row).
+
+    ``policy`` selects the scheduler (greedy / critical_path / locality /
+    memory_aware / affinity), ``timing`` the timing model (functional /
+    memoized), ``verify`` keeps the tile data exact under memoized timing
+    (residual available; a memoized ``verify=False`` row never builds its
+    ``n x n`` operand), and ``core_frequencies_ghz`` accepts per-core clocks for
+    heterogeneous-tile studies: a sequence, a single number (applied to
+    every core), or a delimited string -- ``"1.0,2.0"`` or ``"1.0:2.0"``
+    (the colon form survives the sweep CLI's comma-separated axis syntax,
+    e.g. ``--set core_frequencies_ghz=1.0:2.0``).
+
+    Data movement is always simulated through the runtime's memory-hierarchy
+    layer (``memory`` may only be true, and the row's ``memory`` column
+    says so): ``on_chip_kb`` constrains the tile working set below the
+    chip's physical on-chip memory and ``bandwidth_gbs`` overrides the
+    sustained off-chip bandwidth; rows carry traffic / spill / stall /
+    energy / GFLOPS-per-W columns.
+
+    ``local_store_kb`` enables the two-level hierarchy (a per-core local
+    store above the shared on-chip level); rows then additionally split the
+    on-chip movement into local-hit / shared-to-local / core-to-core bytes
+    and report the local hit rate and transfer cycles.  ``stall_overlap``
+    exposes the prefetch-overlap fraction (0 = data-movement cycles fully
+    serialised, 1 = fully hidden) as a sweep axis.  Both columns appear
+    only when their parameter is given, so existing single-level rows stay
+    byte-identical.
+
+    ``frequency_ghz`` sets the chip clock (all cores, default 1.0) and
+    ``offchip_pj_per_byte`` overrides the DRAM interface's access energy
+    in pJ/byte; both appear as gated row columns only when given, so
+    existing rows stay byte-identical.
+
+    Delta sweeps are costed by schedule replay: every simulated point
+    records a :class:`repro.lap.replay.ScheduleTrace` under its replay key,
+    the sorted JSON of its parameters minus :data:`DELTA_PARAMS`, and a
+    later point with the same key (one that differs only in
+    ``bandwidth_gbs`` / ``stall_overlap`` / ``frequency_ghz`` /
+    ``offchip_pj_per_byte``) reuses the recorded row, re-keyed, whenever
+    :func:`repro.lap.replay.replayed_row` proves the schedule unchanged
+    (the row then equals its re-simulation); anything else re-simulates.
+    The job is parsed and checked before that decision.  Fresh and
+    replayed rows get their gated columns from one helper.
+    """
+    from repro.lap.replay import replayed_row
+
+    point = parse_lap_runtime(params)
+    key = json.dumps({name: value for name, value in params.items()
+                      if name not in DELTA_PARAMS}, sort_keys=True)
+    replayed = replayed_row(_recorded_schedule(key), point.config,
+                            point.interface, point.overlap, point.frequencies)
+    if replayed is not None:
+        return _gated(replayed, point.gated)
+    runtime, row = simulate_lap_runtime(point)
+    # The memo and the replay records keep the row without gated columns.
+    _record_schedule(key, runtime.schedule_trace(),
+                     {name: value for name, value in row.items()
+                      if name not in point.gated})
+    return row
 
 
 def run_blocked_factorization(params: Params) -> dict:

@@ -251,7 +251,6 @@ class TaskGraph(collections.abc.Sequence):
                 succ[j].append(i)
             indegree.append(len(deps))
         self.ids: List[int] = ids
-        self.id2idx = id2idx
         self.succ: List[Tuple[int, ...]] = list(map(tuple, succ))
         self.indegree = indegree
         self._tasks = tasks
@@ -351,11 +350,6 @@ class TaskGraph(collections.abc.Sequence):
             self.succ = list(map(tuple, succ))
             self.indegree = indegree
 
-    @functools.cached_property
-    def id2idx(self) -> Dict[int, int]:
-        """Graph position of each task id."""
-        return {tid: i for i, tid in enumerate(self.ids)}
-
     # -------------------------------------------------------- sequence API
     def _descriptors(self) -> List[TaskDescriptor]:
         """The tasks as descriptors, in graph order."""
@@ -383,10 +377,6 @@ class TaskGraph(collections.abc.Sequence):
 
     def __getitem__(self, index):
         return self._descriptors()[index]
-
-    def task(self, task_id: int) -> TaskDescriptor:
-        """Look up one task by id."""
-        return self._descriptors()[self.id2idx[task_id]]
 
     def fast_arrays(self) -> "TaskGraph":
         """The graph, with the footprint arrays the scheduler loop reads.
@@ -542,8 +532,8 @@ class BoundedCache(dict):
 _GRAPH_CACHE = BoundedCache(len)
 
 #: Bound on the tasks of all cached graphs together: tracemalloc measured
-#: a built graph (Cholesky 4096^2) keeping 318-328 bytes per task with its
-#: summary and 441 with critical-path ranks and the id index, so 600,000
+#: a built graph (Cholesky 4096^2) keeping 316-328 bytes per task with its
+#: summary and 348 with critical-path ranks too (tile 64), so 600,000
 #: tasks keep the cache under 256 MiB.
 GRAPH_CACHE_TASKS = 600_000
 
@@ -715,7 +705,7 @@ class AlgorithmsByBlocks:
                     yield _TSMQR, (i, k), [(i, j), (j, k), (i, k)]
 
     #: Names of the workloads :meth:`build` decomposes (the ``lap_runtime``
-    #: runner's algorithms and ``repro trace --workload``'s choices).
+    #: runner's ``algorithm`` choices, which ``repro trace`` takes too).
     WORKLOADS = ("gemm", "cholesky", "lu", "qr")
 
     def build(self, workload: str, n: int) -> TaskGraph:

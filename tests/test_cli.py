@@ -239,9 +239,9 @@ def test_simulate_and_design_reject_bad_frequency(capsys, command, value):
      "onchip_memory_mbytes must be a positive finite number of MB, got inf"),
     (["design", "--onchip-mbytes", "nan"],
      "onchip_memory_mbytes must be a positive finite number of MB, got nan"),
-    (["trace", "--onchip-mbytes", "inf"],
+    (["trace", "--set", "onchip_mbytes=inf"],
      "onchip_memory_mbytes must be a positive finite number of MB, got inf"),
-    (["trace", "--onchip-mbytes", "nan"],
+    (["trace", "--set", "onchip_mbytes=nan"],
      "onchip_memory_mbytes must be a positive finite number of MB, got nan"),
     (["sweep", "--runner", "design", "--set", "cores=0", "--no-cache"],
      "num_cores must be at least 1, got 0"),
@@ -554,10 +554,25 @@ def test_cache_stats_missing_directory_does_not_create_it(tmp_path, capsys):
 
 
 # --------------------------------------------------------- trace / report
+def _sets(*assignments):
+    """``--set`` arguments, one per ``NAME=VALUE``."""
+    return [arg for text in assignments for arg in ("--set", text)]
+
+
+#: The point the trace tests run: a 64^2 Cholesky in 16^2 tiles on two
+#: cores, 4 MB on chip and memoized timing, where the golden trace was
+#: recorded.
+TRACE_POINT = _sets("algorithm=cholesky", "n=64", "tile=16", "num_cores=2",
+                    "onchip_mbytes=4", "timing=memoized")
+
+#: Memory pressure on that point: spills, a two-level hierarchy, overlap.
+TRACE_PRESSURE = _sets("on_chip_kb=8", "bandwidth_gbs=8", "local_store_kb=2",
+                       "stall_overlap=0.5")
+
+
 def _trace(tmp_path, capsys, *extra):
     out = str(tmp_path / "t.trace.json")
-    assert main(["trace", "--workload", "cholesky", "--n", "64",
-                 "--tile", "16", "--cores", "2", "--out", out, *extra]) == 0
+    assert main(["trace", *TRACE_POINT, "--out", out, *extra]) == 0
     return out, capsys.readouterr().out
 
 
@@ -575,7 +590,7 @@ def test_trace_writes_valid_chrome_trace(tmp_path, capsys):
     assert all("compute_cycles" in e["args"] for e in tasks)
     meta = payload["metadata"]
     assert meta["time_unit"] == "cycles"
-    assert meta["workload"]["workload"] == "cholesky"
+    assert meta["params"]["algorithm"] == "cholesky"
     attribution = meta["cycle_attribution"]
     assert attribution["num_cores"] == 2
     assert sum(attribution["totals"].values()) == pytest.approx(
@@ -583,9 +598,7 @@ def test_trace_writes_valid_chrome_trace(tmp_path, capsys):
 
 
 def test_trace_with_memory_pressure_reports_stalls(tmp_path, capsys):
-    out, printed = _trace(tmp_path, capsys, "--on-chip-kb", "8",
-                          "--bandwidth-gbs", "8", "--local-store-kb", "2",
-                          "--stall-overlap", "0.5")
+    out, printed = _trace(tmp_path, capsys, *TRACE_PRESSURE)
     with open(out) as handle:
         totals = json.load(handle)["metadata"]["cycle_attribution"]["totals"]
     assert totals["spill_stall"] > 0 and totals["transfer"] > 0
@@ -600,39 +613,105 @@ def test_trace_reproduces_golden(tmp_path, capsys):
     reproduces the committed trace of the instrumented loop it replaced:
     every span (names, tracks, times, cycle and byte args), the counter
     series, the idle gaps and the cycle attribution."""
-    out, _ = _trace(tmp_path, capsys, "--on-chip-kb", "8",
-                    "--bandwidth-gbs", "8", "--local-store-kb", "2",
-                    "--stall-overlap", "0.5")
+    out, _ = _trace(tmp_path, capsys, *TRACE_PRESSURE)
     with open(out) as handle:
         payload = json.load(handle)
     golden = json.loads(TRACE_GOLDEN.read_text())
     assert payload["traceEvents"] == golden["traceEvents"]
     assert (payload["metadata"]["cycle_attribution"]
             == golden["metadata"]["cycle_attribution"])
+    for name in ("makespan_cycles", "energy_j"):
+        assert (payload["metadata"]["row"][name]
+                == golden["metadata"]["stats"][name])
     tasks = [e for e in golden["traceEvents"] if e.get("cat") == "task"]
     for key in ("shared_to_local_bytes", "compulsory_bytes", "hidden_cycles"):
         assert any(key in e["args"] for e in tasks), key
 
 
+#: An 8-core chip with 4 MB on chip, under memoized timing.
+EIGHT_CORES = _sets("num_cores=8", "onchip_mbytes=4", "timing=memoized")
+
+
 def test_trace_rejects_bad_geometry(tmp_path, capsys):
-    assert main(["trace", "--workload", "cholesky", "--n", "60",
-                 "--tile", "16", "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["trace", *_sets("algorithm=cholesky", "n=60", "tile=16"),
+                 *EIGHT_CORES, "--out", str(tmp_path / "x.json")]) == 2
     assert "trace failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [
-    ["--n", "64", "--tile", "8", "--on-chip-kb", "6", "--bandwidth-gbs", "nan"],
-    ["--n", "32", "--tile", "8", "--bandwidth-gbs", "inf"],
+    _sets("n=64", "tile=8", "on_chip_kb=6", "bandwidth_gbs=nan"),
+    _sets("n=32", "tile=8", "bandwidth_gbs=inf"),
 ])
 def test_trace_rejects_non_finite_bandwidth(tmp_path, capsys, extra):
     """A non-finite bandwidth used to give an inf makespan and a trace file
     full of NaN and Infinity tokens, which strict JSON parsers reject."""
     out = tmp_path / "x.json"
-    assert main(["trace", "--workload", "cholesky", *extra,
-                 "--out", str(out)]) == 2
+    assert main(["trace", "--set", "algorithm=cholesky", *EIGHT_CORES,
+                 *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "trace failed: bandwidth must be a positive finite number" in err
     assert not out.exists()
+
+
+#: Jobs whose traced row must be the sweep's row: the four algorithms,
+#: and each parameter the trace's own flags could not set.
+TRACED_JOBS = [
+    {"algorithm": "gemm", "n": 32, "tile": 8, "frequency_ghz": 1.4},
+    {"algorithm": "cholesky", "n": 64, "tile": 16, "timing": "memoized",
+     "offchip_pj_per_byte": 30.0},
+    {"algorithm": "lu", "n": 32, "tile": 8, "core_frequencies_ghz": "1.0:2.0"},
+    {"algorithm": "qr", "n": 32, "tile": 8, "timing": "memoized",
+     "verify": False},
+]
+
+
+def _traced(tmp_path, params):
+    """The ``metadata`` of ``repro trace`` of the job ``params``."""
+    from repro.obs.chrome import read_trace_metadata
+
+    out = tmp_path / "t.trace.json"
+    assert main(["trace", *_sets(*(f"{name}={value}" for name, value
+                                   in params.items())),
+                 "--out", str(out)]) == 0
+    return read_trace_metadata(out)
+
+
+@pytest.mark.parametrize("params", TRACED_JOBS,
+                         ids=lambda params: params["algorithm"])
+def test_trace_row_is_the_sweep_row(tmp_path, capsys, params):
+    """A trace holds its job and the ``lap_runtime`` runner's row for it,
+    values and column order: the trace and the sweep state a point once."""
+    from scheduler_oracle import resimulated_row
+
+    metadata = _traced(tmp_path, params)
+    assert metadata["params"] == params
+    row = resimulated_row(params)
+    assert list(metadata["row"].items()) == list(row.items())
+    if params.get("verify") is False:
+        assert row["residual"] is None
+
+
+def test_trace_row_is_the_replayed_sweep_row(tmp_path, capsys):
+    """A bandwidth delta the sweep replays traces to the replayed row, and
+    the trace itself neither replays nor records a schedule."""
+    from repro.engine import runners
+    from repro.lap.replay import REPLAY_STATS
+
+    job = {"algorithm": "cholesky", "n": 64, "tile": 16,
+           "timing": "memoized", "verify": False}
+    runners._REPLAY_MEMO.clear()
+    runners.configure_worker(None)
+    try:
+        runners.run_lap_runtime({**job, "bandwidth_gbs": 16.0})
+        replayed = REPLAY_STATS["replayed"]
+        row = runners.run_lap_runtime({**job, "bandwidth_gbs": 64.0})
+        assert REPLAY_STATS["replayed"] == replayed + 1
+        counts = dict(REPLAY_STATS)
+        metadata = _traced(tmp_path, {**job, "bandwidth_gbs": 64.0})
+        assert REPLAY_STATS == counts
+    finally:
+        runners._REPLAY_MEMO.clear()
+    assert list(metadata["row"].items()) == list(row.items())
 
 
 def test_report_from_trace(tmp_path, capsys):
@@ -640,11 +719,11 @@ def test_report_from_trace(tmp_path, capsys):
     assert main(["report", "--trace", out]) == 0
     printed = capsys.readouterr().out
     assert "cycle attribution" in printed and "TOTAL" in printed
-    assert "workload=cholesky" in printed
+    assert "algorithm=cholesky" in printed
 
 
-def _break_workload(metadata):
-    metadata["workload"] = "cholesky"
+def _break_params(metadata):
+    metadata["params"] = "cholesky"
 
 
 def _break_with_nan(metadata):
@@ -656,13 +735,13 @@ def _break_conservation(metadata):
 
 
 @pytest.mark.parametrize("corrupt, reason", [
-    (_break_workload, "metadata.workload is 'cholesky', not an object"),
+    (_break_params, "metadata.params is 'cholesky', not an object"),
     (_break_with_nan, "core 0 attribution is not finite"),
     (_break_conservation, "core 1 attribution does not conserve"),
 ])
 def test_report_rejects_a_trace_it_cannot_print(tmp_path, capsys, corrupt,
                                                 reason):
-    """A trace whose workload is not an object, or whose attribution is not
+    """A trace whose params are not an object, or whose attribution is not
     finite or does not tile cores x makespan, exits 2 naming the reason,
     instead of crashing or printing a NaN table."""
     out, _ = _trace(tmp_path, capsys)

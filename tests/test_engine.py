@@ -1177,6 +1177,14 @@ class TestExecutorRegressions:
         assert sum(sizes.values()) == 12
         assert max(sizes.values()) == 2
 
+    def test_serial_first_batch_is_a_single_job(self):
+        """A serial run's first row waits one job too, not one adaptive
+        batch (here ceil(12/4) = 3 jobs for the one worker)."""
+        result = execute_jobs(_chip_jobs(), mode="serial", max_workers=1)
+        sizes = [s["jobs"] for s in result.shard_timings]
+        assert sizes[0] == 1 and sum(sizes) == 12
+        assert max(sizes) == 3
+
     def test_regular_shards_are_not_tagged_fallback(self):
         result = execute_jobs(_chip_jobs(n_cores=(4, 8), bws=(8,)),
                               mode="process", max_workers=2)

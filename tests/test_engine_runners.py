@@ -44,6 +44,33 @@ class TestRegistry:
         assert "chip_gemm_onchip" not in HEAVY_RUNNERS
 
 
+class _ReadNames(dict):
+    """Job parameters that record each name a runner reads through ``get``
+    or ``[]`` (not ``items()``, which the replay key iterates)."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("runner", runner_names())
+def test_known_params_are_the_names_each_runner_reads(runner):
+    """``KNOWN_PARAMS``, from which ``repro sweep`` and ``repro trace`` warn
+    about unused parameters, lists exactly what a default job reads."""
+    assert set(KNOWN_PARAMS) == set(runner_names())
+    params = _ReadNames()
+    get_runner(runner)(params)
+    assert params.read == KNOWN_PARAMS[runner]
+
+
 # ------------------------------------------------------- analytical runners
 class TestChipGemmOnchip:
     def test_matches_model_with_required_bandwidth(self):
@@ -395,6 +422,20 @@ def test_auto_mode_picks_pool_for_new_heavy_runners():
     executor = SweepExecutor(mode="auto")
     mode = executor._resolve_mode([(i, j) for i, j in enumerate(jobs)], workers=4)
     assert mode == "process"
+
+
+def test_auto_mode_sizes_the_pool_from_cpu_affinity(monkeypatch):
+    """A process allowed one CPU gets one worker, so a heavy two-job sweep
+    runs serially in it however many CPUs the host has."""
+    from repro.engine.executor import SweepExecutor
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    jobs = [Job.create("lap_runtime", {"seed": seed}) for seed in range(2)]
+    executor = SweepExecutor(mode="auto")
+    assert executor._resolve_workers() == 1
+    assert execute_jobs(jobs, mode="auto").mode == "serial"
 
 
 # ------------------------------------------------ simulator runner golden

@@ -374,9 +374,10 @@ class TestRuntimeDataMovement:
                                              verify=True)
         graph = AlgorithmsByBlocks(8).cholesky_tasks(48)
         assert stats["residual"] < 1e-8
+        tasks = {t.task_id: t for t in graph}
         end_by_id = {e.task_id: e.end_cycle for e in runtime.executions}
         for execution in runtime.executions:
-            task = graph.task(execution.task_id)
+            task = tasks[execution.task_id]
             ready = max((end_by_id[d] for d in task.depends_on), default=0)
             assert execution.start_cycle >= ready
 
@@ -625,9 +626,10 @@ class TestTwoLevelRuntime:
                                              verify=True)
         assert stats["residual"] < 1e-8
         graph = AlgorithmsByBlocks(8).cholesky_tasks(48)
+        tasks = {t.task_id: t for t in graph}
         end_by_id = {e.task_id: e.end_cycle for e in runtime.executions}
         for execution in runtime.executions:
-            task = graph.task(execution.task_id)
+            task = tasks[execution.task_id]
             ready = max((end_by_id[d] for d in task.depends_on), default=0)
             assert execution.start_cycle >= ready
 

@@ -41,17 +41,18 @@ class TestTaskGraph:
         assert len(graph) == 8
         assert graph[0].task_id == 0
         assert [t.task_id for t in graph] == list(range(8))
-        assert graph.task(3).task_id == 3
+        assert {t.task_id: t for t in graph}[3] == graph[3]
         assert graph.ids == list(range(8))
-        assert graph.id2idx[3] == 3 and graph.succ[graph.id2idx[0]] == (1,)
+        assert graph.succ[graph.ids.index(0)] == (1,)
 
     def test_adjacency(self):
         graph = AlgorithmsByBlocks(tile=4).cholesky_tasks(8)
+        tasks = {t.task_id: t for t in graph}
         chol = graph[0]
         assert chol.kind is TaskKind.CHOLESKY
-        succs = [graph.ids[j] for j in graph.succ[graph.id2idx[chol.task_id]]]
+        succs = [graph.ids[j] for j in graph.succ[graph.ids.index(chol.task_id)]]
         assert succs
-        assert all(chol.task_id in graph.task(s).depends_on for s in succs)
+        assert all(chol.task_id in tasks[s].depends_on for s in succs)
         # ``succ`` is exactly the inverse of ``depends_on``.
         for i, task in enumerate(graph):
             preds = sorted(graph.ids[j] for j, targets in enumerate(graph.succ)
@@ -325,10 +326,11 @@ class TestGoldenEquivalence:
 # ------------------------------------------------------------- policies
 def _schedule_is_valid(runtime, graph):
     """Dependencies respected, per-core intervals non-overlapping."""
+    tasks = {t.task_id: t for t in graph}
     end_by_id = {e.task_id: e.end_cycle for e in runtime.executions}
     by_core = {}
     for execution in runtime.executions:
-        task = graph.task(execution.task_id)
+        task = tasks[execution.task_id]
         ready = max((end_by_id[d] for d in task.depends_on), default=0)
         assert execution.start_cycle >= ready
         by_core.setdefault(execution.core_index, []).append(
@@ -378,8 +380,9 @@ class TestPolicies:
         runtime.run_blocked_gemm(16, np.random.default_rng(0))
         core_by_tile = {}
         graph = AlgorithmsByBlocks(8).gemm_tasks(16, 16, 16)
+        tasks = {t.task_id: t for t in graph}
         for execution in runtime.executions:
-            tile_coord = graph.task(execution.task_id).output
+            tile_coord = tasks[execution.task_id].output
             core_by_tile.setdefault(tile_coord, set()).add(execution.core_index)
         assert all(len(cores) == 1 for cores in core_by_tile.values())
 
