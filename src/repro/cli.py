@@ -73,7 +73,7 @@ import numpy as np
 
 from repro.arch.lap_design import build_lap
 from repro.engine import (KNOWN_PARAMS, PARETO_OBJECTIVES, IncrementalPareto,
-                          ResultCache, SweepExecutor, SweepSpec,
+                          Job, ResultCache, SweepExecutor, SweepSpec,
                           frontier_report, runner_names, usable_cache_dir)
 from repro.experiments.export import write_json
 from repro.experiments.registry import REGISTRY, run_experiment
@@ -561,7 +561,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         params = _parse_constants(args.set)
         _warn_unknown_params("lap_runtime", params)
-        runtime, row = simulate_lap_runtime(parse_lap_runtime(params))
+        point = parse_lap_runtime(params)
+        # A sweep job's checks too (finite scalars), so a value the runner
+        # ignores fails before the point simulates.
+        Job.create("lap_runtime", params)
+        runtime, row = simulate_lap_runtime(point)
         attribution = runtime.attribution()
         # Conservation is a hard export precondition: a trace whose
         # components do not tile cores x makespan is a runtime bug.

@@ -224,6 +224,23 @@ def _float_or_none(params: Mapping, name: str) -> Optional[float]:
     return None if value is None else float(value)
 
 
+def _integer(params: Mapping, name: str, default: int) -> int:
+    """An integer job parameter: a value ``int()`` converts without loss.
+
+    A non-integral or non-finite number, or anything else ``int()``
+    rejects, raises ``ValueError`` naming the parameter and the value:
+    ``int(32.5)`` is 32, so a bare conversion would run another point.
+    """
+    value = params.get(name, default)
+    try:
+        number = int(value)
+        if isinstance(value, str) or number == value:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"parameter '{name}' must be an integer, got {value!r}")
+
+
 def _flag(params: Mapping, name: str, default: bool) -> bool:
     """A boolean job parameter: a bool or the integer 0 or 1.
 
@@ -242,8 +259,8 @@ def run_design_point(params: Params) -> dict:
     from repro.arch.lap_design import build_lap
 
     precision = _precision(params)
-    cores = int(params.get("cores", 8))
-    nr = int(params.get("nr", 4))
+    cores = _integer(params, "cores", 8)
+    nr = _integer(params, "nr", 4)
     frequency = float(params.get("frequency_ghz", 1.0))
     local_store = float(params.get("local_store_kbytes", 16.0))
     onchip = float(params.get("onchip_mbytes", 4.0))
@@ -306,10 +323,10 @@ def run_kernel_simulation(params: Params) -> dict:
     from repro.lac import LACConfig, LinearAlgebraCore
 
     kernel = str(params.get("kernel", "gemm"))
-    size = int(params.get("size", 16))
-    nr = int(params.get("nr", 4))
+    size = _integer(params, "size", 16)
+    nr = _integer(params, "nr", 4)
     frequency = float(params.get("frequency_ghz", 1.0))
-    seed = int(params.get("seed", 0))
+    seed = _integer(params, "seed", 0)
     spec = get_kernel(kernel)
     check_size(kernel, size, nr)
     core = LinearAlgebraCore(LACConfig(nr=nr, frequency_ghz=frequency))
@@ -334,9 +351,9 @@ def run_chip_gemm(params: Params) -> dict:
     """Evaluate the analytical multi-core GEMM model at one design point."""
     from repro.models.chip_model import ChipGEMMModel
 
-    num_cores = int(params.get("num_cores", 8))
-    nr = int(params.get("nr", 4))
-    n = int(params.get("n", 2048))
+    num_cores = _integer(params, "num_cores", 8)
+    nr = _integer(params, "nr", 4)
+    n = _integer(params, "n", 2048)
     bw_bytes = float(params.get("offchip_bw_bytes_per_cycle", 16.0))
     frequency = float(params.get("frequency_ghz", 1.0))
     model = ChipGEMMModel(num_cores=num_cores, nr=nr)
@@ -359,10 +376,10 @@ def run_core_gemm(params: Params) -> dict:
     """Evaluate the analytical single-core GEMM model at one design point."""
     from repro.models.core_model import CoreGEMMModel
 
-    nr = int(params.get("nr", 4))
-    n = int(params.get("n", 512))
-    kc = int(params.get("kc", 128))
-    mc = int(params.get("mc", kc))
+    nr = _integer(params, "nr", 4)
+    n = _integer(params, "n", 512)
+    kc = _integer(params, "kc", 128)
+    mc = _integer(params, "mc", kc)
     bw_bytes = float(params.get("bandwidth_bytes_per_cycle", 4.0))
     model = CoreGEMMModel(nr=nr)
     res = model.cycles(mc=mc, kc=kc, n=n,
@@ -389,11 +406,11 @@ def run_chip_gemm_onchip(params: Params) -> dict:
     """
     from repro.models.chip_model import ChipGEMMModel
 
-    num_cores = int(params.get("num_cores", 8))
-    nr = int(params.get("nr", 4))
-    n = int(params.get("n", 1024))
-    kc = int(params.get("kc", 128))
-    mc = int(params.get("mc", kc))
+    num_cores = _integer(params, "num_cores", 8)
+    nr = _integer(params, "nr", 4)
+    n = _integer(params, "n", 1024)
+    kc = _integer(params, "kc", 128)
+    mc = _integer(params, "mc", kc)
     full_overlap = _flag(params, "full_overlap", False)
     frequency = float(params.get("frequency_ghz", 1.0))
     model = ChipGEMMModel(num_cores=num_cores, nr=nr)
@@ -428,10 +445,10 @@ def run_blas_point(params: Params) -> dict:
     from repro.models.blas_model import BlasCoreModel, Level3Operation
 
     operation = Level3Operation(str(params.get("operation", "gemm")).lower())
-    nr = int(params.get("nr", 4))
-    n = int(params.get("n", 512))
-    kc = int(params.get("kc", 128))
-    mc = int(params.get("mc", kc))
+    nr = _integer(params, "nr", 4)
+    n = _integer(params, "n", 512)
+    kc = _integer(params, "kc", 128)
+    mc = _integer(params, "mc", kc)
     bw_bytes = float(params.get("bandwidth_bytes_per_cycle", 4.0))
     full_overlap = _flag(params, "full_overlap", False)
     model = BlasCoreModel(nr=nr)
@@ -467,8 +484,8 @@ def run_fact_kernel(params: Params) -> dict:
 
     precision = _precision(params)
     kernel = FactorizationKernel(str(params.get("kernel", "lu")).lower())
-    k = int(params.get("k", 128))
-    nr = int(params.get("nr", 4))
+    k = _integer(params, "k", 128)
+    nr = _integer(params, "nr", 4)
     placement = SFUPlacement(str(params.get("sfu", "isolate")).lower())
     extension = MACExtension(str(params.get("mac_extension", "none")).lower())
     frequency = float(params.get("frequency_ghz", 1.0))
@@ -544,12 +561,12 @@ def parse_lap_runtime(params: Mapping) -> LapRuntimePoint:
     if algorithm not in AlgorithmsByBlocks.WORKLOADS:
         raise ValueError(f"unknown lap_runtime algorithm '{algorithm}' "
                          f"(use one of {', '.join(AlgorithmsByBlocks.WORKLOADS)})")
-    n = int(params.get("n", 16))
-    tile = int(params.get("tile", 8))
-    num_cores = int(params.get("num_cores", 2))
-    nr = int(params.get("nr", 4))
+    n = _integer(params, "n", 16)
+    tile = _integer(params, "tile", 8)
+    num_cores = _integer(params, "num_cores", 2)
+    nr = _integer(params, "nr", 4)
     onchip_mbytes = float(params.get("onchip_mbytes", 1.0))
-    seed = int(params.get("seed", 0))
+    seed = _integer(params, "seed", 0)
     policy = str(params.get("policy", "greedy"))
     timing = str(params.get("timing", "functional"))
     verify = _flag(params, "verify", True)
@@ -765,9 +782,9 @@ def run_blocked_factorization(params: Params) -> dict:
                                          FactorizationKernelModel, MACExtension)
 
     method = str(params.get("method", "lu")).lower()
-    n = int(params.get("n", 8))
-    nr = int(params.get("nr", 4))
-    seed = int(params.get("seed", 0))
+    n = _integer(params, "n", 8)
+    nr = _integer(params, "nr", 4)
+    seed = _integer(params, "seed", 0)
     use_extension = _flag(params, "use_extension", True)
     frequency = float(params.get("frequency_ghz", 1.0))
     core = LinearAlgebraCore(LACConfig(nr=nr, frequency_ghz=frequency))

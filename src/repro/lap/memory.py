@@ -42,20 +42,21 @@ per tile id in plain Python lists (footprints are 1-4 tiles, where scalar
 list indexing beats any ufunc dispatch), sized once from
 ``TaskGraph.num_tiles``.  The two-level hierarchy adds one holder bitmask
 per tile id (:attr:`MemoryHierarchy.local_holders`): bit ``k`` is set while
-core ``k``'s store holds the tile.  Only :meth:`LocalStore.touch_ids` (set
-on fill, clear on LRU eviction) and :meth:`LocalStore.invalidate_ids`
-(clear) write the masks.  The classes hold the state; the scheduler loop
-is the one implementation of the shared-level LRU, calls only those two
-methods on the local level, and reads local membership only through the
-masks, so a write or a shared-level eviction visits just the cores that
-hold the tile.  ``tests/scheduler_oracle.py`` keeps ``OrderedDict`` levels
-that define the model, and the tests pin the loop to them.
+core ``k``'s store holds the tile.  The classes hold state only: the
+scheduler loop is the one implementation of both levels.  It runs the
+shared-level LRU and each core's local-store LRU over that state, keeps
+the masks equal to the stores' membership (set on a fill, cleared on an
+LRU eviction, a sibling core's write or a shared-level eviction), and
+reads local membership only through them, so a write or a shared-level
+eviction visits just the cores that hold the tile.
+``tests/scheduler_oracle.py`` keeps ``OrderedDict`` levels that define the
+model, and the tests pin the loop to them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.hw.fpu import FMACUnit
 from repro.hw.memory import OffChipInterface, OnChipMemory
@@ -145,85 +146,17 @@ class LocalStore(_LRULevel):
     The second residency level of the two-level hierarchy: the shared
     :class:`TileResidency` feeds one store per core.  The store is inclusive
     in the shared level and write-through (the shared level owns dirtiness
-    and hence all off-chip accounting), so it uses the clock/stamp scheme
-    of :class:`TileResidency` without the dirty/compulsory bookkeeping; a
-    footprint is pinned while it is brought resident, so a footprint larger
-    than the budget overflows transiently instead of evicting itself.
-
-    ``holders`` is the per-tile-id bitmask list the stores of one hierarchy
-    share (a private one by default); the store keeps bit ``core`` of it
-    equal to its own membership.
+    and hence all off-chip accounting), so it keeps the clock/stamp state
+    of :class:`TileResidency` without the dirty/compulsory bookkeeping.  The
+    scheduler loop fills, evicts and invalidates it, pinning a footprint
+    while it is brought resident, so a footprint larger than the budget
+    overflows transiently instead of evicting itself; the hierarchy's
+    holder masks mirror its membership.
     """
 
     def __init__(self, capacity_bytes: float, tile_bytes: int,
-                 num_tiles: int = 0, holders: Optional[List[int]] = None,
-                 core: int = 0):
+                 num_tiles: int = 0):
         super().__init__(capacity_bytes, tile_bytes, num_tiles, "local-store")
-        self.holders: List[int] = [0] * num_tiles if holders is None else holders
-        self._bit = 1 << core
-
-    def touch_ids(self, foot: Sequence[int]) -> float:
-        """Bring a duplicate-free footprint of tile ids resident; returns
-        the fill bytes it required."""
-        stamp = self._stamp
-        holders = self.holders
-        bit = self._bit
-        qt = self._qt
-        head = self._qhead
-        qbase = self._qbase
-        tb = self.tile_bytes
-        clock = self._clock
-        pin_floor = clock
-        nmiss = 0
-        rc = self._rc
-        for tid in foot:
-            if stamp[tid] < 0:
-                nmiss += 1
-                rc += 1
-                holders[tid] |= bit
-            stamp[tid] = clock
-            qt.append(tid)
-            clock += 1
-        self._clock = clock
-        if rc > self._cap_tiles:
-            qn = len(qt)
-            cap_tiles = self._cap_tiles
-            while rc > cap_tiles and head < qn:
-                vid = qt[head]
-                st = qbase + head
-                if stamp[vid] != st:
-                    head += 1           # stale entry: the tile was re-stamped
-                    continue
-                if st >= pin_floor:
-                    break               # only the pinned footprint remains
-                head += 1
-                stamp[vid] = -1
-                holders[vid] ^= bit
-                rc -= 1
-            if head > 65536 and head * 2 > qn:
-                del qt[:head]
-                self._qbase = qbase + head
-                head = 0
-        self._qhead = head
-        self._rc = rc
-        resident = rc * tb
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-        return float(nmiss * tb)
-
-    def invalidate_ids(self, tids: Sequence[int]) -> None:
-        """Drop every listed tile id that is currently resident (a shared-
-        level eviction or a sibling core's write)."""
-        stamp = self._stamp
-        holders = self.holders
-        bit = self._bit
-        rc = self._rc
-        for tid in tids:
-            if stamp[tid] >= 0:
-                stamp[tid] = -1
-                holders[tid] ^= bit
-                rc -= 1
-        self._rc = rc
 
 
 class TaskEnergyModel:
@@ -324,9 +257,8 @@ class MemoryHierarchy:
         if self.local_store_kb is not None:
             self.local_holders = [0] * num_tiles
             self.local_stores = [
-                LocalStore(self.local_store_kb * 1024, tile_bytes, num_tiles,
-                           self.local_holders, core)
-                for core in range(self.num_cores)]
+                LocalStore(self.local_store_kb * 1024, tile_bytes, num_tiles)
+                for _ in range(self.num_cores)]
         #: Bytes/cycle of shared-to-local (and core-to-core) transfers: the
         #: peak bandwidth of the shared on-chip SRAM.
         self.onchip_bw_bytes_per_cycle = float(onchip.peak_bandwidth_bytes_per_cycle)

@@ -50,6 +50,7 @@ a cold shape-only point warms on).
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import math
 from dataclasses import dataclass
@@ -458,15 +459,22 @@ class LAPRuntime:
         time -- O(V log V + E) for the static policies.  Every policy, timing
         and memory decision is inlined over the graph's per-position arrays
         (no per-task method dispatch), branching on the policy name's index
-        in :data:`~repro.lap.policies.POLICIES`.  Every dispatched task also
+        in :data:`~repro.lap.policies.POLICIES`; a core pick compares
+        scalars and builds nothing per core.  Every dispatched task also
         updates the tile-residency model (in dispatch order, the
         serialisation the shared on-chip memory sees); spill refills stall
         the task through the off-chip bandwidth and the stats carry unified
-        traffic / stall / energy totals.  With local stores the loop reads
-        local membership only through the hierarchy's per-tile holder masks
+        traffic / stall / energy totals.  The loop is the one implementation
+        of both residency levels: it runs the shared level's LRU and, with
+        local stores, the assigned core's store LRU over the state of
+        :mod:`repro.lap.memory` bound to locals, classifying each footprint
+        tile as it is brought resident.  It reads and writes local
+        membership through the hierarchy's per-tile holder masks
         (:attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a
         write or a shared-level eviction revokes a tile on its holders
-        alone.  The memory-keyed policies (``memory_aware``,
+        alone.  The loop allocates no reference cycle, so the cyclic
+        garbage collector is paused while it runs (and switched back on
+        only if it was on).  The memory-keyed policies (``memory_aware``,
         ``affinity``) have stale heap keys lazily re-validated against the
         current residency state; that re-validation is bounded at one
         refresh per entry between executions, so those policies are
@@ -513,15 +521,16 @@ class LAPRuntime:
         dynamic = pcode >= 3
         crit = pcode == 1
 
-        # Loop-local accounting state: the hierarchy's levels and constants
-        # bound to locals.  Without local stores a task's second-level costs
-        # stay at these zeros.
+        # Loop-local accounting state: both levels' state and the
+        # hierarchy's constants bound to locals, written back after the
+        # loop.  Byte counts are tile counts times ``tb``, a float, so they
+        # are exact integers (far below 2**53) built without a float() call.
+        # Without local stores a task's second-level costs stay at these
+        # zeros.
         transfer_cycles = local_hit = transfer_bytes = shared_fill = 0.0
         res = memory.residency
-        stores = memory.local_stores
-        holders = memory.local_holders
         tile_bytes = res.tile_bytes
-        tb = tile_bytes
+        tb = float(tile_bytes)
         res_capmax = res._cap_tiles
         res_stamp = res._stamp
         res_dirty = res._dirty
@@ -534,7 +543,32 @@ class LAPRuntime:
         res_rc = res._rc
         res_dc = res._dirty_count
         res_version = res.version
-        peak_rc = res.peak_resident_bytes // tb
+        peak_rc = res.peak_resident_bytes // tile_bytes
+        # The local level: per-core lists of each store's state, indexed by
+        # core, and the holder masks that mirror its membership.
+        stores = memory.local_stores
+        holders = memory.local_holders
+        if holders is not None:
+            ls_stamp = [store._stamp for store in stores]
+            ls_qt = [store._qt for store in stores]
+            ls_qhead = [store._qhead for store in stores]
+            ls_qbase = [store._qbase for store in stores]
+            ls_clock = [store._clock for store in stores]
+            ls_rc = [store._rc for store in stores]
+            ls_peak = [store.peak_resident_bytes // tile_bytes
+                       for store in stores]
+            ls_capmax = stores[0]._cap_tiles
+
+            def revoke(tid, mask):
+                # Drop tile ``tid`` from the stores of the cores in ``mask``
+                # (a shared-level eviction or a sibling core's write).
+                holders[tid] ^= mask
+                while mask:
+                    low = mask & -mask
+                    k = low.bit_length() - 1
+                    ls_stamp[k][tid] = -1
+                    ls_rc[k] -= 1
+                    mask ^= low
         bpc_off = memory.interface.bytes_per_cycle(memory.frequency_ghz)
         obw = memory.onchip_bw_bytes_per_cycle
         epf = memory.energy.energy_per_flop_j
@@ -544,11 +578,10 @@ class LAPRuntime:
         group_kind = [kind for kind, _, _ in ga.group_keys]
         group_flops = [_TASK_FLOPS[kind](t) for kind in group_kind]
         # Totals accumulate in locals (one per-task add each, starting
-        # from the hierarchy's 0.0/0, in dispatch order); byte counters
-        # stay integers, which is exact.
+        # from the hierarchy's 0.0, in dispatch order).
         tot_flops = tot_energy = tot_stall = tot_ltc = 0.0
         tot_lhit = tot_sfill = tot_c2c = 0.0
-        tot_comp = tot_spill = tot_wb = 0
+        tot_comp = tot_spill = tot_wb = 0.0
 
         warming = False
         if memoized:
@@ -638,224 +671,271 @@ class LAPRuntime:
         owner_cores = pcode in (2, 3)
         need_owner = pcode >= 2    # greedy/critical-path never read the owner map
 
-        while heap:
-            if dynamic:
-                key, task_id, stamp, i = heappop(heap)
-                rtime = ready[i]
-                if stamp != cur_version:
-                    # Lazy re-validation: recompute the stale key; if the
-                    # task no longer leads the heap, push it back and look
-                    # again.  The version only advances when a task
-                    # executes, so every entry is refreshed at most once
-                    # between executions (bounded work).
-                    key = prio(i, rtime)
-                    if heap and (key, task_id) > (heap[0][0], heap[0][1]):
-                        heappush(heap, (key, task_id, cur_version, i))
-                        continue
-            else:
-                i = heappop(heap)[-1]
-                rtime = ready[i]
+        # The loop allocates no reference cycle, so the cyclic collector's
+        # passes over its growing rows are paused until it is done.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                if dynamic:
+                    key, task_id, stamp, i = heappop(heap)
+                    rtime = ready[i]
+                    if stamp != cur_version:
+                        # Lazy re-validation: recompute the stale key; if the
+                        # task no longer leads the heap, push it back and look
+                        # again.  The version only advances when a task
+                        # executes, so every entry is refreshed at most once
+                        # between executions (bounded work).
+                        key = prio(i, rtime)
+                        if heap and (key, task_id) > (heap[0][0], heap[0][1]):
+                            heappush(heap, (key, task_id, cur_version, i))
+                            continue
+                else:
+                    i = heappop(heap)[-1]
+                    rtime = ready[i]
 
-            # -- core selection (first-minimum scans) --------------------------
-            if affinity_cores:
-                # Most footprint tiles already in the core's local store
-                # (counted from the holder masks), then the output tile's
-                # owner, then the earliest start.
-                held = [0] * num_cores
-                for tid in foot_ids[i]:
-                    hm = holders[tid]
-                    while hm:
-                        low = hm & -hm
-                        held[low.bit_length() - 1] += 1
-                        hm ^= low
-                ow = owner[out_id[i]]
-                bk = None
-                c = 0
-                for ci in range(num_cores):
-                    f = core_free[ci]
-                    ck = (-held[ci], 0 if ci == ow else 1,
-                          f if f > rtime else rtime)
-                    if bk is None or ck < bk:
-                        bk = ck
-                        c = ci
-                start = bk[2]
-            elif owner_cores:
-                # Earliest start, the output tile's owner on ties.
-                ow = owner[out_id[i]]
-                bk = None
-                c = 0
-                for ci in range(num_cores):
-                    f = core_free[ci]
-                    ck = (f if f > rtime else rtime, 0 if ci == ow else 1)
-                    if bk is None or ck < bk:
-                        bk = ck
-                        c = ci
-                start = bk[0]
-            else:
-                start = min(core_free)
-                c = core_free.index(start)
-                if rtime > start:
-                    start = rtime
-
-            # -- timing ----------------------------------------------------------
-            g = group[i]
-            if memoized:
-                cycles = gtable[g]
-                if cycles is None:
-                    cycles = gtable[g] = timing.task_cycles(
-                        gsig[g], core_key, functools.partial(
-                            _simulate_task, tasks[i], tiles, cores[c]))
-                elif verify:
-                    _update_tiles(tasks[i], tiles, _NumPyKernels)
-            else:
-                cycles = _simulate_task(tasks[i], tiles, cores[c])
-            if homogeneous:
-                duration = cycles
-            else:
-                duration = cycles * reference_freq / frequencies[c]
-            compute_duration = duration
-
-            # -- data movement: the shared-level LRU (its only implementation)
-            foot = foot_ids[i]
-            pin_floor = res_clock
-            nmiss = nspill = 0
-            for tid in foot:
-                if res_stamp[tid] < 0:
-                    nmiss += 1
-                    if res_ever[tid]:
-                        nspill += 1
-                    else:
-                        res_ever[tid] = True
-                    res_rc += 1
-                res_stamp[tid] = res_clock
-                res_qt_append(tid)
-                res_clock += 1
-            wids = write_ids[i]
-            for tid in wids:
-                if not res_dirty[tid]:
-                    res_dirty[tid] = True
-                    res_dc += 1
-            wb = 0
-            nvict = 0
-            if res_rc > res_capmax:
-                qn = len(res_qt)
-                while res_rc > res_capmax and res_qhead < qn:
-                    vid = res_qt[res_qhead]
-                    st = res_qbase + res_qhead
-                    if res_stamp[vid] != st:
-                        res_qhead += 1      # stale entry: tile was re-stamped
-                        continue
-                    if st >= pin_floor:
-                        break               # only the pinned footprint remains
-                    res_qhead += 1
-                    res_stamp[vid] = -1
-                    res_rc -= 1
-                    nvict += 1
-                    if res_dirty[vid]:
-                        res_dirty[vid] = False
-                        res_dc -= 1
-                        wb += 1
-                    if holders is not None:
-                        # Inclusion: the victim leaves the local stores
-                        # that hold it.
-                        hm = holders[vid]
+                # -- core selection: a task starts at max(free, ready) -------
+                foot = foot_ids[i]
+                if affinity_cores:
+                    # The cores holding the most footprint tiles in their
+                    # local store (counted from the holder masks); among
+                    # them the output tile's owner, whatever its start,
+                    # else the earliest start, first index on ties.
+                    held = [0] * num_cores
+                    for tid in foot:
+                        hm = holders[tid]
                         while hm:
                             low = hm & -hm
-                            stores[low.bit_length() - 1].invalidate_ids((vid,))
+                            held[low.bit_length() - 1] += 1
                             hm ^= low
-                if res_qhead > 262144 and res_qhead * 2 > qn:
-                    del res_qt[:res_qhead]
-                    res_qbase += res_qhead
-                    res_qhead = 0
-            if res_rc > peak_rc:
-                peak_rc = res_rc
-            if nmiss or nvict:
-                res_version += 1
-            refill_b = nmiss * tb
-            spill_b = nspill * tb
-            if spill_b > 0:
-                stall = spill_b / bpc_off
-            else:
-                stall = 0.0
-            flops = group_flops[g]
-            onchip_bytes = rw_len[i] * tb
-            if holders is not None:
-                # Classify the footprint against the assigned core's
-                # store by the holder masks (local hit / sibling copy /
-                # shared fill), bring it resident, and revoke the other
-                # holders' copies of the written tiles (write-through).
-                bit = 1 << c
-                lhit = ncc = nsf = 0
+                    most = max(held)
+                    c = owner[out_id[i]]
+                    if c >= 0 and held[c] == most:
+                        f = core_free[c]
+                        start = f if f > rtime else rtime
+                    else:
+                        c = -1
+                        for ci in range(num_cores):
+                            if held[ci] == most:
+                                f = core_free[ci]
+                                s = f if f > rtime else rtime
+                                if c < 0 or s < start:
+                                    c = ci
+                                    start = s
+                elif owner_cores:
+                    # The earliest start: the output tile's owner if it
+                    # can start then, else the first core that can.
+                    start = min(core_free)
+                    if start > rtime:
+                        c = core_free.index(start)
+                    else:
+                        start = rtime
+                        c = 0
+                        while core_free[c] > rtime:
+                            c += 1
+                    ow = owner[out_id[i]]
+                    if ow > c and core_free[ow] <= start:
+                        c = ow
+                else:
+                    start = min(core_free)
+                    c = core_free.index(start)
+                    if rtime > start:
+                        start = rtime
+
+                # -- timing --------------------------------------------------
+                g = group[i]
+                if memoized:
+                    cycles = gtable[g]
+                    if cycles is None:
+                        cycles = gtable[g] = timing.task_cycles(
+                            gsig[g], core_key, functools.partial(
+                                _simulate_task, tasks[i], tiles, cores[c]))
+                    elif verify:
+                        _update_tiles(tasks[i], tiles, _NumPyKernels)
+                else:
+                    cycles = _simulate_task(tasks[i], tiles, cores[c])
+                if homogeneous:
+                    duration = cycles
+                else:
+                    duration = cycles * reference_freq / frequencies[c]
+                compute_duration = duration
+
+                # -- data movement: the shared-level LRU ---------------------
+                pin_floor = res_clock
+                nmiss = nspill = 0
                 for tid in foot:
-                    hm = holders[tid]
-                    if hm & bit:
-                        lhit += 1
-                    elif hm:
-                        ncc += 1
-                    else:
-                        nsf += 1
-                stores[c].touch_ids(foot)
+                    if res_stamp[tid] < 0:
+                        nmiss += 1
+                        if res_ever[tid]:
+                            nspill += 1
+                        else:
+                            res_ever[tid] = True
+                        res_rc += 1
+                    res_stamp[tid] = res_clock
+                    res_qt_append(tid)
+                    res_clock += 1
+                wids = write_ids[i]
                 for tid in wids:
-                    hm = holders[tid] & ~bit
-                    while hm:
-                        low = hm & -hm
-                        stores[low.bit_length() - 1].invalidate_ids((tid,))
-                        hm ^= low
-                local_version += 1
-                local_hit = float(lhit * tb)
-                shared_fill = float(nsf * tb)
-                c2c = float(ncc * tb)
-                transfer_bytes = shared_fill + c2c
-                transfer_cycles = (transfer_bytes / obw
-                                   if transfer_bytes > 0 and obw > 0 else 0.0)
-                onchip_bytes = onchip_bytes + transfer_bytes
-                tot_lhit += local_hit
-                tot_sfill += shared_fill
-                tot_c2c += c2c
-                tot_ltc += transfer_cycles
-            wb_b = wb * tb
-            energy = (flops * epf + onchip_bytes * epon
-                      + (refill_b + wb_b) * epoff)
-            tot_flops += flops
-            tot_energy += energy
-            tot_stall += stall
-            tot_comp += refill_b - spill_b
-            tot_spill += spill_b
-            tot_wb += wb_b
-            # The visible part of the data movement extends the task.
-            duration = duration + (stall + transfer_cycles) * visible
-            if dynamic:
-                cur_version = res_version + local_version
+                    if not res_dirty[tid]:
+                        res_dirty[tid] = True
+                        res_dc += 1
+                wb = 0
+                nvict = 0
+                if res_rc > res_capmax:
+                    qn = len(res_qt)
+                    while res_rc > res_capmax and res_qhead < qn:
+                        vid = res_qt[res_qhead]
+                        st = res_qbase + res_qhead
+                        if res_stamp[vid] != st:
+                            res_qhead += 1      # stale entry: tile was re-stamped
+                            continue
+                        if st >= pin_floor:
+                            break               # only the pinned footprint remains
+                        res_qhead += 1
+                        res_stamp[vid] = -1
+                        res_rc -= 1
+                        nvict += 1
+                        if res_dirty[vid]:
+                            res_dirty[vid] = False
+                            res_dc -= 1
+                            wb += 1
+                        # Inclusion: the victim leaves the local stores that
+                        # hold it.
+                        if holders is not None and holders[vid]:
+                            revoke(vid, holders[vid])
+                    if res_qhead > 262144 and res_qhead * 2 > qn:
+                        del res_qt[:res_qhead]
+                        res_qbase += res_qhead
+                        res_qhead = 0
+                if res_rc > peak_rc:
+                    peak_rc = res_rc
+                if nmiss or nvict:
+                    res_version += 1
+                refill_b = nmiss * tb
+                spill_b = nspill * tb
+                if spill_b > 0:
+                    stall = spill_b / bpc_off
+                else:
+                    stall = 0.0
+                flops = group_flops[g]
+                onchip_bytes = rw_len[i] * tb
+                if holders is not None:
+                    # -- the local level: core c's store LRU ---------------
+                    # Classify each footprint tile by its holder mask (local
+                    # hit / sibling copy / shared fill) as it is brought
+                    # resident; a shared eviction never takes a pinned tile,
+                    # so the masks read here are the task's own.  Then evict
+                    # the store's LRU tiles outside the pinned footprint, and
+                    # revoke the other holders' copies of the written tiles
+                    # (write-through).
+                    bit = 1 << c
+                    lstamp = ls_stamp[c]
+                    lqt = ls_qt[c]
+                    lclock = ls_clock[c]
+                    lpin = lclock
+                    lrc = ls_rc[c]
+                    lhit = ncc = nsf = 0
+                    for tid in foot:
+                        hm = holders[tid]
+                        if hm & bit:
+                            lhit += 1
+                        else:
+                            if hm:
+                                ncc += 1
+                            else:
+                                nsf += 1
+                            holders[tid] = hm | bit
+                            lrc += 1
+                        lstamp[tid] = lclock
+                        lqt.append(tid)
+                        lclock += 1
+                    ls_clock[c] = lclock
+                    if lrc > ls_capmax:
+                        lhead = ls_qhead[c]
+                        lqbase = ls_qbase[c]
+                        qn = len(lqt)
+                        while lrc > ls_capmax and lhead < qn:
+                            vid = lqt[lhead]
+                            st = lqbase + lhead
+                            if lstamp[vid] != st:
+                                lhead += 1      # stale entry
+                                continue
+                            if st >= lpin:
+                                break           # only the pinned footprint remains
+                            lhead += 1
+                            lstamp[vid] = -1
+                            holders[vid] ^= bit
+                            lrc -= 1
+                        if lhead > 65536 and lhead * 2 > qn:
+                            del lqt[:lhead]
+                            ls_qbase[c] = lqbase + lhead
+                            lhead = 0
+                        ls_qhead[c] = lhead
+                    ls_rc[c] = lrc
+                    if lrc > ls_peak[c]:
+                        ls_peak[c] = lrc
+                    for tid in wids:
+                        if holders[tid] != bit:
+                            revoke(tid, holders[tid] ^ bit)
+                    local_version += 1
+                    local_hit = lhit * tb
+                    shared_fill = nsf * tb
+                    c2c = ncc * tb
+                    transfer_bytes = shared_fill + c2c
+                    transfer_cycles = (transfer_bytes / obw
+                                       if transfer_bytes > 0 and obw > 0
+                                       else 0.0)
+                    onchip_bytes = onchip_bytes + transfer_bytes
+                    tot_lhit += local_hit
+                    tot_sfill += shared_fill
+                    tot_c2c += c2c
+                    tot_ltc += transfer_cycles
+                wb_b = wb * tb
+                energy = (flops * epf + onchip_bytes * epon
+                          + (refill_b + wb_b) * epoff)
+                tot_flops += flops
+                tot_energy += energy
+                tot_stall += stall
+                tot_comp += refill_b - spill_b
+                tot_spill += spill_b
+                tot_wb += wb_b
+                # The visible part of the data movement extends the task.
+                duration = duration + (stall + transfer_cycles) * visible
+                if dynamic:
+                    cur_version = res_version + local_version
 
-            end = start + duration
-            core_free[c] = end
-            busy_cycles[c] += cycles
-            # Efficiency counts compute only: a stalled core is occupied but
-            # not doing useful work, so memory pressure must *lower* the
-            # reported parallel efficiency, never pad it.
-            if not homogeneous:
-                busy_time[c] += compute_duration
-            if need_owner:
-                owner[out_id[i]] = c
-            rows_append((ids[i], group_kind[g], c, start, end, stall,
-                         float(refill_b), energy, transfer_cycles, local_hit,
-                         compute_duration, float(spill_b), transfer_bytes,
-                         float(wb_b), shared_fill))
+                end = start + duration
+                core_free[c] = end
+                busy_cycles[c] += cycles
+                # Efficiency counts compute only: a stalled core is occupied
+                # but not doing useful work, so memory pressure must *lower*
+                # the reported parallel efficiency, never pad it.
+                if not homogeneous:
+                    busy_time[c] += compute_duration
+                if need_owner:
+                    owner[out_id[i]] = c
+                rows_append((ids[i], group_kind[g], c, start, end, stall,
+                             refill_b, energy, transfer_cycles, local_hit,
+                             compute_duration, spill_b, transfer_bytes,
+                             wb_b, shared_fill))
 
-            for j in succ[i]:
-                rj = ready[j]
-                if end > rj:
-                    ready[j] = end
-                    rj = end
-                d = indeg[j] - 1
-                indeg[j] = d
-                if d == 0:
-                    if dynamic:
-                        heappush(heap, (prio(j, rj), ids[j], cur_version, j))
-                    elif crit:
-                        heappush(heap, (negrank[j], rj, ids[j], j))
-                    else:
-                        heappush(heap, (rj, ids[j], j))
+                for j in succ[i]:
+                    rj = ready[j]
+                    if end > rj:
+                        ready[j] = end
+                        rj = end
+                    d = indeg[j] - 1
+                    indeg[j] = d
+                    if d == 0:
+                        if dynamic:
+                            heappush(heap, (prio(j, rj), ids[j], cur_version, j))
+                        elif crit:
+                            heappush(heap, (negrank[j], rj, ids[j], j))
+                        else:
+                            heappush(heap, (rj, ids[j], j))
+        finally:
+            if collecting:
+                gc.enable()
 
         if len(rows) != n:
             raise RuntimeError("task graph deadlock: circular dependencies")
@@ -872,7 +952,14 @@ class LAPRuntime:
         res._qbase = res_qbase
         res._dirty_count = res_dc
         res.version = res_version
-        res.peak_resident_bytes = peak_rc * tb
+        res.peak_resident_bytes = peak_rc * tile_bytes
+        if holders is not None:
+            for k, store in enumerate(stores):
+                store._qhead = ls_qhead[k]
+                store._qbase = ls_qbase[k]
+                store._clock = ls_clock[k]
+                store._rc = ls_rc[k]
+                store.peak_resident_bytes = ls_peak[k] * tile_bytes
         memory.total_flops += tot_flops
         memory.total_energy_j += tot_energy
         memory.total_stall_cycles += tot_stall

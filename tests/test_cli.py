@@ -653,6 +653,44 @@ def test_trace_rejects_non_finite_bandwidth(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--runner", "lap_runtime", "--set", "n=32.5", "--no-cache",
+      "--json"], "sweep failed: parameter 'n' must be an integer, got 32.5"),
+    (["sweep", "--runner", "blocked_fact", "--set", "n=8.5", "--no-cache",
+      "--json"], "sweep failed: parameter 'n' must be an integer, got 8.5"),
+    (["trace", "--set", "n=16.5", "--out"],
+     "trace failed: parameter 'n' must be an integer, got 16.5"),
+    (["trace", "--set", "n=inf", "--out"],
+     "trace failed: parameter 'n' must be an integer, got inf"),
+])
+def test_integer_parameters_are_checked_not_truncated(tmp_path, capsys, argv,
+                                                      message):
+    """Bugfix: ``n=32.5`` wrote a row for the n=32 point, ``blocked_fact``
+    ran ``n=8.5`` as n=8, and ``trace --set n=inf`` printed ``cannot
+    convert float infinity to integer``, naming no parameter."""
+    out = tmp_path / "out.json"
+    assert main([*argv, str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_checks_its_job_before_simulating(tmp_path, capsys, monkeypatch):
+    """``trace`` applies a sweep job's checks to its ``--set`` values, so a
+    NaN exits 2 before the point simulates, not when its metadata fails to
+    encode as strict JSON."""
+    from repro.engine import runners
+
+    def simulate(point):
+        raise AssertionError("the point simulated")
+
+    monkeypatch.setattr(runners, "simulate_lap_runtime", simulate)
+    out = tmp_path / "x.json"
+    assert main(["trace", "--set", "foo=nan", "--out", str(out)]) == 2
+    assert ("trace failed: sweep parameter 'foo' must be finite, got nan"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 #: Jobs whose traced row must be the sweep's row: the four algorithms,
 #: and each parameter the trace's own flags could not set.
 TRACED_JOBS = [

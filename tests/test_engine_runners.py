@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -69,6 +70,47 @@ def test_known_params_are_the_names_each_runner_reads(runner):
     params = _ReadNames()
     get_runner(runner)(params)
     assert params.read == KNOWN_PARAMS[runner]
+
+
+#: Each runner's integer parameters (``pe`` has none).
+INTEGER_PARAMS = {
+    "design": ("cores", "nr"),
+    "simulate": ("size", "nr", "seed"),
+    "chip_gemm": ("num_cores", "nr", "n"),
+    "chip_gemm_onchip": ("num_cores", "nr", "n", "kc", "mc"),
+    "core_gemm": ("nr", "n", "kc", "mc"),
+    "blas": ("nr", "n", "kc", "mc"),
+    "fact_kernel": ("k", "nr"),
+    "lap_runtime": ("n", "tile", "num_cores", "nr", "seed"),
+    "blocked_fact": ("n", "nr", "seed"),
+}
+
+
+@pytest.mark.parametrize("runner, name", [
+    (runner, name) for runner, names in INTEGER_PARAMS.items()
+    for name in names])
+def test_integer_parameters_are_checked_not_truncated(runner, name):
+    """Bugfix: a bare ``int()`` ran ``n=32.5`` as the n=32 point, and an
+    infinite value raised an error that named no parameter."""
+    for value in (4.5, float("inf"), float("nan"), "4.5", None):
+        with pytest.raises(ValueError, match=(
+                f"parameter '{name}' must be an integer, got "
+                f"{re.escape(repr(value))}$")):
+            get_runner(runner)({name: value})
+
+
+def test_integral_values_convert_as_before():
+    """Every value a bare ``int()`` converted without loss still gives the
+    same point: an integral float, a numeric string, a bool."""
+    base = {"algorithm": "cholesky", "n": 32, "tile": 8, "num_cores": 2,
+            "timing": "memoized", "verify": False}
+    row = get_runner("lap_runtime")(dict(base))
+    for n, tile, cores in ((32.0, 8.0, 2.0), ("32", "8", " 2 ")):
+        assert get_runner("lap_runtime")(
+            {**base, "n": n, "tile": tile, "num_cores": cores}) == row
+    design = get_runner("design")
+    assert design({"cores": 8.0, "nr": "4"}) == design({"cores": 8, "nr": 4})
+    assert design({"cores": True}) == design({"cores": 1})
 
 
 # ------------------------------------------------------- analytical runners

@@ -8,9 +8,10 @@ records field by field (values and Python types), same cycle attribution,
 same schedule trace and per-task energy triples -- or downstream sweeps
 silently fork.  This suite pins that contract:
 
-* the full matrix of all four algorithms-by-blocks workloads x all five
-  scheduling policies x {single-level, two-level} hierarchies under
-  constrained capacity (spills, stalls and writebacks exercised);
+* the full matrix of all four algorithms-by-blocks workloads and a
+  tie-heavy wide graph on 8 cores x all five scheduling policies x
+  {single-level, two-level} hierarchies under constrained capacity
+  (spills, stalls and writebacks exercised);
 * random DAGs of GEMM/CHOLESKY/TRSM tasks over a 3x3 tile grid, under
   every policy, hierarchy shape, core count and capacities below one
   footprint: the loop is the only implementation of the residency and
@@ -122,14 +123,39 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False, tiles=None):
     return ref_stats
 
 
+def wide_graph():
+    """A tie-heavy graph: four tile factors, each fanning out to six solves
+    that become ready together, and 24 independent updates.  On 8
+    homogeneous cores many cores can start a task at the same cycle, so
+    the core picks' tie rules decide: the output tile's owner first, then
+    the first index, comparing ``max(free, ready)``."""
+    tasks = []
+    for r in range(4):
+        root = len(tasks)
+        tasks.append(TaskDescriptor(root, TaskKind.CHOLESKY, output=(r, r)))
+        for j in range(6):
+            tasks.append(TaskDescriptor(len(tasks), TaskKind.TRSM,
+                                        output=(j, r), inputs=[(r, r)],
+                                        depends_on=[root]))
+    for j in range(24):
+        tasks.append(TaskDescriptor(len(tasks), TaskKind.GEMM,
+                                    output=(j % 6, 4),
+                                    inputs=[(j % 4, 5), (5, j % 3)]))
+    return TaskGraph(tasks)
+
+
 # ------------------------------------------------- full workload x policy matrix
-@pytest.mark.parametrize("algorithm", sorted(SIZES))
+@pytest.mark.parametrize("algorithm", sorted(SIZES) + ["wide"])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("local_store_kb", LEVELS)
 def test_fast_matches_reference(algorithm, policy, local_store_kb):
-    graph = AlgorithmsByBlocks(TILE).build(algorithm, SIZES[algorithm])
-    ref_rt = make_runtime(policy=policy, local_store_kb=local_store_kb)
-    fast_rt = make_runtime(policy=policy, local_store_kb=local_store_kb)
+    if algorithm == "wide":
+        graph, num_cores = wide_graph(), 8
+    else:
+        graph = AlgorithmsByBlocks(TILE).build(algorithm, SIZES[algorithm])
+        num_cores = 4
+    ref_rt, fast_rt = (make_runtime(policy=policy, local_store_kb=local_store_kb,
+                                    num_cores=num_cores) for _ in range(2))
     stats = assert_runs_identical(ref_rt, fast_rt, graph)
     # The constrained capacity must actually exercise the eviction machinery,
     # otherwise the matrix pins only the trivially-resident regime.

@@ -1,11 +1,11 @@
 """Tests for the unified memory-hierarchy layer of the LAP runtime.
 
-Covers the tile-residency LRU (shared-level cases as 1-3-task graphs
-through the scheduler loop, local-store cases through ``touch_ids`` /
-``invalidate_ids``), the stall conversion and energy constants, the task
-footprints in the IR, the memory_aware policy, the off-chip closed form
-and its residency limit, and the tolerance-compared golden of the traffic
-/ stall / energy columns the ``lap_runtime`` runner now reports.  Per-task
+Covers the tile-residency LRU (shared-level and local-store cases as
+short task graphs through the scheduler loop), the stall conversion and
+energy constants, the task footprints in the IR, the memory_aware policy,
+the off-chip closed form and its residency limit, and the
+tolerance-compared golden of the traffic / stall / energy columns the
+``lap_runtime`` runner now reports.  Per-task
 accounting in an arbitrary dispatch order goes through the oracle
 hierarchy of ``scheduler_oracle``; everything else runs the product.
 
@@ -471,27 +471,60 @@ class TestLocalStore:
             with pytest.raises(ValueError, match="local-store capacity"):
                 LocalStore(capacity, 512)
 
+    @staticmethod
+    def chain(footprints, local_tiles, shared_tiles=None):
+        """Run a one-core chain of tasks reading ``footprints`` (tile ids
+        ``k`` as tiles ``A[k, 0]``, numbered in first-seen order) with a
+        ``local_tiles``-tile store; returns the per-task local-hit and fill
+        bytes, the holder masks and the peak local bytes."""
+        tasks = [TaskDescriptor(k, TaskKind.GEMM, output=(0, 0),
+                                inputs=[(0, 0), (0, 0)],
+                                depends_on=[k - 1] if k else [],
+                                reads=[("A", (tid, 0)) for tid in foot],
+                                writes=[])
+                 for k, foot in enumerate(footprints)]
+        runtime = make_runtime(num_cores=1, timing="memoized",
+                               local_store_kb=local_tiles * 0.5,
+                               on_chip_kb=(None if shared_tiles is None
+                                           else shared_tiles * 0.5))
+        block = 16.0 * np.eye(8)
+        tiles = {op: {(i, j): block for i in range(8) for j in range(8)}
+                 for op in "ABC"}
+        stats = runtime.execute(tasks, tiles, verify=False)
+        rows = runtime.executions
+        return ([e.local_hit_bytes for e in rows],
+                [e.shared_to_local_bytes for e in rows],
+                runtime.last_memory.local_holders,
+                stats["peak_local_resident_bytes"])
+
     def test_fill_hit_and_invalidate(self):
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=4)
-        assert store.touch_ids([0]) == 512                  # cold fill
-        assert store.touch_ids([0]) == 0                    # hit
-        assert store.touch_ids([0, 1]) == 512               # one tile missing
-        store.invalidate_ids([0, 3])                        # 3 is not held
-        assert store.holders == [0, 1, 0, 0]
-        assert store.touch_ids([1]) == 0
-        assert store.touch_ids([0]) == 512                  # re-fill
-        assert store.peak_resident_bytes == 2 * 512
+        """A 4-tile store under a 2-tile shared level: cold fills, hits,
+        and shared-level evictions revoking local copies (inclusion)."""
+        hits, fills, holders, peak = self.chain(
+            [[0], [0], [0, 1],
+             [2],        # the shared level evicts 0, so the store drops it
+             [1],        # 1 stayed
+             [0]],       # re-fill (the shared level evicts 2)
+            local_tiles=4, shared_tiles=2)
+        assert hits == [0, 512, 512, 0, 512, 0]
+        assert fills == [512, 0, 512, 512, 0, 512]
+        assert holders == [1, 1, 0]
+        assert peak == 2 * 512
 
     def test_lru_eviction_and_pinning(self):
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512, num_tiles=6)
-        store.touch_ids([0, 1])
-        store.touch_ids([2])                                # evicts 0
-        assert store.holders[:3] == [0, 1, 1]               # ...and clears its bit
-        assert store.touch_ids([1]) == 0                    # 1 stayed
-        assert store.touch_ids([0]) == 512                  # 0 was evicted
-        # A footprint larger than the budget pins itself (transient overflow).
-        assert store.touch_ids([3, 4, 5]) == 3 * 512
-        assert store.peak_resident_bytes == 3 * 512
+        hits, fills, holders, peak = self.chain(
+            [[0, 1],
+             [2],        # evicts 0, the least recently used
+             [1],        # 1 stayed
+             [0],        # 0 was evicted; evicts 2
+             # A footprint larger than the budget pins itself (transient
+             # overflow) and evicts everything else.
+             [3, 4, 5]],
+            local_tiles=2)
+        assert hits == [0, 0, 512, 0, 0]
+        assert fills == [1024, 512, 0, 512, 3 * 512]
+        assert holders == [0, 0, 0, 1, 1, 1]
+        assert peak == 3 * 512
 
     def test_hierarchy_classifies_local_shared_and_c2c(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))

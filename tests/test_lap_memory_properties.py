@@ -15,10 +15,9 @@ and checks the invariants the analytical layers above rely on:
   used non-pinned tile;
 * monotonicity: for a fixed dispatch order, growing either level's
   capacity never increases off-chip spill traffic;
-* differential: the scheduler loop's shared level (on random access
-  streams, as one-core task chains) and ``LocalStore.touch_ids`` /
-  ``invalidate_ids`` match the ``OrderedDict`` oracles, holder masks
-  included.
+* differential: the scheduler loop's shared level and its local level
+  (on random access streams, as one-core task chains) match the
+  ``OrderedDict`` oracles, holder masks included.
 
 The loop, the one product implementation of the residency and priority
 decisions, is also pinned to the oracle on random task graphs by
@@ -35,7 +34,6 @@ from scheduler_oracle import (OracleHierarchy, OracleLocalStore,
                               OracleTileResidency, resimulated_row)
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import LocalStore
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks, TaskDescriptor, TaskKind
 
@@ -258,12 +256,6 @@ def test_two_level_runtime_conserves_offchip_traffic_split(data):
 
 
 # ------------------------------------ product levels vs OrderedDict oracle
-#: Dense ids of every name ``tile_names`` can draw, as the graph arrays
-#: would number them.
-TILE_IDS = {name: k for k, name in enumerate(
-    (op, (i, j)) for op in "ABC" for i in range(6) for j in range(6))}
-
-
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities)
 def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
@@ -295,49 +287,50 @@ def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(trace=traces, capacity_tiles=capacities, data=st.data())
+@given(trace=traces, capacity_tiles=capacities, shared_tiles=capacities)
 def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
-                                                     data):
-    """LocalStore's ``touch_ids`` / ``invalidate_ids`` (the two calls the
-    scheduler loop makes) mirror OracleLocalStore under random
-    touch/invalidate interleavings: fill bytes, peak bytes, the membership
-    in the stamps, and the holder masks the loop reads.  Two stores share
-    one holder list, as the cores of a hierarchy do, each mirrored by its
-    own oracle; a store's bit must be set on fill and cleared by both LRU
-    eviction and invalidation, and no other bit may appear."""
-    holders = [0] * len(TILE_IDS)
-    pairs = [(LocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                         tile_bytes=TILE_BYTES, num_tiles=len(TILE_IDS),
-                         holders=holders, core=core),
-              OracleLocalStore(capacity_bytes=capacity_tiles * TILE_BYTES,
-                               tile_bytes=TILE_BYTES))
-             for core in range(2)]
-    universe = set()
-
-    def check():
-        assert max(holders) < 4
-        for core, (fast, ref) in enumerate(pairs):
-            assert fast.peak_resident_bytes == ref.peak_resident_bytes
-            for name in universe:
-                tid = TILE_IDS[name]
-                assert (fast._stamp[tid] >= 0) == ref.is_resident(name)
-                assert bool(holders[tid] >> core & 1) == ref.is_resident(name)
-
-    for reads, writes in trace:
-        footprint = _footprint(reads, writes)
-        universe.update(footprint)
-        fast, ref = pairs[data.draw(st.integers(0, 1))]
-        assert (fast.touch_ids([TILE_IDS[a] for a in footprint])
-                == ref.touch(footprint))
-        check()
-        if universe and data.draw(st.booleans()):
-            fast, ref = pairs[data.draw(st.integers(0, 1))]
-            victims = data.draw(st.lists(st.sampled_from(sorted(universe)),
-                                         max_size=3))
-            for victim in victims:
-                ref.invalidate(victim)
-            fast.invalidate_ids([TILE_IDS[a] for a in victims])
-            check()
+                                                     shared_tiles):
+    """The scheduler loop's local level, driven by a one-core chain of
+    tasks whose explicit footprints are the touches, mirrors
+    OracleLocalStore under the oracle's shared level: per-task local-hit
+    and fill bytes, the peak local bytes, and the holder masks and stamps,
+    which must mark a tile exactly while the store holds it.  The shared
+    level is small enough that its evictions revoke local copies
+    (inclusion) as well as the store's own LRU evicting them; sibling
+    cores' revocations are pinned by the random-graph equivalence test."""
+    tile_kb = TILE_BYTES / 1024
+    lap = LinearAlgebraProcessor(LAPConfig(num_cores=1, nr=4,
+                                           onchip_memory_mbytes=1.0))
+    ref = OracleHierarchy.for_chip(lap, tile=8,
+                                   on_chip_kb=shared_tiles * tile_kb,
+                                   local_store_kb=capacity_tiles * tile_kb)
+    tasks = [TaskDescriptor(k, TaskKind.GEMM, output=(0, 0),
+                            inputs=[(0, 0), (0, 0)],
+                            depends_on=[k - 1] if k else [],
+                            reads=reads, writes=writes)
+             for k, (reads, writes) in enumerate(trace)]
+    runtime = LAPRuntime(lap, 8, timing="memoized",
+                         on_chip_kb=shared_tiles * tile_kb,
+                         local_store_kb=capacity_tiles * tile_kb)
+    block = 16.0 * np.eye(8)
+    tiles = {op: {(i, j): block for i in range(6) for j in range(6)}
+             for op in "ABC"}
+    stats = runtime.execute(tasks, tiles, verify=False)
+    for task, e in zip(tasks, runtime.executions):
+        event = ref.account(task)
+        assert (e.local_hit_bytes, e.shared_to_local_bytes,
+                e.transfer_bytes) == (event.local_hit_bytes,
+                                      event.shared_to_local_bytes,
+                                      event.shared_to_local_bytes)
+    store = ref.local_stores[0]
+    assert stats["peak_local_resident_bytes"] == store.peak_resident_bytes
+    # Dense tile ids are first-seen positions over each task's footprint.
+    names = list(dict.fromkeys(access for reads, writes in trace
+                               for access in list(reads) + list(writes)))
+    held = [int(store.is_resident(name)) for name in names]
+    memory = runtime.last_memory
+    assert memory.local_holders == held
+    assert [int(s >= 0) for s in memory.local_stores[0]._stamp] == held
 
 
 # ------------------------------------------------ schedule-replay costing

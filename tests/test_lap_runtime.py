@@ -1,5 +1,7 @@
 """Tests for the host-side programming model (algorithms-by-blocks runtime)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,60 @@ def test_runtime_detects_unsatisfiable_dependency(lap):
                             inputs=[(0, 0), (0, 0)], depends_on=[99])
     with pytest.raises(ValueError, match="unknown task id"):
         runtime.execute([orphan], {"A": {}, "B": {}, "C": {}})
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_execute_restores_the_garbage_collector(lap, monkeypatch, collecting):
+    """The loop pauses the cyclic collector.  After a normal execute, the
+    deadlock error and a kernel raising mid-loop, the collector is on
+    exactly when it was on before the call."""
+    from repro.lap import runtime as runtime_module
+
+    runtime = LAPRuntime(lap, 8, local_store_kb=1.0)
+    graph = runtime.library.cholesky_tasks(16)
+
+    def operand():
+        blocks = LAPRuntime.tile_matrix(16 * np.eye(16) + 1.0, 8)
+        return {"A": blocks, "B": blocks, "C": blocks, "L": blocks}
+
+    cycle = [TaskDescriptor(k, TaskKind.GEMM, output=(0, 0),
+                            inputs=[(0, 0), (0, 0)], depends_on=[1 - k])
+             for k in range(2)]
+
+    def failing_trsm(core, l, b):
+        raise ArithmeticError("TRSM kernel fault")
+
+    was_on = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        runtime.execute(graph, operand())
+        assert gc.isenabled() is collecting
+        with pytest.raises(RuntimeError, match="deadlock"):
+            runtime.execute(cycle, {"A": {}, "B": {}, "C": {}})
+        assert gc.isenabled() is collecting
+        # The first task, the tile Cholesky, runs; the solve after it raises.
+        monkeypatch.setattr(runtime_module, "lac_trsm", failing_trsm)
+        with pytest.raises(ArithmeticError, match="TRSM kernel fault"):
+            runtime.execute(graph, operand())
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+@pytest.mark.parametrize("algorithm", ["gemm", "cholesky", "lu", "qr"])
+def test_execute_leaves_no_cyclic_garbage(lap, algorithm):
+    """Functional, memoized-verified and shape-only executes with local
+    stores leave nothing for the cyclic collector, so pausing it for the
+    loop defers no garbage."""
+    for timing, verify in (("functional", True), ("memoized", True),
+                           ("memoized", False)):
+        runtime = LAPRuntime(lap, 8, policy="affinity", timing=timing,
+                             on_chip_kb=3.0, local_store_kb=1.0)
+        gc.collect()
+        stats = runtime.run_workload(algorithm, 24, np.random.default_rng(0),
+                                     verify=verify)
+        assert stats["tasks_executed"] > 0
+        assert gc.collect() == 0, (timing, verify)
 
 
 def test_trsm_task_kind_solves_lower_triangular_tile(lap, rng):
