@@ -219,11 +219,6 @@ def _precision(params: Mapping) -> "Precision":
     raise ValueError(f"unknown precision '{name}' (use 'single' or 'double')")
 
 
-def _float_or_none(params: Mapping, name: str) -> Optional[float]:
-    value = params.get(name)
-    return None if value is None else float(value)
-
-
 def _integer(params: Mapping, name: str, default: int) -> int:
     """An integer job parameter: a value ``int()`` converts without loss.
 
@@ -239,6 +234,35 @@ def _integer(params: Mapping, name: str, default: int) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"parameter '{name}' must be an integer, got {value!r}")
+
+
+def _seed(params: Mapping) -> int:
+    """The ``seed`` job parameter: a non-negative integer (NumPy's
+    generators take no negative seed), else ``ValueError`` naming it."""
+    seed = _integer(params, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"parameter 'seed' must be a non-negative integer, "
+                         f"got {seed!r}")
+    return seed
+
+
+def _real(params: Mapping, name: str,
+          default: Optional[float] = None) -> Optional[float]:
+    """A real job parameter as a float; ``None`` when it is absent or null
+    and has no default.
+
+    Anything ``float()`` rejects raises ``ValueError`` naming the parameter
+    and the value (a bare conversion names neither); every value it
+    accepts, numeric strings and bools included, converts as before.
+    """
+    value = params.get(name, default)
+    if value is None and default is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parameter '{name}' must be a number, "
+                         f"got {value!r}") from None
 
 
 def _flag(params: Mapping, name: str, default: bool) -> bool:
@@ -261,10 +285,10 @@ def run_design_point(params: Params) -> dict:
     precision = _precision(params)
     cores = _integer(params, "cores", 8)
     nr = _integer(params, "nr", 4)
-    frequency = float(params.get("frequency_ghz", 1.0))
-    local_store = float(params.get("local_store_kbytes", 16.0))
-    onchip = float(params.get("onchip_mbytes", 4.0))
-    utilization = float(params.get("utilization", 0.9))
+    frequency = _real(params, "frequency_ghz", 1.0)
+    local_store = _real(params, "local_store_kbytes", 16.0)
+    onchip = _real(params, "onchip_mbytes", 4.0)
+    utilization = _real(params, "utilization", 0.9)
     design = build_lap(num_cores=cores, nr=nr, precision=precision,
                        frequency_ghz=frequency, local_store_kbytes=local_store,
                        onchip_memory_mbytes=onchip)
@@ -291,8 +315,8 @@ def run_pe_point(params: Params) -> dict:
     from repro.arch.lap_design import build_pe
 
     precision = _precision(params)
-    frequency = float(params.get("frequency_ghz", 1.0))
-    local_store = float(params.get("local_store_kbytes", 16.0))
+    frequency = _real(params, "frequency_ghz", 1.0)
+    local_store = _real(params, "local_store_kbytes", 16.0)
     pe = build_pe(precision=precision, frequency_ghz=frequency,
                   local_store_kbytes=local_store)
     eff = pe.efficiency()
@@ -325,8 +349,8 @@ def run_kernel_simulation(params: Params) -> dict:
     kernel = str(params.get("kernel", "gemm"))
     size = _integer(params, "size", 16)
     nr = _integer(params, "nr", 4)
-    frequency = float(params.get("frequency_ghz", 1.0))
-    seed = _integer(params, "seed", 0)
+    frequency = _real(params, "frequency_ghz", 1.0)
+    seed = _seed(params)
     spec = get_kernel(kernel)
     check_size(kernel, size, nr)
     core = LinearAlgebraCore(LACConfig(nr=nr, frequency_ghz=frequency))
@@ -354,8 +378,8 @@ def run_chip_gemm(params: Params) -> dict:
     num_cores = _integer(params, "num_cores", 8)
     nr = _integer(params, "nr", 4)
     n = _integer(params, "n", 2048)
-    bw_bytes = float(params.get("offchip_bw_bytes_per_cycle", 16.0))
-    frequency = float(params.get("frequency_ghz", 1.0))
+    bw_bytes = _real(params, "offchip_bw_bytes_per_cycle", 16.0)
+    frequency = _real(params, "frequency_ghz", 1.0)
     model = ChipGEMMModel(num_cores=num_cores, nr=nr)
     res = model.cycles_offchip(n, offchip_bandwidth_words_per_cycle=bw_bytes / 8.0)
     return {
@@ -380,7 +404,7 @@ def run_core_gemm(params: Params) -> dict:
     n = _integer(params, "n", 512)
     kc = _integer(params, "kc", 128)
     mc = _integer(params, "mc", kc)
-    bw_bytes = float(params.get("bandwidth_bytes_per_cycle", 4.0))
+    bw_bytes = _real(params, "bandwidth_bytes_per_cycle", 4.0)
     model = CoreGEMMModel(nr=nr)
     res = model.cycles(mc=mc, kc=kc, n=n,
                        bandwidth_elements_per_cycle=max(bw_bytes / 8.0, 1e-3))
@@ -412,12 +436,13 @@ def run_chip_gemm_onchip(params: Params) -> dict:
     kc = _integer(params, "kc", 128)
     mc = _integer(params, "mc", kc)
     full_overlap = _flag(params, "full_overlap", False)
-    frequency = float(params.get("frequency_ghz", 1.0))
+    frequency = _real(params, "frequency_ghz", 1.0)
     model = ChipGEMMModel(num_cores=num_cores, nr=nr)
-    bw = params.get("onchip_bw_words_per_cycle")
+    bw = _real(params, "onchip_bw_words_per_cycle")
     if bw is None:
-        bw = model.onchip_bandwidth_words_per_cycle(mc, kc, n, full_overlap)
-    res = model.cycles_onchip(mc, kc, n, float(bw), full_overlap)
+        bw = float(model.onchip_bandwidth_words_per_cycle(mc, kc, n,
+                                                          full_overlap))
+    res = model.cycles_onchip(mc, kc, n, bw, full_overlap)
     mem_words = model.onchip_memory_words(mc, kc, n, full_overlap)
     element_bytes = model.element_bytes
     return {
@@ -428,8 +453,8 @@ def run_chip_gemm_onchip(params: Params) -> dict:
         "kc": kc,
         "full_overlap": full_overlap,
         "frequency_ghz": frequency,
-        "onchip_bw_words_per_cycle": float(bw),
-        "onchip_bandwidth_bytes_per_cycle": float(bw) * element_bytes,
+        "onchip_bw_words_per_cycle": bw,
+        "onchip_bandwidth_bytes_per_cycle": bw * element_bytes,
         "onchip_memory_words": mem_words,
         "onchip_memory_mbytes": mem_words * element_bytes / 2 ** 20,
         "total_cycles": res.total_cycles,
@@ -449,7 +474,7 @@ def run_blas_point(params: Params) -> dict:
     n = _integer(params, "n", 512)
     kc = _integer(params, "kc", 128)
     mc = _integer(params, "mc", kc)
-    bw_bytes = float(params.get("bandwidth_bytes_per_cycle", 4.0))
+    bw_bytes = _real(params, "bandwidth_bytes_per_cycle", 4.0)
     full_overlap = _flag(params, "full_overlap", False)
     model = BlasCoreModel(nr=nr)
     res = model.utilization(operation, mc=mc, kc=kc, n=n,
@@ -488,8 +513,8 @@ def run_fact_kernel(params: Params) -> dict:
     nr = _integer(params, "nr", 4)
     placement = SFUPlacement(str(params.get("sfu", "isolate")).lower())
     extension = MACExtension(str(params.get("mac_extension", "none")).lower())
-    frequency = float(params.get("frequency_ghz", 1.0))
-    local_store = float(params.get("local_store_kbytes", 16.0))
+    frequency = _real(params, "frequency_ghz", 1.0)
+    local_store = _real(params, "local_store_kbytes", 16.0)
     model = FactorizationKernelModel(nr=nr, precision=precision,
                                      frequency_ghz=frequency,
                                      local_store_kbytes_per_pe=local_store)
@@ -565,33 +590,32 @@ def parse_lap_runtime(params: Mapping) -> LapRuntimePoint:
     tile = _integer(params, "tile", 8)
     num_cores = _integer(params, "num_cores", 2)
     nr = _integer(params, "nr", 4)
-    onchip_mbytes = float(params.get("onchip_mbytes", 1.0))
-    seed = _integer(params, "seed", 0)
+    onchip_mbytes = _real(params, "onchip_mbytes", 1.0)
+    seed = _seed(params)
     policy = str(params.get("policy", "greedy"))
     timing = str(params.get("timing", "functional"))
     verify = _flag(params, "verify", True)
     if not _flag(params, "memory", True):
         raise ValueError("lap_runtime parameter 'memory' must be true: "
                          "data-movement accounting is always on")
-    on_chip_kb = _float_or_none(params, "on_chip_kb")
-    bandwidth_gbs = _float_or_none(params, "bandwidth_gbs")
-    local_store_kb = _float_or_none(params, "local_store_kb")
-    stall_overlap = _float_or_none(params, "stall_overlap")
-    frequency_ghz = _float_or_none(params, "frequency_ghz")
-    offchip_pj = _float_or_none(params, "offchip_pj_per_byte")
-    frequencies_param = params.get("core_frequencies_ghz")
-    if frequencies_param is None:
-        frequencies = None
-    elif isinstance(frequencies_param, str):
-        parts = [p for p in frequencies_param.replace(":", ",").split(",")
-                 if p.strip()]
-        frequencies = [float(p) for p in parts]
+    on_chip_kb = _real(params, "on_chip_kb")
+    bandwidth_gbs = _real(params, "bandwidth_gbs")
+    local_store_kb = _real(params, "local_store_kb")
+    stall_overlap = _real(params, "stall_overlap")
+    frequency_ghz = _real(params, "frequency_ghz")
+    offchip_pj = _real(params, "offchip_pj_per_byte")
+    name = "core_frequencies_ghz"
+    frequencies = params.get(name)
+    if isinstance(frequencies, str):
+        frequencies = [p for p in frequencies.replace(":", ",").split(",")
+                       if p.strip()]
         if len(frequencies) == 1:
             frequencies = frequencies * num_cores
-    elif isinstance(frequencies_param, (list, tuple)):
-        frequencies = [float(f) for f in frequencies_param]
-    else:
-        frequencies = [float(frequencies_param)] * num_cores
+    elif frequencies is not None and not isinstance(frequencies, (list, tuple)):
+        frequencies = [frequencies] * num_cores
+    if frequencies is not None:
+        # Each clock converts as the parameter's one value would.
+        frequencies = [_real({name: f}, name) for f in frequencies]
     config = LAPConfig(num_cores=num_cores, nr=nr,
                        onchip_memory_mbytes=onchip_mbytes,
                        frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz)
@@ -784,9 +808,9 @@ def run_blocked_factorization(params: Params) -> dict:
     method = str(params.get("method", "lu")).lower()
     n = _integer(params, "n", 8)
     nr = _integer(params, "nr", 4)
-    seed = _integer(params, "seed", 0)
+    seed = _seed(params)
     use_extension = _flag(params, "use_extension", True)
-    frequency = float(params.get("frequency_ghz", 1.0))
+    frequency = _real(params, "frequency_ghz", 1.0)
     core = LinearAlgebraCore(LACConfig(nr=nr, frequency_ghz=frequency))
     rng = np.random.default_rng(seed)
     model = FactorizationKernelModel(nr=nr, frequency_ghz=frequency)

@@ -12,16 +12,17 @@ off-chip memory interface.  This subpackage provides:
   scheduler loop implements;
 * :mod:`repro.lap.taskgraph` -- the task-graph IR, the algorithms-by-blocks
   decompositions and the dense graph arrays the scheduler loop runs on;
-* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: the
-  structure-of-arrays state of the LRU tile residency over the on-chip
-  capacity and of the per-core local stores, the off-chip interface and
-  clock the loop converts spill bytes into stall cycles with, the per-task
-  energy constants, and the whole-schedule traffic totals;
+* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: one
+  point's constants (the capacities in tiles of the shared on-chip level
+  and of the per-core local stores, the off-chip interface and clock the
+  loop converts spill bytes into stall cycles with, the per-task energy
+  constants) and one schedule's traffic totals;
 * :mod:`repro.lap.timing` -- the functional and memoized timings (one
   memoized path: a per-group cycle table fed by warm-ups);
 * :mod:`repro.lap.runtime` -- :class:`LAPRuntime`, whose ``execute`` is the
   one event-driven scheduler loop over all of the above, and the only
-  implementation of the residency and priority decisions;
+  implementation of the residency and priority decisions, over residency
+  state it allocates per schedule;
 * :mod:`repro.lap.replay` -- schedule replay: the recorded
   :class:`~repro.lap.replay.ScheduleTrace` and the decision that re-keys a
   recorded row for a delta sweep point instead of re-simulating it;

@@ -22,23 +22,24 @@ The runtime is layered (TaskGraph -> Scheduler -> timing -> LAP):
   precision) the cycle count of one functional run, shared process-wide
   per core configuration, so that large graphs and whole sweeps schedule
   in seconds;
-* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: an LRU
-  tile-residency model over the shared on-chip capacity, optionally topped
-  by per-core local stores (``local_store_kb``, the two-level hierarchy),
-  plus the off-chip interface through which the loop turns spill refills
-  into stall cycles and the per-task energy constants (pJ/flop + pJ/byte);
-  every schedule reports off-chip traffic, stalls and GFLOPS/W alongside
-  the makespan, and the two-level model splits on-chip movement into
-  local-hit / core-to-core / shared-to-local traffic;
+* :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: one
+  point's memory constants (the capacities of the shared on-chip level and
+  of the optional per-core local stores, ``local_store_kb``, in tiles; the
+  off-chip interface through which the loop turns spill refills into
+  stall cycles; the per-task energy constants, pJ/flop + pJ/byte) and one
+  schedule's totals: every schedule reports off-chip traffic, stalls and
+  GFLOPS/W alongside the makespan, and the two-level model splits on-chip
+  movement into local-hit / core-to-core / shared-to-local traffic;
 * :class:`LAPRuntime` (this module) -- the driver/dispatcher that binds the
   four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
   optionally with heterogeneous per-core clock frequencies.  Its
   :meth:`LAPRuntime.execute` is the one scheduler loop: an event-driven
   ready heap over the per-position arrays of the
-  :class:`~repro.lap.taskgraph.TaskGraph` and the structure-of-arrays
-  residency levels of :mod:`repro.lap.memory`, with every policy / timing /
-  memory decision inlined.  Only simulated tasks and verify updates read a
-  task's :class:`~repro.lap.taskgraph.TaskDescriptor`.
+  :class:`~repro.lap.taskgraph.TaskGraph`, with every policy / timing /
+  memory decision inlined; the LRU residency levels are its own
+  structure-of-arrays state, allocated per schedule.  Only simulated tasks
+  and verify updates read a task's
+  :class:`~repro.lap.taskgraph.TaskDescriptor`.
 
 Each task kind's tile update is written once, in :func:`_update_tiles`,
 over a kernel set: the LAC kernels on a core (:func:`_simulate_task`:
@@ -330,8 +331,9 @@ class LAPRuntime:
         ``f_ref / f_core``), where the reference clock is the chip frequency.
         Each must be a positive finite number.
     on_chip_kb:
-        Override of the residency capacity in KiB (defaults to the chip's
-        physical on-chip memory) -- the axis capacity sweeps shrink.
+        Override of the shared level's capacity in KiB (defaults to the
+        chip's physical on-chip memory) -- the axis capacity sweeps shrink;
+        a positive finite number, checked at :meth:`execute`.
     bandwidth_gbs:
         Override of the sustained off-chip bandwidth in GB/s (defaults to
         the chip's off-chip interface; a positive finite number).
@@ -341,13 +343,14 @@ class LAPRuntime:
         constant; a non-negative finite number).  Only the
         energy/GFLOPS-per-W columns depend on it, so sweeps across it replay
         recorded schedules exactly.  Both overrides are checked by
-        :func:`repro.lap.memory.offchip_interface` on construction.
+        :func:`repro.lap.memory.offchip_interface` on construction, which
+        builds :attr:`interface`.
     local_store_kb:
-        Per-core local-store budget in KiB; enables the two-level hierarchy
-        (a per-core :class:`repro.lap.memory.LocalStore` above the shared
-        residency).  ``None`` (default) keeps the single-level model, whose
-        schedules and traffic are byte-identical to the pre-local-store
-        runtime.
+        Per-core local-store budget in KiB (a positive finite number,
+        checked at :meth:`execute`); enables the two-level hierarchy (a
+        per-core LRU store above the shared level).  ``None`` (default)
+        keeps the single-level model, whose schedules and traffic are
+        byte-identical to the pre-local-store runtime.
     stall_overlap:
         Fraction of the data-movement cycles (spill-refill stalls and
         shared-to-local transfers) hidden under compute by prefetching, in
@@ -380,15 +383,13 @@ class LAPRuntime:
         self._core_key = core_config_key(lap.cores[0].config)
         self._precision = lap.config.precision.value
         self.on_chip_kb = on_chip_kb
-        self.bandwidth_gbs = bandwidth_gbs
         self.local_store_kb = (None if local_store_kb is None
                                else float(local_store_kb))
-        #: Off-chip access-energy override in pJ/byte (a DRAM-technology
-        #: sweep axis); ``None`` keeps the chip interface's constant.  Only
-        #: the energy column depends on it, never the schedule.
-        self.offchip_pj_per_byte = offchip_pj_per_byte
-        # Unusable off-chip overrides raise here, not at the first execute.
-        offchip_interface(lap.offchip, bandwidth_gbs, offchip_pj_per_byte)
+        #: The point's off-chip interface: the chip's with the bandwidth and
+        #: access-energy overrides (unusable overrides raise here, not at
+        #: the first execute).
+        self.interface = offchip_interface(lap.offchip, bandwidth_gbs,
+                                           offchip_pj_per_byte)
         self.stall_overlap = check_stall_overlap(stall_overlap)
         #: Memory hierarchy of the most recent ``execute()`` call (``None``
         #: before the first).
@@ -465,14 +466,18 @@ class LAPRuntime:
         serialisation the shared on-chip memory sees); spill refills stall
         the task through the off-chip bandwidth and the stats carry unified
         traffic / stall / energy totals.  The loop is the one implementation
-        of both residency levels: it runs the shared level's LRU and, with
-        local stores, the assigned core's store LRU over the state of
-        :mod:`repro.lap.memory` bound to locals, classifying each footprint
-        tile as it is brought resident.  It reads and writes local
-        membership through the hierarchy's per-tile holder masks
-        (:attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a
-        write or a shared-level eviction revokes a tile on its holders
-        alone.  The loop allocates no reference cycle, so the cyclic
+        of both residency levels, and their state is its own: for every
+        schedule it allocates the shared level's LRU stamps, flags and touch
+        queue and, with local stores, each core's stamps and queue, one
+        entry per tile id of the graph.  The point's
+        :class:`~repro.lap.memory.MemoryHierarchy` gives the capacities in
+        tiles and receives the totals, the peaks and the final holder
+        masks.  The loop runs the shared level's LRU and the assigned core's
+        store LRU, classifying each footprint tile as it is brought
+        resident, and reads and writes local membership through per-tile
+        holder masks (left on
+        :attr:`~repro.lap.memory.MemoryHierarchy.local_holders`), so a write
+        or a shared-level eviction revokes a tile on its holders alone.  The loop allocates no reference cycle, so the cyclic
         garbage collector is paused while it runs (and switched back on
         only if it was on).  The memory-keyed policies (``memory_aware``,
         ``affinity``) have stale heap keys lazily re-validated against the
@@ -510,54 +515,48 @@ class LAPRuntime:
         homogeneous = self._homogeneous
         visible = 1.0 - self.stall_overlap
 
-        memory = MemoryHierarchy.for_chip(
-            self.lap, t,
-            on_chip_kb=self.on_chip_kb,
-            bandwidth_gbs=self.bandwidth_gbs,
-            local_store_kb=self.local_store_kb,
-            num_tiles=ga.num_tiles,
-            offchip_pj_per_byte=self.offchip_pj_per_byte)
+        memory = MemoryHierarchy.for_chip(self.lap, t, self.interface,
+                                          self.on_chip_kb, self.local_store_kb)
         self.last_memory = memory
         dynamic = pcode >= 3
         crit = pcode == 1
 
-        # Loop-local accounting state: both levels' state and the
-        # hierarchy's constants bound to locals, written back after the
-        # loop.  Byte counts are tile counts times ``tb``, a float, so they
-        # are exact integers (far below 2**53) built without a float() call.
+        # The schedule's residency state, all of it local to the loop.
+        # Byte counts are tile counts times ``tb``, a float, so they are
+        # exact integers (far below 2**53) built without a float() call.
         # Without local stores a task's second-level costs stay at these
         # zeros.
         transfer_cycles = local_hit = transfer_bytes = shared_fill = 0.0
-        res = memory.residency
-        tile_bytes = res.tile_bytes
+        num_tiles = ga.num_tiles
+        tile_bytes = memory.tile_bytes
         tb = float(tile_bytes)
-        res_capmax = res._cap_tiles
-        res_stamp = res._stamp
-        res_dirty = res._dirty
-        res_ever = res._ever
-        res_qt = res._qt
+        # The shared level: each tile id's LRU stamp from a monotonic clock
+        # (-1: not resident), dirty and ever-fetched flags; the queue of
+        # touched tile ids from ``res_qhead`` on, whose entry ``k`` carries
+        # stamp ``res_qbase + k``; the resident and dirty counts, and the
+        # membership version the memory-keyed policies re-score stale keys
+        # against.
+        res_capmax = memory.capacity_tiles
+        res_stamp = [-1] * num_tiles
+        res_dirty = [False] * num_tiles
+        res_ever = [False] * num_tiles
+        res_qt: List[int] = []
         res_qt_append = res_qt.append
-        res_qhead = res._qhead
-        res_qbase = res._qbase
-        res_clock = res._clock
-        res_rc = res._rc
-        res_dc = res._dirty_count
-        res_version = res.version
-        peak_rc = res.peak_resident_bytes // tile_bytes
-        # The local level: per-core lists of each store's state, indexed by
-        # core, and the holder masks that mirror its membership.
-        stores = memory.local_stores
-        holders = memory.local_holders
-        if holders is not None:
-            ls_stamp = [store._stamp for store in stores]
-            ls_qt = [store._qt for store in stores]
-            ls_qhead = [store._qhead for store in stores]
-            ls_qbase = [store._qbase for store in stores]
-            ls_clock = [store._clock for store in stores]
-            ls_rc = [store._rc for store in stores]
-            ls_peak = [store.peak_resident_bytes // tile_bytes
-                       for store in stores]
-            ls_capmax = stores[0]._cap_tiles
+        res_qhead = res_qbase = res_clock = res_rc = res_dc = 0
+        res_version = peak_rc = 0
+        # The local level: the same state per core, indexed by core, and
+        # the holder masks that mirror its membership.
+        holders = None
+        if memory.local_capacity_tiles is not None:
+            holders = [0] * num_tiles
+            ls_stamp = [[-1] * num_tiles for _ in range(num_cores)]
+            ls_qt: List[List[int]] = [[] for _ in range(num_cores)]
+            ls_qhead = [0] * num_cores
+            ls_qbase = [0] * num_cores
+            ls_clock = [0] * num_cores
+            ls_rc = [0] * num_cores
+            ls_peak = [0] * num_cores
+            ls_capmax = memory.local_capacity_tiles
 
             def revoke(tid, mask):
                 # Drop tile ``tid`` from the stores of the cores in ``mask``
@@ -946,20 +945,10 @@ class LAPRuntime:
             for signature, count in zip(gsig, ga.group_counts):
                 timing.bulk_charge(signature, count, count - warming)
 
-        res._clock = res_clock
-        res._rc = res_rc
-        res._qhead = res_qhead
-        res._qbase = res_qbase
-        res._dirty_count = res_dc
-        res.version = res_version
-        res.peak_resident_bytes = peak_rc * tile_bytes
+        memory.peak_resident_bytes = peak_rc * tile_bytes
         if holders is not None:
-            for k, store in enumerate(stores):
-                store._qhead = ls_qhead[k]
-                store._qbase = ls_qbase[k]
-                store._clock = ls_clock[k]
-                store._rc = ls_rc[k]
-                store.peak_resident_bytes = ls_peak[k] * tile_bytes
+            memory.peak_local_resident_bytes = max(ls_peak) * tile_bytes
+            memory.local_holders = holders
         memory.total_flops += tot_flops
         memory.total_energy_j += tot_energy
         memory.total_stall_cycles += tot_stall
@@ -986,7 +975,7 @@ class LAPRuntime:
             "makespan_ns": makespan / reference_freq,
             "data_valid": bool(verify) or not memoized,
         }
-        memory.finish()
+        memory.finish(res_dc)
         stats.update(memory.summary())
         stats["graph"] = graph.summary()
         return stats
@@ -1081,7 +1070,7 @@ class LAPRuntime:
         rows = self._exec_rows
         ids, rw_len = self._last_graph.ids, self._last_graph.fast_arrays().rw_len
         tile = self.tile
-        tile_bytes = memory.residency.tile_bytes
+        tile_bytes = memory.tile_bytes
 
         def triples():
             # Rows hold TaskExecution's fields in order: [0] task_id,
@@ -1113,10 +1102,9 @@ class LAPRuntime:
         ``workload``, as in a fresh process (a cold memoized ``verify=False``
         execute of a workload graph calls it).
 
-        The instance is :data:`WARM_TILES` tiles per side, built on a fresh
-        :class:`AlgorithmsByBlocks`: the runtime's own library would shift
-        its next task id, and with it the graph-cache key of every later
-        graph.  Its tasks run in program order on a seeded operand: the
+        The instance is :data:`WARM_TILES` tiles per side, built on the
+        runtime's own :attr:`library`.  Its tasks run in program order on a
+        seeded operand: the
         first task of each signature on core 0's simulator through
         :meth:`MemoizedTiming.task_cycles` (which enters the count in the
         process table and raises on one that disagrees), every other task
@@ -1126,8 +1114,7 @@ class LAPRuntime:
         too small for the workload).
         """
         t = self.tile
-        small = AlgorithmsByBlocks(t, nr=self.lap.config.nr).build(
-            workload, WARM_TILES * t)
+        small = self.library.build(workload, WARM_TILES * t)
         small_signatures = group_signatures(small.group_keys, t,
                                             self._precision)
         tiles, _ = _problem(workload, WARM_TILES * t, t,

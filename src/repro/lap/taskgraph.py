@@ -25,9 +25,9 @@ per-kind rule, :func:`task_footprint`, states every footprint; a
 factorization updates one operand in place, so its graphs name every tile
 ``"A"``.  Each builder only yields its algorithm's steps, and one pass over
 them numbers the footprints and links every task to the last writer of each
-tile it touches.  The tile-residency model of :mod:`repro.lap.memory`
-consumes the footprints to account on-chip working sets, spills and
-off-chip traffic.
+tile it touches.  The tile-residency model of the scheduler loop
+(:meth:`repro.lap.runtime.LAPRuntime.execute`) consumes the footprints to
+account on-chip working sets, spills and off-chip traffic.
 
 Schedulers (:mod:`repro.lap.policies`), timing models
 (:mod:`repro.lap.timing`), the memory hierarchy (:mod:`repro.lap.memory`)
@@ -196,17 +196,18 @@ class TaskGraph(collections.abc.Sequence):
     """An immutable tile-task dependency graph held as per-position arrays.
 
     The arrays are what the scheduler loop of
-    :meth:`repro.lap.runtime.LAPRuntime.execute` reads: ``ids`` (not
-    assumed 0-based or contiguous: the builders share one id counter),
-    ``succ`` (sorted successor positions), ``indegree``, ``group`` (index
-    into ``group_keys``, whose kind is the task's), ``out_id`` (dense
-    output coordinate), ``foot_ids`` (reads-then-writes footprint as dense
-    tile ids, deduplicated; ``num_tiles`` of them size the residency
-    levels of :mod:`repro.lap.memory`), ``write_ids`` and ``rw_len`` (the
-    operand count the on-chip energy term charges).  A hand-built graph,
-    ``TaskGraph(descriptors)``, numbers its footprint arrays on the first
-    :meth:`fast_arrays`.  The analytics (per-kind counts, levels, width,
-    critical paths) come from one forward and one reverse pass over them.
+    :meth:`repro.lap.runtime.LAPRuntime.execute` reads: ``ids`` (a
+    builder graph numbers its tasks from 0; a hand-built graph's need be
+    neither 0-based nor contiguous), ``succ`` (sorted successor positions),
+    ``indegree``, ``group`` (index into ``group_keys``, whose kind is the
+    task's), ``out_id`` (dense output coordinate), ``foot_ids``
+    (reads-then-writes footprint as dense tile ids, deduplicated;
+    ``num_tiles`` of them size the loop's residency state), ``write_ids``
+    and ``rw_len`` (the operand count the on-chip energy term charges).
+    A hand-built graph, ``TaskGraph(descriptors)``, numbers its footprint
+    arrays on the first :meth:`fast_arrays`.  The analytics (per-kind
+    counts, levels, width, critical paths) come from one forward and one
+    reverse pass over them.
 
     The graph is also a sequence of :class:`TaskDescriptor`: a hand-built
     graph's own, or rebuilt by re-running an :class:`AlgorithmsByBlocks`
@@ -257,9 +258,9 @@ class TaskGraph(collections.abc.Sequence):
 
     @classmethod
     def _from_steps(cls, workload: str, steps: Callable[[], Iterable[Tuple]],
-                    in_place: bool, first_id: int) -> "TaskGraph":
+                    in_place: bool) -> "TaskGraph":
         """The graph of a builder's ``steps()`` (kept for the descriptor
-        view), task ids from ``first_id``: footprints by
+        view), task ids from 0: footprints by
         :func:`task_footprint`, dependencies by the last-writer rule."""
         graph = cls.__new__(cls)
         # Nothing the pass allocates can form a reference cycle, so the
@@ -276,7 +277,7 @@ class TaskGraph(collections.abc.Sequence):
         finally:
             if collecting:
                 gc.enable()
-        graph.ids = list(range(first_id, first_id + len(graph.succ)))
+        graph.ids = list(range(len(graph.succ)))
         graph._steps = steps
         graph._in_place = in_place
         graph.workload = workload
@@ -564,13 +565,12 @@ class AlgorithmsByBlocks:
                              f"dimension nr={nr}")
         self.tile = tile
         self.nr = nr
-        self._id_next = 0
 
     def _graph(self, key: Tuple, steps: Callable[[], Iterable[Tuple]],
                in_place: bool = True) -> TaskGraph:
         """Build ``key``'s graph from its ``steps()``, or reuse an identical one.
 
-        Each step becomes a task with the next id, the footprint of
+        Each step becomes a task, numbered from 0, with the footprint of
         :func:`task_footprint` (``in_place`` for the factorizations) and a
         dependency on the last writer of every tile it touches: the
         read-after-write and write-after-write order.  No write-after-read
@@ -579,20 +579,16 @@ class AlgorithmsByBlocks:
         diagonal tile that UNMQR reads), and UNMQR reads only the
         reflectors below that diagonal, which TSQRT keeps.
 
-        ``key`` is ``(workload, dims...)``.  The full cache key adds tile,
-        nr and the instance's next task id, which pin the exact graph a
-        fresh build would produce; a hit still advances the id counter by
-        ``len(graph)``.  Reuse is safe because the graph is immutable and
-        its consumers attach only shareable derived state (summary,
-        critical-path ranks).
+        ``key`` is ``(workload, dims...)``.  The full cache key adds tile and
+        nr, which pin the exact graph a build would produce.  Reuse is safe
+        because the graph is immutable and its consumers attach only
+        shareable derived state (summary, critical-path ranks).
         """
-        full_key = key + (self.tile, self.nr, self._id_next)
+        full_key = key + (self.tile, self.nr)
         graph = _GRAPH_CACHE.get(full_key)
         if graph is None:
-            graph = TaskGraph._from_steps(key[0], steps, in_place,
-                                          self._id_next)
+            graph = TaskGraph._from_steps(key[0], steps, in_place)
             _GRAPH_CACHE.put(full_key, graph, GRAPH_CACHE_TASKS)
-        self._id_next += len(graph)
         return graph
 
     def _check_blocking(self, **dims: int) -> None:

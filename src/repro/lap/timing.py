@@ -110,11 +110,11 @@ def decompose_task_cycles(compute_cycles: float, stall_cycles: float,
     :attr:`repro.lap.memory.MemoryHierarchy.interface`); compulsory
     streaming is assumed fully overlapped by the LAP's double buffering and
     never appears here.  ``local_transfer_cycles`` is the shared-to-local
-    movement of the two-level hierarchy (:class:`repro.lap.memory.LocalStore`
-    fills through the on-chip bandwidth).  ``overlap_fraction`` models
-    partial prefetching of both terms under compute (0 = fully serialised,
-    1 = fully hidden), so the scheduler loop lasts a task ``total = compute
-    + (stall + transfer) x (1 - overlap_fraction)`` cycles.  The returned
+    movement of the two-level hierarchy (local-store fills through the
+    on-chip bandwidth).  ``overlap_fraction`` models partial prefetching of
+    both terms under compute (0 = fully serialised, 1 = fully hidden), so
+    the scheduler loop lasts a task ``total = compute + (stall + transfer)
+    x (1 - overlap_fraction)`` cycles.  The returned
     ``compute`` / ``spill_stall`` / ``transfer`` components sum to that
     ``total`` (``spill_stall`` and ``transfer`` are the *visible* parts
     after prefetching hides their complement under compute), and ``hidden``

@@ -6,13 +6,13 @@ compare against:
 
 * :class:`OracleTileResidency` / :class:`OracleLocalStore` --
   ``OrderedDict`` LRUs over tile names that define the residency model
-  (the loop keeps its state in the product's ``TileResidency`` /
-  ``LocalStore`` of :mod:`repro.lap.memory`);
+  (the product loop keeps the same state in its own locals);
 * :class:`OracleHierarchy` -- a :class:`MemoryHierarchy` over those levels
   whose :meth:`OracleHierarchy.account` returns one
   :class:`TaskMemoryEvent` per dispatched task, from the oracle's own stall
   conversion, flop table (:data:`FLOPS`) and per-task energy expression
-  (only the constants come from the product);
+  (only the constants come from the product), and whose
+  :meth:`OracleHierarchy.finish` flushes its own levels;
 * :func:`priority` / :func:`choose_core` -- the five stock policies as
   scalar per-task hooks over :func:`touched_tiles`;
 * :class:`OracleTiming` -- per-task cycle counts by per-task signature,
@@ -249,20 +249,33 @@ class OracleLocalStore:
 
 
 class OracleHierarchy(MemoryHierarchy):
-    """The product hierarchy's models over the ``OrderedDict`` levels, with
-    per-task :meth:`account` and a recorded :attr:`events` list."""
+    """The product hierarchy's constants and totals over the ``OrderedDict``
+    levels, with per-task :meth:`account` and a recorded :attr:`events`
+    list."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        tile_bytes = self.residency.tile_bytes
-        self.residency = OracleTileResidency(self.residency.capacity_bytes,
-                                             tile_bytes)
-        if self.local_stores is not None:
-            self.local_stores = [
-                OracleLocalStore(self.local_store_kb * 1024, tile_bytes)
-                for _ in range(self.num_cores)]
-        self.events: List[TaskMemoryEvent] = []
-        self._local_version = 0
+    @classmethod
+    def for_chip(cls, lap, tile, interface=None, on_chip_kb=None,
+                 local_store_kb=None):
+        """The product's :meth:`MemoryHierarchy.for_chip` (behind the chip's
+        own off-chip interface unless ``interface`` is given), plus the
+        ``OrderedDict`` levels."""
+        memory = super().for_chip(
+            lap, tile, lap.offchip if interface is None else interface,
+            on_chip_kb, local_store_kb)
+        memory.tile = tile
+        memory.num_cores = len(lap.cores)
+        memory.residency = OracleTileResidency(memory.on_chip_capacity_bytes,
+                                               memory.tile_bytes)
+        memory.local_stores = None
+        if local_store_kb is not None:
+            memory.local_stores = [
+                OracleLocalStore(memory.local_store_kb * 1024,
+                                 memory.tile_bytes)
+                for _ in range(memory.num_cores)]
+        memory.events = []
+        memory._local_version = 0
+        memory._flushed = False
+        return memory
 
     @property
     def version(self):
@@ -308,7 +321,7 @@ class OracleHierarchy(MemoryHierarchy):
         stall = (spill / (self.interface.bandwidth_gbytes_per_sec
                           / self.frequency_ghz) if spill > 0 else 0.0)
         flops = float(FLOPS[task.kind](self.tile))
-        onchip_bytes = (len(reads) + len(writes)) * self.residency.tile_bytes
+        onchip_bytes = (len(reads) + len(writes)) * self.tile_bytes
         local_hit = shared_fill = c2c = transfer_cycles = 0.0
         if self.local_stores is not None:
             local_hit, shared_fill, c2c = self._account_local(
@@ -339,6 +352,19 @@ class OracleHierarchy(MemoryHierarchy):
         self.c2c_bytes += c2c
         self.local_transfer_cycles += transfer_cycles
         return event
+
+    def finish(self):
+        """Flush the shared level at the end of the schedule: its dirty
+        tiles are written back, and the peaks are left where the product's
+        loop leaves them."""
+        self._flushed = True
+        dirty = len(self.residency._dirty)
+        self.residency.flush()
+        self.peak_resident_bytes = self.residency.peak_resident_bytes
+        if self.local_stores is not None:
+            self.peak_local_resident_bytes = max(
+                store.peak_resident_bytes for store in self.local_stores)
+        super().finish(dirty)
 
 
 # ------------------------------------------------------------ policy hooks
@@ -444,10 +470,8 @@ def reference_execute(runtime, tasks, tiles, verify=True, trace=None):
             successors[dep].append(task.task_id)
 
     memory = OracleHierarchy.for_chip(
-        runtime.lap, runtime.tile, on_chip_kb=runtime.on_chip_kb,
-        bandwidth_gbs=runtime.bandwidth_gbs,
-        local_store_kb=runtime.local_store_kb,
-        offchip_pj_per_byte=runtime.offchip_pj_per_byte)
+        runtime.lap, runtime.tile, runtime.interface,
+        on_chip_kb=runtime.on_chip_kb, local_store_kb=runtime.local_store_kb)
     spans, spill_series, stall_series = [], [], []
     spilled = stalled = 0.0
     policy = runtime.policy

@@ -674,6 +674,28 @@ def test_integer_parameters_are_checked_not_truncated(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("on_chip_kb=0",
+     "on_chip_kb must be a positive finite number of KiB, got 0.0"),
+    ("local_store_kb=0",
+     "local_store_kb must be a positive finite number of KiB, got 0.0"),
+    ("bandwidth_gbs=16GB", "parameter 'bandwidth_gbs' must be a number, "
+                           "got '16GB'"),
+    ("core_frequencies_ghz=1:abc", "parameter 'core_frequencies_ghz' must "
+                                   "be a number, got 'abc'"),
+    ("seed=-1", "parameter 'seed' must be a non-negative integer, got -1"),
+])
+def test_sweep_names_an_unusable_parameter_and_its_value(capsys, setting,
+                                                         message):
+    """Bugfix: ``on_chip_kb=0`` failed with ``on-chip capacity must be a
+    positive finite number`` (and ``local_store_kb=0`` alike), naming
+    neither the parameter nor the value, and so did a real parameter
+    ``float()`` rejects or a negative seed."""
+    assert main(["sweep", "--runner", "lap_runtime", "--set", setting,
+                 "--no-cache", "--mode", "serial"]) == 2
+    assert f"sweep failed: {message}" in capsys.readouterr().err
+
+
 def test_trace_checks_its_job_before_simulating(tmp_path, capsys, monkeypatch):
     """``trace`` applies a sweep job's checks to its ``--set`` values, so a
     NaN exits 2 before the point simulates, not when its metadata fails to

@@ -113,6 +113,58 @@ def test_integral_values_convert_as_before():
     assert design({"cores": True}) == design({"cores": 1})
 
 
+#: Each runner's real parameters.
+REAL_PARAMS = {
+    "design": ("frequency_ghz", "local_store_kbytes", "onchip_mbytes",
+               "utilization"),
+    "pe": ("frequency_ghz", "local_store_kbytes"),
+    "simulate": ("frequency_ghz",),
+    "chip_gemm": ("offchip_bw_bytes_per_cycle", "frequency_ghz"),
+    "chip_gemm_onchip": ("frequency_ghz", "onchip_bw_words_per_cycle"),
+    "core_gemm": ("bandwidth_bytes_per_cycle",),
+    "blas": ("bandwidth_bytes_per_cycle",),
+    "fact_kernel": ("frequency_ghz", "local_store_kbytes"),
+    "lap_runtime": ("onchip_mbytes", "on_chip_kb", "bandwidth_gbs",
+                    "local_store_kb", "stall_overlap", "frequency_ghz",
+                    "offchip_pj_per_byte", "core_frequencies_ghz"),
+    "blocked_fact": ("frequency_ghz",),
+}
+
+
+@pytest.mark.parametrize("runner, name", [
+    (runner, name) for runner, names in REAL_PARAMS.items()
+    for name in names] + [
+    (runner, "seed") for runner in ("simulate", "lap_runtime", "blocked_fact")])
+def test_real_and_seed_parameters_are_checked_by_name(runner, name):
+    """Bugfix: ``bandwidth_gbs=16GB`` failed with ``could not convert
+    string to float: '16GB'`` and ``seed=-1`` with NumPy's ``expected
+    non-negative integer``, naming no parameter."""
+    if name == "seed":
+        cases = [(-1, "a non-negative integer, got -1")]
+    else:
+        cases = [(value, f"a number, got {value!r}")
+                 for value in ("16GB", "abc", {})]
+    for value, expected in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"parameter '{name}' must be {expected}")):
+            get_runner(runner)({name: value})
+
+
+def test_real_values_convert_as_before():
+    """Every value a bare ``float()`` converted still gives the same point:
+    an integer, a numeric string, a bool, and each clock of a delimited
+    ``core_frequencies_ghz``."""
+    design = get_runner("design")
+    assert design({"frequency_ghz": "1", "utilization": True}) == design(
+        {"frequency_ghz": 1.0, "utilization": 1.0})
+    base = {"algorithm": "cholesky", "n": 32, "tile": 8, "num_cores": 2,
+            "timing": "memoized", "verify": False}
+    row = get_runner("lap_runtime")(
+        {**base, "on_chip_kb": 4.0, "core_frequencies_ghz": [1.0, 2.0]})
+    assert get_runner("lap_runtime")(
+        {**base, "on_chip_kb": "4", "core_frequencies_ghz": "1:2"}) == row
+
+
 # ------------------------------------------------------- analytical runners
 class TestChipGemmOnchip:
     def test_matches_model_with_required_bandwidth(self):

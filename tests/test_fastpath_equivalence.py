@@ -323,8 +323,8 @@ def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
     GEMM's 3-tile footprint, where only the pin rule keeps a footprint
     resident.  The loop reads local membership only through the holder
     masks, so after a two-level run bit ``k`` of a tile's mask must be set
-    exactly when core ``k``'s store holds the tile, in the product and in
-    the oracle; eight cores (``fine_cholesky``'s count) use every bit."""
+    exactly when core ``k``'s oracle store holds the tile; eight cores
+    (``fine_cholesky``'s count) use every bit."""
     kwargs = dict(policy=policy, local_store_kb=local_store_kb,
                   on_chip_kb=on_chip_kb, num_cores=num_cores)
     ref_rt, fast_rt = make_runtime(**kwargs), make_runtime(**kwargs)
@@ -334,14 +334,13 @@ def test_loop_matches_oracle_on_random_graphs(graph, policy, local_store_kb,
     # Dense tile ids are first-seen positions over each task's reads+writes.
     names = list(dict.fromkeys(access for task in graph
                                for access in task.read_tiles() + task.write_tiles()))
-    memory = fast_rt.last_memory
-    assert len(memory.local_holders) == len(names)
-    for tid, mask in enumerate(memory.local_holders):
+    holders = fast_rt.last_memory.local_holders
+    stores = ref_rt.last_memory.local_stores
+    assert len(holders) == len(names)
+    for tid, mask in enumerate(holders):
         assert mask >> num_cores == 0
         for k in range(num_cores):
-            held = memory.local_stores[k]._stamp[tid] >= 0
-            assert bool(mask >> k & 1) == held
-            assert held == ref_rt.last_memory.local_stores[k].is_resident(names[tid])
+            assert bool(mask >> k & 1) == stores[k].is_resident(names[tid])
 
 
 # ----------------------------------------------------------------- replay

@@ -17,6 +17,7 @@ Refreshing the runner golden after an intentional model change::
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from scheduler_oracle import OracleHierarchy, OracleTileResidency, touched_tiles
 from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.memory import LocalStore, MemoryHierarchy, TileResidency
+from repro.lap.memory import MemoryHierarchy
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
@@ -39,6 +40,16 @@ def make_runtime(num_cores=2, tile=8, nr=4, onchip_mbytes=1.0, **kwargs):
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=nr,
                                            onchip_memory_mbytes=onchip_mbytes))
     return LAPRuntime(lap, tile, **kwargs)
+
+
+def assert_capacity_checked(name):
+    """A capacity ``name`` (``on_chip_kb`` or ``local_store_kb``) that is
+    not a positive finite number of KiB raises, naming it and the value."""
+    lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
+    for kb in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a positive finite number of KiB, got {kb}")):
+            MemoryHierarchy.for_chip(lap, 8, lap.offchip, **{name: kb})
 
 
 # --------------------------------------------------------- task footprints
@@ -97,7 +108,7 @@ class TestTaskFootprints:
         assert len(working_set) == 6
 
 
-# ------------------------------------------------------------ TileResidency
+# ------------------------------------------------------------ shared level
 def run_on_one_core(footprints, on_chip_kb=4.0):
     """Execute one chain of tasks with explicit ``(reads, writes)``
     footprints on one core; returns the runtime and its stats."""
@@ -133,13 +144,10 @@ class TestTileResidency:
     (512-byte tiles; ``on_chip_kb=1.0`` holds two of them)."""
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TileResidency(0, 512)
-        with pytest.raises(ValueError):
-            TileResidency(1024, 0)
-        for capacity in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="on-chip capacity"):
-                TileResidency(capacity, 512)
+        assert_capacity_checked("on_chip_kb")
+        lap = LinearAlgebraProcessor(LAPConfig(num_cores=1, nr=4))
+        with pytest.raises(ValueError, match="tile size"):
+            MemoryHierarchy.for_chip(lap, 0, lap.offchip)
 
     def test_cold_misses_are_compulsory_once(self):
         runtime, stats = run_on_one_core([
@@ -216,7 +224,7 @@ class TestBandwidthAndEnergy:
 
     def test_energy_model_terms(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8)
+        hierarchy = MemoryHierarchy.for_chip(lap, 8, lap.offchip)
         energy = hierarchy.energy
         assert energy.energy_per_flop_j > 0
         assert energy.onchip_energy_per_byte_j > 0
@@ -463,13 +471,12 @@ def test_lap_runtime_rows_match_memory_golden():
 # ------------------------------------------------- two-level hierarchy
 class TestLocalStore:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalStore(0, 512)
-        with pytest.raises(ValueError):
-            LocalStore(1024, 0)
-        for capacity in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="local-store capacity"):
-                LocalStore(capacity, 512)
+        assert_capacity_checked("local_store_kb")
+        # The runtime checks it at its first execute.
+        runtime = make_runtime(timing="memoized", local_store_kb=0.0)
+        with pytest.raises(ValueError, match="local_store_kb must be"):
+            runtime.run_blocked_gemm(16, np.random.default_rng(0),
+                                     verify=False)
 
     @staticmethod
     def chain(footprints, local_tiles, shared_tiles=None):
@@ -531,7 +538,7 @@ class TestLocalStore:
         hierarchy = OracleHierarchy.for_chip(lap, tile=8, local_store_kb=4.0)
         gemm = TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
                               inputs=[(0, 1), (1, 0)])
-        tile_bytes = hierarchy.residency.tile_bytes
+        tile_bytes = hierarchy.tile_bytes
         event = hierarchy.account(gemm, core_index=0)
         # Cold: every tile fills from the shared level.
         assert event.local_hit_bytes == 0
@@ -581,8 +588,8 @@ class TestLocalStore:
         task = TaskDescriptor(0, TaskKind.CHOLESKY, output=(0, 0))
         with pytest.raises(ValueError, match="core index"):
             hierarchy.account(task, core_index=2)
-        with pytest.raises(ValueError, match="local-store capacity"):
-            MemoryHierarchy.for_chip(lap, tile=8, local_store_kb=0.0)
+        with pytest.raises(ValueError, match="local_store_kb must be"):
+            MemoryHierarchy.for_chip(lap, 8, lap.offchip, local_store_kb=0.0)
 
 
 class TestTwoLevelRuntime:

@@ -244,7 +244,7 @@ def test_two_level_runtime_conserves_offchip_traffic_split(data):
     assert stats["offchip_traffic_bytes"] == (stats["compulsory_bytes"]
                                               + stats["spill_bytes"]
                                               + stats["writeback_bytes"])
-    tile_bytes = runtime.last_memory.residency.tile_bytes
+    tile_bytes = runtime.last_memory.tile_bytes
     touched = (stats["local_hit_bytes"] + stats["shared_to_local_bytes"]
                + stats["c2c_bytes"])
     footprints = [len(_footprint(t.read_tiles(), t.write_tiles())) * tile_bytes
@@ -258,11 +258,11 @@ def test_two_level_runtime_conserves_offchip_traffic_split(data):
 # ------------------------------------ product levels vs OrderedDict oracle
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities)
-def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
+def test_loop_residency_matches_ordereddict_oracle(trace, capacity_tiles):
     """The scheduler loop's shared level, driven by a one-core chain of
     tasks whose explicit footprints are the touches, moves exactly the
-    oracle's bytes: per-task traffic tuples, peak bytes, the final flush
-    and the membership version."""
+    oracle's bytes: per-task traffic tuples, peak bytes and the final
+    flush."""
     ref = OracleTileResidency(capacity_bytes=capacity_tiles * TILE_BYTES,
                               tile_bytes=TILE_BYTES)
     tasks = [TaskDescriptor(k, TaskKind.GEMM, output=(0, 0),
@@ -283,17 +283,16 @@ def test_fast_residency_matches_ordereddict_oracle(trace, capacity_tiles):
                 e.writeback_bytes) == ref.touch(reads, writes)
     assert stats["peak_resident_bytes"] == ref.peak_resident_bytes
     assert runtime.last_memory.flush_writeback_bytes == ref.flush()
-    assert runtime.last_memory.residency.version == ref.version
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(trace=traces, capacity_tiles=capacities, shared_tiles=capacities)
-def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
+def test_loop_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
                                                      shared_tiles):
     """The scheduler loop's local level, driven by a one-core chain of
     tasks whose explicit footprints are the touches, mirrors
     OracleLocalStore under the oracle's shared level: per-task local-hit
-    and fill bytes, the peak local bytes, and the holder masks and stamps,
+    and fill bytes, the peak local bytes, and the final holder masks,
     which must mark a tile exactly while the store holds it.  The shared
     level is small enough that its evictions revoke local copies
     (inclusion) as well as the store's own LRU evicting them; sibling
@@ -328,9 +327,7 @@ def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
     names = list(dict.fromkeys(access for reads, writes in trace
                                for access in list(reads) + list(writes)))
     held = [int(store.is_resident(name)) for name in names]
-    memory = runtime.last_memory
-    assert memory.local_holders == held
-    assert [int(s >= 0) for s in memory.local_stores[0]._stamp] == held
+    assert runtime.last_memory.local_holders == held
 
 
 # ------------------------------------------------ schedule-replay costing

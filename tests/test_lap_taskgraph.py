@@ -208,9 +208,11 @@ def test_graph_cache_is_bounded_by_its_tasks(monkeypatch):
         small = lib.cholesky_tasks(24)            # 10 tasks
         middle = lib.cholesky_tasks(32)           # 20 tasks: 30 in all
         assert cached() == [small, middle]
-        # A hit reuses the graph and advances the ids like a build.
-        again = AlgorithmsByBlocks(tile=8)
-        assert again.cholesky_tasks(24) is small and again._id_next == 10
+        # Every builder graph numbers its tasks from 0, so a graph built
+        # again, on the same library or another, is the cached one.
+        assert middle.ids == list(range(20))
+        assert lib.cholesky_tasks(24) is small
+        assert AlgorithmsByBlocks(tile=8).cholesky_tasks(24) is small
         gemm = lib.gemm_tasks(16, 16, 16)         # 8 tasks: evicts small
         assert cached() == [middle, gemm]
         big = lib.cholesky_tasks(40)              # 35 tasks: never cached
